@@ -1,8 +1,8 @@
 """pacmerge: PAC-Bayes generalisation certificates for merged models.
 
 The library learns low-dimensional merge coefficients over a pool of source
-models and emits rigorous generalisation certificates for the merged model.
-See the README for a tour; the ``demos/`` scripts exercise each capability.
+models and certifies the merged model with a PAC-Bayes-kl (Seeger) bound.
+``harness`` holds the shipped scenarios; ``cli`` is the ``pacmerge`` command.
 """
 
 from .bounds import (
@@ -10,12 +10,10 @@ from .bounds import (
     BoundReport,
     CertificateRecord,
     bernoulli_kl,
-    categorical_kl,
-    conventional_bound,
     gaussian_kl,
     invert_kl,
+    make_record,
     seeger_certificate,
-    test_set_bound,
 )
 from .certify import (
     CertifyConfig,
@@ -46,13 +44,11 @@ from .merging import (
 from .params import (
     ModelPool,
     ParamVector,
-    TaskVector,
     axpy,
-    layer_axpy,
     pool_load,
     pool_save,
 )
-from .posterior import CategoricalSpec, GaussianSpec, PointSpec, mc_risk, sample
+from .posterior import GaussianSpec, mc_risk, sample
 from .toyzoo import (
     LabeledSet,
     MlpSpec,

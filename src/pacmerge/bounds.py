@@ -12,9 +12,10 @@ A certificate is *vacuous* when even the closed form reaches 1: the inversion
 then sits within rounding distance of 1 and guarantees nothing.  The reported
 ``pb_bound`` is capped at 1 with the flag carried separately.
 
-Closed-form KL divergences for the supported posterior families (isotropic
-Gaussian, categorical vs uniform) live here too, as does the test-set bound,
-which is the same inversion with KL = 0 on held-out data.
+Every certificate record is built here by ``make_record``, from this one
+computation: a test-set bound is the case KL = 0 on held-out data, and a
+finite grid with a uniform prior has KL = ln(grid size).  The closed-form KL
+between isotropic Gaussian posteriors lives here too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .posterior import CategoricalSpec, GaussianSpec
+from .posterior import GaussianSpec
 
 _Q_MAX = 1.0 - 1e-12  # top of the search bracket; beyond this we report 1
 _NEWTON_STEPS = 100
@@ -94,7 +95,8 @@ def invert_kl(p: float, budget: float) -> float:
             hi = min(hi, c)
         else:
             lo = max(lo, c)
-        slope = _kl_dq(p, c)
+        # no slope at c <= p: a subnormal budget collapses the Pinsker start to p
+        slope = _kl_dq(p, c) if c > p else 0.0
         if slope > 0.0 and math.isfinite(slope):
             nxt = c - gap / slope
         else:
@@ -114,11 +116,6 @@ def invert_kl(p: float, budget: float) -> float:
                 lo = mid
         c = 0.5 * (lo + hi)
     return min(max(c, p), 1.0)
-
-
-def conventional_bound(train_error: float, kl_qp: float, n: int, delta: float) -> float:
-    """Closed-form certificate ``train + sqrt(budget/2)``; NOT capped at 1."""
-    return train_error + math.sqrt(BoundBudget(kl_qp, n, delta).value / 2.0)
 
 
 @dataclass(frozen=True)
@@ -182,30 +179,6 @@ def gaussian_kl(q: GaussianSpec, p: GaussianSpec) -> float:
     return 0.5 * d * (ratio - 1.0 - math.log(ratio)) + mean_term
 
 
-def categorical_kl(q: CategoricalSpec) -> float:
-    """KL between q and the uniform distribution over its own support."""
-    entropy_gap = float(sum(_xlogy(pi, pi) for pi in q.probs))
-    return entropy_gap + math.log(q.atoms)
-
-
-def test_set_bound(val_error: float, n_val: int, delta: float, classic: bool = False) -> float:
-    """Certificate from held-out data alone (point-mass prior and posterior).
-
-    The default budget is ln(n/delta)/(n-1), the KL=0 case of the PAC-Bayes
-    machinery.  ``classic=True`` switches to the ln(1/delta)/n form of the
-    standalone binomial test-set bound for comparison.
-    """
-    if n_val < 2:
-        raise DomainError(f"need n_val >= 2, got {n_val}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta {delta} outside (0, 1)")
-    if classic:
-        budget = math.log(1.0 / delta) / n_val
-    else:
-        budget = math.log(n_val / delta) / (n_val - 1)
-    return min(invert_kl(val_error, budget), 1.0)
-
-
 @dataclass
 class CertificateRecord:
     """Everything reported about one certified run."""
@@ -263,3 +236,24 @@ class CertificateRecord:
         data = dict(data)
         data.pop("certified_gap", None)
         return cls(**data)
+
+
+def make_record(task_id: str, scheme: str, objective: str, train_error: float,
+                kl_qp: float, n: int, delta: float, test_error: float | None = None,
+                provenance: dict | None = None) -> CertificateRecord:
+    """A certificate record whose bounds come from ``seeger_certificate``."""
+    report = seeger_certificate(train_error, kl_qp, n, delta)
+    return CertificateRecord(
+        task_id=task_id,
+        scheme=scheme,
+        objective=objective,
+        n=n,
+        delta=delta,
+        train_error=train_error,
+        kl_qp=kl_qp,
+        pb_bound=report.pb_bound,
+        upper_bound=report.upper_bound,
+        vacuous=report.vacuous,
+        test_error=test_error,
+        provenance={} if provenance is None else provenance,
+    )

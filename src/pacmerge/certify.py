@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    BoundBudget,
-    CertificateRecord,
-    conventional_bound,
-    gaussian_kl,
-    invert_kl,
-    seeger_certificate,
-)
+from .bounds import CertificateRecord, gaussian_kl, make_record
 from .cma import CmaConfig, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, make_scheme, realize
@@ -124,33 +117,24 @@ def _objective_fn(scheme, objective: Objective, support, model_spec, mc_seed):
 
 def optimize(
     scheme: MergeScheme,
-    objective,
+    objective: Objective,
     support: LabeledSet,
-    model_spec: MlpSpec | None,
+    model_spec: MlpSpec,
     cma: CmaConfig,
 ) -> tuple[np.ndarray, list[TracePoint]]:
     """Search for the posterior mean; returns (best phi, evaluation trace).
 
-    ``objective`` is an Objective, or any callable phi -> float (used by
-    diagnostics and tests).  Deterministic in ``cma.seed``; the trace records
-    every evaluation in index order, and the returned point never scores
-    worse than the trace minimum.
+    Deterministic in ``cma.seed``; the trace records every evaluation in index
+    order, and the returned point never scores worse than the trace minimum.
     """
-    if support is not None and support.n == 0:
+    if support.n == 0:
         raise DomainError("support must be non-empty")
-    if isinstance(objective, Objective):
-        if objective.kind == "pac_bayes_upper" and objective.prior.dim != scheme.d_phi:
-            raise StructureError(
-                f"prior dimension {objective.prior.dim} != scheme d_phi {scheme.d_phi}"
-            )
-        mc_seed = derive_seed(cma.seed, "mc-common")
-        fn = _objective_fn(scheme, objective, support, model_spec, mc_seed)
-    else:
-        wrapped = objective
-
-        def fn(phi):
-            return float(wrapped(phi)), 0.0
-
+    if objective.kind == "pac_bayes_upper" and objective.prior.dim != scheme.d_phi:
+        raise StructureError(
+            f"prior dimension {objective.prior.dim} != scheme d_phi {scheme.d_phi}"
+        )
+    mc_seed = derive_seed(cma.seed, "mc-common")
+    fn = _objective_fn(scheme, objective, support, model_spec, mc_seed)
     trace: list[TracePoint] = []
 
     def scalar_objective(phi):
@@ -213,20 +197,9 @@ def certify(
     mu_q, trace = optimize(scheme, objective, support, model_spec, config.cma)
     q = GaussianSpec(mu_q, config.posterior_variance)
     train, test = _posterior_errors(q, scheme, model_spec, support, query, config)
-    kl = gaussian_kl(q, prior)
-    report = seeger_certificate(train, kl, n, config.delta)
-    return CertificateRecord(
-        task_id=task_id,
-        scheme=scheme.kind,
-        objective=objective_label or objective_kind,
-        n=n,
-        delta=config.delta,
-        train_error=train,
-        kl_qp=kl,
-        pb_bound=report.pb_bound,
-        upper_bound=report.upper_bound,
-        vacuous=report.vacuous,
-        test_error=test,
+    return make_record(
+        task_id, scheme.kind, objective_label or objective_kind, train,
+        gaussian_kl(q, prior), n, config.delta, test_error=test,
         provenance={
             "cma_seed": config.cma.seed,
             "eval_seed": config.eval_seed,
@@ -332,25 +305,11 @@ def certify_discrete(
         [zero_one_risk(model_spec, realize(scheme, np.array([g])), support) for g in grid]
     )
     best = int(np.argmin(risks))  # argmin takes the first (smallest) value on ties
-    train = float(risks[best])
-    kl = math.log(grid_size)
-    budget = BoundBudget(kl, n, config.delta)
-    raw = invert_kl(train, budget.value)
-    upper = conventional_bound(train, kl, n, config.delta)
     test = None
     if query is not None:
         test = zero_one_risk(model_spec, realize(scheme, np.array([grid[best]])), query)
-    return CertificateRecord(
-        task_id=task_id,
-        scheme="task_arith",
-        objective="discrete",
-        n=n,
-        delta=config.delta,
-        train_error=train,
-        kl_qp=kl,
-        pb_bound=min(raw, 1.0),
-        upper_bound=upper,
-        vacuous=upper >= 1.0 or raw >= 1.0,
-        test_error=test,
+    return make_record(
+        task_id, "task_arith", "discrete", float(risks[best]), math.log(grid_size), n,
+        config.delta, test_error=test,
         provenance={"grid_size": grid_size, "phi_star": float(grid[best])},
     )

@@ -2,16 +2,14 @@
 
 Verbs: ``gen-pool`` (build and persist the source-model pool), ``certify``
 (run a scenario end to end), ``sweep`` (run a data-size sweep scenario),
-``report`` (re-render a stored run record), ``selftest`` (fast fixture
-oracles).  Exit codes: 0 success, 2 configuration error, 3 selftest failure.
+``report`` (re-render a stored run record).  Exit codes: 0 success,
+2 configuration or file-format error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import tempfile
 
 from .errors import ConfigError, FormatError
 from .harness import (
@@ -20,7 +18,6 @@ from .harness import (
     load_record,
     make_config,
     run,
-    sweep_n,
     write_report,
 )
 
@@ -79,97 +76,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    import numpy as np
-
-    from .bounds import bernoulli_kl, categorical_kl, conventional_bound, gaussian_kl, invert_kl
-    from .params import ModelPool, ParamVector, TaskVector, pool_load, pool_save
-    from .posterior import CategoricalSpec, GaussianSpec
-
-    def bisect_invert(p, budget):
-        if budget <= 0:
-            return p
-        hi = 1.0 - 1e-12
-        if p >= hi or bernoulli_kl(p, hi) <= budget:
-            return 1.0
-        lo = p
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if bernoulli_kl(p, mid) > budget:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    def check_table_rows():
-        rows = [  # (train, upper, pb) at n=100, delta=0.05
-            (0.508, 0.714, 0.704),
-            (0.178, 0.444, 0.428),
-            (0.570, 0.775, 0.757),
-            (0.354, 0.560, 0.559),
-        ]
-        n, delta = 100, 0.05
-        for train, upper, pb in rows:
-            kl = (upper - train) ** 2 * 2 * (n - 1) - math.log(n / delta)
-            budget = (kl + math.log(n / delta)) / (n - 1)
-            assert abs(invert_kl(train, budget) - pb) <= 0.006
-            assert abs(conventional_bound(train, kl, n, delta) - upper) <= 0.002
-
-    def check_inversion_oracle():
-        for p in np.linspace(0.0, 0.99, 12):
-            for budget in np.linspace(0.0, 5.0, 12):
-                assert abs(invert_kl(float(p), float(budget))
-                           - bisect_invert(float(p), float(budget))) < 1e-6
-
-    def check_closed_form_kl():
-        mean_q = np.full(7, 0.2)
-        mean_p = np.full(7, 1.0 / 7.0)
-        got = gaussian_kl(GaussianSpec(mean_q, 0.05), GaussianSpec(mean_p, 0.05))
-        assert abs(got - 7 * (0.2 - 1 / 7) ** 2 / 0.1) < 1e-9
-        for m in (20, 40, 60, 80, 100):
-            probs = np.zeros(m)
-            probs[0] = 1.0
-            support = np.arange(m, dtype=float).reshape(-1, 1)
-            assert categorical_kl(CategoricalSpec(support, probs)) == math.log(m)
-
-    def check_pool_round_trip():
-        base = ParamVector([0.5, -1.25, 3.0, 0.125], ((0, 2), (2, 2)))
-        delta = ParamVector([1.0, 2.0, -3.5, 4.75], ((0, 2), (2, 2)))
-        pool = ModelPool(base, (("a", TaskVector(delta)),))
-        with tempfile.TemporaryDirectory() as tmp:
-            pool_save(pool, tmp)
-            assert pool_load(tmp) == pool
-
-    def check_zero_train_closed_form():
-        budget = math.log(100 / 0.05) / 99
-        assert abs(invert_kl(0.0, budget) - (1.0 - math.exp(-budget))) < 1e-9
-
-    return [
-        ("table-arithmetic", check_table_rows),
-        ("inversion-vs-bisection", check_inversion_oracle),
-        ("closed-form-kl", check_closed_form_kl),
-        ("pool-round-trip", check_pool_round_trip),
-        ("zero-train-closed-form", check_zero_train_closed_form),
-    ]
-
-
-def cmd_selftest(_args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except Exception as exc:  # noqa: BLE001 - report any failure uniformly
-            failures += 1
-            print(f"FAIL - {name}: {exc}")
-        else:
-            print(f"ok - {name}")
-    if failures:
-        print(f"{failures} selftest check(s) failed")
-        return 3
-    print("selftest passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pacmerge", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -191,9 +97,6 @@ def main(argv=None) -> int:
     p.add_argument("--format", required=True, choices=["csv", "json", "md"])
     p.add_argument("--out", metavar="DIR", default="out")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("selftest", help="run the fast fixture oracle suite")
-    p.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
     try:

@@ -8,8 +8,8 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
   reproducing the vacuity contrast between high- and low-dimensional schemes;
 * ``paper-ddp``          - layer-wise merging with plain, bound-optimized,
   and data-dependent-prior certification;
-* ``paper-gap-sweep``    - certified gap versus support size (also emits the
-  half-validation comparison); ``paper-halfval`` is the same design;
+* ``paper-gap-sweep``    - certified gap versus support size, with the
+  half-validation comparison;
 * ``paper-discrete``     - finite-grid certificates against the continuous
   Gaussian-posterior baseline;
 * ``validity-trial``     - repeated fresh-support trials checking that the
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,18 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    CertificateRecord,
-    conventional_bound,
-    gaussian_kl,
-    seeger_certificate,
-    test_set_bound,
-)
+from .bounds import CertificateRecord, gaussian_kl, make_record
 from .certify import CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete, optimize, Objective
 from .cma import CmaConfig
 from .errors import ConfigError, FormatError
 from .merging import KINDS, make_scheme, realize
-from .params import ModelPool, TaskVector, axpy, pool_load, pool_save
+from .params import ModelPool, axpy, pool_load, pool_save
 from .posterior import GaussianSpec, mc_risk
 from .seeding import derive_seed
 from .toyzoo import (
@@ -131,7 +124,6 @@ _SCHEMA: dict[str, tuple] = {
     "posterior.mc_samples": (_positive_int, 10),
     "prior.variance": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
     "bound.delta": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.05),
-    "bound.test_set_form": (_choice(("pac", "classic")), "pac"),
     "cma.popsize": (int, 0),  # 0 -> 4 + floor(3 ln d)
     "cma.sigma0": (_bounded_float(0.0, 1e9, lo_open=True), 1.0),
     "cma.max_evals": (_positive_int, 2000),
@@ -156,7 +148,6 @@ SCENARIOS: dict[str, dict] = {
     "paper-table1-toy": {"kind": "table", "merge.kind": "all", "objective.kind": "both"},
     "paper-ddp": {"kind": "ddp", "merge.kind": "layer_wise"},
     "paper-gap-sweep": {"kind": "sweep", "merge.kind": "task_wise", "cma.max_evals": 800},
-    "paper-halfval": {"kind": "sweep", "merge.kind": "task_wise", "cma.max_evals": 800},
     "paper-discrete": {"kind": "discrete", "merge.kind": "task_arith", "cma.max_evals": 800},
     "validity-trial": {
         "kind": "validity",
@@ -337,7 +328,7 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
                 seed=derive_seed(seed, "ft-train", i),
             ),
         )
-        members.append((task.task_id, TaskVector(axpy(tuned, -1.0, base))))
+        members.append((task.task_id, axpy(tuned, -1.0, base)))
     pool = ModelPool(base, tuple(members))
     if pool_path is not None:
         pool_save(pool, pool_path)
@@ -553,7 +544,7 @@ def _run_ddp(config, world) -> list[CertificateRecord]:
     return _run_jobs(jobs)
 
 
-def _half_val_record(scheme, support, query, model_spec, config, cfg, task_id) -> CertificateRecord:
+def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> CertificateRecord:
     """Train a deterministic merge on half the data, certify on the rest."""
     half = support.n // 2
     train_half = support.subset(np.arange(half))
@@ -566,23 +557,11 @@ def _half_val_record(scheme, support, query, model_spec, config, cfg, task_id) -
     mu, _ = optimize(scheme, objective, train_half, model_spec, cfg.cma)
     model = realize(scheme, mu)
     val_error = zero_one_risk(model_spec, model, val_half)
-    classic = config["bound.test_set_form"] == "classic"
-    pb = test_set_bound(val_error, val_half.n, cfg.delta, classic=classic)
-    upper = conventional_bound(val_error, 0.0, val_half.n, cfg.delta)
     test = zero_one_risk(model_spec, model, query) if query is not None else None
-    return CertificateRecord(
-        task_id=task_id,
-        scheme=scheme.kind,
-        objective="half_val",
-        n=val_half.n,
-        delta=cfg.delta,
-        train_error=val_error,
-        kl_qp=0.0,
-        pb_bound=pb,
-        upper_bound=upper,
-        vacuous=upper >= 1.0 or pb >= 1.0,
-        test_error=test,
-        provenance={"train_half_n": train_half.n, "form": "classic" if classic else "pac"},
+    # a test-set bound: point-mass prior and posterior, so KL = 0
+    return make_record(
+        task_id, scheme.kind, "half_val", val_error, 0.0, val_half.n, cfg.delta,
+        test_error=test, provenance={"train_half_n": train_half.n, "form": "pac"},
     )
 
 
@@ -620,7 +599,7 @@ def sweep_n(config: ExperimentConfig, n_list=None, world: World | None = None,
             cfg_hv = _certify_config(config, index, scheme_kind, "half_val", n)
             jobs.append(
                 lambda s=scheme, sup=support, q=query, c=cfg_hv, t=task.task_id:
-                _half_val_record(s, sup, q, world.model_spec, config, c, t)
+                _half_val_record(s, sup, q, world.model_spec, c, t)
             )
             cfg_opt = _certify_config(config, index, scheme_kind, "pac_bayes_upper", n)
             jobs.append(
@@ -682,25 +661,14 @@ def _run_validity(config, world) -> list[CertificateRecord]:
         ]
         mu = float(grid[int(np.argmin(risks))])
         q = GaussianSpec(np.array([mu]), variance)
-        train_error = float(np.min(risks))
-        kl = gaussian_kl(q, prior)
-        report = seeger_certificate(train_error, kl, n, delta)
         true_risk = mc_risk(q, scheme, world.model_spec, population, k,
                             derive_seed(seed, "trial-test", trial))
-        return CertificateRecord(
-            task_id=f"trial{trial}",
-            scheme=scheme.kind,
-            objective="validity",
-            n=n,
-            delta=delta,
-            train_error=train_error,
-            kl_qp=kl,
-            pb_bound=report.pb_bound,
-            upper_bound=report.upper_bound,
-            vacuous=report.vacuous,
-            test_error=true_risk,
-            provenance={"mu": mu, "violation": bool(true_risk > report.pb_bound)},
+        record = make_record(
+            f"trial{trial}", scheme.kind, "validity", float(np.min(risks)),
+            gaussian_kl(q, prior), n, delta, test_error=true_risk, provenance={"mu": mu},
         )
+        record.provenance["violation"] = bool(true_risk > record.pb_bound)
+        return record
 
     return _run_jobs([lambda t=t: one_trial(t) for t in range(config["validity.trials"])])
 
@@ -732,11 +700,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunRecord:
             raise ConfigError("kind", f"unknown scenario kind {kind!r}")
 
     for record in records:
-        # half_val under the classic budget form intentionally deviates from
-        # the KL=0 recomputation; everything else must match it exactly.
-        if not (record.objective == "half_val"
-                and record.provenance.get("form") == "classic"):
-            record.validate()
+        record.validate()
         record.provenance.setdefault("config_hash", config.hash)
 
     run_record = RunRecord(

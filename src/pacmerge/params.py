@@ -1,4 +1,4 @@
-"""Flat parameter vectors, layer views, task vectors, and the source-model pool.
+"""Flat parameter vectors, layer views, and the source-model pool.
 
 All merging arithmetic lives in this space.  Values are stored as 32-bit
 floats (matching typical fine-tuned checkpoint precision); arithmetic
@@ -86,78 +86,42 @@ class ParamVector:
         )
 
 
-def _require_same_structure(dst: ParamVector, src: ParamVector):
+def axpy(dst: ParamVector, scale: float, src: ParamVector) -> ParamVector:
+    """``dst + scale * src`` element-wise, preserving layer structure."""
     if not dst.same_structure(src) or dst.size != src.size:
         raise StructureError(
             f"structure mismatch: {dst.layer_offsets} vs {src.layer_offsets}"
         )
-
-
-def _finish(values64: np.ndarray, offsets) -> ParamVector:
-    if not np.all(np.isfinite(values64)):
-        raise DomainError("operation produced NaN/Inf")
-    with np.errstate(over="ignore"):
-        values32 = values64.astype(np.float32)
-    if not np.all(np.isfinite(values32)):
-        raise DomainError("operation overflowed the 32-bit float range")
-    return ParamVector(values32, offsets)
-
-
-def axpy(dst: ParamVector, scale: float, src: ParamVector) -> ParamVector:
-    """``dst + scale * src`` element-wise, preserving layer structure."""
-    _require_same_structure(dst, src)
     out = dst.values.astype(np.float64) + float(scale) * src.values.astype(np.float64)
-    return _finish(out, dst.layer_offsets)
-
-
-def layer_axpy(dst: ParamVector, layer: int, scale: float, src: ParamVector) -> ParamVector:
-    """``axpy`` restricted to one layer block; other blocks are bit-identical."""
-    _require_same_structure(dst, src)
-    if not 0 <= layer < dst.layer_count:
-        raise IndexError(f"layer {layer} out of range [0, {dst.layer_count})")
-    start, length = dst.layer_offsets[layer]
-    block = slice(start, start + length)
-    updated = dst.values[block].astype(np.float64) + float(scale) * src.values[block].astype(np.float64)
-    if not np.all(np.isfinite(updated)):
+    if not np.all(np.isfinite(out)):
         raise DomainError("operation produced NaN/Inf")
     with np.errstate(over="ignore"):
-        updated32 = updated.astype(np.float32)
-    if not np.all(np.isfinite(updated32)):
+        out32 = out.astype(np.float32)
+    if not np.all(np.isfinite(out32)):
         raise DomainError("operation overflowed the 32-bit float range")
-    result = dst.values.copy()
-    result[block] = updated32
-    return ParamVector(result, dst.layer_offsets)
-
-
-@dataclass(frozen=True, eq=False)
-class TaskVector:
-    """Fine-tuned parameters minus base parameters, sharing the base layout."""
-
-    delta: ParamVector
-
-    def __eq__(self, other):
-        if not isinstance(other, TaskVector):
-            return NotImplemented
-        return self.delta == other.delta
+    return ParamVector(out32, dst.layer_offsets)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelPool:
-    """A base model plus per-task task vectors, all structurally identical."""
+    """A base model plus per-task task vectors, all structurally identical.
+
+    Each member's task vector is its fine-tuned parameters minus ``base``.
+    """
 
     base: ParamVector
-    members: tuple[tuple[str, TaskVector], ...] = field(default_factory=tuple)
+    members: tuple[tuple[str, ParamVector], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        members = tuple((str(tid), tv) for tid, tv in self.members)
+        members = tuple((str(tid), delta) for tid, delta in self.members)
         object.__setattr__(self, "members", members)
         if len(members) < 1:
             raise StructureError("pool needs at least one member")
         ids = [tid for tid, _ in members]
         if len(set(ids)) != len(ids):
             raise StructureError(f"duplicate task ids in pool: {ids}")
-        for tid, tv in members:
-            if not tv.delta.same_structure(self.base):
+        for tid, delta in members:
+            if not delta.same_structure(self.base):
                 raise StructureError(f"member {tid!r} does not share base layer structure")
 
     @property
@@ -170,14 +134,14 @@ class ModelPool:
 
     def without(self, task_id: str) -> "ModelPool":
         """Hold-one-out view: the pool minus the named member."""
-        kept = tuple((tid, tv) for tid, tv in self.members if tid != task_id)
+        kept = tuple((tid, delta) for tid, delta in self.members if tid != task_id)
         if len(kept) == len(self.members):
             raise KeyError(f"no member {task_id!r} in pool")
         return ModelPool(self.base, kept)
 
     def deltas_matrix(self) -> np.ndarray:
         """Stacked float32 deltas, one row per member (M, P)."""
-        return np.stack([tv.delta.values for _, tv in self.members])
+        return np.stack([delta.values for _, delta in self.members])
 
     def __eq__(self, other):
         if not isinstance(other, ModelPool):
@@ -209,7 +173,7 @@ def pool_save(pool: ModelPool, path) -> None:
 
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    blocks = [pool.base.values] + [tv.delta.values for _, tv in pool.members]
+    blocks = [pool.base.values] + [delta.values for _, delta in pool.members]
     raws = [_block_bytes(b) for b in blocks]
     manifest = {
         "base_len": pool.base.size,
@@ -283,7 +247,7 @@ def pool_load(path) -> ModelPool:
     try:
         base = ParamVector(blocks[0], offsets)
         members = tuple(
-            (tid, TaskVector(ParamVector(block, offsets)))
+            (tid, ParamVector(block, offsets))
             for tid, block in zip(task_ids, blocks[1:])
         )
         return ModelPool(base, members)

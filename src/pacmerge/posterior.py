@@ -1,4 +1,4 @@
-"""Distributions over merge coefficients and Monte-Carlo risk estimation.
+"""Gaussian posteriors over merge coefficients and Monte-Carlo risk estimation.
 
 A randomized classifier draws fresh coefficients per prediction; following
 the usual estimator, we instead draw ``k`` whole coefficient vectors and
@@ -40,86 +40,29 @@ class GaussianSpec:
         return int(self.mean.size)
 
 
-@dataclass(frozen=True, eq=False)
-class CategoricalSpec:
-    """Finite support of coefficient vectors with probabilities."""
-
-    support: np.ndarray  # (atoms, d) float64
-    probs: np.ndarray    # (atoms,) float64
-
-    def __post_init__(self):
-        support = np.atleast_2d(np.array(self.support, dtype=np.float64, copy=True))
-        probs = np.array(self.probs, dtype=np.float64, copy=True).reshape(-1)
-        support.flags.writeable = False
-        probs.flags.writeable = False
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-        if support.shape[0] != probs.size:
-            raise DomainError("support and probs length mismatch")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise DomainError("probs must be non-negative and sum to 1")
-        uniq = {tuple(row) for row in support}
-        if len(uniq) != support.shape[0]:
-            raise DomainError("support values must be distinct")
-
-    @property
-    def atoms(self) -> int:
-        return int(self.probs.size)
-
-
-@dataclass(frozen=True, eq=False)
-class PointSpec:
-    """Point mass on a single coefficient vector."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.float64, copy=True).reshape(-1)
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-        if not np.all(np.isfinite(phi)):
-            raise DomainError("point mass must be finite")
-
-
-PosteriorSpec = GaussianSpec | CategoricalSpec | PointSpec
-
-
-def sample(spec: PosteriorSpec, seed: int, k: int) -> np.ndarray:
+def sample(spec: GaussianSpec, seed: int, k: int) -> np.ndarray:
     """k coefficient draws as rows; deterministic in seed."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    if isinstance(spec, PointSpec):
-        return np.tile(spec.phi, (k, 1))
-    if isinstance(spec, GaussianSpec):
-        std = np.sqrt(spec.variance)
-        rows = [
-            spec.mean + std * rng_for(seed, "gauss", j).standard_normal(spec.dim)
-            for j in range(k)
-        ]
-        return np.stack(rows)
-    if isinstance(spec, CategoricalSpec):
-        rng = rng_for(seed, "cat")
-        idx = rng.choice(spec.atoms, size=k, p=spec.probs)
-        return spec.support[idx]
-    raise TypeError(f"unknown spec type {type(spec)!r}")
+    std = np.sqrt(spec.variance)
+    rows = [
+        spec.mean + std * rng_for(seed, "gauss", j).standard_normal(spec.dim)
+        for j in range(k)
+    ]
+    return np.stack(rows)
 
 
 def mc_risk(
-    spec: PosteriorSpec,
+    spec: GaussianSpec,
     scheme: MergeScheme,
     model_spec: MlpSpec,
     data: LabeledSet,
     k: int = 10,
     seed: int = 0,
 ) -> float:
-    """Average 0-1 risk of ``k`` models realized from posterior draws.
-
-    A point mass short-circuits to the deterministic risk, exactly, for any k.
-    """
+    """Average 0-1 risk of ``k`` models realized from posterior draws."""
     if data.n == 0:
         raise DomainError("mc_risk needs a non-empty set")
-    if isinstance(spec, PointSpec):
-        return zero_one_risk(model_spec, realize(scheme, spec.phi), data)
     draws = sample(spec, seed, k)
     if draws.shape[1] != scheme.d_phi:
         raise StructureError(

@@ -2,24 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacmerge import (
     BoundBudget,
-    CategoricalSpec,
     CertificateRecord,
     DomainError,
     GaussianSpec,
     StructureError,
     bernoulli_kl,
-    categorical_kl,
-    conventional_bound,
     gaussian_kl,
     invert_kl,
+    make_record,
     seeger_certificate,
 )
-from pacmerge import test_set_bound as tsb
+
+
+def upper(train, kl, n, delta):
+    return seeger_certificate(train, kl, n, delta).upper_bound
+
+
+def held_out_pb(val_error, n_val, delta):
+    """Held-out certificate: the PAC-Bayes-kl bound with KL = 0."""
+    return seeger_certificate(val_error, 0.0, n_val, delta).pb_bound
 
 
 def bisect_invert(p, budget, tol=1e-12):
@@ -88,6 +94,7 @@ class TestInvertKl:
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 5.0))
+    @example(0.0, 5e-324)
     def test_round_trip(self, p, budget):
         # away from the saturated sliver next to 1, where a one-ulp move in C
         # shifts the divergence by more than the asserted tolerance
@@ -98,18 +105,24 @@ class TestInvertKl:
     def test_vacuous_returns_exact_one(self):
         assert invert_kl(0.9, 50.0) == 1.0
 
+    def test_subnormal_budget_at_zero_train(self):
+        # the Pinsker start p + sqrt(B/2) rounds to p here; no slope is taken there
+        c = invert_kl(0.0, 5e-324)
+        assert 0.0 <= c < 1e-9  # the root is ~5e-324; the contract is 1e-9 absolute
+        assert abs(bernoulli_kl(0.0, c) - 5e-324) < 1e-8
+
 
 class TestConventionalBound:
     def test_published_values(self):
-        assert abs(conventional_bound(0.508, 0.801, 100, 0.05) - 0.714) < 0.002
-        assert abs(conventional_bound(0.178, 6.42, 100, 0.05) - 0.444) < 0.003
+        assert abs(upper(0.508, 0.801, 100, 0.05) - 0.714) < 0.002
+        assert abs(upper(0.178, 6.42, 100, 0.05) - 0.444) < 0.003
 
     def test_not_capped(self):
-        assert conventional_bound(0.5, 500.0, 100, 0.05) > 2.0
+        assert upper(0.5, 500.0, 100, 0.05) > 2.0
 
     def test_large_n_limit(self):
         n = 10**8
-        value = conventional_bound(0.3, 0.0, n, 0.05)
+        value = upper(0.3, 0.0, n, 0.05)
         assert abs(value - 0.3) < 1e-3
 
 
@@ -210,52 +223,32 @@ class TestGaussianKl:
             assert abs(gaussian_kl(q, p) - numeric) < 1e-6
 
 
-class TestCategoricalKl:
-    def test_uniform_is_zero(self):
-        support = np.arange(5, dtype=float).reshape(-1, 1)
-        spec = CategoricalSpec(support, np.full(5, 0.2))
-        assert abs(categorical_kl(spec)) < 1e-12
-
-    def test_delta_is_log_m(self):
-        for m in (20, 40, 60, 80, 100):
-            probs = np.zeros(m)
-            probs[3 % m] = 1.0
-            support = np.arange(m, dtype=float).reshape(-1, 1)
-            assert categorical_kl(CategoricalSpec(support, probs)) == math.log(m)
-
-    def test_half_half(self):
-        support = np.arange(4, dtype=float).reshape(-1, 1)
-        spec = CategoricalSpec(support, np.array([0.5, 0.5, 0.0, 0.0]))
-        assert abs(categorical_kl(spec) - math.log(2)) < 1e-12
-
-
 class TestTestSetBound:
     def test_zero_val_closed_form(self):
         expected = 1 - math.exp(-math.log(2000) / 99)
-        assert abs(tsb(0.0, 100, 0.05) - expected) < 1e-9
+        assert abs(held_out_pb(0.0, 100, 0.05) - expected) < 1e-9
 
     def test_large_n_limit(self):
-        assert abs(tsb(0.5, 10**8, 0.05) - 0.5) < 1e-3
+        assert abs(held_out_pb(0.5, 10**8, 0.05) - 0.5) < 1e-3
 
     def test_bisection_oracle_value(self):
         # budget ln(1000)/49 = 0.140975; oracle-computed certificate
         budget = math.log(50 / 0.05) / 49
         expected = bisect_invert(0.2, budget)
         assert abs(expected - 0.45335) < 5e-4
-        assert abs(tsb(0.2, 50, 0.05) - expected) < 1e-8
-
-    def test_classic_form_switch(self):
-        classic = tsb(0.2, 50, 0.05, classic=True)
-        expected = bisect_invert(0.2, math.log(20) / 50)
-        assert abs(classic - expected) < 1e-8
-        assert classic < tsb(0.2, 50, 0.05)
+        assert abs(held_out_pb(0.2, 50, 0.05) - expected) < 1e-8
 
     def test_equals_seeger_with_zero_kl(self):
-        assert tsb(0.3, 80, 0.05) == seeger_certificate(0.3, 0.0, 80, 0.05).pb_bound
+        # a half-validation record is make_record with KL = 0
+        record = make_record("t", "task_wise", "half_val", 0.3, 0.0, 80, 0.05)
+        report = seeger_certificate(0.3, 0.0, 80, 0.05)
+        assert (record.pb_bound, record.upper_bound, record.vacuous) == (
+            report.pb_bound, report.upper_bound, report.vacuous)
+        record.validate()
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            tsb(0.2, 1, 0.05)
+            held_out_pb(0.2, 1, 0.05)
 
 
 class TestCertificateRecord:

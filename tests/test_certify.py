@@ -13,13 +13,11 @@ from pacmerge import (
     ModelPool,
     Objective,
     ParamVector,
-    TaskVector,
     TrainConfig,
     axpy,
     certify,
     certify_ddp,
     certify_discrete,
-    conventional_bound,
     default_phi,
     gen_tasks,
     init_params,
@@ -27,6 +25,7 @@ from pacmerge import (
     mc_risk,
     optimize,
     sample_set,
+    seeger_certificate,
     train,
 )
 from pacmerge.certify import split_support
@@ -55,7 +54,7 @@ def world():
             spec, base, sample_set(task, 80, 90 + i),
             TrainConfig(lr=0.04, epochs=10, batch=16, seed=10 + i),
         )
-        members.append((task.task_id, TaskVector(axpy(tuned, -1.0, base))))
+        members.append((task.task_id, axpy(tuned, -1.0, base)))
     pool = ModelPool(base, tuple(members))
     support = sample_set(tasks[0], 100, 7)
     query = sample_set(tasks[0], 400, 8)
@@ -67,16 +66,6 @@ def quick_config(seed=0, max_evals=150):
 
 
 class TestOptimize:
-    def test_quadratic_callable(self, world):
-        _, pool, spec, support, _ = world
-        scheme = make_scheme("task_arith", pool)
-        mu, trace = optimize(
-            scheme, lambda phi: (phi[0] - 3.0) ** 2, support, spec,
-            CmaConfig(max_evals=500, seed=4),
-        )
-        assert abs(mu[0] - 3.0) < 1e-3
-        assert len(trace) <= 500
-
     def test_kl_dominated_objective_stays_at_prior(self, world):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_wise", pool)
@@ -140,7 +129,7 @@ class TestCertify:
             GaussianSpec(phi0, config.posterior_variance), scheme, spec, support,
             config.mc_samples, derive_seed(config.cma.seed, "mc-common"),
         )
-        upper0 = conventional_bound(train0, 0.0, support.n, config.delta)
+        upper0 = seeger_certificate(train0, 0.0, support.n, config.delta).upper_bound
         assert record.upper_bound <= upper0 + 1e-6
 
     def test_needs_two_points(self, world):
@@ -212,7 +201,7 @@ class TestDiscrete:
         _, pool, spec, support, _ = world
         offsets = pool.base.layer_offsets
         zero = ParamVector(np.zeros(pool.base.size), offsets)
-        flat_pool = ModelPool(pool.base, (("z", TaskVector(zero)),))
+        flat_pool = ModelPool(pool.base, (("z", zero),))
         record = certify_discrete(flat_pool, 5, support, spec, quick_config())
         assert record.provenance["phi_star"] == 0.0
 

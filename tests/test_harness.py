@@ -7,6 +7,7 @@ import pytest
 from pacmerge import ConfigError, FormatError
 from pacmerge.cli import main
 from pacmerge.harness import (
+    SCENARIOS,
     RunRecord,
     build_world,
     load_config_file,
@@ -104,6 +105,36 @@ class TestRun:
             assert r.vacuous == (r.upper_bound >= 1.0 or r.pb_bound >= 1.0)
 
 
+# Every shipped scenario at a size that runs in about a second.
+TINY = {
+    "seed": 3, "tasks.count": 3, "tasks.input_dim": 6, "model.hidden": 8,
+    "pool.base_n": 40, "pool.base_epochs": 4, "pool.ft_n": 40, "pool.ft_epochs": 3,
+    "certify.n": 40, "certify.targets": 1, "eval.query_n": 100, "cma.max_evals": 12,
+    "sweep.n_list": "20,40", "discrete.grid_sizes": "3,5",
+    "validity.trials": 3, "validity.population": 500, "validity.grid": 5,
+}
+# scenario -> (certificate count, objectives) under TINY
+EXPECTED = {
+    "smoke": (2, {"train_risk", "pac_bayes_upper"}),
+    "paper-table1-toy": (8, {"train_risk", "pac_bayes_upper"}),
+    "paper-ddp": (3, {"train_risk", "pac_bayes_upper", "ddp"}),
+    "paper-gap-sweep": (6, {"ddp", "half_val", "pac_bayes_upper"}),
+    "paper-discrete": (3, {"continuous", "discrete"}),
+    "validity-trial": (3, {"validity"}),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_scenario_runs_and_validates(scenario):
+    count, objectives = EXPECTED[scenario]
+    record = run(make_config(scenario, TINY))
+    assert len(record.records) == count
+    assert {r.objective for r in record.records} == objectives
+    for r in record.records:
+        r.validate()
+        assert 0.0 <= r.train_error <= r.pb_bound <= 1.0
+
+
 class TestSweepValidation:
     def test_rejects_unsorted(self):
         cfg = make_config("smoke")
@@ -154,11 +185,6 @@ class TestReport:
 
 
 class TestCli:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest passed" in out
-
     def test_certify_and_report(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["certify", "--scenario", "smoke", "--out", str(out)]) == 0

@@ -6,7 +6,6 @@ from pacmerge import (
     ModelPool,
     ParamVector,
     StructureError,
-    TaskVector,
     default_phi,
     make_scheme,
     realize,
@@ -20,7 +19,7 @@ def build_pool(base_values, deltas, offsets=None):
         offsets = ((0, base_values.size),)
     base = ParamVector(base_values, offsets)
     members = tuple(
-        (f"t{i}", TaskVector(ParamVector(np.asarray(d, dtype=np.float32), offsets)))
+        (f"t{i}", ParamVector(np.asarray(d, dtype=np.float32), offsets))
         for i, d in enumerate(deltas)
     )
     return ModelPool(base, members)

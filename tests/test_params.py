@@ -9,9 +9,7 @@ from pacmerge import (
     ModelPool,
     ParamVector,
     StructureError,
-    TaskVector,
     axpy,
-    layer_axpy,
     pool_load,
     pool_save,
 )
@@ -90,43 +88,11 @@ class TestAxpy:
         np.testing.assert_allclose(combined.values, split.values, rtol=1e-6, atol=1e-6)
 
 
-class TestLayerAxpy:
-    def test_zero_scale_unchanged(self):
-        d = vec([1.0, 2.0], ((0, 1), (1, 1)))
-        assert layer_axpy(d, 1, 0.0, vec([5.0, 5.0], ((0, 1), (1, 1)))) == d
-
-    def test_single_layer_update(self):
-        d = vec([1.0, 2.0], ((0, 1), (1, 1)))
-        s = vec([10.0, 10.0], ((0, 1), (1, 1)))
-        out = layer_axpy(d, 1, 1.0, s)
-        np.testing.assert_array_equal(out.values, [1.0, 12.0])
-
-    def test_other_layers_bit_identical(self):
-        d = vec([1.25, -2.5, 0.125], ((0, 2), (2, 1)))
-        s = vec([0.3, 0.7, 0.9], ((0, 2), (2, 1)))
-        out = layer_axpy(d, 1, 2.0, s)
-        assert out.values[:2].tobytes() == d.values[:2].tobytes()
-
-    def test_matches_axpy_on_slice(self):
-        offsets = ((0, 2), (2, 2))
-        d = vec([1.0, 2.0, 3.0, 4.0], offsets)
-        s = vec([0.5, 0.25, -1.0, 2.0], offsets)
-        via_layer = layer_axpy(d, 0, 1.5, s)
-        full = axpy(d, 1.5, s)
-        np.testing.assert_array_equal(via_layer.values[:2], full.values[:2])
-        np.testing.assert_array_equal(via_layer.values[2:], d.values[2:])
-
-    def test_bad_layer_index(self):
-        d = vec([1.0, 2.0], ((0, 2),))
-        with pytest.raises(IndexError):
-            layer_axpy(d, 1, 1.0, d)
-
-
 def two_member_pool():
     offsets = ((0, 2), (2, 2))
     base = vec([0.5, -1.0, 2.0, 0.25], offsets)
-    d1 = TaskVector(vec([1.0, 0.0, -1.0, 0.5], offsets))
-    d2 = TaskVector(vec([0.1, 0.2, 0.3, 0.4], offsets))
+    d1 = vec([1.0, 0.0, -1.0, 0.5], offsets)
+    d2 = vec([0.1, 0.2, 0.3, 0.4], offsets)
     return ModelPool(base, (("a", d1), ("b", d2)))
 
 

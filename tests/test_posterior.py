@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from pacmerge import (
-    CategoricalSpec,
     DomainError,
     GaussianSpec,
     MlpSpec,
     ModelPool,
     ParamVector,
-    PointSpec,
-    TaskVector,
     gen_tasks,
     init_params,
     make_scheme,
@@ -30,23 +27,8 @@ class TestSpecs:
         with pytest.raises(DomainError):
             GaussianSpec(np.array([np.nan]), 0.1)
 
-    def test_categorical_validation(self):
-        support = np.array([[0.0], [1.0]])
-        with pytest.raises(DomainError):
-            CategoricalSpec(support, np.array([0.6, 0.5]))
-        with pytest.raises(DomainError):
-            CategoricalSpec(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            CategoricalSpec(support, np.array([1.2, -0.2]))
-
 
 class TestSample:
-    def test_point_spec_copies(self):
-        spec = PointSpec(np.array([0.5, -1.0]))
-        draws = sample(spec, 0, 5)
-        assert draws.shape == (5, 2)
-        assert np.all(draws == [0.5, -1.0])
-
     def test_gaussian_tiny_variance_concentrates(self):
         spec = GaussianSpec(np.array([2.0, -3.0]), 1e-12)
         draws = sample(spec, 4, 200)
@@ -67,18 +49,9 @@ class TestSample:
         draws = sample(spec, 3, 4000)
         assert abs(draws.mean() - 1.5) < 3 * 0.5 / np.sqrt(4000)
 
-    def test_categorical_uniform_frequencies(self):
-        # binomial oracle at k=40000: each frequency within 0.01 of 0.25
-        support = np.arange(4, dtype=float).reshape(-1, 1)
-        spec = CategoricalSpec(support, np.full(4, 0.25))
-        draws = sample(spec, 11, 40000)
-        for atom in range(4):
-            freq = np.mean(draws[:, 0] == atom)
-            assert abs(freq - 0.25) < 0.01
-
     def test_k_validation(self):
         with pytest.raises(DomainError):
-            sample(PointSpec(np.array([0.0])), 0, 0)
+            sample(GaussianSpec(np.array([0.0]), 1.0), 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +67,7 @@ def toy_world():
     rng = np.random.default_rng(1)
     offsets = spec.layer_offsets()
     members = tuple(
-        (f"m{i}", TaskVector(ParamVector(0.05 * rng.standard_normal(spec.d_model), offsets)))
+        (f"m{i}", ParamVector(0.05 * rng.standard_normal(spec.d_model), offsets))
         for i in range(3)
     )
     pool = ModelPool(base, members)
@@ -104,14 +77,6 @@ def toy_world():
 
 
 class TestMcRisk:
-    def test_point_spec_equals_deterministic(self, toy_world):
-        scheme, spec, data = toy_world
-        phi = np.array([0.3, 0.3, 0.4])
-        point = PointSpec(phi)
-        direct = zero_one_risk(spec, realize(scheme, phi), data)
-        for k in (1, 7):
-            assert mc_risk(point, scheme, spec, data, k, seed=k) == direct
-
     def test_reproducible(self, toy_world):
         scheme, spec, data = toy_world
         q = GaussianSpec(np.full(3, 1 / 3), 0.05)
@@ -123,9 +88,8 @@ class TestMcRisk:
         scheme, spec, data = toy_world
         phi = np.full(3, 1 / 3)
         near_point = GaussianSpec(phi, 1e-10)
-        assert mc_risk(near_point, scheme, spec, data, 10, seed=3) == mc_risk(
-            PointSpec(phi), scheme, spec, data, 10, seed=3
-        )
+        direct = zero_one_risk(spec, realize(scheme, phi), data)
+        assert mc_risk(near_point, scheme, spec, data, 10, seed=3) == direct
 
     def test_within_unit_interval(self, toy_world):
         scheme, spec, data = toy_world
