@@ -38,6 +38,7 @@ from .merging import (
     TiesPreprocessed,
     default_phi,
     make_scheme,
+    merged_values,
     realize,
     ties_preprocess,
 )
@@ -54,6 +55,7 @@ from .toyzoo import (
     MlpSpec,
     SyntheticTask,
     TrainConfig,
+    error_counts,
     forward,
     gen_tasks,
     init_params,

@@ -26,7 +26,7 @@ from .cma import CmaConfig, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, make_scheme, realize
 from .posterior import GaussianSpec, mc_risk
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, zero_one_risk
 
 OBJECTIVE_KINDS = ("train_risk", "pac_bayes_upper")
@@ -94,22 +94,21 @@ class TracePoint:
 def _objective_fn(scheme, objective: Objective, support, model_spec, mc_seed):
     """Returns phi -> (value, kl).  Common random numbers across calls."""
 
-    def train_part(phi):
-        spec = GaussianSpec(phi, objective.posterior_variance)
-        return mc_risk(spec, scheme, model_spec, support, objective.mc_samples, mc_seed)
+    def train_part(q):
+        return mc_risk(q, scheme, model_spec, support, objective.mc_samples, mc_seed)
 
     if objective.kind == "train_risk":
         def fn(phi):
-            return train_part(phi), 0.0
+            return train_part(GaussianSpec(phi, objective.posterior_variance)), 0.0
         return fn
 
     budget_denominator = 2.0 * (objective.n - 1)
     log_term = math.log(objective.n / objective.delta)
 
     def fn(phi):
-        spec = GaussianSpec(phi, objective.posterior_variance)
-        kl = gaussian_kl(spec, objective.prior)
-        value = train_part(phi) + math.sqrt((kl + log_term) / budget_denominator)
+        q = GaussianSpec(phi, objective.posterior_variance)
+        kl = gaussian_kl(q, objective.prior)
+        value = train_part(q) + math.sqrt((kl + log_term) / budget_denominator)
         return value, kl
 
     return fn
@@ -215,8 +214,6 @@ def split_support(support: LabeledSet, ddp: DdpConfig) -> tuple[LabeledSet, Labe
     """Disjoint (prior-fit, certify) halves of the support, seeded shuffle."""
     if support.n < 4:
         raise DomainError("DDP needs support size >= 4 so both halves have >= 2")
-    from .seeding import rng_for
-
     order = rng_for(ddp.split_seed, "ddp-split").permutation(support.n)
     cut = int(round(ddp.split_fraction * support.n))
     cut = min(max(cut, 2), support.n - 2)

@@ -16,18 +16,15 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
   certificate violation rate stays below delta;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
-Runs are deterministic: (config, seeds) fix every output bit, certifications
-may execute in parallel (``PACMERGE_THREADS``) without changing results, and
-every emitted bound is re-validated against a recomputation before writing.
+Runs are deterministic: (config, seeds) fix every output bit, and every
+emitted bound is re-validated against a recomputation before writing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -467,24 +464,6 @@ def load_record(path) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PACMERGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs):
-    """Evaluate thunks, possibly in parallel; results keep submission order."""
-    workers = _thread_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def _scheme_list(config) -> tuple[str, ...]:
     return KINDS if config["merge.kind"] == "all" else (config["merge.kind"],)
 
@@ -496,7 +475,7 @@ def _objective_list(config) -> tuple[str, ...]:
 
 
 def _run_table(config, world) -> list[CertificateRecord]:
-    jobs = []
+    records = []
     for index in range(config["certify.targets"]):
         task = world.tasks[index]
         subpool = world.pool.without(task.task_id)
@@ -506,18 +485,14 @@ def _run_table(config, world) -> list[CertificateRecord]:
             scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
             for objective_kind in _objective_list(config):
                 cfg = _certify_config(config, index, scheme_kind, objective_kind)
-                jobs.append(
-                    lambda s=scheme, o=objective_kind, sup=support, q=query,
-                    c=cfg, t=task.task_id: certify(
-                        s, o, sup, q, world.model_spec, c, task_id=t
-                    )
-                )
-    return _run_jobs(jobs)
+                records.append(certify(scheme, objective_kind, support, query,
+                                       world.model_spec, cfg, task_id=task.task_id))
+    return records
 
 
 def _run_ddp(config, world) -> list[CertificateRecord]:
     scheme_kind = config["merge.kind"] if config["merge.kind"] != "all" else "layer_wise"
-    jobs = []
+    records = []
     for index in range(config["certify.targets"]):
         task = world.tasks[index]
         subpool = world.pool.without(task.task_id)
@@ -527,21 +502,17 @@ def _run_ddp(config, world) -> list[CertificateRecord]:
 
         for objective_kind in ("train_risk", "pac_bayes_upper"):
             cfg = _certify_config(config, index, scheme_kind, objective_kind)
-            jobs.append(
-                lambda s=scheme, o=objective_kind, sup=support, q=query, c=cfg,
-                t=task.task_id: certify(s, o, sup, q, world.model_spec, c, task_id=t)
-            )
+            records.append(certify(scheme, objective_kind, support, query,
+                                   world.model_spec, cfg, task_id=task.task_id))
         ddp = DdpConfig(
             split_fraction=config["ddp.split"],
             prior_objective=config["ddp.prior_objective"],
             split_seed=derive_seed(config["seed"], "ddp-split", index),
         )
         cfg = _certify_config(config, index, scheme_kind, "ddp")
-        jobs.append(
-            lambda s=scheme, sup=support, q=query, c=cfg, d=ddp,
-            t=task.task_id: certify_ddp(s, sup, d, world.model_spec, c, query=q, task_id=t)
-        )
-    return _run_jobs(jobs)
+        records.append(certify_ddp(scheme, support, ddp, world.model_spec, cfg,
+                                   query=query, task_id=task.task_id))
+    return records
 
 
 def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> CertificateRecord:
@@ -577,7 +548,7 @@ def sweep_n(config: ExperimentConfig, n_list=None, world: World | None = None,
     if world is None:
         world = build_world(config, cache_dir)
     scheme_kind = config["merge.kind"] if config["merge.kind"] != "all" else "task_wise"
-    jobs = []
+    records = []
     for index in range(config["certify.targets"]):
         task = world.tasks[index]
         subpool = world.pool.without(task.task_id)
@@ -592,21 +563,15 @@ def sweep_n(config: ExperimentConfig, n_list=None, world: World | None = None,
                 split_seed=derive_seed(config["seed"], "ddp-split", index, n),
             )
             cfg_ddp = _certify_config(config, index, scheme_kind, "ddp", n)
-            jobs.append(
-                lambda s=scheme, sup=support, q=query, c=cfg_ddp, d=ddp, t=task.task_id:
-                certify_ddp(s, sup, d, world.model_spec, c, query=q, task_id=t)
-            )
+            records.append(certify_ddp(scheme, support, ddp, world.model_spec, cfg_ddp,
+                                       query=query, task_id=task.task_id))
             cfg_hv = _certify_config(config, index, scheme_kind, "half_val", n)
-            jobs.append(
-                lambda s=scheme, sup=support, q=query, c=cfg_hv, t=task.task_id:
-                _half_val_record(s, sup, q, world.model_spec, c, t)
-            )
+            records.append(_half_val_record(scheme, support, query, world.model_spec,
+                                            cfg_hv, task.task_id))
             cfg_opt = _certify_config(config, index, scheme_kind, "pac_bayes_upper", n)
-            jobs.append(
-                lambda s=scheme, sup=support, q=query, c=cfg_opt, t=task.task_id:
-                certify(s, "pac_bayes_upper", sup, q, world.model_spec, c, task_id=t)
-            )
-    return _run_jobs(jobs)
+            records.append(certify(scheme, "pac_bayes_upper", support, query,
+                                   world.model_spec, cfg_opt, task_id=task.task_id))
+    return records
 
 
 def _run_discrete(config, world) -> list[CertificateRecord]:
@@ -670,7 +635,7 @@ def _run_validity(config, world) -> list[CertificateRecord]:
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
         return record
 
-    return _run_jobs([lambda t=t: one_trial(t) for t in range(config["validity.trials"])])
+    return [one_trial(t) for t in range(config["validity.trials"])]
 
 
 def run(config: ExperimentConfig, out_dir=None) -> RunRecord:

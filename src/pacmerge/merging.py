@@ -105,26 +105,44 @@ def default_phi(scheme: MergeScheme) -> np.ndarray:
     return np.full(scheme.d_phi, 1.0 / scheme.pool.M)
 
 
-def realize(scheme: MergeScheme, phi: np.ndarray) -> ParamVector:
-    """Merged model for coefficients ``phi``; affine in phi."""
-    phi = np.asarray(phi, dtype=np.float64).reshape(-1)
-    if phi.size != scheme.d_phi:
-        raise StructureError(f"phi has {phi.size} coordinates, scheme needs {scheme.d_phi}")
+def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
+    """Merged float32 parameters, one row per row of ``phis``: (k, P).
+
+    Affine in each row.  The contractions of ``task_wise`` and ``layer_wise``
+    run one vector-matrix product per row: a (k, M) @ (M, P) matrix product
+    rounds differently, so a row's merge would depend on its batch.
+    """
+    phis = np.asarray(phis, dtype=np.float64)
+    if phis.ndim != 2 or phis.shape[1] != scheme.d_phi:
+        raise StructureError(
+            f"phis has shape {phis.shape}, scheme needs (k, {scheme.d_phi})"
+        )
     base = scheme.pool.base
     out = base.values.astype(np.float64)
     deltas = scheme._deltas
     if scheme.kind == "task_arith":
-        out = out + phi[0] * deltas.mean(axis=0)
+        out = out + phis[:, :1] * deltas.mean(axis=0)
     elif scheme.kind == "ties":
-        out = out + phi[0] * scheme.ties.merged
+        out = out + phis[:, :1] * scheme.ties.merged
     elif scheme.kind == "task_wise":
-        out = out + phi @ deltas
+        out = out + np.stack([phi @ deltas for phi in phis])
     else:  # layer_wise
-        coeff = phi.reshape(scheme.pool.M, base.layer_count)
-        out = out.copy()
+        coeff = phis.reshape(len(phis), scheme.pool.M, base.layer_count)
+        out = np.tile(out, (len(phis), 1))
         for layer, (start, length) in enumerate(base.layer_offsets):
             block = slice(start, start + length)
-            out[block] += coeff[:, layer] @ deltas[:, block]
+            for row, c in zip(out, coeff[:, :, layer]):
+                row[block] += c @ deltas[:, block]
     if not np.all(np.isfinite(out)):
         raise DomainError("merge produced NaN/Inf")
-    return ParamVector(out.astype(np.float32), base.layer_offsets)
+    with np.errstate(over="ignore"):
+        out32 = out.astype(np.float32)
+    if not np.all(np.isfinite(out32)):
+        raise DomainError("merge overflowed the 32-bit float range")
+    return out32
+
+
+def realize(scheme: MergeScheme, phi: np.ndarray) -> ParamVector:
+    """Merged model for coefficients ``phi``; one row of ``merged_values``."""
+    phi = np.asarray(phi, dtype=np.float64).reshape(1, -1)
+    return ParamVector(merged_values(scheme, phi)[0], scheme.pool.base.layer_offsets)

@@ -178,12 +178,14 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
 
 
 def _unpack(spec: MlpSpec, flat: np.ndarray):
+    """(weight, bias) per affine layer of ``flat``, shaped (..., d_model)."""
+    lead = flat.shape[:-1]
     layers = []
     cursor = 0
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        w = flat[cursor : cursor + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = flat[..., cursor : cursor + fan_in * fan_out].reshape(lead + (fan_in, fan_out))
         cursor += fan_in * fan_out
-        b = flat[cursor : cursor + fan_out]
+        b = flat[..., cursor : cursor + fan_out]
         cursor += fan_out
         layers.append((w, b))
     return layers
@@ -197,16 +199,35 @@ def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _scores(spec: MlpSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class scores (k, n, classes) under each row of the float64 ``thetas``.
+
+    One row runs plain 2-D products.  k rows run stacked products, each slice
+    the same 2-D product, so a row's scores do not depend on its batch.
+    """
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    layers = _unpack(spec, thetas[0] if len(thetas) == 1 else thetas)
+    for w, b in layers[:-1]:
+        h = _activate(spec, h @ w + b[..., None, :])
+    w, b = layers[-1]
+    scores = h @ w + b[..., None, :]
+    return scores if scores.ndim == 3 else scores[None]
+
+
+def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
+    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model)."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
+        raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
+    predicted = np.argmax(_scores(spec, thetas, data.inputs), axis=-1)
+    return np.count_nonzero(predicted != data.labels, axis=-1)
+
+
 def forward(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:
     """Class scores, one row per input; deterministic."""
     if theta.size != spec.d_model:
         raise StructureError(f"theta has {theta.size} values, spec needs {spec.d_model}")
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    layers = _unpack(spec, theta.values.astype(np.float64))
-    for w, b in layers[:-1]:
-        h = _activate(spec, h @ w + b)
-    w, b = layers[-1]
-    return h @ w + b
+    return _scores(spec, theta.values[None].astype(np.float64), x)[0]
 
 
 def predict(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -218,7 +239,7 @@ def zero_one_risk(spec: MlpSpec, theta: ParamVector, data: LabeledSet) -> float:
     """(# misclassified) / n on a non-empty set."""
     if data.n == 0:
         raise DomainError("zero_one_risk needs a non-empty set")
-    return float(np.mean(predict(spec, theta, data.inputs) != data.labels))
+    return float(error_counts(spec, theta.values[None], data)[0] / data.n)
 
 
 def _loss_and_grad(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, y: np.ndarray):

@@ -216,11 +216,3 @@ class TestCli:
         assert main(["certify", "--scenario", "smoke", "--out", str(out), "--seed", "321"]) == 0
         cfg = make_config("smoke", {"seed": 321})
         assert (out / f"smoke-{cfg.hash}.json").exists()
-
-
-class TestThreadedDeterminism:
-    def test_threads_do_not_change_results(self, smoke_record, tmp_path, monkeypatch):
-        cfg, serial, _ = smoke_record
-        monkeypatch.setenv("PACMERGE_THREADS", "4")
-        threaded = run(cfg, tmp_path)
-        assert report_text(serial, "csv") == report_text(threaded, "csv")

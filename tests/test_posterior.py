@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pacmerge.posterior as posterior
 from pacmerge import (
     DomainError,
     GaussianSpec,
@@ -11,13 +12,17 @@ from pacmerge import (
     init_params,
     make_scheme,
     mc_risk,
+    merged_values,
     realize,
     sample,
     sample_set,
     train,
+    StructureError,
     zero_one_risk,
     TrainConfig,
 )
+from pacmerge.merging import KINDS
+from pacmerge.seeding import rng_for
 
 
 class TestSpecs:
@@ -55,7 +60,7 @@ class TestSample:
 
 
 @pytest.fixture(scope="module")
-def toy_world():
+def toy_pool():
     task = gen_tasks(21, 3, 6, 3, 0.8)[0]
     spec = MlpSpec((6, 8, 3))
     base = train(
@@ -70,10 +75,13 @@ def toy_world():
         (f"m{i}", ParamVector(0.05 * rng.standard_normal(spec.d_model), offsets))
         for i in range(3)
     )
-    pool = ModelPool(base, members)
-    scheme = make_scheme("task_wise", pool)
-    data = sample_set(task, 120, 9)
-    return scheme, spec, data
+    return ModelPool(base, members), spec, task
+
+
+@pytest.fixture(scope="module")
+def toy_world(toy_pool):
+    pool, spec, task = toy_pool
+    return make_scheme("task_wise", pool), spec, sample_set(task, 120, 9)
 
 
 class TestMcRisk:
@@ -110,3 +118,89 @@ class TestMcRisk:
             stds.append(np.std(values))
         slope = np.polyfit(np.log(ks), np.log(stds), 1)[0]
         assert -0.65 < slope < -0.35
+
+
+class TestBatchedKernel:
+    """The chunked estimator against the one-draw-at-a-time reference."""
+
+    # (n, k): chunks of 8 with a remainder of 2; one-draw chunks beyond the
+    # row budget; chunks of 3 with a remainder of 1
+    @pytest.mark.parametrize("n,k", [(120, 10), (1100, 4), (300, 7)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mc_risk_equals_per_draw_mean(self, toy_pool, kind, n, k):
+        pool, spec, task = toy_pool
+        scheme = make_scheme(kind, pool)
+        data = sample_set(task, n, 4)
+        q = GaussianSpec(np.full(scheme.d_phi, 1 / 3), 0.5)
+        reference = float(np.mean(
+            [zero_one_risk(spec, realize(scheme, phi), data) for phi in sample(q, 17, k)]
+        ))
+        assert mc_risk(q, scheme, spec, data, k, seed=17) == reference
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_merged_rows_equal_realize(self, toy_pool, kind):
+        pool, _, _ = toy_pool
+        scheme = make_scheme(kind, pool)
+        phis = np.random.default_rng(3).standard_normal((9, scheme.d_phi))
+        merged = merged_values(scheme, phis)
+        assert merged.dtype == np.float32 and merged.shape == (9, pool.base.size)
+        for j, phi in enumerate(phis):
+            assert np.array_equal(merged[j], realize(scheme, phi).values)
+
+    def test_merged_values_shape_checked(self, toy_pool):
+        scheme = make_scheme("task_wise", toy_pool[0])
+        with pytest.raises(StructureError):
+            merged_values(scheme, np.zeros(scheme.d_phi))
+        with pytest.raises(StructureError):
+            merged_values(scheme, np.zeros((2, scheme.d_phi + 1)))
+
+
+class TestNonFinite:
+    def test_nan_phi(self, toy_world):
+        scheme, spec, data = toy_world
+        phi = np.array([0.1, np.nan, 0.2])
+        with pytest.raises(DomainError):
+            realize(scheme, phi)
+        with pytest.raises(DomainError):
+            mc_risk(GaussianSpec(phi, 0.1), scheme, spec, data, 3, seed=1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_draws(self, toy_world):
+        scheme, spec, data = toy_world
+        with pytest.raises(DomainError):
+            mc_risk(GaussianSpec(np.full(3, 1 / 3), np.inf), scheme, spec, data, 3, seed=1)
+
+    def test_float32_overflow(self, toy_world):
+        # finite in float64, beyond the float32 range once multiplied out
+        scheme, spec, data = toy_world
+        phi = np.full(3, 1e40)
+        with pytest.raises(DomainError, match="32-bit"):
+            realize(scheme, phi)
+        with pytest.raises(DomainError, match="32-bit"):
+            mc_risk(GaussianSpec(phi, 1e-12), scheme, spec, data, 3, seed=1)
+
+
+class TestNoiseCache:
+    def test_returned_draws_are_private(self):
+        spec = GaussianSpec(np.array([0.5, -1.0]), 0.2)
+        first = sample(spec, 41, 6)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(sample(spec, 41, 6), expected)
+
+    def test_repeat_call_draws_no_noise(self, toy_world, monkeypatch):
+        scheme, spec, data = toy_world
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rng_for(*args)
+
+        monkeypatch.setattr(posterior, "rng_for", counting)
+        q = GaussianSpec(np.full(3, 1 / 3), 0.3)
+        first = mc_risk(q, scheme, spec, data, 5, seed=918273)
+        assert len(calls) == 5
+        moved = GaussianSpec(np.full(3, 0.2), 0.3)
+        mc_risk(moved, scheme, spec, data, 5, seed=918273)
+        assert mc_risk(q, scheme, spec, data, 5, seed=918273) == first
+        assert len(calls) == 5

@@ -8,6 +8,7 @@ from pacmerge import (
     ParamVector,
     StructureError,
     TrainConfig,
+    error_counts,
     forward,
     gen_tasks,
     init_params,
@@ -156,6 +157,25 @@ class TestZeroOneRisk:
         theta = init_params(spec, 0)
         with pytest.raises(DomainError):
             zero_one_risk(spec, theta, LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+
+    def test_error_counts_rows_match_single_theta(self):
+        spec = MlpSpec((6, 8, 4))
+        task = gen_tasks(5, 2, 6, 4, 0.5)[0]
+        data = sample_set(task, 50, 2)
+        thetas = [init_params(spec, seed) for seed in range(5)]
+        counts = error_counts(spec, np.stack([t.values for t in thetas]), data)
+        assert counts.shape == (5,)
+        for theta, count in zip(thetas, counts):
+            assert count == np.count_nonzero(predict(spec, theta, data.inputs) != data.labels)
+            assert zero_one_risk(spec, theta, data) == count / data.n
+
+    def test_error_counts_shape_checked(self):
+        spec = MlpSpec((2, 2))
+        data = LabeledSet(np.zeros((1, 2)), np.zeros(1, dtype=int))
+        with pytest.raises(StructureError):
+            error_counts(spec, np.zeros(spec.d_model), data)
+        with pytest.raises(StructureError):
+            error_counts(spec, np.zeros((2, spec.d_model + 1)), data)
 
     def test_untrained_risk_near_chance(self):
         # random labels vs an untrained net: risk ~ 1 - 1/C within 3 sigma
