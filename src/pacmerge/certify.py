@@ -76,8 +76,9 @@ class CertifyConfig:
     eval_seed: int = 1
 
     def __post_init__(self):
-        if not self.posterior_variance > 0 or not self.prior_variance > 0:
-            raise DomainError("variances must be positive")
+        for variance in (self.posterior_variance, self.prior_variance):
+            if not (variance > 0 and math.isfinite(variance)):
+                raise DomainError(f"variances must be positive and finite, got {variance}")
         if self.mc_samples < 1:
             raise DomainError("mc_samples must be >= 1")
         if not 0.0 < self.delta < 1.0:

@@ -59,6 +59,9 @@ def cmd_certify(args) -> int:
     record = run(config, args.out)
     print(f"{config['scenario']} ({config.hash}): {len(record.records)} certificates "
           f"in {record.wall_time_s:.1f}s -> {args.out}")
+    if config["kind"] == "validity":
+        violations = sum(r.provenance["violation"] for r in record.records)
+        print(f"violations: {violations}/{len(record.records)} (delta {config['bound.delta']})")
     return 0
 
 

@@ -11,16 +11,16 @@ read-only, in a small LRU cache.  With common random numbers every objective
 evaluation of a search, the final train-risk recompute and every grid point
 of a validity trial reuse it.
 
-``mc_risk`` merges and scores the draws in chunks of at most ``_ROW_BUDGET``
-(draw, input) rows, one merge and one stacked forward pass per chunk.  The
-budget is small because bigger stacked temporaries cost more in page faults
-and peak memory than the per-draw overhead they save; sets of more than
-``_ROW_BUDGET // 2`` inputs are scored one draw at a time.  Any chunking
-gives the bits of scoring each draw alone.
+``mc_risk`` merges all ``k`` draws in one ``merged_values`` call, whose cost
+does not depend on the set size and whose rows do not depend on their batch,
+and scores them in one ``error_counts`` call, which owns the row budget
+that keeps scoring cache-sized.  Stacked draws score with the bits of each
+draw alone; how row tiles of large sets round is noted in ``error_counts``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,9 +30,6 @@ from .errors import DomainError, StructureError
 from .merging import MergeScheme, merged_values
 from .seeding import rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
-
-_ROW_BUDGET = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
@@ -47,8 +44,8 @@ class GaussianSpec:
         object.__setattr__(self, "mean", mean)
         if not np.all(np.isfinite(mean)):
             raise DomainError("Gaussian mean must be finite")
-        if not self.variance > 0:
-            raise DomainError(f"variance must be positive, got {self.variance}")
+        if not (self.variance > 0 and math.isfinite(self.variance)):
+            raise DomainError(f"variance must be positive and finite, got {self.variance}")
 
     @property
     def dim(self) -> int:
@@ -85,9 +82,5 @@ def mc_risk(
         raise StructureError(
             f"posterior dimension {draws.shape[1]} != scheme d_phi {scheme.d_phi}"
         )
-    chunk = max(1, _ROW_BUDGET // data.n)
-    errors = np.concatenate([
-        error_counts(model_spec, merged_values(scheme, draws[lo : lo + chunk]), data)
-        for lo in range(0, k, chunk)
-    ])
+    errors = error_counts(model_spec, merged_values(scheme, draws), data)
     return float(np.mean(errors / data.n))

@@ -19,6 +19,11 @@ from .seeding import rng_for
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
 
+# (draw, input) rows per scored block in ``error_counts``.  On 100,000-row
+# sets 4,096 was the fastest budget tried: smaller blocks pay more per-block
+# overhead, larger ones leave the cache.
+_ROW_BUDGET = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class SyntheticTask:
@@ -191,11 +196,11 @@ def _unpack(spec: MlpSpec, flat: np.ndarray):
     return layers
 
 
-def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
+def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if spec.activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if spec.activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     return z
 
 
@@ -203,24 +208,46 @@ def _scores(spec: MlpSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class scores (k, n, classes) under each row of the float64 ``thetas``.
 
     One row runs plain 2-D products.  k rows run stacked products, each slice
-    the same 2-D product, so a row's scores do not depend on its batch.
+    the same 2-D product, so a row's scores do not depend on its batch.  Bias
+    and activation update each fresh product in place, with the bits of the
+    out-of-place ``act(h @ w + b)``; ``thetas`` and ``x`` are only read.
     """
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     layers = _unpack(spec, thetas[0] if len(thetas) == 1 else thetas)
     for w, b in layers[:-1]:
-        h = _activate(spec, h @ w + b[..., None, :])
+        h = h @ w
+        h += b[..., None, :]
+        _activate(spec, h, out=h)
     w, b = layers[-1]
-    scores = h @ w + b[..., None, :]
+    scores = h @ w
+    scores += b[..., None, :]
     return scores if scores.ndim == 3 else scores[None]
 
 
 def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
-    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model)."""
+    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model).
+
+    Scores blocks of at most ``_ROW_BUDGET`` (draw, input) rows: sets of up to
+    ``_ROW_BUDGET`` inputs stack ``_ROW_BUDGET // n`` draws per block, larger
+    sets take one draw and row tiles of ``_ROW_BUDGET`` inputs, and the int64
+    counts of a draw are summed over its tiles.  A row's scores do not depend
+    on the other draws of its block.  A tile's product can differ from the
+    full-height product in the last bit: on OpenBLAS 0.3.31, tiles of 8 rows
+    or more reproduce the full product's bits except for a final layer of 3-4
+    outputs on 100,000 rows, where no prediction changed.
+    """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
         raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
-    predicted = np.argmax(_scores(spec, thetas, data.inputs), axis=-1)
-    return np.count_nonzero(predicted != data.labels, axis=-1)
+    x, y = data.inputs, data.labels
+    counts = np.zeros(len(thetas), dtype=np.int64)
+    draws = max(1, _ROW_BUDGET // max(data.n, 1))
+    for lo in range(0, len(thetas), draws):
+        for start in range(0, data.n, _ROW_BUDGET):
+            tile = slice(start, start + _ROW_BUDGET)
+            predicted = np.argmax(_scores(spec, thetas[lo : lo + draws], x[tile]), axis=-1)
+            counts[lo : lo + draws] += np.count_nonzero(predicted != y[tile], axis=-1)
+    return counts
 
 
 def forward(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:

@@ -132,6 +132,12 @@ class TestCertify:
         upper0 = seeger_certificate(train0, 0.0, support.n, config.delta).upper_bound
         assert record.upper_bound <= upper0 + 1e-6
 
+    @pytest.mark.parametrize("field", ["posterior_variance", "prior_variance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_config_rejects_bad_variance(self, field, value):
+        with pytest.raises(DomainError):
+            CertifyConfig(**{field: value})
+
     def test_needs_two_points(self, world):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_arith", pool)

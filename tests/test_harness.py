@@ -197,6 +197,19 @@ class TestCli:
         reports = list(out.glob("report-*.md"))
         assert len(reports) == 1
 
+    def test_validity_prints_violation_count(self, tmp_path, capsys):
+        cfg_file = tmp_path / "validity.cfg"
+        cfg_file.write_text(
+            "scenario = validity-trial\n" + "".join(f"{k} = {v}\n" for k, v in TINY.items())
+        )
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = load_config_file(cfg_file)
+        record = load_record(out / f"validity-trial-{cfg.hash}.json")
+        violations = sum(r.provenance["violation"] for r in record.records)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"violations: {violations}/3 (delta 0.05)"
+
     def test_gen_pool(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 0

@@ -23,6 +23,7 @@ from pacmerge import (
 )
 from pacmerge.merging import KINDS
 from pacmerge.seeding import rng_for
+from pacmerge.toyzoo import _ROW_BUDGET
 
 
 class TestSpecs:
@@ -31,6 +32,8 @@ class TestSpecs:
             GaussianSpec(np.array([0.0]), 0.0)
         with pytest.raises(DomainError):
             GaussianSpec(np.array([np.nan]), 0.1)
+        with pytest.raises(DomainError):
+            GaussianSpec(np.array([0.0]), np.inf)
 
 
 class TestSample:
@@ -121,11 +124,12 @@ class TestMcRisk:
 
 
 class TestBatchedKernel:
-    """The chunked estimator against the one-draw-at-a-time reference."""
+    """The blocked estimator against the one-draw-at-a-time reference."""
 
-    # (n, k): chunks of 8 with a remainder of 2; one-draw chunks beyond the
-    # row budget; chunks of 3 with a remainder of 1
-    @pytest.mark.parametrize("n,k", [(120, 10), (1100, 4), (300, 7)])
+    # (n, k) for a budget of 4,096 rows: one block of 10 stacked draws;
+    # blocks of 3 and 1 draws; one block of 7 draws; and, whatever the
+    # budget, one draw per block in row tiles with a remainder tile
+    @pytest.mark.parametrize("n,k", [(120, 10), (1100, 4), (300, 7), (2 * _ROW_BUDGET + 3, 4)])
     @pytest.mark.parametrize("kind", KINDS)
     def test_mc_risk_equals_per_draw_mean(self, toy_pool, kind, n, k):
         pool, spec, task = toy_pool
@@ -136,6 +140,21 @@ class TestBatchedKernel:
             [zero_one_risk(spec, realize(scheme, phi), data) for phi in sample(q, 17, k)]
         ))
         assert mc_risk(q, scheme, spec, data, k, seed=17) == reference
+
+    @pytest.mark.parametrize("n,k", [(10, 1), (10, 50), (_ROW_BUDGET + 1, 7)])
+    def test_one_merge_per_estimate(self, toy_pool, monkeypatch, n, k):
+        pool, spec, task = toy_pool
+        scheme = make_scheme("task_wise", pool)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return merged_values(*args)
+
+        monkeypatch.setattr(posterior, "merged_values", counting)
+        q = GaussianSpec(np.full(3, 1 / 3), 0.5)
+        mc_risk(q, scheme, spec, sample_set(task, n, 4), k, seed=17)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_merged_rows_equal_realize(self, toy_pool, kind):
@@ -164,11 +183,10 @@ class TestNonFinite:
         with pytest.raises(DomainError):
             mc_risk(GaussianSpec(phi, 0.1), scheme, spec, data, 3, seed=1)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_infinite_draws(self, toy_world):
-        scheme, spec, data = toy_world
-        with pytest.raises(DomainError):
-            mc_risk(GaussianSpec(np.full(3, 1 / 3), np.inf), scheme, spec, data, 3, seed=1)
+    def test_infinite_draws(self):
+        # an infinite variance is refused when the spec is built
+        with pytest.raises(DomainError, match="finite"):
+            GaussianSpec(np.full(3, 1 / 3), np.inf)
 
     def test_float32_overflow(self, toy_world):
         # finite in float64, beyond the float32 range once multiplied out

@@ -18,6 +18,7 @@ from pacmerge import (
     train,
     zero_one_risk,
 )
+from pacmerge.toyzoo import _ROW_BUDGET as R
 
 
 class TestGenTasks:
@@ -120,10 +121,61 @@ class TestForward:
         permuted = ParamVector(flat, offs)
         np.testing.assert_allclose(forward(spec, permuted, x), scores[:, perm], rtol=1e-5)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_bits_of_out_of_place_reference(self, activation):
+        spec = MlpSpec((6, 8, 5, 3), activation=activation)
+        rng = np.random.default_rng(4)
+        theta = ParamVector(rng.standard_normal(spec.d_model), spec.layer_offsets())
+        x = rng.standard_normal((300, 6))
+        act = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
+        flat = theta.values.astype(np.float64)
+        offsets = spec.layer_offsets()
+        h = x
+        for i in range(0, len(offsets), 2):
+            (w_start, w_len), (b_start, b_len) = offsets[i], offsets[i + 1]
+            z = h @ flat[w_start : w_start + w_len].reshape(-1, b_len) + flat[b_start : b_start + b_len]
+            h = z if i == len(offsets) - 2 else act[activation](z)
+        assert np.array_equal(forward(spec, theta, x), h)
+
     def test_length_mismatch(self):
         spec = MlpSpec((4, 8, 3))
         with pytest.raises(StructureError):
             forward(spec, ParamVector(np.zeros(3), ((0, 3),)), np.ones((1, 4)))
+
+
+class TestBlockedKernel:
+    """``error_counts`` in row blocks against the per-row reference."""
+
+    # one full tile; a one-row remainder tile; two tiles and a 3-row
+    # remainder; 3 stacked draws per block, so k=5 leaves a block of 2
+    @pytest.mark.parametrize("n,k", [(R, 3), (R + 1, 3), (2 * R + 3, 2), (R // 3, 5)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_equals_per_row_reference(self, activation, n, k):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        # random biases, so the in-place bias update is exercised
+        rows = np.random.default_rng(k).standard_normal((k, spec.d_model)).astype(np.float32)
+        counts = error_counts(spec, rows, data)
+        reference = [
+            np.count_nonzero(
+                predict(spec, ParamVector(row, spec.layer_offsets()), data.inputs) != data.labels
+            )
+            for row in rows
+        ]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == reference
+
+    @pytest.mark.parametrize("n", [50, 2 * R + 3])
+    def test_arguments_unchanged(self, n):
+        spec = MlpSpec((6, 8, 4), activation="relu")
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        inputs, labels = data.inputs.copy(), data.labels.copy()
+        thetas = np.random.default_rng(2).standard_normal((4, spec.d_model))
+        assert thetas.dtype == np.float64 and thetas.flags.writeable
+        before = thetas.copy()
+        error_counts(spec, thetas, data)
+        assert np.array_equal(thetas, before)
+        assert np.array_equal(data.inputs, inputs) and np.array_equal(data.labels, labels)
 
 
 class TestZeroOneRisk:
