@@ -6,7 +6,10 @@ set: the randomized classifier's Monte-Carlo 0-1 train risk alone
 (``pac_bayes_upper``), which trades train error against the KL to the prior.
 Both are minimized with the same derivative-free search, seeded at the
 uniform-merge coefficients (the prior mean), with common random numbers
-across candidate evaluations so the objective is a pure function.
+across candidate evaluations so the objective is a pure function.  The
+search scores each generation of candidates in one ``mc_risks`` call: one
+merge and one scoring pass per generation, not per candidate.  The discrete
+grid is likewise merged and scored in one call.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
@@ -24,10 +27,10 @@ import numpy as np
 from .bounds import CertificateRecord, gaussian_kl, make_record
 from .cma import CmaConfig, minimize
 from .errors import DomainError, StructureError
-from .merging import MergeScheme, default_phi, make_scheme, realize
-from .posterior import GaussianSpec, mc_risk
+from .merging import MergeScheme, default_phi, make_scheme, merged_values
+from .posterior import GaussianSpec, mc_risk, mc_risks
 from .seeding import derive_seed, rng_for
-from .toyzoo import LabeledSet, MlpSpec, zero_one_risk
+from .toyzoo import LabeledSet, MlpSpec, error_counts
 
 OBJECTIVE_KINDS = ("train_risk", "pac_bayes_upper")
 
@@ -92,29 +95,6 @@ class TracePoint:
     kl_qp: float
 
 
-def _objective_fn(scheme, objective: Objective, support, model_spec, mc_seed):
-    """Returns phi -> (value, kl).  Common random numbers across calls."""
-
-    def train_part(q):
-        return mc_risk(q, scheme, model_spec, support, objective.mc_samples, mc_seed)
-
-    if objective.kind == "train_risk":
-        def fn(phi):
-            return train_part(GaussianSpec(phi, objective.posterior_variance)), 0.0
-        return fn
-
-    budget_denominator = 2.0 * (objective.n - 1)
-    log_term = math.log(objective.n / objective.delta)
-
-    def fn(phi):
-        q = GaussianSpec(phi, objective.posterior_variance)
-        kl = gaussian_kl(q, objective.prior)
-        value = train_part(q) + math.sqrt((kl + log_term) / budget_denominator)
-        return value, kl
-
-    return fn
-
-
 def optimize(
     scheme: MergeScheme,
     objective: Objective,
@@ -124,8 +104,10 @@ def optimize(
 ) -> tuple[np.ndarray, list[TracePoint]]:
     """Search for the posterior mean; returns (best phi, evaluation trace).
 
-    Deterministic in ``cma.seed``; the trace records every evaluation in index
-    order, and the returned point never scores worse than the trace minimum.
+    Each CMA-ES generation is scored in one ``mc_risks`` call, so one merge
+    and one scoring pass per generation.  Deterministic in ``cma.seed``; the
+    trace records every evaluation in index order, and the returned point
+    never scores worse than the trace minimum.
     """
     if support.n == 0:
         raise DomainError("support must be non-empty")
@@ -134,15 +116,26 @@ def optimize(
             f"prior dimension {objective.prior.dim} != scheme d_phi {scheme.d_phi}"
         )
     mc_seed = derive_seed(cma.seed, "mc-common")
-    fn = _objective_fn(scheme, objective, support, model_spec, mc_seed)
+    variance = objective.posterior_variance
+    if objective.kind == "pac_bayes_upper":
+        budget_denominator = 2.0 * (objective.n - 1)
+        log_term = math.log(objective.n / objective.delta)
     trace: list[TracePoint] = []
 
-    def scalar_objective(phi):
-        value, kl = fn(phi)
-        trace.append(TracePoint(eval_index=len(trace), objective=value, kl_qp=kl))
-        return value
+    def batch_objective(phis):
+        # Common random numbers across calls make the objective a pure function.
+        risks = mc_risks(
+            phis, variance, scheme, model_spec, support, objective.mc_samples, mc_seed
+        )
+        for phi, risk in zip(phis, risks.tolist()):
+            kl, value = 0.0, risk
+            if objective.kind == "pac_bayes_upper":
+                kl = gaussian_kl(GaussianSpec(phi, variance), objective.prior)
+                value = risk + math.sqrt((kl + log_term) / budget_denominator)
+            trace.append(TracePoint(eval_index=len(trace), objective=value, kl_qp=kl))
+        return [point.objective for point in trace[-len(phis):]]
 
-    result = minimize(scalar_objective, default_phi(scheme), cma)
+    result = minimize(batch_objective, default_phi(scheme), cma)
     return result.x_best, trace
 
 
@@ -299,13 +292,12 @@ def certify_discrete(
         raise DomainError(f"need support size >= 2, got {n}")
     scheme = make_scheme("task_arith", pool)
     grid = np.linspace(0.0, 1.0, grid_size)
-    risks = np.array(
-        [zero_one_risk(model_spec, realize(scheme, np.array([g])), support) for g in grid]
-    )
+    merged = merged_values(scheme, grid[:, None])
+    risks = error_counts(model_spec, merged, support) / n
     best = int(np.argmin(risks))  # argmin takes the first (smallest) value on ties
     test = None
     if query is not None:
-        test = zero_one_risk(model_spec, realize(scheme, np.array([grid[best]])), query)
+        test = float(error_counts(model_spec, merged[best : best + 1], query)[0] / query.n)
     return make_record(
         task_id, "task_arith", "discrete", float(risks[best]), math.log(grid_size), n,
         config.delta, test_error=test,

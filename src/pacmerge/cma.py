@@ -6,6 +6,10 @@ piecewise-constant objectives that coefficient fitting produces.  Written
 in-repo rather than imported so the seeding contract, the deterministic
 index-order reduction of each generation, and the inclusion of the start
 point in the evaluation history are all explicit and testable.
+
+The λ candidates of a generation are sampled before any is ranked, so the
+objective scores a whole generation per call: a batched objective pays its
+per-call cost once per generation instead of once per candidate.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OptError
+from .errors import DomainError, OptError, StructureError
 from .seeding import rng_for
 
 
@@ -134,34 +138,40 @@ class CmaResult:
 
 
 def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> CmaResult:
-    """Best-ever minimization of ``objective`` within ``config.max_evals`` calls.
+    """Best-ever minimization of ``objective`` within ``config.max_evals`` evaluations.
 
-    The start point is evaluated first (call index 0) and competes for
-    best-ever, so the search can never lose to its own initialization.
-    Candidates within a generation are evaluated and reduced in index order.
-    ``callback(eval_index, x, f)`` observes every evaluation.  Non-finite
-    objective values raise OptError; an exhausted budget is not an error.
+    ``objective`` maps an (m, d) array of candidates to their m values, and
+    is called once for the start point and once per generation, on the
+    candidates the budget leaves.  The start point is evaluation 0 and
+    competes for best-ever, so the search can never lose to its own
+    initialization.  Candidates within a generation are numbered, observed
+    and reduced in index order.  ``callback(eval_index, x, f)`` observes
+    every evaluation.  A non-finite value raises OptError naming its
+    evaluation; an exhausted budget is not an error.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     popsize = config.popsize or default_popsize(x0.size)
 
-    def evaluate(index: int, x: np.ndarray) -> float:
-        value = float(objective(x))
-        if not math.isfinite(value):
-            raise OptError(f"objective returned {value} at evaluation {index}")
-        if callback is not None:
-            callback(index, x, value)
-        return value
+    def evaluate(first: int, xs: np.ndarray) -> np.ndarray:
+        fs = np.asarray(objective(xs), dtype=np.float64).reshape(-1)
+        if fs.size != len(xs):
+            raise StructureError(f"objective returned {fs.size} values for {len(xs)} candidates")
+        for i, value in enumerate(fs.tolist()):
+            if not math.isfinite(value):
+                raise OptError(f"objective returned {value} at evaluation {first + i}")
+            if callback is not None:
+                callback(first + i, xs[i], value)
+        return fs
 
     best_x = x0.copy()
-    best_f = evaluate(0, x0)
+    best_f = float(evaluate(0, x0[None])[0])
     evals = 1
 
     es = CmaEs(x0, config.sigma0, popsize, config.seed)
     while evals < config.max_evals:
         xs = es.ask()
         take = min(len(xs), config.max_evals - evals)
-        fs = np.array([evaluate(evals + i, xs[i]) for i in range(take)])
+        fs = evaluate(evals, xs[:take])
         evals += take
         if take < len(xs):
             # Partial final generation: rank what we have, skip the update if

@@ -37,7 +37,7 @@ from .cma import CmaConfig
 from .errors import ConfigError, FormatError
 from .merging import KINDS, make_scheme, realize
 from .params import ModelPool, axpy, pool_load, pool_save
-from .posterior import GaussianSpec, mc_risk
+from .posterior import GaussianSpec, mc_risk, mc_risks
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
@@ -86,10 +86,23 @@ def _bounded_float(lo, hi, lo_open=False, hi_open=False):
     return parse
 
 
-def _positive_int(value):
+def _int_at_least(lo):
+    def parse(value):
+        value = int(value)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _popsize(value):
     value = int(value)
-    if value < 1:
-        raise ValueError("must be >= 1")
+    if value != 0 and value < 4:
+        raise ValueError("must be 0 (the default rule) or >= 4")
     return value
 
 
@@ -106,10 +119,10 @@ _SCHEMA: dict[str, tuple] = {
     "model.hidden": (_positive_int, 32),
     "model.activation": (_choice(("tanh", "relu", "identity")), "tanh"),
     "pool.base_n": (_positive_int, 200),
-    "pool.base_epochs": (int, 30),
+    "pool.base_epochs": (_int_at_least(0), 30),
     "pool.base_lr": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
     "pool.ft_n": (_positive_int, 300),
-    "pool.ft_epochs": (int, 25),
+    "pool.ft_epochs": (_int_at_least(0), 25),
     "pool.ft_lr": (_bounded_float(0.0, 1e9, lo_open=True), 0.02),
     "pool.batch": (_positive_int, 32),
     "certify.n": (_positive_int, 100),
@@ -121,7 +134,7 @@ _SCHEMA: dict[str, tuple] = {
     "posterior.mc_samples": (_positive_int, 10),
     "prior.variance": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
     "bound.delta": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.05),
-    "cma.popsize": (int, 0),  # 0 -> 4 + floor(3 ln d)
+    "cma.popsize": (_popsize, 0),  # 0 -> 4 + floor(3 ln d)
     "cma.sigma0": (_bounded_float(0.0, 1e9, lo_open=True), 1.0),
     "cma.max_evals": (_positive_int, 2000),
     "ddp.split": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.5),
@@ -601,8 +614,8 @@ def _run_validity(config, world) -> list[CertificateRecord]:
 
     The hypothesis class (pool, grid, prior) is fixed once; each trial draws a
     fresh support set, fits the merge coefficient by grid argmin of the
-    Monte-Carlo train risk, certifies it, and compares against the risk on a
-    large query set.
+    Monte-Carlo train risk (all grid points in one ``mc_risks`` call),
+    certifies it, and compares against the risk on a large query set.
     """
     task = world.tasks[0]
     subpool = world.pool.without(task.task_id)
@@ -619,11 +632,8 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     def one_trial(trial: int) -> CertificateRecord:
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
         fit_seed = derive_seed(seed, "trial-fit", trial)
-        risks = [
-            mc_risk(GaussianSpec(np.array([g]), variance), scheme, world.model_spec,
-                    support, k, fit_seed)
-            for g in grid
-        ]
+        risks = mc_risks(grid[:, None], variance, scheme, world.model_spec, support, k,
+                         fit_seed)
         mu = float(grid[int(np.argmin(risks))])
         q = GaussianSpec(np.array([mu]), variance)
         true_risk = mc_risk(q, scheme, world.model_spec, population, k,

@@ -109,8 +109,10 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
     """Merged float32 parameters, one row per row of ``phis``: (k, P).
 
     Affine in each row.  The contractions of ``task_wise`` and ``layer_wise``
-    run one vector-matrix product per row: a (k, M) @ (M, P) matrix product
-    rounds differently, so a row's merge would depend on its batch.
+    are stacked vector-matrix products, (k, 1, M) @ (M, P), which run the
+    same per-row product for every row of the stack: a (k, M) @ (M, P)
+    matrix product rounds differently, so a row's merge would depend on its
+    batch.
     """
     phis = np.asarray(phis, dtype=np.float64)
     if phis.ndim != 2 or phis.shape[1] != scheme.d_phi:
@@ -125,14 +127,13 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
     elif scheme.kind == "ties":
         out = out + phis[:, :1] * scheme.ties.merged
     elif scheme.kind == "task_wise":
-        out = out + np.stack([phi @ deltas for phi in phis])
+        out = out + (phis[:, None, :] @ deltas)[:, 0]
     else:  # layer_wise
         coeff = phis.reshape(len(phis), scheme.pool.M, base.layer_count)
         out = np.tile(out, (len(phis), 1))
         for layer, (start, length) in enumerate(base.layer_offsets):
             block = slice(start, start + length)
-            for row, c in zip(out, coeff[:, :, layer]):
-                row[block] += c @ deltas[:, block]
+            out[:, block] += (coeff[:, None, :, layer] @ deltas[:, block])[:, 0]
     if not np.all(np.isfinite(out)):
         raise DomainError("merge produced NaN/Inf")
     with np.errstate(over="ignore"):

@@ -19,16 +19,25 @@ from pacmerge import (
     certify_ddp,
     certify_discrete,
     default_phi,
+    error_counts,
     gen_tasks,
     init_params,
     make_scheme,
     mc_risk,
+    merged_values,
+    minimize,
     optimize,
+    realize,
     sample_set,
     seeger_certificate,
     train,
+    zero_one_risk,
 )
+import pacmerge.cma as cma
+import pacmerge.posterior as posterior
+from pacmerge.bounds import gaussian_kl
 from pacmerge.certify import split_support
+from pacmerge.merging import KINDS
 from pacmerge.seeding import derive_seed
 
 
@@ -99,6 +108,66 @@ class TestOptimize:
             objective.mc_samples, derive_seed(3, "mc-common"),
         )
         assert value <= best_traced + 1e-12
+
+
+def one_row_trace(scheme, objective, support, spec, cma_config):
+    """(value, kl) per evaluation from an objective that scores one row at a time."""
+    mc_seed = derive_seed(cma_config.seed, "mc-common")
+    trace = []
+
+    def score(phi):
+        q = GaussianSpec(phi, objective.posterior_variance)
+        value = mc_risk(q, scheme, spec, support, objective.mc_samples, mc_seed)
+        kl = 0.0
+        if objective.kind == "pac_bayes_upper":
+            kl = gaussian_kl(q, objective.prior)
+            value += math.sqrt(
+                (kl + math.log(objective.n / objective.delta)) / (2.0 * (objective.n - 1))
+            )
+        trace.append((value, kl))
+        return value
+
+    minimize(lambda phis: [score(phi) for phi in phis], default_phi(scheme), cma_config)
+    return trace
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("objective_kind", ["train_risk", "pac_bayes_upper"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trace_equals_one_row_reference(self, world, kind, objective_kind):
+        _, pool, spec, support, _ = world
+        scheme = make_scheme(kind, pool)
+        objective = Objective(
+            kind=objective_kind, prior=GaussianSpec(default_phi(scheme), 0.05),
+            n=support.n, delta=0.05, mc_samples=5,
+        )
+        cma_config = CmaConfig(max_evals=45, seed=6)
+        _, trace = optimize(scheme, objective, support, spec, cma_config)
+        assert [t.eval_index for t in trace] == list(range(45))
+        assert [(t.objective, t.kl_qp) for t in trace] == one_row_trace(
+            scheme, objective, support, spec, cma_config
+        )
+
+    def test_one_merge_per_generation(self, world, monkeypatch):
+        _, pool, spec, support, _ = world
+        merges, asks = [], []
+        merge, ask = posterior.merged_values, cma.CmaEs.ask
+
+        def counting_merge(*args):
+            merges.append(args)
+            return merge(*args)
+
+        def counting_ask(self):
+            asks.append(self.gen)
+            return ask(self)
+
+        monkeypatch.setattr(posterior, "merged_values", counting_merge)
+        monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
+        objective = Objective(kind="train_risk", mc_samples=4)
+        _, trace = optimize(make_scheme("layer_wise", pool), objective, support, spec,
+                            CmaConfig(max_evals=60, seed=1))
+        assert len(trace) == 60
+        assert len(merges) == 1 + len(asks) < len(trace)
 
 
 class TestCertify:
@@ -196,12 +265,29 @@ class TestDiscrete:
     def test_degenerate_pair_selects_better(self, world):
         tasks, pool, spec, support, _ = world
         record = certify_discrete(pool, 2, support, spec, quick_config())
-        from pacmerge import realize, zero_one_risk
-
         scheme = make_scheme("task_arith", pool)
         risk0 = zero_one_risk(spec, realize(scheme, np.array([0.0])), support)
         risk1 = zero_one_risk(spec, realize(scheme, np.array([1.0])), support)
         assert record.train_error == min(risk0, risk1)
+
+    @pytest.mark.parametrize("grid_size", [2, 41, 100])
+    def test_grid_scored_in_one_call_equals_per_point(self, world, grid_size):
+        _, pool, spec, support, query = world
+        # the target's own fine-tune alone, whose best grid point is not the first
+        pool = ModelPool(pool.base, pool.members[:1])
+        scheme = make_scheme("task_arith", pool)
+        grid = np.linspace(0.0, 1.0, grid_size)
+        per_point = [zero_one_risk(spec, realize(scheme, np.array([g])), support) for g in grid]
+        batched = error_counts(spec, merged_values(scheme, grid[:, None]), support) / support.n
+        assert batched.tolist() == per_point
+        best = int(np.argmin(per_point))
+        assert best > 0
+        record = certify_discrete(pool, grid_size, support, spec, quick_config(), query=query)
+        assert record.train_error == per_point[best]
+        assert record.provenance["phi_star"] == grid[best]
+        assert record.test_error == zero_one_risk(
+            spec, realize(scheme, np.array([grid[best]])), query
+        )
 
     def test_tie_breaks_to_smaller_phi(self, world):
         _, pool, spec, support, _ = world

@@ -37,6 +37,21 @@ class TestConfig:
             make_config(None, {"bound.delta": "1.5"})
         assert err.value.path == "bound.delta"
 
+    @pytest.mark.parametrize("key,value", [
+        ("cma.popsize", 1), ("cma.popsize", 2), ("cma.popsize", 3), ("cma.popsize", -1),
+        ("pool.base_epochs", -1), ("pool.ft_epochs", -3),
+    ])
+    def test_bad_search_and_training_values_name_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(None, {key: value})
+        assert err.value.path == key
+
+    def test_boundary_search_and_training_values_accepted(self):
+        for popsize in (0, 4):
+            assert make_config(None, {"cma.popsize": popsize})["cma.popsize"] == popsize
+        cfg = make_config(None, {"pool.base_epochs": 0, "pool.ft_epochs": 0})
+        assert (cfg["pool.base_epochs"], cfg["pool.ft_epochs"]) == (0, 0)
+
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             make_config("no-such-scenario")
@@ -220,6 +235,15 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus.key = 1\n")
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", ["cma.popsize = 2", "pool.base_epochs = -1",
+                                      "pool.ft_epochs = -1"])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"scenario = smoke\n{line}\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"config error: {line.split()[0]}: invalid value")
 
     def test_sweep_requires_sweep_kind(self, tmp_path):
         assert main(["sweep", "--scenario", "smoke", "--out", str(tmp_path)]) == 2

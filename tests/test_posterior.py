@@ -12,6 +12,7 @@ from pacmerge import (
     init_params,
     make_scheme,
     mc_risk,
+    mc_risks,
     merged_values,
     realize,
     sample,
@@ -172,6 +173,65 @@ class TestBatchedKernel:
             merged_values(scheme, np.zeros(scheme.d_phi))
         with pytest.raises(StructureError):
             merged_values(scheme, np.zeros((2, scheme.d_phi + 1)))
+
+
+class TestBatchedMeans:
+    """``mc_risks`` over m means against one ``mc_risk`` call per mean."""
+
+    # below the row budget the m * k draws stack into blocks; above it each
+    # draw takes row tiles; k = 150 sums each mean's risks past one
+    # 128-element block of numpy's pairwise summation
+    @pytest.mark.parametrize("n,k", [(120, 5), (_ROW_BUDGET + 5, 2), (40, 150)])
+    @pytest.mark.parametrize("m", [1, 7, 41])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_equal_one_mean_calls(self, toy_pool, kind, m, n, k):
+        pool, spec, task = toy_pool
+        scheme = make_scheme(kind, pool)
+        data = sample_set(task, n, 4)
+        means = 1 / 3 + 0.4 * np.random.default_rng(m).standard_normal((m, scheme.d_phi))
+        risks = mc_risks(means, 0.2, scheme, spec, data, k, seed=23)
+        assert risks.shape == (m,)
+        for i in range(m):
+            assert risks[i] == mc_risk(GaussianSpec(means[i], 0.2), scheme, spec, data, k, seed=23)
+        for i in (0, m - 1):
+            draws = sample(GaussianSpec(means[i], 0.2), 23, k)
+            reference = np.mean([zero_one_risk(spec, realize(scheme, phi), data) for phi in draws])
+            assert risks[i] == reference
+
+    def test_one_merge_per_call(self, toy_world, monkeypatch):
+        scheme, spec, data = toy_world
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return merged_values(*args)
+
+        monkeypatch.setattr(posterior, "merged_values", counting)
+        mc_risks(np.full((12, 3), 1 / 3), 0.3, scheme, spec, data, 6, seed=2)
+        assert len(calls) == 1 and calls[0][1].shape == (72, 3)
+
+    def test_arguments_checked(self, toy_world):
+        scheme, spec, data = toy_world
+        means = np.full((4, 3), 1 / 3)
+        with pytest.raises(DomainError, match="finite"):
+            mc_risks(np.array([[0.1, np.inf, 0.2]]), 0.1, scheme, spec, data, 3)
+        for variance in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="variance"):
+                mc_risks(means, variance, scheme, spec, data, 3)
+        with pytest.raises(DomainError, match="k >= 1"):
+            mc_risks(means, 0.1, scheme, spec, data, 0)
+        with pytest.raises(DomainError, match="non-empty"):
+            mc_risks(means, 0.1, scheme, spec, data.subset(np.array([], dtype=int)), 3)
+        with pytest.raises(StructureError):
+            mc_risks(np.full((4, 2), 0.5), 0.1, scheme, spec, data, 3)
+        with pytest.raises(StructureError):
+            mc_risks(np.full(3, 0.5), 0.1, scheme, spec, data, 3)
+
+    def test_means_not_written(self, toy_world):
+        scheme, spec, data = toy_world
+        means = np.full((3, 3), 1 / 3)
+        mc_risks(means, 0.3, scheme, spec, data, 4, seed=5)
+        assert np.array_equal(means, np.full((3, 3), 1 / 3))
 
 
 class TestNonFinite:
