@@ -49,7 +49,7 @@ from .params import (
     pool_load,
     pool_save,
 )
-from .posterior import GaussianSpec, mc_risk, mc_risks, sample
+from .posterior import GaussianSpec, mc_risk, mc_risks
 from .toyzoo import (
     LabeledSet,
     MlpSpec,

@@ -15,10 +15,12 @@ of a validity trial reuse it.
 variance, such as the candidates of a CMA-ES generation or the points of a
 validity grid: it merges all m·k draws in one ``merged_values`` call, whose
 rows do not depend on their batch, and scores them in one ``error_counts``
-call, which owns the row budget that keeps scoring cache-sized.  Stacked
-draws score with the bits of each draw alone, so a mean's risk does not
-depend on the other means of its call; how row tiles of large sets round is
-noted in ``error_counts``.  ``mc_risk`` is its one-mean call.
+call, which owns the row budget that keeps scoring cache-sized.  That call
+scores in float32 and re-scores in float64 every input whose label margin
+lies within its a-priori float32 error bound, so each draw's error count is
+its float64 count alone and a mean's risk does not depend on the other means
+of its call; how row tiles of large sets round is noted in
+``error_counts``.  ``mc_risk`` is its one-mean call.
 """
 
 from __future__ import annotations
@@ -67,13 +69,6 @@ def _noise(seed: int, k: int, dim: int) -> np.ndarray:
     eps = np.stack([rng_for(seed, "gauss", j).standard_normal(dim) for j in range(k)])
     eps.flags.writeable = False
     return eps
-
-
-def sample(spec: GaussianSpec, seed: int, k: int) -> np.ndarray:
-    """k coefficient draws as rows; deterministic in seed."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    return spec.mean + np.sqrt(spec.variance) * _noise(seed, k, spec.dim)
 
 
 def mc_risks(

@@ -5,6 +5,16 @@ amount of structure across tasks, so that models fine-tuned on related tasks
 genuinely help a held-out task when merged.  The classifier is a plain MLP
 trained with mini-batch SGD on softmax cross-entropy; certification only ever
 sees its 0-1 loss.
+
+Every risk a certificate uses comes from ``error_counts``, which counts the
+0-1 errors of many parameter rows at once.  It scores in float32 and returns
+the float64 counts by construction.  Once per call it bounds the float32
+score error a priori: Higham's dot-product bound gamma_n, the rounding of
+inputs and weights to float32, and np.tanh's measured error, carried through
+the layers by the column 1-norms of |W|.  Float32 then decides every input
+whose label margin clears twice that bound, and float64 re-scores the few
+others: first stacked, then, for ties, with the float64 path's own shapes.
+``forward``, ``predict`` and training run in float64.
 """
 
 from __future__ import annotations
@@ -23,6 +33,25 @@ _ACTIVATIONS = ("tanh", "relu", "identity")
 # sets 4,096 was the fastest budget tried: smaller blocks pay more per-block
 # overhead, larger ones leave the cache.
 _ROW_BUDGET = 4096
+
+# Constants of the float32 error bound in ``error_counts``.  Unit roundoffs,
+# and the absolute error one operation may add by underflow, taken as the
+# smallest normal number so that flush-to-zero is covered too.
+_U32, _TINY32 = 2.0**-24, 2.0**-126
+_U64, _TINY64 = 2.0**-53, 2.0**-1022
+_F32_MAX = float(np.finfo(np.float32).max)
+# Largest error of np.tanh in units in the last place of its result: float32
+# against float64 (1.37 at most over every float32 in [0, 10] with numpy 2.4
+# on x86-64), and float64 against the exact value (1.19 at most against long
+# double on 2e6 inputs in [0, 25]).  tests/test_toyzoo.py guards both.
+_TANH32_ULPS = 2.0
+_TANH64_ULPS = 2.0
+# Widens the thresholds for the rounding of the threshold to float32 and of
+# each float32 margin (2^-24 each), and of the bound's own float64
+# arithmetic: its n operations add and multiply nonnegative numbers, so
+# they err by n 2^-53 at most, far below 2^-20 for any model that fits in
+# memory.
+_SLACK = 1.0 + 2.0**-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +103,8 @@ class LabeledSet:
             )
         if labels.size and labels.min() < 0:
             raise DomainError("labels must be non-negative class indices")
+        if not np.all(np.isfinite(inputs)):
+            raise DomainError("inputs must be finite")
 
     @property
     def n(self) -> int:
@@ -224,29 +255,227 @@ def _scores(spec: MlpSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scores if scores.ndim == 3 else scores[None]
 
 
-def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
-    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model).
+def _float64_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
+    """Misclassified inputs per row of the float64 ``thetas``, scored in float64.
 
-    Scores blocks of at most ``_ROW_BUDGET`` (draw, input) rows: sets of up to
+    Blocks of at most ``_ROW_BUDGET`` (draw, input) rows: sets of up to
     ``_ROW_BUDGET`` inputs stack ``_ROW_BUDGET // n`` draws per block, larger
-    sets take one draw and row tiles of ``_ROW_BUDGET`` inputs, and the int64
-    counts of a draw are summed over its tiles.  A row's scores do not depend
-    on the other draws of its block.  A tile's product can differ from the
-    full-height product in the last bit: on OpenBLAS 0.3.31, tiles of 8 rows
-    or more reproduce the full product's bits except for a final layer of 3-4
-    outputs on 100,000 rows, where no prediction changed.
+    sets take one draw and row tiles of ``_ROW_BUDGET`` inputs.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
-        raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
     x, y = data.inputs, data.labels
     counts = np.zeros(len(thetas), dtype=np.int64)
-    draws = max(1, _ROW_BUDGET // max(data.n, 1))
+    draws = max(1, _ROW_BUDGET // data.n)
     for lo in range(0, len(thetas), draws):
         for start in range(0, data.n, _ROW_BUDGET):
             tile = slice(start, start + _ROW_BUDGET)
             predicted = np.argmax(_scores(spec, thetas[lo : lo + draws], x[tile]), axis=-1)
             counts[lo : lo + draws] += np.count_nonzero(predicted != y[tile], axis=-1)
+    return counts
+
+
+def _score_error(spec, norms, x_max: float, u: float, tiny: float, act_err: float,
+                 rounded: bool) -> tuple[float, float]:
+    """(error, peak): a bound on |computed score - exact score| and on the
+    magnitude of every value the computation forms, at unit roundoff ``u``.
+
+    ``norms`` holds (largest column 1-norm of |W|, largest |b|) per layer over
+    every draw; ``rounded`` says that inputs and weights are first rounded to
+    the working precision.  A layer's error is the dot-product error
+    gamma_{fan_in+1} (|h| |W| + |b|), gamma_n = n u / (1 - n u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1), which
+    holds for any summation order and with fused multiply-adds, plus the
+    error it inherits through |W|, the rounding of W and b, and ``tiny`` per
+    operation for underflow.  The activations are 1-Lipschitz; ``relu`` is
+    exact and ``tanh`` adds ``act_err``.
+    """
+    rho, tiny_r = (u, tiny) if rounded else (0.0, 0.0)
+    m = x_max  # largest |h| of the exact computation
+    e = rho * x_max + tiny_r  # largest |computed h - exact h|
+    peak = m + e
+    last = len(norms) - 1
+    for layer, ((col, bias), fan_in) in enumerate(zip(norms, spec.widths[:-1])):
+        w_hat = (1.0 + rho) * col + fan_in * tiny_r
+        b_hat = (1.0 + rho) * bias + tiny_r
+        gamma = (fan_in + 1) * u / (1.0 - (fan_in + 1) * u)
+        dot = (m + e) * w_hat + b_hat
+        e = (gamma * dot + 2 * (fan_in + 1) * tiny + e * w_hat
+             + m * (rho * col + fan_in * tiny_r) + rho * bias + tiny_r)
+        peak = max(peak, w_hat, b_hat, (1.0 + gamma) * dot + 2 * (fan_in + 1) * tiny)
+        m = m * col + bias
+        if layer < last and spec.activation == "tanh":
+            m = min(m, 1.0)
+            e += act_err
+    return e, peak
+
+
+def _thresholds(spec: MlpSpec, thetas: np.ndarray, x_max: float):
+    """(float32 margin threshold, float64 margin slack), or None when float32
+    scoring could overflow.
+
+    B bounds |float32 score - float64 score| for every draw and input of the
+    call: the float32 pass's error and the float64 path's, each against exact
+    arithmetic.  A label margin that differs from the float64 margin by at
+    most 2B and exceeds 2B in size therefore has the float64 margin's sign.
+    Two float64 computations of a score differ by at most twice the float64
+    error, so their margins by at most the slack.  Both are widened by
+    ``_SLACK``.
+    """
+    norms = [(float((np.ones(w.shape[-2]) @ np.abs(w)).max()), float(np.abs(b).max()))
+             for w, b in _unpack(spec, thetas)]
+    if not np.all(np.isfinite(norms)):
+        return None
+    tanh32 = _TANH32_ULPS * 2.0**-23 + _TANH64_ULPS * 2.0**-52
+    err32, peak = _score_error(spec, norms, x_max, _U32, _TINY32, tanh32, rounded=True)
+    err64, _ = _score_error(spec, norms, x_max, _U64, _TINY64, _TANH64_ULPS * 2.0**-52,
+                            rounded=False)
+    if not 4.0 * peak < _F32_MAX:
+        return None
+    return np.float32(2.0 * (err32 + err64) * _SLACK), 4.0 * err64 * _SLACK
+
+
+def _float32_layers(spec: MlpSpec, thetas: np.ndarray):
+    """(first, rest): the float32 layers of ``thetas`` for ``_scores32``.
+
+    ``first`` is the first layer as (k, out, in + 1), its bias the last
+    column; ``rest`` holds each later layer as (W^T (k, out, in), b (k, out, 1)).
+    """
+    layers = _unpack(spec, thetas.astype(np.float32, copy=False))
+    (w, b), rest = layers[0], layers[1:]
+    first = np.concatenate([w.swapaxes(1, 2), b[..., None]], axis=2)
+    return first, [(w.swapaxes(1, 2), b[..., None]) for w, b in rest]
+
+
+def _float32_inputs(x: np.ndarray) -> np.ndarray:
+    """Inputs (rows, in) as float32 (in + 1, rows), the last row all ones."""
+    xa = np.ones((x.shape[1] + 1, x.shape[0]), dtype=np.float32)
+    xa[:-1] = x.T
+    return xa
+
+
+def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndarray:
+    """Float32 class scores (k, classes, rows) of a block of draws.
+
+    The layers are those of ``_float32_layers`` and the inputs those of
+    ``_float32_inputs``, so the first layer of every draw is one matrix
+    product with the bias folded in.
+    """
+    k, out, _ = first.shape
+    h = (first.reshape(k * out, -1) @ xa).reshape(k, out, -1)
+    for w, b in rest:
+        _activate(spec, h, out=h)
+        h = w @ h
+        h += b
+    return h
+
+
+def _margins(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Label margins s_y - max_{j != y} s_j (k, rows) of scores (k, classes, rows).
+
+    Overwrites the label scores in ``scores``.
+    """
+    k, _, rows = scores.shape
+    flat = scores.reshape(k, -1)
+    index = labels * rows + np.arange(rows)
+    label_scores = flat[:, index]
+    flat[:, index] = -np.inf
+    return label_scores - scores.max(axis=1)
+
+
+def _recheck_rows(spec, thetas, x, y, draw, row, slack):
+    """Tier 2: errors per draw among the (draw, row) pairs of one block, and
+    the pairs still undecided, from one stacked float64 call.
+
+    ``draw`` is sorted.  The rows of each draw are stacked on that draw's
+    slice, padded with zero inputs, so no pair needs its own copy of the
+    weights and the stack holds at most the block's rows.
+    """
+    which, first, per_draw = np.unique(draw, return_index=True, return_counts=True)
+    stack = np.repeat(np.arange(len(which)), per_draw)
+    slot = np.arange(len(draw)) - first[stack]
+    inputs = np.zeros((len(which), per_draw.max(), x.shape[1]))
+    inputs[stack, slot] = x[row]
+    scores = _scores(spec, thetas[which].astype(np.float64), inputs)[stack, slot]
+    margin = _margins(np.ascontiguousarray(scores.T)[None], y[row])[0]
+    errors = np.bincount(draw[margin < -slack], minlength=len(thetas))
+    return errors, ~(np.abs(margin) > slack)
+
+
+def _exact_errors(spec, theta, x, y, rows) -> int:
+    """Tier 3: errors among ``rows`` of a tile under one float64 ``theta`` (1, d),
+    scored with the float64 path's shapes and so with its bits."""
+    predicted = np.argmax(_scores(spec, theta, x)[0], axis=-1)
+    return int(np.count_nonzero(predicted[rows] != y[rows]))
+
+
+def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
+    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model).
+
+    The counts are those of scoring in float64 (``_float64_counts``), but most
+    rows are decided in float32.  Scoring keeps the blocks of the float64
+    path: at most ``_ROW_BUDGET`` (draw, input) rows, ``_ROW_BUDGET // n``
+    stacked draws on sets of up to ``_ROW_BUDGET`` inputs and one draw on row
+    tiles of ``_ROW_BUDGET`` inputs on larger sets.  Float32 ``thetas`` are
+    used as they are; any other dtype is read as float64.
+
+    Once per call ``_thresholds`` bounds the difference B between a float32
+    and a float64 score from the largest |x|, the column 1-norms of |W| and
+    the largest |b|.  The bound covers rounding the inputs and weights to
+    float32, any summation order of the products, fused multiply-adds,
+    underflow, and np.tanh's error: at most ``_TANH32_ULPS`` units in the last
+    place of its float32 result against float64, and ``_TANH64_ULPS`` of its
+    float64 result against the exact value.  Each input is then decided by
+    its label margin s_y - max_{j != y} s_j:
+
+    1. float32, in a (draws, classes, rows) layout: a margin beyond 2B has
+       the float64 margin's sign, so it decides the row; NaN is undecided;
+    2. the undecided (draw, input) pairs of a block are scored again in one
+       stacked float64 call, which decides each pair whose margin exceeds
+       twice the largest difference of two float64 scorings;
+    3. the rest, ties among them, are read from the draw's tile scored with
+       the float64 path's own shapes, whose bits they are.
+
+    When the bound shows that float32 could overflow, or a label is not a
+    class of ``spec``, the whole call is scored in float64.  A row's count
+    does not depend on the other rows of ``thetas``.  A tile's product can
+    differ from the full-height product in the last bit: on OpenBLAS 0.3.31,
+    tiles of 8 rows or more reproduce the full product's bits except for a
+    final layer of 3-4 outputs on 100,000 rows, where no prediction changed.
+    """
+    thetas = np.asarray(thetas)
+    if thetas.dtype != np.float32:
+        thetas = thetas.astype(np.float64, copy=False)
+    if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
+        raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
+    x, y = data.inputs, data.labels
+    counts = np.zeros(len(thetas), dtype=np.int64)
+    if data.n == 0 or len(thetas) == 0:
+        return counts
+    bound = None if y.max() >= spec.widths[-1] else _thresholds(spec, thetas, np.abs(x).max())
+    if bound is None:
+        return _float64_counts(spec, thetas.astype(np.float64, copy=False), data)
+    threshold, slack = bound
+    first, rest = _float32_layers(spec, thetas)
+    draws = max(1, _ROW_BUDGET // data.n)
+    for start in range(0, data.n, _ROW_BUDGET):
+        tile = slice(start, start + _ROW_BUDGET)
+        xa = _float32_inputs(x[tile])
+        for lo in range(0, len(thetas), draws):
+            block = slice(lo, lo + draws)
+            scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
+            margin = _margins(scores, y[tile])
+            counts[block] += np.count_nonzero(margin < -threshold, axis=1)
+            unsure = np.flatnonzero(~(np.abs(margin) > threshold))
+            if not len(unsure):
+                continue
+            draw, row = np.divmod(unsure, margin.shape[1])
+            errors, undecided = _recheck_rows(
+                spec, thetas[block], x[tile], y[tile], draw, row, slack)
+            counts[block] += errors
+            if undecided.any():
+                for d in np.unique(draw[undecided]):
+                    rows = row[undecided & (draw == d)]
+                    theta = thetas[lo + d : lo + d + 1].astype(np.float64)
+                    counts[lo + d] += _exact_errors(spec, theta, x[tile], y[tile], rows)
     return counts
 
 

@@ -15,7 +15,6 @@ from pacmerge import (
     mc_risks,
     merged_values,
     realize,
-    sample,
     sample_set,
     train,
     StructureError,
@@ -37,30 +36,51 @@ class TestSpecs:
             GaussianSpec(np.array([0.0]), np.inf)
 
 
+def draws_of(spec, seed, k):
+    """The k coefficient draws ``mc_risk`` scores for ``spec``."""
+    return spec.mean + np.sqrt(spec.variance) * posterior._noise(seed, k, spec.dim)
+
+
 class TestSample:
-    def test_gaussian_tiny_variance_concentrates(self):
-        spec = GaussianSpec(np.array([2.0, -3.0]), 1e-12)
-        draws = sample(spec, 4, 200)
-        assert np.max(np.abs(draws - spec.mean)) < 1e-4  # 6 sigma = 6e-6
+    """The Gaussian draws that ``mc_risks`` merges and scores."""
+
+    @pytest.fixture
+    def merged_phis(self, monkeypatch):
+        calls = []
+
+        def capturing(scheme, phis):
+            calls.append(phis.copy())
+            return merged_values(scheme, phis)
+
+        monkeypatch.setattr(posterior, "merged_values", capturing)
+        return calls
+
+    def test_gaussian_tiny_variance_concentrates(self, toy_world, merged_phis):
+        scheme, spec, data = toy_world
+        mean = np.array([0.2, 0.5, -0.3])
+        mc_risks(mean[None], 1e-12, scheme, spec, data, 200, seed=4)
+        assert np.max(np.abs(merged_phis[0] - mean)) < 1e-4  # 6 sigma = 6e-6
 
     def test_gaussian_deterministic_and_counter_based(self):
-        spec = GaussianSpec(np.zeros(3), 1.0)
-        a = sample(spec, 9, 5)
-        b = sample(spec, 9, 5)
-        np.testing.assert_array_equal(a, b)
+        a = posterior._noise(9, 5, 3)
+        np.testing.assert_array_equal(a, posterior._noise(9, 5, 3))
         # prefix property of the counter contract: draw j is a pure function
         # of (seed, j), so asking for fewer draws yields a prefix
-        c = sample(spec, 9, 3)
-        np.testing.assert_array_equal(a[:3], c)
+        np.testing.assert_array_equal(a[:3], posterior._noise(9, 3, 3))
 
-    def test_gaussian_mean_converges(self):
-        spec = GaussianSpec(np.array([1.5]), 0.25)
-        draws = sample(spec, 3, 4000)
+    def test_gaussian_mean_converges(self, toy_pool, merged_phis):
+        pool, spec, task = toy_pool
+        scheme = make_scheme("task_arith", pool)
+        mc_risks(np.array([[1.5]]), 0.25, scheme, spec, sample_set(task, 5, 1), 4000, seed=3)
+        draws = merged_phis[0]
+        assert draws.shape == (4000, 1)
         assert abs(draws.mean() - 1.5) < 3 * 0.5 / np.sqrt(4000)
+        assert np.array_equal(draws, draws_of(GaussianSpec(np.array([1.5]), 0.25), 3, 4000))
 
-    def test_k_validation(self):
-        with pytest.raises(DomainError):
-            sample(GaussianSpec(np.array([0.0]), 1.0), 0, 0)
+    def test_k_validation(self, toy_world):
+        scheme, spec, data = toy_world
+        with pytest.raises(DomainError, match="k >= 1"):
+            mc_risk(GaussianSpec(np.full(3, 1 / 3), 1.0), scheme, spec, data, 0)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +158,7 @@ class TestBatchedKernel:
         data = sample_set(task, n, 4)
         q = GaussianSpec(np.full(scheme.d_phi, 1 / 3), 0.5)
         reference = float(np.mean(
-            [zero_one_risk(spec, realize(scheme, phi), data) for phi in sample(q, 17, k)]
+            [zero_one_risk(spec, realize(scheme, phi), data) for phi in draws_of(q, 17, k)]
         ))
         assert mc_risk(q, scheme, spec, data, k, seed=17) == reference
 
@@ -194,7 +214,7 @@ class TestBatchedMeans:
         for i in range(m):
             assert risks[i] == mc_risk(GaussianSpec(means[i], 0.2), scheme, spec, data, k, seed=23)
         for i in (0, m - 1):
-            draws = sample(GaussianSpec(means[i], 0.2), 23, k)
+            draws = draws_of(GaussianSpec(means[i], 0.2), 23, k)
             reference = np.mean([zero_one_risk(spec, realize(scheme, phi), data) for phi in draws])
             assert risks[i] == reference
 
@@ -260,11 +280,12 @@ class TestNonFinite:
 
 class TestNoiseCache:
     def test_returned_draws_are_private(self):
-        spec = GaussianSpec(np.array([0.5, -1.0]), 0.2)
-        first = sample(spec, 41, 6)
+        # the cached noise is read-only, so no caller can change later draws
+        first = posterior._noise(41, 6, 2)
         expected = first.copy()
-        first[:] = 0.0
-        assert np.array_equal(sample(spec, 41, 6), expected)
+        with pytest.raises(ValueError):
+            first[:] = 0.0
+        assert np.array_equal(posterior._noise(41, 6, 2), expected)
 
     def test_repeat_call_draws_no_noise(self, toy_world, monkeypatch):
         scheme, spec, data = toy_world

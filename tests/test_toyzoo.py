@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,35 @@ from pacmerge import (
     train,
     zero_one_risk,
 )
+import pacmerge.toyzoo as toyzoo
 from pacmerge.toyzoo import _ROW_BUDGET as R
+
+_ACT = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
+
+
+def reference_scores(spec, flat, x):
+    """Out-of-place float64 forward of one flat parameter row, as written."""
+    flat = np.asarray(flat, dtype=np.float64)
+    offsets = spec.layer_offsets()
+    h = x
+    for i in range(0, len(offsets), 2):
+        (w_start, w_len), (b_start, b_len) = offsets[i], offsets[i + 1]
+        z = h @ flat[w_start : w_start + w_len].reshape(-1, b_len) + flat[b_start : b_start + b_len]
+        h = z if i == len(offsets) - 2 else _ACT[spec.activation](z)
+    return h
+
+
+def reference_counts(spec, thetas, data):
+    """Float64 error counts: ``predict`` for float32 rows, and the out-of-place
+    float64 forward for rows that float32 cannot hold."""
+    counts = []
+    for row in thetas:
+        if row.dtype == np.float32:
+            predicted = predict(spec, ParamVector(row, spec.layer_offsets()), data.inputs)
+        else:
+            predicted = np.argmax(reference_scores(spec, row, data.inputs), axis=1)
+        counts.append(np.count_nonzero(predicted != data.labels))
+    return counts
 
 
 class TestGenTasks:
@@ -52,6 +82,15 @@ class TestGenTasks:
             gen_tasks(0, 3, 4, 3, 1.5)
         with pytest.raises(DomainError):
             gen_tasks(0, 1, 4, 3, 0.5)
+
+
+class TestLabeledSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        inputs = np.zeros((3, 2))
+        inputs[1, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            LabeledSet(inputs, np.zeros(3, dtype=int))
 
 
 class TestSampleSet:
@@ -127,15 +166,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         theta = ParamVector(rng.standard_normal(spec.d_model), spec.layer_offsets())
         x = rng.standard_normal((300, 6))
-        act = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
-        flat = theta.values.astype(np.float64)
-        offsets = spec.layer_offsets()
-        h = x
-        for i in range(0, len(offsets), 2):
-            (w_start, w_len), (b_start, b_len) = offsets[i], offsets[i + 1]
-            z = h @ flat[w_start : w_start + w_len].reshape(-1, b_len) + flat[b_start : b_start + b_len]
-            h = z if i == len(offsets) - 2 else act[activation](z)
-        assert np.array_equal(forward(spec, theta, x), h)
+        assert np.array_equal(forward(spec, theta, x), reference_scores(spec, theta.values, x))
 
     def test_length_mismatch(self):
         spec = MlpSpec((4, 8, 3))
@@ -176,6 +207,178 @@ class TestBlockedKernel:
         error_counts(spec, thetas, data)
         assert np.array_equal(thetas, before)
         assert np.array_equal(data.inputs, inputs) and np.array_equal(data.labels, labels)
+
+
+def tied_rows(spec, k, seed, dtype, gap):
+    """k random rows whose last layer makes classes 0 and 1 the top two on
+    every input, with class 1's weights ``gap`` away from class 0's: float32
+    steps for float32 rows (0 is an exact tie), a relative size for float64."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, spec.d_model)).astype(dtype)
+    (w_start, w_len), (b_start, b_len) = spec.layer_offsets()[-2:]
+    w = rows[:, w_start : w_start + w_len].reshape(k, -1, b_len)
+    b = rows[:, b_start : b_start + b_len]
+    w[..., 1] = w[..., 0]
+    if dtype == np.float32:
+        for _ in range(gap):
+            w[..., 1] = np.nextafter(w[..., 1], np.float32(np.inf))
+    else:
+        w[..., 1] *= 1.0 + gap * rng.choice([-1.0, 1.0], size=w[..., 1].shape)
+    b[:, 1] = b[:, 0]
+    w[..., 2:] = 0.0
+    b[:, 2:] = -1e6
+    return rows
+
+
+@pytest.fixture
+def tiers(monkeypatch):
+    """Counts the calls of each scoring tier of ``error_counts``."""
+    calls = collections.Counter()
+    for name in ("_scores32", "_recheck_rows", "_exact_errors", "_float64_counts"):
+        def counted(*args, _name=name, _original=getattr(toyzoo, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(toyzoo, name, counted)
+    return calls
+
+
+def unchanged_counts(spec, thetas, data):
+    """``error_counts``, checking that it leaves its arguments as they were."""
+    before = thetas.copy(), data.inputs.copy(), data.labels.copy()
+    counts = error_counts(spec, thetas, data)
+    assert np.array_equal(thetas, before[0])
+    assert np.array_equal(data.inputs, before[1]) and np.array_equal(data.labels, before[2])
+    return counts
+
+
+class TestFloat32Scoring:
+    """Float32 scoring with float64 rechecks equals the float64 counts."""
+
+    ACTIVATIONS = ["tanh", "relu", "identity"]
+
+    # a set scored in one block of 3 stacked draws; a one-row remainder tile;
+    # two tiles and a 3-row remainder
+    @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_near_ties_rechecked_in_float64(self, tiers, activation, n):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = tied_rows(spec, 3, n, np.float32, gap=2)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert tiers["_recheck_rows"] >= 1
+
+    @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_exact_ties_read_from_float64_tiles(self, tiers, activation, n):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = tied_rows(spec, 3, n, np.float32, gap=0)
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        assert tiers["_exact_errors"] >= 1
+        # ties break toward class 0, so every input labelled 1 is an error
+        assert counts.tolist() == [np.count_nonzero(data.labels >= 1)] * 3
+
+    @pytest.mark.parametrize("n", [50, 2 * R + 3])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_float64_thetas_float32_cannot_hold(self, tiers, activation, n):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = tied_rows(spec, 3, n, np.float64, gap=1e-9)
+        assert not np.array_equal(rows.astype(np.float32), rows)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert tiers["_recheck_rows"] >= 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_overflow_scale_weights_take_the_float64_path(self, tiers, activation, dtype):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 200, 3)
+        rows = (1e30 * np.random.default_rng(1).standard_normal((3, spec.d_model))).astype(dtype)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert tiers["_float64_counts"] == 1 and tiers["_scores32"] == 0
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_large_set(self, tiers, activation):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 100_000, 8)
+        rows = np.random.default_rng(6).standard_normal((2, spec.d_model)).astype(np.float32)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert tiers["_scores32"] == 2 * 25
+
+    def test_labels_beyond_the_classes_take_the_float64_path(self, tiers):
+        spec = MlpSpec((6, 8, 3))
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 300, 3)
+        rows = np.random.default_rng(2).standard_normal((2, spec.d_model)).astype(np.float32)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert tiers["_float64_counts"] == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_models_equal_the_float64_path(self, seed):
+        # depths 1-3, one to five classes, scales from 1e-6 to 1e12, coarse
+        # values with exact ties, float32 and float64 rows
+        rng = np.random.default_rng(seed)
+        widths = [int(w) for w in rng.integers(1, 12, size=rng.integers(2, 5))]
+        spec = MlpSpec(tuple(widths), activation=self.ACTIVATIONS[seed % 3])
+        n = int(rng.choice([1, 7, 100, R + 1]))
+        data = LabeledSet(rng.standard_normal((n, widths[0])) * 10.0 ** rng.uniform(-3, 3),
+                          rng.integers(0, widths[-1], n))
+        rows = rng.standard_normal((int(rng.integers(1, 12)), spec.d_model))
+        rows *= 10.0 ** rng.uniform(-6, 12)
+        if seed % 4 == 1:
+            rows = np.round(rows * 4) / 4
+        if seed % 2:
+            rows = rows.astype(np.float32)
+        expected = toyzoo._float64_counts(spec, rows.astype(np.float64), data)
+        assert np.array_equal(unchanged_counts(spec, rows, data), expected)
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_float32_scores_within_the_bound(self, activation, scale):
+        # two hidden layers; B is at most half the float32 threshold
+        spec = MlpSpec((6, 8, 5, 4), activation=activation)
+        x = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 500, 3).inputs
+        rng = np.random.default_rng(int(scale))
+        thetas = (scale * rng.standard_normal((4, spec.d_model))).astype(np.float32)
+        threshold, _ = toyzoo._thresholds(spec, thetas, np.abs(x).max())
+        first, rest = toyzoo._float32_layers(spec, thetas)
+        scores32 = toyzoo._scores32(spec, first, rest, toyzoo._float32_inputs(x))
+        scores64 = toyzoo._scores(spec, thetas.astype(np.float64), x)
+        assert np.abs(scores32.transpose(0, 2, 1) - scores64).max() <= threshold / 2
+
+    def test_bound_covers_a_sum_that_drops_its_small_terms(self):
+        # 1 plus 63 terms under half a float32 step: float32 sums lose many
+        # of them (47 steps with OpenBLAS on x86-64), more than the rounding
+        # of inputs and weights covers; the gamma_n term covers it
+        spec = MlpSpec((64, 2), activation="identity")
+        w = np.zeros((64, 2), dtype=np.float32)
+        w[0] = 1.0
+        w[1:] = np.float32(0.75 * 2.0**-24), np.float32(0.6 * 2.0**-24)
+        thetas = np.concatenate([w.ravel(), np.zeros(2, dtype=np.float32)])[None]
+        x = np.ones((50, 64))
+        threshold, _ = toyzoo._thresholds(spec, thetas, 1.0)
+        first, rest = toyzoo._float32_layers(spec, thetas)
+        scores32 = toyzoo._scores32(spec, first, rest, toyzoo._float32_inputs(x))
+        scores64 = toyzoo._scores(spec, thetas.astype(np.float64), x)
+        error = np.abs(scores32.transpose(0, 2, 1) - scores64).max()
+        assert 4 * 2.0**-24 < error <= threshold / 2
+
+
+def test_tanh_error_within_the_bound_constants():
+    """np.tanh on this machine keeps to the constants the float32 bound uses."""
+    # every 256th float32 in [0, 10], and beyond 10 where tanh rounds to 1
+    bits = np.arange(0, np.float32(10.0).view(np.uint32) + 1, 256, dtype=np.uint32)
+    x = np.concatenate([bits.view(np.float32), np.geomspace(10, 3e38, 500, dtype=np.float32)])
+    t32, t64 = np.tanh(x), np.tanh(x.astype(np.float64))
+    ulps = np.abs(t32 - t64) / np.spacing(np.abs(t64).astype(np.float32))
+    assert ulps.max() <= toyzoo._TANH32_ULPS
+    assert np.array_equal(np.tanh(-x), -t32)  # so the sample covers [-10, 0] too
+    if np.finfo(np.longdouble).precision > np.finfo(np.float64).precision:
+        x64 = np.random.default_rng(0).uniform(0.0, 25.0, 200_000)
+        exact = np.tanh(x64.astype(np.longdouble))
+        ulps64 = np.abs(np.tanh(x64) - exact) / np.spacing(np.tanh(x64))
+        assert ulps64.max() <= toyzoo._TANH64_ULPS
 
 
 class TestZeroOneRisk:
