@@ -60,7 +60,6 @@ from .toyzoo import (
     gen_tasks,
     init_params,
     loss_and_grad,
-    predict,
     sample_set,
     train,
     zero_one_risk,

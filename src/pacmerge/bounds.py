@@ -6,7 +6,8 @@ Two PAC-Bayes results are computed from the same budget
 * the closed-form bound ``train + sqrt(B/2)`` (a Pinsker relaxation, reported
   uncapped, so values above 1 are visible), and
 * the tighter certificate obtained by numerically inverting the Bernoulli KL:
-  the smallest ``C >= train`` with ``kl(train || C) = B``.
+  the root ``C >= train`` of ``kl(train || C) = B``, taken as the upper end
+  of a bisection, so never below the root.
 
 A certificate is *vacuous* when even the closed form reaches 1: the inversion
 then sits within rounding distance of 1 and guarantees nothing.  The reported
@@ -29,8 +30,6 @@ from .errors import DomainError, StructureError
 from .posterior import GaussianSpec
 
 _Q_MAX = 1.0 - 1e-12  # top of the search bracket; beyond this we report 1
-_NEWTON_STEPS = 100
-_TOL = 1e-9
 
 
 def _xlogy(x: float, y: float) -> float:
@@ -53,18 +52,14 @@ def bernoulli_kl(p: float, q: float) -> float:
     return _xlogy(p, p / q) + _xlogy(1.0 - p, (1.0 - p) / (1.0 - q))
 
 
-def _kl_dq(p: float, q: float) -> float:
-    # d/dq kl(p||q); positive on (p, 1)
-    return (1.0 - p) / (1.0 - q) - p / q
-
-
 def invert_kl(p: float, budget: float) -> float:
-    """Smallest C >= p with kl(p || C) = budget, to 1e-9 absolute.
+    """The upper end of a bisection for the C >= p with kl(p || C) = budget.
 
-    Newton iterates start at min(1 - 1e-12, p + sqrt(budget/2)) — the Pinsker
-    point, an upper bound of the root, so iterates descend monotonically — and
-    are safeguarded by bisection on [p, 1).  Returns exactly 1.0 when the
-    budget exceeds kl(p || 1-), i.e. when no sub-1 certificate exists.
+    Bisects [p, 1 - 1e-12] until no float lies strictly between the two ends
+    and returns the upper end, so ``bernoulli_kl(p, C) >= budget`` holds for
+    the returned C as float64 evaluates it: C is never below the root.
+    Returns ``p`` for a zero budget, and exactly 1.0 when the budget exceeds
+    kl(p || 1 - 1e-12), i.e. when no sub-1 certificate exists.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
@@ -74,48 +69,17 @@ def invert_kl(p: float, budget: float) -> float:
         return min(p, 1.0) if budget == 0.0 else 1.0
     if bernoulli_kl(p, _Q_MAX) <= budget:
         return 1.0
-
-    def within_tol(c: float) -> bool:
-        # True iff the root is provably inside [c - tol, c + tol].
-        if bernoulli_kl(p, c) >= budget:
-            return bernoulli_kl(p, max(p, c - _TOL)) <= budget
-        return bernoulli_kl(p, min(_Q_MAX, c + _TOL)) >= budget
-
-    # kl(p||.) is convex and increasing on (p, 1), and the Pinsker point
-    # p + sqrt(budget/2) sits at or above the root, so Newton descends to the
-    # root monotonically.  The bracket is only a safety net.  Iterate until
-    # the residual is negligible or no representable progress remains (the
-    # float64-optimal root), verifying the 1e-9 window with two evaluations.
+    # Invariant: kl(p || lo) < budget <= kl(p || hi).  The float midpoint of
+    # two floats lies strictly between them unless they are adjacent.
     lo, hi = p, _Q_MAX
-    c = min(_Q_MAX, p + math.sqrt(budget / 2.0))
-    converged = False
-    for _ in range(_NEWTON_STEPS):
-        gap = bernoulli_kl(p, c) - budget
-        if gap > 0.0:
-            hi = min(hi, c)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if bernoulli_kl(p, mid) < budget:
+            lo = mid
         else:
-            lo = max(lo, c)
-        # no slope at c <= p: a subnormal budget collapses the Pinsker start to p
-        slope = _kl_dq(p, c) if c > p else 0.0
-        if slope > 0.0 and math.isfinite(slope):
-            nxt = c - gap / slope
-        else:
-            nxt = 0.5 * (lo + hi)
-        if not (lo <= nxt <= hi):
-            nxt = 0.5 * (lo + hi)
-        if nxt == c or (abs(gap) < 1e-10 and abs(nxt - c) < _TOL and within_tol(c)):
-            converged = True
-            break
-        c = nxt
-    if not converged:
-        while hi - lo >= 1e-12 and lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if bernoulli_kl(p, mid) > budget:
-                hi = mid
-            else:
-                lo = mid
-        c = 0.5 * (lo + hi)
-    return min(max(c, p), 1.0)
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True)

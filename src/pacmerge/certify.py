@@ -20,7 +20,7 @@ prior/data independence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,11 @@ OBJECTIVE_KINDS = ("train_risk", "pac_bayes_upper")
 
 @dataclass(frozen=True)
 class Objective:
-    """What the coefficient search minimizes."""
+    """What the coefficient search minimizes.
+
+    ``prior``, ``n`` and ``delta`` feed the complexity term of
+    ``pac_bayes_upper``, which requires them; ``train_risk`` ignores them.
+    """
 
     kind: str
     prior: GaussianSpec | None = None
@@ -181,9 +185,9 @@ def certify(
         prior = GaussianSpec(default_phi(scheme), config.prior_variance)
     objective = Objective(
         kind=objective_kind,
-        prior=prior if objective_kind == "pac_bayes_upper" else None,
-        n=n if objective_kind == "pac_bayes_upper" else None,
-        delta=config.delta if objective_kind == "pac_bayes_upper" else None,
+        prior=prior,
+        n=n,
+        delta=config.delta,
         posterior_variance=config.posterior_variance,
         mc_samples=config.mc_samples,
     )
@@ -230,19 +234,12 @@ def certify_ddp(
     certificate, with n = |B|.
     """
     half_a, half_b = split_support(support, ddp)
-    prior_cma = CmaConfig(
-        popsize=config.cma.popsize,
-        sigma0=config.cma.sigma0,
-        max_evals=config.cma.max_evals,
-        seed=derive_seed(config.cma.seed, "ddp-prior"),
-    )
+    prior_cma = replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
     prior_objective = Objective(
         kind=ddp.prior_objective,
-        prior=GaussianSpec(default_phi(scheme), config.prior_variance)
-        if ddp.prior_objective == "pac_bayes_upper"
-        else None,
-        n=half_a.n if ddp.prior_objective == "pac_bayes_upper" else None,
-        delta=config.delta if ddp.prior_objective == "pac_bayes_upper" else None,
+        prior=GaussianSpec(default_phi(scheme), config.prior_variance),
+        n=half_a.n,
+        delta=config.delta,
         posterior_variance=config.posterior_variance,
         mc_samples=config.mc_samples,
     )

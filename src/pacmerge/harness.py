@@ -16,8 +16,11 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
   certificate violation rate stays below delta;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
-Runs are deterministic: (config, seeds) fix every output bit, and every
-emitted bound is re-validated against a recomputation before writing.
+Each scenario kind has one runner in ``_RUNNERS``, called as
+``runner(config, world)`` on the one world ``run`` builds; the runners that
+certify held-out targets take them from ``_targets``.  Runs are
+deterministic: (config, seeds) fix every output bit, and every emitted bound
+is re-validated against a recomputation before writing.
 """
 
 from __future__ import annotations
@@ -59,12 +62,6 @@ _OBJECTIVE_CHOICES = ("train_risk", "pac_bayes_upper", "both")
 _MERGE_CHOICES = KINDS + ("all",)
 
 
-def _parse_int_list(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(part.strip()) for part in str(text).split(",") if part.strip()]
-
-
 def _choice(options):
     def parse(value):
         value = str(value)
@@ -99,6 +96,20 @@ def _int_at_least(lo):
 _positive_int = _int_at_least(1)
 
 
+def _int_list(lo, ascending=False):
+    """Comma-separated ints, each >= lo, and strictly ascending if asked."""
+    item = _int_at_least(lo)
+
+    def parse(value):
+        parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        values = [item(part) for part in parts if str(part).strip()]
+        if ascending and any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("must be strictly ascending")
+        return values
+
+    return parse
+
+
 def _popsize(value):
     value = int(value)
     if value != 0 and value < 4:
@@ -125,7 +136,7 @@ _SCHEMA: dict[str, tuple] = {
     "pool.ft_epochs": (_int_at_least(0), 25),
     "pool.ft_lr": (_bounded_float(0.0, 1e9, lo_open=True), 0.02),
     "pool.batch": (_positive_int, 32),
-    "certify.n": (_positive_int, 100),
+    "certify.n": (_int_at_least(2), 100),
     "certify.targets": (_positive_int, 5),
     "merge.kind": (_choice(_MERGE_CHOICES), "all"),
     "merge.trim_fraction": (_bounded_float(0.0, 1.0, lo_open=True), 0.2),
@@ -139,12 +150,12 @@ _SCHEMA: dict[str, tuple] = {
     "cma.max_evals": (_positive_int, 2000),
     "ddp.split": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.5),
     "ddp.prior_objective": (_choice(("train_risk", "pac_bayes_upper")), "train_risk"),
-    "sweep.n_list": (_parse_int_list, [100, 500, 1000, 2000, 4000]),
-    "discrete.grid_sizes": (_parse_int_list, [20, 40, 60, 80, 100]),
+    "sweep.n_list": (_int_list(4, ascending=True), [100, 500, 1000, 2000, 4000]),
+    "discrete.grid_sizes": (_int_list(2), [20, 40, 60, 80, 100]),
     "eval.query_n": (_positive_int, 2000),
     "validity.trials": (_positive_int, 200),
     "validity.population": (_positive_int, 100000),
-    "validity.n": (_positive_int, 100),
+    "validity.n": (_int_at_least(2), 100),
     "validity.grid": (_positive_int, 41),
 }
 
@@ -244,6 +255,8 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
             raise ConfigError(key, f"invalid value {raw!r}: {exc}") from exc
     if values["certify.targets"] > values["tasks.count"]:
         raise ConfigError("certify.targets", "more targets than generated tasks")
+    if values["kind"] == "ddp" and values["certify.n"] < 4:
+        raise ConfigError("certify.n", "must be >= 4 for kind = ddp, so both halves have >= 2")
     return ExperimentConfig(dict(sorted(values.items())))
 
 
@@ -351,6 +364,14 @@ def _support(config, task, index) -> LabeledSet:
 
 def _query(config, task, index) -> LabeledSet:
     return sample_set(task, config["eval.query_n"], derive_seed(config["seed"], "query", index))
+
+
+def _ddp_config(config, index, *key) -> DdpConfig:
+    return DdpConfig(
+        split_fraction=config["ddp.split"],
+        prior_objective=config["ddp.prior_objective"],
+        split_seed=derive_seed(config["seed"], "ddp-split", index, *key),
+    )
 
 
 def _certify_config(config, *key) -> CertifyConfig:
@@ -487,13 +508,17 @@ def _objective_list(config) -> tuple[str, ...]:
     return (config["objective.kind"],)
 
 
-def _run_table(config, world) -> list[CertificateRecord]:
-    records = []
+def _targets(config, world):
+    """(index, task, hold-one-out pool, query set) per certified target."""
     for index in range(config["certify.targets"]):
         task = world.tasks[index]
-        subpool = world.pool.without(task.task_id)
+        yield index, task, world.pool.without(task.task_id), _query(config, task, index)
+
+
+def _run_table(config, world) -> list[CertificateRecord]:
+    records = []
+    for index, task, subpool, query in _targets(config, world):
         support = _support(config, task, index)
-        query = _query(config, task, index)
         for scheme_kind in _scheme_list(config):
             scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
             for objective_kind in _objective_list(config):
@@ -506,25 +531,16 @@ def _run_table(config, world) -> list[CertificateRecord]:
 def _run_ddp(config, world) -> list[CertificateRecord]:
     scheme_kind = config["merge.kind"] if config["merge.kind"] != "all" else "layer_wise"
     records = []
-    for index in range(config["certify.targets"]):
-        task = world.tasks[index]
-        subpool = world.pool.without(task.task_id)
+    for index, task, subpool, query in _targets(config, world):
         scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
         support = _support(config, task, index)
-        query = _query(config, task, index)
-
         for objective_kind in ("train_risk", "pac_bayes_upper"):
             cfg = _certify_config(config, index, scheme_kind, objective_kind)
             records.append(certify(scheme, objective_kind, support, query,
                                    world.model_spec, cfg, task_id=task.task_id))
-        ddp = DdpConfig(
-            split_fraction=config["ddp.split"],
-            prior_objective=config["ddp.prior_objective"],
-            split_seed=derive_seed(config["seed"], "ddp-split", index),
-        )
         cfg = _certify_config(config, index, scheme_kind, "ddp")
-        records.append(certify_ddp(scheme, support, ddp, world.model_spec, cfg,
-                                   query=query, task_id=task.task_id))
+        records.append(certify_ddp(scheme, support, _ddp_config(config, index),
+                                   world.model_spec, cfg, query=query, task_id=task.task_id))
     return records
 
 
@@ -549,35 +565,19 @@ def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> Certif
     )
 
 
-def sweep_n(config: ExperimentConfig, n_list=None, world: World | None = None,
-            cache_dir=None) -> list[CertificateRecord]:
+def _run_sweep(config, world) -> list[CertificateRecord]:
     """Per (task, n): a DDP certificate, a half-validation test-set-bound
     certificate, and a full-data bound-optimized certificate."""
-    n_list = list(n_list if n_list is not None else config["sweep.n_list"])
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
-        raise ConfigError("sweep.n_list", "must be strictly ascending")
-    if any(n < 4 for n in n_list):
-        raise ConfigError("sweep.n_list", "every n must be >= 4")
-    if world is None:
-        world = build_world(config, cache_dir)
     scheme_kind = config["merge.kind"] if config["merge.kind"] != "all" else "task_wise"
     records = []
-    for index in range(config["certify.targets"]):
-        task = world.tasks[index]
-        subpool = world.pool.without(task.task_id)
+    for index, task, subpool, query in _targets(config, world):
         scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
-        query = _query(config, task, index)
-        for n in n_list:
+        for n in config["sweep.n_list"]:
             support = sample_set(task, n, derive_seed(config["seed"], "support", index, n))
-
-            ddp = DdpConfig(
-                split_fraction=config["ddp.split"],
-                prior_objective=config["ddp.prior_objective"],
-                split_seed=derive_seed(config["seed"], "ddp-split", index, n),
-            )
             cfg_ddp = _certify_config(config, index, scheme_kind, "ddp", n)
-            records.append(certify_ddp(scheme, support, ddp, world.model_spec, cfg_ddp,
-                                       query=query, task_id=task.task_id))
+            records.append(certify_ddp(scheme, support, _ddp_config(config, index, n),
+                                       world.model_spec, cfg_ddp, query=query,
+                                       task_id=task.task_id))
             cfg_hv = _certify_config(config, index, scheme_kind, "half_val", n)
             records.append(_half_val_record(scheme, support, query, world.model_spec,
                                             cfg_hv, task.task_id))
@@ -589,11 +589,8 @@ def sweep_n(config: ExperimentConfig, n_list=None, world: World | None = None,
 
 def _run_discrete(config, world) -> list[CertificateRecord]:
     records = []
-    for index in range(config["certify.targets"]):
-        task = world.tasks[index]
-        subpool = world.pool.without(task.task_id)
+    for index, task, subpool, query in _targets(config, world):
         support = _support(config, task, index)
-        query = _query(config, task, index)
         scheme = make_scheme("task_arith", subpool)
         cfg = _certify_config(config, index, "task_arith", "continuous")
         records.append(
@@ -648,31 +645,28 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     return [one_trial(t) for t in range(config["validity.trials"])]
 
 
+# One runner per scenario kind, each ``(config, world) -> records``.
+_RUNNERS = {
+    "table": _run_table,
+    "ddp": _run_ddp,
+    "sweep": _run_sweep,
+    "discrete": _run_discrete,
+    "validity": _run_validity,
+}
+
+
 def run(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a configured scenario and (optionally) write its reports.
 
-    Builds the task set and pool (disk-cached by pool hash when ``out_dir``
-    is given), certifies each held-out target, re-validates every bound, and
-    writes ``<scenario>-<hash>.json`` plus ``.csv`` under ``out_dir``.
+    Builds the task set and pool once (disk-cached by pool hash when
+    ``out_dir`` is given), hands that world to the runner ``_RUNNERS`` holds
+    for ``config["kind"]``, re-validates every bound it returns, and writes
+    ``<scenario>-<hash>.json`` plus ``.csv`` under ``out_dir``.
     """
     started = time.monotonic()
     cache_dir = Path(out_dir) / "pools" if out_dir is not None else None
-    kind = config["kind"]
-    if kind == "validity":
-        world = build_world(config, cache_dir)
-        records = _run_validity(config, world)
-    elif kind == "sweep":
-        records = sweep_n(config, world=None, cache_dir=cache_dir)
-    else:
-        world = build_world(config, cache_dir)
-        if kind == "table":
-            records = _run_table(config, world)
-        elif kind == "ddp":
-            records = _run_ddp(config, world)
-        elif kind == "discrete":
-            records = _run_discrete(config, world)
-        else:
-            raise ConfigError("kind", f"unknown scenario kind {kind!r}")
+    world = build_world(config, cache_dir)
+    records = _RUNNERS[config["kind"]](config, world)
 
     for record in records:
         record.validate()

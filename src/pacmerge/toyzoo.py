@@ -14,7 +14,7 @@ inputs and weights to float32, and np.tanh's measured error, carried through
 the layers by the column 1-norms of |W|.  Float32 then decides every input
 whose label margin clears twice that bound, and float64 re-scores the few
 others: first stacked, then, for ties, with the float64 path's own shapes.
-``forward``, ``predict`` and training run in float64.
+``forward`` and training run in float64.
 """
 
 from __future__ import annotations
@@ -434,12 +434,13 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     3. the rest, ties among them, are read from the draw's tile scored with
        the float64 path's own shapes, whose bits they are.
 
-    When the bound shows that float32 could overflow, or a label is not a
-    class of ``spec``, the whole call is scored in float64.  A row's count
-    does not depend on the other rows of ``thetas``.  A tile's product can
-    differ from the full-height product in the last bit: on OpenBLAS 0.3.31,
-    tiles of 8 rows or more reproduce the full product's bits except for a
-    final layer of 3-4 outputs on 100,000 rows, where no prediction changed.
+    When the bound shows that float32 could overflow, the whole call is
+    scored in float64.  A label that is not a class of ``spec`` raises
+    ``DomainError``.  A row's count does not depend on the other rows of
+    ``thetas``.  A tile's product can differ from the full-height product in
+    the last bit: on OpenBLAS 0.3.31, tiles of 8 rows or more reproduce the
+    full product's bits except for a final layer of 3-4 outputs on 100,000
+    rows, where no prediction changed.
     """
     thetas = np.asarray(thetas)
     if thetas.dtype != np.float32:
@@ -447,10 +448,12 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
         raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
     x, y = data.inputs, data.labels
+    if data.n and y.max() >= spec.widths[-1]:
+        raise DomainError(f"label {y.max()} is not a class of a {spec.widths[-1]}-class model")
     counts = np.zeros(len(thetas), dtype=np.int64)
     if data.n == 0 or len(thetas) == 0:
         return counts
-    bound = None if y.max() >= spec.widths[-1] else _thresholds(spec, thetas, np.abs(x).max())
+    bound = _thresholds(spec, thetas, np.abs(x).max())
     if bound is None:
         return _float64_counts(spec, thetas.astype(np.float64, copy=False), data)
     threshold, slack = bound
@@ -484,11 +487,6 @@ def forward(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:
     if theta.size != spec.d_model:
         raise StructureError(f"theta has {theta.size} values, spec needs {spec.d_model}")
     return _scores(spec, theta.values[None].astype(np.float64), x)[0]
-
-
-def predict(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Argmax class per input; ties break toward the lowest class index."""
-    return np.argmax(forward(spec, theta, x), axis=1)
 
 
 def zero_one_risk(spec: MlpSpec, theta: ParamVector, data: LabeledSet) -> float:

@@ -102,13 +102,25 @@ class TestInvertKl:
         if p < c < 1.0 - 1e-6:
             assert abs(bernoulli_kl(p, c) - budget) < 1e-8
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 5.0))
+    @example(0.58, 0.31639165562437743)
+    @example(0.615, 0.18212383471305596)
+    @example(0.625, 5.186055163415281)
+    def test_never_below_the_root(self, p, budget):
+        # a certificate below the root would claim more than the bound allows
+        c = invert_kl(p, budget)
+        if c < 1.0:
+            assert bernoulli_kl(p, c) >= budget
+
     def test_vacuous_returns_exact_one(self):
         assert invert_kl(0.9, 50.0) == 1.0
 
     def test_subnormal_budget_at_zero_train(self):
-        # the Pinsker start p + sqrt(B/2) rounds to p here; no slope is taken there
+        # float64 evaluates kl(0 || C) = -ln(1 - C) as 0 until 1 - C rounds
+        # below 1, so the smallest C it certifies is about 2^-54
         c = invert_kl(0.0, 5e-324)
-        assert 0.0 <= c < 1e-9  # the root is ~5e-324; the contract is 1e-9 absolute
+        assert 0.0 < c < 1e-9
         assert abs(bernoulli_kl(0.0, c) - 5e-324) < 1e-8
 
 

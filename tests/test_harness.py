@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacmerge import ConfigError, FormatError
+from pacmerge import BoundBudget, ConfigError, FormatError, bernoulli_kl
 from pacmerge.cli import main
 from pacmerge.harness import (
     SCENARIOS,
@@ -15,7 +15,6 @@ from pacmerge.harness import (
     make_config,
     report_text,
     run,
-    sweep_n,
     write_report,
 )
 
@@ -45,6 +44,22 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             make_config(None, {key: value})
         assert err.value.path == key
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"certify.n": 1}, "certify.n"),
+        ({"kind": "ddp", "certify.n": 3}, "certify.n"),
+        ({"validity.n": 1}, "validity.n"),
+        ({"discrete.grid_sizes": "5,1"}, "discrete.grid_sizes"),
+    ])
+    def test_sizes_too_small_to_certify_name_key(self, overrides, key):
+        with pytest.raises(ConfigError) as err:
+            make_config(None, overrides)
+        assert err.value.path == key
+
+    def test_smallest_certifiable_sizes_accepted(self):
+        cfg = make_config(None, {"certify.n": 2, "validity.n": 2, "discrete.grid_sizes": "2"})
+        assert (cfg["certify.n"], cfg["validity.n"], cfg["discrete.grid_sizes"]) == (2, 2, [2])
+        assert make_config(None, {"kind": "ddp", "certify.n": 4})["certify.n"] == 4
 
     def test_boundary_search_and_training_values_accepted(self):
         for popsize in (0, 4):
@@ -148,18 +163,25 @@ def test_every_scenario_runs_and_validates(scenario):
     for r in record.records:
         r.validate()
         assert 0.0 <= r.train_error <= r.pb_bound <= 1.0
+        budget = BoundBudget(r.kl_qp, r.n, r.delta).value
+        assert r.pb_bound == 1.0 or bernoulli_kl(r.train_error, r.pb_bound) >= budget
 
 
 class TestSweepValidation:
     def test_rejects_unsorted(self):
-        cfg = make_config("smoke")
-        with pytest.raises(ConfigError):
-            sweep_n(cfg, [100, 50])
+        with pytest.raises(ConfigError) as err:
+            make_config("paper-gap-sweep", {"sweep.n_list": "100,50"})
+        assert err.value.path == "sweep.n_list"
 
     def test_rejects_tiny_n(self):
-        cfg = make_config("smoke")
-        with pytest.raises(ConfigError):
-            sweep_n(cfg, [2, 100])
+        with pytest.raises(ConfigError) as err:
+            make_config("paper-gap-sweep", {"sweep.n_list": "2,100"})
+        assert err.value.path == "sweep.n_list"
+
+    def test_rejects_repeated_n(self):
+        with pytest.raises(ConfigError) as err:
+            make_config("paper-gap-sweep", {"sweep.n_list": "100,100"})
+        assert err.value.path == "sweep.n_list"
 
 
 class TestReport:
@@ -244,6 +266,12 @@ class TestCli:
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith(f"config error: {line.split()[0]}: invalid value")
+
+    def test_size_too_small_to_certify_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = paper-ddp\ncertify.n = 3\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("config error: certify.n:")
 
     def test_sweep_requires_sweep_kind(self, tmp_path):
         assert main(["sweep", "--scenario", "smoke", "--out", str(tmp_path)]) == 2

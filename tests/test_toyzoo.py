@@ -15,7 +15,6 @@ from pacmerge import (
     gen_tasks,
     init_params,
     loss_and_grad,
-    predict,
     sample_set,
     train,
     zero_one_risk,
@@ -39,12 +38,13 @@ def reference_scores(spec, flat, x):
 
 
 def reference_counts(spec, thetas, data):
-    """Float64 error counts: ``predict`` for float32 rows, and the out-of-place
+    """Float64 error counts: ``forward`` for float32 rows, and the out-of-place
     float64 forward for rows that float32 cannot hold."""
     counts = []
     for row in thetas:
         if row.dtype == np.float32:
-            predicted = predict(spec, ParamVector(row, spec.layer_offsets()), data.inputs)
+            theta = ParamVector(row, spec.layer_offsets())
+            predicted = np.argmax(forward(spec, theta, data.inputs), axis=1)
         else:
             predicted = np.argmax(reference_scores(spec, row, data.inputs), axis=1)
         counts.append(np.count_nonzero(predicted != data.labels))
@@ -130,7 +130,8 @@ class TestForward:
         x = np.ones((5, 4))
         scores = forward(spec, theta, x)
         np.testing.assert_array_equal(scores, np.zeros((5, 3)))
-        np.testing.assert_array_equal(predict(spec, theta, x), np.zeros(5, dtype=int))
+        labels = np.array([0, 0, 1, 2, 0])
+        assert error_counts(spec, theta.values[None], LabeledSet(x, labels)).tolist() == [2]
 
     def test_hand_computed_linear(self):
         # single affine layer, identity weights: scores == inputs + bias
@@ -187,14 +188,8 @@ class TestBlockedKernel:
         # random biases, so the in-place bias update is exercised
         rows = np.random.default_rng(k).standard_normal((k, spec.d_model)).astype(np.float32)
         counts = error_counts(spec, rows, data)
-        reference = [
-            np.count_nonzero(
-                predict(spec, ParamVector(row, spec.layer_offsets()), data.inputs) != data.labels
-            )
-            for row in rows
-        ]
         assert counts.dtype == np.int64
-        assert counts.tolist() == reference
+        assert counts.tolist() == reference_counts(spec, rows, data)
 
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
     def test_arguments_unchanged(self, n):
@@ -307,12 +302,16 @@ class TestFloat32Scoring:
         assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
         assert tiers["_scores32"] == 2 * 25
 
-    def test_labels_beyond_the_classes_take_the_float64_path(self, tiers):
+    def test_labels_beyond_the_classes_are_rejected(self, tiers):
         spec = MlpSpec((6, 8, 3))
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 300, 3)
+        assert data.labels.max() == 3
         rows = np.random.default_rng(2).standard_normal((2, spec.d_model)).astype(np.float32)
-        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert tiers["_float64_counts"] == 1
+        with pytest.raises(DomainError, match="not a class"):
+            error_counts(spec, rows, data)
+        with pytest.raises(DomainError, match="not a class"):
+            zero_one_risk(spec, ParamVector(rows[0], spec.layer_offsets()), data)
+        assert not tiers
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_models_equal_the_float64_path(self, seed):
@@ -393,7 +392,7 @@ class TestZeroOneRisk:
         spec = MlpSpec((3, 5, 3))
         theta = init_params(spec, 2)
         x = np.random.default_rng(1).standard_normal((20, 3))
-        consistent = LabeledSet(x, predict(spec, theta, x))
+        consistent = LabeledSet(x, np.argmax(forward(spec, theta, x), axis=1))
         assert zero_one_risk(spec, theta, consistent) == 0.0
 
     def test_hand_built_quarter(self):
@@ -421,7 +420,8 @@ class TestZeroOneRisk:
         counts = error_counts(spec, np.stack([t.values for t in thetas]), data)
         assert counts.shape == (5,)
         for theta, count in zip(thetas, counts):
-            assert count == np.count_nonzero(predict(spec, theta, data.inputs) != data.labels)
+            predicted = np.argmax(forward(spec, theta, data.inputs), axis=1)
+            assert count == np.count_nonzero(predicted != data.labels)
             assert zero_one_risk(spec, theta, data) == count / data.n
 
     def test_error_counts_shape_checked(self):
