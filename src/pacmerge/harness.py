@@ -37,7 +37,7 @@ from . import __version__
 from .bounds import CertificateRecord, gaussian_kl, make_record
 from .certify import CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete, optimize, Objective
 from .cma import CmaConfig
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .merging import KINDS, make_scheme, realize
 from .params import ModelPool, axpy, pool_load, pool_save
 from .posterior import GaussianSpec, mc_risk, mc_risks
@@ -486,10 +486,15 @@ def write_report(record: RunRecord, fmt: str, out_dir, stem: str) -> Path:
 
 
 def load_record(path) -> RunRecord:
+    """A stored run record, each certificate re-derived by ``validate``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return RunRecord.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            record = RunRecord.from_dict(json.load(fh))
+        for certificate in record.records:
+            certificate.validate()
+        return record
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, AssertionError,
+            DomainError) as exc:
         raise FormatError(f"cannot load run record: {exc}") from exc
 
 

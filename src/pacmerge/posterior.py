@@ -16,11 +16,12 @@ variance, such as the candidates of a CMA-ES generation or the points of a
 validity grid: it merges all m·k draws in one ``merged_values`` call, whose
 rows do not depend on their batch, and scores them in one ``error_counts``
 call, which owns the row budget that keeps scoring cache-sized.  That call
-scores in float32 and re-scores in float64 every input whose label margin
-lies within its a-priori float32 error bound, so each draw's error count is
-its float64 count alone and a mean's risk does not depend on the other means
-of its call; how row tiles of large sets round is noted in
-``error_counts``.  ``mc_risk`` is its one-mean call.
+scores in float32 and, once after its float32 pass, re-scores in float64
+every (draw, input) pair whose label margin lies within its a-priori float32
+error bound, so each draw's error count is its float64 count alone and a
+mean's risk does not depend on the other means of its call; how row tiles of
+large sets round is noted in ``error_counts``.  ``mc_risk`` is its one-mean
+call.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ the float64 counts by construction.  Once per call it bounds the float32
 score error a priori: Higham's dot-product bound gamma_n, the rounding of
 inputs and weights to float32, and np.tanh's measured error, carried through
 the layers by the column 1-norms of |W|.  Float32 then decides every input
-whose label margin clears twice that bound, and float64 re-scores the few
-others: first stacked, then, for ties, with the float64 path's own shapes.
+whose label margin clears twice that bound.  The few others, the undecided
+pairs of the whole call, are re-scored in float64 once, after the float32
+pass: first stacked, then, for ties, with the float64 path's own shapes.
 ``forward`` and training run in float64.
 """
 
@@ -368,26 +369,50 @@ def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndar
     return h
 
 
-def _margins(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _margins(scores: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Label margins s_y - max_{j != y} s_j (k, rows) of scores (k, classes, rows).
 
-    Overwrites the label scores in ``scores``.
+    ``index`` is ``labels * rows + arange(rows)``, the positions of the label
+    scores in one draw's flattened scores.  Overwrites the label scores in
+    ``scores``.
     """
-    k, _, rows = scores.shape
-    flat = scores.reshape(k, -1)
-    index = labels * rows + np.arange(rows)
+    flat = scores.reshape(len(scores), -1)
     label_scores = flat[:, index]
     flat[:, index] = -np.inf
     return label_scores - scores.max(axis=1)
 
 
-def _recheck_rows(spec, thetas, x, y, draw, row, slack):
-    """Tier 2: errors per draw among the (draw, row) pairs of one block, and
-    the pairs still undecided, from one stacked float64 call.
+def _stacks(draw: np.ndarray) -> list[slice]:
+    """Slices of the sorted ``draw`` for ``_recheck_rows``, each of at most
+    ``_ROW_BUDGET`` padded rows: (its draws) x (most pairs of one draw).
 
-    ``draw`` is sorted.  The rows of each draw are stacked on that draw's
-    slice, padded with zero inputs, so no pair needs its own copy of the
-    weights and the stack holds at most the block's rows.
+    A draw with more than ``_ROW_BUDGET`` pairs is split into pieces of
+    ``_ROW_BUDGET``, each a stack of its own.
+    """
+    per_draw = np.unique(draw, return_counts=True)[1]
+    if len(per_draw) * per_draw.max() <= _ROW_BUDGET:
+        return [slice(0, len(draw))]
+    stacks, start, width, stacked, lo = [], 0, 0, 0, 0
+    for count in per_draw.tolist():
+        for piece in range(lo, lo + count, _ROW_BUDGET):
+            size = min(_ROW_BUDGET, lo + count - piece)
+            if (stacked + 1) * max(width, size) > _ROW_BUDGET:
+                stacks.append(slice(start, piece))
+                start, width, stacked = piece, 0, 0
+            stacked += 1
+            width = max(width, size)
+        lo += count
+    return stacks + [slice(start, len(draw))]
+
+
+def _recheck_rows(spec, thetas, x, y, draw, row, slack):
+    """Tier 2: errors per draw among (draw, input) pairs of the call, and the
+    pairs still undecided, from one stacked float64 call.
+
+    ``draw`` is sorted and ``row`` indexes ``x`` and ``y``.  The rows of each
+    draw are stacked on that draw's slice, padded with zero inputs, so no
+    pair needs its own copy of the weights; ``_stacks`` keeps the padded
+    stack within ``_ROW_BUDGET`` rows.
     """
     which, first, per_draw = np.unique(draw, return_index=True, return_counts=True)
     stack = np.repeat(np.arange(len(which)), per_draw)
@@ -395,7 +420,8 @@ def _recheck_rows(spec, thetas, x, y, draw, row, slack):
     inputs = np.zeros((len(which), per_draw.max(), x.shape[1]))
     inputs[stack, slot] = x[row]
     scores = _scores(spec, thetas[which].astype(np.float64), inputs)[stack, slot]
-    margin = _margins(np.ascontiguousarray(scores.T)[None], y[row])[0]
+    index = y[row] * len(row) + np.arange(len(row))
+    margin = _margins(np.ascontiguousarray(scores.T)[None], index)[0]
     errors = np.bincount(draw[margin < -slack], minlength=len(thetas))
     return errors, ~(np.abs(margin) > slack)
 
@@ -426,13 +452,15 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     float64 result against the exact value.  Each input is then decided by
     its label margin s_y - max_{j != y} s_j:
 
-    1. float32, in a (draws, classes, rows) layout: a margin beyond 2B has
-       the float64 margin's sign, so it decides the row; NaN is undecided;
-    2. the undecided (draw, input) pairs of a block are scored again in one
-       stacked float64 call, which decides each pair whose margin exceeds
+    1. float32, block by block in a (draws, classes, rows) layout: a margin
+       beyond 2B has the float64 margin's sign, so it decides the row; NaN is
+       undecided, and the undecided (draw, input) pairs are collected;
+    2. after the last block, the undecided pairs of the call are scored again
+       in stacked float64 calls, one unless its padded stack would exceed
+       ``_ROW_BUDGET`` rows; each decides the pairs whose margin exceeds
        twice the largest difference of two float64 scorings;
-    3. the rest, ties among them, are read from the draw's tile scored with
-       the float64 path's own shapes, whose bits they are.
+    3. the rest, ties among them, are read per draw and row tile from the
+       tile scored with the float64 path's own shapes, whose bits they are.
 
     When the bound shows that float32 could overflow, the whole call is
     scored in float64.  A label that is not a class of ``spec`` raises
@@ -459,26 +487,39 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     threshold, slack = bound
     first, rest = _float32_layers(spec, thetas)
     draws = max(1, _ROW_BUDGET // data.n)
+    unsure = []  # undecided pairs as draw * n + input
     for start in range(0, data.n, _ROW_BUDGET):
         tile = slice(start, start + _ROW_BUDGET)
         xa = _float32_inputs(x[tile])
+        rows = xa.shape[1]
+        index = y[tile] * rows + np.arange(rows)
         for lo in range(0, len(thetas), draws):
             block = slice(lo, lo + draws)
             scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
-            margin = _margins(scores, y[tile])
-            counts[block] += np.count_nonzero(margin < -threshold, axis=1)
-            unsure = np.flatnonzero(~(np.abs(margin) > threshold))
-            if not len(unsure):
-                continue
-            draw, row = np.divmod(unsure, margin.shape[1])
-            errors, undecided = _recheck_rows(
-                spec, thetas[block], x[tile], y[tile], draw, row, slack)
-            counts[block] += errors
-            if undecided.any():
-                for d in np.unique(draw[undecided]):
-                    rows = row[undecided & (draw == d)]
-                    theta = thetas[lo + d : lo + d + 1].astype(np.float64)
-                    counts[lo + d] += _exact_errors(spec, theta, x[tile], y[tile], rows)
+            margin = _margins(scores, index)
+            counts[block] += (margin < -threshold).sum(axis=1)
+            # flat position f of the block is pair lo * n + start + f: a block
+            # holds one draw, or several on a one-tile set (start 0, n rows)
+            flat = np.flatnonzero(~(np.abs(margin) > threshold))
+            if len(flat):
+                unsure.append(flat + (lo * data.n + start))
+    if not unsure:
+        return counts
+    draw, row = np.divmod(np.sort(np.concatenate(unsure)), data.n)
+    undecided = np.empty(len(draw), dtype=bool)
+    for part in _stacks(draw):
+        errors, undecided[part] = _recheck_rows(spec, thetas, x, y, draw[part], row[part], slack)
+        counts += errors
+    if not undecided.any():
+        return counts
+    draw, row = draw[undecided], row[undecided]
+    tiles = -(-data.n // _ROW_BUDGET)
+    groups, starts = np.unique(draw * tiles + row // _ROW_BUDGET, return_index=True)
+    for group, members in zip(groups.tolist(), np.split(row, starts[1:])):
+        d, t = divmod(group, tiles)
+        tile = slice(t * _ROW_BUDGET, (t + 1) * _ROW_BUDGET)
+        theta = thetas[d : d + 1].astype(np.float64)
+        counts[d] += _exact_errors(spec, theta, x[tile], y[tile], members - tile.start)
     return counts
 
 

@@ -296,3 +296,14 @@ class TestCertificateRecord:
         record.pb_bound += 0.01
         with pytest.raises(AssertionError):
             record.validate()
+
+    def test_validate_rejects_pb_bound_below_by_any_amount(self):
+        record = make_record("t", "s", "o", 0.3, 2.0, 100, 0.05)
+        record.pb_bound -= 5e-10
+        with pytest.raises(AssertionError, match="pb_bound"):
+            record.validate()
+
+    def test_validate_tolerates_pb_bound_just_above(self):
+        record = make_record("t", "s", "o", 0.3, 2.0, 100, 0.05)
+        record.pb_bound += 5e-10
+        record.validate()

@@ -247,6 +247,21 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == f"violations: {violations}/3 (delta 0.05)"
 
+    @pytest.mark.parametrize("field,value", [("pb_bound", 0.01), ("train_error", -0.5)])
+    def test_report_rejects_a_record_that_does_not_validate(
+            self, smoke_record, tmp_path, capsys, field, value):
+        _, record, _ = smoke_record
+        stored = record.to_dict()
+        stored["records"][0][field] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(stored))
+        with pytest.raises(FormatError):
+            load_record(path)
+        out = tmp_path / "out"
+        assert main(["report", "--record", str(path), "--format", "csv", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("format error: cannot load run record")
+        assert not list(out.glob("report-*"))
+
     def test_gen_pool(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 0

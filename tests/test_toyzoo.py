@@ -227,11 +227,16 @@ def tied_rows(spec, k, seed, dtype, gap):
 
 @pytest.fixture
 def tiers(monkeypatch):
-    """Counts the calls of each scoring tier of ``error_counts``."""
+    """Counts the calls of each scoring tier of ``error_counts``; ``stacks``
+    holds (pairs, padded rows) of each stacked float64 call of tier 2."""
     calls = collections.Counter()
+    calls.stacks = []
     for name in ("_scores32", "_recheck_rows", "_exact_errors", "_float64_counts"):
         def counted(*args, _name=name, _original=getattr(toyzoo, name)):
             calls[_name] += 1
+            if _name == "_recheck_rows":
+                _, per_draw = np.unique(args[4], return_counts=True)
+                calls.stacks.append((len(args[4]), len(per_draw) * int(per_draw.max())))
             return _original(*args)
 
         monkeypatch.setattr(toyzoo, name, counted)
@@ -252,16 +257,79 @@ class TestFloat32Scoring:
 
     ACTIVATIONS = ["tanh", "relu", "identity"]
 
-    # a set scored in one block of 3 stacked draws; a one-row remainder tile;
-    # two tiles and a 3-row remainder
+    # 100 draws in blocks of 81 and 19 stacked draws; one draw on a one-row
+    # remainder tile, and on two tiles and a 3-row remainder.  Labels 0 and
+    # 1 are near ties, half the inputs, so every call's undecided pairs fit
+    # one stack of at most R padded rows
     @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_near_ties_rechecked_in_float64(self, tiers, activation, n):
+        k = 100 if n < R else 1
         spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = tied_rows(spec, k, n, np.float32, gap=2)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert tiers["_scores32"] == -(-k // max(1, R // n)) * -(-n // R)
+        assert tiers["_recheck_rows"] == 1
+        assert tiers.stacks[0][0] > n * k // 3 and tiers.stacks[0][1] <= R
+
+    # 3 draws of about R/2 near ties each on R + 1 inputs, of about R on
+    # 2R + 3: one stack cannot hold them all, one per draw can
+    @pytest.mark.parametrize("n", [R + 1, 2 * R + 3])
+    def test_near_ties_beyond_one_stack(self, tiers, n):
+        spec = MlpSpec((6, 8, 4), activation="tanh")
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = tied_rows(spec, 3, n, np.float32, gap=2)
         assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert tiers["_recheck_rows"] >= 1
+        assert 1 < tiers["_recheck_rows"] <= 3
+        assert all(padded <= R for _, padded in tiers.stacks)
+
+    # a draw of all-zero weights ties every class on every input, among
+    # random draws with few undecided pairs: 4 stacked draws per block on
+    # 1,000 inputs, and 2R + 3 inputs, more undecided pairs than one stack
+    # holds for the tied draw alone
+    @pytest.mark.parametrize("n", [1000, 2 * R + 3])
+    def test_one_tied_draw_among_random_draws(self, tiers, n):
+        spec = MlpSpec((6, 8, 4), activation="relu")
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = np.random.default_rng(n).standard_normal((40, spec.d_model)).astype(np.float32)
+        rows[13] = 0.0
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        # ties break toward class 0
+        assert counts[13] == np.count_nonzero(data.labels != 0)
+        assert sum(pairs for pairs, _ in tiers.stacks) >= n
+        assert all(padded <= R for _, padded in tiers.stacks)
+        assert tiers["_exact_errors"] >= -(-n // R)
+
+    def test_exact_ties_in_a_later_tile_of_a_later_draw(self, tiers):
+        # draw 2 of a linear model ties classes 0 and 1 exactly where the
+        # first input is 0, which holds on the second row tile only
+        spec = MlpSpec((6, 4), activation="identity")
+        rng = np.random.default_rng(9)
+        n = 2 * R + 3
+        inputs = rng.standard_normal((n, 6))
+        inputs[:, 0] = rng.choice([-1.0, 1.0], n)
+        inputs[R : 2 * R, 0] = 0.0
+        data = LabeledSet(inputs, rng.integers(0, 4, n))
+        rows = rng.standard_normal((4, spec.d_model)).astype(np.float32)
+        (w_start, w_len), (b_start, b_len) = spec.layer_offsets()
+        w = rows[2, w_start : w_start + w_len].reshape(6, 4)
+        b = rows[2, b_start : b_start + b_len]
+        w[:, 1] = w[:, 0]
+        w[0, 1] += 1.0
+        b[1] = b[0]
+        w[:, 2:] = 0.0
+        b[2:] = -1e6
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        assert tiers["_exact_errors"] == 1
+        # off the second tile the first input decides; on it class 0 wins
+        y, x0 = data.labels, inputs[:, 0]
+        assert counts[2] == (np.count_nonzero(y >= 2)
+                             + np.count_nonzero((x0 > 0) & (y == 0))
+                             + np.count_nonzero((x0 < 0) & (y == 1))
+                             + np.count_nonzero((x0 == 0) & (y == 1)))
 
     @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
