@@ -18,10 +18,10 @@ from .bounds import (
 from .certify import (
     CertifyConfig,
     DdpConfig,
-    Objective,
     certify,
     certify_ddp,
     certify_discrete,
+    default_prior,
     optimize,
 )
 from .cma import CmaConfig, CmaEs, default_popsize, minimize

@@ -3,8 +3,9 @@
 Two PAC-Bayes results are computed from the same budget
 ``B = (KL(Q||P) + ln(n/delta)) / (n - 1)``:
 
-* the closed-form bound ``train + sqrt(B/2)`` (a Pinsker relaxation, reported
-  uncapped, so values above 1 are visible), and
+* the closed-form bound ``train + sqrt(B/2)`` of ``closed_form`` (a Pinsker
+  relaxation, reported uncapped, so values above 1 are visible, and the
+  quantity the ``pac_bayes_upper`` search minimizes), and
 * the tighter certificate obtained by numerically inverting the Bernoulli KL:
   the root ``C >= train`` of ``kl(train || C) = B``, taken as the upper end
   of a bisection, so never below the root.
@@ -116,11 +117,17 @@ class BoundReport:
     vacuous: bool
 
 
+def closed_form(train_error: float, budget: float) -> float:
+    """``train + sqrt(B/2)``, uncapped: reported by ``seeger_certificate`` and
+    minimized by the ``pac_bayes_upper`` search."""
+    return train_error + math.sqrt(budget / 2.0)
+
+
 def seeger_certificate(train_error: float, kl_qp: float, n: int, delta: float) -> BoundReport:
     """Certify via KL inversion; also reports the closed form and vacuity."""
     budget = BoundBudget(kl_qp, n, delta)
     raw = invert_kl(train_error, budget.value)
-    upper = train_error + math.sqrt(budget.value / 2.0)
+    upper = closed_form(train_error, budget.value)
     vacuous = upper >= 1.0 or raw >= 1.0
     return BoundReport(
         train_error=train_error,

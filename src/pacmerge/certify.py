@@ -2,14 +2,15 @@
 
 Two objectives are supported for fitting merge coefficients on the support
 set: the randomized classifier's Monte-Carlo 0-1 train risk alone
-(``train_risk``), or that risk plus the closed-form complexity term
-(``pac_bayes_upper``), which trades train error against the KL to the prior.
-Both are minimized with the same derivative-free search, seeded at the
-uniform-merge coefficients (the prior mean), with common random numbers
-across candidate evaluations so the objective is a pure function.  The
-search scores each generation of candidates in one ``mc_risks`` call: one
-merge and one scoring pass per generation, not per candidate.  The discrete
-grid is likewise merged and scored in one call.
+(``train_risk``), or the certificate's own closed form (``pac_bayes_upper``),
+which trades train error against the KL to the prior; the search reads the
+certificate's support, prior and ``CertifyConfig``.  Both are minimized with
+the same derivative-free search, seeded at the uniform-merge coefficients
+(the prior mean), with common random numbers across candidate evaluations
+so the objective is a pure function.  The search scores each generation of
+candidates in one ``mc_risks`` call: one merge and one scoring pass per
+generation, not per candidate.  The discrete grid is likewise merged and
+scored in one call.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import CertificateRecord, gaussian_kl, make_record
+from .bounds import BoundBudget, CertificateRecord, closed_form, gaussian_kl, make_record
 from .cma import CmaConfig, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, make_scheme, merged_values
@@ -33,29 +34,6 @@ from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
 OBJECTIVE_KINDS = ("train_risk", "pac_bayes_upper")
-
-
-@dataclass(frozen=True)
-class Objective:
-    """What the coefficient search minimizes.
-
-    ``prior``, ``n`` and ``delta`` feed the complexity term of
-    ``pac_bayes_upper``, which requires them; ``train_risk`` ignores them.
-    """
-
-    kind: str
-    prior: GaussianSpec | None = None
-    n: int | None = None
-    delta: float | None = None
-    posterior_variance: float = 0.05
-    mc_samples: int = 10
-
-    def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise DomainError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "pac_bayes_upper":
-            if self.prior is None or self.n is None or self.delta is None:
-                raise DomainError("pac_bayes_upper needs prior, n, and delta")
 
 
 @dataclass(frozen=True)
@@ -99,47 +77,56 @@ class TracePoint:
     kl_qp: float
 
 
+def default_prior(scheme: MergeScheme, variance: float) -> GaussianSpec:
+    """A Gaussian at the uniform-merge coefficients: the prior unless one is given."""
+    return GaussianSpec(default_phi(scheme), variance)
+
+
 def optimize(
     scheme: MergeScheme,
-    objective: Objective,
+    objective_kind: str,
     support: LabeledSet,
     model_spec: MlpSpec,
-    cma: CmaConfig,
+    config: CertifyConfig,
+    prior: GaussianSpec | None = None,
 ) -> tuple[np.ndarray, list[TracePoint]]:
     """Search for the posterior mean; returns (best phi, evaluation trace).
 
+    ``pac_bayes_upper`` minimizes ``bounds.closed_form`` on the budget
+    ``BoundBudget(KL, support.n, config.delta)`` that the certificate reports;
+    ``prior`` defaults to ``default_prior(scheme, config.prior_variance)``.
+
     Each CMA-ES generation is scored in one ``mc_risks`` call, so one merge
-    and one scoring pass per generation.  Deterministic in ``cma.seed``; the
-    trace records every evaluation in index order, and the returned point
+    and one scoring pass per generation.  Deterministic in ``config.cma.seed``;
+    the trace records every evaluation in index order, and the returned point
     never scores worse than the trace minimum.
     """
+    if objective_kind not in OBJECTIVE_KINDS:
+        raise DomainError(f"unknown objective kind {objective_kind!r}")
     if support.n == 0:
         raise DomainError("support must be non-empty")
-    if objective.kind == "pac_bayes_upper" and objective.prior.dim != scheme.d_phi:
-        raise StructureError(
-            f"prior dimension {objective.prior.dim} != scheme d_phi {scheme.d_phi}"
-        )
-    mc_seed = derive_seed(cma.seed, "mc-common")
-    variance = objective.posterior_variance
-    if objective.kind == "pac_bayes_upper":
-        budget_denominator = 2.0 * (objective.n - 1)
-        log_term = math.log(objective.n / objective.delta)
+    if prior is None:
+        prior = default_prior(scheme, config.prior_variance)
+    if prior.dim != scheme.d_phi:
+        raise StructureError(f"prior dimension {prior.dim} != scheme d_phi {scheme.d_phi}")
+    mc_seed = derive_seed(config.cma.seed, "mc-common")
+    variance = config.posterior_variance
     trace: list[TracePoint] = []
 
     def batch_objective(phis):
         # Common random numbers across calls make the objective a pure function.
         risks = mc_risks(
-            phis, variance, scheme, model_spec, support, objective.mc_samples, mc_seed
+            phis, variance, scheme, model_spec, support, config.mc_samples, mc_seed
         )
         for phi, risk in zip(phis, risks.tolist()):
             kl, value = 0.0, risk
-            if objective.kind == "pac_bayes_upper":
-                kl = gaussian_kl(GaussianSpec(phi, variance), objective.prior)
-                value = risk + math.sqrt((kl + log_term) / budget_denominator)
+            if objective_kind == "pac_bayes_upper":
+                kl = gaussian_kl(GaussianSpec(phi, variance), prior)
+                value = closed_form(risk, BoundBudget(kl, support.n, config.delta).value)
             trace.append(TracePoint(eval_index=len(trace), objective=value, kl_qp=kl))
         return [point.objective for point in trace[-len(phis):]]
 
-    result = minimize(batch_objective, default_phi(scheme), cma)
+    result = minimize(batch_objective, default_phi(scheme), config.cma)
     return result.x_best, trace
 
 
@@ -173,25 +160,18 @@ def certify(
 ) -> CertificateRecord:
     """Fit the posterior mean on the support and certify the result.
 
-    The prior defaults to a Gaussian at the uniform-merge coefficients; any
-    learned coefficients are re-interpreted as the mean of a Gaussian
-    posterior with the configured variance, so even a plain train-risk fit
-    gets a certificate.
+    The prior defaults to ``default_prior``.  Search and record share config,
+    prior and support, so a ``pac_bayes_upper`` record's ``upper_bound`` is
+    the least objective value of its search.  Any learned coefficients are
+    re-interpreted as the mean of a Gaussian posterior with the configured
+    variance, so even a plain train-risk fit gets a certificate.
     """
     n = support.n
     if n < 2:
         raise DomainError(f"need support size >= 2, got {n}")
     if prior is None:
-        prior = GaussianSpec(default_phi(scheme), config.prior_variance)
-    objective = Objective(
-        kind=objective_kind,
-        prior=prior,
-        n=n,
-        delta=config.delta,
-        posterior_variance=config.posterior_variance,
-        mc_samples=config.mc_samples,
-    )
-    mu_q, trace = optimize(scheme, objective, support, model_spec, config.cma)
+        prior = default_prior(scheme, config.prior_variance)
+    mu_q, trace = optimize(scheme, objective_kind, support, model_spec, config, prior)
     q = GaussianSpec(mu_q, config.posterior_variance)
     train, test = _posterior_errors(q, scheme, model_spec, support, query, config)
     return make_record(
@@ -234,16 +214,10 @@ def certify_ddp(
     certificate, with n = |B|.
     """
     half_a, half_b = split_support(support, ddp)
-    prior_cma = replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
-    prior_objective = Objective(
-        kind=ddp.prior_objective,
-        prior=GaussianSpec(default_phi(scheme), config.prior_variance),
-        n=half_a.n,
-        delta=config.delta,
-        posterior_variance=config.posterior_variance,
-        mc_samples=config.mc_samples,
+    prior_config = replace(
+        config, cma=replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
     )
-    mu_p, _ = optimize(scheme, prior_objective, half_a, model_spec, prior_cma)
+    mu_p, _ = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config)
     prior = GaussianSpec(mu_p, config.prior_variance)
     record = certify(
         scheme,

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import CertificateRecord, gaussian_kl, make_record
-from .certify import CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete, optimize, Objective
+from .certify import (CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete,
+                      default_prior, optimize)
 from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError
 from .merging import KINDS, make_scheme, realize
@@ -121,10 +122,10 @@ _SCHEMA: dict[str, tuple] = {
     # key: (parser, default)
     "scenario": (str, "custom"),
     "kind": (_choice(_KINDS), "table"),
-    "seed": (int, 7),
-    "tasks.count": (_positive_int, 6),
+    "seed": (_int_at_least(0), 7),
+    "tasks.count": (_int_at_least(2), 6),
     "tasks.input_dim": (_positive_int, 16),
-    "tasks.class_count": (_positive_int, 4),
+    "tasks.class_count": (_int_at_least(2), 4),
     "tasks.relatedness": (_bounded_float(0.0, 1.0), 0.8),
     "tasks.noise_scale": (_bounded_float(0.0, 1e9, lo_open=True), 2.0),
     "model.hidden": (_positive_int, 32),
@@ -554,12 +555,7 @@ def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> Certif
     half = support.n // 2
     train_half = support.subset(np.arange(half))
     val_half = support.subset(np.arange(half, support.n))
-    objective = Objective(
-        kind="train_risk",
-        posterior_variance=cfg.posterior_variance,
-        mc_samples=cfg.mc_samples,
-    )
-    mu, _ = optimize(scheme, objective, train_half, model_spec, cfg.cma)
+    mu, _ = optimize(scheme, "train_risk", train_half, model_spec, cfg)
     model = realize(scheme, mu)
     val_error = zero_one_risk(model_spec, model, val_half)
     test = zero_one_risk(model_spec, model, query) if query is not None else None
@@ -628,7 +624,7 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     delta = config["bound.delta"]
     variance = config["posterior.variance"]
     k = config["posterior.mc_samples"]
-    prior = GaussianSpec(np.array([1.0]), config["prior.variance"])
+    prior = default_prior(scheme, config["prior.variance"])
     n = config["validity.n"]
 
     def one_trial(trial: int) -> CertificateRecord:

@@ -11,7 +11,7 @@ in the coefficients, which the bound optimizer relies on only implicitly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,12 +72,14 @@ class MergeScheme:
     kind: str
     pool: ModelPool
     trim_fraction: float = 0.2
-    ties: TiesPreprocessed | None = None
+    # derived from the pool once, in __post_init__
+    ties: TiesPreprocessed | None = field(init=False, default=None)
+    _deltas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown merge kind {self.kind!r}")
-        if self.kind == "ties" and self.ties is None:
+        if self.kind == "ties":
             object.__setattr__(self, "ties", ties_preprocess(self.pool, self.trim_fraction))
         object.__setattr__(self, "_deltas", self.pool.deltas_matrix().astype(np.float64))
 

@@ -11,8 +11,8 @@ from pacmerge import (
     GaussianSpec,
     MlpSpec,
     ModelPool,
-    Objective,
     ParamVector,
+    StructureError,
     TrainConfig,
     axpy,
     certify,
@@ -78,21 +78,19 @@ class TestOptimize:
     def test_kl_dominated_objective_stays_at_prior(self, world):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_wise", pool)
-        prior = GaussianSpec(default_phi(scheme), 1e-8)  # enormous KL weight
-        objective = Objective(
-            kind="pac_bayes_upper", prior=prior, n=support.n, delta=0.05,
-            posterior_variance=1e-8,
+        config = CertifyConfig(  # prior variance 1e-8: enormous KL weight
+            posterior_variance=1e-8, prior_variance=1e-8, cma=CmaConfig(max_evals=200, seed=2)
         )
-        mu, _ = optimize(scheme, objective, support, spec, CmaConfig(max_evals=200, seed=2))
+        mu, _ = optimize(scheme, "pac_bayes_upper", support, spec, config)
         assert np.max(np.abs(mu - default_phi(scheme))) < 0.05
 
     def test_deterministic_trace(self, world):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_arith", pool)
-        objective = Objective(kind="train_risk", mc_samples=5)
+        config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=60, seed=11))
 
         def run():
-            _, trace = optimize(scheme, objective, support, spec, CmaConfig(max_evals=60, seed=11))
+            _, trace = optimize(scheme, "train_risk", support, spec, config)
             return [(t.eval_index, t.objective, t.kl_qp) for t in trace]
 
         assert run() == run()
@@ -100,34 +98,54 @@ class TestOptimize:
     def test_best_not_worse_than_trace_minimum(self, world):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_arith", pool)
-        objective = Objective(kind="train_risk", mc_samples=5)
-        mu, trace = optimize(scheme, objective, support, spec, CmaConfig(max_evals=80, seed=3))
+        config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=80, seed=3))
+        mu, trace = optimize(scheme, "train_risk", support, spec, config)
         best_traced = min(t.objective for t in trace)
         value = mc_risk(
-            GaussianSpec(mu, objective.posterior_variance), scheme, spec, support,
-            objective.mc_samples, derive_seed(3, "mc-common"),
+            GaussianSpec(mu, config.posterior_variance), scheme, spec, support,
+            config.mc_samples, derive_seed(3, "mc-common"),
         )
         assert value <= best_traced + 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bound_search_minimum_is_certified_upper_bound(self, world, kind, seed):
+        _, pool, spec, support, _ = world
+        scheme = make_scheme(kind, pool)
+        config = quick_config(seed, max_evals=40)
+        prior = GaussianSpec(default_phi(scheme) + 0.1, config.prior_variance)
+        _, trace = optimize(scheme, "pac_bayes_upper", support, spec, config, prior)
+        record = certify(scheme, "pac_bayes_upper", support, None, spec, config, prior=prior)
+        assert min(t.objective for t in trace) == record.upper_bound
 
-def one_row_trace(scheme, objective, support, spec, cma_config):
+    def test_rejects_unknown_kind_and_wrong_prior_dimension(self, world):
+        _, pool, spec, support, _ = world
+        scheme = make_scheme("task_wise", pool)
+        with pytest.raises(DomainError):
+            optimize(scheme, "test_risk", support, spec, quick_config())
+        wrong = GaussianSpec(np.ones(scheme.d_phi + 1), 0.05)
+        with pytest.raises(StructureError):
+            optimize(scheme, "pac_bayes_upper", support, spec, quick_config(), wrong)
+
+
+def one_row_trace(scheme, objective_kind, support, spec, config):
     """(value, kl) per evaluation from an objective that scores one row at a time."""
-    mc_seed = derive_seed(cma_config.seed, "mc-common")
+    mc_seed = derive_seed(config.cma.seed, "mc-common")
+    prior = GaussianSpec(default_phi(scheme), config.prior_variance)
+    n, delta = support.n, config.delta
     trace = []
 
     def score(phi):
-        q = GaussianSpec(phi, objective.posterior_variance)
-        value = mc_risk(q, scheme, spec, support, objective.mc_samples, mc_seed)
+        q = GaussianSpec(phi, config.posterior_variance)
+        value = mc_risk(q, scheme, spec, support, config.mc_samples, mc_seed)
         kl = 0.0
-        if objective.kind == "pac_bayes_upper":
-            kl = gaussian_kl(q, objective.prior)
-            value += math.sqrt(
-                (kl + math.log(objective.n / objective.delta)) / (2.0 * (objective.n - 1))
-            )
+        if objective_kind == "pac_bayes_upper":
+            kl = gaussian_kl(q, prior)
+            value += math.sqrt((kl + math.log(n / delta)) / (2.0 * (n - 1)))
         trace.append((value, kl))
         return value
 
-    minimize(lambda phis: [score(phi) for phi in phis], default_phi(scheme), cma_config)
+    minimize(lambda phis: [score(phi) for phi in phis], default_phi(scheme), config.cma)
     return trace
 
 
@@ -137,15 +155,11 @@ class TestBatchedSearch:
     def test_trace_equals_one_row_reference(self, world, kind, objective_kind):
         _, pool, spec, support, _ = world
         scheme = make_scheme(kind, pool)
-        objective = Objective(
-            kind=objective_kind, prior=GaussianSpec(default_phi(scheme), 0.05),
-            n=support.n, delta=0.05, mc_samples=5,
-        )
-        cma_config = CmaConfig(max_evals=45, seed=6)
-        _, trace = optimize(scheme, objective, support, spec, cma_config)
+        config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=45, seed=6))
+        _, trace = optimize(scheme, objective_kind, support, spec, config)
         assert [t.eval_index for t in trace] == list(range(45))
         assert [(t.objective, t.kl_qp) for t in trace] == one_row_trace(
-            scheme, objective, support, spec, cma_config
+            scheme, objective_kind, support, spec, config
         )
 
     def test_one_merge_per_generation(self, world, monkeypatch):
@@ -163,9 +177,8 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(posterior, "merged_values", counting_merge)
         monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
-        objective = Objective(kind="train_risk", mc_samples=4)
-        _, trace = optimize(make_scheme("layer_wise", pool), objective, support, spec,
-                            CmaConfig(max_evals=60, seed=1))
+        config = CertifyConfig(mc_samples=4, cma=CmaConfig(max_evals=60, seed=1))
+        _, trace = optimize(make_scheme("layer_wise", pool), "train_risk", support, spec, config)
         assert len(trace) == 60
         assert len(merges) == 1 + len(asks) < len(trace)
 
@@ -238,13 +251,14 @@ class TestDdp:
         scheme = make_scheme("task_arith", pool)
         ddp = DdpConfig(split_seed=4)
         half_a, half_b = split_support(support, ddp)
-        cma = CmaConfig(max_evals=50, seed=derive_seed(9, "ddp-prior"))
-        objective = Objective(kind="train_risk", mc_samples=5)
-        mu_1, _ = optimize(scheme, objective, half_a, spec, cma)
+        config = CertifyConfig(
+            mc_samples=5, cma=CmaConfig(max_evals=50, seed=derive_seed(9, "ddp-prior"))
+        )
+        mu_1, _ = optimize(scheme, "train_risk", half_a, spec, config)
         # permuting the second half cannot touch the prior fit
         permuted_b = half_b.subset(np.random.default_rng(0).permutation(half_b.n))
         assert permuted_b.n == half_b.n
-        mu_2, _ = optimize(scheme, objective, half_a, spec, cma)
+        mu_2, _ = optimize(scheme, "train_risk", half_a, spec, config)
         np.testing.assert_array_equal(mu_1, mu_2)
 
     def test_too_small_support_rejected(self, world):

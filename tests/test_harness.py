@@ -50,6 +50,9 @@ class TestConfig:
         ({"kind": "ddp", "certify.n": 3}, "certify.n"),
         ({"validity.n": 1}, "validity.n"),
         ({"discrete.grid_sizes": "5,1"}, "discrete.grid_sizes"),
+        ({"seed": -1}, "seed"),
+        ({"tasks.count": 1, "certify.targets": 1}, "tasks.count"),
+        ({"tasks.class_count": 1}, "tasks.class_count"),
     ])
     def test_sizes_too_small_to_certify_name_key(self, overrides, key):
         with pytest.raises(ConfigError) as err:
@@ -287,6 +290,11 @@ class TestCli:
         bad.write_text("scenario = paper-ddp\ncertify.n = 3\n")
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("config error: certify.n:")
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["certify", "--scenario", "smoke", "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "config error: seed: invalid value")
 
     def test_sweep_requires_sweep_kind(self, tmp_path):
         assert main(["sweep", "--scenario", "smoke", "--out", str(tmp_path)]) == 2
