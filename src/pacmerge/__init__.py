@@ -62,6 +62,7 @@ from .toyzoo import (
     loss_and_grad,
     sample_set,
     train,
+    train_stack,
     zero_one_risk,
 )
 

@@ -3,7 +3,7 @@
 Verbs: ``gen-pool`` (build and persist the source-model pool), ``certify``
 (run a scenario end to end), ``sweep`` (run a data-size sweep scenario),
 ``report`` (re-render a stored run record).  Exit codes: 0 success,
-2 configuration or file-format error.
+2 configuration or file-format error, or diverged training.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, TrainingDiverged
 from .harness import (
     build_world,
     load_config_file,
@@ -109,6 +109,9 @@ def main(argv=None) -> int:
         return 2
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
+        return 2
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 2
 
 

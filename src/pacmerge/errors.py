@@ -14,7 +14,7 @@ class DomainError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during gradient descent."""
+    """A model's loss or parameters left the finite range during gradient descent."""
 
 
 class OptError(RuntimeError):

@@ -51,6 +51,7 @@ from .toyzoo import (
     init_params,
     sample_set,
     train,
+    train_stack,
     zero_one_risk,
 )
 
@@ -296,8 +297,12 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
     """Generate tasks and train the source-model pool.
 
     The base model trains on a mixture of every task's data; each member is
-    the base fine-tuned on one task.  When ``cache_dir`` is given the pool is
-    persisted under its pool hash and reloaded bit-exactly on later runs.
+    the base fine-tuned on one task.  All members fine-tune in one
+    ``train_stack`` call, each with the bits of its own ``train`` call, so
+    the pool bytes do not depend on the stacking.  A diverging model raises
+    ``TrainingDiverged`` naming "base" or the member's task id.  When
+    ``cache_dir`` is given the pool is persisted under its pool hash and
+    reloaded bit-exactly on later runs.
     """
     seed = config["seed"]
     tasks = gen_tasks(
@@ -337,22 +342,25 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
             batch=config["pool.batch"],
             seed=derive_seed(seed, "base-train"),
         ),
+        name="base",
     )
-    members = []
-    for i, task in enumerate(tasks):
-        ft_set = sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))
-        tuned = train(
-            spec,
-            base,
-            ft_set,
+    tuned = train_stack(
+        spec,
+        base,
+        [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))
+         for i, task in enumerate(tasks)],
+        [
             TrainConfig(
                 lr=config["pool.ft_lr"],
                 epochs=config["pool.ft_epochs"],
                 batch=config["pool.batch"],
                 seed=derive_seed(seed, "ft-train", i),
-            ),
-        )
-        members.append((task.task_id, axpy(tuned, -1.0, base)))
+            )
+            for i in range(len(tasks))
+        ],
+        [task.task_id for task in tasks],
+    )
+    members = [(task.task_id, axpy(model, -1.0, base)) for task, model in zip(tasks, tuned)]
     pool = ModelPool(base, tuple(members))
     if pool_path is not None:
         pool_save(pool, pool_path)

@@ -6,6 +6,13 @@ genuinely help a held-out task when merged.  The classifier is a plain MLP
 trained with mini-batch SGD on softmax cross-entropy; certification only ever
 sees its 0-1 loss.
 
+There is one SGD loop, ``train_stack``: it trains M models of one
+architecture at once on a leading model axis, each on its own set with its
+own shuffling seed, and every stacked product is one 2-D product per model,
+so each model gets the bits of training it alone.  ``train`` is its
+one-model call.  A model that diverges raises ``TrainingDiverged`` naming it
+and the epoch, without numpy overflow warnings.
+
 Every risk a certificate uses comes from ``error_counts``, which counts the
 0-1 errors of many parameter rows at once.  It scores in float32 and returns
 the float64 counts by construction.  Once per call it bounds the float32
@@ -15,11 +22,14 @@ the layers by the column 1-norms of |W|.  Float32 then decides every input
 whose label margin clears twice that bound.  The few others, the undecided
 pairs of the whole call, are re-scored in float64 once, after the float32
 pass: first stacked, then, for ties, with the float64 path's own shapes.
-``forward`` and training run in float64.
+``forward`` and training run in float64.  The entry points reject inputs
+of another width than the spec's (``StructureError``) and labels that are
+not its classes (``DomainError``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +238,21 @@ def _unpack(spec: MlpSpec, flat: np.ndarray):
     return layers
 
 
+def _check_data(spec: MlpSpec, x: np.ndarray, labels: np.ndarray | None = None) -> None:
+    """Reject inputs (..., width) of another width than ``spec``'s, and labels
+    that are not classes of ``spec``."""
+    if x.shape[-1] != spec.widths[0]:
+        raise StructureError(f"inputs have width {x.shape[-1]}, spec needs {spec.widths[0]}")
+    if labels is not None and labels.size and labels.max() >= spec.widths[-1]:
+        raise DomainError(
+            f"label {labels.max()} is not a class of a {spec.widths[-1]}-class model"
+        )
+
+
+def _onehot(spec: MlpSpec, labels: np.ndarray) -> np.ndarray:
+    return np.eye(spec.widths[-1])[labels]
+
+
 def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if spec.activation == "tanh":
         return np.tanh(z, out=out)
@@ -237,14 +262,15 @@ def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np
 
 
 def _scores(spec: MlpSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class scores (k, n, classes) under each row of the float64 ``thetas``.
+    """Class scores (k, n, classes) under each row of the float64 ``thetas``
+    for float64 inputs ``x`` (n, in), or (k, n, in) with one set per row.
 
     One row runs plain 2-D products.  k rows run stacked products, each slice
     the same 2-D product, so a row's scores do not depend on its batch.  Bias
     and activation update each fresh product in place, with the bits of the
     out-of-place ``act(h @ w + b)``; ``thetas`` and ``x`` are only read.
     """
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    h = x
     layers = _unpack(spec, thetas[0] if len(thetas) == 1 else thetas)
     for w, b in layers[:-1]:
         h = h @ w
@@ -463,7 +489,8 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
        tile scored with the float64 path's own shapes, whose bits they are.
 
     When the bound shows that float32 could overflow, the whole call is
-    scored in float64.  A label that is not a class of ``spec`` raises
+    scored in float64.  Inputs of another width than ``spec``'s raise
+    ``StructureError`` and a label that is not a class of ``spec`` raises
     ``DomainError``.  A row's count does not depend on the other rows of
     ``thetas``.  A tile's product can differ from the full-height product in
     the last bit: on OpenBLAS 0.3.31, tiles of 8 rows or more reproduce the
@@ -476,8 +503,7 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
         raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
     x, y = data.inputs, data.labels
-    if data.n and y.max() >= spec.widths[-1]:
-        raise DomainError(f"label {y.max()} is not a class of a {spec.widths[-1]}-class model")
+    _check_data(spec, x, y)
     counts = np.zeros(len(thetas), dtype=np.int64)
     if data.n == 0 or len(thetas) == 0:
         return counts
@@ -527,6 +553,8 @@ def forward(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:
     """Class scores, one row per input; deterministic."""
     if theta.size != spec.d_model:
         raise StructureError(f"theta has {theta.size} values, spec needs {spec.d_model}")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    _check_data(spec, x)
     return _scores(spec, theta.values[None].astype(np.float64), x)[0]
 
 
@@ -537,52 +565,56 @@ def zero_one_risk(spec: MlpSpec, theta: ParamVector, data: LabeledSet) -> float:
     return float(error_counts(spec, theta.values[None], data)[0] / data.n)
 
 
-def _loss_and_grad(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Mean softmax cross-entropy and its gradient w.r.t. the flat parameters."""
-    layers = _unpack(spec, flat)
-    acts = [np.atleast_2d(x)]
-    pre = []
-    h = acts[0]
+def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
+    """Softmax probabilities of M models and their mean cross-entropy gradient.
+
+    ``layers`` holds (weight (M, in, out), bias (M, 1, out)) per layer, ``x``
+    the batches (M, b, in) and ``onehot`` their one-hot labels (M, b,
+    classes).  Returns the probabilities (M, b, classes) and (dW, db) per
+    layer in the shapes of ``layers``.  Every product is a stack of 2-D
+    products, so each model's gradient has the bits of its own out-of-place
+    computation; subtracting a one-hot label leaves the other scores exact.
+    """
+    acts, pre = [x], []
     for w, b in layers[:-1]:
-        z = h @ w + b
+        z = acts[-1] @ w + b
         pre.append(z)
-        h = _activate(spec, z)
-        acts.append(h)
+        acts.append(_activate(spec, z))
     w, b = layers[-1]
-    scores = h @ w + b
+    scores = acts[-1] @ w + b
+    expo = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = expo / expo.sum(axis=-1, keepdims=True)
 
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expo = np.exp(shifted)
-    probs = expo / expo.sum(axis=1, keepdims=True)
-    n = x.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-
-    dscores = probs.copy()
-    dscores[np.arange(n), y] -= 1.0
-    dscores /= n
-
-    grads = [None] * len(layers)
-    delta = dscores
+    delta = (probs - onehot) / x.shape[1]
+    grads = []
     for li in range(len(layers) - 1, -1, -1):
-        w, b = layers[li]
-        gw = acts[li].T @ delta
-        gb = delta.sum(axis=0)
-        grads[li] = (gw, gb)
+        grads.append((acts[li].swapaxes(1, 2) @ delta, delta.sum(axis=1, keepdims=True)))
         if li > 0:
-            delta = delta @ w.T
+            delta = delta @ layers[li][0].swapaxes(1, 2)
             if spec.activation == "tanh":
-                delta = delta * (1.0 - acts[li] ** 2)
+                delta *= 1.0 - acts[li] ** 2
             elif spec.activation == "relu":
-                delta = delta * (pre[li - 1] > 0)
-    flat_grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return loss, flat_grad
+                delta *= pre[li - 1] > 0
+    return probs, grads[::-1]
+
+
+def _layers(spec: MlpSpec, flat: np.ndarray):
+    """(weight (M, in, out), bias (M, 1, out)) views per layer of ``flat`` (M, d_model)."""
+    return [(w, b[:, None]) for w, b in _unpack(spec, flat)]
 
 
 def loss_and_grad(spec: MlpSpec, theta: ParamVector, data: LabeledSet):
     """Public hook for gradient checks: full-batch loss and flat gradient."""
     if theta.size != spec.d_model:
         raise StructureError(f"theta has {theta.size} values, spec needs {spec.d_model}")
-    return _loss_and_grad(spec, theta.values.astype(np.float64), data.inputs, data.labels)
+    if data.n == 0:
+        raise DomainError("loss_and_grad needs a non-empty set")
+    _check_data(spec, data.inputs, data.labels)
+    onehot = _onehot(spec, data.labels)[None]
+    layers = _layers(spec, theta.values[None].astype(np.float64))
+    probs, grads = _backprop(spec, layers, data.inputs[None], onehot)
+    loss = -np.log((probs * onehot).sum(axis=-1) + 1e-300).mean()
+    return float(loss), np.concatenate([g.ravel() for layer in grads for g in layer])
 
 
 @dataclass(frozen=True)
@@ -593,35 +625,80 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise DomainError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
         if self.batch < 1:
             raise DomainError("batch must be >= 1")
 
 
-def train(spec: MlpSpec, init: ParamVector, data: LabeledSet, hyper: TrainConfig) -> ParamVector:
-    """Mini-batch SGD on softmax cross-entropy; deterministic in hyper.seed.
+def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[ParamVector]:
+    """Mini-batch SGD on softmax cross-entropy of M copies of ``init`` at
+    once: model i trains on ``sets[i]`` under ``hypers[i]`` and errors call
+    it ``names[i]``; deterministic in each seed.
 
-    epochs=0 returns ``init`` unchanged.  Raises TrainingDiverged if the loss
-    goes non-finite.
+    Each model draws its own permutation per epoch from
+    ``rng_for(hypers[i].seed, "train")`` and its batches from its own set.
+    The M models step together on a leading model axis: every product is a
+    stack of 2-D products, and each step updates every layer's weight and
+    bias views of the (M, d_model) float64 parameters in place, so model i
+    ends with the bits of training it alone.  The sets must have one size
+    and the configs may differ only in seed (``StructureError``).
+
+    epochs=0 returns ``init`` for every model.  A model whose loss goes
+    non-finite, or whose parameters leave the float32 range, raises
+    ``TrainingDiverged`` naming it and the epoch; numpy's overflow warnings
+    are silenced while it trains.
     """
     if init.size != spec.d_model:
         raise StructureError(f"init has {init.size} values, spec needs {spec.d_model}")
+    count = len(sets)
+    if not 0 < count == len(hypers) == len(names):
+        raise StructureError(f"need one set, config and name per model, got {count}, "
+                             f"{len(hypers)} and {len(names)}")
+    if len({data.n for data in sets}) > 1:
+        raise StructureError(f"stacked sets differ in size: {[data.n for data in sets]}")
+    hyper = hypers[0]
+    if any((h.lr, h.epochs, h.batch) != (hyper.lr, hyper.epochs, hyper.batch) for h in hypers):
+        raise StructureError("stacked training configs may differ only in seed")
+    for data in sets:
+        _check_data(spec, data.inputs, data.labels)
     if hyper.epochs == 0:
-        return init
-    rng = rng_for(hyper.seed, "train")
-    flat = init.values.astype(np.float64)
-    n = data.n
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, hyper.batch):
-            idx = order[lo : lo + hyper.batch]
-            loss, grad = _loss_and_grad(spec, flat, data.inputs[idx], data.labels[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss}")
-            flat -= hyper.lr * grad
-    if not np.all(np.isfinite(flat)):
-        raise TrainingDiverged("parameters became non-finite")
-    return ParamVector(flat.astype(np.float32), spec.layer_offsets())
+        return [init] * count
+    rngs = [rng_for(h.seed, "train") for h in hypers]
+    x = np.stack([data.inputs for data in sets])
+    onehot = np.stack([_onehot(spec, data.labels) for data in sets])
+    flat = np.repeat(init.values[None].astype(np.float64), count, axis=0)
+    layers = _layers(spec, flat)
+    models = np.arange(count)[:, None]
+    n = sets[0].n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, hyper.epochs + 1):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            xs, ys = x[models, order], onehot[models, order]
+            for lo in range(0, n, hyper.batch):
+                batch = slice(lo, lo + hyper.batch)
+                probs, grads = _backprop(spec, layers, xs[:, batch], ys[:, batch])
+                # the loss is finite exactly when the probabilities are: a
+                # row with a finite largest score has probabilities in [0, 1],
+                # any other row is all NaN
+                if not np.isfinite(probs).all():
+                    i = int(np.argmin(np.isfinite(probs).all(axis=(1, 2))))
+                    raise TrainingDiverged(f"{names[i]}, epoch {epoch}: loss became nan")
+                for (w, b), (gw, gb) in zip(layers, grads):
+                    w -= hyper.lr * gw
+                    b -= hyper.lr * gb
+            inside = (np.abs(flat) <= _F32_MAX).all(axis=1)
+            if not inside.all():
+                i = int(np.argmin(inside))
+                raise TrainingDiverged(
+                    f"{names[i]}, epoch {epoch}: parameters left the float32 range")
+    return [ParamVector(row, spec.layer_offsets()) for row in flat]
+
+
+def train(spec: MlpSpec, init: ParamVector, data: LabeledSet, hyper: TrainConfig,
+          name: str = "model") -> ParamVector:
+    """Mini-batch SGD on softmax cross-entropy of one model: ``train_stack``
+    on a stack of one, ``name`` naming it in ``TrainingDiverged``."""
+    return train_stack(spec, init, [data], [hyper], [name])[0]

@@ -31,6 +31,7 @@ from pacmerge import (
     sample_set,
     seeger_certificate,
     train,
+    train_stack,
     zero_one_risk,
 )
 import pacmerge.cma as cma
@@ -57,13 +58,12 @@ def world():
         LabeledSet(mixture_inputs, mixture_labels),
         TrainConfig(lr=0.08, epochs=12, batch=16, seed=1),
     )
-    members = []
-    for i, task in enumerate(tasks):
-        tuned = train(
-            spec, base, sample_set(task, 80, 90 + i),
-            TrainConfig(lr=0.04, epochs=10, batch=16, seed=10 + i),
-        )
-        members.append((task.task_id, axpy(tuned, -1.0, base)))
+    tuned = train_stack(
+        spec, base, [sample_set(task, 80, 90 + i) for i, task in enumerate(tasks)],
+        [TrainConfig(lr=0.04, epochs=10, batch=16, seed=10 + i) for i in range(len(tasks))],
+        [task.task_id for task in tasks],
+    )
+    members = [(task.task_id, axpy(model, -1.0, base)) for task, model in zip(tasks, tuned)]
     pool = ModelPool(base, tuple(members))
     support = sample_set(tasks[0], 100, 7)
     query = sample_set(tasks[0], 400, 8)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pacmerge import BoundBudget, ConfigError, FormatError, bernoulli_kl
+from pacmerge import (BoundBudget, ConfigError, FormatError, TrainConfig, TrainingDiverged,
+                      axpy, bernoulli_kl, sample_set, train)
 from pacmerge.cli import main
 from pacmerge.harness import (
     SCENARIOS,
@@ -17,6 +18,7 @@ from pacmerge.harness import (
     run,
     write_report,
 )
+from pacmerge.seeding import derive_seed
 
 
 class TestConfig:
@@ -146,6 +148,35 @@ TINY = {
     "sweep.n_list": "20,40", "discrete.grid_sizes": "3,5",
     "validity.trials": 3, "validity.population": 500, "validity.grid": 5,
 }
+# smoke with a base model that overflows within its first epochs
+DIVERGING = ("scenario = smoke\nmodel.activation = identity\npool.base_lr = 1000\n"
+             "tasks.noise_scale = 1000\n")
+
+
+class TestBuildWorld:
+    def test_pool_equals_members_fine_tuned_one_at_a_time(self):
+        config = make_config("smoke", TINY)
+        world = build_world(config)
+        seed, base = config["seed"], world.pool.base
+        assert len(world.pool.members) == len(world.tasks) == 3
+        for i, (task, (task_id, delta)) in enumerate(zip(world.tasks, world.pool.members)):
+            tuned = train(
+                world.model_spec, base,
+                sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i)),
+                TrainConfig(lr=config["pool.ft_lr"], epochs=config["pool.ft_epochs"],
+                            batch=config["pool.batch"], seed=derive_seed(seed, "ft-train", i)),
+            )
+            assert task_id == task.task_id
+            assert delta.values.tobytes() == axpy(tuned, -1.0, base).values.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_base_raises_only_training_diverged(self, tmp_path):
+        cfg_file = tmp_path / "diverge.cfg"
+        cfg_file.write_text(DIVERGING)
+        with pytest.raises(TrainingDiverged, match=r"^base, epoch \d+: "):
+            build_world(load_config_file(cfg_file))
+
+
 # scenario -> (certificate count, objectives) under TINY
 EXPECTED = {
     "smoke": (2, {"train_risk", "pac_bayes_upper"}),
@@ -270,6 +301,13 @@ class TestCli:
         assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 0
         cfg = make_config("smoke")
         assert (out / "pools" / cfg.pool_hash / "manifest.json").exists()
+
+    def test_diverged_training_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "diverge.cfg"
+        cfg_file.write_text(DIVERGING)
+        assert main(["gen-pool", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: base, epoch ")
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

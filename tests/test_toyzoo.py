@@ -10,6 +10,7 @@ from pacmerge import (
     ParamVector,
     StructureError,
     TrainConfig,
+    TrainingDiverged,
     error_counts,
     forward,
     gen_tasks,
@@ -17,9 +18,11 @@ from pacmerge import (
     loss_and_grad,
     sample_set,
     train,
+    train_stack,
     zero_one_risk,
 )
 import pacmerge.toyzoo as toyzoo
+from pacmerge.seeding import rng_for
 from pacmerge.toyzoo import _ROW_BUDGET as R
 
 _ACT = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
@@ -49,6 +52,51 @@ def reference_counts(spec, thetas, data):
             predicted = np.argmax(reference_scores(spec, row, data.inputs), axis=1)
         counts.append(np.count_nonzero(predicted != data.labels))
     return counts
+
+
+def reference_loss_and_grad(spec, flat, x, y):
+    """Out-of-place float64 mean softmax cross-entropy and flat gradient of one
+    parameter row on one batch, as written."""
+    offsets = spec.layer_offsets()
+    layers = [(flat[ws : ws + wl].reshape(-1, bl), flat[bs : bs + bl])
+              for (ws, wl), (bs, bl) in zip(offsets[::2], offsets[1::2])]
+    acts, pre = [x], []
+    for w, b in layers[:-1]:
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(_ACT[spec.activation](z))
+    w, b = layers[-1]
+    scores = acts[-1] @ w + b
+    expo = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = expo / expo.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    loss = -np.mean(np.log(probs[rows, y] + 1e-300))
+    delta = probs.copy()
+    delta[rows, y] -= 1.0
+    delta = delta / len(y)
+    grads = []
+    for li in range(len(layers) - 1, -1, -1):
+        grads[:0] = [(acts[li].T @ delta).ravel(), delta.sum(axis=0)]
+        if li > 0:
+            delta = delta @ layers[li][0].T
+            if spec.activation == "tanh":
+                delta = delta * (1.0 - acts[li] ** 2)
+            elif spec.activation == "relu":
+                delta = delta * (pre[li - 1] > 0)
+    return loss, np.concatenate(grads)
+
+
+def reference_train(spec, init, data, hyper):
+    """Out-of-place float64 mini-batch SGD of one model, as written."""
+    rng = rng_for(hyper.seed, "train")
+    flat = init.values.astype(np.float64)
+    for _ in range(hyper.epochs):
+        order = rng.permutation(data.n)
+        for lo in range(0, data.n, hyper.batch):
+            idx = order[lo : lo + hyper.batch]
+            _, grad = reference_loss_and_grad(spec, flat, data.inputs[idx], data.labels[idx])
+            flat = flat - hyper.lr * grad
+    return flat
 
 
 class TestGenTasks:
@@ -579,3 +627,153 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(DomainError):
             TrainConfig(batch=0)
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(DomainError, match="finite"):
+            TrainConfig(lr=lr)
+
+
+NAMES = [f"m{i}" for i in range(5)]
+
+
+def stack_of(count, n=23, activation="tanh"):
+    """A (5, 7, 3) spec, its init, and ``count`` sets of n rows from different tasks."""
+    spec = MlpSpec((5, 7, 3), activation=activation)
+    tasks = gen_tasks(17, max(count, 2), 5, 3, 0.6)
+    sets = [sample_set(task, n, 40 + i) for i, task in enumerate(tasks[:count])]
+    return spec, init_params(spec, 4), sets
+
+
+@pytest.fixture
+def float64_results(monkeypatch):
+    """The float64 parameter rows that ``toyzoo`` rounds into ParamVectors."""
+    rows = []
+
+    def keep(values, offsets):
+        rows.append(np.array(values))
+        return ParamVector(values, offsets)
+
+    monkeypatch.setattr(toyzoo, "ParamVector", keep)
+    return rows
+
+
+class TestTrainStack:
+    # (batch, epochs) on 23 rows: a ragged last batch, one batch larger than
+    # the set, single-row batches, and no epoch at all
+    SCHEDULES = [(8, 3), (40, 4), (1, 2), (8, 0)]
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    @pytest.mark.parametrize("batch,epochs", SCHEDULES)
+    def test_equals_reference_sgd_bit_for_bit(self, float64_results, count, activation,
+                                              batch, epochs):
+        spec, init, sets = stack_of(count, activation=activation)
+        hypers = [TrainConfig(lr=0.3, epochs=epochs, batch=batch, seed=60 + i)
+                  for i in range(count)]
+        stacked = train_stack(spec, init, sets, hypers, NAMES[:count])
+        assert len(stacked) == count
+        if epochs > 0:  # float64 bits as well as the float32 result
+            for row, data, hyper in zip(float64_results[-count:], sets, hypers, strict=True):
+                assert row.tobytes() == reference_train(spec, init, data, hyper).tobytes()
+        for model, data, hyper in zip(stacked, sets, hypers):
+            expected = reference_train(spec, init, data, hyper).astype(np.float32)
+            assert model.values.tobytes() == expected.tobytes()
+            assert train(spec, init, data, hyper) == model
+        if epochs > 0:  # the models really moved, and apart
+            assert not np.array_equal(stacked[0].values, init.values)
+            assert len({m.values.tobytes() for m in stacked}) == count
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_stacked_gradients_equal_reference_bits(self, activation):
+        spec, _, sets = stack_of(5, activation=activation)
+        flat = np.stack([init_params(spec, seed).values for seed in range(5)]).astype(np.float64)
+        x = np.stack([data.inputs for data in sets])
+        onehot = np.stack([np.eye(3)[data.labels] for data in sets])
+        _, grads = toyzoo._backprop(spec, toyzoo._layers(spec, flat.copy()), x, onehot)
+        for m, data in enumerate(sets):
+            got = np.concatenate([g[m].ravel() for layer in grads for g in layer])
+            _, expected = reference_loss_and_grad(spec, flat[m], data.inputs, data.labels)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_loss_and_grad_equal_reference_bits(self, activation):
+        spec, init, (data,) = stack_of(1, activation=activation)
+        loss, grad = loss_and_grad(spec, init, data)
+        expected_loss, expected = reference_loss_and_grad(
+            spec, init.values.astype(np.float64), data.inputs, data.labels)
+        assert loss == expected_loss
+        assert grad.tobytes() == expected.tobytes()
+
+    def test_zero_epochs_returns_init_for_every_model(self):
+        spec, init, sets = stack_of(3)
+        hypers = [TrainConfig(epochs=0, seed=i) for i in range(3)]
+        assert all(model is init for model in train_stack(spec, init, sets, hypers, NAMES[:3]))
+
+    def test_divergent_member_is_named(self):
+        spec, init, sets = stack_of(3, activation="identity")
+        sets[1] = LabeledSet(1e150 * sets[1].inputs, sets[1].labels)
+        hypers = [TrainConfig(lr=0.1, epochs=3, batch=8, seed=i) for i in range(3)]
+        # no numpy warning escapes: tier-1 turns RuntimeWarning into an error
+        with pytest.raises(TrainingDiverged, match=r"^task1, epoch 1: "):
+            train_stack(spec, init, sets, hypers, ["task0", "task1", "task2"])
+
+    def test_divergent_single_model_is_named(self):
+        spec, init, (data,) = stack_of(1, activation="identity")
+        data = LabeledSet(1e150 * data.inputs, data.labels)
+        with pytest.raises(TrainingDiverged, match=r"^base, epoch 1: "):
+            train(spec, init, data, TrainConfig(lr=0.1, epochs=3, batch=8), name="base")
+
+    def test_sets_of_unequal_size_rejected(self):
+        spec, init, sets = stack_of(3)
+        sets[2] = sets[2].subset(np.arange(20))
+        hypers = [TrainConfig(seed=i) for i in range(3)]
+        with pytest.raises(StructureError, match="differ in size"):
+            train_stack(spec, init, sets, hypers, NAMES[:3])
+
+    @pytest.mark.parametrize("field,value", [("lr", 0.01), ("epochs", 2), ("batch", 4)])
+    def test_configs_differing_beyond_the_seed_rejected(self, field, value):
+        spec, init, sets = stack_of(2)
+        hypers = [TrainConfig(seed=0), TrainConfig(seed=1, **{field: value})]
+        with pytest.raises(StructureError, match="only in seed"):
+            train_stack(spec, init, sets, hypers, NAMES[:2])
+
+    def test_one_set_config_and_name_per_model(self):
+        spec, init, sets = stack_of(2)
+        with pytest.raises(StructureError):
+            train_stack(spec, init, sets, [TrainConfig()], NAMES[:2])
+        with pytest.raises(StructureError):
+            train_stack(spec, init, sets, [TrainConfig(), TrainConfig()], NAMES[:1])
+        with pytest.raises(StructureError):
+            train_stack(spec, init, [], [], [])
+
+
+class TestInputChecks:
+    def test_input_width_rejected(self):
+        spec, init, (data,) = stack_of(1)
+        narrow = LabeledSet(data.inputs[:, :4], data.labels)
+        with pytest.raises(StructureError, match="width 4"):
+            train(spec, init, narrow, TrainConfig())
+        with pytest.raises(StructureError, match="width 4"):
+            train_stack(spec, init, [data, narrow], [TrainConfig(), TrainConfig()], NAMES[:2])
+        with pytest.raises(StructureError, match="width 4"):
+            loss_and_grad(spec, init, narrow)
+        with pytest.raises(StructureError, match="width 4"):
+            forward(spec, init, narrow.inputs)
+        with pytest.raises(StructureError, match="width 4"):
+            error_counts(spec, init.values[None], narrow)
+
+    def test_labels_beyond_the_classes_rejected(self):
+        spec, init, (data,) = stack_of(1)
+        labels = data.labels.copy()
+        labels[5] = 3
+        beyond = LabeledSet(data.inputs, labels)
+        with pytest.raises(DomainError, match="label 3 is not a class"):
+            train(spec, init, beyond, TrainConfig())
+        with pytest.raises(DomainError, match="label 3 is not a class"):
+            loss_and_grad(spec, init, beyond)
+
+    def test_loss_and_grad_rejects_an_empty_set(self):
+        spec, init, _ = stack_of(1)
+        with pytest.raises(DomainError, match="non-empty"):
+            loss_and_grad(spec, init, LabeledSet(np.zeros((0, 5)), np.zeros(0, dtype=int)))
