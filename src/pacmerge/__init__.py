@@ -7,7 +7,6 @@ models and certifies the merged model with a PAC-Bayes-kl (Seeger) bound.
 
 from .bounds import (
     BoundBudget,
-    BoundReport,
     CertificateRecord,
     bernoulli_kl,
     gaussian_kl,
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .merging import (
     MergeScheme,
-    TiesPreprocessed,
     default_phi,
     make_scheme,
     merged_values,
@@ -53,7 +51,6 @@ from .posterior import GaussianSpec, mc_risk, mc_risks
 from .toyzoo import (
     LabeledSet,
     MlpSpec,
-    SyntheticTask,
     TrainConfig,
     error_counts,
     forward,

@@ -13,7 +13,8 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 * ``paper-discrete``     - finite-grid certificates against the continuous
   Gaussian-posterior baseline;
 * ``validity-trial``     - repeated fresh-support trials checking that the
-  certificate violation rate stays below delta;
+  certificate violation rate stays below delta: one pass fits every trial,
+  then one streamed pass over the population, tile by tile, scores them all;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
 Each scenario kind has one runner in ``_RUNNERS``, called as
@@ -41,15 +42,17 @@ from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError
 from .merging import KINDS, make_scheme, realize
 from .params import ModelPool, axpy, pool_load, pool_save
-from .posterior import GaussianSpec, mc_risk, mc_risks
+from .posterior import GaussianSpec, mc_risks, posterior_rows
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
     MlpSpec,
     TrainConfig,
+    error_counts,
     gen_tasks,
     init_params,
     sample_set,
+    sample_tiles,
     train,
     train_stack,
     zero_one_risk,
@@ -618,40 +621,56 @@ def _run_discrete(config, world) -> list[CertificateRecord]:
 def _run_validity(config, world) -> list[CertificateRecord]:
     """Fresh-support trials of the certificate against near-exact risk.
 
-    The hypothesis class (pool, grid, prior) is fixed once; each trial draws a
-    fresh support set, fits the merge coefficient by grid argmin of the
-    Monte-Carlo train risk (all grid points in one ``mc_risks`` call),
-    certifies it, and compares against the risk on a large query set.
+    The hypothesis class (pool, grid, prior) is fixed once.  A fit pass
+    draws each trial's fresh support set and fits its merge coefficient by
+    grid argmin of the Monte-Carlo train risk (all grid points in one
+    ``mc_risks`` call).  One streamed pass over the population then scores
+    the k posterior draws of every trial, stacked, with one ``error_counts``
+    call per ``sample_tiles`` tile, so one tile of the population is alive
+    at a time.  The tiles are ``error_counts``'s own row tiles, so the summed
+    counts, and each trial's risk, are those of ``mc_risk`` on the whole
+    population.  Each trial is then certified and compared with that risk.
     """
     task = world.tasks[0]
     subpool = world.pool.without(task.task_id)
     scheme = make_scheme("task_arith", subpool)
     seed = config["seed"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
-    population = sample_set(task, config["validity.population"], derive_seed(seed, "population"))
     delta = config["bound.delta"]
     variance = config["posterior.variance"]
     k = config["posterior.mc_samples"]
     prior = default_prior(scheme, config["prior.variance"])
     n = config["validity.n"]
+    trials = range(config["validity.trials"])
 
-    def one_trial(trial: int) -> CertificateRecord:
+    fits, draws = [], []
+    for trial in trials:
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
         fit_seed = derive_seed(seed, "trial-fit", trial)
         risks = mc_risks(grid[:, None], variance, scheme, world.model_spec, support, k,
                          fit_seed)
         mu = float(grid[int(np.argmin(risks))])
+        fits.append((float(np.min(risks)), mu))
+        draws.append(posterior_rows(np.array([[mu]]), variance, scheme, k,
+                                    derive_seed(seed, "trial-test", trial)))
+
+    thetas = np.concatenate(draws)
+    errors = np.zeros(len(thetas), dtype=np.int64)
+    population = config["validity.population"]
+    for tile in sample_tiles(task, population, derive_seed(seed, "population")):
+        errors += error_counts(world.model_spec, thetas, tile)
+    true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
+
+    records = []
+    for trial, (train_error, mu), true_risk in zip(trials, fits, true_risks.tolist()):
         q = GaussianSpec(np.array([mu]), variance)
-        true_risk = mc_risk(q, scheme, world.model_spec, population, k,
-                            derive_seed(seed, "trial-test", trial))
         record = make_record(
-            f"trial{trial}", scheme.kind, "validity", float(np.min(risks)),
+            f"trial{trial}", scheme.kind, "validity", train_error,
             gaussian_kl(q, prior), n, delta, test_error=true_risk, provenance={"mu": mu},
         )
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
-        return record
-
-    return [one_trial(t) for t in range(config["validity.trials"])]
+        records.append(record)
+    return records
 
 
 # One runner per scenario kind, each ``(config, world) -> records``.

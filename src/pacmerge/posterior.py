@@ -11,13 +11,13 @@ read-only, in a small LRU cache.  With common random numbers every objective
 evaluation of a search, the final train-risk recompute and every grid point
 of a validity trial reuse it.
 
-``mc_risks`` estimates the risks of m posterior means that share one
-variance, such as the candidates of a CMA-ES generation or the points of a
-validity grid: it merges all m·k draws in one ``merged_values`` call, whose
-rows do not depend on their batch, and scores them in one ``error_counts``
-call.  A mean's risk does not depend on the other means of its call;
-``error_counts`` says how its scoring keeps that so.  ``mc_risk`` is its
-one-mean call.
+``posterior_rows`` merges the k draws around each of m posterior means that
+share one variance in one ``merged_values`` call, whose rows do not depend
+on their batch.  ``mc_risks`` estimates the risks of such means, the
+candidates of a CMA-ES generation or the points of a validity grid, by
+scoring those m·k rows in one ``error_counts`` call.  A mean's risk does not
+depend on the other means of its call; ``error_counts`` says how its scoring
+keeps that so.  ``mc_risk`` is its one-mean call.
 """
 
 from __future__ import annotations
@@ -68,6 +68,24 @@ def _noise(seed: int, k: int, dim: int) -> np.ndarray:
     return eps
 
 
+def posterior_rows(
+    means: np.ndarray, variance: float, scheme: MergeScheme, k: int = 10, seed: int = 0
+) -> np.ndarray:
+    """Merged parameters (m·k, P) of ``k`` posterior draws around each row of
+    ``means`` (m, d): row i·k + j is mean i plus draw j of the noise
+    ``(seed, k, d)``, one ``merged_values`` call for all of them."""
+    means = _checked(means, variance)
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    if means.ndim != 2 or means.shape[1] != scheme.d_phi:
+        raise StructureError(
+            f"posterior means have shape {means.shape}, scheme needs (m, {scheme.d_phi})"
+        )
+    m, d = means.shape
+    draws = means[:, None, :] + np.sqrt(variance) * _noise(seed, k, d)
+    return merged_values(scheme, draws.reshape(m * k, d))
+
+
 def mc_risks(
     means: np.ndarray,
     variance: float,
@@ -82,19 +100,10 @@ def mc_risks(
     Row i of the result is ``mc_risk(GaussianSpec(means[i], variance), ...)``:
     every mean takes the same ``k`` noise rows of ``(seed, k, d)``.
     """
-    means = _checked(means, variance)
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
     if data.n == 0:
         raise DomainError("mc_risk needs a non-empty set")
-    if means.ndim != 2 or means.shape[1] != scheme.d_phi:
-        raise StructureError(
-            f"posterior means have shape {means.shape}, scheme needs (m, {scheme.d_phi})"
-        )
-    m, d = means.shape
-    draws = means[:, None, :] + np.sqrt(variance) * _noise(seed, k, d)
-    errors = error_counts(model_spec, merged_values(scheme, draws.reshape(m * k, d)), data)
-    return np.mean((errors / data.n).reshape(m, k), axis=1)
+    errors = error_counts(model_spec, posterior_rows(means, variance, scheme, k, seed), data)
+    return np.mean((errors / data.n).reshape(-1, k), axis=1)
 
 
 def mc_risk(

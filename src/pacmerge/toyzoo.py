@@ -2,7 +2,11 @@
 
 Tasks are Gaussian class-mean mixtures whose means share a controllable
 amount of structure across tasks, so that models fine-tuned on related tasks
-genuinely help a held-out task when merged.  The classifier is a plain MLP
+genuinely help a held-out task when merged.  Sets come from one tiled
+sampler, ``sample_tiles``: its tiles hold ``_ROW_BUDGET`` rows and start at
+multiples of it, the row tiles ``error_counts`` scores a large set in, so a
+set too large to hold can be scored tile by tile with the whole set's
+counts.  ``sample_set`` joins the tiles.  The classifier is a plain MLP
 trained with mini-batch SGD on softmax cross-entropy; certification only ever
 sees its 0-1 loss.
 
@@ -40,9 +44,10 @@ from .seeding import rng_for
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
 
-# (draw, input) rows per scored block in ``error_counts``.  On 100,000-row
-# sets 4,096 was the fastest budget tried: smaller blocks pay more per-block
-# overhead, larger ones leave the cache.
+# (draw, input) rows per scored block in ``error_counts``, and rows per
+# ``sample_tiles`` tile.  On 100,000-row sets 4,096 was the fastest budget
+# tried: smaller blocks pay more per-block overhead, larger ones leave the
+# cache.
 _ROW_BUDGET = 4096
 
 # Constants of the float32 error bound in ``error_counts``.  Unit roundoffs,
@@ -198,15 +203,34 @@ def gen_tasks(
     return tasks
 
 
-def sample_set(task: SyntheticTask, n: int, seed: int) -> LabeledSet:
-    """n i.i.d. draws from the task, deterministic in (task, n, seed)."""
+def sample_tiles(task: SyntheticTask, n: int, seed: int):
+    """``sample_set(task, n, seed)`` as consecutive ``LabeledSet`` tiles: tile
+    t holds rows t ``_ROW_BUDGET`` onward, ``_ROW_BUDGET`` of them or the
+    rest, the row tiles of ``error_counts`` on a set that large.
+
+    All labels are drawn first, then the noise tile by tile, scaled and
+    shifted in place; consecutive ``standard_normal`` draws continue one
+    stream, so the tiles hold the bits of one full-size draw.  ``n < 1``
+    raises ``DomainError`` on the first step.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     rng = rng_for(task.label_seed, "sample", seed)
     labels = rng.integers(0, task.class_count, size=n)
-    noise = rng.standard_normal((n, task.input_dim))
-    inputs = task.class_means[labels] + task.noise_scale * noise
-    return LabeledSet(inputs, labels)
+    for start in range(0, n, _ROW_BUDGET):
+        tile = labels[start : start + _ROW_BUDGET]
+        inputs = rng.standard_normal((len(tile), task.input_dim))
+        inputs *= task.noise_scale
+        inputs += task.class_means[tile]
+        yield LabeledSet(inputs, tile)
+
+
+def sample_set(task: SyntheticTask, n: int, seed: int) -> LabeledSet:
+    """n i.i.d. draws from the task, deterministic in (task, n, seed): the
+    tiles of ``sample_tiles`` joined."""
+    tiles = list(sample_tiles(task, n, seed))
+    return LabeledSet(np.concatenate([t.inputs for t in tiles]),
+                      np.concatenate([t.labels for t in tiles]))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +531,7 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     counts = np.zeros(len(thetas), dtype=np.int64)
     if data.n == 0 or len(thetas) == 0:
         return counts
-    bound = _thresholds(spec, thetas, np.abs(x).max())
+    bound = _thresholds(spec, thetas, max(x.max(), -x.min()))
     if bound is None:
         return _float64_counts(spec, thetas.astype(np.float64, copy=False), data)
     threshold, slack = bound
@@ -627,6 +651,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("epochs", "batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
         if self.batch < 1:

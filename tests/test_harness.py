@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from pacmerge.harness import (
     run,
     write_report,
 )
+from pacmerge.bounds import gaussian_kl, make_record
+from pacmerge.certify import default_prior
+from pacmerge.harness import _run_validity
+from pacmerge.merging import make_scheme
+from pacmerge.posterior import GaussianSpec, mc_risk, mc_risks
 from pacmerge.seeding import derive_seed
+from pacmerge.toyzoo import _ROW_BUDGET as R
 
 
 class TestConfig:
@@ -199,6 +206,61 @@ def test_every_scenario_runs_and_validates(scenario):
         assert 0.0 <= r.train_error <= r.pb_bound <= 1.0
         budget = BoundBudget(r.kl_qp, r.n, r.delta).value
         assert r.pb_bound == 1.0 or bernoulli_kl(r.train_error, r.pb_bound) >= budget
+
+
+def reference_validity(config, world):
+    """``validity-trial`` records as first written: per trial, ``mc_risk`` on
+    the whole population held as one ``sample_set``."""
+    task = world.tasks[0]
+    scheme = make_scheme("task_arith", world.pool.without(task.task_id))
+    seed, k, variance = config["seed"], config["posterior.mc_samples"], config["posterior.variance"]
+    grid = np.linspace(0.0, 2.0, config["validity.grid"])
+    population = sample_set(task, config["validity.population"], derive_seed(seed, "population"))
+    prior = default_prior(scheme, config["prior.variance"])
+    n = config["validity.n"]
+    records = []
+    for trial in range(config["validity.trials"]):
+        support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
+        risks = mc_risks(grid[:, None], variance, scheme, world.model_spec, support, k,
+                         derive_seed(seed, "trial-fit", trial))
+        mu = float(grid[int(np.argmin(risks))])
+        q = GaussianSpec(np.array([mu]), variance)
+        true_risk = mc_risk(q, scheme, world.model_spec, population, k,
+                            derive_seed(seed, "trial-test", trial))
+        record = make_record(
+            f"trial{trial}", scheme.kind, "validity", float(np.min(risks)),
+            gaussian_kl(q, prior), n, delta=config["bound.delta"], test_error=true_risk,
+            provenance={"mu": mu},
+        )
+        record.provenance["violation"] = bool(true_risk > record.pb_bound)
+        records.append(record)
+    return records
+
+
+class TestValidityPopulation:
+    """The validity population streamed tile by tile through the scorer."""
+
+    # two full tiles and a 5-row remainder
+    def test_records_equal_per_trial_risk_on_the_whole_population(self):
+        config = make_config("validity-trial", dict(TINY, **{"validity.population": 2 * R + 5}))
+        world = build_world(config)
+        records = _run_validity(config, world)
+        expected = reference_validity(config, world)
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
+        assert len({r.test_error for r in records}) > 1
+
+    def test_traced_peak_does_not_grow_with_the_population(self):
+        # one 200,000-row population is 12.2 MB of inputs; the labels, drawn
+        # up front, are 1.6 MB of it
+        config = make_config("validity-trial", dict(TINY, **{"validity.population": 200_000}))
+        world = build_world(config)
+        tracemalloc.start()
+        try:
+            _run_validity(config, world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSweepValidation:

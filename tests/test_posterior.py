@@ -247,6 +247,15 @@ class TestBatchedMeans:
         with pytest.raises(StructureError):
             mc_risks(np.full(3, 0.5), 0.1, scheme, spec, data, 3)
 
+    def test_posterior_rows_are_the_merged_draws(self, toy_world):
+        scheme, spec, _ = toy_world
+        means = 1 / 3 + 0.2 * np.random.default_rng(3).standard_normal((4, 3))
+        rows = posterior.posterior_rows(means, 0.2, scheme, 5, seed=8)
+        assert rows.shape == (20, spec.d_model) and rows.dtype == np.float32
+        for i, mean in enumerate(means):
+            for j, phi in enumerate(draws_of(GaussianSpec(mean, 0.2), 8, 5)):
+                assert np.array_equal(rows[i * 5 + j], realize(scheme, phi).values)
+
     def test_means_not_written(self, toy_world):
         scheme, spec, data = toy_world
         means = np.full((3, 3), 1 / 3)

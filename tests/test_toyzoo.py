@@ -171,6 +171,66 @@ class TestSampleSet:
             assert abs(freq - p) < 3 * sigma
 
 
+def reference_sample(task, n, seed):
+    """(inputs, labels) of one full-size noise draw, as written."""
+    rng = rng_for(task.label_seed, "sample", seed)
+    labels = rng.integers(0, task.class_count, size=n)
+    noise = rng.standard_normal((n, task.input_dim))
+    return task.class_means[labels] + task.noise_scale * noise, labels
+
+
+class TestSampleTiles:
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    @pytest.mark.parametrize("n", [1, R - 1, R, R + 1, 2 * R + 3])
+    def test_tiles_join_to_the_one_draw_set(self, n, seed):
+        task = gen_tasks(seed, 2, 5, 3, 0.5)[1]
+        tiles = list(toyzoo.sample_tiles(task, n, seed))
+        # tile t holds rows t R onward: R rows each, the last one the rest
+        assert [t.n for t in tiles] == [R] * (n // R) + ([n % R] if n % R else [])
+        whole = sample_set(task, n, seed)
+        inputs, labels = reference_sample(task, n, seed)
+        for data in (whole, LabeledSet(np.concatenate([t.inputs for t in tiles]),
+                                       np.concatenate([t.labels for t in tiles]))):
+            assert data.inputs.tobytes() == inputs.tobytes()
+            assert data.labels.tobytes() == labels.tobytes()
+
+    def test_tiles_own_their_arrays(self):
+        task = gen_tasks(0, 2, 4, 3, 0.5)[0]
+        first, second = toyzoo.sample_tiles(task, R + 1, 2)
+        for tile in (first, second):
+            assert tile.inputs.base is None and tile.labels.base is None
+            assert not tile.inputs.flags.writeable
+
+    def test_rejects_empty(self):
+        task = gen_tasks(0, 2, 4, 3, 0.5)[0]
+        with pytest.raises(DomainError, match="n >= 1"):
+            next(toyzoo.sample_tiles(task, 0, 1))
+
+    # two full tiles and a 3-row remainder; k=5 random draws, then near ties
+    # that the stacked float64 recheck decides, then exact ties that only the
+    # float64 path's own tiles decide
+    @pytest.mark.parametrize("rows", ["random", "near", "exact"])
+    def test_tile_counts_sum_to_the_whole_set_counts(self, tiers, rows):
+        spec = MlpSpec((6, 8, 4), activation="tanh")
+        task = gen_tasks(5, 2, 6, 4, 0.5)[0]
+        n = 2 * R + 3
+        if rows == "random":
+            thetas = np.random.default_rng(4).standard_normal((5, spec.d_model))
+            thetas = thetas.astype(np.float32)
+        else:
+            thetas = tied_rows(spec, 3, n, np.float32, gap=2 if rows == "near" else 0)
+        whole = error_counts(spec, thetas, sample_set(task, n, 3))
+        tiers.clear()
+        summed = np.zeros(len(thetas), dtype=np.int64)
+        for tile in toyzoo.sample_tiles(task, n, 3):
+            summed += error_counts(spec, thetas, tile)
+        assert summed.tolist() == whole.tolist()
+        if rows != "random":
+            assert tiers["_recheck_rows"] >= 3
+        if rows == "exact":
+            assert tiers["_exact_errors"] >= 3
+
+
 class TestForward:
     def test_zero_theta_ties_to_class_zero(self):
         spec = MlpSpec((4, 8, 3))
@@ -627,6 +687,22 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(DomainError):
             TrainConfig(batch=0)
+
+    @pytest.mark.parametrize("field,value", [("epochs", 2.0), ("epochs", True), ("epochs", "3"),
+                                             ("batch", 1.5), ("batch", False), ("batch", None)])
+    def test_non_integer_epochs_and_batch_rejected(self, field, value):
+        spec = MlpSpec((3, 4, 2))
+        data = sample_set(gen_tasks(2, 2, 3, 2, 0.5)[0], 10, 0)
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            train(spec, init_params(spec, 0), data, TrainConfig(**{field: value}))
+
+    def test_numpy_integer_epochs_and_batch_accepted(self):
+        spec = MlpSpec((3, 4, 2))
+        theta = init_params(spec, 0)
+        data = sample_set(gen_tasks(2, 2, 3, 2, 0.5)[0], 10, 0)
+        plain = TrainConfig(lr=0.1, epochs=2, batch=4, seed=1)
+        numpy = TrainConfig(lr=0.1, epochs=np.int64(2), batch=np.int32(4), seed=1)
+        assert train(spec, theta, data, numpy) == train(spec, theta, data, plain)
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan])
     def test_non_finite_lr_rejected(self, lr):
