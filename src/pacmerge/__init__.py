@@ -37,7 +37,6 @@ from .merging import (
     default_phi,
     make_scheme,
     merged_values,
-    realize,
     ties_preprocess,
 )
 from .params import (
@@ -47,20 +46,16 @@ from .params import (
     pool_load,
     pool_save,
 )
-from .posterior import GaussianSpec, mc_risk, mc_risks
+from .posterior import GaussianSpec, mc_risks
 from .toyzoo import (
     LabeledSet,
     MlpSpec,
     TrainConfig,
     error_counts,
-    forward,
     gen_tasks,
     init_params,
-    loss_and_grad,
     sample_set,
-    train,
     train_stack,
-    zero_one_risk,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .bounds import BoundBudget, CertificateRecord, closed_form, gaussian_kl, ma
 from .cma import CmaConfig, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, make_scheme, merged_values
-from .posterior import GaussianSpec, mc_risk, mc_risks
+from .posterior import GaussianSpec, mc_risks
 from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
@@ -134,16 +134,12 @@ def _posterior_errors(q, scheme, model_spec, support, query, config):
     # Train risk is re-computed with the exact stream the search minimized, so
     # the certificate states the quantity that was optimized; the query-set
     # estimate uses an independent stream.
-    train = mc_risk(
-        q, scheme, model_spec, support, config.mc_samples,
-        derive_seed(config.cma.seed, "mc-common"),
-    )
-    test = None
-    if query is not None:
-        test = mc_risk(
-            q, scheme, model_spec, query, config.mc_samples,
-            derive_seed(config.eval_seed, "test-eval"),
-        )
+    def risk(data, seed):
+        return float(mc_risks(q.mean[None], q.variance, scheme, model_spec, data,
+                              config.mc_samples, seed)[0])
+
+    train = risk(support, derive_seed(config.cma.seed, "mc-common"))
+    test = None if query is None else risk(query, derive_seed(config.eval_seed, "test-eval"))
     return train, test
 
 

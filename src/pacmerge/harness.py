@@ -39,8 +39,8 @@ from .bounds import CertificateRecord, gaussian_kl, make_record
 from .certify import (CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete,
                       default_prior, optimize)
 from .cma import CmaConfig
-from .errors import ConfigError, DomainError, FormatError
-from .merging import KINDS, make_scheme, realize
+from .errors import ConfigError, FormatError
+from .merging import KINDS, make_scheme, merged_values
 from .params import ModelPool, axpy, pool_load, pool_save
 from .posterior import GaussianSpec, mc_risks, posterior_rows
 from .seeding import derive_seed
@@ -53,9 +53,7 @@ from .toyzoo import (
     init_params,
     sample_set,
     sample_tiles,
-    train,
     train_stack,
-    zero_one_risk,
 )
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
     overrides: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -301,8 +299,8 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
 
     The base model trains on a mixture of every task's data; each member is
     the base fine-tuned on one task.  All members fine-tune in one
-    ``train_stack`` call, each with the bits of its own ``train`` call, so
-    the pool bytes do not depend on the stacking.  A diverging model raises
+    ``train_stack`` call, each with the bits of training it alone, so the
+    pool bytes do not depend on the stacking.  A diverging model raises
     ``TrainingDiverged`` naming "base" or the member's task id.  When
     ``cache_dir`` is given the pool is persisted under its pool hash and
     reloaded bit-exactly on later runs.
@@ -335,17 +333,19 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         np.concatenate([part.inputs for part in mixture_parts]),
         np.concatenate([part.labels for part in mixture_parts]),
     )
-    base = train(
+    (base,) = train_stack(
         spec,
         init_params(spec, derive_seed(seed, "base-init")),
-        mixture,
-        TrainConfig(
-            lr=config["pool.base_lr"],
-            epochs=config["pool.base_epochs"],
-            batch=config["pool.batch"],
-            seed=derive_seed(seed, "base-train"),
-        ),
-        name="base",
+        [mixture],
+        [
+            TrainConfig(
+                lr=config["pool.base_lr"],
+                epochs=config["pool.base_epochs"],
+                batch=config["pool.batch"],
+                seed=derive_seed(seed, "base-train"),
+            )
+        ],
+        ["base"],
     )
     tuned = train_stack(
         spec,
@@ -498,15 +498,15 @@ def write_report(record: RunRecord, fmt: str, out_dir, stem: str) -> Path:
 
 
 def load_record(path) -> RunRecord:
-    """A stored run record, each certificate re-derived by ``validate``."""
+    """A stored run record, each certificate re-derived by ``validate``; bytes
+    that are not UTF-8 JSON, or fields of the wrong shape, raise ``FormatError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = RunRecord.from_dict(json.load(fh))
         for certificate in record.records:
             certificate.validate()
         return record
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, AssertionError,
-            DomainError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AssertionError) as exc:
         raise FormatError(f"cannot load run record: {exc}") from exc
 
 
@@ -567,9 +567,13 @@ def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> Certif
     train_half = support.subset(np.arange(half))
     val_half = support.subset(np.arange(half, support.n))
     mu, _ = optimize(scheme, "train_risk", train_half, model_spec, cfg)
-    model = realize(scheme, mu)
-    val_error = zero_one_risk(model_spec, model, val_half)
-    test = zero_one_risk(model_spec, model, query) if query is not None else None
+    model = merged_values(scheme, mu[None])
+
+    def risk(data):
+        return float(error_counts(model_spec, model, data)[0] / data.n)
+
+    val_error = risk(val_half)
+    test = risk(query) if query is not None else None
     # a test-set bound: point-mass prior and posterior, so KL = 0
     return make_record(
         task_id, scheme.kind, "half_val", val_error, 0.0, val_half.n, cfg.delta,
@@ -628,7 +632,7 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     the k posterior draws of every trial, stacked, with one ``error_counts``
     call per ``sample_tiles`` tile, so one tile of the population is alive
     at a time.  The tiles are ``error_counts``'s own row tiles, so the summed
-    counts, and each trial's risk, are those of ``mc_risk`` on the whole
+    counts, and each trial's risk, are those of ``mc_risks`` on the whole
     population.  Each trial is then certified and compared with that risk.
     """
     task = world.tasks[0]

@@ -16,36 +16,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .params import ModelPool, ParamVector
+from .params import ModelPool
 
 KINDS = ("task_arith", "ties", "task_wise", "layer_wise")
 _SCALAR_KINDS = ("task_arith", "ties")
 
 
-@dataclass(frozen=True, eq=False)
-class TiesPreprocessed:
-    """Coefficient-independent part of TIES merging, cached per pool.
+def ties_preprocess(pool: ModelPool, trim_fraction: float) -> np.ndarray:
+    """The coefficient-independent TIES merge of ``pool``: a read-only (P,)
+    float64 vector, computed once per scheme.
 
-    ``trimmed`` keeps, per member, the ceil(trim_fraction * P) largest-magnitude
-    entries (ties at the threshold broken toward the lower index) and zeroes
-    the rest.  ``elected_sign`` is the sign of the summed trimmed deltas per
-    coordinate, with an exact zero sum electing +1.  ``merged`` averages the
-    trimmed entries agreeing with the elected sign, and is zero where no entry
-    survives.
+    Each member keeps its ceil(trim_fraction * P) largest-magnitude entries
+    (ties at the threshold broken toward the lower index), the rest zeroed.
+    Each coordinate elects the sign of its summed trimmed deltas, an exact
+    zero sum electing +1, and averages the trimmed entries that agree with
+    it; it is zero where no entry survives.
     """
-
-    trimmed: np.ndarray       # (M, P) float64
-    elected_sign: np.ndarray  # (P,) int8
-    merged: np.ndarray        # (P,) float64
-
-    def __post_init__(self):
-        for name in ("trimmed", "elected_sign", "merged"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
-
-
-def ties_preprocess(pool: ModelPool, trim_fraction: float) -> TiesPreprocessed:
-    """Trim by magnitude, elect signs, and average sign-consistent entries."""
     if not 0.0 < trim_fraction <= 1.0:
         raise DomainError(f"trim_fraction {trim_fraction} outside (0, 1]")
     deltas = pool.deltas_matrix().astype(np.float64)
@@ -62,7 +48,8 @@ def ties_preprocess(pool: ModelPool, trim_fraction: float) -> TiesPreprocessed:
     survivors = agree.sum(axis=0)
     sums = (trimmed * agree).sum(axis=0)
     merged = np.where(survivors > 0, sums / np.maximum(survivors, 1), 0.0)
-    return TiesPreprocessed(trimmed=trimmed, elected_sign=elected, merged=merged)
+    merged.flags.writeable = False
+    return merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +60,7 @@ class MergeScheme:
     pool: ModelPool
     trim_fraction: float = 0.2
     # derived from the pool once, in __post_init__
-    ties: TiesPreprocessed | None = field(init=False, default=None)
+    ties: np.ndarray | None = field(init=False, default=None)
     _deltas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -127,7 +114,7 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
     if scheme.kind == "task_arith":
         out = out + phis[:, :1] * deltas.mean(axis=0)
     elif scheme.kind == "ties":
-        out = out + phis[:, :1] * scheme.ties.merged
+        out = out + phis[:, :1] * scheme.ties
     elif scheme.kind == "task_wise":
         out = out + (phis[:, None, :] @ deltas)[:, 0]
     else:  # layer_wise
@@ -144,8 +131,3 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
         raise DomainError("merge overflowed the 32-bit float range")
     return out32
 
-
-def realize(scheme: MergeScheme, phi: np.ndarray) -> ParamVector:
-    """Merged model for coefficients ``phi``; one row of ``merged_values``."""
-    phi = np.asarray(phi, dtype=np.float64).reshape(1, -1)
-    return ParamVector(merged_values(scheme, phi)[0], scheme.pool.base.layer_offsets)

@@ -199,7 +199,7 @@ def pool_load(path) -> ModelPool:
     try:
         with open(directory / MANIFEST_NAME, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read pool manifest: {exc}") from exc
     try:
         base_len = int(manifest["base_len"])

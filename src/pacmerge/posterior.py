@@ -17,7 +17,7 @@ on their batch.  ``mc_risks`` estimates the risks of such means, the
 candidates of a CMA-ES generation or the points of a validity grid, by
 scoring those m·k rows in one ``error_counts`` call.  A mean's risk does not
 depend on the other means of its call; ``error_counts`` says how its scoring
-keeps that so.  ``mc_risk`` is its one-mean call.
+keeps that so.  One posterior's risk is a one-row call.
 """
 
 from __future__ import annotations
@@ -97,22 +97,11 @@ def mc_risks(
 ) -> np.ndarray:
     """Average 0-1 risk of ``k`` posterior draws around each row of ``means``.
 
-    Row i of the result is ``mc_risk(GaussianSpec(means[i], variance), ...)``:
-    every mean takes the same ``k`` noise rows of ``(seed, k, d)``.
+    Every mean takes the same ``k`` noise rows of ``(seed, k, d)``, so row i
+    of the result equals the one-row call on ``means[i:i + 1]``.
     """
     if data.n == 0:
-        raise DomainError("mc_risk needs a non-empty set")
+        raise DomainError("mc_risks needs a non-empty set")
     errors = error_counts(model_spec, posterior_rows(means, variance, scheme, k, seed), data)
     return np.mean((errors / data.n).reshape(-1, k), axis=1)
 
-
-def mc_risk(
-    spec: GaussianSpec,
-    scheme: MergeScheme,
-    model_spec: MlpSpec,
-    data: LabeledSet,
-    k: int = 10,
-    seed: int = 0,
-) -> float:
-    """Average 0-1 risk of ``k`` models realized from posterior draws."""
-    return float(mc_risks(spec.mean[None], spec.variance, scheme, model_spec, data, k, seed)[0])

@@ -13,9 +13,9 @@ sees its 0-1 loss.
 There is one SGD loop, ``train_stack``: it trains M models of one
 architecture at once on a leading model axis, each on its own set with its
 own shuffling seed, and every stacked product is one 2-D product per model,
-so each model gets the bits of training it alone.  ``train`` is its
-one-model call.  A model that diverges raises ``TrainingDiverged`` naming it
-and the epoch, without numpy overflow warnings.
+so each model gets the bits of training it alone; one model is a stack of
+one.  A model that diverges raises ``TrainingDiverged`` naming it and the
+epoch, without numpy overflow warnings.
 
 Every risk a certificate uses comes from ``error_counts``, which counts the
 0-1 errors of many parameter rows at once.  It scores in float32 and returns
@@ -26,7 +26,7 @@ the layers by the column 1-norms of |W|.  Float32 then decides every input
 whose label margin clears twice that bound.  The few others, the undecided
 pairs of the whole call, are re-scored in float64 once, after the float32
 pass: first stacked, then, for ties, with the float64 path's own shapes.
-``forward`` and training run in float64.  The entry points reject inputs
+Training runs in float64.  ``error_counts`` and ``train_stack`` reject inputs
 of another width than the spec's (``StructureError``) and labels that are
 not its classes (``DomainError``).
 """
@@ -262,19 +262,16 @@ def _unpack(spec: MlpSpec, flat: np.ndarray):
     return layers
 
 
-def _check_data(spec: MlpSpec, x: np.ndarray, labels: np.ndarray | None = None) -> None:
-    """Reject inputs (..., width) of another width than ``spec``'s, and labels
-    that are not classes of ``spec``."""
-    if x.shape[-1] != spec.widths[0]:
-        raise StructureError(f"inputs have width {x.shape[-1]}, spec needs {spec.widths[0]}")
-    if labels is not None and labels.size and labels.max() >= spec.widths[-1]:
+def _check_data(spec: MlpSpec, data: LabeledSet) -> None:
+    """Reject inputs of another width than ``spec``'s, and labels that are not
+    classes of ``spec``."""
+    if data.inputs.shape[1] != spec.widths[0]:
+        raise StructureError(
+            f"inputs have width {data.inputs.shape[1]}, spec needs {spec.widths[0]}")
+    if data.n and data.labels.max() >= spec.widths[-1]:
         raise DomainError(
-            f"label {labels.max()} is not a class of a {spec.widths[-1]}-class model"
+            f"label {data.labels.max()} is not a class of a {spec.widths[-1]}-class model"
         )
-
-
-def _onehot(spec: MlpSpec, labels: np.ndarray) -> np.ndarray:
-    return np.eye(spec.widths[-1])[labels]
 
 
 def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -527,7 +524,7 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
         raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
     x, y = data.inputs, data.labels
-    _check_data(spec, x, y)
+    _check_data(spec, data)
     counts = np.zeros(len(thetas), dtype=np.int64)
     if data.n == 0 or len(thetas) == 0:
         return counts
@@ -573,22 +570,6 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     return counts
 
 
-def forward(spec: MlpSpec, theta: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Class scores, one row per input; deterministic."""
-    if theta.size != spec.d_model:
-        raise StructureError(f"theta has {theta.size} values, spec needs {spec.d_model}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _check_data(spec, x)
-    return _scores(spec, theta.values[None].astype(np.float64), x)[0]
-
-
-def zero_one_risk(spec: MlpSpec, theta: ParamVector, data: LabeledSet) -> float:
-    """(# misclassified) / n on a non-empty set."""
-    if data.n == 0:
-        raise DomainError("zero_one_risk needs a non-empty set")
-    return float(error_counts(spec, theta.values[None], data)[0] / data.n)
-
-
 def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
     """Softmax probabilities of M models and their mean cross-entropy gradient.
 
@@ -625,20 +606,6 @@ def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
 def _layers(spec: MlpSpec, flat: np.ndarray):
     """(weight (M, in, out), bias (M, 1, out)) views per layer of ``flat`` (M, d_model)."""
     return [(w, b[:, None]) for w, b in _unpack(spec, flat)]
-
-
-def loss_and_grad(spec: MlpSpec, theta: ParamVector, data: LabeledSet):
-    """Public hook for gradient checks: full-batch loss and flat gradient."""
-    if theta.size != spec.d_model:
-        raise StructureError(f"theta has {theta.size} values, spec needs {spec.d_model}")
-    if data.n == 0:
-        raise DomainError("loss_and_grad needs a non-empty set")
-    _check_data(spec, data.inputs, data.labels)
-    onehot = _onehot(spec, data.labels)[None]
-    layers = _layers(spec, theta.values[None].astype(np.float64))
-    probs, grads = _backprop(spec, layers, data.inputs[None], onehot)
-    loss = -np.log((probs * onehot).sum(axis=-1) + 1e-300).mean()
-    return float(loss), np.concatenate([g.ravel() for layer in grads for g in layer])
 
 
 @dataclass(frozen=True)
@@ -691,12 +658,12 @@ def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[P
     if any((h.lr, h.epochs, h.batch) != (hyper.lr, hyper.epochs, hyper.batch) for h in hypers):
         raise StructureError("stacked training configs may differ only in seed")
     for data in sets:
-        _check_data(spec, data.inputs, data.labels)
+        _check_data(spec, data)
     if hyper.epochs == 0:
         return [init] * count
     rngs = [rng_for(h.seed, "train") for h in hypers]
     x = np.stack([data.inputs for data in sets])
-    onehot = np.stack([_onehot(spec, data.labels) for data in sets])
+    onehot = np.stack([np.eye(spec.widths[-1])[data.labels] for data in sets])
     flat = np.repeat(init.values[None].astype(np.float64), count, axis=0)
     layers = _layers(spec, flat)
     models = np.arange(count)[:, None]
@@ -724,9 +691,3 @@ def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[P
                     f"{names[i]}, epoch {epoch}: parameters left the float32 range")
     return [ParamVector(row, spec.layer_offsets()) for row in flat]
 
-
-def train(spec: MlpSpec, init: ParamVector, data: LabeledSet, hyper: TrainConfig,
-          name: str = "model") -> ParamVector:
-    """Mini-batch SGD on softmax cross-entropy of one model: ``train_stack``
-    on a stack of one, ``name`` naming it in ``TrainingDiverged``."""
-    return train_stack(spec, init, [data], [hyper], [name])[0]

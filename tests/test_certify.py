@@ -23,16 +23,13 @@ from pacmerge import (
     gen_tasks,
     init_params,
     make_scheme,
-    mc_risk,
+    mc_risks,
     merged_values,
     minimize,
     optimize,
-    realize,
     sample_set,
     seeger_certificate,
-    train,
     train_stack,
-    zero_one_risk,
 )
 import pacmerge.cma as cma
 import pacmerge.posterior as posterior
@@ -52,11 +49,12 @@ def world():
     mixture_labels = np.concatenate([p.labels for p in mixture_parts])
     from pacmerge import LabeledSet
 
-    base = train(
+    (base,) = train_stack(
         spec,
         init_params(spec, 0),
-        LabeledSet(mixture_inputs, mixture_labels),
-        TrainConfig(lr=0.08, epochs=12, batch=16, seed=1),
+        [LabeledSet(mixture_inputs, mixture_labels)],
+        [TrainConfig(lr=0.08, epochs=12, batch=16, seed=1)],
+        ["base"],
     )
     tuned = train_stack(
         spec, base, [sample_set(task, 80, 90 + i) for i, task in enumerate(tasks)],
@@ -68,6 +66,11 @@ def world():
     support = sample_set(tasks[0], 100, 7)
     query = sample_set(tasks[0], 400, 8)
     return tasks, pool, spec, support, query
+
+
+def point_risk(scheme, spec, phi, data):
+    """0-1 risk of the merge at the coefficients ``phi``."""
+    return error_counts(spec, merged_values(scheme, np.array([phi])), data)[0] / data.n
 
 
 def quick_config(seed=0, max_evals=150):
@@ -101,10 +104,10 @@ class TestOptimize:
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=80, seed=3))
         mu, trace = optimize(scheme, "train_risk", support, spec, config)
         best_traced = min(t.objective for t in trace)
-        value = mc_risk(
-            GaussianSpec(mu, config.posterior_variance), scheme, spec, support,
+        value = mc_risks(
+            mu[None], config.posterior_variance, scheme, spec, support,
             config.mc_samples, derive_seed(3, "mc-common"),
-        )
+        )[0]
         assert value <= best_traced + 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -137,7 +140,8 @@ def one_row_trace(scheme, objective_kind, support, spec, config):
 
     def score(phi):
         q = GaussianSpec(phi, config.posterior_variance)
-        value = mc_risk(q, scheme, spec, support, config.mc_samples, mc_seed)
+        value = mc_risks(q.mean[None], q.variance, scheme, spec, support,
+                         config.mc_samples, mc_seed)[0]
         kl = 0.0
         if objective_kind == "pac_bayes_upper":
             kl = gaussian_kl(q, prior)
@@ -207,10 +211,10 @@ class TestCertify:
         config = quick_config(7, max_evals=120)
         record = certify(scheme, "pac_bayes_upper", support, None, spec, config)
         phi0 = default_phi(scheme)
-        train0 = mc_risk(
-            GaussianSpec(phi0, config.posterior_variance), scheme, spec, support,
+        train0 = mc_risks(
+            phi0[None], config.posterior_variance, scheme, spec, support,
             config.mc_samples, derive_seed(config.cma.seed, "mc-common"),
-        )
+        )[0]
         upper0 = seeger_certificate(train0, 0.0, support.n, config.delta).upper_bound
         assert record.upper_bound <= upper0 + 1e-6
 
@@ -280,8 +284,8 @@ class TestDiscrete:
         tasks, pool, spec, support, _ = world
         record = certify_discrete(pool, 2, support, spec, quick_config())
         scheme = make_scheme("task_arith", pool)
-        risk0 = zero_one_risk(spec, realize(scheme, np.array([0.0])), support)
-        risk1 = zero_one_risk(spec, realize(scheme, np.array([1.0])), support)
+        risk0 = point_risk(scheme, spec, [0.0], support)
+        risk1 = point_risk(scheme, spec, [1.0], support)
         assert record.train_error == min(risk0, risk1)
 
     @pytest.mark.parametrize("grid_size", [2, 41, 100])
@@ -291,7 +295,7 @@ class TestDiscrete:
         pool = ModelPool(pool.base, pool.members[:1])
         scheme = make_scheme("task_arith", pool)
         grid = np.linspace(0.0, 1.0, grid_size)
-        per_point = [zero_one_risk(spec, realize(scheme, np.array([g])), support) for g in grid]
+        per_point = [point_risk(scheme, spec, [g], support) for g in grid]
         batched = error_counts(spec, merged_values(scheme, grid[:, None]), support) / support.n
         assert batched.tolist() == per_point
         best = int(np.argmin(per_point))
@@ -299,9 +303,7 @@ class TestDiscrete:
         record = certify_discrete(pool, grid_size, support, spec, quick_config(), query=query)
         assert record.train_error == per_point[best]
         assert record.provenance["phi_star"] == grid[best]
-        assert record.test_error == zero_one_risk(
-            spec, realize(scheme, np.array([grid[best]])), query
-        )
+        assert record.test_error == point_risk(scheme, spec, [grid[best]], query)
 
     def test_tie_breaks_to_smaller_phi(self, world):
         _, pool, spec, support, _ = world

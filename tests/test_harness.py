@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pacmerge import (BoundBudget, ConfigError, FormatError, TrainConfig, TrainingDiverged,
-                      axpy, bernoulli_kl, sample_set, train)
+                      axpy, bernoulli_kl, sample_set, train_stack)
 from pacmerge.cli import main
 from pacmerge.harness import (
     SCENARIOS,
@@ -23,7 +24,7 @@ from pacmerge.bounds import gaussian_kl, make_record
 from pacmerge.certify import default_prior
 from pacmerge.harness import _run_validity
 from pacmerge.merging import make_scheme
-from pacmerge.posterior import GaussianSpec, mc_risk, mc_risks
+from pacmerge.posterior import GaussianSpec, mc_risks
 from pacmerge.seeding import derive_seed
 from pacmerge.toyzoo import _ROW_BUDGET as R
 
@@ -160,6 +161,39 @@ DIVERGING = ("scenario = smoke\nmodel.activation = identity\npool.base_lr = 1000
              "tasks.noise_scale = 1000\n")
 
 
+# The behaviour contract: the sha256 of the CSV report of five small runs,
+# about 0.3 s in all.  A change that moves a bound updates the digest here and
+# names the changed field in CHANGES.md.
+PIN_SIZES = {
+    "tasks.count": 3, "tasks.input_dim": 8, "model.hidden": 8, "pool.base_n": 60,
+    "pool.ft_n": 60, "pool.base_epochs": 10, "pool.ft_epochs": 8, "certify.targets": 1,
+    "eval.query_n": 200,
+}
+PINNED_CSV = [
+    ("smoke", {"merge.kind": "all"},
+     "cd5a8bae6999ae313bf4775fccae5ad9411d52d01951673a599560ece39bfb13"),
+    ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
+     "bcd7df804489927f5bb6b756292bde952353404fd27fb66402b8c4e2ba36858e"),
+    ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
+     "594bfa02f8bd727ffa22b0dafb5aa22d35f2754b9bd63a22e8405ffe73abf1f0"),
+    ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
+                                          "discrete.grid_sizes": "20,40"}),
+     "7eb859fd9d5f330228618b3c487c2c2260702d5dedeaf26332622a3208872b41"),
+    # 9,000 population rows: three population tiles
+    ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
+     "41f30656eb8286b735aae1e8000714e79e9aea4606f4dd7d5fd05987d5770440"),
+]
+
+
+def test_pinned_csv_reports():
+    digests = [
+        hashlib.sha256(report_text(run(make_config(scenario, overrides)), "csv").encode())
+        .hexdigest()
+        for scenario, overrides, _ in PINNED_CSV
+    ]
+    assert digests == [digest for _, _, digest in PINNED_CSV]
+
+
 class TestBuildWorld:
     def test_pool_equals_members_fine_tuned_one_at_a_time(self):
         config = make_config("smoke", TINY)
@@ -167,11 +201,12 @@ class TestBuildWorld:
         seed, base = config["seed"], world.pool.base
         assert len(world.pool.members) == len(world.tasks) == 3
         for i, (task, (task_id, delta)) in enumerate(zip(world.tasks, world.pool.members)):
-            tuned = train(
+            (tuned,) = train_stack(
                 world.model_spec, base,
-                sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i)),
-                TrainConfig(lr=config["pool.ft_lr"], epochs=config["pool.ft_epochs"],
-                            batch=config["pool.batch"], seed=derive_seed(seed, "ft-train", i)),
+                [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))],
+                [TrainConfig(lr=config["pool.ft_lr"], epochs=config["pool.ft_epochs"],
+                             batch=config["pool.batch"], seed=derive_seed(seed, "ft-train", i))],
+                [task.task_id],
             )
             assert task_id == task.task_id
             assert delta.values.tobytes() == axpy(tuned, -1.0, base).values.tobytes()
@@ -209,8 +244,8 @@ def test_every_scenario_runs_and_validates(scenario):
 
 
 def reference_validity(config, world):
-    """``validity-trial`` records as first written: per trial, ``mc_risk`` on
-    the whole population held as one ``sample_set``."""
+    """``validity-trial`` records as first written: per trial, the one-row
+    ``mc_risks`` on the whole population held as one ``sample_set``."""
     task = world.tasks[0]
     scheme = make_scheme("task_arith", world.pool.without(task.task_id))
     seed, k, variance = config["seed"], config["posterior.mc_samples"], config["posterior.variance"]
@@ -225,8 +260,8 @@ def reference_validity(config, world):
                          derive_seed(seed, "trial-fit", trial))
         mu = float(grid[int(np.argmin(risks))])
         q = GaussianSpec(np.array([mu]), variance)
-        true_risk = mc_risk(q, scheme, world.model_spec, population, k,
-                            derive_seed(seed, "trial-test", trial))
+        true_risk = float(mc_risks(q.mean[None], variance, scheme, world.model_spec,
+                                   population, k, derive_seed(seed, "trial-test", trial))[0])
         record = make_record(
             f"trial{trial}", scheme.kind, "validity", float(np.min(risks)),
             gaussian_kl(q, prior), n, delta=config["bound.delta"], test_error=true_risk,
@@ -398,6 +433,45 @@ class TestCli:
 
     def test_sweep_requires_sweep_kind(self, tmp_path):
         assert main(["sweep", "--scenario", "smoke", "--out", str(tmp_path)]) == 2
+
+    def test_config_file_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"scenario = smoke\nseed = \xff\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "cannot read config file" in err[0]
+
+    def test_record_not_utf8_exit_code(self, smoke_record, tmp_path, capsys):
+        _, record, _ = smoke_record
+        path = tmp_path / "record.json"
+        path.write_bytes(report_text(record, "json").encode().replace(b'"smoke"', b'"\xff"'))
+        assert main(["report", "--record", str(path), "--format", "csv",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
+
+    def test_record_with_a_non_mapping_certificate_exit_code(self, smoke_record, tmp_path,
+                                                              capsys):
+        _, record, _ = smoke_record
+        stored = record.to_dict()
+        stored["records"] = ["xy"]
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(stored))
+        assert main(["report", "--record", str(path), "--format", "csv",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
+
+    def test_pool_manifest_not_utf8_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 0
+        manifest = out / "pools" / make_config("smoke").pool_hash / "manifest.json"
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        capsys.readouterr()
+        assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format error: cannot read pool manifest")
 
     def test_seed_override_changes_hash(self, tmp_path):
         out = tmp_path / "out"

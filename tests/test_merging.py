@@ -8,7 +8,7 @@ from pacmerge import (
     StructureError,
     default_phi,
     make_scheme,
-    realize,
+    merged_values,
     ties_preprocess,
 )
 
@@ -23,6 +23,12 @@ def build_pool(base_values, deltas, offsets=None):
         for i, d in enumerate(deltas)
     )
     return ModelPool(base, members)
+
+
+def realize(scheme, phi):
+    """The merged model of one coefficient vector: a one-row ``merged_values``."""
+    return ParamVector(merged_values(scheme, np.asarray(phi)[None])[0],
+                       scheme.pool.base.layer_offsets)
 
 
 @pytest.fixture
@@ -61,7 +67,7 @@ class TestRealize:
     def test_dimension_mismatch(self, pool4):
         scheme = make_scheme("task_wise", pool4)
         with pytest.raises(StructureError):
-            realize(scheme, np.zeros(scheme.d_phi + 1))
+            merged_values(scheme, np.zeros((1, scheme.d_phi + 1)))
 
     def test_affine_in_phi(self, pool4):
         rng = np.random.default_rng(1)
@@ -97,41 +103,40 @@ class TestRealize:
 
 
 class TestTiesPreprocess:
+    """With a single member every kept entry elects its own sign, so the merged
+    vector is that member's trimmed row."""
+
     def test_single_member_full_trim(self):
         pool = build_pool([0.0, 0.0, 0.0], [[1.0, -2.0, 3.0]])
-        prep = ties_preprocess(pool, 1.0)
-        np.testing.assert_array_equal(prep.trimmed[0], [1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(prep.elected_sign, [1, -1, 1])
-        np.testing.assert_array_equal(prep.merged, [1.0, -2.0, 3.0])
+        merged = ties_preprocess(pool, 1.0)
+        assert merged.shape == (3,) and merged.dtype == np.float64
+        assert not merged.flags.writeable
+        np.testing.assert_array_equal(merged, [1.0, -2.0, 3.0])
 
     def test_trim_keeps_top_magnitudes(self):
         # sort oracle: keep ceil(0.5 * 4) = 2 entries, magnitudes {4, 3}
         pool = build_pool([0.0] * 4, [[4.0, -1.0, 3.0, 2.0]])
-        prep = ties_preprocess(pool, 0.5)
-        np.testing.assert_array_equal(prep.trimmed[0], [4.0, 0.0, 3.0, 0.0])
+        np.testing.assert_array_equal(ties_preprocess(pool, 0.5), [4.0, 0.0, 3.0, 0.0])
 
     def test_trim_tie_breaks_toward_lower_index(self):
         pool = build_pool([0.0] * 4, [[2.0, -2.0, 1.0, 3.0]])
-        prep = ties_preprocess(pool, 0.5)
         # |2| ties with |-2|; the lower index (0) wins alongside |3|
-        np.testing.assert_array_equal(prep.trimmed[0], [2.0, 0.0, 0.0, 3.0])
+        np.testing.assert_array_equal(ties_preprocess(pool, 0.5), [2.0, 0.0, 0.0, 3.0])
 
     def test_sign_flip_flips_elected_signs(self):
         # full trim keeps continuous values everywhere, so every coordinate
-        # sum is nonzero and the tie rule never engages
+        # sum is nonzero and the tie rule never engages: negating the deltas
+        # flips every elected sign, keeps every survivor, and negates the merge
         rng = np.random.default_rng(2)
         deltas = rng.standard_normal((3, 10))
         pool = build_pool(np.zeros(10), deltas)
         flipped = build_pool(np.zeros(10), -deltas)
-        a = ties_preprocess(pool, 1.0)
-        b = ties_preprocess(flipped, 1.0)
-        np.testing.assert_array_equal(a.elected_sign, -b.elected_sign)
+        np.testing.assert_array_equal(ties_preprocess(pool, 1.0), -ties_preprocess(flipped, 1.0))
 
     def test_idempotent_and_deterministic(self, pool4):
         a = ties_preprocess(pool4, 0.4)
         b = ties_preprocess(pool4, 0.4)
-        np.testing.assert_array_equal(a.merged, b.merged)
-        np.testing.assert_array_equal(a.trimmed, b.trimmed)
+        np.testing.assert_array_equal(a, b)
 
     def test_trim_fraction_validation(self, pool4):
         with pytest.raises(DomainError):

@@ -157,3 +157,10 @@ class TestPoolSerialization:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             pool_load(tmp_path / "nothing")
+
+    def test_manifest_not_utf8(self, tmp_path):
+        pool_save(two_member_pool(), tmp_path / "pool")
+        manifest_path = tmp_path / "pool" / "manifest.json"
+        manifest_path.write_bytes(b"\xff" + manifest_path.read_bytes())
+        with pytest.raises(FormatError, match="cannot read pool manifest"):
+            pool_load(tmp_path / "pool")

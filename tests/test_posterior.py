@@ -10,15 +10,13 @@ from pacmerge import (
     ParamVector,
     gen_tasks,
     init_params,
+    error_counts,
     make_scheme,
-    mc_risk,
     mc_risks,
     merged_values,
-    realize,
     sample_set,
-    train,
+    train_stack,
     StructureError,
-    zero_one_risk,
     TrainConfig,
 )
 from pacmerge.merging import KINDS
@@ -37,8 +35,19 @@ class TestSpecs:
 
 
 def draws_of(spec, seed, k):
-    """The k coefficient draws ``mc_risk`` scores for ``spec``."""
+    """The k coefficient draws ``mc_risks`` scores for ``spec``."""
     return spec.mean + np.sqrt(spec.variance) * posterior._noise(seed, k, spec.dim)
+
+
+def posterior_risk(q, scheme, model_spec, data, k, seed):
+    """The Monte-Carlo risk of one posterior: a one-row ``mc_risks`` call."""
+    return float(mc_risks(q.mean[None], q.variance, scheme, model_spec, data, k, seed)[0])
+
+
+def point_risk(scheme, model_spec, phi, data):
+    """0-1 risk of the merge at ``phi``: one row of ``merged_values``, scored
+    by one ``error_counts`` call."""
+    return error_counts(model_spec, merged_values(scheme, phi[None]), data)[0] / data.n
 
 
 class TestSample:
@@ -80,18 +89,19 @@ class TestSample:
     def test_k_validation(self, toy_world):
         scheme, spec, data = toy_world
         with pytest.raises(DomainError, match="k >= 1"):
-            mc_risk(GaussianSpec(np.full(3, 1 / 3), 1.0), scheme, spec, data, 0)
+            posterior_risk(GaussianSpec(np.full(3, 1 / 3), 1.0), scheme, spec, data, 0, seed=0)
 
 
 @pytest.fixture(scope="module")
 def toy_pool():
     task = gen_tasks(21, 3, 6, 3, 0.8)[0]
     spec = MlpSpec((6, 8, 3))
-    base = train(
+    (base,) = train_stack(
         spec,
         init_params(spec, 0),
-        sample_set(task, 150, 5),
-        TrainConfig(lr=0.1, epochs=15, batch=16, seed=2),
+        [sample_set(task, 150, 5)],
+        [TrainConfig(lr=0.1, epochs=15, batch=16, seed=2)],
+        ["base"],
     )
     rng = np.random.default_rng(1)
     offsets = spec.layer_offsets()
@@ -112,22 +122,22 @@ class TestMcRisk:
     def test_reproducible(self, toy_world):
         scheme, spec, data = toy_world
         q = GaussianSpec(np.full(3, 1 / 3), 0.05)
-        a = mc_risk(q, scheme, spec, data, 1, seed=5)
-        b = mc_risk(q, scheme, spec, data, 1, seed=5)
+        a = posterior_risk(q, scheme, spec, data, 1, seed=5)
+        b = posterior_risk(q, scheme, spec, data, 1, seed=5)
         assert a == b
 
     def test_tiny_variance_matches_point(self, toy_world):
         scheme, spec, data = toy_world
         phi = np.full(3, 1 / 3)
         near_point = GaussianSpec(phi, 1e-10)
-        direct = zero_one_risk(spec, realize(scheme, phi), data)
-        assert mc_risk(near_point, scheme, spec, data, 10, seed=3) == direct
+        direct = point_risk(scheme, spec, phi, data)
+        assert posterior_risk(near_point, scheme, spec, data, 10, seed=3) == direct
 
     def test_within_unit_interval(self, toy_world):
         scheme, spec, data = toy_world
         q = GaussianSpec(np.full(3, 1 / 3), 0.5)
         for seed in range(5):
-            value = mc_risk(q, scheme, spec, data, 5, seed=seed)
+            value = posterior_risk(q, scheme, spec, data, 5, seed=seed)
             assert 0.0 <= value <= 1.0
 
     def test_standard_error_scales_inverse_sqrt_k(self, toy_world):
@@ -138,7 +148,7 @@ class TestMcRisk:
         ks = [10, 40, 160]
         stds = []
         for k in ks:
-            values = [mc_risk(q, scheme, spec, data, k, seed=200 + r) for r in range(60)]
+            values = [posterior_risk(q, scheme, spec, data, k, seed=200 + r) for r in range(60)]
             stds.append(np.std(values))
         slope = np.polyfit(np.log(ks), np.log(stds), 1)[0]
         assert -0.65 < slope < -0.35
@@ -158,9 +168,9 @@ class TestBatchedKernel:
         data = sample_set(task, n, 4)
         q = GaussianSpec(np.full(scheme.d_phi, 1 / 3), 0.5)
         reference = float(np.mean(
-            [zero_one_risk(spec, realize(scheme, phi), data) for phi in draws_of(q, 17, k)]
+            [point_risk(scheme, spec, phi, data) for phi in draws_of(q, 17, k)]
         ))
-        assert mc_risk(q, scheme, spec, data, k, seed=17) == reference
+        assert posterior_risk(q, scheme, spec, data, k, seed=17) == reference
 
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 50), (_ROW_BUDGET + 1, 7)])
     def test_one_merge_per_estimate(self, toy_pool, monkeypatch, n, k):
@@ -174,7 +184,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(posterior, "merged_values", counting)
         q = GaussianSpec(np.full(3, 1 / 3), 0.5)
-        mc_risk(q, scheme, spec, sample_set(task, n, 4), k, seed=17)
+        posterior_risk(q, scheme, spec, sample_set(task, n, 4), k, seed=17)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -185,7 +195,7 @@ class TestBatchedKernel:
         merged = merged_values(scheme, phis)
         assert merged.dtype == np.float32 and merged.shape == (9, pool.base.size)
         for j, phi in enumerate(phis):
-            assert np.array_equal(merged[j], realize(scheme, phi).values)
+            assert np.array_equal(merged[j], merged_values(scheme, phi[None])[0])
 
     def test_merged_values_shape_checked(self, toy_pool):
         scheme = make_scheme("task_wise", toy_pool[0])
@@ -196,7 +206,7 @@ class TestBatchedKernel:
 
 
 class TestBatchedMeans:
-    """``mc_risks`` over m means against one ``mc_risk`` call per mean."""
+    """``mc_risks`` over m means against one one-row call per mean."""
 
     # below the row budget the m * k draws stack into blocks; above it each
     # draw takes row tiles; k = 150 sums each mean's risks past one
@@ -212,10 +222,10 @@ class TestBatchedMeans:
         risks = mc_risks(means, 0.2, scheme, spec, data, k, seed=23)
         assert risks.shape == (m,)
         for i in range(m):
-            assert risks[i] == mc_risk(GaussianSpec(means[i], 0.2), scheme, spec, data, k, seed=23)
+            assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=23)[0]
         for i in (0, m - 1):
             draws = draws_of(GaussianSpec(means[i], 0.2), 23, k)
-            reference = np.mean([zero_one_risk(spec, realize(scheme, phi), data) for phi in draws])
+            reference = np.mean([point_risk(scheme, spec, phi, data) for phi in draws])
             assert risks[i] == reference
 
     def test_one_merge_per_call(self, toy_world, monkeypatch):
@@ -254,7 +264,7 @@ class TestBatchedMeans:
         assert rows.shape == (20, spec.d_model) and rows.dtype == np.float32
         for i, mean in enumerate(means):
             for j, phi in enumerate(draws_of(GaussianSpec(mean, 0.2), 8, 5)):
-                assert np.array_equal(rows[i * 5 + j], realize(scheme, phi).values)
+                assert np.array_equal(rows[i * 5 + j], merged_values(scheme, phi[None])[0])
 
     def test_means_not_written(self, toy_world):
         scheme, spec, data = toy_world
@@ -268,9 +278,9 @@ class TestNonFinite:
         scheme, spec, data = toy_world
         phi = np.array([0.1, np.nan, 0.2])
         with pytest.raises(DomainError):
-            realize(scheme, phi)
+            merged_values(scheme, phi[None])
         with pytest.raises(DomainError):
-            mc_risk(GaussianSpec(phi, 0.1), scheme, spec, data, 3, seed=1)
+            posterior_risk(GaussianSpec(phi, 0.1), scheme, spec, data, 3, seed=1)
 
     def test_infinite_draws(self):
         # an infinite variance is refused when the spec is built
@@ -282,9 +292,9 @@ class TestNonFinite:
         scheme, spec, data = toy_world
         phi = np.full(3, 1e40)
         with pytest.raises(DomainError, match="32-bit"):
-            realize(scheme, phi)
+            merged_values(scheme, phi[None])
         with pytest.raises(DomainError, match="32-bit"):
-            mc_risk(GaussianSpec(phi, 1e-12), scheme, spec, data, 3, seed=1)
+            posterior_risk(GaussianSpec(phi, 1e-12), scheme, spec, data, 3, seed=1)
 
 
 class TestNoiseCache:
@@ -306,9 +316,9 @@ class TestNoiseCache:
 
         monkeypatch.setattr(posterior, "rng_for", counting)
         q = GaussianSpec(np.full(3, 1 / 3), 0.3)
-        first = mc_risk(q, scheme, spec, data, 5, seed=918273)
+        first = posterior_risk(q, scheme, spec, data, 5, seed=918273)
         assert len(calls) == 5
         moved = GaussianSpec(np.full(3, 0.2), 0.3)
-        mc_risk(moved, scheme, spec, data, 5, seed=918273)
-        assert mc_risk(q, scheme, spec, data, 5, seed=918273) == first
+        posterior_risk(moved, scheme, spec, data, 5, seed=918273)
+        assert posterior_risk(q, scheme, spec, data, 5, seed=918273) == first
         assert len(calls) == 5

@@ -12,14 +12,10 @@ from pacmerge import (
     TrainConfig,
     TrainingDiverged,
     error_counts,
-    forward,
     gen_tasks,
     init_params,
-    loss_and_grad,
     sample_set,
-    train,
     train_stack,
-    zero_one_risk,
 )
 import pacmerge.toyzoo as toyzoo
 from pacmerge.seeding import rng_for
@@ -41,17 +37,27 @@ def reference_scores(spec, flat, x):
 
 
 def reference_counts(spec, thetas, data):
-    """Float64 error counts: ``forward`` for float32 rows, and the out-of-place
-    float64 forward for rows that float32 cannot hold."""
+    """Float64 error counts of each row, scored by the out-of-place forward."""
     counts = []
     for row in thetas:
-        if row.dtype == np.float32:
-            theta = ParamVector(row, spec.layer_offsets())
-            predicted = np.argmax(forward(spec, theta, data.inputs), axis=1)
-        else:
-            predicted = np.argmax(reference_scores(spec, row, data.inputs), axis=1)
+        predicted = np.argmax(reference_scores(spec, row, data.inputs), axis=1)
         counts.append(np.count_nonzero(predicted != data.labels))
     return counts
+
+
+def scores(spec, theta, x):
+    """Float64 class scores of one ParamVector, as ``error_counts`` forms them."""
+    return toyzoo._scores(spec, theta.values[None].astype(np.float64), x)[0]
+
+
+def risk(spec, theta, data):
+    """0-1 risk of one ParamVector: its one-row ``error_counts`` over n."""
+    return error_counts(spec, theta.values[None], data)[0] / data.n
+
+
+def train(spec, init, data, hyper, name="model"):
+    """One model trained as a stack of one."""
+    return train_stack(spec, init, [data], [hyper], [name])[0]
 
 
 def reference_loss_and_grad(spec, flat, x, y):
@@ -236,8 +242,7 @@ class TestForward:
         spec = MlpSpec((4, 8, 3))
         theta = ParamVector(np.zeros(spec.d_model), spec.layer_offsets())
         x = np.ones((5, 4))
-        scores = forward(spec, theta, x)
-        np.testing.assert_array_equal(scores, np.zeros((5, 3)))
+        np.testing.assert_array_equal(scores(spec, theta, x), np.zeros((5, 3)))
         labels = np.array([0, 0, 1, 2, 0])
         assert error_counts(spec, theta.values[None], LabeledSet(x, labels)).tolist() == [2]
 
@@ -249,13 +254,13 @@ class TestForward:
         theta = ParamVector(np.concatenate([weights, bias]), spec.layer_offsets())
         x = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]])
         expected = x + bias  # hand matrix multiply with identity weights
-        np.testing.assert_allclose(forward(spec, theta, x), expected, atol=1e-6)
+        np.testing.assert_allclose(scores(spec, theta, x), expected, atol=1e-6)
 
     def test_class_permutation_equivariance(self):
         spec = MlpSpec((4, 6, 3))
         theta = init_params(spec, 5)
         x = np.random.default_rng(0).standard_normal((7, 4))
-        scores = forward(spec, theta, x)
+        original = scores(spec, theta, x)
 
         perm = np.array([2, 0, 1])
         flat = theta.values.astype(np.float64).copy()
@@ -267,7 +272,7 @@ class TestForward:
         flat[w2_start : w2_start + w2_len] = w2[:, perm].ravel()
         flat[b2_start : b2_start + b2_len] = b2[perm]
         permuted = ParamVector(flat, offs)
-        np.testing.assert_allclose(forward(spec, permuted, x), scores[:, perm], rtol=1e-5)
+        np.testing.assert_allclose(scores(spec, permuted, x), original[:, perm], rtol=1e-5)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
     def test_bits_of_out_of_place_reference(self, activation):
@@ -275,12 +280,16 @@ class TestForward:
         rng = np.random.default_rng(4)
         theta = ParamVector(rng.standard_normal(spec.d_model), spec.layer_offsets())
         x = rng.standard_normal((300, 6))
-        assert np.array_equal(forward(spec, theta, x), reference_scores(spec, theta.values, x))
+        assert np.array_equal(scores(spec, theta, x), reference_scores(spec, theta.values, x))
 
     def test_length_mismatch(self):
         spec = MlpSpec((4, 8, 3))
-        with pytest.raises(StructureError):
-            forward(spec, ParamVector(np.zeros(3), ((0, 3),)), np.ones((1, 4)))
+        short = ParamVector(np.zeros(3), ((0, 3),))
+        data = LabeledSet(np.ones((1, 4)), np.zeros(1, dtype=int))
+        with pytest.raises(StructureError, match="thetas has shape"):
+            error_counts(spec, short.values[None], data)
+        with pytest.raises(StructureError, match="init has 3 values"):
+            train(spec, short, data, TrainConfig())
 
 
 class TestBlockedKernel:
@@ -485,8 +494,6 @@ class TestFloat32Scoring:
         rows = np.random.default_rng(2).standard_normal((2, spec.d_model)).astype(np.float32)
         with pytest.raises(DomainError, match="not a class"):
             error_counts(spec, rows, data)
-        with pytest.raises(DomainError, match="not a class"):
-            zero_one_risk(spec, ParamVector(rows[0], spec.layer_offsets()), data)
         assert not tiers
 
     @pytest.mark.parametrize("seed", range(12))
@@ -562,14 +569,14 @@ class TestZeroOneRisk:
         task_set = LabeledSet(np.array([[1.0, 0.0]]), np.array([1]))
         theta = init_params(spec, 1)
         fitted = train(spec, theta, task_set, TrainConfig(lr=0.5, epochs=100, batch=1, seed=0))
-        assert zero_one_risk(spec, fitted, task_set) == 0.0
+        assert risk(spec, fitted, task_set) == 0.0
 
     def test_labels_equal_predictions(self):
         spec = MlpSpec((3, 5, 3))
         theta = init_params(spec, 2)
         x = np.random.default_rng(1).standard_normal((20, 3))
-        consistent = LabeledSet(x, np.argmax(forward(spec, theta, x), axis=1))
-        assert zero_one_risk(spec, theta, consistent) == 0.0
+        consistent = LabeledSet(x, np.argmax(scores(spec, theta, x), axis=1))
+        assert risk(spec, theta, consistent) == 0.0
 
     def test_hand_built_quarter(self):
         # identity-map classifier; scores = x, so argmax is the larger coord.
@@ -580,13 +587,14 @@ class TestZeroOneRisk:
         x = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 3.0]])
         labels = np.array([0, 1, 0, 0])  # last point misclassified by construction
         data = LabeledSet(x, labels)
-        assert zero_one_risk(spec, theta, data) == 0.25
+        assert risk(spec, theta, data) == 0.25
 
-    def test_empty_set_rejected(self):
+    def test_empty_set_counts_no_errors(self):
+        # a risk needs n > 0, which mc_risks checks; the counts are just zero
         spec = MlpSpec((2, 2))
-        theta = init_params(spec, 0)
-        with pytest.raises(DomainError):
-            zero_one_risk(spec, theta, LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+        thetas = np.stack([init_params(spec, seed).values for seed in range(3)])
+        empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        assert error_counts(spec, thetas, empty).tolist() == [0, 0, 0]
 
     def test_error_counts_rows_match_single_theta(self):
         spec = MlpSpec((6, 8, 4))
@@ -596,9 +604,9 @@ class TestZeroOneRisk:
         counts = error_counts(spec, np.stack([t.values for t in thetas]), data)
         assert counts.shape == (5,)
         for theta, count in zip(thetas, counts):
-            predicted = np.argmax(forward(spec, theta, data.inputs), axis=1)
+            predicted = np.argmax(scores(spec, theta, data.inputs), axis=1)
             assert count == np.count_nonzero(predicted != data.labels)
-            assert zero_one_risk(spec, theta, data) == count / data.n
+            assert risk(spec, theta, data) == count / data.n
 
     def test_error_counts_shape_checked(self):
         spec = MlpSpec((2, 2))
@@ -617,20 +625,19 @@ class TestZeroOneRisk:
         n = 4000
         data = sample_set(task, n, 11)
         shuffled = LabeledSet(data.inputs, rng.integers(0, 4, n))
-        risk = zero_one_risk(spec, theta, shuffled)
+        value = risk(spec, theta, shuffled)
         p = 1 - 1 / 4
-        assert abs(risk - p) < 3 * np.sqrt(p * (1 - p) / n)
+        assert abs(value - p) < 3 * np.sqrt(p * (1 - p) / n)
 
 
-def central_difference_grad(spec, theta, data, coords, h=1e-3):
-    flat = theta.values.astype(np.float64)
+def central_difference_grad(spec, flat, data, coords, h=1e-3):
     grads = {}
     for coord in coords:
         bumped = flat.copy()
         bumped[coord] += h
-        up, _ = loss_and_grad(spec, ParamVector(bumped, spec.layer_offsets()), data)
+        up, _ = reference_loss_and_grad(spec, bumped, data.inputs, data.labels)
         bumped[coord] -= 2 * h
-        down, _ = loss_and_grad(spec, ParamVector(bumped, spec.layer_offsets()), data)
+        down, _ = reference_loss_and_grad(spec, bumped, data.inputs, data.labels)
         grads[coord] = (up - down) / (2 * h)
     return grads
 
@@ -641,11 +648,11 @@ def test_gradient_matches_finite_differences(activation):
     spec = MlpSpec((5, 7, 3), activation=activation)
     task = gen_tasks(9, 2, 5, 3, 0.5)[0]
     data = sample_set(task, 40, 4)
-    theta = init_params(spec, 6)
-    _, grad = loss_and_grad(spec, theta, data)
+    flat = init_params(spec, 6).values.astype(np.float64)
+    _, grad = reference_loss_and_grad(spec, flat, data.inputs, data.labels)
     rng = np.random.default_rng(0)
     coords = rng.choice(spec.d_model, size=20, replace=False)
-    numeric = central_difference_grad(spec, theta, data, coords)
+    numeric = central_difference_grad(spec, flat, data, coords)
     for coord, num in numeric.items():
         denom = max(abs(num), 1e-6)
         assert abs(grad[coord] - num) / denom < 1e-4, (
@@ -678,7 +685,7 @@ class TestTrain:
         spec = MlpSpec((2, 4, 2))
         theta = init_params(spec, 1)
         fitted = train(spec, theta, data, TrainConfig(lr=0.2, epochs=200, batch=16, seed=0))
-        assert zero_one_risk(spec, fitted, data) == 0.0
+        assert risk(spec, fitted, data) == 0.0
 
     def test_hyper_validation(self):
         with pytest.raises(DomainError):
@@ -772,15 +779,6 @@ class TestTrainStack:
             _, expected = reference_loss_and_grad(spec, flat[m], data.inputs, data.labels)
             assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-    def test_loss_and_grad_equal_reference_bits(self, activation):
-        spec, init, (data,) = stack_of(1, activation=activation)
-        loss, grad = loss_and_grad(spec, init, data)
-        expected_loss, expected = reference_loss_and_grad(
-            spec, init.values.astype(np.float64), data.inputs, data.labels)
-        assert loss == expected_loss
-        assert grad.tobytes() == expected.tobytes()
-
     def test_zero_epochs_returns_init_for_every_model(self):
         spec, init, sets = stack_of(3)
         hypers = [TrainConfig(epochs=0, seed=i) for i in range(3)]
@@ -833,10 +831,6 @@ class TestInputChecks:
         with pytest.raises(StructureError, match="width 4"):
             train_stack(spec, init, [data, narrow], [TrainConfig(), TrainConfig()], NAMES[:2])
         with pytest.raises(StructureError, match="width 4"):
-            loss_and_grad(spec, init, narrow)
-        with pytest.raises(StructureError, match="width 4"):
-            forward(spec, init, narrow.inputs)
-        with pytest.raises(StructureError, match="width 4"):
             error_counts(spec, init.values[None], narrow)
 
     def test_labels_beyond_the_classes_rejected(self):
@@ -847,9 +841,6 @@ class TestInputChecks:
         with pytest.raises(DomainError, match="label 3 is not a class"):
             train(spec, init, beyond, TrainConfig())
         with pytest.raises(DomainError, match="label 3 is not a class"):
-            loss_and_grad(spec, init, beyond)
-
-    def test_loss_and_grad_rejects_an_empty_set(self):
-        spec, init, _ = stack_of(1)
-        with pytest.raises(DomainError, match="non-empty"):
-            loss_and_grad(spec, init, LabeledSet(np.zeros((0, 5)), np.zeros(0, dtype=int)))
+            train_stack(spec, init, [data, beyond], [TrainConfig(), TrainConfig()], NAMES[:2])
+        with pytest.raises(DomainError, match="label 3 is not a class"):
+            error_counts(spec, init.values[None], beyond)
