@@ -39,13 +39,7 @@ from .merging import (
     merged_values,
     ties_preprocess,
 )
-from .params import (
-    ModelPool,
-    ParamVector,
-    axpy,
-    pool_load,
-    pool_save,
-)
+from .params import ModelPool, pool_load, pool_save
 from .posterior import GaussianSpec, mc_risks
 from .toyzoo import (
     LabeledSet,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, FormatError, StructureError
 from .posterior import GaussianSpec
 
 _Q_MAX = 1.0 - 1e-12  # top of the search bracket; beyond this we report 1
@@ -64,7 +64,7 @@ def invert_kl(p: float, budget: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise DomainError(f"budget {budget} must be >= 0")
     if budget == 0.0 or p >= _Q_MAX:
         return min(p, 1.0) if budget == 0.0 else 1.0
@@ -92,7 +92,7 @@ class BoundBudget:
     delta: float
 
     def __post_init__(self):
-        if self.kl_qp < 0:
+        if not self.kl_qp >= 0:
             raise DomainError(f"KL must be >= 0, got {self.kl_qp}")
         if self.n < 2:
             raise DomainError(f"need n >= 2, got {self.n}")
@@ -176,7 +176,8 @@ class CertificateRecord:
 
         A stored ``pb_bound`` below the recomputed one would certify less risk
         than the budget allows, so it fails by any amount; above it, 1e-9 is
-        tolerated.
+        tolerated.  An infinite KL stores an infinite ``upper_bound``, which
+        matches its recomputation by equality; a NaN anywhere fails.
         """
         report = seeger_certificate(self.train_error, self.kl_qp, self.n, self.delta)
         if not report.pb_bound <= self.pb_bound <= report.pb_bound + 1e-9:
@@ -184,7 +185,8 @@ class CertificateRecord:
                 f"stored pb_bound {self.pb_bound} is below recomputed {report.pb_bound} "
                 f"or more than 1e-9 above it"
             )
-        if abs(report.upper_bound - self.upper_bound) > 1e-9:
+        upper = report.upper_bound
+        if not (upper == self.upper_bound or abs(upper - self.upper_bound) <= 1e-9):
             raise AssertionError(
                 f"stored upper_bound {self.upper_bound} != recomputed {report.upper_bound}"
             )
@@ -212,7 +214,13 @@ class CertificateRecord:
     def from_dict(cls, data: dict) -> "CertificateRecord":
         data = dict(data)
         data.pop("certified_gap", None)
-        return cls(**data)
+        record = cls(**data)
+        for name in ("task_id", "scheme", "objective"):
+            if not isinstance(getattr(record, name), str):
+                raise FormatError(f"{name} must be a string, got {getattr(record, name)!r}")
+        if not (record.test_error is None or type(record.test_error) in (int, float)):
+            raise FormatError(f"test_error must be null or a number, got {record.test_error!r}")
+        return record
 
 
 def make_record(task_id: str, scheme: str, objective: str, train_error: float,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,7 @@ from .certify import (CertifyConfig, DdpConfig, certify, certify_ddp, certify_di
 from .cma import CmaConfig
 from .errors import ConfigError, FormatError
 from .merging import KINDS, make_scheme, merged_values
-from .params import ModelPool, axpy, pool_load, pool_save
+from .params import ModelPool, pool_load, pool_save
 from .posterior import GaussianSpec, mc_risks, posterior_rows
 from .seeding import derive_seed
 from .toyzoo import (
@@ -363,8 +364,10 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         ],
         [task.task_id for task in tasks],
     )
-    members = [(task.task_id, axpy(model, -1.0, base)) for task, model in zip(tasks, tuned)]
-    pool = ModelPool(base, tuple(members))
+    # one rounding of the float64 difference; an overflow fails the pool's finite check
+    with np.errstate(over="ignore"):
+        deltas = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+    pool = ModelPool(base, deltas, [task.task_id for task in tasks], spec.layer_offsets())
     if pool_path is not None:
         pool_save(pool, pool_path)
     return World(tasks, pool, spec)
@@ -427,9 +430,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
+        config_hash = data["config_hash"]
+        if not (isinstance(config_hash, str) and re.fullmatch("[0-9a-f]{16}", config_hash)):
+            raise FormatError(f"config_hash must be 16 lowercase hex digits, got {config_hash!r}")
         return cls(
             config=data["config"],
-            config_hash=data["config_hash"],
+            config_hash=config_hash,
             version=data["version"],
             wall_time_s=data["wall_time_s"],
             records=[CertificateRecord.from_dict(r) for r in data["records"]],

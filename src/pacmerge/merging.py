@@ -34,7 +34,7 @@ def ties_preprocess(pool: ModelPool, trim_fraction: float) -> np.ndarray:
     """
     if not 0.0 < trim_fraction <= 1.0:
         raise DomainError(f"trim_fraction {trim_fraction} outside (0, 1]")
-    deltas = pool.deltas_matrix().astype(np.float64)
+    deltas = pool.deltas.astype(np.float64)
     m, p = deltas.shape
     keep = math.ceil(trim_fraction * p)
     trimmed = np.zeros_like(deltas)
@@ -68,7 +68,7 @@ class MergeScheme:
             raise DomainError(f"unknown merge kind {self.kind!r}")
         if self.kind == "ties":
             object.__setattr__(self, "ties", ties_preprocess(self.pool, self.trim_fraction))
-        object.__setattr__(self, "_deltas", self.pool.deltas_matrix().astype(np.float64))
+        object.__setattr__(self, "_deltas", self.pool.deltas.astype(np.float64))
 
     @property
     def d_phi(self) -> int:
@@ -76,7 +76,7 @@ class MergeScheme:
             return 1
         if self.kind == "task_wise":
             return self.pool.M
-        return self.pool.M * self.pool.base.layer_count
+        return self.pool.M * len(self.pool.layer_offsets)
 
 
 def make_scheme(kind: str, pool: ModelPool, trim_fraction: float = 0.2) -> MergeScheme:
@@ -108,8 +108,8 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
         raise StructureError(
             f"phis has shape {phis.shape}, scheme needs (k, {scheme.d_phi})"
         )
-    base = scheme.pool.base
-    out = base.values.astype(np.float64)
+    pool = scheme.pool
+    out = pool.base.astype(np.float64)
     deltas = scheme._deltas
     if scheme.kind == "task_arith":
         out = out + phis[:, :1] * deltas.mean(axis=0)
@@ -118,9 +118,9 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
     elif scheme.kind == "task_wise":
         out = out + (phis[:, None, :] @ deltas)[:, 0]
     else:  # layer_wise
-        coeff = phis.reshape(len(phis), scheme.pool.M, base.layer_count)
+        coeff = phis.reshape(len(phis), pool.M, len(pool.layer_offsets))
         out = np.tile(out, (len(phis), 1))
-        for layer, (start, length) in enumerate(base.layer_offsets):
+        for layer, (start, length) in enumerate(pool.layer_offsets):
             block = slice(start, start + length)
             out[:, block] += (coeff[:, None, :, layer] @ deltas[:, block])[:, 0]
     if not np.all(np.isfinite(out)):

@@ -1,9 +1,11 @@
-"""Flat parameter vectors, layer views, and the source-model pool.
+"""The source-model pool and its file format.
 
-All merging arithmetic lives in this space.  Values are stored as 32-bit
-floats (matching typical fine-tuned checkpoint precision); arithmetic
-accumulates in 64-bit and rounds back, so sums stay stable.  Vectors are
-immutable after construction and safe to share across threads.
+A pool is a base parameter row of P values and the (M, P) matrix of its
+members' task vectors (fine-tuned parameters minus the base), the one
+matrix that every merge scheme weights.  Both are float32 (matching typical
+fine-tuned checkpoint precision) and read-only, so a pool is safe to share.
+``layer_offsets`` cuts the P columns into the blocks that layer-wise merging
+gives one coefficient per member each.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -20,133 +23,72 @@ from .errors import DomainError, FormatError, StructureError
 _U64 = struct.Struct("<Q")
 
 
-def _frozen_f32(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float32, copy=True).reshape(-1)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class ParamVector:
-    """A flat float32 parameter vector partitioned into layer blocks.
+class ModelPool:
+    """A base row (P,) plus one task-vector row per member, ``deltas`` (M, P).
 
     ``layer_offsets`` is a sequence of (start, length) pairs that must tile
-    ``[0, len(values))`` exactly, in order, with no gaps or overlaps.  Even
+    ``[0, P)`` exactly, in order, with no gaps or overlaps.  Even
     single-layer toy models carry one block spanning everything, so layer-wise
-    merging has a uniform code path.
+    merging has a uniform code path.  Row i of ``deltas`` belongs to
+    ``task_ids[i]``; ids are unique and there is at least one member.
     """
 
-    values: np.ndarray
+    base: np.ndarray
+    deltas: np.ndarray
+    task_ids: tuple[str, ...]
     layer_offsets: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arr = _frozen_f32(self.values)
-        object.__setattr__(self, "values", arr)
+        base, deltas = np.array(self.base, np.float32), np.array(self.deltas, np.float32)
+        base.flags.writeable = deltas.flags.writeable = False
+        ids = tuple(str(tid) for tid in self.task_ids)
         offsets = tuple((int(s), int(l)) for s, l in self.layer_offsets)
-        object.__setattr__(self, "layer_offsets", offsets)
+        for name, value in (("base", base), ("deltas", deltas), ("task_ids", ids),
+                            ("layer_offsets", offsets)):
+            object.__setattr__(self, name, value)
+        if base.ndim != 1:
+            raise StructureError(f"base must be one row, got shape {base.shape}")
         cursor = 0
         for start, length in offsets:
             if start != cursor or length <= 0:
                 raise StructureError(
-                    f"layer offsets must tile [0, {arr.size}) in order; "
+                    f"layer offsets must tile [0, {base.size}) in order; "
                     f"got block ({start}, {length}) at position {cursor}"
                 )
             cursor += length
-        if cursor != arr.size:
-            raise StructureError(
-                f"layer offsets cover {cursor} values, vector has {arr.size}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("parameter vector contains NaN/Inf")
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layer_offsets)
-
-    def layer(self, index: int) -> np.ndarray:
-        """Read-only view of one layer block."""
-        if not 0 <= index < self.layer_count:
-            raise IndexError(f"layer {index} out of range [0, {self.layer_count})")
-        start, length = self.layer_offsets[index]
-        return self.values[start : start + length]
-
-    def same_structure(self, other: "ParamVector") -> bool:
-        return self.layer_offsets == other.layer_offsets
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        return (
-            self.layer_offsets == other.layer_offsets
-            and np.array_equal(self.values, other.values)
-        )
-
-
-def axpy(dst: ParamVector, scale: float, src: ParamVector) -> ParamVector:
-    """``dst + scale * src`` element-wise, preserving layer structure."""
-    if not dst.same_structure(src) or dst.size != src.size:
-        raise StructureError(
-            f"structure mismatch: {dst.layer_offsets} vs {src.layer_offsets}"
-        )
-    out = dst.values.astype(np.float64) + float(scale) * src.values.astype(np.float64)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("operation produced NaN/Inf")
-    with np.errstate(over="ignore"):
-        out32 = out.astype(np.float32)
-    if not np.all(np.isfinite(out32)):
-        raise DomainError("operation overflowed the 32-bit float range")
-    return ParamVector(out32, dst.layer_offsets)
-
-
-@dataclass(frozen=True, eq=False)
-class ModelPool:
-    """A base model plus per-task task vectors, all structurally identical.
-
-    Each member's task vector is its fine-tuned parameters minus ``base``.
-    """
-
-    base: ParamVector
-    members: tuple[tuple[str, ParamVector], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        members = tuple((str(tid), delta) for tid, delta in self.members)
-        object.__setattr__(self, "members", members)
-        if len(members) < 1:
+        if cursor != base.size:
+            raise StructureError(f"layer offsets cover {cursor} values, base has {base.size}")
+        if not ids:
             raise StructureError("pool needs at least one member")
-        ids = [tid for tid, _ in members]
         if len(set(ids)) != len(ids):
-            raise StructureError(f"duplicate task ids in pool: {ids}")
-        for tid, delta in members:
-            if not delta.same_structure(self.base):
-                raise StructureError(f"member {tid!r} does not share base layer structure")
+            raise StructureError(f"duplicate task ids in pool: {list(ids)}")
+        if deltas.shape != (len(ids), base.size):
+            raise StructureError(
+                f"deltas have shape {deltas.shape}, pool needs ({len(ids)}, {base.size})")
+        if not (np.isfinite(base).all() and np.isfinite(deltas).all()):
+            raise DomainError("pool parameters contain NaN/Inf")
 
     @property
     def M(self) -> int:
-        return len(self.members)
-
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(tid for tid, _ in self.members)
+        return len(self.task_ids)
 
     def without(self, task_id: str) -> "ModelPool":
         """Hold-one-out view: the pool minus the named member."""
-        kept = tuple((tid, delta) for tid, delta in self.members if tid != task_id)
-        if len(kept) == len(self.members):
+        if task_id not in self.task_ids:
             raise KeyError(f"no member {task_id!r} in pool")
-        return ModelPool(self.base, kept)
-
-    def deltas_matrix(self) -> np.ndarray:
-        """Stacked float32 deltas, one row per member (M, P)."""
-        return np.stack([delta.values for _, delta in self.members])
+        kept = [i for i, tid in enumerate(self.task_ids) if tid != task_id]
+        return ModelPool(self.base, self.deltas[kept],
+                         [self.task_ids[i] for i in kept], self.layer_offsets)
 
     def __eq__(self, other):
         if not isinstance(other, ModelPool):
             return NotImplemented
-        return self.base == other.base and self.members == other.members
+        return (
+            (self.task_ids, self.layer_offsets) == (other.task_ids, other.layer_offsets)
+            and np.array_equal(self.base, other.base)
+            and np.array_equal(self.deltas, other.deltas)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +102,18 @@ MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.bin"
 
 
-def _block_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
 def _checksum(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
 def pool_save(pool: ModelPool, path) -> None:
-    from pathlib import Path
-
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    blocks = [pool.base.values] + [delta.values for _, delta in pool.members]
-    raws = [_block_bytes(b) for b in blocks]
+    blocks = [pool.base, *pool.deltas]
+    raws = [np.asarray(block, dtype="<f4").tobytes() for block in blocks]
     manifest = {
         "base_len": pool.base.size,
-        "layer_offsets": [list(pair) for pair in pool.base.layer_offsets],
+        "layer_offsets": [list(pair) for pair in pool.layer_offsets],
         "M": pool.M,
         "task_ids": list(pool.task_ids),
         "dtype": "f32le",
@@ -193,8 +129,6 @@ def pool_save(pool: ModelPool, path) -> None:
 
 
 def pool_load(path) -> ModelPool:
-    from pathlib import Path
-
     directory = Path(path)
     try:
         with open(directory / MANIFEST_NAME, "r", encoding="utf-8") as fh:
@@ -231,8 +165,7 @@ def pool_load(path) -> ModelPool:
         cursor += _U64.size
         if count != base_len:
             raise FormatError(
-                f"block {index} declares {count} elements, manifest base_len={base_len}"
-            )
+                f"block {index} declares {count} elements, manifest base_len={base_len}")
         nbytes = count * 4
         if cursor + nbytes > len(payload):
             raise FormatError(f"payload truncated inside block {index}")
@@ -240,16 +173,12 @@ def pool_load(path) -> ModelPool:
         cursor += nbytes
         if _checksum(raw) != checksums[index]:
             raise FormatError(f"checksum mismatch on block {index}")
-        blocks.append(np.frombuffer(raw, dtype="<f4").astype(np.float32))
+        blocks.append(np.frombuffer(raw, dtype="<f4"))
     if cursor != len(payload):
         raise FormatError(f"{len(payload) - cursor} trailing bytes after last block")
 
     try:
-        base = ParamVector(blocks[0], offsets)
-        members = tuple(
-            (tid, ParamVector(block, offsets))
-            for tid, block in zip(task_ids, blocks[1:])
-        )
-        return ModelPool(base, members)
+        deltas = np.array(blocks[1:], dtype=np.float32).reshape(m, base_len)
+        return ModelPool(blocks[0], deltas, task_ids, offsets)
     except (StructureError, DomainError) as exc:
         raise FormatError(f"pool contents invalid: {exc}") from exc

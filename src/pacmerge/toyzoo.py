@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError, TrainingDiverged
-from .params import ParamVector
 from .seeding import rng_for
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -238,14 +237,14 @@ def sample_set(task: SyntheticTask, n: int, seed: int) -> LabeledSet:
 # ---------------------------------------------------------------------------
 
 
-def init_params(spec: MlpSpec, seed: int) -> ParamVector:
-    """Gaussian fan-in-scaled weights, zero biases."""
+def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
+    """Gaussian fan-in-scaled weights, zero biases: the float32 (d_model,) row."""
     rng = rng_for(seed, "init")
     chunks = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         chunks.append(rng.standard_normal(fan_in * fan_out) / np.sqrt(fan_in))
         chunks.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(chunks), spec.layer_offsets())
+    return np.concatenate(chunks).astype(np.float32)
 
 
 def _unpack(spec: MlpSpec, flat: np.ndarray):
@@ -628,10 +627,12 @@ class TrainConfig:
             raise DomainError("batch must be >= 1")
 
 
-def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[ParamVector]:
+def train_stack(spec: MlpSpec, init, sets, hypers, names) -> np.ndarray:
     """Mini-batch SGD on softmax cross-entropy of M copies of ``init`` at
     once: model i trains on ``sets[i]`` under ``hypers[i]`` and errors call
-    it ``names[i]``; deterministic in each seed.
+    it ``names[i]``; deterministic in each seed.  ``init`` is a (d_model,)
+    row, rounded to float32 first; returns the float32 (M, d_model) rows of
+    the trained models, each rounded from its float64 parameters.
 
     Each model draws its own permutation per epoch from
     ``rng_for(hypers[i].seed, "train")`` and its batches from its own set.
@@ -639,15 +640,20 @@ def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[P
     stack of 2-D products, and each step updates every layer's weight and
     bias views of the (M, d_model) float64 parameters in place, so model i
     ends with the bits of training it alone.  The sets must have one size
-    and the configs may differ only in seed (``StructureError``).
+    and the configs may differ only in seed (``StructureError``); an empty
+    set or a non-finite ``init`` raises ``DomainError``.
 
     epochs=0 returns ``init`` for every model.  A model whose loss goes
     non-finite, or whose parameters leave the float32 range, raises
     ``TrainingDiverged`` naming it and the epoch; numpy's overflow warnings
     are silenced while it trains.
     """
-    if init.size != spec.d_model:
-        raise StructureError(f"init has {init.size} values, spec needs {spec.d_model}")
+    with np.errstate(over="ignore"):
+        init = np.asarray(init, dtype=np.float32)
+    if init.shape != (spec.d_model,):
+        raise StructureError(f"init has shape {init.shape}, spec needs ({spec.d_model},)")
+    if not np.isfinite(init).all():
+        raise DomainError("init contains NaN/Inf")
     count = len(sets)
     if not 0 < count == len(hypers) == len(names):
         raise StructureError(f"need one set, config and name per model, got {count}, "
@@ -657,14 +663,16 @@ def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[P
     hyper = hypers[0]
     if any((h.lr, h.epochs, h.batch) != (hyper.lr, hyper.epochs, hyper.batch) for h in hypers):
         raise StructureError("stacked training configs may differ only in seed")
-    for data in sets:
+    for data, name in zip(sets, names):
         _check_data(spec, data)
+        if data.n == 0:
+            raise DomainError(f"{name}: empty training set")
     if hyper.epochs == 0:
-        return [init] * count
+        return np.repeat(init[None], count, axis=0)
     rngs = [rng_for(h.seed, "train") for h in hypers]
     x = np.stack([data.inputs for data in sets])
     onehot = np.stack([np.eye(spec.widths[-1])[data.labels] for data in sets])
-    flat = np.repeat(init.values[None].astype(np.float64), count, axis=0)
+    flat = np.repeat(init[None].astype(np.float64), count, axis=0)
     layers = _layers(spec, flat)
     models = np.arange(count)[:, None]
     n = sets[0].n
@@ -689,5 +697,5 @@ def train_stack(spec: MlpSpec, init: ParamVector, sets, hypers, names) -> list[P
                 i = int(np.argmin(inside))
                 raise TrainingDiverged(
                     f"{names[i]}, epoch {epoch}: parameters left the float32 range")
-    return [ParamVector(row, spec.layer_offsets()) for row in flat]
+    return flat.astype(np.float32)
 

@@ -9,6 +9,7 @@ from pacmerge import (
     BoundBudget,
     CertificateRecord,
     DomainError,
+    FormatError,
     GaussianSpec,
     StructureError,
     bernoulli_kl,
@@ -75,6 +76,14 @@ class TestBernoulliKl:
 class TestInvertKl:
     def test_zero_budget_returns_p(self):
         assert invert_kl(0.3, 0.0) == 0.3
+
+    @pytest.mark.parametrize("budget", [-1e-300, math.nan])
+    def test_negative_or_nan_budget_rejected(self, budget):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            invert_kl(0.1, budget)
+
+    def test_infinite_budget_returns_one(self):
+        assert invert_kl(0.1, math.inf) == 1.0
 
     def test_p_zero_closed_form(self):
         # kl(0||C) = -ln(1-C), so C = 1 - e^{-B}
@@ -185,6 +194,18 @@ class TestBoundBudget:
             BoundBudget(0.0, 1, 0.05)
         with pytest.raises(DomainError):
             BoundBudget(0.0, 100, 1.0)
+
+    def test_nan_kl_rejected(self):
+        with pytest.raises(DomainError, match="KL must be >= 0"):
+            BoundBudget(math.nan, 100, 0.05)
+        with pytest.raises(DomainError, match="KL must be >= 0"):
+            make_record("t", "s", "o", 0.1, math.nan, 10, 0.05)
+
+    def test_infinite_kl_is_vacuous(self):
+        record = make_record("t", "s", "o", 0.1, math.inf, 10, 0.05)
+        assert (record.pb_bound, record.upper_bound, record.vacuous) == (1.0, math.inf, True)
+        record.validate()
+        CertificateRecord.from_dict(record.to_dict()).validate()
 
     def test_floor(self):
         budget = BoundBudget(0.0, 100, 0.05)
@@ -307,3 +328,35 @@ class TestCertificateRecord:
         record = make_record("t", "s", "o", 0.3, 2.0, 100, 0.05)
         record.pb_bound += 5e-10
         record.validate()
+
+    def test_validate_rejects_a_nan_kl(self):
+        record = make_record("t", "s", "o", 0.1, 0.5, 10, 0.05)
+        record.kl_qp = math.nan
+        with pytest.raises(DomainError, match="KL must be >= 0"):
+            record.validate()
+
+    @pytest.mark.parametrize("upper_bound", [math.nan, math.inf])
+    def test_validate_rejects_a_wrong_non_finite_upper_bound(self, upper_bound):
+        record = make_record("t", "s", "o", 0.1, 0.5, 10, 0.05)
+        record.upper_bound = upper_bound
+        with pytest.raises(AssertionError, match="upper_bound"):
+            record.validate()
+
+    def test_validate_rejects_a_finite_upper_bound_for_an_infinite_kl(self):
+        record = make_record("t", "s", "o", 0.1, math.inf, 10, 0.05)
+        record.upper_bound = 1e300
+        with pytest.raises(AssertionError, match="upper_bound"):
+            record.validate()
+
+    @pytest.mark.parametrize("edit", [
+        {"task_id": 7}, {"scheme": None}, {"objective": ["o"]}, {"test_error": "0.1"},
+        {"test_error": False}])
+    def test_from_dict_rejects_malformed_fields(self, edit):
+        data = dict(self.make().to_dict(), **edit)
+        with pytest.raises(FormatError, match=f"^{next(iter(edit))} must be"):
+            CertificateRecord.from_dict(data)
+
+    @pytest.mark.parametrize("test_error", [None, 0, 0.25])
+    def test_from_dict_accepts_null_or_real_test_error(self, test_error):
+        data = dict(self.make().to_dict(), test_error=test_error)
+        assert CertificateRecord.from_dict(data).test_error == test_error

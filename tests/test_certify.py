@@ -11,10 +11,8 @@ from pacmerge import (
     GaussianSpec,
     MlpSpec,
     ModelPool,
-    ParamVector,
     StructureError,
     TrainConfig,
-    axpy,
     certify,
     certify_ddp,
     certify_discrete,
@@ -61,8 +59,8 @@ def world():
         [TrainConfig(lr=0.04, epochs=10, batch=16, seed=10 + i) for i in range(len(tasks))],
         [task.task_id for task in tasks],
     )
-    members = [(task.task_id, axpy(model, -1.0, base)) for task, model in zip(tasks, tuned)]
-    pool = ModelPool(base, tuple(members))
+    deltas = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+    pool = ModelPool(base, deltas, [task.task_id for task in tasks], spec.layer_offsets())
     support = sample_set(tasks[0], 100, 7)
     query = sample_set(tasks[0], 400, 8)
     return tasks, pool, spec, support, query
@@ -292,7 +290,7 @@ class TestDiscrete:
     def test_grid_scored_in_one_call_equals_per_point(self, world, grid_size):
         _, pool, spec, support, query = world
         # the target's own fine-tune alone, whose best grid point is not the first
-        pool = ModelPool(pool.base, pool.members[:1])
+        pool = ModelPool(pool.base, pool.deltas[:1], pool.task_ids[:1], pool.layer_offsets)
         scheme = make_scheme("task_arith", pool)
         grid = np.linspace(0.0, 1.0, grid_size)
         per_point = [point_risk(scheme, spec, [g], support) for g in grid]
@@ -307,9 +305,8 @@ class TestDiscrete:
 
     def test_tie_breaks_to_smaller_phi(self, world):
         _, pool, spec, support, _ = world
-        offsets = pool.base.layer_offsets
-        zero = ParamVector(np.zeros(pool.base.size), offsets)
-        flat_pool = ModelPool(pool.base, (("z", zero),))
+        flat_pool = ModelPool(pool.base, np.zeros((1, pool.base.size)), ["z"],
+                              pool.layer_offsets)
         record = certify_discrete(flat_pool, 5, support, spec, quick_config())
         assert record.provenance["phi_star"] == 0.0
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pacmerge import (BoundBudget, ConfigError, FormatError, TrainConfig, TrainingDiverged,
-                      axpy, bernoulli_kl, sample_set, train_stack)
+                      bernoulli_kl, pool_save, sample_set, train_stack)
 from pacmerge.cli import main
 from pacmerge.harness import (
     SCENARIOS,
@@ -194,13 +194,31 @@ def test_pinned_csv_reports():
     assert digests == [digest for _, _, digest in PINNED_CSV]
 
 
+# scenario -> sha256 of the pool's payload.bin and manifest.json at its defaults
+PINNED_POOL = {
+    "smoke": ("93f5e03ff6a8fde99a3ea7bed0147004e48875d89dac2718d1bc52d84b6e7086",
+              "cb146a0a255f9d863ecf5241210e8cb6fcb399f796547f5f9a19fe148d0ef7fb"),
+    "validity-trial": ("3804c4bb76baf0e012cab37eafca07f32c2f3d021e1ebd830023880178f8474f",
+                       "c081d8140dcefc4763cf162893ca77e95b6f15d851e5aa06745ed443f6d1ee43"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_POOL))
+def test_pinned_pool_bytes(scenario, tmp_path):
+    pool_save(build_world(make_config(scenario)).pool, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("payload.bin", "manifest.json"))
+    assert digests == PINNED_POOL[scenario]
+
+
 class TestBuildWorld:
     def test_pool_equals_members_fine_tuned_one_at_a_time(self):
         config = make_config("smoke", TINY)
         world = build_world(config)
         seed, base = config["seed"], world.pool.base
-        assert len(world.pool.members) == len(world.tasks) == 3
-        for i, (task, (task_id, delta)) in enumerate(zip(world.tasks, world.pool.members)):
+        assert world.pool.M == len(world.tasks) == 3
+        members = zip(world.pool.task_ids, world.pool.deltas)
+        for i, (task, (task_id, delta)) in enumerate(zip(world.tasks, members)):
             (tuned,) = train_stack(
                 world.model_spec, base,
                 [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))],
@@ -209,7 +227,8 @@ class TestBuildWorld:
                 [task.task_id],
             )
             assert task_id == task.task_id
-            assert delta.values.tobytes() == axpy(tuned, -1.0, base).values.tobytes()
+            difference = tuned.astype(np.float64) - base.astype(np.float64)
+            assert delta.tobytes() == difference.astype(np.float32).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_base_raises_only_training_diverged(self, tmp_path):
@@ -378,7 +397,10 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == f"violations: {violations}/3 (delta 0.05)"
 
-    @pytest.mark.parametrize("field,value", [("pb_bound", 0.01), ("train_error", -0.5)])
+    @pytest.mark.parametrize("field,value", [
+        ("pb_bound", 0.01), ("train_error", -0.5), ("upper_bound", math.nan), ("task_id", 7),
+        ("scheme", None), ("objective", ["train_risk"]), ("test_error", "0.1"),
+        ("test_error", True)])
     def test_report_rejects_a_record_that_does_not_validate(
             self, smoke_record, tmp_path, capsys, field, value):
         _, record, _ = smoke_record
@@ -390,8 +412,49 @@ class TestCli:
             load_record(path)
         out = tmp_path / "out"
         assert main(["report", "--record", str(path), "--format", "csv", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("format error: cannot load run record")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
         assert not list(out.glob("report-*"))
+
+    def test_report_rejects_a_nan_kl(self, smoke_record, tmp_path, capsys):
+        # NaN compares false, so an unchecked NaN KL certifies the train error
+        _, record, _ = smoke_record
+        stored = record.to_dict()
+        first = stored["records"][0]
+        first.update(kl_qp=math.nan, pb_bound=first["train_error"], vacuous=False)
+        path = tmp_path / "nan-kl.json"
+        path.write_text(json.dumps(stored))
+        assert main(["report", "--record", str(path), "--format", "csv",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
+        assert "KL must be >= 0" in err[0]
+
+    @pytest.mark.parametrize("config_hash", ["ab/cd", "ABCDEF0123456789", "0123", 12])
+    def test_report_rejects_a_malformed_config_hash(
+            self, smoke_record, tmp_path, capsys, config_hash):
+        _, record, _ = smoke_record
+        stored = dict(record.to_dict(), config_hash=config_hash)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(stored))
+        assert main(["report", "--record", str(path), "--format", "csv",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
+
+    def test_report_accepts_an_infinite_kl(self, smoke_record, tmp_path, capsys):
+        _, record, _ = smoke_record
+        stored = record.to_dict()
+        first = stored["records"][0]
+        infinite = make_record(first["task_id"], first["scheme"], first["objective"],
+                               first["train_error"], math.inf, first["n"], first["delta"])
+        stored["records"][0] = infinite.to_dict()
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(stored))
+        assert main(["report", "--record", str(path), "--format", "csv",
+                     "--out", str(tmp_path)]) == 0
+        loaded = load_record(path).records[0]
+        assert (loaded.pb_bound, loaded.upper_bound, loaded.vacuous) == (1.0, math.inf, True)
 
     def test_gen_pool(self, tmp_path, capsys):
         out = tmp_path / "out"

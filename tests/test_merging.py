@@ -4,7 +4,6 @@ import pytest
 from pacmerge import (
     DomainError,
     ModelPool,
-    ParamVector,
     StructureError,
     default_phi,
     make_scheme,
@@ -17,18 +16,13 @@ def build_pool(base_values, deltas, offsets=None):
     base_values = np.asarray(base_values, dtype=np.float32)
     if offsets is None:
         offsets = ((0, base_values.size),)
-    base = ParamVector(base_values, offsets)
-    members = tuple(
-        (f"t{i}", ParamVector(np.asarray(d, dtype=np.float32), offsets))
-        for i, d in enumerate(deltas)
-    )
-    return ModelPool(base, members)
+    deltas = np.asarray(deltas, dtype=np.float32)
+    return ModelPool(base_values, deltas, [f"t{i}" for i in range(len(deltas))], offsets)
 
 
 def realize(scheme, phi):
     """The merged model of one coefficient vector: a one-row ``merged_values``."""
-    return ParamVector(merged_values(scheme, np.asarray(phi)[None])[0],
-                       scheme.pool.base.layer_offsets)
+    return merged_values(scheme, np.asarray(phi)[None])[0]
 
 
 @pytest.fixture
@@ -45,7 +39,7 @@ class TestRealize:
     def test_zero_phi_returns_base(self, pool4, kind):
         scheme = make_scheme(kind, pool4)
         out = realize(scheme, np.zeros(scheme.d_phi))
-        assert out == pool4.base
+        assert np.array_equal(out, pool4.base)
 
     def test_task_wise_uniform_equals_task_arith(self, pool4):
         c = 0.7
@@ -53,7 +47,7 @@ class TestRealize:
         ta = make_scheme("task_arith", pool4)
         a = realize(tw, np.full(pool4.M, c / pool4.M))
         b = realize(ta, np.array([c]))
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
 
     def test_ties_hand_enumeration(self):
         # two members, trim keeps everything: coordinate sums are +3 and 0;
@@ -62,7 +56,7 @@ class TestRealize:
         pool = build_pool([0.0, 0.0], [[1.0, -3.0], [2.0, 3.0]])
         scheme = make_scheme("ties", pool, trim_fraction=1.0)
         out = realize(scheme, np.array([1.0]))
-        np.testing.assert_allclose(out.values, [1.5, 3.0], atol=1e-6)
+        np.testing.assert_allclose(out, [1.5, 3.0], atol=1e-6)
 
     def test_dimension_mismatch(self, pool4):
         scheme = make_scheme("task_wise", pool4)
@@ -76,30 +70,30 @@ class TestRealize:
             phi1 = rng.standard_normal(scheme.d_phi)
             phi2 = rng.standard_normal(scheme.d_phi)
             a, b = 0.3, -1.2
-            lhs = realize(scheme, a * phi1 + b * phi2).values.astype(np.float64)
-            base = pool4.base.values.astype(np.float64)
+            lhs = realize(scheme, a * phi1 + b * phi2).astype(np.float64)
+            base = pool4.base.astype(np.float64)
             rhs = (
-                a * (realize(scheme, phi1).values.astype(np.float64) - base)
-                + b * (realize(scheme, phi2).values.astype(np.float64) - base)
+                a * (realize(scheme, phi1).astype(np.float64) - base)
+                + b * (realize(scheme, phi2).astype(np.float64) - base)
                 + base
             )
             np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-6)
 
     def test_ties_affine_given_preprocessing(self, pool4):
         scheme = make_scheme("ties", pool4, trim_fraction=0.5)
-        base = pool4.base.values.astype(np.float64)
-        one = realize(scheme, np.array([1.0])).values.astype(np.float64)
-        three = realize(scheme, np.array([3.0])).values.astype(np.float64)
+        base = pool4.base.astype(np.float64)
+        one = realize(scheme, np.array([1.0])).astype(np.float64)
+        three = realize(scheme, np.array([3.0])).astype(np.float64)
         np.testing.assert_allclose(three - base, 3 * (one - base), rtol=1e-5, atol=1e-5)
 
     def test_layer_wise_constant_rows_match_task_wise(self, pool4):
         tw = make_scheme("task_wise", pool4)
         lw = make_scheme("layer_wise", pool4)
         phi_tw = np.array([0.2, -0.4, 0.9])
-        phi_lw = np.repeat(phi_tw, pool4.base.layer_count)
+        phi_lw = np.repeat(phi_tw, len(pool4.layer_offsets))
         a = realize(tw, phi_tw)
         b = realize(lw, phi_lw)
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestTiesPreprocess:
@@ -165,5 +159,5 @@ class TestDefaultPhi:
         phi = default_phi(scheme)
         np.testing.assert_array_equal(phi, [1.0])
         merged = realize(scheme, phi)
-        expected = pool4.base.values.astype(np.float64) + pool4.deltas_matrix().mean(axis=0)
-        np.testing.assert_allclose(merged.values, expected, rtol=1e-6, atol=1e-6)
+        expected = pool4.base.astype(np.float64) + pool4.deltas.mean(axis=0)
+        np.testing.assert_allclose(merged, expected, rtol=1e-6, atol=1e-6)

@@ -1,99 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pacmerge import (
     DomainError,
     FormatError,
     ModelPool,
-    ParamVector,
     StructureError,
-    axpy,
     pool_load,
     pool_save,
 )
 
-
-def vec(values, offsets=None):
-    values = np.asarray(values, dtype=np.float32)
-    if offsets is None:
-        offsets = ((0, values.size),)
-    return ParamVector(values, offsets)
-
-
-class TestParamVector:
-    def test_layer_offsets_must_partition(self):
-        with pytest.raises(StructureError):
-            ParamVector([1.0, 2.0, 3.0], ((0, 2),))
-        with pytest.raises(StructureError):
-            ParamVector([1.0, 2.0, 3.0], ((0, 2), (1, 2)))
-        with pytest.raises(StructureError):
-            ParamVector([1.0, 2.0], ((0, 2), (2, 0)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            vec([1.0, np.nan])
-        with pytest.raises(DomainError):
-            vec([np.inf, 0.0])
-
-    def test_values_frozen(self):
-        v = vec([1.0, 2.0])
-        with pytest.raises(ValueError):
-            v.values[0] = 5.0
-
-    def test_layer_view(self):
-        v = vec([1.0, 2.0, 3.0], ((0, 1), (1, 2)))
-        assert v.layer_count == 2
-        np.testing.assert_array_equal(v.layer(1), [2.0, 3.0])
-        with pytest.raises(IndexError):
-            v.layer(2)
-
-
-class TestAxpy:
-    def test_zero_scale_is_identity(self):
-        d = vec([1.0, 2.0])
-        assert axpy(d, 0.0, vec([9.0, 9.0])) == d
-
-    def test_zero_base(self):
-        out = axpy(vec([0.0, 0.0]), 1.0, vec([3.0, 4.0]))
-        np.testing.assert_array_equal(out.values, [3.0, 4.0])
-
-    def test_hand_arithmetic(self):
-        out = axpy(vec([1.0, 2.0]), 0.5, vec([2.0, 2.0]))
-        np.testing.assert_array_equal(out.values, [2.0, 3.0])
-
-    def test_structure_mismatch(self):
-        with pytest.raises(StructureError):
-            axpy(vec([1.0, 2.0]), 1.0, vec([1.0, 2.0, 3.0]))
-        with pytest.raises(StructureError):
-            axpy(vec([1.0, 2.0]), 1.0, vec([1.0, 2.0], ((0, 1), (1, 1))))
-
-    def test_non_finite_result_raises(self):
-        big = vec([3e38, 0.0])
-        with pytest.raises(DomainError):
-            axpy(big, 1e30, big)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.floats(-10, 10), min_size=1, max_size=8),
-        st.floats(-3, 3),
-        st.floats(-3, 3),
-    )
-    def test_linearity(self, values, a, b):
-        d = vec(np.zeros(len(values)))
-        s = vec(values)
-        combined = axpy(d, a + b, s)
-        split = axpy(axpy(d, a, s), b, s)
-        np.testing.assert_allclose(combined.values, split.values, rtol=1e-6, atol=1e-6)
+OFFSETS = ((0, 2), (2, 2))
+BASE = [0.5, -1.0, 2.0, 0.25]
+DELTAS = [[1.0, 0.0, -1.0, 0.5], [0.1, 0.2, 0.3, 0.4]]
 
 
 def two_member_pool():
-    offsets = ((0, 2), (2, 2))
-    base = vec([0.5, -1.0, 2.0, 0.25], offsets)
-    d1 = vec([1.0, 0.0, -1.0, 0.5], offsets)
-    d2 = vec([0.1, 0.2, 0.3, 0.4], offsets)
-    return ModelPool(base, (("a", d1), ("b", d2)))
+    return ModelPool(np.array(BASE), np.array(DELTAS), ["a", "b"], OFFSETS)
 
 
 class TestModelPool:
@@ -101,17 +24,83 @@ class TestModelPool:
         pool = two_member_pool()
         assert pool.M == 2
         assert pool.task_ids == ("a", "b")
-        with pytest.raises(StructureError):
-            ModelPool(pool.base, ())
-        with pytest.raises(StructureError):
-            ModelPool(pool.base, (("a", pool.members[0][1]), ("a", pool.members[1][1])))
+        assert pool.layer_offsets == OFFSETS
+        assert pool.base.dtype == pool.deltas.dtype == np.float32
+        assert pool.base.shape == (4,) and pool.deltas.shape == (2, 4)
+        np.testing.assert_array_equal(pool.deltas, np.float32(DELTAS))
+        with pytest.raises(StructureError, match="at least one member"):
+            ModelPool(BASE, np.zeros((0, 4)), [], OFFSETS)
+        with pytest.raises(StructureError, match="duplicate"):
+            ModelPool(BASE, DELTAS, ["a", "a"], OFFSETS)
+
+    def test_layer_offsets_must_partition(self):
+        for offsets in [((0, 2),), ((0, 2), (1, 2)), ((0, 4), (4, 0)), ((2, 2), (0, 2)),
+                        ((0, 2), (2, 3))]:
+            with pytest.raises(StructureError, match="layer offsets"):
+                ModelPool(BASE, DELTAS, ["a", "b"], offsets)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            base, deltas = np.array(BASE), np.array(DELTAS)
+            base[1] = bad
+            with pytest.raises(DomainError):
+                ModelPool(base, DELTAS, ["a", "b"], OFFSETS)
+            deltas[1, 3] = bad
+            with pytest.raises(DomainError):
+                ModelPool(BASE, deltas, ["a", "b"], OFFSETS)
+
+    def test_delta_overflowing_float32_rejected(self):
+        # the float64 difference fits, its float32 rounding is inf
+        tuned, base = np.float32([[3e38, 0.0]]), np.float32([-3e38, 0.0])
+        with np.errstate(over="ignore"):
+            deltas = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+        with pytest.raises(DomainError):
+            ModelPool(base, deltas, ["a"], ((0, 2),))
+
+    def test_arrays_read_only(self):
+        base, deltas = np.array(BASE, dtype=np.float32), np.array(DELTAS, dtype=np.float32)
+        pool = ModelPool(base, deltas, ["a", "b"], OFFSETS)
+        with pytest.raises(ValueError):
+            pool.base[0] = 5.0
+        with pytest.raises(ValueError):
+            pool.deltas[0, 0] = 5.0
+        base[0] = deltas[0, 0] = 9.0  # the caller's arrays stay writeable, the pool's copies
+        assert pool.base[0] == 0.5 and pool.deltas[0, 0] == 1.0
+
+    @pytest.mark.parametrize("deltas,ids", [
+        (np.zeros((2, 3)), ["a", "b"]),
+        (np.zeros((2, 5)), ["a", "b"]),
+        (np.zeros((3, 4)), ["a", "b"]),
+        (np.zeros(4), ["a"]),
+        (np.zeros((1, 2, 2)), ["a"]),
+    ])
+    def test_delta_shape_mismatch_rejected(self, deltas, ids):
+        with pytest.raises(StructureError, match="deltas have shape"):
+            ModelPool(BASE, deltas, ids, OFFSETS)
+
+    def test_base_must_be_one_row(self):
+        with pytest.raises(StructureError, match="base must be one row"):
+            ModelPool([BASE], DELTAS, ["a", "b"], OFFSETS)
 
     def test_without(self):
         pool = two_member_pool()
         dropped = pool.without("a")
         assert dropped.task_ids == ("b",)
+        np.testing.assert_array_equal(dropped.deltas, pool.deltas[1:])
+        assert dropped.base.tobytes() == pool.base.tobytes()
+        assert dropped.layer_offsets == pool.layer_offsets
         with pytest.raises(KeyError):
             pool.without("zzz")
+        with pytest.raises(StructureError):
+            dropped.without("b")
+
+    def test_equality(self):
+        pool = two_member_pool()
+        assert pool == two_member_pool()
+        assert pool != pool.without("a")
+        assert pool != ModelPool(BASE, DELTAS, ["a", "c"], OFFSETS)
+        assert pool != ModelPool(BASE, DELTAS, ["a", "b"], ((0, 4),))
+        assert pool != ModelPool(BASE, np.array(DELTAS) * 2, ["a", "b"], OFFSETS)
 
 
 class TestPoolSerialization:
@@ -120,7 +109,9 @@ class TestPoolSerialization:
         pool_save(pool, tmp_path / "pool")
         loaded = pool_load(tmp_path / "pool")
         assert loaded == pool
-        assert loaded.base.values.tobytes() == pool.base.values.tobytes()
+        assert loaded.base.tobytes() == pool.base.tobytes()
+        assert loaded.deltas.tobytes() == pool.deltas.tobytes()
+        assert not (loaded.base.flags.writeable or loaded.deltas.flags.writeable)
 
     def test_truncated_payload(self, tmp_path):
         pool = two_member_pool()
@@ -142,6 +133,19 @@ class TestPoolSerialization:
         manifest["checksums"].append(manifest["checksums"][-1])
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError):
+            pool_load(tmp_path / "pool")
+
+    def test_manifest_without_members(self, tmp_path):
+        import json
+
+        pool_save(two_member_pool(), tmp_path / "pool")
+        manifest_path = tmp_path / "pool" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(M=0, task_ids=[], checksums=manifest["checksums"][:1])
+        manifest_path.write_text(json.dumps(manifest))
+        payload = tmp_path / "pool" / "payload.bin"
+        payload.write_bytes(payload.read_bytes()[: 8 + 4 * 4])
+        with pytest.raises(FormatError, match="at least one member"):
             pool_load(tmp_path / "pool")
 
     def test_checksum_mismatch(self, tmp_path):

@@ -7,7 +7,6 @@ from pacmerge import (
     GaussianSpec,
     MlpSpec,
     ModelPool,
-    ParamVector,
     gen_tasks,
     init_params,
     error_counts,
@@ -104,12 +103,9 @@ def toy_pool():
         ["base"],
     )
     rng = np.random.default_rng(1)
-    offsets = spec.layer_offsets()
-    members = tuple(
-        (f"m{i}", ParamVector(0.05 * rng.standard_normal(spec.d_model), offsets))
-        for i in range(3)
-    )
-    return ModelPool(base, members), spec, task
+    deltas = [0.05 * rng.standard_normal(spec.d_model) for _ in range(3)]
+    pool = ModelPool(base, deltas, ["m0", "m1", "m2"], spec.layer_offsets())
+    return pool, spec, task
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from pacmerge import (
     DomainError,
     LabeledSet,
     MlpSpec,
-    ParamVector,
     StructureError,
     TrainConfig,
     TrainingDiverged,
@@ -46,13 +45,13 @@ def reference_counts(spec, thetas, data):
 
 
 def scores(spec, theta, x):
-    """Float64 class scores of one ParamVector, as ``error_counts`` forms them."""
-    return toyzoo._scores(spec, theta.values[None].astype(np.float64), x)[0]
+    """Float64 class scores of one parameter row, as ``error_counts`` forms them."""
+    return toyzoo._scores(spec, theta[None].astype(np.float64), x)[0]
 
 
 def risk(spec, theta, data):
-    """0-1 risk of one ParamVector: its one-row ``error_counts`` over n."""
-    return error_counts(spec, theta.values[None], data)[0] / data.n
+    """0-1 risk of one parameter row: its one-row ``error_counts`` over n."""
+    return error_counts(spec, theta[None], data)[0] / data.n
 
 
 def train(spec, init, data, hyper, name="model"):
@@ -95,7 +94,7 @@ def reference_loss_and_grad(spec, flat, x, y):
 def reference_train(spec, init, data, hyper):
     """Out-of-place float64 mini-batch SGD of one model, as written."""
     rng = rng_for(hyper.seed, "train")
-    flat = init.values.astype(np.float64)
+    flat = init.astype(np.float64)
     for _ in range(hyper.epochs):
         order = rng.permutation(data.n)
         for lo in range(0, data.n, hyper.batch):
@@ -240,18 +239,18 @@ class TestSampleTiles:
 class TestForward:
     def test_zero_theta_ties_to_class_zero(self):
         spec = MlpSpec((4, 8, 3))
-        theta = ParamVector(np.zeros(spec.d_model), spec.layer_offsets())
+        theta = np.zeros(spec.d_model, dtype=np.float32)
         x = np.ones((5, 4))
         np.testing.assert_array_equal(scores(spec, theta, x), np.zeros((5, 3)))
         labels = np.array([0, 0, 1, 2, 0])
-        assert error_counts(spec, theta.values[None], LabeledSet(x, labels)).tolist() == [2]
+        assert error_counts(spec, theta[None], LabeledSet(x, labels)).tolist() == [2]
 
     def test_hand_computed_linear(self):
         # single affine layer, identity weights: scores == inputs + bias
         spec = MlpSpec((3, 3), activation="identity")
         weights = np.eye(3).ravel()
         bias = np.array([0.5, -0.5, 0.0])
-        theta = ParamVector(np.concatenate([weights, bias]), spec.layer_offsets())
+        theta = np.concatenate([weights, bias]).astype(np.float32)
         x = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]])
         expected = x + bias  # hand matrix multiply with identity weights
         np.testing.assert_allclose(scores(spec, theta, x), expected, atol=1e-6)
@@ -263,7 +262,7 @@ class TestForward:
         original = scores(spec, theta, x)
 
         perm = np.array([2, 0, 1])
-        flat = theta.values.astype(np.float64).copy()
+        flat = theta.astype(np.float64)
         offs = spec.layer_offsets()
         w2_start, w2_len = offs[2]
         b2_start, b2_len = offs[3]
@@ -271,24 +270,23 @@ class TestForward:
         b2 = flat[b2_start : b2_start + b2_len]
         flat[w2_start : w2_start + w2_len] = w2[:, perm].ravel()
         flat[b2_start : b2_start + b2_len] = b2[perm]
-        permuted = ParamVector(flat, offs)
-        np.testing.assert_allclose(scores(spec, permuted, x), original[:, perm], rtol=1e-5)
+        np.testing.assert_allclose(scores(spec, flat, x), original[:, perm], rtol=1e-5)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
     def test_bits_of_out_of_place_reference(self, activation):
         spec = MlpSpec((6, 8, 5, 3), activation=activation)
         rng = np.random.default_rng(4)
-        theta = ParamVector(rng.standard_normal(spec.d_model), spec.layer_offsets())
+        theta = rng.standard_normal(spec.d_model).astype(np.float32)
         x = rng.standard_normal((300, 6))
-        assert np.array_equal(scores(spec, theta, x), reference_scores(spec, theta.values, x))
+        assert np.array_equal(scores(spec, theta, x), reference_scores(spec, theta, x))
 
     def test_length_mismatch(self):
         spec = MlpSpec((4, 8, 3))
-        short = ParamVector(np.zeros(3), ((0, 3),))
+        short = np.zeros(3, dtype=np.float32)
         data = LabeledSet(np.ones((1, 4)), np.zeros(1, dtype=int))
         with pytest.raises(StructureError, match="thetas has shape"):
-            error_counts(spec, short.values[None], data)
-        with pytest.raises(StructureError, match="init has 3 values"):
+            error_counts(spec, short[None], data)
+        with pytest.raises(StructureError, match=r"init has shape \(3,\), spec needs \(67,\)"):
             train(spec, short, data, TrainConfig())
 
 
@@ -581,9 +579,7 @@ class TestZeroOneRisk:
     def test_hand_built_quarter(self):
         # identity-map classifier; scores = x, so argmax is the larger coord.
         spec = MlpSpec((2, 2), activation="identity")
-        theta = ParamVector(
-            np.concatenate([np.eye(2).ravel(), np.zeros(2)]), spec.layer_offsets()
-        )
+        theta = np.concatenate([np.eye(2).ravel(), np.zeros(2)]).astype(np.float32)
         x = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 3.0]])
         labels = np.array([0, 1, 0, 0])  # last point misclassified by construction
         data = LabeledSet(x, labels)
@@ -592,7 +588,7 @@ class TestZeroOneRisk:
     def test_empty_set_counts_no_errors(self):
         # a risk needs n > 0, which mc_risks checks; the counts are just zero
         spec = MlpSpec((2, 2))
-        thetas = np.stack([init_params(spec, seed).values for seed in range(3)])
+        thetas = np.stack([init_params(spec, seed) for seed in range(3)])
         empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
         assert error_counts(spec, thetas, empty).tolist() == [0, 0, 0]
 
@@ -601,7 +597,7 @@ class TestZeroOneRisk:
         task = gen_tasks(5, 2, 6, 4, 0.5)[0]
         data = sample_set(task, 50, 2)
         thetas = [init_params(spec, seed) for seed in range(5)]
-        counts = error_counts(spec, np.stack([t.values for t in thetas]), data)
+        counts = error_counts(spec, np.stack(thetas), data)
         assert counts.shape == (5,)
         for theta, count in zip(thetas, counts):
             predicted = np.argmax(scores(spec, theta, data.inputs), axis=1)
@@ -648,7 +644,7 @@ def test_gradient_matches_finite_differences(activation):
     spec = MlpSpec((5, 7, 3), activation=activation)
     task = gen_tasks(9, 2, 5, 3, 0.5)[0]
     data = sample_set(task, 40, 4)
-    flat = init_params(spec, 6).values.astype(np.float64)
+    flat = init_params(spec, 6).astype(np.float64)
     _, grad = reference_loss_and_grad(spec, flat, data.inputs, data.labels)
     rng = np.random.default_rng(0)
     coords = rng.choice(spec.d_model, size=20, replace=False)
@@ -667,7 +663,7 @@ class TestTrain:
         task = gen_tasks(2, 2, 3, 2, 0.5)[0]
         data = sample_set(task, 10, 0)
         out = train(spec, theta, data, TrainConfig(lr=0.1, epochs=0, batch=4, seed=0))
-        assert out == theta
+        assert out.tobytes() == theta.tobytes()
 
     def test_deterministic_in_seed(self):
         spec = MlpSpec((3, 4, 2))
@@ -675,7 +671,7 @@ class TestTrain:
         task = gen_tasks(2, 2, 3, 2, 0.5)[0]
         data = sample_set(task, 30, 0)
         cfg = TrainConfig(lr=0.1, epochs=5, batch=8, seed=12)
-        assert train(spec, theta, data, cfg) == train(spec, theta, data, cfg)
+        assert train(spec, theta, data, cfg).tobytes() == train(spec, theta, data, cfg).tobytes()
 
     def test_linearly_separable_reaches_zero(self):
         rng = np.random.default_rng(3)
@@ -709,7 +705,8 @@ class TestTrain:
         data = sample_set(gen_tasks(2, 2, 3, 2, 0.5)[0], 10, 0)
         plain = TrainConfig(lr=0.1, epochs=2, batch=4, seed=1)
         numpy = TrainConfig(lr=0.1, epochs=np.int64(2), batch=np.int32(4), seed=1)
-        assert train(spec, theta, data, numpy) == train(spec, theta, data, plain)
+        numpy_bytes = train(spec, theta, data, numpy).tobytes()
+        assert numpy_bytes == train(spec, theta, data, plain).tobytes()
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan])
     def test_non_finite_lr_rejected(self, lr):
@@ -730,15 +727,17 @@ def stack_of(count, n=23, activation="tanh"):
 
 @pytest.fixture
 def float64_results(monkeypatch):
-    """The float64 parameter rows that ``toyzoo`` rounds into ParamVectors."""
-    rows = []
+    """The (M, d_model) float64 matrices that ``train_stack`` trains in place,
+    one per call that trains, caught where it makes their layer views."""
+    stacks = []
+    layers = toyzoo._layers
 
-    def keep(values, offsets):
-        rows.append(np.array(values))
-        return ParamVector(values, offsets)
+    def keep(spec, flat):
+        stacks.append(flat)
+        return layers(spec, flat)
 
-    monkeypatch.setattr(toyzoo, "ParamVector", keep)
-    return rows
+    monkeypatch.setattr(toyzoo, "_layers", keep)
+    return stacks
 
 
 class TestTrainStack:
@@ -755,22 +754,23 @@ class TestTrainStack:
         hypers = [TrainConfig(lr=0.3, epochs=epochs, batch=batch, seed=60 + i)
                   for i in range(count)]
         stacked = train_stack(spec, init, sets, hypers, NAMES[:count])
-        assert len(stacked) == count
+        assert stacked.shape == (count, spec.d_model) and stacked.dtype == np.float32
         if epochs > 0:  # float64 bits as well as the float32 result
-            for row, data, hyper in zip(float64_results[-count:], sets, hypers, strict=True):
+            (flat,) = float64_results
+            for row, data, hyper in zip(flat, sets, hypers, strict=True):
                 assert row.tobytes() == reference_train(spec, init, data, hyper).tobytes()
         for model, data, hyper in zip(stacked, sets, hypers):
             expected = reference_train(spec, init, data, hyper).astype(np.float32)
-            assert model.values.tobytes() == expected.tobytes()
-            assert train(spec, init, data, hyper) == model
+            assert model.tobytes() == expected.tobytes()
+            assert train(spec, init, data, hyper).tobytes() == model.tobytes()
         if epochs > 0:  # the models really moved, and apart
-            assert not np.array_equal(stacked[0].values, init.values)
-            assert len({m.values.tobytes() for m in stacked}) == count
+            assert not np.array_equal(stacked[0], init)
+            assert len({m.tobytes() for m in stacked}) == count
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
     def test_stacked_gradients_equal_reference_bits(self, activation):
         spec, _, sets = stack_of(5, activation=activation)
-        flat = np.stack([init_params(spec, seed).values for seed in range(5)]).astype(np.float64)
+        flat = np.stack([init_params(spec, seed) for seed in range(5)]).astype(np.float64)
         x = np.stack([data.inputs for data in sets])
         onehot = np.stack([np.eye(3)[data.labels] for data in sets])
         _, grads = toyzoo._backprop(spec, toyzoo._layers(spec, flat.copy()), x, onehot)
@@ -782,7 +782,25 @@ class TestTrainStack:
     def test_zero_epochs_returns_init_for_every_model(self):
         spec, init, sets = stack_of(3)
         hypers = [TrainConfig(epochs=0, seed=i) for i in range(3)]
-        assert all(model is init for model in train_stack(spec, init, sets, hypers, NAMES[:3]))
+        stacked = train_stack(spec, init, sets, hypers, NAMES[:3])
+        assert stacked.shape == (3, spec.d_model) and stacked.dtype == np.float32
+        assert all(model.tobytes() == init.tobytes() for model in stacked)
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_empty_sets_rejected_naming_the_model(self, epochs):
+        spec, init, sets = stack_of(2)
+        empty = [data.subset(np.arange(0)) for data in sets]
+        hypers = [TrainConfig(epochs=epochs, seed=i) for i in range(2)]
+        with pytest.raises(DomainError, match="^task0: empty training set"):
+            train_stack(spec, init, empty, hypers, ["task0", "task1"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_init_rejected(self, bad):
+        spec, init, sets = stack_of(1)
+        init = init.astype(np.float64)
+        init[3] = bad
+        with pytest.raises(DomainError, match="init contains NaN/Inf"):
+            train_stack(spec, init, sets, [TrainConfig(epochs=0)], NAMES[:1])
 
     def test_divergent_member_is_named(self):
         spec, init, sets = stack_of(3, activation="identity")
@@ -831,7 +849,7 @@ class TestInputChecks:
         with pytest.raises(StructureError, match="width 4"):
             train_stack(spec, init, [data, narrow], [TrainConfig(), TrainConfig()], NAMES[:2])
         with pytest.raises(StructureError, match="width 4"):
-            error_counts(spec, init.values[None], narrow)
+            error_counts(spec, init[None], narrow)
 
     def test_labels_beyond_the_classes_rejected(self):
         spec, init, (data,) = stack_of(1)
@@ -843,4 +861,4 @@ class TestInputChecks:
         with pytest.raises(DomainError, match="label 3 is not a class"):
             train_stack(spec, init, [data, beyond], [TrainConfig(), TrainConfig()], NAMES[:2])
         with pytest.raises(DomainError, match="label 3 is not a class"):
-            error_counts(spec, init.values[None], beyond)
+            error_counts(spec, init[None], beyond)
