@@ -6,9 +6,9 @@ models and certifies the merged model with a PAC-Bayes-kl (Seeger) bound.
 """
 
 from .bounds import (
-    BoundBudget,
     CertificateRecord,
     bernoulli_kl,
+    budget,
     gaussian_kl,
     invert_kl,
     make_record,

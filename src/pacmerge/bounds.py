@@ -1,7 +1,7 @@
 """Certificate mathematics.
 
-Two PAC-Bayes results are computed from the same budget
-``B = (KL(Q||P) + ln(n/delta)) / (n - 1)``:
+Two PAC-Bayes results are computed from the same scalar
+``budget(kl_qp, n, delta) = (KL(Q||P) + ln(n/delta)) / (n - 1)``:
 
 * the closed-form bound ``train + sqrt(B/2)`` of ``closed_form`` (a Pinsker
   relaxation, reported uncapped, so values above 1 are visible, and the
@@ -10,20 +10,28 @@ Two PAC-Bayes results are computed from the same budget
   the root ``C >= train`` of ``kl(train || C) = B``, taken as the upper end
   of a bisection, so never below the root.
 
-A certificate is *vacuous* when even the closed form reaches 1: the inversion
-then sits within rounding distance of 1 and guarantees nothing.  The reported
-``pb_bound`` is capped at 1 with the flag carried separately.
+``seeger_certificate`` returns both as a ``BoundReport(pb_bound,
+upper_bound, vacuous)``.  A certificate is *vacuous* when even the closed
+form reaches 1: the inversion then sits within rounding distance of 1 and
+guarantees nothing.  The reported ``pb_bound`` is capped at 1 with the flag
+carried separately.
 
 Every certificate record is built here by ``make_record``, from this one
 computation: a test-set bound is the case KL = 0 on held-out data, and a
 finite grid with a uniform prior has KL = ln(grid size).  The closed-form KL
 between isotropic Gaussian posteriors lives here too.
+
+A stored record's schema is its dataclass fields: ``to_dict`` writes each
+field under its name, and ``from_fields`` loads a JSON mapping only if it has
+exactly those keys (derived keys such as ``certified_gap`` are dropped) and
+each value has the JSON type of the field's annotation (see ``_JSON_TYPES``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,35 +91,20 @@ def invert_kl(p: float, budget: float) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class BoundBudget:
+def budget(kl_qp: float, n: int, delta: float) -> float:
     """The scalar (KL + ln(n/delta)) / (n-1) feeding both certificates."""
-
-    kl_qp: float
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        if not self.kl_qp >= 0:
-            raise DomainError(f"KL must be >= 0, got {self.kl_qp}")
-        if self.n < 2:
-            raise DomainError(f"need n >= 2, got {self.n}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta {self.delta} outside (0, 1)")
-
-    @property
-    def value(self) -> float:
-        return (self.kl_qp + math.log(self.n / self.delta)) / (self.n - 1)
+    if not kl_qp >= 0:
+        raise DomainError(f"KL must be >= 0, got {kl_qp}")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta {delta} outside (0, 1)")
+    return (kl_qp + math.log(n / delta)) / (n - 1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Both certificates for one (train error, KL, n, delta) quadruple."""
 
-    train_error: float
-    kl_qp: float
-    n: int
-    delta: float
     pb_bound: float
     upper_bound: float
     vacuous: bool
@@ -125,19 +118,10 @@ def closed_form(train_error: float, budget: float) -> float:
 
 def seeger_certificate(train_error: float, kl_qp: float, n: int, delta: float) -> BoundReport:
     """Certify via KL inversion; also reports the closed form and vacuity."""
-    budget = BoundBudget(kl_qp, n, delta)
-    raw = invert_kl(train_error, budget.value)
-    upper = closed_form(train_error, budget.value)
-    vacuous = upper >= 1.0 or raw >= 1.0
-    return BoundReport(
-        train_error=train_error,
-        kl_qp=kl_qp,
-        n=n,
-        delta=delta,
-        pb_bound=min(raw, 1.0),
-        upper_bound=upper,
-        vacuous=vacuous,
-    )
+    b = budget(kl_qp, n, delta)
+    raw = invert_kl(train_error, b)
+    upper = closed_form(train_error, b)
+    return BoundReport(min(raw, 1.0), upper, upper >= 1.0 or raw >= 1.0)
 
 
 def gaussian_kl(q: GaussianSpec, p: GaussianSpec) -> float:
@@ -148,6 +132,38 @@ def gaussian_kl(q: GaussianSpec, p: GaussianSpec) -> float:
     d = q.dim
     mean_term = float(np.sum((q.mean - p.mean) ** 2)) / (2.0 * p.variance)
     return 0.5 * d * (ratio - 1.0 - math.log(ratio)) + mean_term
+
+
+# A field annotation -> the exact types of the JSON values it accepts: an
+# ``int`` field refuses ``true``, a ``float`` field takes an integer literal.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "bool": (bool,),
+    "dict": (dict,),
+    "list": (list,),
+}
+
+
+def from_fields(cls, data, derived: tuple[str, ...] = ()):
+    """A ``cls`` record from a JSON mapping that has exactly its fields, plus
+    the ``derived`` keys, which are dropped; a missing or unknown key, or a
+    value whose type is not that of its field's annotation, raises
+    ``FormatError``."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{cls.__name__} must be a mapping, got {data!r}")
+    names = [f.name for f in fields(cls)]
+    missing = sorted(set(names) - set(data))
+    unknown = sorted(set(data) - set(names) - set(derived))
+    if missing or unknown:
+        raise FormatError(f"{cls.__name__} fields: missing {missing}, unknown {unknown}")
+    for f in fields(cls):
+        value = data[f.name]
+        if type(value) not in _JSON_TYPES[f.type]:
+            raise FormatError(f"{f.name} must be {f.type}, got {value!r}")
+    return cls(**{name: data[name] for name in names})
 
 
 @dataclass
@@ -194,33 +210,13 @@ class CertificateRecord:
             raise AssertionError("stored vacuity flag disagrees with recomputation")
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "scheme": self.scheme,
-            "objective": self.objective,
-            "n": self.n,
-            "delta": self.delta,
-            "train_error": self.train_error,
-            "kl_qp": self.kl_qp,
-            "pb_bound": self.pb_bound,
-            "upper_bound": self.upper_bound,
-            "vacuous": self.vacuous,
-            "test_error": self.test_error,
-            "certified_gap": self.certified_gap,
-            "provenance": self.provenance,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["certified_gap"] = self.certified_gap
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CertificateRecord":
-        data = dict(data)
-        data.pop("certified_gap", None)
-        record = cls(**data)
-        for name in ("task_id", "scheme", "objective"):
-            if not isinstance(getattr(record, name), str):
-                raise FormatError(f"{name} must be a string, got {getattr(record, name)!r}")
-        if not (record.test_error is None or type(record.test_error) in (int, float)):
-            raise FormatError(f"test_error must be null or a number, got {record.test_error!r}")
-        return record
+        return from_fields(cls, data, derived=("certified_gap",))
 
 
 def make_record(task_id: str, scheme: str, objective: str, train_error: float,

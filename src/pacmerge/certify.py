@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundBudget, CertificateRecord, closed_form, gaussian_kl, make_record
-from .cma import CmaConfig, minimize
+from .bounds import CertificateRecord, budget, closed_form, gaussian_kl, make_record
+from .cma import CmaConfig, CmaResult, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, make_scheme, merged_values
 from .posterior import GaussianSpec, mc_risks
@@ -70,13 +70,6 @@ class CertifyConfig:
             raise DomainError(f"delta {self.delta} outside (0, 1)")
 
 
-@dataclass
-class TracePoint:
-    eval_index: int
-    objective: float
-    kl_qp: float
-
-
 def default_prior(scheme: MergeScheme, variance: float) -> GaussianSpec:
     """A Gaussian at the uniform-merge coefficients: the prior unless one is given."""
     return GaussianSpec(default_phi(scheme), variance)
@@ -89,17 +82,17 @@ def optimize(
     model_spec: MlpSpec,
     config: CertifyConfig,
     prior: GaussianSpec | None = None,
-) -> tuple[np.ndarray, list[TracePoint]]:
-    """Search for the posterior mean; returns (best phi, evaluation trace).
+) -> CmaResult:
+    """Search for the posterior mean; returns the search's ``CmaResult``.
 
     ``pac_bayes_upper`` minimizes ``bounds.closed_form`` on the budget
-    ``BoundBudget(KL, support.n, config.delta)`` that the certificate reports;
+    ``budget(KL, support.n, config.delta)`` that the certificate reports;
     ``prior`` defaults to ``default_prior(scheme, config.prior_variance)``.
 
     Each CMA-ES generation is scored in one ``mc_risks`` call, so one merge
     and one scoring pass per generation.  Deterministic in ``config.cma.seed``;
-    the trace records every evaluation in index order, and the returned point
-    never scores worse than the trace minimum.
+    ``f_best`` is the objective at ``x_best`` and ``evals`` counts every
+    evaluation, the start point included.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise DomainError(f"unknown objective kind {objective_kind!r}")
@@ -111,23 +104,21 @@ def optimize(
         raise StructureError(f"prior dimension {prior.dim} != scheme d_phi {scheme.d_phi}")
     mc_seed = derive_seed(config.cma.seed, "mc-common")
     variance = config.posterior_variance
-    trace: list[TracePoint] = []
 
     def batch_objective(phis):
         # Common random numbers across calls make the objective a pure function.
         risks = mc_risks(
             phis, variance, scheme, model_spec, support, config.mc_samples, mc_seed
-        )
-        for phi, risk in zip(phis, risks.tolist()):
-            kl, value = 0.0, risk
-            if objective_kind == "pac_bayes_upper":
-                kl = gaussian_kl(GaussianSpec(phi, variance), prior)
-                value = closed_form(risk, BoundBudget(kl, support.n, config.delta).value)
-            trace.append(TracePoint(eval_index=len(trace), objective=value, kl_qp=kl))
-        return [point.objective for point in trace[-len(phis):]]
+        ).tolist()
+        if objective_kind == "train_risk":
+            return risks
+        return [
+            closed_form(risk, budget(gaussian_kl(GaussianSpec(phi, variance), prior),
+                                     support.n, config.delta))
+            for phi, risk in zip(phis, risks)
+        ]
 
-    result = minimize(batch_objective, default_phi(scheme), config.cma)
-    return result.x_best, trace
+    return minimize(batch_objective, default_phi(scheme), config.cma)
 
 
 def _posterior_errors(q, scheme, model_spec, support, query, config):
@@ -167,8 +158,8 @@ def certify(
         raise DomainError(f"need support size >= 2, got {n}")
     if prior is None:
         prior = default_prior(scheme, config.prior_variance)
-    mu_q, trace = optimize(scheme, objective_kind, support, model_spec, config, prior)
-    q = GaussianSpec(mu_q, config.posterior_variance)
+    result = optimize(scheme, objective_kind, support, model_spec, config, prior)
+    q = GaussianSpec(result.x_best, config.posterior_variance)
     train, test = _posterior_errors(q, scheme, model_spec, support, query, config)
     return make_record(
         task_id, scheme.kind, objective_label or objective_kind, train,
@@ -176,7 +167,7 @@ def certify(
         provenance={
             "cma_seed": config.cma.seed,
             "eval_seed": config.eval_seed,
-            "evals": len(trace),
+            "evals": result.evals,
             "posterior_variance": config.posterior_variance,
             "prior_variance": config.prior_variance,
             "mc_samples": config.mc_samples,
@@ -213,7 +204,7 @@ def certify_ddp(
     prior_config = replace(
         config, cma=replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
     )
-    mu_p, _ = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config)
+    mu_p = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config).x_best
     prior = GaussianSpec(mu_p, config.prior_variance)
     record = certify(
         scheme,

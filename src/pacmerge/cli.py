@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Verbs: ``gen-pool`` (build and persist the source-model pool), ``certify``
-(run a scenario end to end), ``sweep`` (run a data-size sweep scenario),
-``report`` (re-render a stored run record).  Exit codes: 0 success,
-2 configuration or file-format error, or diverged training.
+(run a scenario end to end, the ``paper-gap-sweep`` data-size sweep
+included), ``report`` (re-render a stored run record).  Exit codes:
+0 success, 2 configuration or file-format error, or diverged training.
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    if config["kind"] != "sweep":
-        raise ConfigError("kind", f"scenario {config['scenario']!r} is not a sweep")
-    return cmd_certify(args)
-
-
 def cmd_report(args) -> int:
     record = load_record(args.record)
     path = write_report(record, args.format, args.out, f"report-{record.config_hash}")
@@ -90,10 +83,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("certify", help="run a scenario and write reports")
     _add_common(p)
     p.set_defaults(fn=cmd_certify)
-
-    p = sub.add_parser("sweep", help="run a data-size sweep scenario")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="re-render a stored run record")
     p.add_argument("--record", required=True, metavar="PATH", help="run record JSON")

@@ -30,13 +30,13 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import CertificateRecord, gaussian_kl, make_record
+from .bounds import CertificateRecord, from_fields, gaussian_kl, make_record
 from .certify import (CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete,
                       default_prior, optimize)
 from .cma import CmaConfig
@@ -420,26 +420,18 @@ class RunRecord:
     records: list
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "records": [r.to_dict() for r in self.records],
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["records"] = [r.to_dict() for r in self.records]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        config_hash = data["config_hash"]
-        if not (isinstance(config_hash, str) and re.fullmatch("[0-9a-f]{16}", config_hash)):
-            raise FormatError(f"config_hash must be 16 lowercase hex digits, got {config_hash!r}")
-        return cls(
-            config=data["config"],
-            config_hash=config_hash,
-            version=data["version"],
-            wall_time_s=data["wall_time_s"],
-            records=[CertificateRecord.from_dict(r) for r in data["records"]],
-        )
+        record = from_fields(cls, data)
+        if not re.fullmatch("[0-9a-f]{16}", record.config_hash):
+            raise FormatError(
+                f"config_hash must be 16 lowercase hex digits, got {record.config_hash!r}")
+        record.records = [CertificateRecord.from_dict(r) for r in record.records]
+        return record
 
 
 REPORT_COLUMNS = (
@@ -504,15 +496,21 @@ def write_report(record: RunRecord, fmt: str, out_dir, stem: str) -> Path:
 
 
 def load_record(path) -> RunRecord:
-    """A stored run record, each certificate re-derived by ``validate``; bytes
-    that are not UTF-8 JSON, or fields of the wrong shape, raise ``FormatError``."""
+    """A stored run record, loaded by ``RunRecord.from_dict`` and each
+    certificate re-derived by ``validate``.
+
+    ``FormatError`` is raised for bytes that are not UTF-8 JSON, for a record
+    or certificate whose keys are not exactly its dataclass fields or whose
+    values do not have their fields' JSON types (``bounds.from_fields``), for a
+    config hash that is not 16 lowercase hex digits, and for a certificate
+    that does not re-derive."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = RunRecord.from_dict(json.load(fh))
         for certificate in record.records:
             certificate.validate()
         return record
-    except (OSError, ValueError, KeyError, TypeError, AssertionError) as exc:
+    except (OSError, ValueError, OverflowError, AssertionError) as exc:
         raise FormatError(f"cannot load run record: {exc}") from exc
 
 
@@ -572,7 +570,7 @@ def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> Certif
     half = support.n // 2
     train_half = support.subset(np.arange(half))
     val_half = support.subset(np.arange(half, support.n))
-    mu, _ = optimize(scheme, "train_risk", train_half, model_spec, cfg)
+    mu = optimize(scheme, "train_risk", train_half, model_spec, cfg).x_best
     model = merged_values(scheme, mu[None])
 
     def risk(data):
@@ -583,7 +581,7 @@ def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> Certif
     # a test-set bound: point-mass prior and posterior, so KL = 0
     return make_record(
         task_id, scheme.kind, "half_val", val_error, 0.0, val_half.n, cfg.delta,
-        test_error=test, provenance={"train_half_n": train_half.n, "form": "pac"},
+        test_error=test, provenance={"train_half_n": train_half.n},
     )
 
 

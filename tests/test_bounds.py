@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacmerge import (
-    BoundBudget,
     CertificateRecord,
     DomainError,
     FormatError,
     GaussianSpec,
     StructureError,
     bernoulli_kl,
+    budget,
     gaussian_kl,
     invert_kl,
     make_record,
@@ -184,20 +184,19 @@ class TestSeegerCertificate:
 
 class TestBoundBudget:
     def test_value(self):
-        budget = BoundBudget(0.801, 100, 0.05)
-        assert abs(budget.value - (0.801 + math.log(2000)) / 99) < 1e-12
+        assert abs(budget(0.801, 100, 0.05) - (0.801 + math.log(2000)) / 99) < 1e-12
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            BoundBudget(-0.1, 100, 0.05)
+            budget(-0.1, 100, 0.05)
         with pytest.raises(DomainError):
-            BoundBudget(0.0, 1, 0.05)
+            budget(0.0, 1, 0.05)
         with pytest.raises(DomainError):
-            BoundBudget(0.0, 100, 1.0)
+            budget(0.0, 100, 1.0)
 
     def test_nan_kl_rejected(self):
         with pytest.raises(DomainError, match="KL must be >= 0"):
-            BoundBudget(math.nan, 100, 0.05)
+            budget(math.nan, 100, 0.05)
         with pytest.raises(DomainError, match="KL must be >= 0"):
             make_record("t", "s", "o", 0.1, math.nan, 10, 0.05)
 
@@ -208,8 +207,7 @@ class TestBoundBudget:
         CertificateRecord.from_dict(record.to_dict()).validate()
 
     def test_floor(self):
-        budget = BoundBudget(0.0, 100, 0.05)
-        assert budget.value == math.log(100 / 0.05) / 99 > 0
+        assert budget(0.0, 100, 0.05) == math.log(100 / 0.05) / 99 > 0
 
 
 class TestGaussianKl:
@@ -350,10 +348,18 @@ class TestCertificateRecord:
 
     @pytest.mark.parametrize("edit", [
         {"task_id": 7}, {"scheme": None}, {"objective": ["o"]}, {"test_error": "0.1"},
-        {"test_error": False}])
+        {"test_error": False}, {"n": 40.5}, {"n": True}, {"vacuous": 0}, {"provenance": [1]},
+        {"train_error": True}, {"delta": "0.05"}])
     def test_from_dict_rejects_malformed_fields(self, edit):
         data = dict(self.make().to_dict(), **edit)
         with pytest.raises(FormatError, match=f"^{next(iter(edit))} must be"):
+            CertificateRecord.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["test_error", "provenance"])
+    def test_from_dict_requires_the_fields_that_have_defaults(self, name):
+        data = self.make().to_dict()
+        del data[name]
+        with pytest.raises(FormatError, match=rf"missing \['{name}'\]"):
             CertificateRecord.from_dict(data)
 
     @pytest.mark.parametrize("test_error", [None, 0, 0.25])

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -75,6 +76,18 @@ def quick_config(seed=0, max_evals=150):
     return CertifyConfig(cma=CmaConfig(max_evals=max_evals, seed=seed), eval_seed=seed + 1)
 
 
+def traced_optimize(monkeypatch, *args):
+    """``optimize(*args)`` and its (eval index, value) pairs in the order the
+    search observed them."""
+    trace = []
+
+    def observed(objective, x0, config):
+        return cma.minimize(objective, x0, config, lambda i, x, f: trace.append((i, f)))
+
+    monkeypatch.setattr(importlib.import_module("pacmerge.certify"), "minimize", observed)
+    return optimize(*args), trace
+
+
 class TestOptimize:
     def test_kl_dominated_objective_stays_at_prior(self, world):
         _, pool, spec, support, _ = world
@@ -82,31 +95,34 @@ class TestOptimize:
         config = CertifyConfig(  # prior variance 1e-8: enormous KL weight
             posterior_variance=1e-8, prior_variance=1e-8, cma=CmaConfig(max_evals=200, seed=2)
         )
-        mu, _ = optimize(scheme, "pac_bayes_upper", support, spec, config)
+        mu = optimize(scheme, "pac_bayes_upper", support, spec, config).x_best
         assert np.max(np.abs(mu - default_phi(scheme))) < 0.05
 
-    def test_deterministic_trace(self, world):
+    def test_deterministic_trace(self, world, monkeypatch):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_arith", pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=60, seed=11))
 
         def run():
-            _, trace = optimize(scheme, "train_risk", support, spec, config)
-            return [(t.eval_index, t.objective, t.kl_qp) for t in trace]
+            result, trace = traced_optimize(monkeypatch, scheme, "train_risk", support, spec,
+                                            config)
+            return result.x_best.tobytes(), result.f_best, result.evals, trace
 
-        assert run() == run()
+        first = run()
+        assert first == run()
+        assert first[2] == len(first[3]) == 60
 
     def test_best_not_worse_than_trace_minimum(self, world):
         _, pool, spec, support, _ = world
         scheme = make_scheme("task_arith", pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=80, seed=3))
-        mu, trace = optimize(scheme, "train_risk", support, spec, config)
-        best_traced = min(t.objective for t in trace)
+        result = optimize(scheme, "train_risk", support, spec, config)
         value = mc_risks(
-            mu[None], config.posterior_variance, scheme, spec, support,
+            result.x_best[None], config.posterior_variance, scheme, spec, support,
             config.mc_samples, derive_seed(3, "mc-common"),
         )[0]
-        assert value <= best_traced + 1e-12
+        # f_best is the least value of every evaluation, the one at x_best
+        assert value == result.f_best
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", KINDS)
@@ -115,9 +131,10 @@ class TestOptimize:
         scheme = make_scheme(kind, pool)
         config = quick_config(seed, max_evals=40)
         prior = GaussianSpec(default_phi(scheme) + 0.1, config.prior_variance)
-        _, trace = optimize(scheme, "pac_bayes_upper", support, spec, config, prior)
+        result = optimize(scheme, "pac_bayes_upper", support, spec, config, prior)
         record = certify(scheme, "pac_bayes_upper", support, None, spec, config, prior=prior)
-        assert min(t.objective for t in trace) == record.upper_bound
+        assert result.f_best == record.upper_bound
+        assert record.provenance["evals"] == result.evals == 40
 
     def test_rejects_unknown_kind_and_wrong_prior_dimension(self, world):
         _, pool, spec, support, _ = world
@@ -130,7 +147,8 @@ class TestOptimize:
 
 
 def one_row_trace(scheme, objective_kind, support, spec, config):
-    """(value, kl) per evaluation from an objective that scores one row at a time."""
+    """The search result and the value of every evaluation, in index order,
+    from an objective that scores one row at a time."""
     mc_seed = derive_seed(config.cma.seed, "mc-common")
     prior = GaussianSpec(default_phi(scheme), config.prior_variance)
     n, delta = support.n, config.delta
@@ -144,25 +162,28 @@ def one_row_trace(scheme, objective_kind, support, spec, config):
         if objective_kind == "pac_bayes_upper":
             kl = gaussian_kl(q, prior)
             value += math.sqrt((kl + math.log(n / delta)) / (2.0 * (n - 1)))
-        trace.append((value, kl))
+        trace.append(value)
         return value
 
-    minimize(lambda phis: [score(phi) for phi in phis], default_phi(scheme), config.cma)
-    return trace
+    result = minimize(lambda phis: [score(phi) for phi in phis], default_phi(scheme), config.cma)
+    return result, trace
 
 
 class TestBatchedSearch:
     @pytest.mark.parametrize("objective_kind", ["train_risk", "pac_bayes_upper"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_trace_equals_one_row_reference(self, world, kind, objective_kind):
+    def test_trace_equals_one_row_reference(self, world, monkeypatch, kind, objective_kind):
         _, pool, spec, support, _ = world
         scheme = make_scheme(kind, pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=45, seed=6))
-        _, trace = optimize(scheme, objective_kind, support, spec, config)
-        assert [t.eval_index for t in trace] == list(range(45))
-        assert [(t.objective, t.kl_qp) for t in trace] == one_row_trace(
-            scheme, objective_kind, support, spec, config
-        )
+        result, trace = traced_optimize(monkeypatch, scheme, objective_kind, support, spec,
+                                        config)
+        reference, values = one_row_trace(scheme, objective_kind, support, spec, config)
+        assert [i for i, _ in trace] == list(range(45))
+        assert [f for _, f in trace] == values
+        assert result.x_best.tobytes() == reference.x_best.tobytes()
+        assert result.f_best == reference.f_best == min(values)
+        assert result.evals == reference.evals == 45
 
     def test_one_merge_per_generation(self, world, monkeypatch):
         _, pool, spec, support, _ = world
@@ -180,9 +201,9 @@ class TestBatchedSearch:
         monkeypatch.setattr(posterior, "merged_values", counting_merge)
         monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
         config = CertifyConfig(mc_samples=4, cma=CmaConfig(max_evals=60, seed=1))
-        _, trace = optimize(make_scheme("layer_wise", pool), "train_risk", support, spec, config)
-        assert len(trace) == 60
-        assert len(merges) == 1 + len(asks) < len(trace)
+        result = optimize(make_scheme("layer_wise", pool), "train_risk", support, spec, config)
+        assert result.evals == 60
+        assert len(merges) == 1 + len(asks) < result.evals
 
 
 class TestCertify:
@@ -256,11 +277,11 @@ class TestDdp:
         config = CertifyConfig(
             mc_samples=5, cma=CmaConfig(max_evals=50, seed=derive_seed(9, "ddp-prior"))
         )
-        mu_1, _ = optimize(scheme, "train_risk", half_a, spec, config)
+        mu_1 = optimize(scheme, "train_risk", half_a, spec, config).x_best
         # permuting the second half cannot touch the prior fit
         permuted_b = half_b.subset(np.random.default_rng(0).permutation(half_b.n))
         assert permuted_b.n == half_b.n
-        mu_2, _ = optimize(scheme, "train_risk", half_a, spec, config)
+        mu_2 = optimize(scheme, "train_risk", half_a, spec, config).x_best
         np.testing.assert_array_equal(mu_1, mu_2)
 
     def test_too_small_support_rejected(self, world):

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pacmerge import (BoundBudget, ConfigError, FormatError, TrainConfig, TrainingDiverged,
-                      bernoulli_kl, pool_save, sample_set, train_stack)
+from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
+                      budget, pool_save, sample_set, train_stack)
 from pacmerge.cli import main
 from pacmerge.harness import (
     SCENARIOS,
@@ -258,8 +258,8 @@ def test_every_scenario_runs_and_validates(scenario):
     for r in record.records:
         r.validate()
         assert 0.0 <= r.train_error <= r.pb_bound <= 1.0
-        budget = BoundBudget(r.kl_qp, r.n, r.delta).value
-        assert r.pb_bound == 1.0 or bernoulli_kl(r.train_error, r.pb_bound) >= budget
+        assert r.pb_bound == 1.0 or (
+            bernoulli_kl(r.train_error, r.pb_bound) >= budget(r.kl_qp, r.n, r.delta))
 
 
 def reference_validity(config, world):
@@ -358,12 +358,11 @@ class TestReport:
             best = min(r.pb_bound for r in record.records if r.task_id == task_id)
             assert f"**{best:.6f}**" in text
 
-    def test_json_round_trip(self, smoke_record, tmp_path):
-        _, record, _ = smoke_record
-        path = write_report(record, "json", tmp_path, "roundtrip")
-        loaded = load_record(path)
-        assert report_text(loaded, "csv") == report_text(record, "csv")
-        assert loaded.config_hash == record.config_hash
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_json_round_trip(self, scenario, tmp_path):
+        run(make_config(scenario, TINY), tmp_path)
+        (path,) = tmp_path.glob(f"{scenario}-*.json")
+        assert report_text(load_record(path), "json") == path.read_text(encoding="utf-8")
 
     def test_unknown_format(self, smoke_record):
         _, record, _ = smoke_record
@@ -400,7 +399,7 @@ class TestCli:
     @pytest.mark.parametrize("field,value", [
         ("pb_bound", 0.01), ("train_error", -0.5), ("upper_bound", math.nan), ("task_id", 7),
         ("scheme", None), ("objective", ["train_risk"]), ("test_error", "0.1"),
-        ("test_error", True)])
+        ("test_error", True), ("n", 10**400)])
     def test_report_rejects_a_record_that_does_not_validate(
             self, smoke_record, tmp_path, capsys, field, value):
         _, record, _ = smoke_record
@@ -441,6 +440,20 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
+
+    @pytest.mark.parametrize("field,value", [
+        ("version", 7), ("config", "x"), ("wall_time_s", "slow"), ("records", {})])
+    def test_report_rejects_a_run_field_of_the_wrong_type(
+            self, smoke_record, tmp_path, capsys, field, value):
+        _, record, _ = smoke_record
+        stored = dict(record.to_dict(), **{field: value})
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(stored))
+        assert main(["report", "--record", str(path), "--format", "json",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"format error: cannot load run record: {field} must be")
 
     def test_report_accepts_an_infinite_kl(self, smoke_record, tmp_path, capsys):
         _, record, _ = smoke_record
@@ -493,9 +506,6 @@ class TestCli:
         assert main(["certify", "--scenario", "smoke", "--out", str(tmp_path), "--seed", "-1"]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "config error: seed: invalid value")
-
-    def test_sweep_requires_sweep_kind(self, tmp_path):
-        assert main(["sweep", "--scenario", "smoke", "--out", str(tmp_path)]) == 2
 
     def test_config_file_not_utf8_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
