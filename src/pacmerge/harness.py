@@ -265,7 +265,8 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
 
 
 def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
-    """Parse a ``key = value`` file (# comments allowed) into a config."""
+    """Parse a ``key = value`` file (# comments allowed) into a config; a key
+    set twice raises ``ConfigError`` naming the second line."""
     overrides: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -278,7 +279,10 @@ def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}", f"expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"{path}:{lineno}", f"key {key!r} is set twice")
+        overrides[key] = value.strip()
     scenario = overrides.pop("scenario", scenario)
     return make_config(scenario, overrides)
 

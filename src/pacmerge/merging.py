@@ -59,16 +59,22 @@ class MergeScheme:
     kind: str
     pool: ModelPool
     trim_fraction: float = 0.2
-    # derived from the pool once, in __post_init__
-    ties: np.ndarray | None = field(init=False, default=None)
+    # derived from the pool once, in __post_init__: the float64 (P,) task
+    # vector a scalar kind scales (None for the per-model kinds)
+    direction: np.ndarray | None = field(init=False, default=None)
     _deltas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown merge kind {self.kind!r}")
-        if self.kind == "ties":
-            object.__setattr__(self, "ties", ties_preprocess(self.pool, self.trim_fraction))
-        object.__setattr__(self, "_deltas", self.pool.deltas.astype(np.float64))
+        deltas = self.pool.deltas.astype(np.float64)
+        object.__setattr__(self, "_deltas", deltas)
+        if self.kind == "task_arith":
+            direction = deltas.mean(axis=0)
+            direction.flags.writeable = False
+            object.__setattr__(self, "direction", direction)
+        elif self.kind == "ties":
+            object.__setattr__(self, "direction", ties_preprocess(self.pool, self.trim_fraction))
 
     @property
     def d_phi(self) -> int:
@@ -111,10 +117,8 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
     pool = scheme.pool
     out = pool.base.astype(np.float64)
     deltas = scheme._deltas
-    if scheme.kind == "task_arith":
-        out = out + phis[:, :1] * deltas.mean(axis=0)
-    elif scheme.kind == "ties":
-        out = out + phis[:, :1] * scheme.ties
+    if scheme.kind in _SCALAR_KINDS:
+        out = out + phis[:, :1] * scheme.direction
     elif scheme.kind == "task_wise":
         out = out + (phis[:, None, :] @ deltas)[:, 0]
     else:  # layer_wise

@@ -23,8 +23,10 @@ the float64 counts by construction.  Once per call it bounds the float32
 score error a priori: Higham's dot-product bound gamma_n, the rounding of
 inputs and weights to float32, and np.tanh's measured error, carried through
 the layers by the column 1-norms of |W|.  Float32 then decides every input
-whose label margin clears twice that bound.  The few others, the undecided
-pairs of the whole call, are re-scored in float64 once, after the float32
+whose label margin clears twice that bound: it reads the label scores
+through one flat index per row tile, and looks for a block's undecided pairs
+only when its decided margins do not add up to the block.  The few undecided
+pairs of the whole call are re-scored in float64 once, after the float32
 pass: first stacked, then, for ties, with the float64 path's own shapes.
 Training runs in float64.  ``error_counts`` and ``train_stack`` reject inputs
 of another width than the spec's (``StructureError``) and labels that are
@@ -416,16 +418,18 @@ def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndar
 
 
 def _margins(scores: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Label margins s_y - max_{j != y} s_j (k, rows) of scores (k, classes, rows).
+    """Label margins s_y - max_{j != y} s_j (k, rows) of the C-contiguous
+    scores (k, classes, rows).
 
-    ``index`` is ``labels * rows + arange(rows)``, the positions of the label
-    scores in one draw's flattened scores.  Overwrites the label scores in
-    ``scores``.
+    ``index`` is ``(arange(k)[:, None] * classes * rows + labels * rows +
+    arange(rows)).ravel()``, the positions of the label scores in the
+    flattened block, so one 1-D gather reads them and one 1-D scatter
+    overwrites them with -inf in ``scores``.
     """
-    flat = scores.reshape(len(scores), -1)
-    label_scores = flat[:, index]
-    flat[:, index] = -np.inf
-    return label_scores - scores.max(axis=1)
+    flat = scores.reshape(-1)
+    label_scores = flat.take(index)
+    flat[index] = -np.inf
+    return label_scores.reshape(len(scores), -1) - scores.max(axis=1)
 
 
 def _stacks(draw: np.ndarray) -> list[slice]:
@@ -498,9 +502,12 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     float64 result against the exact value.  Each input is then decided by
     its label margin s_y - max_{j != y} s_j:
 
-    1. float32, block by block in a (draws, classes, rows) layout: a margin
-       beyond 2B has the float64 margin's sign, so it decides the row; NaN is
-       undecided, and the undecided (draw, input) pairs are collected;
+    1. float32, block by block in a (draws, classes, rows) layout, the label
+       scores read through one flat index per row tile: a margin beyond 2B
+       has the float64 margin's sign, so it decides the row.  Only when the
+       margins below -2B and above 2B do not add up to the block's pairs
+       (NaN is on neither side) does the block collect its undecided (draw,
+       input) pairs;
     2. after the last block, the undecided pairs of the call are scored again
        in stacked float64 calls, one unless its padded stack would exceed
        ``_ROW_BUDGET`` rows; each decides the pairs whose margin exceeds
@@ -538,16 +545,21 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
         tile = slice(start, start + _ROW_BUDGET)
         xa = _float32_inputs(x[tile])
         rows = xa.shape[1]
-        index = y[tile] * rows + np.arange(rows)
+        # label positions in a full block's flattened scores; a shorter last
+        # block of k draws uses the first k * rows
+        index = (np.arange(draws)[:, None] * (spec.widths[-1] * rows)
+                 + y[tile] * rows + np.arange(rows)).ravel()
         for lo in range(0, len(thetas), draws):
             block = slice(lo, lo + draws)
             scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
-            margin = _margins(scores, index)
-            counts[block] += (margin < -threshold).sum(axis=1)
-            # flat position f of the block is pair lo * n + start + f: a block
-            # holds one draw, or several on a one-tile set (start 0, n rows)
-            flat = np.flatnonzero(~(np.abs(margin) > threshold))
-            if len(flat):
+            margin = _margins(scores, index[: len(scores) * rows])
+            wrong = (margin < -threshold).sum(axis=1)
+            counts[block] += wrong
+            # a NaN margin is on neither side, so it falls short here too
+            if wrong.sum() + np.count_nonzero(margin > threshold) < margin.size:
+                # flat position f of the block is pair lo * n + start + f: a
+                # block holds one draw, or several on a one-tile set (start 0)
+                flat = np.flatnonzero(~(np.abs(margin) > threshold))
                 unsure.append(flat + (lo * data.n + start))
     if not unsure:
         return counts

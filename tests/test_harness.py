@@ -487,6 +487,14 @@ class TestCli:
         bad.write_text("bogus.key = 1\n")
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_duplicate_config_key_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = smoke\nseed = 3\n# comment\nseed = 4\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"config error: {bad}:4: key 'seed' is set twice"
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("line", ["cma.popsize = 2", "pool.base_epochs = -1",
                                       "pool.ft_epochs = -1"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, line):

@@ -2,6 +2,9 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pacmerge import (
     DomainError,
@@ -559,6 +562,115 @@ def test_tanh_error_within_the_bound_constants():
         exact = np.tanh(x64.astype(np.longdouble))
         ulps64 = np.abs(np.tanh(x64) - exact) / np.spacing(np.tanh(x64))
         assert ulps64.max() <= toyzoo._TANH64_ULPS
+
+
+_SCORE_VALUES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                          st.floats(-1e3, 1e3, width=32))
+
+
+@st.composite
+def margin_blocks(draw):
+    """(scores (k, classes, rows), labels, index): ``index`` is built for a
+    full block of ``draws >= k`` draws and cut to the k of this block."""
+    k, classes, rows = draw(st.integers(1, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    draws = k + draw(st.integers(0, 3))
+    scores = draw(arrays(np.float32, (k, classes, rows), elements=_SCORE_VALUES))
+    labels = draw(arrays(np.int64, rows, elements=st.integers(0, classes - 1)))
+    index = (np.arange(draws)[:, None] * (classes * rows)
+             + labels * rows + np.arange(rows)).ravel()
+    return scores, labels, index[: k * rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_blocks())
+def test_margins_equal_the_direct_reference(block):
+    scores, labels, index = block
+    k, _, rows = scores.shape
+    expected = np.empty((k, rows), dtype=np.float32)
+    after = scores.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for d in range(k):
+            for r, y in enumerate(labels):
+                others = np.delete(scores[d, :, r], y)
+                expected[d, r] = scores[d, y, r] - others.max()
+                after[d, y, r] = -np.inf
+        margin = toyzoo._margins(scores, index)
+    np.testing.assert_array_equal(margin, expected)
+    np.testing.assert_array_equal(scores, after)
+
+
+def decided_rows(k, n, seed):
+    """k float32 rows of a (6, 4) linear model and n inputs on which every
+    margin is at least about 1: rows 0..k-2 predict class 0 by 10, and row
+    k-1 scores class 1 above class 0 by the first input, +-1 on every input,
+    and classes 2 and 3 at -100."""
+    spec = MlpSpec((6, 4), activation="identity")
+    rng = np.random.default_rng(seed)
+    inputs = rng.standard_normal((n, 6))
+    inputs[:, 0] = rng.choice([-1.0, 1.0], n)
+    rows = np.zeros((k, spec.d_model), dtype=np.float32)
+    rows[:, -4:] = [0.0, -10.0, -20.0, -30.0]
+    w = rng.standard_normal((6, 4)).astype(np.float32)
+    w[:, 1] = w[:, 0]
+    w[0, 1] += 1.0
+    w[:, 2:] = 0.0
+    rows[-1] = np.concatenate([w.ravel(), [0.5, 0.5, -100.0, -100.0]])
+    return spec, rows, inputs, rng.integers(0, 4, n)
+
+
+@pytest.fixture
+def rechecked(monkeypatch):
+    """The (draw, input) pairs each tier-2 call of ``error_counts`` receives."""
+    pairs = []
+
+    def recorded(spec, thetas, x, y, draw, row, slack, _original=toyzoo._recheck_rows):
+        pairs.extend(zip(draw.tolist(), row.tolist()))
+        return _original(spec, thetas, x, y, draw, row, slack)
+
+    monkeypatch.setattr(toyzoo, "_recheck_rows", recorded)
+    return pairs
+
+
+class TestNoUndecidedPairSkipped:
+    """Blocks whose margin counts fall short of the block size, by one pair,
+    still send that pair to the float64 recheck.  5 draws make a last block
+    of 2 draws on R // 3 inputs and of 1 on R // 2; on R // 2 + 1 each block
+    holds one draw."""
+
+    @pytest.mark.parametrize("n", [R // 3, R // 2, R // 2 + 1])
+    def test_a_nan_margin_is_rechecked(self, monkeypatch, rechecked, n):
+        spec, rows, inputs, labels = decided_rows(5, n, n)
+        data = LabeledSet(inputs, labels)
+        expected = toyzoo._float64_counts(spec, rows.astype(np.float64), data)
+        assert error_counts(spec, rows, data).tolist() == expected.tolist()
+        assert rechecked == []
+        # a NaN score of draw 0, input 7 in the first block
+        blocks = []
+
+        def with_nan(*args, _original=toyzoo._scores32):
+            scores = _original(*args)
+            if not blocks:
+                scores[0, 0, 7] = np.nan
+            blocks.append(len(scores))
+            return scores
+
+        monkeypatch.setattr(toyzoo, "_scores32", with_nan)
+        assert error_counts(spec, rows, data).tolist() == expected.tolist()
+        assert rechecked == [(0, 7)]
+        assert sum(blocks) == 5 and blocks[0] == max(1, R // n)
+
+    @pytest.mark.parametrize("n", [R // 3, R // 2, R // 2 + 1])
+    def test_one_near_tie_in_the_last_block_is_rechecked(self, rechecked, n):
+        spec, rows, inputs, labels = decided_rows(5, n, n)
+        inputs[n - 2, 0] = 1e-6  # the last draw's class 0 and 1 scores differ by this
+        labels[n - 2] = 1
+        data = LabeledSet(inputs, labels)
+        expected = toyzoo._float64_counts(spec, rows.astype(np.float64), data)
+        assert error_counts(spec, rows, data).tolist() == expected.tolist()
+        assert rechecked == [(4, n - 2)]
+        assert expected[4] == np.count_nonzero((labels >= 2)
+                                               | ((inputs[:, 0] > 0) & (labels == 0))
+                                               | ((inputs[:, 0] < 0) & (labels == 1)))
 
 
 class TestZeroOneRisk:
