@@ -52,4 +52,4 @@ from .toyzoo import (
     train_stack,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -163,7 +163,8 @@ _SCHEMA: dict[str, tuple] = {
     "validity.grid": (_positive_int, 41),
 }
 
-# Keys that determine the source-model pool; pool caching hashes only these.
+# Keys that determine the source-model pool; pool caching hashes these and
+# ``__version__``, so a release that trains differently builds its own pool.
 _POOL_KEYS = ("seed",) + tuple(
     k for k in _SCHEMA if k.startswith(("tasks.", "model.", "pool."))
 )
@@ -233,7 +234,8 @@ class ExperimentConfig:
 
     @property
     def pool_hash(self) -> str:
-        lines = [f"{k} = {self.values[k]}" for k in sorted(_POOL_KEYS)]
+        lines = [f"version = {__version__}"]
+        lines += [f"{k} = {self.values[k]}" for k in sorted(_POOL_KEYS)]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
@@ -307,8 +309,9 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
     ``train_stack`` call, each with the bits of training it alone, so the
     pool bytes do not depend on the stacking.  A diverging model raises
     ``TrainingDiverged`` naming "base" or the member's task id.  When
-    ``cache_dir`` is given the pool is persisted under its pool hash and
-    reloaded bit-exactly on later runs.
+    ``cache_dir`` is given the pool is persisted under its pool hash, which
+    covers ``__version__``, and reloaded bit-exactly on later runs of the same
+    release.
     """
     seed = config["seed"]
     tasks = gen_tasks(

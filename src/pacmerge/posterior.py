@@ -16,8 +16,7 @@ share one variance in one ``merged_values`` call, whose rows do not depend
 on their batch.  ``mc_risks`` estimates the risks of such means, the
 candidates of a CMA-ES generation or the points of a validity grid, by
 scoring those m·k rows in one ``error_counts`` call.  A mean's risk does not
-depend on the other means of its call; ``error_counts`` says how its scoring
-keeps that so.  One posterior's risk is a one-row call.
+depend on the other means of its call.  One posterior's risk is a one-row call.
 """
 
 from __future__ import annotations

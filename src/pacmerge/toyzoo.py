@@ -18,19 +18,17 @@ one.  A model that diverges raises ``TrainingDiverged`` naming it and the
 epoch, without numpy overflow warnings.
 
 Every risk a certificate uses comes from ``error_counts``, which counts the
-0-1 errors of many parameter rows at once.  It scores in float32 and returns
-the float64 counts by construction.  Once per call it bounds the float32
-score error a priori: Higham's dot-product bound gamma_n, the rounding of
-inputs and weights to float32, and np.tanh's measured error, carried through
-the layers by the column 1-norms of |W|.  Float32 then decides every input
-whose label margin clears twice that bound: it reads the label scores
-through one flat index per row tile, and looks for a block's undecided pairs
-only when its decided margins do not add up to the block.  The few undecided
-pairs of the whole call are re-scored in float64 once, after the float32
-pass: first stacked, then, for ties, with the float64 path's own shapes.
-Training runs in float64.  ``error_counts`` and ``train_stack`` reject inputs
-of another width than the spec's (``StructureError``) and labels that are
-not its classes (``DomainError``).
+0-1 errors of many parameter rows at once.  The classifier it counts for is
+the float32 network: weights and inputs are rounded to float32 and every
+product, bias and activation runs in float32.  An input is classified
+correctly only when its label score is strictly above every other class
+score, so a tie counts as an error, and so does a NaN score, which scores
+that overflow the float32 range can give (inf - inf).  Certification only
+needs some fixed classifier's 0-1 error, and counting a doubtful input as an
+error only raises the empirical error that the kl inversion is monotone in,
+so every bound stays valid.  Training runs in float64.  ``error_counts`` and
+``train_stack`` reject inputs of another width than the spec's
+(``StructureError``) and labels that are not its classes (``DomainError``).
 """
 
 from __future__ import annotations
@@ -51,24 +49,7 @@ _ACTIVATIONS = ("tanh", "relu", "identity")
 # cache.
 _ROW_BUDGET = 4096
 
-# Constants of the float32 error bound in ``error_counts``.  Unit roundoffs,
-# and the absolute error one operation may add by underflow, taken as the
-# smallest normal number so that flush-to-zero is covered too.
-_U32, _TINY32 = 2.0**-24, 2.0**-126
-_U64, _TINY64 = 2.0**-53, 2.0**-1022
 _F32_MAX = float(np.finfo(np.float32).max)
-# Largest error of np.tanh in units in the last place of its result: float32
-# against float64 (1.37 at most over every float32 in [0, 10] with numpy 2.4
-# on x86-64), and float64 against the exact value (1.19 at most against long
-# double on 2e6 inputs in [0, 25]).  tests/test_toyzoo.py guards both.
-_TANH32_ULPS = 2.0
-_TANH64_ULPS = 2.0
-# Widens the thresholds for the rounding of the threshold to float32 and of
-# each float32 margin (2^-24 each), and of the bound's own float64
-# arithmetic: its n operations add and multiply nonnegative numbers, so
-# they err by n 2^-53 at most, far below 2^-20 for any model that fits in
-# memory.
-_SLACK = 1.0 + 2.0**-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,112 +264,13 @@ def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np
     return z
 
 
-def _scores(spec: MlpSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class scores (k, n, classes) under each row of the float64 ``thetas``
-    for float64 inputs ``x`` (n, in), or (k, n, in) with one set per row.
-
-    One row runs plain 2-D products.  k rows run stacked products, each slice
-    the same 2-D product, so a row's scores do not depend on its batch.  Bias
-    and activation update each fresh product in place, with the bits of the
-    out-of-place ``act(h @ w + b)``; ``thetas`` and ``x`` are only read.
-    """
-    h = x
-    layers = _unpack(spec, thetas[0] if len(thetas) == 1 else thetas)
-    for w, b in layers[:-1]:
-        h = h @ w
-        h += b[..., None, :]
-        _activate(spec, h, out=h)
-    w, b = layers[-1]
-    scores = h @ w
-    scores += b[..., None, :]
-    return scores if scores.ndim == 3 else scores[None]
-
-
-def _float64_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
-    """Misclassified inputs per row of the float64 ``thetas``, scored in float64.
-
-    Blocks of at most ``_ROW_BUDGET`` (draw, input) rows: sets of up to
-    ``_ROW_BUDGET`` inputs stack ``_ROW_BUDGET // n`` draws per block, larger
-    sets take one draw and row tiles of ``_ROW_BUDGET`` inputs.
-    """
-    x, y = data.inputs, data.labels
-    counts = np.zeros(len(thetas), dtype=np.int64)
-    draws = max(1, _ROW_BUDGET // data.n)
-    for lo in range(0, len(thetas), draws):
-        for start in range(0, data.n, _ROW_BUDGET):
-            tile = slice(start, start + _ROW_BUDGET)
-            predicted = np.argmax(_scores(spec, thetas[lo : lo + draws], x[tile]), axis=-1)
-            counts[lo : lo + draws] += np.count_nonzero(predicted != y[tile], axis=-1)
-    return counts
-
-
-def _score_error(spec, norms, x_max: float, u: float, tiny: float, act_err: float,
-                 rounded: bool) -> tuple[float, float]:
-    """(error, peak): a bound on |computed score - exact score| and on the
-    magnitude of every value the computation forms, at unit roundoff ``u``.
-
-    ``norms`` holds (largest column 1-norm of |W|, largest |b|) per layer over
-    every draw; ``rounded`` says that inputs and weights are first rounded to
-    the working precision.  A layer's error is the dot-product error
-    gamma_{fan_in+1} (|h| |W| + |b|), gamma_n = n u / (1 - n u) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1), which
-    holds for any summation order and with fused multiply-adds, plus the
-    error it inherits through |W|, the rounding of W and b, and ``tiny`` per
-    operation for underflow.  The activations are 1-Lipschitz; ``relu`` is
-    exact and ``tanh`` adds ``act_err``.
-    """
-    rho, tiny_r = (u, tiny) if rounded else (0.0, 0.0)
-    m = x_max  # largest |h| of the exact computation
-    e = rho * x_max + tiny_r  # largest |computed h - exact h|
-    peak = m + e
-    last = len(norms) - 1
-    for layer, ((col, bias), fan_in) in enumerate(zip(norms, spec.widths[:-1])):
-        w_hat = (1.0 + rho) * col + fan_in * tiny_r
-        b_hat = (1.0 + rho) * bias + tiny_r
-        gamma = (fan_in + 1) * u / (1.0 - (fan_in + 1) * u)
-        dot = (m + e) * w_hat + b_hat
-        e = (gamma * dot + 2 * (fan_in + 1) * tiny + e * w_hat
-             + m * (rho * col + fan_in * tiny_r) + rho * bias + tiny_r)
-        peak = max(peak, w_hat, b_hat, (1.0 + gamma) * dot + 2 * (fan_in + 1) * tiny)
-        m = m * col + bias
-        if layer < last and spec.activation == "tanh":
-            m = min(m, 1.0)
-            e += act_err
-    return e, peak
-
-
-def _thresholds(spec: MlpSpec, thetas: np.ndarray, x_max: float):
-    """(float32 margin threshold, float64 margin slack), or None when float32
-    scoring could overflow.
-
-    B bounds |float32 score - float64 score| for every draw and input of the
-    call: the float32 pass's error and the float64 path's, each against exact
-    arithmetic.  A label margin that differs from the float64 margin by at
-    most 2B and exceeds 2B in size therefore has the float64 margin's sign.
-    Two float64 computations of a score differ by at most twice the float64
-    error, so their margins by at most the slack.  Both are widened by
-    ``_SLACK``.
-    """
-    norms = [(float((np.ones(w.shape[-2]) @ np.abs(w)).max()), float(np.abs(b).max()))
-             for w, b in _unpack(spec, thetas)]
-    if not np.all(np.isfinite(norms)):
-        return None
-    tanh32 = _TANH32_ULPS * 2.0**-23 + _TANH64_ULPS * 2.0**-52
-    err32, peak = _score_error(spec, norms, x_max, _U32, _TINY32, tanh32, rounded=True)
-    err64, _ = _score_error(spec, norms, x_max, _U64, _TINY64, _TANH64_ULPS * 2.0**-52,
-                            rounded=False)
-    if not 4.0 * peak < _F32_MAX:
-        return None
-    return np.float32(2.0 * (err32 + err64) * _SLACK), 4.0 * err64 * _SLACK
-
-
 def _float32_layers(spec: MlpSpec, thetas: np.ndarray):
-    """(first, rest): the float32 layers of ``thetas`` for ``_scores32``.
+    """(first, rest): the layers of the float32 ``thetas`` for ``_scores32``.
 
     ``first`` is the first layer as (k, out, in + 1), its bias the last
     column; ``rest`` holds each later layer as (W^T (k, out, in), b (k, out, 1)).
     """
-    layers = _unpack(spec, thetas.astype(np.float32, copy=False))
+    layers = _unpack(spec, thetas)
     (w, b), rest = layers[0], layers[1:]
     first = np.concatenate([w.swapaxes(1, 2), b[..., None]], axis=2)
     return first, [(w.swapaxes(1, 2), b[..., None]) for w, b in rest]
@@ -432,152 +314,59 @@ def _margins(scores: np.ndarray, index: np.ndarray) -> np.ndarray:
     return label_scores.reshape(len(scores), -1) - scores.max(axis=1)
 
 
-def _stacks(draw: np.ndarray) -> list[slice]:
-    """Slices of the sorted ``draw`` for ``_recheck_rows``, each of at most
-    ``_ROW_BUDGET`` padded rows: (its draws) x (most pairs of one draw).
-
-    A draw with more than ``_ROW_BUDGET`` pairs is split into pieces of
-    ``_ROW_BUDGET``, each a stack of its own.
-    """
-    per_draw = np.unique(draw, return_counts=True)[1]
-    if len(per_draw) * per_draw.max() <= _ROW_BUDGET:
-        return [slice(0, len(draw))]
-    stacks, start, width, stacked, lo = [], 0, 0, 0, 0
-    for count in per_draw.tolist():
-        for piece in range(lo, lo + count, _ROW_BUDGET):
-            size = min(_ROW_BUDGET, lo + count - piece)
-            if (stacked + 1) * max(width, size) > _ROW_BUDGET:
-                stacks.append(slice(start, piece))
-                start, width, stacked = piece, 0, 0
-            stacked += 1
-            width = max(width, size)
-        lo += count
-    return stacks + [slice(start, len(draw))]
-
-
-def _recheck_rows(spec, thetas, x, y, draw, row, slack):
-    """Tier 2: errors per draw among (draw, input) pairs of the call, and the
-    pairs still undecided, from one stacked float64 call.
-
-    ``draw`` is sorted and ``row`` indexes ``x`` and ``y``.  The rows of each
-    draw are stacked on that draw's slice, padded with zero inputs, so no
-    pair needs its own copy of the weights; ``_stacks`` keeps the padded
-    stack within ``_ROW_BUDGET`` rows.
-    """
-    which, first, per_draw = np.unique(draw, return_index=True, return_counts=True)
-    stack = np.repeat(np.arange(len(which)), per_draw)
-    slot = np.arange(len(draw)) - first[stack]
-    inputs = np.zeros((len(which), per_draw.max(), x.shape[1]))
-    inputs[stack, slot] = x[row]
-    scores = _scores(spec, thetas[which].astype(np.float64), inputs)[stack, slot]
-    index = y[row] * len(row) + np.arange(len(row))
-    margin = _margins(np.ascontiguousarray(scores.T)[None], index)[0]
-    errors = np.bincount(draw[margin < -slack], minlength=len(thetas))
-    return errors, ~(np.abs(margin) > slack)
-
-
-def _exact_errors(spec, theta, x, y, rows) -> int:
-    """Tier 3: errors among ``rows`` of a tile under one float64 ``theta`` (1, d),
-    scored with the float64 path's shapes and so with its bits."""
-    predicted = np.argmax(_scores(spec, theta, x)[0], axis=-1)
-    return int(np.count_nonzero(predicted[rows] != y[rows]))
-
-
 def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
-    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model).
+    """Misclassified inputs of ``data`` under each row of ``thetas`` (k, d_model),
+    counted for the float32 network.
 
-    The counts are those of scoring in float64 (``_float64_counts``), but most
-    rows are decided in float32.  Scoring keeps the blocks of the float64
-    path: at most ``_ROW_BUDGET`` (draw, input) rows, ``_ROW_BUDGET // n``
-    stacked draws on sets of up to ``_ROW_BUDGET`` inputs and one draw on row
-    tiles of ``_ROW_BUDGET`` inputs on larger sets.  Float32 ``thetas`` are
-    used as they are; any other dtype is read as float64.
+    An input is an error unless its label margin s_y - max_{j != y} s_j is
+    strictly positive: a tie counts as an error, and so does a margin of
+    -inf or NaN, which scores that overflow the float32 range can give; such
+    a call warns of nothing.
+    ``thetas`` of another dtype than float32 are rounded to float32 once; a
+    finite value too large for float32 raises ``DomainError``, as in
+    ``merging.merged_values``.
 
-    Once per call ``_thresholds`` bounds the difference B between a float32
-    and a float64 score from the largest |x|, the column 1-norms of |W| and
-    the largest |b|.  The bound covers rounding the inputs and weights to
-    float32, any summation order of the products, fused multiply-adds,
-    underflow, and np.tanh's error: at most ``_TANH32_ULPS`` units in the last
-    place of its float32 result against float64, and ``_TANH64_ULPS`` of its
-    float64 result against the exact value.  Each input is then decided by
-    its label margin s_y - max_{j != y} s_j:
-
-    1. float32, block by block in a (draws, classes, rows) layout, the label
-       scores read through one flat index per row tile: a margin beyond 2B
-       has the float64 margin's sign, so it decides the row.  Only when the
-       margins below -2B and above 2B do not add up to the block's pairs
-       (NaN is on neither side) does the block collect its undecided (draw,
-       input) pairs;
-    2. after the last block, the undecided pairs of the call are scored again
-       in stacked float64 calls, one unless its padded stack would exceed
-       ``_ROW_BUDGET`` rows; each decides the pairs whose margin exceeds
-       twice the largest difference of two float64 scorings;
-    3. the rest, ties among them, are read per draw and row tile from the
-       tile scored with the float64 path's own shapes, whose bits they are.
-
-    When the bound shows that float32 could overflow, the whole call is
-    scored in float64.  Inputs of another width than ``spec``'s raise
-    ``StructureError`` and a label that is not a class of ``spec`` raises
-    ``DomainError``.  A row's count does not depend on the other rows of
-    ``thetas``.  A tile's product can differ from the full-height product in
-    the last bit: on OpenBLAS 0.3.31, tiles of 8 rows or more reproduce the
-    full product's bits except for a final layer of 3-4 outputs on 100,000
-    rows, where no prediction changed.
+    The scores are formed in blocks of at most ``_ROW_BUDGET`` (draw, input)
+    rows, in a (draws, classes, rows) layout: ``_ROW_BUDGET // n`` stacked
+    draws on sets of up to ``_ROW_BUDGET`` inputs, and one draw on row tiles
+    of ``_ROW_BUDGET`` inputs on larger sets.  The label scores of a row tile
+    are read through one flat index.  A draw's scores, and so its count, do
+    not depend on the other rows of ``thetas``, except on a one-input set:
+    there the first layer of a block is a matrix-vector product, whose last
+    bits change with the number of stacked draws.  Inputs of another width
+    than ``spec``'s raise ``StructureError`` and a label that is not a class
+    of ``spec`` raises ``DomainError``.
     """
     thetas = np.asarray(thetas)
-    if thetas.dtype != np.float32:
-        thetas = thetas.astype(np.float64, copy=False)
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
         raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
+    if thetas.dtype != np.float32:
+        with np.errstate(over="ignore"):
+            rounded = thetas.astype(np.float32)
+        if not np.array_equal(np.isinf(rounded), np.isinf(thetas)):
+            raise DomainError("thetas overflow the 32-bit float range")
+        thetas = rounded
     x, y = data.inputs, data.labels
     _check_data(spec, data)
     counts = np.zeros(len(thetas), dtype=np.int64)
     if data.n == 0 or len(thetas) == 0:
         return counts
-    bound = _thresholds(spec, thetas, max(x.max(), -x.min()))
-    if bound is None:
-        return _float64_counts(spec, thetas.astype(np.float64, copy=False), data)
-    threshold, slack = bound
     first, rest = _float32_layers(spec, thetas)
     draws = max(1, _ROW_BUDGET // data.n)
-    unsure = []  # undecided pairs as draw * n + input
-    for start in range(0, data.n, _ROW_BUDGET):
-        tile = slice(start, start + _ROW_BUDGET)
-        xa = _float32_inputs(x[tile])
-        rows = xa.shape[1]
-        # label positions in a full block's flattened scores; a shorter last
-        # block of k draws uses the first k * rows
-        index = (np.arange(draws)[:, None] * (spec.widths[-1] * rows)
-                 + y[tile] * rows + np.arange(rows)).ravel()
-        for lo in range(0, len(thetas), draws):
-            block = slice(lo, lo + draws)
-            scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
-            margin = _margins(scores, index[: len(scores) * rows])
-            wrong = (margin < -threshold).sum(axis=1)
-            counts[block] += wrong
-            # a NaN margin is on neither side, so it falls short here too
-            if wrong.sum() + np.count_nonzero(margin > threshold) < margin.size:
-                # flat position f of the block is pair lo * n + start + f: a
-                # block holds one draw, or several on a one-tile set (start 0)
-                flat = np.flatnonzero(~(np.abs(margin) > threshold))
-                unsure.append(flat + (lo * data.n + start))
-    if not unsure:
-        return counts
-    draw, row = np.divmod(np.sort(np.concatenate(unsure)), data.n)
-    undecided = np.empty(len(draw), dtype=bool)
-    for part in _stacks(draw):
-        errors, undecided[part] = _recheck_rows(spec, thetas, x, y, draw[part], row[part], slack)
-        counts += errors
-    if not undecided.any():
-        return counts
-    draw, row = draw[undecided], row[undecided]
-    tiles = -(-data.n // _ROW_BUDGET)
-    groups, starts = np.unique(draw * tiles + row // _ROW_BUDGET, return_index=True)
-    for group, members in zip(groups.tolist(), np.split(row, starts[1:])):
-        d, t = divmod(group, tiles)
-        tile = slice(t * _ROW_BUDGET, (t + 1) * _ROW_BUDGET)
-        theta = thetas[d : d + 1].astype(np.float64)
-        counts[d] += _exact_errors(spec, theta, x[tile], y[tile], members - tile.start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, data.n, _ROW_BUDGET):
+            tile = slice(start, start + _ROW_BUDGET)
+            xa = _float32_inputs(x[tile])
+            rows = xa.shape[1]
+            # label positions in a full block's flattened scores; a shorter
+            # last block of k draws uses the first k * rows
+            index = (np.arange(draws)[:, None] * (spec.widths[-1] * rows)
+                     + y[tile] * rows + np.arange(rows)).ravel()
+            for lo in range(0, len(thetas), draws):
+                block = slice(lo, lo + draws)
+                scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
+                margin = _margins(scores, index[: len(scores) * rows])
+                counts[block] += rows - np.count_nonzero(margin > 0, axis=1)
     return counts
 
 

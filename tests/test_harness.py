@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pacmerge
+import pacmerge.harness as harness
 from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
                       budget, pool_save, sample_set, train_stack)
 from pacmerge.cli import main
@@ -91,6 +95,13 @@ class TestConfig:
         assert a.hash == b.hash
         assert a.hash != c.hash
 
+    def test_pool_hash_covers_the_release(self, monkeypatch):
+        # a pool cached by another release is not reused
+        cfg = make_config("smoke")
+        before = cfg.pool_hash
+        monkeypatch.setattr(harness, "__version__", "0.0.0")
+        assert cfg.pool_hash != before
+
     def test_canonical_round_trips_through_file(self, tmp_path):
         cfg = make_config("smoke", {"seed": 5})
         path = tmp_path / "run.cfg"
@@ -110,6 +121,13 @@ class TestConfig:
         path.write_text("this has no equals sign\n")
         with pytest.raises(ConfigError):
             load_config_file(path)
+
+
+def test_version_matches_pyproject():
+    # tomllib is not in Python 3.10's standard library
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert pacmerge.__version__ == version
 
 
 @pytest.fixture(scope="module")

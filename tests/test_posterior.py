@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pacmerge.posterior as posterior
+import pacmerge.toyzoo as toyzoo
 from pacmerge import (
     DomainError,
     GaussianSpec,
@@ -199,6 +200,50 @@ class TestBatchedKernel:
             merged_values(scheme, np.zeros(scheme.d_phi))
         with pytest.raises(StructureError):
             merged_values(scheme, np.zeros((2, scheme.d_phi + 1)))
+
+
+def block_margins(spec, thetas, x, y):
+    """Float32 label margins (k, rows) of ``thetas`` scored as one block on
+    the row tile ``x``, ``y``, as ``error_counts`` forms them."""
+    first, rest = toyzoo._float32_layers(spec, thetas)
+    xa = toyzoo._float32_inputs(x)
+    index = (np.arange(len(thetas))[:, None] * (spec.widths[-1] * len(y))
+             + y * len(y) + np.arange(len(y))).ravel()
+    return toyzoo._margins(toyzoo._scores32(spec, first, rest, xa), index)
+
+
+@pytest.fixture(scope="module")
+def shipped_shape_pool():
+    """A pool of 6 members of the shipped scenarios' (16, 32, 4) network."""
+    spec = MlpSpec((16, 32, 4))
+    rng = np.random.default_rng(8)
+    deltas = [0.05 * rng.standard_normal(spec.d_model) for _ in range(6)]
+    pool = ModelPool(init_params(spec, 3), deltas, [f"m{i}" for i in range(6)],
+                     spec.layer_offsets())
+    return pool, spec, gen_tasks(4, 2, 16, 4, 0.8)[0]
+
+
+# The rows of ``mc_risks`` depend on no other row of their call because a
+# draw's float32 margins on a row tile do not depend on the block it is
+# scored in: alone, in blocks of 10, or in one block of every draw.  Blocks
+# stay within about 2^17 (draw, input) rows, 16 MB of hidden units.  A
+# one-row tile is left out: its first layer is a matrix-vector product whose
+# bits change with the number of stacked draws, and ``error_counts`` scores
+# one draw per block there, except on a one-input set.
+@pytest.mark.parametrize("n,draws", [(100, 300), (2000, 60), (4000, 30), (_ROW_BUDGET + 1, 30)])
+@pytest.mark.parametrize("kind", ["task_wise", "layer_wise"])
+def test_float32_margins_do_not_depend_on_the_block(shipped_shape_pool, kind, n, draws):
+    pool, spec, task = shipped_shape_pool
+    scheme = make_scheme(kind, pool)
+    data = sample_set(task, n, 5)
+    phis = 1 / 6 + 0.5 * np.random.default_rng(n).standard_normal((draws, scheme.d_phi))
+    thetas = merged_values(scheme, phis)
+    x, y = data.inputs[:_ROW_BUDGET], data.labels[:_ROW_BUDGET]
+    alone = np.concatenate([block_margins(spec, thetas[i : i + 1], x, y) for i in range(draws)])
+    in_tens = np.concatenate([block_margins(spec, thetas[i : i + 10], x, y)
+                              for i in range(0, draws, 10)])
+    assert alone.tobytes() == in_tens.tobytes()
+    assert alone.tobytes() == block_margins(spec, thetas, x, y).tobytes()
 
 
 class TestBatchedMeans:

@@ -1,5 +1,3 @@
-import collections
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,29 +25,42 @@ _ACT = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambd
 
 
 def reference_scores(spec, flat, x):
-    """Out-of-place float64 forward of one flat parameter row, as written."""
-    flat = np.asarray(flat, dtype=np.float64)
+    """Out-of-place float32 class scores (n, classes) of one flat parameter row,
+    as written: each layer is W^T h + b on float32 columns h (in, n), the
+    first with its bias folded in as a last input row of ones."""
+    flat = np.asarray(flat, dtype=np.float32)
     offsets = spec.layer_offsets()
-    h = x
-    for i in range(0, len(offsets), 2):
-        (w_start, w_len), (b_start, b_len) = offsets[i], offsets[i + 1]
-        z = h @ flat[w_start : w_start + w_len].reshape(-1, b_len) + flat[b_start : b_start + b_len]
-        h = z if i == len(offsets) - 2 else _ACT[spec.activation](z)
-    return h
+    layers = [(flat[ws : ws + wl].reshape(-1, bl), flat[bs : bs + bl])
+              for (ws, wl), (bs, bl) in zip(offsets[::2], offsets[1::2])]
+    (w, b), rest = layers[0], layers[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.hstack([w.T, b[:, None]]) @ np.vstack([x.T, np.ones(len(x))]).astype(np.float32)
+        for w, b in rest:
+            h = w.T @ _ACT[spec.activation](h) + b[:, None]
+    return h.T
 
 
 def reference_counts(spec, thetas, data):
-    """Float64 error counts of each row, scored by the out-of-place forward."""
+    """Errors of each row of the float32 network, by the rule as written: an
+    input is correct only when its label score is strictly above the largest
+    other class score (-inf when there is none), so a tie or a NaN score is
+    an error."""
     counts = []
+    rows = np.arange(data.n)
     for row in thetas:
-        predicted = np.argmax(reference_scores(spec, row, data.inputs), axis=1)
-        counts.append(np.count_nonzero(predicted != data.labels))
+        s = reference_scores(spec, row, data.inputs)
+        label = s[rows, data.labels]
+        s[rows, data.labels] = -np.inf
+        correct = label > s.max(axis=1, initial=-np.inf)
+        counts.append(data.n - np.count_nonzero(correct))
     return counts
 
 
 def scores(spec, theta, x):
-    """Float64 class scores of one parameter row, as ``error_counts`` forms them."""
-    return toyzoo._scores(spec, theta[None].astype(np.float64), x)[0]
+    """Float32 class scores (n, classes) of one parameter row, as
+    ``error_counts`` forms them."""
+    first, rest = toyzoo._float32_layers(spec, theta[None].astype(np.float32))
+    return toyzoo._scores32(spec, first, rest, toyzoo._float32_inputs(x))[0].T
 
 
 def risk(spec, theta, data):
@@ -215,10 +226,9 @@ class TestSampleTiles:
             next(toyzoo.sample_tiles(task, 0, 1))
 
     # two full tiles and a 3-row remainder; k=5 random draws, then near ties
-    # that the stacked float64 recheck decides, then exact ties that only the
-    # float64 path's own tiles decide
+    # two float32 steps apart, then exact ties
     @pytest.mark.parametrize("rows", ["random", "near", "exact"])
-    def test_tile_counts_sum_to_the_whole_set_counts(self, tiers, rows):
+    def test_tile_counts_sum_to_the_whole_set_counts(self, rows):
         spec = MlpSpec((6, 8, 4), activation="tanh")
         task = gen_tasks(5, 2, 6, 4, 0.5)[0]
         n = 2 * R + 3
@@ -228,25 +238,21 @@ class TestSampleTiles:
         else:
             thetas = tied_rows(spec, 3, n, np.float32, gap=2 if rows == "near" else 0)
         whole = error_counts(spec, thetas, sample_set(task, n, 3))
-        tiers.clear()
         summed = np.zeros(len(thetas), dtype=np.int64)
         for tile in toyzoo.sample_tiles(task, n, 3):
             summed += error_counts(spec, thetas, tile)
         assert summed.tolist() == whole.tolist()
-        if rows != "random":
-            assert tiers["_recheck_rows"] >= 3
-        if rows == "exact":
-            assert tiers["_exact_errors"] >= 3
 
 
 class TestForward:
-    def test_zero_theta_ties_to_class_zero(self):
+    def test_zero_theta_counts_every_row_as_an_error(self):
+        # every class scores 0, and a tie is an error whatever the label
         spec = MlpSpec((4, 8, 3))
         theta = np.zeros(spec.d_model, dtype=np.float32)
         x = np.ones((5, 4))
         np.testing.assert_array_equal(scores(spec, theta, x), np.zeros((5, 3)))
         labels = np.array([0, 0, 1, 2, 0])
-        assert error_counts(spec, theta[None], LabeledSet(x, labels)).tolist() == [2]
+        assert error_counts(spec, theta[None], LabeledSet(x, labels)).tolist() == [5]
 
     def test_hand_computed_linear(self):
         # single affine layer, identity weights: scores == inputs + bias
@@ -294,20 +300,28 @@ class TestForward:
 
 
 class TestBlockedKernel:
-    """``error_counts`` in row blocks against the per-row reference."""
+    """``error_counts`` in row blocks against the per-row float32 reference."""
 
     # one full tile; a one-row remainder tile; two tiles and a 3-row
-    # remainder; 3 stacked draws per block, so k=5 leaves a block of 2
-    @pytest.mark.parametrize("n,k", [(R, 3), (R + 1, 3), (2 * R + 3, 2), (R // 3, 5)])
+    # remainder; every k crosses a block boundary: R stacked draws per block
+    # on one input, one draw per block from R // 2 + 1 inputs on, and 3 on
+    # R // 3, so k=5 leaves a block of 2
+    @pytest.mark.parametrize("n,k", [(1, R + 1), (R - 1, 2), (R, 3), (R + 1, 3), (2 * R + 3, 2),
+                                     (R // 3, 5)])
     @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
     def test_equals_per_row_reference(self, activation, n, k):
         spec = MlpSpec((6, 8, 4), activation=activation)
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
-        # random biases, so the in-place bias update is exercised
-        rows = np.random.default_rng(k).standard_normal((k, spec.d_model)).astype(np.float32)
-        counts = error_counts(spec, rows, data)
-        assert counts.dtype == np.int64
-        assert counts.tolist() == reference_counts(spec, rows, data)
+        # random biases, so the in-place bias update is exercised; then rows
+        # whose classes 0 and 1 are two float32 steps apart, and exact ties
+        random = np.random.default_rng(k).standard_normal((k, spec.d_model)).astype(np.float32)
+        near, exact = (tied_rows(spec, k, n, np.float32, gap=gap) for gap in (2, 0))
+        for rows in (random, near, exact):
+            counts = error_counts(spec, rows, data)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == reference_counts(spec, rows, data)
+        # classes 0 and 1 tie above the rest, so every input is an error
+        assert counts.tolist() == [n] * k
 
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
     def test_arguments_unchanged(self, n):
@@ -344,21 +358,17 @@ def tied_rows(spec, k, seed, dtype, gap):
 
 
 @pytest.fixture
-def tiers(monkeypatch):
-    """Counts the calls of each scoring tier of ``error_counts``; ``stacks``
-    holds (pairs, padded rows) of each stacked float64 call of tier 2."""
-    calls = collections.Counter()
-    calls.stacks = []
-    for name in ("_scores32", "_recheck_rows", "_exact_errors", "_float64_counts"):
-        def counted(*args, _name=name, _original=getattr(toyzoo, name)):
-            calls[_name] += 1
-            if _name == "_recheck_rows":
-                _, per_draw = np.unique(args[4], return_counts=True)
-                calls.stacks.append((len(args[4]), len(per_draw) * int(per_draw.max())))
-            return _original(*args)
+def blocks(monkeypatch):
+    """The number of draws in each block ``error_counts`` scores."""
+    sizes = []
 
-        monkeypatch.setattr(toyzoo, name, counted)
-    return calls
+    def recorded(*args, _original=toyzoo._scores32):
+        scores = _original(*args)
+        sizes.append(len(scores))
+        return scores
+
+    monkeypatch.setattr(toyzoo, "_scores32", recorded)
+    return sizes
 
 
 def unchanged_counts(spec, thetas, data):
@@ -371,56 +381,26 @@ def unchanged_counts(spec, thetas, data):
 
 
 class TestFloat32Scoring:
-    """Float32 scoring with float64 rechecks equals the float64 counts."""
+    """The counts of the float32 network, where ties, NaN scores and overflow
+    count as errors."""
 
     ACTIVATIONS = ["tanh", "relu", "identity"]
 
-    # 100 draws in blocks of 81 and 19 stacked draws; one draw on a one-row
-    # remainder tile, and on two tiles and a 3-row remainder.  Labels 0 and
-    # 1 are near ties, half the inputs, so every call's undecided pairs fit
-    # one stack of at most R padded rows
-    @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_near_ties_rechecked_in_float64(self, tiers, activation, n):
-        k = 100 if n < R else 1
-        spec = MlpSpec((6, 8, 4), activation=activation)
-        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
-        rows = tied_rows(spec, k, n, np.float32, gap=2)
-        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert tiers["_scores32"] == -(-k // max(1, R // n)) * -(-n // R)
-        assert tiers["_recheck_rows"] == 1
-        assert tiers.stacks[0][0] > n * k // 3 and tiers.stacks[0][1] <= R
-
-    # 3 draws of about R/2 near ties each on R + 1 inputs, of about R on
-    # 2R + 3: one stack cannot hold them all, one per draw can
-    @pytest.mark.parametrize("n", [R + 1, 2 * R + 3])
-    def test_near_ties_beyond_one_stack(self, tiers, n):
-        spec = MlpSpec((6, 8, 4), activation="tanh")
-        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
-        rows = tied_rows(spec, 3, n, np.float32, gap=2)
-        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert 1 < tiers["_recheck_rows"] <= 3
-        assert all(padded <= R for _, padded in tiers.stacks)
-
     # a draw of all-zero weights ties every class on every input, among
-    # random draws with few undecided pairs: 4 stacked draws per block on
-    # 1,000 inputs, and 2R + 3 inputs, more undecided pairs than one stack
-    # holds for the tied draw alone
+    # random draws: 4 stacked draws per block on 1,000 inputs, and one draw
+    # on each of 3 row tiles of 2R + 3 inputs
     @pytest.mark.parametrize("n", [1000, 2 * R + 3])
-    def test_one_tied_draw_among_random_draws(self, tiers, n):
+    def test_one_tied_draw_among_random_draws(self, n):
         spec = MlpSpec((6, 8, 4), activation="relu")
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = np.random.default_rng(n).standard_normal((40, spec.d_model)).astype(np.float32)
         rows[13] = 0.0
         counts = unchanged_counts(spec, rows, data)
         assert counts.tolist() == reference_counts(spec, rows, data)
-        # ties break toward class 0
-        assert counts[13] == np.count_nonzero(data.labels != 0)
-        assert sum(pairs for pairs, _ in tiers.stacks) >= n
-        assert all(padded <= R for _, padded in tiers.stacks)
-        assert tiers["_exact_errors"] >= -(-n // R)
+        assert counts[13] == n
+        assert 0 < counts[12] < n and 0 < counts[14] < n
 
-    def test_exact_ties_in_a_later_tile_of_a_later_draw(self, tiers):
+    def test_exact_ties_in_a_later_tile_of_a_later_draw(self):
         # draw 2 of a linear model ties classes 0 and 1 exactly where the
         # first input is 0, which holds on the second row tile only
         spec = MlpSpec((6, 4), activation="identity")
@@ -441,66 +421,70 @@ class TestFloat32Scoring:
         b[2:] = -1e6
         counts = unchanged_counts(spec, rows, data)
         assert counts.tolist() == reference_counts(spec, rows, data)
-        assert tiers["_exact_errors"] == 1
-        # off the second tile the first input decides; on it class 0 wins
+        # off the second tile the first input decides; on it classes 0 and 1
+        # tie, so both labels are errors
         y, x0 = data.labels, inputs[:, 0]
         assert counts[2] == (np.count_nonzero(y >= 2)
                              + np.count_nonzero((x0 > 0) & (y == 0))
                              + np.count_nonzero((x0 < 0) & (y == 1))
-                             + np.count_nonzero((x0 == 0) & (y == 1)))
-
-    @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_exact_ties_read_from_float64_tiles(self, tiers, activation, n):
-        spec = MlpSpec((6, 8, 4), activation=activation)
-        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
-        rows = tied_rows(spec, 3, n, np.float32, gap=0)
-        counts = unchanged_counts(spec, rows, data)
-        assert counts.tolist() == reference_counts(spec, rows, data)
-        assert tiers["_exact_errors"] >= 1
-        # ties break toward class 0, so every input labelled 1 is an error
-        assert counts.tolist() == [np.count_nonzero(data.labels >= 1)] * 3
+                             + np.count_nonzero((x0 == 0) & (y <= 1)))
 
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_float64_thetas_float32_cannot_hold(self, tiers, activation, n):
+    def test_float64_thetas_float32_cannot_hold(self, blocks, activation, n):
         spec = MlpSpec((6, 8, 4), activation=activation)
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = tied_rows(spec, 3, n, np.float64, gap=1e-9)
         assert not np.array_equal(rows.astype(np.float32), rows)
-        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert tiers["_recheck_rows"] >= 1
+        # rounded to float32 once: the counts of the rounded rows
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == error_counts(spec, rows.astype(np.float32), data).tolist()
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        blocks.clear()
+        rows[1, 5] = 4e38
+        with pytest.raises(DomainError, match="32-bit float range"):
+            error_counts(spec, rows, data)
+        assert not blocks
 
+    # weights of 1e30 and a last layer at the edge of the float32 range: its
+    # sums overflow to infinities, which tie or lose; no RuntimeWarning
+    # escapes, which tier-1 would turn into an error
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_overflow_scale_weights_take_the_float64_path(self, tiers, activation, dtype):
+    def test_overflow_scale_weights_count_as_errors(self, activation, dtype):
         spec = MlpSpec((6, 8, 4), activation=activation)
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 200, 3)
-        rows = (1e30 * np.random.default_rng(1).standard_normal((3, spec.d_model))).astype(dtype)
-        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert tiers["_float64_counts"] == 1 and tiers["_scores32"] == 0
+        rows = 1e30 * np.random.default_rng(1).standard_normal((3, spec.d_model))
+        last = spec.layer_offsets()[-2][0]
+        rows[:, last:] = np.clip(1e8 * rows[:, last:], -3e38, 3e38)
+        rows = rows.astype(dtype)
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        for row in rows:
+            assert not np.isfinite(reference_scores(spec, row, data.inputs)).all()
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_large_set(self, tiers, activation):
+    def test_large_set(self, blocks, activation):
         spec = MlpSpec((6, 8, 4), activation=activation)
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 100_000, 8)
         rows = np.random.default_rng(6).standard_normal((2, spec.d_model)).astype(np.float32)
         assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
-        assert tiers["_scores32"] == 2 * 25
+        assert blocks == [1] * (2 * 25)
 
-    def test_labels_beyond_the_classes_are_rejected(self, tiers):
+    def test_labels_beyond_the_classes_are_rejected(self, blocks):
         spec = MlpSpec((6, 8, 3))
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 300, 3)
         assert data.labels.max() == 3
         rows = np.random.default_rng(2).standard_normal((2, spec.d_model)).astype(np.float32)
         with pytest.raises(DomainError, match="not a class"):
             error_counts(spec, rows, data)
-        assert not tiers
+        assert not blocks
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_models_equal_the_float64_path(self, seed):
-        # depths 1-3, one to five classes, scales from 1e-6 to 1e12, coarse
-        # values with exact ties, float32 and float64 rows
+    def test_random_models_equal_the_float32_reference(self, seed):
+        # depths 1-3, one to five classes, scales from 1e-6 to 1e12 (so some
+        # scores overflow), coarse values with exact ties, float32 and
+        # float64 rows
         rng = np.random.default_rng(seed)
         widths = [int(w) for w in rng.integers(1, 12, size=rng.integers(2, 5))]
         spec = MlpSpec(tuple(widths), activation=self.ACTIVATIONS[seed % 3])
@@ -513,55 +497,8 @@ class TestFloat32Scoring:
             rows = np.round(rows * 4) / 4
         if seed % 2:
             rows = rows.astype(np.float32)
-        expected = toyzoo._float64_counts(spec, rows.astype(np.float64), data)
-        assert np.array_equal(unchanged_counts(spec, rows, data), expected)
-
-    @pytest.mark.parametrize("scale", [1.0, 20.0])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_float32_scores_within_the_bound(self, activation, scale):
-        # two hidden layers; B is at most half the float32 threshold
-        spec = MlpSpec((6, 8, 5, 4), activation=activation)
-        x = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 500, 3).inputs
-        rng = np.random.default_rng(int(scale))
-        thetas = (scale * rng.standard_normal((4, spec.d_model))).astype(np.float32)
-        threshold, _ = toyzoo._thresholds(spec, thetas, np.abs(x).max())
-        first, rest = toyzoo._float32_layers(spec, thetas)
-        scores32 = toyzoo._scores32(spec, first, rest, toyzoo._float32_inputs(x))
-        scores64 = toyzoo._scores(spec, thetas.astype(np.float64), x)
-        assert np.abs(scores32.transpose(0, 2, 1) - scores64).max() <= threshold / 2
-
-    def test_bound_covers_a_sum_that_drops_its_small_terms(self):
-        # 1 plus 63 terms under half a float32 step: float32 sums lose many
-        # of them (47 steps with OpenBLAS on x86-64), more than the rounding
-        # of inputs and weights covers; the gamma_n term covers it
-        spec = MlpSpec((64, 2), activation="identity")
-        w = np.zeros((64, 2), dtype=np.float32)
-        w[0] = 1.0
-        w[1:] = np.float32(0.75 * 2.0**-24), np.float32(0.6 * 2.0**-24)
-        thetas = np.concatenate([w.ravel(), np.zeros(2, dtype=np.float32)])[None]
-        x = np.ones((50, 64))
-        threshold, _ = toyzoo._thresholds(spec, thetas, 1.0)
-        first, rest = toyzoo._float32_layers(spec, thetas)
-        scores32 = toyzoo._scores32(spec, first, rest, toyzoo._float32_inputs(x))
-        scores64 = toyzoo._scores(spec, thetas.astype(np.float64), x)
-        error = np.abs(scores32.transpose(0, 2, 1) - scores64).max()
-        assert 4 * 2.0**-24 < error <= threshold / 2
-
-
-def test_tanh_error_within_the_bound_constants():
-    """np.tanh on this machine keeps to the constants the float32 bound uses."""
-    # every 256th float32 in [0, 10], and beyond 10 where tanh rounds to 1
-    bits = np.arange(0, np.float32(10.0).view(np.uint32) + 1, 256, dtype=np.uint32)
-    x = np.concatenate([bits.view(np.float32), np.geomspace(10, 3e38, 500, dtype=np.float32)])
-    t32, t64 = np.tanh(x), np.tanh(x.astype(np.float64))
-    ulps = np.abs(t32 - t64) / np.spacing(np.abs(t64).astype(np.float32))
-    assert ulps.max() <= toyzoo._TANH32_ULPS
-    assert np.array_equal(np.tanh(-x), -t32)  # so the sample covers [-10, 0] too
-    if np.finfo(np.longdouble).precision > np.finfo(np.float64).precision:
-        x64 = np.random.default_rng(0).uniform(0.0, 25.0, 200_000)
-        exact = np.tanh(x64.astype(np.longdouble))
-        ulps64 = np.abs(np.tanh(x64) - exact) / np.spacing(np.tanh(x64))
-        assert ulps64.max() <= toyzoo._TANH64_ULPS
+        expected = reference_counts(spec, rows, data)
+        assert unchanged_counts(spec, rows, data).tolist() == expected
 
 
 _SCORE_VALUES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
@@ -618,59 +555,30 @@ def decided_rows(k, n, seed):
     return spec, rows, inputs, rng.integers(0, 4, n)
 
 
-@pytest.fixture
-def rechecked(monkeypatch):
-    """The (draw, input) pairs each tier-2 call of ``error_counts`` receives."""
-    pairs = []
-
-    def recorded(spec, thetas, x, y, draw, row, slack, _original=toyzoo._recheck_rows):
-        pairs.extend(zip(draw.tolist(), row.tolist()))
-        return _original(spec, thetas, x, y, draw, row, slack)
-
-    monkeypatch.setattr(toyzoo, "_recheck_rows", recorded)
-    return pairs
-
-
-class TestNoUndecidedPairSkipped:
-    """Blocks whose margin counts fall short of the block size, by one pair,
-    still send that pair to the float64 recheck.  5 draws make a last block
-    of 2 draws on R // 3 inputs and of 1 on R // 2; on R // 2 + 1 each block
-    holds one draw."""
+class TestNanScores:
+    """One NaN score in the first block of a call is one more error, of its
+    draw alone.  5 draws make a last block of 2 draws on R // 3 inputs and of
+    1 on R // 2; on R // 2 + 1 each block holds one draw."""
 
     @pytest.mark.parametrize("n", [R // 3, R // 2, R // 2 + 1])
-    def test_a_nan_margin_is_rechecked(self, monkeypatch, rechecked, n):
+    def test_a_nan_score_is_one_more_error(self, monkeypatch, blocks, n):
         spec, rows, inputs, labels = decided_rows(5, n, n)
+        labels[7] = 0  # draw 0 predicts class 0 on every input
         data = LabeledSet(inputs, labels)
-        expected = toyzoo._float64_counts(spec, rows.astype(np.float64), data)
-        assert error_counts(spec, rows, data).tolist() == expected.tolist()
-        assert rechecked == []
-        # a NaN score of draw 0, input 7 in the first block
-        blocks = []
+        expected = error_counts(spec, rows, data)
+        assert expected.tolist() == reference_counts(spec, rows, data)
+        assert blocks[0] == max(1, R // n) and sum(blocks) == 5
+        blocks.clear()
 
         def with_nan(*args, _original=toyzoo._scores32):
             scores = _original(*args)
-            if not blocks:
+            if len(blocks) == 1:  # the first block of the call
                 scores[0, 0, 7] = np.nan
-            blocks.append(len(scores))
             return scores
 
         monkeypatch.setattr(toyzoo, "_scores32", with_nan)
+        expected[0] += 1
         assert error_counts(spec, rows, data).tolist() == expected.tolist()
-        assert rechecked == [(0, 7)]
-        assert sum(blocks) == 5 and blocks[0] == max(1, R // n)
-
-    @pytest.mark.parametrize("n", [R // 3, R // 2, R // 2 + 1])
-    def test_one_near_tie_in_the_last_block_is_rechecked(self, rechecked, n):
-        spec, rows, inputs, labels = decided_rows(5, n, n)
-        inputs[n - 2, 0] = 1e-6  # the last draw's class 0 and 1 scores differ by this
-        labels[n - 2] = 1
-        data = LabeledSet(inputs, labels)
-        expected = toyzoo._float64_counts(spec, rows.astype(np.float64), data)
-        assert error_counts(spec, rows, data).tolist() == expected.tolist()
-        assert rechecked == [(4, n - 2)]
-        assert expected[4] == np.count_nonzero((labels >= 2)
-                                               | ((inputs[:, 0] > 0) & (labels == 0))
-                                               | ((inputs[:, 0] < 0) & (labels == 1)))
 
 
 class TestZeroOneRisk:
