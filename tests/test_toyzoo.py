@@ -40,20 +40,62 @@ def reference_scores(spec, flat, x):
     return h.T
 
 
-def reference_counts(spec, thetas, data):
-    """Errors of each row of the float32 network, by the rule as written: an
-    input is correct only when its label score is strictly above the largest
-    other class score (-inf when there is none), so a tie or a NaN score is
-    an error."""
-    counts = []
+def reference_correct(spec, row, data):
+    """Which inputs the float32 network of one flat parameter row gets right,
+    by the rule as written: an input is correct only when its label score is
+    strictly above the largest other class score (-inf when there is none),
+    so a tie or a NaN score is an error."""
     rows = np.arange(data.n)
+    s = reference_scores(spec, row, data.inputs)
+    label = s[rows, data.labels]
+    s[rows, data.labels] = -np.inf
+    return label > s.max(axis=1, initial=-np.inf)
+
+
+def reference_counts(spec, thetas, data):
+    """Errors of each row of the float32 network, by ``reference_correct``."""
+    return [data.n - np.count_nonzero(reference_correct(spec, row, data)) for row in thetas]
+
+
+def float64_verdicts(spec, row, data):
+    """(correct, decided) of each input when the float32 weights and inputs
+    of one row are scored in float64.  ``correct`` follows the same strict
+    rule.  ``decided`` holds where the float64 margin exceeds 1e-4 of the
+    largest class score of the absolute forward |W|^T a + |b| (a = |x| on
+    the first layer), which bounds every score and, times about 3e-6, its
+    float32 rounding in nets of up to 3 layers of width 12; and where no
+    layer of that forward comes near the float32 range.  Float32 rounding
+    cannot flip a decided verdict."""
+    flat = np.asarray(row, dtype=np.float32).astype(np.float64)
+    h = data.inputs.astype(np.float32).astype(np.float64)
+    a = np.abs(h)
+    peak = a.max(axis=1, initial=0.0)
+    offsets = spec.layer_offsets()
+    for i, ((ws, wl), (bs, bl)) in enumerate(zip(offsets[::2], offsets[1::2])):
+        w, b = flat[ws : ws + wl].reshape(-1, bl), flat[bs : bs + bl]
+        h = (_ACT[spec.activation](h) if i else h) @ w + b
+        a = a @ np.abs(w) + np.abs(b)
+        peak = np.maximum(peak, a.max(axis=1))
+    rows = np.arange(data.n)
+    label = h[rows, data.labels]
+    h[rows, data.labels] = -np.inf
+    margin = label - h.max(axis=1, initial=-np.inf)
+    decided = (np.abs(margin) > 1e-4 * a.max(axis=1) + 1e-30) & (peak < 1e37)
+    return margin > 0, decided
+
+
+def float64_recheck(spec, thetas, data):
+    """Checks each row's ``error_counts`` on the inputs ``float64_verdicts``
+    decides against the float64 verdicts; returns the (draw, input) pairs
+    left undecided."""
+    undecided = 0
     for row in thetas:
-        s = reference_scores(spec, row, data.inputs)
-        label = s[rows, data.labels]
-        s[rows, data.labels] = -np.inf
-        correct = label > s.max(axis=1, initial=-np.inf)
-        counts.append(data.n - np.count_nonzero(correct))
-    return counts
+        correct, decided = float64_verdicts(spec, row, data)
+        subset = LabeledSet(data.inputs[decided], data.labels[decided])
+        counts = error_counts(spec, row[None], subset)
+        assert counts.tolist() == [np.count_nonzero(~correct[decided])]
+        undecided += np.count_nonzero(~decided)
+    return undecided
 
 
 def scores(spec, theta, x):
@@ -429,6 +471,54 @@ class TestFloat32Scoring:
                              + np.count_nonzero((x0 < 0) & (y == 1))
                              + np.count_nonzero((x0 == 0) & (y <= 1)))
 
+    # 100 draws in blocks of 81 and 19 stacked draws; one draw on a one-row
+    # remainder tile, and on two tiles and a 3-row remainder.  Labels 0 and
+    # 1 are near ties, half the inputs or more, which the float32 margin
+    # decides; rechecked in float64 wherever float32 rounding cannot flip them
+    @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_near_ties_rechecked_in_float64(self, blocks, activation, n):
+        k = 100 if n < R else 1
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = tied_rows(spec, k, n, np.float32, gap=2)
+        assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
+        assert len(blocks) == -(-k // max(1, R // n)) * -(-n // R)
+        assert float64_recheck(spec, rows, data) > n * k // 3
+
+    # 3 draws of near ties on R + 1 and 2R + 3 inputs: more pairs than one
+    # block of stacked draws holds, so each draw is its own block on every
+    # row tile, and counts each draw as it would alone
+    @pytest.mark.parametrize("n", [R + 1, 2 * R + 3])
+    def test_near_ties_beyond_one_stack(self, blocks, n):
+        spec = MlpSpec((6, 8, 4), activation="tanh")
+        data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
+        rows = tied_rows(spec, 3, n, np.float32, gap=2)
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        assert blocks == [1] * (3 * -(-n // R))
+        assert counts.tolist() == [error_counts(spec, row[None], data)[0] for row in rows]
+
+    # exact ties scored on the float64 input tiles of ``sample_tiles``: one
+    # tile of 50 inputs, a full tile and a one-row remainder, and two full
+    # tiles and a 3-row remainder; every input is an error on every tile
+    @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_exact_ties_read_from_float64_tiles(self, activation, n):
+        spec = MlpSpec((6, 8, 4), activation=activation)
+        task = gen_tasks(5, 2, 6, 4, 0.5)[0]
+        data = sample_set(task, n, 3)
+        rows = tied_rows(spec, 3, n, np.float32, gap=0)
+        counts = unchanged_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        # classes 0 and 1 tie above the rest, so every input is an error
+        assert counts.tolist() == [n] * 3
+        tiles = list(toyzoo.sample_tiles(task, n, 3))
+        assert len(tiles) == -(-n // R)
+        for tile in tiles:
+            assert tile.inputs.dtype == np.float64
+            assert error_counts(spec, rows, tile).tolist() == [tile.n] * 3
+
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_float64_thetas_float32_cannot_hold(self, blocks, activation, n):
@@ -481,10 +571,11 @@ class TestFloat32Scoring:
         assert not blocks
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_models_equal_the_float32_reference(self, seed):
+    def test_random_models_equal_the_float64_path(self, seed):
         # depths 1-3, one to five classes, scales from 1e-6 to 1e12 (so some
         # scores overflow), coarse values with exact ties, float32 and
-        # float64 rows
+        # float64 rows: the counts follow the float32 rule, and on every
+        # input float32 rounding cannot flip they equal the float64 counts
         rng = np.random.default_rng(seed)
         widths = [int(w) for w in rng.integers(1, 12, size=rng.integers(2, 5))]
         spec = MlpSpec(tuple(widths), activation=self.ACTIVATIONS[seed % 3])
@@ -499,6 +590,7 @@ class TestFloat32Scoring:
             rows = rows.astype(np.float32)
         expected = reference_counts(spec, rows, data)
         assert unchanged_counts(spec, rows, data).tolist() == expected
+        float64_recheck(spec, rows, data)
 
 
 _SCORE_VALUES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
@@ -555,13 +647,17 @@ def decided_rows(k, n, seed):
     return spec, rows, inputs, rng.integers(0, 4, n)
 
 
-class TestNanScores:
-    """One NaN score in the first block of a call is one more error, of its
-    draw alone.  5 draws make a last block of 2 draws on R // 3 inputs and of
-    1 on R // 2; on R // 2 + 1 each block holds one draw."""
+class TestNoUndecidedPairSkipped:
+    """A pair whose float32 margin is NaN or a near tie, in a block whose
+    other pairs are all decided by about 1 or more, is counted like any
+    other: its draw's count moves by that pair's verdict alone, which each
+    test rechecks.  5 draws make a last block of 2 draws on R // 3 inputs
+    and of 1 on R // 2; on R // 2 + 1 each block holds one draw."""
 
+    # a NaN score in the first block of the call is one more error, of its
+    # draw alone
     @pytest.mark.parametrize("n", [R // 3, R // 2, R // 2 + 1])
-    def test_a_nan_score_is_one_more_error(self, monkeypatch, blocks, n):
+    def test_a_nan_margin_is_rechecked(self, monkeypatch, blocks, n):
         spec, rows, inputs, labels = decided_rows(5, n, n)
         labels[7] = 0  # draw 0 predicts class 0 on every input
         data = LabeledSet(inputs, labels)
@@ -579,6 +675,29 @@ class TestNanScores:
         monkeypatch.setattr(toyzoo, "_scores32", with_nan)
         expected[0] += 1
         assert error_counts(spec, rows, data).tolist() == expected.tolist()
+
+    # the last draw, in the last block, scores class 1 above class 0 by
+    # about 1e-6 on input n - 2: a few float32 steps, which decide it as
+    # float64 does
+    @pytest.mark.parametrize("n", [R // 3, R // 2, R // 2 + 1])
+    def test_one_near_tie_in_the_last_block_is_rechecked(self, blocks, n):
+        spec, rows, inputs, labels = decided_rows(5, n, n)
+        inputs[n - 2, 0] = 1e-6  # the last draw's class 0 and 1 scores differ by this
+        labels[n - 2] = 1
+        data = LabeledSet(inputs, labels)
+        s = reference_scores(spec, rows[4], inputs)
+        assert 0 < s[n - 2, 1] - s[n - 2, 0] < 1e-5
+        counts = error_counts(spec, rows, data)
+        assert counts.tolist() == reference_counts(spec, rows, data)
+        assert blocks[-1] == (5 - 1) % max(1, R // n) + 1
+        assert counts[4] == np.count_nonzero((labels >= 2)
+                                             | ((inputs[:, 0] > 0) & (labels == 0))
+                                             | ((inputs[:, 0] < 0) & (labels == 1)))
+        # labelled 0, the pair is an error of the last draw and correct for
+        # the others, which predict class 0 by 10
+        labels[n - 2] = 0
+        flipped = error_counts(spec, rows, LabeledSet(inputs, labels))
+        assert flipped.tolist() == (counts + [-1, -1, -1, -1, 1]).tolist()
 
 
 class TestZeroOneRisk:
