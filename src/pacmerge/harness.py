@@ -17,11 +17,13 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
   then one streamed pass over the population, tile by tile, scores them all;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
-Each scenario kind has one runner in ``_RUNNERS``, called as
-``runner(config, world)`` on the one world ``run`` builds; the runners that
-certify held-out targets take them from ``_targets``.  Runs are
-deterministic: (config, seeds) fix every output bit, and every emitted bound
-is re-validated against a recomputation before writing.
+``run`` builds one world and is the only loop over the certified targets:
+per target it builds the hold-one-out pool and extends its records from the
+kind's runner in ``_RUNNERS``, a generator ``runner(config, spec, index,
+task, subpool)`` that draws its own support and query sets.  Each kind that
+reads ``merge.kind`` or ``objective.kind`` expands ``all`` and ``both`` alike.
+Runs are deterministic: (config, seeds) fix every output bit, and every
+emitted bound is re-validated against a recomputation before writing.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
     """Assemble defaults <- scenario preset <- overrides, validating each key."""
     values = {key: default for key, (_, default) in _SCHEMA.items()}
     merged: dict = {}
-    if scenario is not None:
+    if scenario not in (None, "custom"):  # a config with no preset writes "custom"
         if scenario not in SCENARIOS:
             raise ConfigError("scenario", f"unknown scenario {scenario!r}; "
                               f"known: {sorted(SCENARIOS)}")
@@ -261,6 +263,8 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
             raise ConfigError(key, f"invalid value {raw!r}: {exc}") from exc
     if values["certify.targets"] > values["tasks.count"]:
         raise ConfigError("certify.targets", "more targets than generated tasks")
+    if values["kind"] == "validity" and values["certify.targets"] != 1:
+        raise ConfigError("certify.targets", "must be 1 for kind = validity")
     if values["kind"] == "ddp" and values["certify.n"] < 4:
         raise ConfigError("certify.n", "must be >= 4 for kind = ddp, so both halves have >= 2")
     return ExperimentConfig(dict(sorted(values.items())))
@@ -526,50 +530,30 @@ def load_record(path) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_list(config) -> tuple[str, ...]:
-    return KINDS if config["merge.kind"] == "all" else (config["merge.kind"],)
-
-
 def _objective_list(config) -> tuple[str, ...]:
     if config["objective.kind"] == "both":
         return ("train_risk", "pac_bayes_upper")
     return (config["objective.kind"],)
 
 
-def _targets(config, world):
-    """(index, task, hold-one-out pool, query set) per certified target."""
-    for index in range(config["certify.targets"]):
-        task = world.tasks[index]
-        yield index, task, world.pool.without(task.task_id), _query(config, task, index)
+def _schemes(config, subpool) -> list:
+    kinds = KINDS if config["merge.kind"] == "all" else (config["merge.kind"],)
+    return [make_scheme(kind, subpool, config["merge.trim_fraction"]) for kind in kinds]
 
 
-def _run_table(config, world) -> list[CertificateRecord]:
-    records = []
-    for index, task, subpool, query in _targets(config, world):
-        support = _support(config, task, index)
-        for scheme_kind in _scheme_list(config):
-            scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
-            for objective_kind in _objective_list(config):
-                cfg = _certify_config(config, index, scheme_kind, objective_kind)
-                records.append(certify(scheme, objective_kind, support, query,
-                                       world.model_spec, cfg, task_id=task.task_id))
-    return records
-
-
-def _run_ddp(config, world) -> list[CertificateRecord]:
-    scheme_kind = config["merge.kind"] if config["merge.kind"] != "all" else "layer_wise"
-    records = []
-    for index, task, subpool, query in _targets(config, world):
-        scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
-        support = _support(config, task, index)
-        for objective_kind in ("train_risk", "pac_bayes_upper"):
-            cfg = _certify_config(config, index, scheme_kind, objective_kind)
-            records.append(certify(scheme, objective_kind, support, query,
-                                   world.model_spec, cfg, task_id=task.task_id))
-        cfg = _certify_config(config, index, scheme_kind, "ddp")
-        records.append(certify_ddp(scheme, support, _ddp_config(config, index),
-                                   world.model_spec, cfg, query=query, task_id=task.task_id))
-    return records
+def _run_table(config, spec, index, task, subpool):
+    """Per scheme: one certificate per objective, then, for ``kind = ddp``,
+    a data-dependent-prior certificate."""
+    support, query = _support(config, task, index), _query(config, task, index)
+    for scheme in _schemes(config, subpool):
+        for objective_kind in _objective_list(config):
+            cfg = _certify_config(config, index, scheme.kind, objective_kind)
+            yield certify(scheme, objective_kind, support, query, spec, cfg,
+                          task_id=task.task_id)
+        if config["kind"] == "ddp":
+            cfg = _certify_config(config, index, scheme.kind, "ddp")
+            yield certify_ddp(scheme, support, _ddp_config(config, index), spec, cfg,
+                              query=query, task_id=task.task_id)
 
 
 def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> CertificateRecord:
@@ -592,48 +576,38 @@ def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> Certif
     )
 
 
-def _run_sweep(config, world) -> list[CertificateRecord]:
-    """Per (task, n): a DDP certificate, a half-validation test-set-bound
+def _run_sweep(config, spec, index, task, subpool):
+    """Per (n, scheme): a DDP certificate, a half-validation test-set-bound
     certificate, and a full-data bound-optimized certificate."""
-    scheme_kind = config["merge.kind"] if config["merge.kind"] != "all" else "task_wise"
-    records = []
-    for index, task, subpool, query in _targets(config, world):
-        scheme = make_scheme(scheme_kind, subpool, config["merge.trim_fraction"])
-        for n in config["sweep.n_list"]:
-            support = sample_set(task, n, derive_seed(config["seed"], "support", index, n))
-            cfg_ddp = _certify_config(config, index, scheme_kind, "ddp", n)
-            records.append(certify_ddp(scheme, support, _ddp_config(config, index, n),
-                                       world.model_spec, cfg_ddp, query=query,
-                                       task_id=task.task_id))
-            cfg_hv = _certify_config(config, index, scheme_kind, "half_val", n)
-            records.append(_half_val_record(scheme, support, query, world.model_spec,
-                                            cfg_hv, task.task_id))
-            cfg_opt = _certify_config(config, index, scheme_kind, "pac_bayes_upper", n)
-            records.append(certify(scheme, "pac_bayes_upper", support, query,
-                                   world.model_spec, cfg_opt, task_id=task.task_id))
-    return records
+    query = _query(config, task, index)
+    schemes = _schemes(config, subpool)
+    for n in config["sweep.n_list"]:
+        support = sample_set(task, n, derive_seed(config["seed"], "support", index, n))
+        for scheme in schemes:
+            cfg_ddp = _certify_config(config, index, scheme.kind, "ddp", n)
+            yield certify_ddp(scheme, support, _ddp_config(config, index, n), spec, cfg_ddp,
+                              query=query, task_id=task.task_id)
+            cfg_hv = _certify_config(config, index, scheme.kind, "half_val", n)
+            yield _half_val_record(scheme, support, query, spec, cfg_hv, task.task_id)
+            cfg_opt = _certify_config(config, index, scheme.kind, "pac_bayes_upper", n)
+            yield certify(scheme, "pac_bayes_upper", support, query, spec, cfg_opt,
+                          task_id=task.task_id)
 
 
-def _run_discrete(config, world) -> list[CertificateRecord]:
-    records = []
-    for index, task, subpool, query in _targets(config, world):
-        support = _support(config, task, index)
-        scheme = make_scheme("task_arith", subpool)
-        cfg = _certify_config(config, index, "task_arith", "continuous")
-        records.append(
-            certify(scheme, "pac_bayes_upper", support, query, world.model_spec, cfg,
-                    task_id=task.task_id, objective_label="continuous")
-        )
-        for grid_size in config["discrete.grid_sizes"]:
-            cfg_d = _certify_config(config, index, "task_arith", "discrete", grid_size)
-            records.append(
-                certify_discrete(subpool, grid_size, support, world.model_spec, cfg_d,
-                                 query=query, task_id=task.task_id)
-            )
-    return records
+def _run_discrete(config, spec, index, task, subpool):
+    """A continuous Gaussian-posterior certificate, then one per grid size."""
+    support, query = _support(config, task, index), _query(config, task, index)
+    scheme = make_scheme("task_arith", subpool)
+    cfg = _certify_config(config, index, "task_arith", "continuous")
+    yield certify(scheme, "pac_bayes_upper", support, query, spec, cfg,
+                  task_id=task.task_id, objective_label="continuous")
+    for grid_size in config["discrete.grid_sizes"]:
+        cfg_d = _certify_config(config, index, "task_arith", "discrete", grid_size)
+        yield certify_discrete(subpool, grid_size, support, spec, cfg_d, query=query,
+                               task_id=task.task_id)
 
 
-def _run_validity(config, world) -> list[CertificateRecord]:
+def _run_validity(config, spec, index, task, subpool):
     """Fresh-support trials of the certificate against near-exact risk.
 
     The hypothesis class (pool, grid, prior) is fixed once.  A fit pass
@@ -646,8 +620,6 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     counts, and each trial's risk, are those of ``mc_risks`` on the whole
     population.  Each trial is then certified and compared with that risk.
     """
-    task = world.tasks[0]
-    subpool = world.pool.without(task.task_id)
     scheme = make_scheme("task_arith", subpool)
     seed = config["seed"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
@@ -662,8 +634,7 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     for trial in trials:
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
         fit_seed = derive_seed(seed, "trial-fit", trial)
-        risks = mc_risks(grid[:, None], variance, scheme, world.model_spec, support, k,
-                         fit_seed)
+        risks = mc_risks(grid[:, None], variance, scheme, spec, support, k, fit_seed)
         mu = float(grid[int(np.argmin(risks))])
         fits.append((float(np.min(risks)), mu))
         draws.append(posterior_rows(np.array([[mu]]), variance, scheme, k,
@@ -673,10 +644,9 @@ def _run_validity(config, world) -> list[CertificateRecord]:
     errors = np.zeros(len(thetas), dtype=np.int64)
     population = config["validity.population"]
     for tile in sample_tiles(task, population, derive_seed(seed, "population")):
-        errors += error_counts(world.model_spec, thetas, tile)
+        errors += error_counts(spec, thetas, tile)
     true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
 
-    records = []
     for trial, (train_error, mu), true_risk in zip(trials, fits, true_risks.tolist()):
         q = GaussianSpec(np.array([mu]), variance)
         record = make_record(
@@ -684,14 +654,14 @@ def _run_validity(config, world) -> list[CertificateRecord]:
             gaussian_kl(q, prior), n, delta, test_error=true_risk, provenance={"mu": mu},
         )
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
-        records.append(record)
-    return records
+        yield record
 
 
-# One runner per scenario kind, each ``(config, world) -> records``.
+# The runner of each scenario kind, ``(config, spec, index, task, subpool)``
+# -> that target's records; ddp is the table plus a DDP certificate per scheme.
 _RUNNERS = {
     "table": _run_table,
-    "ddp": _run_ddp,
+    "ddp": _run_table,
     "sweep": _run_sweep,
     "discrete": _run_discrete,
     "validity": _run_validity,
@@ -702,14 +672,20 @@ def run(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a configured scenario and (optionally) write its reports.
 
     Builds the task set and pool once (disk-cached by pool hash when
-    ``out_dir`` is given), hands that world to the runner ``_RUNNERS`` holds
-    for ``config["kind"]``, re-validates every bound it returns, and writes
-    ``<scenario>-<hash>.json`` plus ``.csv`` under ``out_dir``.
+    ``out_dir`` is given), then walks the first ``certify.targets`` tasks:
+    per target it builds the hold-one-out pool and takes the records of the
+    runner ``_RUNNERS`` holds for ``config["kind"]``.  It re-validates every
+    bound and writes ``<scenario>-<hash>.json`` plus ``.csv`` under
+    ``out_dir``.
     """
     started = time.monotonic()
     cache_dir = Path(out_dir) / "pools" if out_dir is not None else None
     world = build_world(config, cache_dir)
-    records = _RUNNERS[config["kind"]](config, world)
+    runner = _RUNNERS[config["kind"]]
+    records = []
+    for index, task in enumerate(world.tasks[: config["certify.targets"]]):
+        subpool = world.pool.without(task.task_id)
+        records.extend(runner(config, world.model_spec, index, task, subpool))
 
     for record in records:
         record.validate()

@@ -328,14 +328,14 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
 
     The scores are formed in blocks of at most ``_ROW_BUDGET`` (draw, input)
     rows, in a (draws, classes, rows) layout: ``_ROW_BUDGET // n`` stacked
-    draws on sets of up to ``_ROW_BUDGET`` inputs, and one draw on row tiles
-    of ``_ROW_BUDGET`` inputs on larger sets.  The label scores of a row tile
-    are read through one flat index.  A draw's scores, and so its count, do
-    not depend on the other rows of ``thetas``, except on a one-input set:
-    there the first layer of a block is a matrix-vector product, whose last
-    bits change with the number of stacked draws.  Inputs of another width
-    than ``spec``'s raise ``StructureError`` and a label that is not a class
-    of ``spec`` raises ``DomainError``.
+    draws on sets of 2 to ``_ROW_BUDGET`` inputs, and otherwise one draw on
+    row tiles of ``_ROW_BUDGET`` inputs.  A one-input set takes one draw per
+    block because its first layer is a matrix-vector product, whose last
+    bits change with the number of stacked draws.  The label scores of a
+    row tile are read through one flat index.  A draw's scores, and so its
+    count, do not depend on the other rows of ``thetas``.  Inputs of another
+    width than ``spec``'s raise ``StructureError`` and a label that is not a
+    class of ``spec`` raises ``DomainError``.
     """
     thetas = np.asarray(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
@@ -352,7 +352,7 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     if data.n == 0 or len(thetas) == 0:
         return counts
     first, rest = _float32_layers(spec, thetas)
-    draws = max(1, _ROW_BUDGET // data.n)
+    draws = 1 if data.n == 1 else max(1, _ROW_BUDGET // data.n)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, data.n, _ROW_BUDGET):
             tile = slice(start, start + _ROW_BUDGET)

@@ -27,7 +27,7 @@ from pacmerge.harness import (
 from pacmerge.bounds import gaussian_kl, make_record
 from pacmerge.certify import default_prior
 from pacmerge.harness import _run_validity
-from pacmerge.merging import make_scheme
+from pacmerge.merging import KINDS, make_scheme
 from pacmerge.posterior import GaussianSpec, mc_risks
 from pacmerge.seeding import derive_seed
 from pacmerge.toyzoo import _ROW_BUDGET as R
@@ -103,11 +103,25 @@ class TestConfig:
         assert cfg.pool_hash != before
 
     def test_canonical_round_trips_through_file(self, tmp_path):
-        cfg = make_config("smoke", {"seed": 5})
-        path = tmp_path / "run.cfg"
-        path.write_text(cfg.canonical())
-        loaded = load_config_file(path)
-        assert loaded.hash == cfg.hash
+        # a config with no preset writes scenario = custom
+        for cfg in (make_config("smoke", {"seed": 5}), make_config(None, {"kind": "sweep"})):
+            path = tmp_path / "run.cfg"
+            path.write_text(cfg.canonical())
+            loaded = load_config_file(path)
+            assert loaded.hash == cfg.hash
+        assert loaded["scenario"] == "custom"
+        path.write_text("scenario = customs\n")
+        with pytest.raises(ConfigError) as err:
+            load_config_file(path)
+        assert err.value.path == "scenario"
+
+    @pytest.mark.parametrize("overrides", [{"kind": "validity"},
+                                           {"kind": "validity", "certify.targets": 2}])
+    def test_validity_certifies_one_target(self, overrides):
+        with pytest.raises(ConfigError) as err:
+            make_config(None, overrides)
+        assert err.value.path == "certify.targets"
+        assert make_config("validity-trial")["certify.targets"] == 1
 
     def test_file_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -179,8 +193,8 @@ DIVERGING = ("scenario = smoke\nmodel.activation = identity\npool.base_lr = 1000
              "tasks.noise_scale = 1000\n")
 
 
-# The behaviour contract: the sha256 of the CSV report of five small runs,
-# about 0.3 s in all.  A change that moves a bound updates the digest here and
+# The behaviour contract: the sha256 of the CSV report of eight small runs,
+# about 0.45 s in all.  A change that moves a bound updates the digest here and
 # names the changed field in CHANGES.md.
 PIN_SIZES = {
     "tasks.count": 3, "tasks.input_dim": 8, "model.hidden": 8, "pool.base_n": 60,
@@ -200,6 +214,16 @@ PINNED_CSV = [
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
      "41f30656eb8286b735aae1e8000714e79e9aea4606f4dd7d5fd05987d5770440"),
+    # two certified targets each, so the seed keys of a second target are pinned
+    ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
+                                     "cma.max_evals": 60}),
+     "18793e466042a4ab982e22c6a3ea03744e70a816b19fc64b54a2e086d69b663b"),
+    ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
+                                           "cma.max_evals": 30}),
+     "f7d1f177f72c29ad4026f214b297ca6d20a13fc06021a3468105d39e931e5a42"),
+    ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
+                                          "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
+     "00967e9a1212ad70c0dfee8bf10ba8d12705df9293cb6e2f1c7f20cc8fbde73c"),
 ]
 
 
@@ -280,6 +304,22 @@ def test_every_scenario_runs_and_validates(scenario):
             bernoulli_kl(r.train_error, r.pb_bound) >= budget(r.kl_qp, r.n, r.delta))
 
 
+# ddp and sweep take every scheme of merge.kind = all, as table does:
+# 4 schemes x (2 objectives + ddp), and 4 schemes x 3 certificates per
+# support size.
+@pytest.mark.parametrize("scenario,count", [("paper-ddp", 4 * 3),
+                                            ("paper-gap-sweep", 4 * 3 * 2)])
+def test_merge_kind_all_takes_every_scheme(scenario, count):
+    record = run(make_config(scenario, dict(TINY, **{"merge.kind": "all"})))
+    assert len(record.records) == count
+    assert {r.scheme for r in record.records} == set(KINDS)
+
+
+def test_ddp_takes_objective_kind():
+    record = run(make_config("paper-ddp", dict(TINY, **{"objective.kind": "train_risk"})))
+    assert [r.objective for r in record.records] == ["train_risk", "ddp"]
+
+
 def reference_validity(config, world):
     """``validity-trial`` records as first written: per trial, the one-row
     ``mc_risks`` on the whole population held as one ``sample_set``."""
@@ -316,7 +356,9 @@ class TestValidityPopulation:
     def test_records_equal_per_trial_risk_on_the_whole_population(self):
         config = make_config("validity-trial", dict(TINY, **{"validity.population": 2 * R + 5}))
         world = build_world(config)
-        records = _run_validity(config, world)
+        task = world.tasks[0]
+        records = list(_run_validity(config, world.model_spec, 0, task,
+                                     world.pool.without(task.task_id)))
         expected = reference_validity(config, world)
         assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
         assert len({r.test_error for r in records}) > 1
@@ -326,9 +368,11 @@ class TestValidityPopulation:
         # up front, are 1.6 MB of it
         config = make_config("validity-trial", dict(TINY, **{"validity.population": 200_000}))
         world = build_world(config)
+        task = world.tasks[0]
+        subpool = world.pool.without(task.task_id)
         tracemalloc.start()
         try:
-            _run_validity(config, world)
+            list(_run_validity(config, world.model_spec, 0, task, subpool))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -521,6 +565,14 @@ class TestCli:
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith(f"config error: {line.split()[0]}: invalid value")
+
+    def test_validity_with_two_targets_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = validity-trial\ncertify.targets = 2\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: certify.targets: must be 1 for kind = validity")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_size_too_small_to_certify_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -229,7 +229,7 @@ def shipped_shape_pool():
 # stay within about 2^17 (draw, input) rows, 16 MB of hidden units.  A
 # one-row tile is left out: its first layer is a matrix-vector product whose
 # bits change with the number of stacked draws, and ``error_counts`` scores
-# one draw per block there, except on a one-input set.
+# one draw per block there.
 @pytest.mark.parametrize("n,draws", [(100, 300), (2000, 60), (4000, 30), (_ROW_BUDGET + 1, 30)])
 @pytest.mark.parametrize("kind", ["task_wise", "layer_wise"])
 def test_float32_margins_do_not_depend_on_the_block(shipped_shape_pool, kind, n, draws):
@@ -244,6 +244,27 @@ def test_float32_margins_do_not_depend_on_the_block(shipped_shape_pool, kind, n,
                               for i in range(0, draws, 10)])
     assert alone.tobytes() == in_tens.tobytes()
     assert alone.tobytes() == block_margins(spec, thetas, x, y).tobytes()
+
+
+# on a one-input set each draw is a block of its own, so each mean's risk is
+# that of its one-row call there too
+def test_one_input_set_scores_one_draw_per_block(toy_pool, monkeypatch):
+    pool, spec, task = toy_pool
+    scheme = make_scheme("layer_wise", pool)
+    data = sample_set(task, 1, 4)
+    blocks = []
+
+    def recorded(*args, _original=toyzoo._scores32):
+        scores = _original(*args)
+        blocks.append(len(scores))
+        return scores
+
+    monkeypatch.setattr(toyzoo, "_scores32", recorded)
+    means = 1 / 3 + 0.4 * np.random.default_rng(6).standard_normal((7, scheme.d_phi))
+    risks = mc_risks(means, 0.2, scheme, spec, data, 10, seed=23)
+    assert blocks == [1] * 70
+    for i in range(7):
+        assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, 10, seed=23)[0]
 
 
 class TestBatchedMeans:

@@ -345,9 +345,9 @@ class TestBlockedKernel:
     """``error_counts`` in row blocks against the per-row float32 reference."""
 
     # one full tile; a one-row remainder tile; two tiles and a 3-row
-    # remainder; every k crosses a block boundary: R stacked draws per block
-    # on one input, one draw per block from R // 2 + 1 inputs on, and 3 on
-    # R // 3, so k=5 leaves a block of 2
+    # remainder; every k crosses a block boundary: one draw per block on one
+    # input and from R // 2 + 1 inputs on, and 3 on R // 3, so k=5 leaves a
+    # block of 2
     @pytest.mark.parametrize("n,k", [(1, R + 1), (R - 1, 2), (R, 3), (R + 1, 3), (2 * R + 3, 2),
                                      (R // 3, 5)])
     @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
