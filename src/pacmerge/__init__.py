@@ -39,7 +39,7 @@ from .merging import (
     merged_values,
     ties_preprocess,
 )
-from .params import ModelPool, pool_load, pool_save
+from .params import ModelPool
 from .posterior import GaussianSpec, mc_risks
 from .toyzoo import (
     LabeledSet,

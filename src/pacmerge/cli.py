@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Verbs: ``gen-pool`` (build and persist the source-model pool), ``certify``
-(run a scenario end to end, the ``paper-gap-sweep`` data-size sweep
-included), ``report`` (re-render a stored run record).  Exit codes:
-0 success, 2 configuration or file-format error, or diverged training.
+Verbs: ``certify`` (run a scenario end to end, the ``paper-gap-sweep``
+data-size sweep included), ``report`` (re-render a stored run record).
+Exit codes: 0 success, 2 configuration or file-format error, or diverged
+training.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, FormatError, TrainingDiverged
-from .harness import (
-    build_world,
-    load_config_file,
-    load_record,
-    make_config,
-    run,
-    write_report,
-)
+from .harness import load_config_file, load_record, make_config, run, write_report
 
 
 def _config_from_args(args):
@@ -34,24 +27,6 @@ def _config_from_args(args):
             return make_config(None, merged)
         return config
     return make_config(args.scenario, overrides)
-
-
-def _add_common(parser):
-    parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--scenario", metavar="NAME", help="shipped scenario name")
-    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
-
-
-def cmd_gen_pool(args) -> int:
-    config = _config_from_args(args)
-    from pathlib import Path
-
-    cache = Path(args.out) / "pools"
-    world = build_world(config, cache)
-    print(f"pool {config.pool_hash}: M={world.pool.M} members, "
-          f"{world.pool.base.size} parameters -> {cache / config.pool_hash}")
-    return 0
 
 
 def cmd_certify(args) -> int:
@@ -76,12 +51,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pacmerge", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("gen-pool", help="build and persist the source-model pool")
-    _add_common(p)
-    p.set_defaults(fn=cmd_gen_pool)
-
     p = sub.add_parser("certify", help="run a scenario and write reports")
-    _add_common(p)
+    p.add_argument("--config", metavar="PATH", help="key = value config file")
+    p.add_argument("--scenario", metavar="NAME", help="shipped scenario name")
+    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    p.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("report", help="re-render a stored run record")

@@ -20,8 +20,12 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 ``run`` builds one world and is the only loop over the certified targets:
 per target it builds the hold-one-out pool and extends its records from the
 kind's runner in ``_RUNNERS``, a generator ``runner(config, spec, index,
-task, subpool)`` that draws its own support and query sets.  Each kind that
-reads ``merge.kind`` or ``objective.kind`` expands ``all`` and ``both`` alike.
+task, subpool)`` that draws its own support and query sets.  ``merge.kind
+= all`` and ``objective.kind = both`` mean every scheme and every objective
+the kind certifies; ``make_config`` rejects any other value the kind cannot
+certify (``discrete`` and ``validity`` merge with ``task_arith`` only,
+``sweep`` and ``discrete`` optimise ``pac_bayes_upper`` only, and
+``validity`` fits ``train_risk`` only).
 Runs are deterministic: (config, seeds) fix every output bit, and every
 emitted bound is re-validated against a recomputation before writing.
 """
@@ -30,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -42,9 +48,9 @@ from .bounds import CertificateRecord, from_fields, gaussian_kl, make_record
 from .certify import (CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete,
                       default_prior, optimize)
 from .cma import CmaConfig
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DomainError, FormatError, StructureError
 from .merging import KINDS, make_scheme, merged_values
-from .params import ModelPool, pool_load, pool_save
+from .params import ModelPool
 from .posterior import GaussianSpec, mc_risks, posterior_rows
 from .seeding import derive_seed
 from .toyzoo import (
@@ -171,6 +177,15 @@ _POOL_KEYS = ("seed",) + tuple(
     k for k in _SCHEMA if k.startswith(("tasks.", "model.", "pool."))
 )
 
+# The merge.kind and objective.kind values a kind can certify, for the kinds
+# that cannot certify every value.
+_CERTIFIABLE = {
+    "sweep": {"objective.kind": ("pac_bayes_upper", "both")},
+    "discrete": {"merge.kind": ("task_arith", "all"),
+                 "objective.kind": ("pac_bayes_upper", "both")},
+    "validity": {"merge.kind": ("task_arith", "all"), "objective.kind": ("train_risk", "both")},
+}
+
 
 SCENARIOS: dict[str, dict] = {
     "paper-table1-toy": {"kind": "table", "merge.kind": "all", "objective.kind": "both"},
@@ -263,6 +278,9 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
             raise ConfigError(key, f"invalid value {raw!r}: {exc}") from exc
     if values["certify.targets"] > values["tasks.count"]:
         raise ConfigError("certify.targets", "more targets than generated tasks")
+    for key, certifiable in _CERTIFIABLE.get(values["kind"], {}).items():
+        if values[key] not in certifiable:
+            raise ConfigError(key, f"must be one of {certifiable} for kind = {values['kind']}")
     if values["kind"] == "validity" and values["certify.targets"] != 1:
         raise ConfigError("certify.targets", "must be 1 for kind = validity")
     if values["kind"] == "ddp" and values["certify.n"] < 4:
@@ -312,10 +330,16 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
     the base fine-tuned on one task.  All members fine-tune in one
     ``train_stack`` call, each with the bits of training it alone, so the
     pool bytes do not depend on the stacking.  A diverging model raises
-    ``TrainingDiverged`` naming "base" or the member's task id.  When
-    ``cache_dir`` is given the pool is persisted under its pool hash, which
-    covers ``__version__``, and reloaded bit-exactly on later runs of the same
-    release.
+    ``TrainingDiverged`` naming "base" or the member's task id.
+
+    When ``cache_dir`` is given, the pool is cached as one float32 array,
+    the base row over the member rows, in ``<cache_dir>/<pool hash>.npz``;
+    the pool hash covers every key the tasks, the model and the pool depend
+    on, and ``__version__``.  Task ids and layer offsets come from the
+    config, so the file holds only the numbers.  A later run of the same
+    release reloads the pool bit-exactly; a damaged or mismatched file is a
+    ``FormatError``.  The file is written under a temporary name and renamed,
+    so a killed run leaves no half-written cache.
     """
     seed = config["seed"]
     tasks = gen_tasks(
@@ -331,11 +355,10 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         config["model.activation"],
     )
 
-    pool_path = None
-    if cache_dir is not None:
-        pool_path = Path(cache_dir) / config.pool_hash
-        if (pool_path / "manifest.json").exists():
-            return World(tasks, pool_load(pool_path), spec)
+    task_ids, offsets = [task.task_id for task in tasks], spec.layer_offsets()
+    cache = None if cache_dir is None else Path(cache_dir) / f"{config.pool_hash}.npz"
+    if cache is not None and cache.exists():
+        return World(tasks, _load_pool(cache, task_ids, offsets), spec)
 
     mixture_parts = [
         sample_set(task, config["pool.base_n"], derive_seed(seed, "base-data", i))
@@ -373,15 +396,33 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
             )
             for i in range(len(tasks))
         ],
-        [task.task_id for task in tasks],
+        task_ids,
     )
     # one rounding of the float64 difference; an overflow fails the pool's finite check
     with np.errstate(over="ignore"):
         deltas = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
-    pool = ModelPool(base, deltas, [task.task_id for task in tasks], spec.layer_offsets())
-    if pool_path is not None:
-        pool_save(pool, pool_path)
+    pool = ModelPool(base, deltas, task_ids, offsets)
+    if cache is not None:
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        partial = cache.with_name(cache.name + ".tmp")
+        with open(partial, "wb") as fh:
+            np.savez(fh, rows=np.vstack([pool.base[None], pool.deltas]))
+        os.replace(partial, cache)
     return World(tasks, pool, spec)
+
+
+def _load_pool(path, task_ids, offsets) -> ModelPool:
+    """The pool ``build_world`` cached at ``path``; the zip container's CRC-32
+    catches a damaged file, and every failure is a ``FormatError``."""
+    try:
+        with np.load(path) as cached:
+            rows = cached["rows"]
+        if rows.dtype != np.float32 or rows.ndim != 2 or not len(rows):
+            raise ValueError(f"rows are {rows.dtype} {rows.shape}, not float32 (1 + M, P)")
+        return ModelPool(rows[0], rows[1:], task_ids, offsets)
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError, zipfile.BadZipFile,
+            StructureError, DomainError) as exc:
+        raise FormatError(f"cannot load cached pool {path}: {exc}") from exc
 
 
 def _support(config, task, index) -> LabeledSet:
@@ -671,12 +712,12 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a configured scenario and (optionally) write its reports.
 
-    Builds the task set and pool once (disk-cached by pool hash when
-    ``out_dir`` is given), then walks the first ``certify.targets`` tasks:
-    per target it builds the hold-one-out pool and takes the records of the
-    runner ``_RUNNERS`` holds for ``config["kind"]``.  It re-validates every
-    bound and writes ``<scenario>-<hash>.json`` plus ``.csv`` under
-    ``out_dir``.
+    Builds the task set and pool once (cached as one ``.npz`` array in
+    ``<out_dir>/pools`` when ``out_dir`` is given, see ``build_world``),
+    then walks the first ``certify.targets`` tasks: per target it builds the
+    hold-one-out pool and takes the records of the runner ``_RUNNERS`` holds
+    for ``config["kind"]``.  It re-validates every bound and writes
+    ``<scenario>-<hash>.json`` plus ``.csv`` under ``out_dir``.
     """
     started = time.monotonic()
     cache_dir = Path(out_dir) / "pools" if out_dir is not None else None

@@ -1,4 +1,4 @@
-"""The source-model pool and its file format.
+"""The source-model pool.
 
 A pool is a base parameter row of P values and the (M, P) matrix of its
 members' task vectors (fine-tuned parameters minus the base), the one
@@ -10,17 +10,11 @@ gives one coefficient per member each.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, StructureError
-
-_U64 = struct.Struct("<Q")
+from .errors import DomainError, StructureError
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,105 +74,3 @@ class ModelPool:
         kept = [i for i, tid in enumerate(self.task_ids) if tid != task_id]
         return ModelPool(self.base, self.deltas[kept],
                          [self.task_ids[i] for i in kept], self.layer_offsets)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelPool):
-            return NotImplemented
-        return (
-            (self.task_ids, self.layer_offsets) == (other.task_ids, other.layer_offsets)
-            and np.array_equal(self.base, other.base)
-            and np.array_equal(self.deltas, other.deltas)
-        )
-
-
-# ---------------------------------------------------------------------------
-# Pool file format: <dir>/manifest.json + <dir>/payload.bin.  The payload is
-# the base block followed by one block per member, each prefixed with an
-# unsigned 64-bit little-endian element count and stored as raw f32le bytes.
-# The manifest records layout, task ids, and a sha256 checksum per block.
-# ---------------------------------------------------------------------------
-
-MANIFEST_NAME = "manifest.json"
-PAYLOAD_NAME = "payload.bin"
-
-
-def _checksum(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
-def pool_save(pool: ModelPool, path) -> None:
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    blocks = [pool.base, *pool.deltas]
-    raws = [np.asarray(block, dtype="<f4").tobytes() for block in blocks]
-    manifest = {
-        "base_len": pool.base.size,
-        "layer_offsets": [list(pair) for pair in pool.layer_offsets],
-        "M": pool.M,
-        "task_ids": list(pool.task_ids),
-        "dtype": "f32le",
-        "checksums": [_checksum(r) for r in raws],
-    }
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(directory / PAYLOAD_NAME, "wb") as fh:
-        for block, raw in zip(blocks, raws):
-            fh.write(_U64.pack(block.size))
-            fh.write(raw)
-
-
-def pool_load(path) -> ModelPool:
-    directory = Path(path)
-    try:
-        with open(directory / MANIFEST_NAME, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read pool manifest: {exc}") from exc
-    try:
-        base_len = int(manifest["base_len"])
-        offsets = tuple((int(s), int(l)) for s, l in manifest["layer_offsets"])
-        m = int(manifest["M"])
-        task_ids = [str(t) for t in manifest["task_ids"]]
-        dtype = manifest["dtype"]
-        checksums = list(manifest["checksums"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"pool manifest missing or malformed field: {exc}") from exc
-    if dtype != "f32le":
-        raise FormatError(f"unsupported dtype {dtype!r}")
-    if len(task_ids) != m:
-        raise FormatError(f"manifest M={m} but {len(task_ids)} task ids")
-    if len(checksums) != m + 1:
-        raise FormatError(f"expected {m + 1} checksums, got {len(checksums)}")
-
-    try:
-        payload = (directory / PAYLOAD_NAME).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read pool payload: {exc}") from exc
-
-    blocks: list[np.ndarray] = []
-    cursor = 0
-    for index in range(m + 1):
-        if cursor + _U64.size > len(payload):
-            raise FormatError(f"payload truncated before block {index} header")
-        (count,) = _U64.unpack_from(payload, cursor)
-        cursor += _U64.size
-        if count != base_len:
-            raise FormatError(
-                f"block {index} declares {count} elements, manifest base_len={base_len}")
-        nbytes = count * 4
-        if cursor + nbytes > len(payload):
-            raise FormatError(f"payload truncated inside block {index}")
-        raw = payload[cursor : cursor + nbytes]
-        cursor += nbytes
-        if _checksum(raw) != checksums[index]:
-            raise FormatError(f"checksum mismatch on block {index}")
-        blocks.append(np.frombuffer(raw, dtype="<f4"))
-    if cursor != len(payload):
-        raise FormatError(f"{len(payload) - cursor} trailing bytes after last block")
-
-    try:
-        deltas = np.array(blocks[1:], dtype=np.float32).reshape(m, base_len)
-        return ModelPool(blocks[0], deltas, task_ids, offsets)
-    except (StructureError, DomainError) as exc:
-        raise FormatError(f"pool contents invalid: {exc}") from exc

@@ -11,7 +11,7 @@ import pytest
 import pacmerge
 import pacmerge.harness as harness
 from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
-                      budget, pool_save, sample_set, train_stack)
+                      budget, sample_set, train_stack)
 from pacmerge.cli import main
 from pacmerge.harness import (
     SCENARIOS,
@@ -115,6 +115,20 @@ class TestConfig:
             load_config_file(path)
         assert err.value.path == "scenario"
 
+    @pytest.mark.parametrize("scenario,key,value", [
+        *[(scenario, "merge.kind", kind) for scenario in ("paper-discrete", "validity-trial")
+          for kind in KINDS if kind != "task_arith"],
+        ("paper-gap-sweep", "objective.kind", "train_risk"),
+        ("paper-discrete", "objective.kind", "train_risk"),
+        ("validity-trial", "objective.kind", "pac_bayes_upper"),
+    ])
+    def test_kind_rejects_what_it_cannot_certify(self, scenario, key, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(scenario, {key: value})
+        assert err.value.path == key
+        every = "all" if key == "merge.kind" else "both"
+        assert make_config(scenario, {key: every})[key] == every
+
     @pytest.mark.parametrize("overrides", [{"kind": "validity"},
                                            {"kind": "validity", "certify.targets": 2}])
     def test_validity_certifies_one_target(self, overrides):
@@ -172,7 +186,7 @@ class TestRun:
         cfg, _, out = smoke_record
         cached = build_world(cfg, out / "pools")
         fresh = build_world(cfg, None)
-        assert cached.pool == fresh.pool
+        assert pool_bytes(cached.pool) == pool_bytes(fresh.pool)
 
     def test_vacuity_matches_closed_form(self, smoke_record):
         _, record, _ = smoke_record
@@ -236,24 +250,101 @@ def test_pinned_csv_reports():
     assert digests == [digest for _, _, digest in PINNED_CSV]
 
 
-# scenario -> sha256 of the pool's payload.bin and manifest.json at its defaults
+def pool_bytes(pool):
+    return pool.base.tobytes() + pool.deltas.tobytes()
+
+
+# scenario -> sha256 of the pool's base and delta bytes at its defaults
 PINNED_POOL = {
-    "smoke": ("93f5e03ff6a8fde99a3ea7bed0147004e48875d89dac2718d1bc52d84b6e7086",
-              "cb146a0a255f9d863ecf5241210e8cb6fcb399f796547f5f9a19fe148d0ef7fb"),
-    "validity-trial": ("3804c4bb76baf0e012cab37eafca07f32c2f3d021e1ebd830023880178f8474f",
-                       "c081d8140dcefc4763cf162893ca77e95b6f15d851e5aa06745ed443f6d1ee43"),
+    "smoke": "3575ac6b4bbfca5d1a11099e03887cf0f7736ab84ff3aef3edd0ab583001f061",
+    "validity-trial": "9ecc1ce150cbf97b36a55ad24bc029c9b76470b8f776dbfc416e505a1105f8c5",
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(PINNED_POOL))
-def test_pinned_pool_bytes(scenario, tmp_path):
-    pool_save(build_world(make_config(scenario)).pool, tmp_path)
-    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                    for name in ("payload.bin", "manifest.json"))
-    assert digests == PINNED_POOL[scenario]
+def test_pinned_pool_bytes(scenario):
+    pool = build_world(make_config(scenario)).pool
+    assert hashlib.sha256(pool_bytes(pool)).hexdigest() == PINNED_POOL[scenario]
+
+
+def cached_rows(path):
+    with np.load(path) as cached:
+        return cached["rows"]
+
+
+def resave(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def flip_middle_byte(path):
+    # the middle of a small pool file lies in the array data, which the
+    # zip CRC-32 covers
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+# damage done to a cached pool file, each a FormatError on the next load
+CACHE_DAMAGE = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-40]),
+    "flipped-byte": flip_middle_byte,
+    "junk-prefix": lambda path: path.write_bytes(b"junk" + path.read_bytes()),
+    "wrong-key": lambda path: resave(path, weights=cached_rows(path)),
+    "float64": lambda path: resave(path, rows=cached_rows(path).astype(np.float64)),
+    "other-member-count": lambda path: resave(path, rows=cached_rows(path)[:-1]),
+}
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The calls made to ``train_stack`` by ``build_world``."""
+    calls, real = [], harness.train_stack
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "train_stack", spy)
+    return calls
 
 
 class TestBuildWorld:
+    def test_cache_hit_trains_nothing(self, tmp_path, train_calls):
+        config = make_config("smoke", TINY)
+        fresh = build_world(config, tmp_path)
+        assert len(train_calls) == 2  # the base, then every member at once
+        train_calls.clear()
+        cached = build_world(config, tmp_path)
+        assert train_calls == []
+        assert pool_bytes(cached.pool) == pool_bytes(fresh.pool)
+        assert not (cached.pool.base.flags.writeable or cached.pool.deltas.flags.writeable)
+
+    @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+    def test_damaged_cache_is_a_format_error(self, tmp_path, damage):
+        config = make_config("smoke", TINY)
+        build_world(config, tmp_path)
+        CACHE_DAMAGE[damage](tmp_path / f"{config.pool_hash}.npz")
+        with pytest.raises(FormatError, match="^cannot load cached pool "):
+            build_world(config, tmp_path)
+
+    def test_interrupted_write_leaves_no_cache(self, tmp_path, monkeypatch, train_calls):
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            raise OSError("no space left on device")
+
+        config = make_config("smoke", TINY)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", savez_then_fail)
+            with pytest.raises(OSError, match="no space left"):
+                build_world(config, tmp_path)
+        assert not (tmp_path / f"{config.pool_hash}.npz").exists()
+        train_calls.clear()
+        rebuilt = build_world(config, tmp_path)
+        assert len(train_calls) == 2
+        assert pool_bytes(rebuilt.pool) == pool_bytes(build_world(config).pool)
+        assert (tmp_path / f"{config.pool_hash}.npz").exists()
+
     def test_pool_equals_members_fine_tuned_one_at_a_time(self):
         config = make_config("smoke", TINY)
         world = build_world(config)
@@ -531,16 +622,10 @@ class TestCli:
         loaded = load_record(path).records[0]
         assert (loaded.pb_bound, loaded.upper_bound, loaded.vacuous) == (1.0, math.inf, True)
 
-    def test_gen_pool(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 0
-        cfg = make_config("smoke")
-        assert (out / "pools" / cfg.pool_hash / "manifest.json").exists()
-
     def test_diverged_training_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "diverge.cfg"
         cfg_file.write_text(DIVERGING)
-        assert main(["gen-pool", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("training diverged: base, epoch ")
 
@@ -572,6 +657,14 @@ class TestCli:
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "config error: certify.targets: must be 1 for kind = validity")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_discrete_with_layer_wise_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = paper-discrete\nmerge.kind = layer_wise\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: merge.kind: must be one of ('task_arith', 'all') for kind = discrete")
         assert not list(tmp_path.glob("*.csv"))
 
     def test_size_too_small_to_certify_exit_code(self, tmp_path, capsys):
@@ -614,15 +707,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("format error: cannot load run record")
 
-    def test_pool_manifest_not_utf8_exit_code(self, tmp_path, capsys):
+    def test_corrupt_pool_cache_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 0
-        manifest = out / "pools" / make_config("smoke").pool_hash / "manifest.json"
-        manifest.write_bytes(b"\xff" + manifest.read_bytes())
-        capsys.readouterr()
-        assert main(["gen-pool", "--scenario", "smoke", "--out", str(out)]) == 2
+        cfg = make_config("smoke")
+        build_world(cfg, out / "pools")
+        flip_middle_byte(out / "pools" / f"{cfg.pool_hash}.npz")
+        assert main(["certify", "--scenario", "smoke", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("format error: cannot read pool manifest")
+        assert len(err) == 1 and err[0].startswith("format error: cannot load cached pool")
+        assert not list(out.glob("*.csv"))
 
     def test_seed_override_changes_hash(self, tmp_path):
         out = tmp_path / "out"

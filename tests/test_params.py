@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from pacmerge import (
-    DomainError,
-    FormatError,
-    ModelPool,
-    StructureError,
-    pool_load,
-    pool_save,
-)
+from pacmerge import DomainError, ModelPool, StructureError
 
 OFFSETS = ((0, 2), (2, 2))
 BASE = [0.5, -1.0, 2.0, 0.25]
@@ -93,78 +86,3 @@ class TestModelPool:
             pool.without("zzz")
         with pytest.raises(StructureError):
             dropped.without("b")
-
-    def test_equality(self):
-        pool = two_member_pool()
-        assert pool == two_member_pool()
-        assert pool != pool.without("a")
-        assert pool != ModelPool(BASE, DELTAS, ["a", "c"], OFFSETS)
-        assert pool != ModelPool(BASE, DELTAS, ["a", "b"], ((0, 4),))
-        assert pool != ModelPool(BASE, np.array(DELTAS) * 2, ["a", "b"], OFFSETS)
-
-
-class TestPoolSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        pool = two_member_pool()
-        pool_save(pool, tmp_path / "pool")
-        loaded = pool_load(tmp_path / "pool")
-        assert loaded == pool
-        assert loaded.base.tobytes() == pool.base.tobytes()
-        assert loaded.deltas.tobytes() == pool.deltas.tobytes()
-        assert not (loaded.base.flags.writeable or loaded.deltas.flags.writeable)
-
-    def test_truncated_payload(self, tmp_path):
-        pool = two_member_pool()
-        pool_save(pool, tmp_path / "pool")
-        payload = tmp_path / "pool" / "payload.bin"
-        payload.write_bytes(payload.read_bytes()[:-5])
-        with pytest.raises(FormatError):
-            pool_load(tmp_path / "pool")
-
-    def test_member_count_mismatch(self, tmp_path):
-        import json
-
-        pool = two_member_pool()
-        pool_save(pool, tmp_path / "pool")
-        manifest_path = tmp_path / "pool" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["M"] = 3
-        manifest["task_ids"].append("ghost")
-        manifest["checksums"].append(manifest["checksums"][-1])
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError):
-            pool_load(tmp_path / "pool")
-
-    def test_manifest_without_members(self, tmp_path):
-        import json
-
-        pool_save(two_member_pool(), tmp_path / "pool")
-        manifest_path = tmp_path / "pool" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest.update(M=0, task_ids=[], checksums=manifest["checksums"][:1])
-        manifest_path.write_text(json.dumps(manifest))
-        payload = tmp_path / "pool" / "payload.bin"
-        payload.write_bytes(payload.read_bytes()[: 8 + 4 * 4])
-        with pytest.raises(FormatError, match="at least one member"):
-            pool_load(tmp_path / "pool")
-
-    def test_checksum_mismatch(self, tmp_path):
-        pool = two_member_pool()
-        pool_save(pool, tmp_path / "pool")
-        payload = tmp_path / "pool" / "payload.bin"
-        raw = bytearray(payload.read_bytes())
-        raw[10] ^= 0xFF
-        payload.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            pool_load(tmp_path / "pool")
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FormatError):
-            pool_load(tmp_path / "nothing")
-
-    def test_manifest_not_utf8(self, tmp_path):
-        pool_save(two_member_pool(), tmp_path / "pool")
-        manifest_path = tmp_path / "pool" / "manifest.json"
-        manifest_path.write_bytes(b"\xff" + manifest_path.read_bytes())
-        with pytest.raises(FormatError, match="cannot read pool manifest"):
-            pool_load(tmp_path / "pool")
