@@ -19,8 +19,7 @@ from .certify import (
     DdpConfig,
     certify,
     certify_ddp,
-    certify_discrete,
-    default_prior,
+    certify_point,
     optimize,
 )
 from .cma import CmaConfig, CmaEs, default_popsize, minimize
@@ -35,12 +34,11 @@ from .errors import (
 from .merging import (
     MergeScheme,
     default_phi,
-    make_scheme,
     merged_values,
     ties_preprocess,
 )
 from .params import ModelPool
-from .posterior import GaussianSpec, mc_risks
+from .posterior import mc_risks
 from .toyzoo import (
     LabeledSet,
     MlpSpec,

@@ -19,7 +19,7 @@ carried separately.
 Every certificate record is built here by ``make_record``, from this one
 computation: a test-set bound is the case KL = 0 on held-out data, and a
 finite grid with a uniform prior has KL = ln(grid size).  The closed-form KL
-between isotropic Gaussian posteriors lives here too.
+between isotropic Gaussians, given by mean arrays, lives here too.
 
 A stored record's schema is its dataclass fields: ``to_dict`` writes each
 field under its name, and ``from_fields`` loads a JSON mapping only if it has
@@ -36,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, FormatError, StructureError
-from .posterior import GaussianSpec
 
 _Q_MAX = 1.0 - 1e-12  # top of the search bracket; beyond this we report 1
 
@@ -124,14 +123,25 @@ def seeger_certificate(train_error: float, kl_qp: float, n: int, delta: float) -
     return BoundReport(min(raw, 1.0), upper, upper >= 1.0 or raw >= 1.0)
 
 
-def gaussian_kl(q: GaussianSpec, p: GaussianSpec) -> float:
-    """KL between isotropic Gaussians: (d/2)(r - 1 - ln r) + ||mu_q-mu_p||^2/(2 s_p)."""
-    if q.dim != p.dim:
-        raise StructureError(f"dimension mismatch: {q.dim} vs {p.dim}")
-    ratio = q.variance / p.variance
-    d = q.dim
-    mean_term = float(np.sum((q.mean - p.mean) ** 2)) / (2.0 * p.variance)
-    return 0.5 * d * (ratio - 1.0 - math.log(ratio)) + mean_term
+def gaussian_kl(means, prior_mean, variance: float, prior_variance: float) -> np.ndarray:
+    """The (m,) KLs between isotropic Gaussians N(means[i], variance I) and
+    N(prior_mean, prior_variance I): (d/2)(r - 1 - ln r) + ||means[i] -
+    prior_mean||^2 / (2 prior_variance), with r = variance / prior_variance."""
+    # in C order a row is summed as a lone (d,) array is, so its KL does not
+    # depend on its batch or on the layout of ``means``
+    means = np.ascontiguousarray(means, dtype=np.float64)
+    prior_mean = np.asarray(prior_mean, dtype=np.float64)
+    if means.ndim != 2 or prior_mean.shape != means.shape[1:]:
+        raise StructureError(f"means {means.shape} and prior mean {prior_mean.shape} "
+                             "are not (m, d) and (d,)")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(prior_mean))):
+        raise DomainError("Gaussian mean must be finite")
+    for v in (variance, prior_variance):
+        if not (v > 0 and math.isfinite(v)):
+            raise DomainError(f"variance must be positive and finite, got {v}")
+    ratio = variance / prior_variance
+    mean_term = np.sum((means - prior_mean) ** 2, axis=1) / (2.0 * prior_variance)
+    return 0.5 * means.shape[1] * (ratio - 1.0 - math.log(ratio)) + mean_term
 
 
 # A field annotation -> the exact types of the JSON values it accepts: an

@@ -4,18 +4,21 @@ Two objectives are supported for fitting merge coefficients on the support
 set: the randomized classifier's Monte-Carlo 0-1 train risk alone
 (``train_risk``), or the certificate's own closed form (``pac_bayes_upper``),
 which trades train error against the KL to the prior; the search reads the
-certificate's support, prior and ``CertifyConfig``.  Both are minimized with
-the same derivative-free search, seeded at the uniform-merge coefficients
-(the prior mean), with common random numbers across candidate evaluations
-so the objective is a pure function.  The search scores each generation of
-candidates in one ``mc_risks`` call: one merge and one scoring pass per
-generation, not per candidate.  The discrete grid is likewise merged and
-scored in one call.
+certificate's support, prior mean and ``CertifyConfig``.  Both are minimized
+with the same derivative-free search, seeded at the uniform-merge
+coefficients (the default prior mean), with common random numbers across
+candidate evaluations so the objective is a pure function.  The search
+scores each generation in one ``mc_risks`` and one ``gaussian_kl`` call: one
+merge and one scoring pass per generation, not per candidate.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
 half; the certificate is computed on the second half only, preserving
 prior/data independence.
+
+``certify_point`` certifies a deterministic merge, the best of G fixed rows
+of coefficients, with KL = ln G: a finite grid, or one row fitted on other
+data (half-validation), whose KL = 0 makes it a test-set bound.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from .bounds import CertificateRecord, budget, closed_form, gaussian_kl, make_record
 from .cma import CmaConfig, CmaResult, minimize
 from .errors import DomainError, StructureError
-from .merging import MergeScheme, default_phi, make_scheme, merged_values
-from .posterior import GaussianSpec, mc_risks
+from .merging import MergeScheme, default_phi, merged_values
+from .posterior import mc_risks
 from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
@@ -70,38 +73,33 @@ class CertifyConfig:
             raise DomainError(f"delta {self.delta} outside (0, 1)")
 
 
-def default_prior(scheme: MergeScheme, variance: float) -> GaussianSpec:
-    """A Gaussian at the uniform-merge coefficients: the prior unless one is given."""
-    return GaussianSpec(default_phi(scheme), variance)
-
-
 def optimize(
     scheme: MergeScheme,
     objective_kind: str,
     support: LabeledSet,
     model_spec: MlpSpec,
     config: CertifyConfig,
-    prior: GaussianSpec | None = None,
+    prior_mean: np.ndarray | None = None,
 ) -> CmaResult:
     """Search for the posterior mean; returns the search's ``CmaResult``.
 
     ``pac_bayes_upper`` minimizes ``bounds.closed_form`` on the budget
     ``budget(KL, support.n, config.delta)`` that the certificate reports;
-    ``prior`` defaults to ``default_prior(scheme, config.prior_variance)``.
+    ``prior_mean`` (d_phi,) defaults to ``default_phi(scheme)``.
 
-    Each CMA-ES generation is scored in one ``mc_risks`` call, so one merge
-    and one scoring pass per generation.  Deterministic in ``config.cma.seed``;
-    ``f_best`` is the objective at ``x_best`` and ``evals`` counts every
-    evaluation, the start point included.
+    Each CMA-ES generation is scored in one ``mc_risks`` call and one
+    ``gaussian_kl`` call, so one merge and one scoring pass per generation.
+    Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
+    ``x_best`` and ``evals`` counts every evaluation, the start point included.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise DomainError(f"unknown objective kind {objective_kind!r}")
     if support.n == 0:
         raise DomainError("support must be non-empty")
-    if prior is None:
-        prior = default_prior(scheme, config.prior_variance)
-    if prior.dim != scheme.d_phi:
-        raise StructureError(f"prior dimension {prior.dim} != scheme d_phi {scheme.d_phi}")
+    if prior_mean is None:
+        prior_mean = default_phi(scheme)
+    if np.shape(prior_mean) != (scheme.d_phi,):
+        raise StructureError(f"prior mean shape {np.shape(prior_mean)} != ({scheme.d_phi},)")
     mc_seed = derive_seed(config.cma.seed, "mc-common")
     variance = config.posterior_variance
 
@@ -112,21 +110,19 @@ def optimize(
         ).tolist()
         if objective_kind == "train_risk":
             return risks
-        return [
-            closed_form(risk, budget(gaussian_kl(GaussianSpec(phi, variance), prior),
-                                     support.n, config.delta))
-            for phi, risk in zip(phis, risks)
-        ]
+        kls = gaussian_kl(phis, prior_mean, variance, config.prior_variance).tolist()
+        return [closed_form(risk, budget(kl, support.n, config.delta))
+                for risk, kl in zip(risks, kls)]
 
     return minimize(batch_objective, default_phi(scheme), config.cma)
 
 
-def _posterior_errors(q, scheme, model_spec, support, query, config):
+def _posterior_errors(mu, scheme, model_spec, support, query, config):
     # Train risk is re-computed with the exact stream the search minimized, so
     # the certificate states the quantity that was optimized; the query-set
     # estimate uses an independent stream.
     def risk(data, seed):
-        return float(mc_risks(q.mean[None], q.variance, scheme, model_spec, data,
+        return float(mc_risks(mu[None], config.posterior_variance, scheme, model_spec, data,
                               config.mc_samples, seed)[0])
 
     train = risk(support, derive_seed(config.cma.seed, "mc-common"))
@@ -142,28 +138,29 @@ def certify(
     model_spec: MlpSpec,
     config: CertifyConfig,
     task_id: str = "",
-    prior: GaussianSpec | None = None,
+    prior_mean: np.ndarray | None = None,
     objective_label: str | None = None,
 ) -> CertificateRecord:
     """Fit the posterior mean on the support and certify the result.
 
-    The prior defaults to ``default_prior``.  Search and record share config,
-    prior and support, so a ``pac_bayes_upper`` record's ``upper_bound`` is
-    the least objective value of its search.  Any learned coefficients are
-    re-interpreted as the mean of a Gaussian posterior with the configured
-    variance, so even a plain train-risk fit gets a certificate.
+    ``prior_mean`` defaults to ``default_phi(scheme)``.  Search and record
+    share config, prior and support, so a ``pac_bayes_upper`` record's
+    ``upper_bound`` is the least objective value of its search.  Any learned
+    coefficients are re-interpreted as the mean of a Gaussian posterior with
+    the configured variance, so even a plain train-risk fit gets a certificate.
     """
     n = support.n
     if n < 2:
         raise DomainError(f"need support size >= 2, got {n}")
-    if prior is None:
-        prior = default_prior(scheme, config.prior_variance)
-    result = optimize(scheme, objective_kind, support, model_spec, config, prior)
-    q = GaussianSpec(result.x_best, config.posterior_variance)
-    train, test = _posterior_errors(q, scheme, model_spec, support, query, config)
+    if prior_mean is None:
+        prior_mean = default_phi(scheme)
+    result = optimize(scheme, objective_kind, support, model_spec, config, prior_mean)
+    mu = result.x_best
+    train, test = _posterior_errors(mu, scheme, model_spec, support, query, config)
+    kl = gaussian_kl(mu[None], prior_mean, config.posterior_variance, config.prior_variance)
     return make_record(
         task_id, scheme.kind, objective_label or objective_kind, train,
-        gaussian_kl(q, prior), n, config.delta, test_error=test,
+        float(kl[0]), n, config.delta, test_error=test,
         provenance={
             "cma_seed": config.cma.seed,
             "eval_seed": config.eval_seed,
@@ -205,18 +202,8 @@ def certify_ddp(
         config, cma=replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
     )
     mu_p = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config).x_best
-    prior = GaussianSpec(mu_p, config.prior_variance)
-    record = certify(
-        scheme,
-        "pac_bayes_upper",
-        half_b,
-        query,
-        model_spec,
-        config,
-        task_id=task_id,
-        prior=prior,
-        objective_label="ddp",
-    )
+    record = certify(scheme, "pac_bayes_upper", half_b, query, model_spec, config,
+                     task_id=task_id, prior_mean=mu_p, objective_label="ddp")
     record.provenance.update(
         {
             "ddp_split_fraction": ddp.split_fraction,
@@ -228,36 +215,37 @@ def certify_ddp(
     return record
 
 
-def certify_discrete(
-    pool,
-    grid_size: int,
+def certify_point(
+    scheme: MergeScheme,
+    phis: np.ndarray,
     support: LabeledSet,
+    query: LabeledSet | None,
     model_spec: MlpSpec,
-    config: CertifyConfig,
-    query: LabeledSet | None = None,
-    task_id: str = "",
+    delta: float,
+    task_id: str,
+    objective: str,
+    provenance: dict,
 ) -> CertificateRecord:
-    """Finite-class certificate over a uniform coefficient grid in [0, 1].
+    """Certify the merge at the best of the G rows of ``phis`` (G, d_phi),
+    which are fixed before ``support`` is seen.
 
-    The classifier is deterministic: the posterior is a point mass on the
-    grid value with the lowest train error (ties toward the smaller value),
-    against a uniform prior over the grid, so KL = ln(grid_size) exactly.
+    The G rows are merged and scored in one ``error_counts`` call.  The
+    posterior is a point mass on the first row of least support error and
+    the prior is uniform over the rows, so KL = ln G.  The certified row is
+    scored on ``query`` and recorded in provenance as ``phi_star``.
     """
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    if len(phis) == 0:
+        raise StructureError("certify_point needs at least one row of coefficients")
     n = support.n
     if n < 2:
         raise DomainError(f"need support size >= 2, got {n}")
-    scheme = make_scheme("task_arith", pool)
-    grid = np.linspace(0.0, 1.0, grid_size)
-    merged = merged_values(scheme, grid[:, None])
+    merged = merged_values(scheme, phis)
     risks = error_counts(model_spec, merged, support) / n
-    best = int(np.argmin(risks))  # argmin takes the first (smallest) value on ties
+    best = int(np.argmin(risks))  # argmin takes the first row on ties
     test = None
     if query is not None:
         test = float(error_counts(model_spec, merged[best : best + 1], query)[0] / query.n)
     return make_record(
-        task_id, "task_arith", "discrete", float(risks[best]), math.log(grid_size), n,
-        config.delta, test_error=test,
-        provenance={"grid_size": grid_size, "phi_star": float(grid[best])},
+        task_id, scheme.kind, objective, float(risks[best]), math.log(len(phis)), n, delta,
+        test_error=test, provenance={**provenance, "phi_star": phis[best].tolist()},
     )

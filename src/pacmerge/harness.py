@@ -9,9 +9,9 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 * ``paper-ddp``          - layer-wise merging with plain, bound-optimized,
   and data-dependent-prior certification;
 * ``paper-gap-sweep``    - certified gap versus support size, with the
-  half-validation comparison;
-* ``paper-discrete``     - finite-grid certificates against the continuous
-  Gaussian-posterior baseline;
+  half-validation comparison (``certify_point`` on one row, KL = 0);
+* ``paper-discrete``     - finite-grid certificates (``certify_point`` on
+  the grid) against the continuous Gaussian-posterior baseline;
 * ``validity-trial``     - repeated fresh-support trials checking that the
   certificate violation rate stays below delta: one pass fits every trial,
   then one streamed pass over the population, tile by tile, scores them all;
@@ -45,13 +45,12 @@ import numpy as np
 
 from . import __version__
 from .bounds import CertificateRecord, from_fields, gaussian_kl, make_record
-from .certify import (CertifyConfig, DdpConfig, certify, certify_ddp, certify_discrete,
-                      default_prior, optimize)
+from .certify import CertifyConfig, DdpConfig, certify, certify_ddp, certify_point, optimize
 from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
-from .merging import KINDS, make_scheme, merged_values
+from .merging import KINDS, MergeScheme, default_phi
 from .params import ModelPool
-from .posterior import GaussianSpec, mc_risks, posterior_rows
+from .posterior import mc_risks, posterior_rows
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
@@ -87,8 +86,8 @@ def _choice(options):
 def _bounded_float(lo, hi, lo_open=False, hi_open=False):
     def parse(value):
         value = float(value)
-        if (value < lo or value > hi or (lo_open and value == lo)
-                or (hi_open and value == hi)):
+        # written so that NaN, which fails every comparison, is rejected
+        if not lo <= value <= hi or (lo_open and value == lo) or (hi_open and value == hi):
             raise ValueError(f"must be in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
         return value
 
@@ -405,9 +404,12 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
     if cache is not None:
         cache.parent.mkdir(parents=True, exist_ok=True)
         partial = cache.with_name(cache.name + ".tmp")
-        with open(partial, "wb") as fh:
-            np.savez(fh, rows=np.vstack([pool.base[None], pool.deltas]))
-        os.replace(partial, cache)
+        try:
+            with open(partial, "wb") as fh:
+                np.savez(fh, rows=np.vstack([pool.base[None], pool.deltas]))
+            os.replace(partial, cache)
+        finally:  # a failed write leaves no partial file; after the rename there is none
+            partial.unlink(missing_ok=True)
     return World(tasks, pool, spec)
 
 
@@ -579,7 +581,7 @@ def _objective_list(config) -> tuple[str, ...]:
 
 def _schemes(config, subpool) -> list:
     kinds = KINDS if config["merge.kind"] == "all" else (config["merge.kind"],)
-    return [make_scheme(kind, subpool, config["merge.trim_fraction"]) for kind in kinds]
+    return [MergeScheme(kind, subpool, config["merge.trim_fraction"]) for kind in kinds]
 
 
 def _run_table(config, spec, index, task, subpool):
@@ -597,26 +599,6 @@ def _run_table(config, spec, index, task, subpool):
                               query=query, task_id=task.task_id)
 
 
-def _half_val_record(scheme, support, query, model_spec, cfg, task_id) -> CertificateRecord:
-    """Train a deterministic merge on half the data, certify on the rest."""
-    half = support.n // 2
-    train_half = support.subset(np.arange(half))
-    val_half = support.subset(np.arange(half, support.n))
-    mu = optimize(scheme, "train_risk", train_half, model_spec, cfg).x_best
-    model = merged_values(scheme, mu[None])
-
-    def risk(data):
-        return float(error_counts(model_spec, model, data)[0] / data.n)
-
-    val_error = risk(val_half)
-    test = risk(query) if query is not None else None
-    # a test-set bound: point-mass prior and posterior, so KL = 0
-    return make_record(
-        task_id, scheme.kind, "half_val", val_error, 0.0, val_half.n, cfg.delta,
-        test_error=test, provenance={"train_half_n": train_half.n},
-    )
-
-
 def _run_sweep(config, spec, index, task, subpool):
     """Per (n, scheme): a DDP certificate, a half-validation test-set-bound
     certificate, and a full-data bound-optimized certificate."""
@@ -628,24 +610,31 @@ def _run_sweep(config, spec, index, task, subpool):
             cfg_ddp = _certify_config(config, index, scheme.kind, "ddp", n)
             yield certify_ddp(scheme, support, _ddp_config(config, index, n), spec, cfg_ddp,
                               query=query, task_id=task.task_id)
+            # half-validation: fit on the first half, a test-set bound on the rest
             cfg_hv = _certify_config(config, index, scheme.kind, "half_val", n)
-            yield _half_val_record(scheme, support, query, spec, cfg_hv, task.task_id)
+            half = n // 2
+            mu = optimize(scheme, "train_risk", support.subset(np.arange(half)), spec,
+                          cfg_hv).x_best
+            yield certify_point(scheme, mu[None], support.subset(np.arange(half, n)), query,
+                                spec, cfg_hv.delta, task.task_id, "half_val",
+                                {"train_half_n": half})
             cfg_opt = _certify_config(config, index, scheme.kind, "pac_bayes_upper", n)
             yield certify(scheme, "pac_bayes_upper", support, query, spec, cfg_opt,
                           task_id=task.task_id)
 
 
 def _run_discrete(config, spec, index, task, subpool):
-    """A continuous Gaussian-posterior certificate, then one per grid size."""
+    """A continuous Gaussian-posterior certificate, then, per grid size G, the
+    best of G evenly spaced ``task_arith`` coefficients in [0, 1] (KL = ln G)."""
     support, query = _support(config, task, index), _query(config, task, index)
-    scheme = make_scheme("task_arith", subpool)
+    scheme = MergeScheme("task_arith", subpool)
     cfg = _certify_config(config, index, "task_arith", "continuous")
     yield certify(scheme, "pac_bayes_upper", support, query, spec, cfg,
                   task_id=task.task_id, objective_label="continuous")
     for grid_size in config["discrete.grid_sizes"]:
-        cfg_d = _certify_config(config, index, "task_arith", "discrete", grid_size)
-        yield certify_discrete(subpool, grid_size, support, spec, cfg_d, query=query,
-                               task_id=task.task_id)
+        yield certify_point(scheme, np.linspace(0.0, 1.0, grid_size)[:, None], support, query,
+                            spec, config["bound.delta"], task.task_id, "discrete",
+                            {"grid_size": grid_size})
 
 
 def _run_validity(config, spec, index, task, subpool):
@@ -661,13 +650,12 @@ def _run_validity(config, spec, index, task, subpool):
     counts, and each trial's risk, are those of ``mc_risks`` on the whole
     population.  Each trial is then certified and compared with that risk.
     """
-    scheme = make_scheme("task_arith", subpool)
+    scheme = MergeScheme("task_arith", subpool)
     seed = config["seed"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
     delta = config["bound.delta"]
     variance = config["posterior.variance"]
     k = config["posterior.mc_samples"]
-    prior = default_prior(scheme, config["prior.variance"])
     n = config["validity.n"]
     trials = range(config["validity.trials"])
 
@@ -688,11 +676,12 @@ def _run_validity(config, spec, index, task, subpool):
         errors += error_counts(spec, thetas, tile)
     true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
 
-    for trial, (train_error, mu), true_risk in zip(trials, fits, true_risks.tolist()):
-        q = GaussianSpec(np.array([mu]), variance)
+    mus = np.array([[mu] for _, mu in fits])
+    kls = gaussian_kl(mus, default_phi(scheme), variance, config["prior.variance"]).tolist()
+    for trial, (train_error, mu), kl, true_risk in zip(trials, fits, kls, true_risks.tolist()):
         record = make_record(
             f"trial{trial}", scheme.kind, "validity", train_error,
-            gaussian_kl(q, prior), n, delta, test_error=true_risk, provenance={"mu": mu},
+            kl, n, delta, test_error=true_risk, provenance={"mu": mu},
         )
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
         yield record

@@ -85,10 +85,6 @@ class MergeScheme:
         return self.pool.M * len(self.pool.layer_offsets)
 
 
-def make_scheme(kind: str, pool: ModelPool, trim_fraction: float = 0.2) -> MergeScheme:
-    return MergeScheme(kind=kind, pool=pool, trim_fraction=trim_fraction)
-
-
 def default_phi(scheme: MergeScheme) -> np.ndarray:
     """The uniform-merge coefficients, used as prior mean and search start.
 

@@ -1,5 +1,7 @@
 """Gaussian posteriors over merge coefficients and Monte-Carlo risk estimation.
 
+A posterior is isotropic, given by a (d,) mean array and one variance.
+
 A randomized classifier draws fresh coefficients per prediction; following
 the usual estimator, we instead draw ``k`` whole coefficient vectors and
 average their 0-1 risks, which is identical in expectation.  Gaussian draws
@@ -22,7 +24,6 @@ depend on the other means of its call.  One posterior's risk is a one-row call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,33 +32,6 @@ from .errors import DomainError, StructureError
 from .merging import MergeScheme, merged_values
 from .seeding import rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
-
-
-def _checked(means, variance: float) -> np.ndarray:
-    """A private float64 copy of ``means``, after the Gaussian domain checks."""
-    means = np.array(means, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(means)):
-        raise DomainError("Gaussian mean must be finite")
-    if not (variance > 0 and math.isfinite(variance)):
-        raise DomainError(f"variance must be positive and finite, got {variance}")
-    return means
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianSpec:
-    """Isotropic diagonal Gaussian over coefficients."""
-
-    mean: np.ndarray
-    variance: float
-
-    def __post_init__(self):
-        mean = _checked(self.mean, self.variance).reshape(-1)
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.size)
 
 
 @lru_cache(maxsize=64)
@@ -73,7 +47,11 @@ def posterior_rows(
     """Merged parameters (m·k, P) of ``k`` posterior draws around each row of
     ``means`` (m, d): row i·k + j is mean i plus draw j of the noise
     ``(seed, k, d)``, one ``merged_values`` call for all of them."""
-    means = _checked(means, variance)
+    means = np.asarray(means, dtype=np.float64)
+    if not np.all(np.isfinite(means)):
+        raise DomainError("Gaussian mean must be finite")
+    if not (variance > 0 and math.isfinite(variance)):
+        raise DomainError(f"variance must be positive and finite, got {variance}")
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if means.ndim != 2 or means.shape[1] != scheme.d_phi:

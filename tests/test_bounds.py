@@ -9,7 +9,6 @@ from pacmerge import (
     CertificateRecord,
     DomainError,
     FormatError,
-    GaussianSpec,
     StructureError,
     bernoulli_kl,
     budget,
@@ -212,24 +211,46 @@ class TestBoundBudget:
 
 class TestGaussianKl:
     def test_identical_is_zero(self):
-        spec = GaussianSpec(np.array([0.1, 0.2]), 0.05)
-        assert gaussian_kl(spec, spec) == 0.0
+        mean = np.array([0.1, 0.2])
+        assert gaussian_kl(mean[None], mean, 0.05, 0.05).tolist() == [0.0]
 
     def test_hand_mean_shift(self):
-        q = GaussianSpec(np.full(7, 0.2), 0.05)
-        p = GaussianSpec(np.full(7, 1 / 7), 0.05)
         expected = 7 * (0.2 - 1 / 7) ** 2 / (2 * 0.05)
-        assert abs(gaussian_kl(q, p) - expected) < 1e-6
+        kl = gaussian_kl(np.full((1, 7), 0.2), np.full(7, 1 / 7), 0.05, 0.05)
+        assert kl.shape == (1,) and abs(kl[0] - expected) < 1e-6
 
     def test_hand_variance_ratio(self):
-        q = GaussianSpec(np.array([0.3]), 0.05)
-        p = GaussianSpec(np.array([0.3]), 0.1)
         expected = 0.5 * (0.5 - 1.0 - math.log(0.5))
-        assert abs(gaussian_kl(q, p) - expected) < 1e-9
+        assert abs(gaussian_kl(np.array([[0.3]]), np.array([0.3]), 0.05, 0.1)[0] - expected) < 1e-9
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_rows_equal_one_row_calls(self, d):
+        rng = np.random.default_rng(d)
+        means, prior_mean = rng.normal(0, 2, size=(13, d)), rng.normal(0, 1, size=d)
+        singles = [gaussian_kl(means[i : i + 1], prior_mean, 0.05, 0.2)[0] for i in range(13)]
+        # a search may hand over its candidates in Fortran order
+        for layout in (means, np.asfortranarray(means)):
+            assert gaussian_kl(layout, prior_mean, 0.05, 0.2).tolist() == singles
 
     def test_dimension_mismatch(self):
-        with pytest.raises(StructureError):
-            gaussian_kl(GaussianSpec(np.zeros(2), 0.05), GaussianSpec(np.zeros(3), 0.05))
+        for means, prior_mean in [(np.zeros((1, 2)), np.zeros(3)),
+                                  (np.zeros(2), np.zeros(2)),
+                                  (np.zeros((1, 2)), np.zeros((1, 2)))]:
+            with pytest.raises(StructureError):
+                gaussian_kl(means, prior_mean, 0.05, 0.05)
+
+    @pytest.mark.parametrize("means, variance, prior_variance", [
+        (np.zeros((1, 2)), 0.0, 0.05),
+        (np.zeros((1, 2)), 0.05, 0.0),
+        (np.array([[0.0, np.nan]]), 0.05, 0.05),
+        (np.zeros((1, 2)), np.inf, 0.05),
+        (np.zeros((1, 2)), 0.05, np.inf),
+    ])
+    def test_domain(self, means, variance, prior_variance):
+        with pytest.raises(DomainError):
+            gaussian_kl(means, np.zeros(2), variance, prior_variance)
+        with pytest.raises(DomainError):
+            gaussian_kl(np.zeros((1, 2)), means[0], variance, prior_variance)
 
     def test_quadrature_oracle_1d(self):
         # independent oracle: numerically integrate q(x) ln(q(x)/p(x))
@@ -239,8 +260,6 @@ class TestGaussianKl:
         for _ in range(50):
             mu_q, mu_p = rng.normal(0, 2, size=2)
             var_q, var_p = rng.uniform(0.02, 2.0, size=2)
-            q = GaussianSpec(np.array([mu_q]), var_q)
-            p = GaussianSpec(np.array([mu_p]), var_p)
 
             def integrand(x):
                 log_q = -0.5 * ((x - mu_q) ** 2 / var_q) - 0.5 * math.log(2 * math.pi * var_q)
@@ -251,7 +270,8 @@ class TestGaussianKl:
             lo = min(mu_q, mu_p) - width
             hi = max(mu_q, mu_p) + width
             numeric, _ = quad(integrand, lo, hi, limit=200)
-            assert abs(gaussian_kl(q, p) - numeric) < 1e-6
+            kl = gaussian_kl(np.array([[mu_q]]), np.array([mu_p]), var_q, var_p)[0]
+            assert abs(kl - numeric) < 1e-6
 
 
 class TestTestSetBound:

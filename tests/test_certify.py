@@ -9,19 +9,18 @@ from pacmerge import (
     CmaConfig,
     DdpConfig,
     DomainError,
-    GaussianSpec,
+    MergeScheme,
     MlpSpec,
     ModelPool,
     StructureError,
     TrainConfig,
     certify,
     certify_ddp,
-    certify_discrete,
+    certify_point,
     default_phi,
     error_counts,
     gen_tasks,
     init_params,
-    make_scheme,
     mc_risks,
     merged_values,
     minimize,
@@ -33,7 +32,7 @@ from pacmerge import (
 import pacmerge.cma as cma
 import pacmerge.posterior as posterior
 from pacmerge.bounds import gaussian_kl
-from pacmerge.certify import split_support
+from pacmerge.certify import OBJECTIVE_KINDS, split_support
 from pacmerge.merging import KINDS
 from pacmerge.seeding import derive_seed
 
@@ -91,7 +90,7 @@ def traced_optimize(monkeypatch, *args):
 class TestOptimize:
     def test_kl_dominated_objective_stays_at_prior(self, world):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_wise", pool)
+        scheme = MergeScheme("task_wise", pool)
         config = CertifyConfig(  # prior variance 1e-8: enormous KL weight
             posterior_variance=1e-8, prior_variance=1e-8, cma=CmaConfig(max_evals=200, seed=2)
         )
@@ -100,7 +99,7 @@ class TestOptimize:
 
     def test_deterministic_trace(self, world, monkeypatch):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=60, seed=11))
 
         def run():
@@ -114,7 +113,7 @@ class TestOptimize:
 
     def test_best_not_worse_than_trace_minimum(self, world):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=80, seed=3))
         result = optimize(scheme, "train_risk", support, spec, config)
         value = mc_risks(
@@ -128,39 +127,39 @@ class TestOptimize:
     @pytest.mark.parametrize("kind", KINDS)
     def test_bound_search_minimum_is_certified_upper_bound(self, world, kind, seed):
         _, pool, spec, support, _ = world
-        scheme = make_scheme(kind, pool)
+        scheme = MergeScheme(kind, pool)
         config = quick_config(seed, max_evals=40)
-        prior = GaussianSpec(default_phi(scheme) + 0.1, config.prior_variance)
-        result = optimize(scheme, "pac_bayes_upper", support, spec, config, prior)
-        record = certify(scheme, "pac_bayes_upper", support, None, spec, config, prior=prior)
+        prior_mean = default_phi(scheme) + 0.1
+        result = optimize(scheme, "pac_bayes_upper", support, spec, config, prior_mean)
+        record = certify(scheme, "pac_bayes_upper", support, None, spec, config,
+                         prior_mean=prior_mean)
         assert result.f_best == record.upper_bound
         assert record.provenance["evals"] == result.evals == 40
 
     def test_rejects_unknown_kind_and_wrong_prior_dimension(self, world):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_wise", pool)
+        scheme = MergeScheme("task_wise", pool)
         with pytest.raises(DomainError):
             optimize(scheme, "test_risk", support, spec, quick_config())
-        wrong = GaussianSpec(np.ones(scheme.d_phi + 1), 0.05)
-        with pytest.raises(StructureError):
-            optimize(scheme, "pac_bayes_upper", support, spec, quick_config(), wrong)
+        wrong = np.ones(scheme.d_phi + 1)
+        for objective_kind in OBJECTIVE_KINDS:
+            with pytest.raises(StructureError):
+                optimize(scheme, objective_kind, support, spec, quick_config(), wrong)
 
 
 def one_row_trace(scheme, objective_kind, support, spec, config):
     """The search result and the value of every evaluation, in index order,
     from an objective that scores one row at a time."""
     mc_seed = derive_seed(config.cma.seed, "mc-common")
-    prior = GaussianSpec(default_phi(scheme), config.prior_variance)
     n, delta = support.n, config.delta
     trace = []
 
     def score(phi):
-        q = GaussianSpec(phi, config.posterior_variance)
-        value = mc_risks(q.mean[None], q.variance, scheme, spec, support,
+        value = mc_risks(phi[None], config.posterior_variance, scheme, spec, support,
                          config.mc_samples, mc_seed)[0]
-        kl = 0.0
         if objective_kind == "pac_bayes_upper":
-            kl = gaussian_kl(q, prior)
+            kl = gaussian_kl(phi[None], default_phi(scheme), config.posterior_variance,
+                             config.prior_variance)[0]
             value += math.sqrt((kl + math.log(n / delta)) / (2.0 * (n - 1)))
         trace.append(value)
         return value
@@ -174,7 +173,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("kind", KINDS)
     def test_trace_equals_one_row_reference(self, world, monkeypatch, kind, objective_kind):
         _, pool, spec, support, _ = world
-        scheme = make_scheme(kind, pool)
+        scheme = MergeScheme(kind, pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=45, seed=6))
         result, trace = traced_optimize(monkeypatch, scheme, objective_kind, support, spec,
                                         config)
@@ -201,7 +200,7 @@ class TestBatchedSearch:
         monkeypatch.setattr(posterior, "merged_values", counting_merge)
         monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
         config = CertifyConfig(mc_samples=4, cma=CmaConfig(max_evals=60, seed=1))
-        result = optimize(make_scheme("layer_wise", pool), "train_risk", support, spec, config)
+        result = optimize(MergeScheme("layer_wise", pool), "train_risk", support, spec, config)
         assert result.evals == 60
         assert len(merges) == 1 + len(asks) < result.evals
 
@@ -209,14 +208,14 @@ class TestBatchedSearch:
 class TestCertify:
     def test_record_arithmetic_identity(self, world):
         _, pool, spec, support, query = world
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         record = certify(scheme, "train_risk", support, query, spec, quick_config(5), task_id="t")
         lhs = (record.upper_bound - record.train_error) ** 2 * 2 * (record.n - 1)
         assert abs(lhs - math.log(record.n / record.delta) - record.kl_qp) < 1e-6
 
     def test_invariants(self, world):
         _, pool, spec, support, query = world
-        scheme = make_scheme("task_wise", pool)
+        scheme = MergeScheme("task_wise", pool)
         record = certify(scheme, "pac_bayes_upper", support, query, spec, quick_config(6))
         record.validate()
         if not record.vacuous:
@@ -226,7 +225,7 @@ class TestCertify:
 
     def test_cannot_lose_to_initialization(self, world):
         _, pool, spec, support, query = world
-        scheme = make_scheme("layer_wise", pool)
+        scheme = MergeScheme("layer_wise", pool)
         config = quick_config(7, max_evals=120)
         record = certify(scheme, "pac_bayes_upper", support, None, spec, config)
         phi0 = default_phi(scheme)
@@ -245,7 +244,7 @@ class TestCertify:
 
     def test_needs_two_points(self, world):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         tiny = support.subset([0])
         with pytest.raises(DomainError):
             certify(scheme, "train_risk", tiny, None, spec, quick_config())
@@ -261,7 +260,7 @@ class TestDdp:
 
     def test_certificate_n_is_second_half(self, world):
         _, pool, spec, support, query = world
-        scheme = make_scheme("task_wise", pool)
+        scheme = MergeScheme("task_wise", pool)
         record = certify_ddp(
             scheme, support, DdpConfig(split_seed=1), spec, quick_config(8), query=query
         )
@@ -271,7 +270,7 @@ class TestDdp:
 
     def test_prior_pure_function_of_first_half(self, world):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         ddp = DdpConfig(split_seed=4)
         half_a, half_b = split_support(support, ddp)
         config = CertifyConfig(
@@ -286,23 +285,31 @@ class TestDdp:
 
     def test_too_small_support_rejected(self, world):
         _, pool, spec, support, _ = world
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         with pytest.raises(DomainError):
             certify_ddp(scheme, support.subset([0, 1, 2]), DdpConfig(), spec, quick_config())
+
+
+def grid_record(scheme, grid_size, support, spec, query=None):
+    """The ``paper-discrete`` certificate of a grid of ``grid_size`` points."""
+    return certify_point(scheme, np.linspace(0.0, 1.0, grid_size)[:, None], support, query,
+                         spec, 0.05, "t", "discrete", {"grid_size": grid_size})
 
 
 class TestDiscrete:
     def test_kl_is_log_grid_size(self, world):
         _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_arith", pool)
         for m in (2, 20, 100):
-            record = certify_discrete(pool, m, support, spec, quick_config())
+            record = grid_record(scheme, m, support, spec)
             assert record.kl_qp == math.log(m)
+            assert record.provenance["grid_size"] == m
             record.validate()
 
     def test_degenerate_pair_selects_better(self, world):
         tasks, pool, spec, support, _ = world
-        record = certify_discrete(pool, 2, support, spec, quick_config())
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
+        record = grid_record(scheme, 2, support, spec)
         risk0 = point_risk(scheme, spec, [0.0], support)
         risk1 = point_risk(scheme, spec, [1.0], support)
         assert record.train_error == min(risk0, risk1)
@@ -312,26 +319,50 @@ class TestDiscrete:
         _, pool, spec, support, query = world
         # the target's own fine-tune alone, whose best grid point is not the first
         pool = ModelPool(pool.base, pool.deltas[:1], pool.task_ids[:1], pool.layer_offsets)
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         grid = np.linspace(0.0, 1.0, grid_size)
         per_point = [point_risk(scheme, spec, [g], support) for g in grid]
         batched = error_counts(spec, merged_values(scheme, grid[:, None]), support) / support.n
         assert batched.tolist() == per_point
         best = int(np.argmin(per_point))
         assert best > 0
-        record = certify_discrete(pool, grid_size, support, spec, quick_config(), query=query)
+        record = grid_record(scheme, grid_size, support, spec, query)
         assert record.train_error == per_point[best]
-        assert record.provenance["phi_star"] == grid[best]
+        assert record.provenance["phi_star"] == [grid[best]]
         assert record.test_error == point_risk(scheme, spec, [grid[best]], query)
 
     def test_tie_breaks_to_smaller_phi(self, world):
         _, pool, spec, support, _ = world
         flat_pool = ModelPool(pool.base, np.zeros((1, pool.base.size)), ["z"],
                               pool.layer_offsets)
-        record = certify_discrete(flat_pool, 5, support, spec, quick_config())
-        assert record.provenance["phi_star"] == 0.0
+        record = grid_record(MergeScheme("task_arith", flat_pool), 5, support, spec)
+        assert record.provenance["phi_star"] == [0.0]
 
-    def test_grid_size_validation(self, world):
+
+class TestCertifyPoint:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_row_is_a_test_set_bound(self, world, kind):
+        # the half-validation certificate: KL = 0, the row's exact errors on
+        # the held-out half and on the query
+        _, pool, spec, support, query = world
+        scheme = MergeScheme(kind, pool)
+        mu = default_phi(scheme) + 0.05
+        held_out = support.subset(np.arange(50, 100))
+        record = certify_point(scheme, mu[None], held_out, query, spec, 0.05, "t", "half_val",
+                               {"train_half_n": 50})
+        assert record.kl_qp == 0.0
+        assert record.n == 50 and (record.scheme, record.objective) == (kind, "half_val")
+        assert record.train_error == point_risk(scheme, spec, mu, held_out)
+        assert record.test_error == point_risk(scheme, spec, mu, query)
+        assert record.provenance == {"train_half_n": 50, "phi_star": mu.tolist()}
+        record.validate()
+
+    def test_rejects_no_rows_and_a_tiny_support(self, world):
         _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_wise", pool)
+        for phis in (np.zeros((0, 3)), np.zeros(3)):
+            with pytest.raises(StructureError):
+                certify_point(scheme, phis, support, None, spec, 0.05, "t", "discrete", {})
         with pytest.raises(DomainError):
-            certify_discrete(pool, 1, support, spec, quick_config())
+            certify_point(scheme, np.zeros((1, 3)), support.subset([0]), None, spec, 0.05, "t",
+                          "half_val", {})

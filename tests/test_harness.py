@@ -25,10 +25,9 @@ from pacmerge.harness import (
     write_report,
 )
 from pacmerge.bounds import gaussian_kl, make_record
-from pacmerge.certify import default_prior
 from pacmerge.harness import _run_validity
-from pacmerge.merging import KINDS, make_scheme
-from pacmerge.posterior import GaussianSpec, mc_risks
+from pacmerge.merging import KINDS, MergeScheme, default_phi
+from pacmerge.posterior import mc_risks
 from pacmerge.seeding import derive_seed
 from pacmerge.toyzoo import _ROW_BUDGET as R
 
@@ -57,6 +56,13 @@ class TestConfig:
     def test_bad_search_and_training_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             make_config(None, {key: value})
+        assert err.value.path == key
+
+    @pytest.mark.parametrize("key", [key for key, (_, default) in harness._SCHEMA.items()
+                                     if isinstance(default, float)])
+    def test_nan_float_names_key(self, key):
+        with pytest.raises(ConfigError) as err:
+            make_config(None, {key: "nan"})
         assert err.value.path == key
 
     @pytest.mark.parametrize("overrides,key", [
@@ -338,7 +344,7 @@ class TestBuildWorld:
             patch.setattr(np, "savez", savez_then_fail)
             with pytest.raises(OSError, match="no space left"):
                 build_world(config, tmp_path)
-        assert not (tmp_path / f"{config.pool_hash}.npz").exists()
+        assert list(tmp_path.iterdir()) == []  # neither the cache nor its .npz.tmp
         train_calls.clear()
         rebuilt = build_world(config, tmp_path)
         assert len(train_calls) == 2
@@ -415,11 +421,10 @@ def reference_validity(config, world):
     """``validity-trial`` records as first written: per trial, the one-row
     ``mc_risks`` on the whole population held as one ``sample_set``."""
     task = world.tasks[0]
-    scheme = make_scheme("task_arith", world.pool.without(task.task_id))
+    scheme = MergeScheme("task_arith", world.pool.without(task.task_id))
     seed, k, variance = config["seed"], config["posterior.mc_samples"], config["posterior.variance"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
     population = sample_set(task, config["validity.population"], derive_seed(seed, "population"))
-    prior = default_prior(scheme, config["prior.variance"])
     n = config["validity.n"]
     records = []
     for trial in range(config["validity.trials"]):
@@ -427,12 +432,13 @@ def reference_validity(config, world):
         risks = mc_risks(grid[:, None], variance, scheme, world.model_spec, support, k,
                          derive_seed(seed, "trial-fit", trial))
         mu = float(grid[int(np.argmin(risks))])
-        q = GaussianSpec(np.array([mu]), variance)
-        true_risk = float(mc_risks(q.mean[None], variance, scheme, world.model_spec,
+        true_risk = float(mc_risks(np.array([[mu]]), variance, scheme, world.model_spec,
                                    population, k, derive_seed(seed, "trial-test", trial))[0])
+        kl = gaussian_kl(np.array([[mu]]), default_phi(scheme), variance,
+                         config["prior.variance"])[0]
         record = make_record(
             f"trial{trial}", scheme.kind, "validity", float(np.min(risks)),
-            gaussian_kl(q, prior), n, delta=config["bound.delta"], test_error=true_risk,
+            float(kl), n, delta=config["bound.delta"], test_error=true_risk,
             provenance={"mu": mu},
         )
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
@@ -643,7 +649,7 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("line", ["cma.popsize = 2", "pool.base_epochs = -1",
-                                      "pool.ft_epochs = -1"])
+                                      "pool.ft_epochs = -1", "posterior.variance = nan"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"scenario = smoke\n{line}\n")

@@ -3,10 +3,10 @@ import pytest
 
 from pacmerge import (
     DomainError,
+    MergeScheme,
     ModelPool,
     StructureError,
     default_phi,
-    make_scheme,
     merged_values,
     ties_preprocess,
 )
@@ -37,14 +37,14 @@ def pool4():
 class TestRealize:
     @pytest.mark.parametrize("kind", ["task_arith", "ties", "task_wise", "layer_wise"])
     def test_zero_phi_returns_base(self, pool4, kind):
-        scheme = make_scheme(kind, pool4)
+        scheme = MergeScheme(kind, pool4)
         out = realize(scheme, np.zeros(scheme.d_phi))
         assert np.array_equal(out, pool4.base)
 
     def test_task_wise_uniform_equals_task_arith(self, pool4):
         c = 0.7
-        tw = make_scheme("task_wise", pool4)
-        ta = make_scheme("task_arith", pool4)
+        tw = MergeScheme("task_wise", pool4)
+        ta = MergeScheme("task_arith", pool4)
         a = realize(tw, np.full(pool4.M, c / pool4.M))
         b = realize(ta, np.array([c]))
         np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
@@ -54,19 +54,19 @@ class TestRealize:
         # coordinate 0 keeps mean(+1, +2) = 1.5; coordinate 1 ties, elects +1,
         # keeps mean(+3) = 3.
         pool = build_pool([0.0, 0.0], [[1.0, -3.0], [2.0, 3.0]])
-        scheme = make_scheme("ties", pool, trim_fraction=1.0)
+        scheme = MergeScheme("ties", pool, trim_fraction=1.0)
         out = realize(scheme, np.array([1.0]))
         np.testing.assert_allclose(out, [1.5, 3.0], atol=1e-6)
 
     def test_dimension_mismatch(self, pool4):
-        scheme = make_scheme("task_wise", pool4)
+        scheme = MergeScheme("task_wise", pool4)
         with pytest.raises(StructureError):
             merged_values(scheme, np.zeros((1, scheme.d_phi + 1)))
 
     def test_affine_in_phi(self, pool4):
         rng = np.random.default_rng(1)
         for kind in ("task_arith", "task_wise", "layer_wise"):
-            scheme = make_scheme(kind, pool4)
+            scheme = MergeScheme(kind, pool4)
             phi1 = rng.standard_normal(scheme.d_phi)
             phi2 = rng.standard_normal(scheme.d_phi)
             a, b = 0.3, -1.2
@@ -80,15 +80,15 @@ class TestRealize:
             np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-6)
 
     def test_ties_affine_given_preprocessing(self, pool4):
-        scheme = make_scheme("ties", pool4, trim_fraction=0.5)
+        scheme = MergeScheme("ties", pool4, trim_fraction=0.5)
         base = pool4.base.astype(np.float64)
         one = realize(scheme, np.array([1.0])).astype(np.float64)
         three = realize(scheme, np.array([3.0])).astype(np.float64)
         np.testing.assert_allclose(three - base, 3 * (one - base), rtol=1e-5, atol=1e-5)
 
     def test_layer_wise_constant_rows_match_task_wise(self, pool4):
-        tw = make_scheme("task_wise", pool4)
-        lw = make_scheme("layer_wise", pool4)
+        tw = MergeScheme("task_wise", pool4)
+        lw = MergeScheme("layer_wise", pool4)
         phi_tw = np.array([0.2, -0.4, 0.9])
         phi_lw = np.repeat(phi_tw, len(pool4.layer_offsets))
         a = realize(tw, phi_tw)
@@ -142,20 +142,20 @@ class TestTiesPreprocess:
 class TestDefaultPhi:
     def test_task_wise_uniform(self):
         pool = build_pool(np.zeros(3), np.eye(7, 3))
-        scheme = make_scheme("task_wise", pool)
+        scheme = MergeScheme("task_wise", pool)
         np.testing.assert_allclose(default_phi(scheme), np.full(7, 1 / 7))
 
     def test_layer_wise_uniform(self):
         offsets = ((0, 2), (2, 2), (4, 1), (5, 1))
         rng = np.random.default_rng(3)
         pool = build_pool(rng.standard_normal(6), rng.standard_normal((7, 6)), offsets)
-        scheme = make_scheme("layer_wise", pool)
+        scheme = MergeScheme("layer_wise", pool)
         phi = default_phi(scheme)
         assert phi.shape == (28,)
         np.testing.assert_allclose(phi, np.full(28, 1 / 7))
 
     def test_task_arith_is_mean_of_deltas(self, pool4):
-        scheme = make_scheme("task_arith", pool4)
+        scheme = MergeScheme("task_arith", pool4)
         phi = default_phi(scheme)
         np.testing.assert_array_equal(phi, [1.0])
         merged = realize(scheme, phi)
@@ -164,7 +164,7 @@ class TestDefaultPhi:
 
     @pytest.mark.parametrize("kind", ["task_arith", "ties", "task_wise", "layer_wise"])
     def test_scalar_direction_computed_once(self, pool4, kind):
-        scheme = make_scheme(kind, pool4, trim_fraction=0.5)
+        scheme = MergeScheme(kind, pool4, trim_fraction=0.5)
         deltas = pool4.deltas.astype(np.float64)
         direction = {"task_arith": deltas.mean(axis=0),
                      "ties": ties_preprocess(pool4, 0.5)}.get(kind)

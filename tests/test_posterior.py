@@ -5,13 +5,12 @@ import pacmerge.posterior as posterior
 import pacmerge.toyzoo as toyzoo
 from pacmerge import (
     DomainError,
-    GaussianSpec,
+    MergeScheme,
     MlpSpec,
     ModelPool,
     gen_tasks,
     init_params,
     error_counts,
-    make_scheme,
     mc_risks,
     merged_values,
     sample_set,
@@ -19,29 +18,33 @@ from pacmerge import (
     StructureError,
     TrainConfig,
 )
+from pacmerge.bounds import gaussian_kl
 from pacmerge.merging import KINDS
 from pacmerge.seeding import rng_for
 from pacmerge.toyzoo import _ROW_BUDGET
 
 
 class TestSpecs:
-    def test_gaussian_validation(self):
-        with pytest.raises(DomainError):
-            GaussianSpec(np.array([0.0]), 0.0)
-        with pytest.raises(DomainError):
-            GaussianSpec(np.array([np.nan]), 0.1)
-        with pytest.raises(DomainError):
-            GaussianSpec(np.array([0.0]), np.inf)
+    def test_gaussian_validation(self, toy_world):
+        # a zero variance, a NaN mean and an infinite variance, wherever a
+        # Gaussian is given by its mean and variance
+        scheme, spec, data = toy_world
+        for mean, variance in [([0.0], 0.0), ([np.nan], 0.1), ([0.0], np.inf)]:
+            with pytest.raises(DomainError):
+                gaussian_kl(np.array([mean]), np.zeros(1), variance, 0.1)
+            with pytest.raises(DomainError):
+                mc_risks(np.full((1, 3), mean[0]), variance, scheme, spec, data, 3)
 
 
-def draws_of(spec, seed, k):
-    """The k coefficient draws ``mc_risks`` scores for ``spec``."""
-    return spec.mean + np.sqrt(spec.variance) * posterior._noise(seed, k, spec.dim)
+def draws_of(mean, variance, seed, k):
+    """The k coefficient draws ``mc_risks`` scores for the posterior
+    N(mean, variance I)."""
+    return mean + np.sqrt(variance) * posterior._noise(seed, k, len(mean))
 
 
-def posterior_risk(q, scheme, model_spec, data, k, seed):
+def posterior_risk(mean, variance, scheme, model_spec, data, k, seed):
     """The Monte-Carlo risk of one posterior: a one-row ``mc_risks`` call."""
-    return float(mc_risks(q.mean[None], q.variance, scheme, model_spec, data, k, seed)[0])
+    return float(mc_risks(mean[None], variance, scheme, model_spec, data, k, seed)[0])
 
 
 def point_risk(scheme, model_spec, phi, data):
@@ -79,17 +82,17 @@ class TestSample:
 
     def test_gaussian_mean_converges(self, toy_pool, merged_phis):
         pool, spec, task = toy_pool
-        scheme = make_scheme("task_arith", pool)
+        scheme = MergeScheme("task_arith", pool)
         mc_risks(np.array([[1.5]]), 0.25, scheme, spec, sample_set(task, 5, 1), 4000, seed=3)
         draws = merged_phis[0]
         assert draws.shape == (4000, 1)
         assert abs(draws.mean() - 1.5) < 3 * 0.5 / np.sqrt(4000)
-        assert np.array_equal(draws, draws_of(GaussianSpec(np.array([1.5]), 0.25), 3, 4000))
+        assert np.array_equal(draws, draws_of(np.array([1.5]), 0.25, 3, 4000))
 
     def test_k_validation(self, toy_world):
         scheme, spec, data = toy_world
         with pytest.raises(DomainError, match="k >= 1"):
-            posterior_risk(GaussianSpec(np.full(3, 1 / 3), 1.0), scheme, spec, data, 0, seed=0)
+            posterior_risk(np.full(3, 1 / 3), 1.0, scheme, spec, data, 0, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -112,40 +115,40 @@ def toy_pool():
 @pytest.fixture(scope="module")
 def toy_world(toy_pool):
     pool, spec, task = toy_pool
-    return make_scheme("task_wise", pool), spec, sample_set(task, 120, 9)
+    return MergeScheme("task_wise", pool), spec, sample_set(task, 120, 9)
 
 
 class TestMcRisk:
     def test_reproducible(self, toy_world):
         scheme, spec, data = toy_world
-        q = GaussianSpec(np.full(3, 1 / 3), 0.05)
-        a = posterior_risk(q, scheme, spec, data, 1, seed=5)
-        b = posterior_risk(q, scheme, spec, data, 1, seed=5)
+        mean, variance = np.full(3, 1 / 3), 0.05
+        a = posterior_risk(mean, variance, scheme, spec, data, 1, seed=5)
+        b = posterior_risk(mean, variance, scheme, spec, data, 1, seed=5)
         assert a == b
 
     def test_tiny_variance_matches_point(self, toy_world):
         scheme, spec, data = toy_world
         phi = np.full(3, 1 / 3)
-        near_point = GaussianSpec(phi, 1e-10)
         direct = point_risk(scheme, spec, phi, data)
-        assert posterior_risk(near_point, scheme, spec, data, 10, seed=3) == direct
+        assert posterior_risk(phi, 1e-10, scheme, spec, data, 10, seed=3) == direct
 
     def test_within_unit_interval(self, toy_world):
         scheme, spec, data = toy_world
-        q = GaussianSpec(np.full(3, 1 / 3), 0.5)
+        mean, variance = np.full(3, 1 / 3), 0.5
         for seed in range(5):
-            value = posterior_risk(q, scheme, spec, data, 5, seed=seed)
+            value = posterior_risk(mean, variance, scheme, spec, data, 5, seed=seed)
             assert 0.0 <= value <= 1.0
 
     def test_standard_error_scales_inverse_sqrt_k(self, toy_world):
         # CLT oracle: std over seeds of the k-sample estimator ~ k^{-1/2};
         # check the log-log slope across k in {10, 40, 160}
         scheme, spec, data = toy_world
-        q = GaussianSpec(np.full(3, 1 / 3), 0.3)
+        mean, variance = np.full(3, 1 / 3), 0.3
         ks = [10, 40, 160]
         stds = []
         for k in ks:
-            values = [posterior_risk(q, scheme, spec, data, k, seed=200 + r) for r in range(60)]
+            values = [posterior_risk(mean, variance, scheme, spec, data, k, seed=200 + r)
+                      for r in range(60)]
             stds.append(np.std(values))
         slope = np.polyfit(np.log(ks), np.log(stds), 1)[0]
         assert -0.65 < slope < -0.35
@@ -161,18 +164,18 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", KINDS)
     def test_mc_risk_equals_per_draw_mean(self, toy_pool, kind, n, k):
         pool, spec, task = toy_pool
-        scheme = make_scheme(kind, pool)
+        scheme = MergeScheme(kind, pool)
         data = sample_set(task, n, 4)
-        q = GaussianSpec(np.full(scheme.d_phi, 1 / 3), 0.5)
+        mean, variance = np.full(scheme.d_phi, 1 / 3), 0.5
         reference = float(np.mean(
-            [point_risk(scheme, spec, phi, data) for phi in draws_of(q, 17, k)]
+            [point_risk(scheme, spec, phi, data) for phi in draws_of(mean, variance, 17, k)]
         ))
-        assert posterior_risk(q, scheme, spec, data, k, seed=17) == reference
+        assert posterior_risk(mean, variance, scheme, spec, data, k, seed=17) == reference
 
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 50), (_ROW_BUDGET + 1, 7)])
     def test_one_merge_per_estimate(self, toy_pool, monkeypatch, n, k):
         pool, spec, task = toy_pool
-        scheme = make_scheme("task_wise", pool)
+        scheme = MergeScheme("task_wise", pool)
         calls = []
 
         def counting(*args):
@@ -180,14 +183,14 @@ class TestBatchedKernel:
             return merged_values(*args)
 
         monkeypatch.setattr(posterior, "merged_values", counting)
-        q = GaussianSpec(np.full(3, 1 / 3), 0.5)
-        posterior_risk(q, scheme, spec, sample_set(task, n, 4), k, seed=17)
+        mean, variance = np.full(3, 1 / 3), 0.5
+        posterior_risk(mean, variance, scheme, spec, sample_set(task, n, 4), k, seed=17)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_merged_rows_equal_realize(self, toy_pool, kind):
         pool, _, _ = toy_pool
-        scheme = make_scheme(kind, pool)
+        scheme = MergeScheme(kind, pool)
         phis = np.random.default_rng(3).standard_normal((9, scheme.d_phi))
         merged = merged_values(scheme, phis)
         assert merged.dtype == np.float32 and merged.shape == (9, pool.base.size)
@@ -195,7 +198,7 @@ class TestBatchedKernel:
             assert np.array_equal(merged[j], merged_values(scheme, phi[None])[0])
 
     def test_merged_values_shape_checked(self, toy_pool):
-        scheme = make_scheme("task_wise", toy_pool[0])
+        scheme = MergeScheme("task_wise", toy_pool[0])
         with pytest.raises(StructureError):
             merged_values(scheme, np.zeros(scheme.d_phi))
         with pytest.raises(StructureError):
@@ -234,7 +237,7 @@ def shipped_shape_pool():
 @pytest.mark.parametrize("kind", ["task_wise", "layer_wise"])
 def test_float32_margins_do_not_depend_on_the_block(shipped_shape_pool, kind, n, draws):
     pool, spec, task = shipped_shape_pool
-    scheme = make_scheme(kind, pool)
+    scheme = MergeScheme(kind, pool)
     data = sample_set(task, n, 5)
     phis = 1 / 6 + 0.5 * np.random.default_rng(n).standard_normal((draws, scheme.d_phi))
     thetas = merged_values(scheme, phis)
@@ -250,7 +253,7 @@ def test_float32_margins_do_not_depend_on_the_block(shipped_shape_pool, kind, n,
 # that of its one-row call there too
 def test_one_input_set_scores_one_draw_per_block(toy_pool, monkeypatch):
     pool, spec, task = toy_pool
-    scheme = make_scheme("layer_wise", pool)
+    scheme = MergeScheme("layer_wise", pool)
     data = sample_set(task, 1, 4)
     blocks = []
 
@@ -278,7 +281,7 @@ class TestBatchedMeans:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_equal_one_mean_calls(self, toy_pool, kind, m, n, k):
         pool, spec, task = toy_pool
-        scheme = make_scheme(kind, pool)
+        scheme = MergeScheme(kind, pool)
         data = sample_set(task, n, 4)
         means = 1 / 3 + 0.4 * np.random.default_rng(m).standard_normal((m, scheme.d_phi))
         risks = mc_risks(means, 0.2, scheme, spec, data, k, seed=23)
@@ -286,7 +289,7 @@ class TestBatchedMeans:
         for i in range(m):
             assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=23)[0]
         for i in (0, m - 1):
-            draws = draws_of(GaussianSpec(means[i], 0.2), 23, k)
+            draws = draws_of(means[i], 0.2, 23, k)
             reference = np.mean([point_risk(scheme, spec, phi, data) for phi in draws])
             assert risks[i] == reference
 
@@ -325,7 +328,7 @@ class TestBatchedMeans:
         rows = posterior.posterior_rows(means, 0.2, scheme, 5, seed=8)
         assert rows.shape == (20, spec.d_model) and rows.dtype == np.float32
         for i, mean in enumerate(means):
-            for j, phi in enumerate(draws_of(GaussianSpec(mean, 0.2), 8, 5)):
+            for j, phi in enumerate(draws_of(mean, 0.2, 8, 5)):
                 assert np.array_equal(rows[i * 5 + j], merged_values(scheme, phi[None])[0])
 
     def test_means_not_written(self, toy_world):
@@ -342,12 +345,13 @@ class TestNonFinite:
         with pytest.raises(DomainError):
             merged_values(scheme, phi[None])
         with pytest.raises(DomainError):
-            posterior_risk(GaussianSpec(phi, 0.1), scheme, spec, data, 3, seed=1)
+            posterior_risk(phi, 0.1, scheme, spec, data, 3, seed=1)
 
-    def test_infinite_draws(self):
-        # an infinite variance is refused when the spec is built
+    def test_infinite_draws(self, toy_world):
+        # an infinite variance is refused before any draw is made
+        scheme, spec, data = toy_world
         with pytest.raises(DomainError, match="finite"):
-            GaussianSpec(np.full(3, 1 / 3), np.inf)
+            posterior_risk(np.full(3, 1 / 3), np.inf, scheme, spec, data, 3, seed=1)
 
     def test_float32_overflow(self, toy_world):
         # finite in float64, beyond the float32 range once multiplied out
@@ -356,7 +360,7 @@ class TestNonFinite:
         with pytest.raises(DomainError, match="32-bit"):
             merged_values(scheme, phi[None])
         with pytest.raises(DomainError, match="32-bit"):
-            posterior_risk(GaussianSpec(phi, 1e-12), scheme, spec, data, 3, seed=1)
+            posterior_risk(phi, 1e-12, scheme, spec, data, 3, seed=1)
 
 
 class TestNoiseCache:
@@ -377,10 +381,10 @@ class TestNoiseCache:
             return rng_for(*args)
 
         monkeypatch.setattr(posterior, "rng_for", counting)
-        q = GaussianSpec(np.full(3, 1 / 3), 0.3)
-        first = posterior_risk(q, scheme, spec, data, 5, seed=918273)
+        mean, variance = np.full(3, 1 / 3), 0.3
+        first = posterior_risk(mean, variance, scheme, spec, data, 5, seed=918273)
         assert len(calls) == 5
-        moved = GaussianSpec(np.full(3, 0.2), 0.3)
-        posterior_risk(moved, scheme, spec, data, 5, seed=918273)
-        assert posterior_risk(q, scheme, spec, data, 5, seed=918273) == first
+        moved = np.full(3, 0.2)
+        posterior_risk(moved, variance, scheme, spec, data, 5, seed=918273)
+        assert posterior_risk(mean, variance, scheme, spec, data, 5, seed=918273) == first
         assert len(calls) == 5
