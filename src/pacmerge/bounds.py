@@ -126,7 +126,8 @@ def seeger_certificate(train_error: float, kl_qp: float, n: int, delta: float) -
 def gaussian_kl(means, prior_mean, variance: float, prior_variance: float) -> np.ndarray:
     """The (m,) KLs between isotropic Gaussians N(means[i], variance I) and
     N(prior_mean, prior_variance I): (d/2)(r - 1 - ln r) + ||means[i] -
-    prior_mean||^2 / (2 prior_variance), with r = variance / prior_variance."""
+    prior_mean||^2 / (2 prior_variance), with r = variance / prior_variance; an
+    r that under- or overflows the float range raises ``DomainError``."""
     # in C order a row is summed as a lone (d,) array is, so its KL does not
     # depend on its batch or on the layout of ``means``
     means = np.ascontiguousarray(means, dtype=np.float64)
@@ -140,6 +141,8 @@ def gaussian_kl(means, prior_mean, variance: float, prior_variance: float) -> np
         if not (v > 0 and math.isfinite(v)):
             raise DomainError(f"variance must be positive and finite, got {v}")
     ratio = variance / prior_variance
+    if not 0 < ratio < math.inf:
+        raise DomainError(f"variance ratio {variance} / {prior_variance} is not in (0, inf)")
     mean_term = np.sum((means - prior_mean) ** 2, axis=1) / (2.0 * prior_variance)
     return 0.5 * means.shape[1] * (ratio - 1.0 - math.log(ratio)) + mean_term
 

@@ -30,14 +30,16 @@ def default_popsize(dim: int) -> int:
 
 @dataclass(frozen=True)
 class CmaConfig:
-    popsize: int | None = None   # None -> default_popsize(d)
+    """Search settings; ``popsize`` 0, the default, means ``default_popsize(d)``."""
+
+    popsize: int = 0
     sigma0: float = 1.0
     max_evals: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        if self.popsize is not None and self.popsize < 4:
-            raise DomainError(f"population must be >= 4, got {self.popsize}")
+        if self.popsize != 0 and self.popsize < 4:
+            raise DomainError(f"popsize must be 0 (the default rule) or >= 4, got {self.popsize}")
         if not self.sigma0 > 0:
             raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
         if self.max_evals < 1:

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import CertificateRecord, from_fields, gaussian_kl, make_record
-from .certify import CertifyConfig, DdpConfig, certify, certify_ddp, certify_point, optimize
+from .certify import (OBJECTIVE_KINDS, CertifyConfig, DdpConfig, certify, certify_ddp,
+                      certify_point, optimize)
 from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
 from .merging import KINDS, MergeScheme, default_phi
@@ -69,7 +70,7 @@ from .toyzoo import (
 # ---------------------------------------------------------------------------
 
 _KINDS = ("table", "ddp", "sweep", "discrete", "validity")
-_OBJECTIVE_CHOICES = ("train_risk", "pac_bayes_upper", "both")
+_OBJECTIVE_CHOICES = OBJECTIVE_KINDS + ("both",)
 _MERGE_CHOICES = KINDS + ("all",)
 
 
@@ -94,9 +95,17 @@ def _bounded_float(lo, hi, lo_open=False, hi_open=False):
     return parse
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing a bool and a number with a fractional part."""
+    fractional = isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    if isinstance(value, (bool, np.bool_)) or fractional:
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 def _int_at_least(lo):
     def parse(value):
-        value = int(value)
+        value = _int(value)
         if value < lo:
             raise ValueError(f"must be >= {lo}")
         return value
@@ -122,10 +131,7 @@ def _int_list(lo, ascending=False):
 
 
 def _popsize(value):
-    value = int(value)
-    if value != 0 and value < 4:
-        raise ValueError("must be 0 (the default rule) or >= 4")
-    return value
+    return CmaConfig(popsize=_int(value)).popsize  # CmaConfig's DomainError is a ValueError
 
 
 _SCHEMA: dict[str, tuple] = {
@@ -160,7 +166,7 @@ _SCHEMA: dict[str, tuple] = {
     "cma.sigma0": (_bounded_float(0.0, 1e9, lo_open=True), 1.0),
     "cma.max_evals": (_positive_int, 2000),
     "ddp.split": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.5),
-    "ddp.prior_objective": (_choice(("train_risk", "pac_bayes_upper")), "train_risk"),
+    "ddp.prior_objective": (_choice(OBJECTIVE_KINDS), "train_risk"),
     "sweep.n_list": (_int_list(4, ascending=True), [100, 500, 1000, 2000, 4000]),
     "discrete.grid_sizes": (_int_list(2), [20, 40, 60, 80, 100]),
     "eval.query_n": (_positive_int, 2000),
@@ -275,6 +281,9 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
             values[key] = parser(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(key, f"invalid value {raw!r}: {exc}") from exc
+    # every kind certifies a Gaussian, and gaussian_kl needs this ratio in the float range
+    if not 0 < values["posterior.variance"] / values["prior.variance"] < np.inf:
+        raise ConfigError("prior.variance", "posterior / prior variance ratio is not in (0, inf)")
     if values["certify.targets"] > values["tasks.count"]:
         raise ConfigError("certify.targets", "more targets than generated tasks")
     for key, certifiable in _CERTIFIABLE.get(values["kind"], {}).items():
@@ -326,10 +335,12 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
     """Generate tasks and train the source-model pool.
 
     The base model trains on a mixture of every task's data; each member is
-    the base fine-tuned on one task.  All members fine-tune in one
-    ``train_stack`` call, each with the bits of training it alone, so the
-    pool bytes do not depend on the stacking.  A diverging model raises
-    ``TrainingDiverged`` naming "base" or the member's task id.
+    the base fine-tuned on one task.  Each stage trains under one
+    ``TrainConfig`` of its ``pool.*`` keys; all members fine-tune in one
+    ``train_stack`` call, each with its own shuffling seed and the bits of
+    training it alone, so the pool bytes do not depend on the stacking.  A
+    diverging model raises ``TrainingDiverged`` naming "base" or the
+    member's task id.
 
     When ``cache_dir`` is given, the pool is cached as one float32 array,
     the base row over the member rows, in ``<cache_dir>/<pool hash>.npz``;
@@ -371,14 +382,8 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         spec,
         init_params(spec, derive_seed(seed, "base-init")),
         [mixture],
-        [
-            TrainConfig(
-                lr=config["pool.base_lr"],
-                epochs=config["pool.base_epochs"],
-                batch=config["pool.batch"],
-                seed=derive_seed(seed, "base-train"),
-            )
-        ],
+        TrainConfig(config["pool.base_lr"], config["pool.base_epochs"], config["pool.batch"]),
+        [derive_seed(seed, "base-train")],
         ["base"],
     )
     tuned = train_stack(
@@ -386,15 +391,8 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         base,
         [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))
          for i, task in enumerate(tasks)],
-        [
-            TrainConfig(
-                lr=config["pool.ft_lr"],
-                epochs=config["pool.ft_epochs"],
-                batch=config["pool.batch"],
-                seed=derive_seed(seed, "ft-train", i),
-            )
-            for i in range(len(tasks))
-        ],
+        TrainConfig(config["pool.ft_lr"], config["pool.ft_epochs"], config["pool.batch"]),
+        [derive_seed(seed, "ft-train", i) for i in range(len(tasks))],
         task_ids,
     )
     # one rounding of the float64 difference; an overflow fails the pool's finite check
@@ -444,14 +442,13 @@ def _ddp_config(config, index, *key) -> DdpConfig:
 
 
 def _certify_config(config, *key) -> CertifyConfig:
-    popsize = config["cma.popsize"] or None
     return CertifyConfig(
         posterior_variance=config["posterior.variance"],
         prior_variance=config["prior.variance"],
         mc_samples=config["posterior.mc_samples"],
         delta=config["bound.delta"],
         cma=CmaConfig(
-            popsize=popsize,
+            popsize=config["cma.popsize"],
             sigma0=config["cma.sigma0"],
             max_evals=config["cma.max_evals"],
             seed=derive_seed(config["seed"], "cma", *key),
@@ -527,6 +524,7 @@ def report_text(record: RunRecord, fmt: str) -> str:
             current = best.get(r.task_id)
             if current is None or r.pb_bound < current:
                 best[r.task_id] = r.pb_bound
+        bold = REPORT_COLUMNS.index("pb_bound")
         lines = [
             "| " + " | ".join(REPORT_COLUMNS) + " |",
             "|" + "|".join("---" for _ in REPORT_COLUMNS) + "|",
@@ -534,7 +532,7 @@ def report_text(record: RunRecord, fmt: str) -> str:
         for r in record.records:
             cells = _row(r)
             if r.pb_bound == best[r.task_id]:
-                cells[6] = f"**{cells[6]}**"
+                cells[bold] = f"**{cells[bold]}**"
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise FormatError(f"unknown report format {fmt!r}")
@@ -574,9 +572,8 @@ def load_record(path) -> RunRecord:
 
 
 def _objective_list(config) -> tuple[str, ...]:
-    if config["objective.kind"] == "both":
-        return ("train_risk", "pac_bayes_upper")
-    return (config["objective.kind"],)
+    kind = config["objective.kind"]
+    return OBJECTIVE_KINDS if kind == "both" else (kind,)
 
 
 def _schemes(config, subpool) -> list:

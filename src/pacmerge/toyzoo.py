@@ -11,11 +11,11 @@ trained with mini-batch SGD on softmax cross-entropy; certification only ever
 sees its 0-1 loss.
 
 There is one SGD loop, ``train_stack``: it trains M models of one
-architecture at once on a leading model axis, each on its own set with its
-own shuffling seed, and every stacked product is one 2-D product per model,
-so each model gets the bits of training it alone; one model is a stack of
-one.  A model that diverges raises ``TrainingDiverged`` naming it and the
-epoch, without numpy overflow warnings.
+architecture under one ``TrainConfig`` at once on a leading model axis, each
+on its own set with its own shuffling seed; every stacked product is one 2-D
+product per model, so each model gets the bits of training it alone, and one
+model is a stack of one.  A model that diverges raises ``TrainingDiverged``
+naming it and the epoch, without numpy overflow warnings.
 
 Every risk a certificate uses comes from ``error_counts``, which counts the
 0-1 errors of many parameter rows at once.  The classifier it counts for is
@@ -54,12 +54,11 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True, eq=False)
 class SyntheticTask:
-    """A Gaussian mixture classification task: x = mean[y] + noise."""
+    """A Gaussian mixture classification task: x = mean[y] + noise, whose
+    (class_count, input_dim) shape is that of its distinct ``class_means``."""
 
     task_id: str
-    input_dim: int
-    class_count: int
-    class_means: np.ndarray  # (class_count, input_dim)
+    class_means: np.ndarray
     noise_scale: float
     label_seed: int
 
@@ -67,18 +66,22 @@ class SyntheticTask:
         means = np.array(self.class_means, dtype=np.float64, copy=True)
         means.flags.writeable = False
         object.__setattr__(self, "class_means", means)
-        if self.class_count < 2:
-            raise DomainError("need at least 2 classes")
-        if means.shape != (self.class_count, self.input_dim):
-            raise DomainError(
-                f"class_means shape {means.shape} != ({self.class_count}, {self.input_dim})"
-            )
+        if means.ndim != 2 or len(means) < 2:
+            raise DomainError(f"class_means must be (classes >= 2, input_dim), got {means.shape}")
         if not self.noise_scale > 0:
             raise DomainError("noise_scale must be positive")
-        for i in range(self.class_count):
-            for j in range(i + 1, self.class_count):
+        for i in range(len(means)):
+            for j in range(i + 1, len(means)):
                 if np.array_equal(means[i], means[j]):
                     raise DomainError(f"class means {i} and {j} coincide")
+
+    @property
+    def class_count(self) -> int:
+        return self.class_means.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.class_means.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +178,6 @@ def gen_tasks(
         tasks.append(
             SyntheticTask(
                 task_id=f"task{t}",
-                input_dim=input_dim,
-                class_count=class_count,
                 class_means=means,
                 noise_scale=noise_scale,
                 label_seed=int(rng.integers(0, 2**63 - 1)),
@@ -380,11 +381,9 @@ def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
     products, so each model's gradient has the bits of its own out-of-place
     computation; subtracting a one-hot label leaves the other scores exact.
     """
-    acts, pre = [x], []
+    acts = [x]
     for w, b in layers[:-1]:
-        z = acts[-1] @ w + b
-        pre.append(z)
-        acts.append(_activate(spec, z))
+        acts.append(_activate(spec, acts[-1] @ w + b))
     w, b = layers[-1]
     scores = acts[-1] @ w + b
     expo = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -399,7 +398,7 @@ def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
             if spec.activation == "tanh":
                 delta *= 1.0 - acts[li] ** 2
             elif spec.activation == "relu":
-                delta *= pre[li - 1] > 0
+                delta *= acts[li] > 0
     return probs, grads[::-1]
 
 
@@ -413,7 +412,6 @@ class TrainConfig:
     lr: float = 0.05
     epochs: int = 30
     batch: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.lr > 0 and math.isfinite(self.lr)):
@@ -428,21 +426,21 @@ class TrainConfig:
             raise DomainError("batch must be >= 1")
 
 
-def train_stack(spec: MlpSpec, init, sets, hypers, names) -> np.ndarray:
-    """Mini-batch SGD on softmax cross-entropy of M copies of ``init`` at
-    once: model i trains on ``sets[i]`` under ``hypers[i]`` and errors call
-    it ``names[i]``; deterministic in each seed.  ``init`` is a (d_model,)
-    row, rounded to float32 first; returns the float32 (M, d_model) rows of
-    the trained models, each rounded from its float64 parameters.
+def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) -> np.ndarray:
+    """Mini-batch SGD on softmax cross-entropy of M copies of ``init`` at once
+    under ``config``: model i trains on ``sets[i]`` and errors call it
+    ``names[i]``.  ``init`` is a (d_model,) row, rounded to float32 first;
+    returns the float32 (M, d_model) rows of the trained models, each
+    rounded from its float64 parameters.
 
-    Each model draws its own permutation per epoch from
-    ``rng_for(hypers[i].seed, "train")`` and its batches from its own set.
-    The M models step together on a leading model axis: every product is a
-    stack of 2-D products, and each step updates every layer's weight and
-    bias views of the (M, d_model) float64 parameters in place, so model i
-    ends with the bits of training it alone.  The sets must have one size
-    and the configs may differ only in seed (``StructureError``); an empty
-    set or a non-finite ``init`` raises ``DomainError``.
+    Model i draws its own permutation per epoch from ``rng_for(seeds[i],
+    "train")``, so it is deterministic in its seed, and its batches from its
+    own set.  The M models step together on a leading model axis: every
+    product is a stack of 2-D products, and each step updates every layer's
+    weight and bias views of the (M, d_model) float64 parameters in place,
+    so model i ends with the bits of training it alone.  Unequal set sizes,
+    or not one set, seed and name per model, raise ``StructureError``; an
+    empty set or a non-finite ``init`` raises ``DomainError``.
 
     epochs=0 returns ``init`` for every model.  A model whose loss goes
     non-finite, or whose parameters leave the float32 range, raises
@@ -456,21 +454,18 @@ def train_stack(spec: MlpSpec, init, sets, hypers, names) -> np.ndarray:
     if not np.isfinite(init).all():
         raise DomainError("init contains NaN/Inf")
     count = len(sets)
-    if not 0 < count == len(hypers) == len(names):
-        raise StructureError(f"need one set, config and name per model, got {count}, "
-                             f"{len(hypers)} and {len(names)}")
+    if not 0 < count == len(seeds) == len(names):
+        raise StructureError(f"need one set, seed and name per model, got {count}, "
+                             f"{len(seeds)} and {len(names)}")
     if len({data.n for data in sets}) > 1:
         raise StructureError(f"stacked sets differ in size: {[data.n for data in sets]}")
-    hyper = hypers[0]
-    if any((h.lr, h.epochs, h.batch) != (hyper.lr, hyper.epochs, hyper.batch) for h in hypers):
-        raise StructureError("stacked training configs may differ only in seed")
     for data, name in zip(sets, names):
         _check_data(spec, data)
         if data.n == 0:
             raise DomainError(f"{name}: empty training set")
-    if hyper.epochs == 0:
+    if config.epochs == 0:
         return np.repeat(init[None], count, axis=0)
-    rngs = [rng_for(h.seed, "train") for h in hypers]
+    rngs = [rng_for(seed, "train") for seed in seeds]
     x = np.stack([data.inputs for data in sets])
     onehot = np.stack([np.eye(spec.widths[-1])[data.labels] for data in sets])
     flat = np.repeat(init[None].astype(np.float64), count, axis=0)
@@ -478,11 +473,11 @@ def train_stack(spec: MlpSpec, init, sets, hypers, names) -> np.ndarray:
     models = np.arange(count)[:, None]
     n = sets[0].n
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, hyper.epochs + 1):
+        for epoch in range(1, config.epochs + 1):
             order = np.stack([rng.permutation(n) for rng in rngs])
             xs, ys = x[models, order], onehot[models, order]
-            for lo in range(0, n, hyper.batch):
-                batch = slice(lo, lo + hyper.batch)
+            for lo in range(0, n, config.batch):
+                batch = slice(lo, lo + config.batch)
                 probs, grads = _backprop(spec, layers, xs[:, batch], ys[:, batch])
                 # the loss is finite exactly when the probabilities are: a
                 # row with a finite largest score has probabilities in [0, 1],
@@ -491,8 +486,8 @@ def train_stack(spec: MlpSpec, init, sets, hypers, names) -> np.ndarray:
                     i = int(np.argmin(np.isfinite(probs).all(axis=(1, 2))))
                     raise TrainingDiverged(f"{names[i]}, epoch {epoch}: loss became nan")
                 for (w, b), (gw, gb) in zip(layers, grads):
-                    w -= hyper.lr * gw
-                    b -= hyper.lr * gb
+                    w -= config.lr * gw
+                    b -= config.lr * gb
             inside = (np.abs(flat) <= _F32_MAX).all(axis=1)
             if not inside.all():
                 i = int(np.argmin(inside))

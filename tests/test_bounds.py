@@ -245,6 +245,9 @@ class TestGaussianKl:
         (np.array([[0.0, np.nan]]), 0.05, 0.05),
         (np.zeros((1, 2)), np.inf, 0.05),
         (np.zeros((1, 2)), 0.05, np.inf),
+        # ratios that overflow to inf and underflow to 0
+        (np.zeros((1, 2)), 0.05, 5e-324),
+        (np.zeros((1, 2)), 5e-324, 1e9),
     ])
     def test_domain(self, means, variance, prior_variance):
         with pytest.raises(DomainError):

@@ -51,12 +51,14 @@ def world():
         spec,
         init_params(spec, 0),
         [LabeledSet(mixture_inputs, mixture_labels)],
-        [TrainConfig(lr=0.08, epochs=12, batch=16, seed=1)],
+        TrainConfig(lr=0.08, epochs=12, batch=16),
+        [1],
         ["base"],
     )
     tuned = train_stack(
         spec, base, [sample_set(task, 80, 90 + i) for i, task in enumerate(tasks)],
-        [TrainConfig(lr=0.04, epochs=10, batch=16, seed=10 + i) for i in range(len(tasks))],
+        TrainConfig(lr=0.04, epochs=10, batch=16),
+        [10 + i for i in range(len(tasks))],
         [task.task_id for task in tasks],
     )
     deltas = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)

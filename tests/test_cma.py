@@ -20,8 +20,9 @@ class TestConfig:
         assert default_popsize(196) == 4 + int(np.floor(3 * np.log(196)))
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            CmaConfig(popsize=3)
+        for popsize in (1, 3, -1):
+            with pytest.raises(DomainError, match="popsize"):
+                CmaConfig(popsize=popsize)
         with pytest.raises(DomainError):
             CmaConfig(sigma0=0.0)
         with pytest.raises(DomainError):
@@ -29,6 +30,19 @@ class TestConfig:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_popsize_zero_is_the_default_rule(self, d):
+        def evaluations(popsize):
+            seen = []
+            minimize(lambda xs: np.sum(xs**2, axis=1), np.ones(d),
+                     CmaConfig(popsize=popsize, max_evals=60, seed=2),
+                     callback=lambda i, x, f: seen.append((i, x.tobytes(), f)))
+            return seen
+
+        assert CmaConfig().popsize == 0
+        assert evaluations(0) == evaluations(default_popsize(d))
+        assert evaluations(0) != evaluations(default_popsize(d) + 1)
+
     def test_quadratic_1d(self):
         result = minimize(
             lambda xs: (xs[:, 0] - 3.0) ** 2,

@@ -52,6 +52,11 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("cma.popsize", 1), ("cma.popsize", 2), ("cma.popsize", 3), ("cma.popsize", -1),
         ("pool.base_epochs", -1), ("pool.ft_epochs", -3),
+        # a bool or a fractional number is not an integer, though int() takes it
+        ("cma.max_evals", 2.9), ("validity.trials", 1.5), ("sweep.n_list", [100.7, 200]),
+        ("certify.targets", True), ("cma.popsize", np.float64(4.5)), ("seed", np.bool_(True)),
+        ("cma.max_evals", float("inf")), ("cma.max_evals", float("nan")),
+        ("cma.max_evals", np.float64("inf")),
     ])
     def test_bad_search_and_training_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
@@ -87,8 +92,18 @@ class TestConfig:
     def test_boundary_search_and_training_values_accepted(self):
         for popsize in (0, 4):
             assert make_config(None, {"cma.popsize": popsize})["cma.popsize"] == popsize
+        for value in ("12", 12, np.int64(12), np.int32(12), 12.0):
+            cfg = make_config(None, {"cma.max_evals": value, "sweep.n_list": [value, "20"]})
+            assert (cfg["cma.max_evals"], cfg["sweep.n_list"]) == (12, [12, 20])
+            assert type(cfg["cma.max_evals"]) is int
         cfg = make_config(None, {"pool.base_epochs": 0, "pool.ft_epochs": 0})
         assert (cfg["pool.base_epochs"], cfg["pool.ft_epochs"]) == (0, 0)
+
+    @pytest.mark.parametrize("variance, prior_variance", [(0.05, 5e-324), (5e-324, 1e9)])
+    def test_variance_ratio_out_of_float_range_names_prior(self, variance, prior_variance):
+        with pytest.raises(ConfigError, match=r"ratio is not in \(0, inf\)") as err:
+            make_config(None, {"posterior.variance": variance, "prior.variance": prior_variance})
+        assert err.value.path == "prior.variance"
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -361,8 +376,9 @@ class TestBuildWorld:
             (tuned,) = train_stack(
                 world.model_spec, base,
                 [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))],
-                [TrainConfig(lr=config["pool.ft_lr"], epochs=config["pool.ft_epochs"],
-                             batch=config["pool.batch"], seed=derive_seed(seed, "ft-train", i))],
+                TrainConfig(lr=config["pool.ft_lr"], epochs=config["pool.ft_epochs"],
+                            batch=config["pool.batch"]),
+                [derive_seed(seed, "ft-train", i)],
                 [task.task_id],
             )
             assert task_id == task.task_id
@@ -656,6 +672,17 @@ class TestCli:
         assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith(f"config error: {line.split()[0]}: invalid value")
+
+    @pytest.mark.parametrize("variances", ["prior.variance = 5e-324",
+                                           "posterior.variance = 5e-324\nprior.variance = 1e9"])
+    def test_variance_ratio_out_of_float_range_exit_code(self, tmp_path, capsys, train_calls,
+                                                          variances):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"scenario = smoke\n{variances}\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: prior.variance: posterior / prior variance ratio is not in (0, inf)")
+        assert train_calls == [] and not list(tmp_path.glob("*.csv"))
 
     def test_validity_with_two_targets_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -103,7 +103,8 @@ def toy_pool():
         spec,
         init_params(spec, 0),
         [sample_set(task, 150, 5)],
-        [TrainConfig(lr=0.1, epochs=15, batch=16, seed=2)],
+        TrainConfig(lr=0.1, epochs=15, batch=16),
+        [2],
         ["base"],
     )
     rng = np.random.default_rng(1)

@@ -20,6 +20,7 @@ from pacmerge import (
 import pacmerge.toyzoo as toyzoo
 from pacmerge.seeding import rng_for
 from pacmerge.toyzoo import _ROW_BUDGET as R
+from pacmerge.toyzoo import SyntheticTask
 
 _ACT = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
 
@@ -110,9 +111,9 @@ def risk(spec, theta, data):
     return error_counts(spec, theta[None], data)[0] / data.n
 
 
-def train(spec, init, data, hyper, name="model"):
+def train(spec, init, data, hyper, seed=0, name="model"):
     """One model trained as a stack of one."""
-    return train_stack(spec, init, [data], [hyper], [name])[0]
+    return train_stack(spec, init, [data], hyper, [seed], [name])[0]
 
 
 def reference_loss_and_grad(spec, flat, x, y):
@@ -147,9 +148,9 @@ def reference_loss_and_grad(spec, flat, x, y):
     return loss, np.concatenate(grads)
 
 
-def reference_train(spec, init, data, hyper):
+def reference_train(spec, init, data, hyper, seed):
     """Out-of-place float64 mini-batch SGD of one model, as written."""
-    rng = rng_for(hyper.seed, "train")
+    rng = rng_for(seed, "train")
     flat = init.astype(np.float64)
     for _ in range(hyper.epochs):
         order = rng.permutation(data.n)
@@ -191,6 +192,30 @@ class TestGenTasks:
             gen_tasks(0, 3, 4, 3, 1.5)
         with pytest.raises(DomainError):
             gen_tasks(0, 1, 4, 3, 0.5)
+
+    @pytest.mark.parametrize("input_dim, class_count", [(1, 2), (5, 3), (16, 4)])
+    def test_shape_read_from_means(self, input_dim, class_count):
+        for task in gen_tasks(2, 3, input_dim, class_count, 0.5):
+            assert task.class_means.shape == (class_count, input_dim)
+            assert (task.class_count, task.input_dim) == task.class_means.shape
+
+
+class TestSyntheticTask:
+    @pytest.mark.parametrize("means", [np.zeros(4), np.ones((1, 4)), np.zeros((2, 2, 2)),
+                                       np.float64(1.0)])
+    def test_means_not_two_or_more_rows_rejected(self, means):
+        with pytest.raises(DomainError, match="class_means"):
+            SyntheticTask("t", means, 1.0, 0)
+
+    def test_coinciding_means_rejected(self):
+        with pytest.raises(DomainError, match="coincide"):
+            SyntheticTask("t", [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], 1.0, 0)
+
+    def test_shape_cannot_be_set(self):
+        task = SyntheticTask("t", np.eye(3, 5), 1.0, 0)
+        assert (task.class_count, task.input_dim) == (3, 5)
+        with pytest.raises(AttributeError):
+            task.class_count = 4
 
 
 class TestLabeledSet:
@@ -705,7 +730,7 @@ class TestZeroOneRisk:
         spec = MlpSpec((2, 4, 2))
         task_set = LabeledSet(np.array([[1.0, 0.0]]), np.array([1]))
         theta = init_params(spec, 1)
-        fitted = train(spec, theta, task_set, TrainConfig(lr=0.5, epochs=100, batch=1, seed=0))
+        fitted = train(spec, theta, task_set, TrainConfig(lr=0.5, epochs=100, batch=1))
         assert risk(spec, fitted, task_set) == 0.0
 
     def test_labels_equal_predictions(self):
@@ -801,7 +826,7 @@ class TestTrain:
         theta = init_params(spec, 0)
         task = gen_tasks(2, 2, 3, 2, 0.5)[0]
         data = sample_set(task, 10, 0)
-        out = train(spec, theta, data, TrainConfig(lr=0.1, epochs=0, batch=4, seed=0))
+        out = train(spec, theta, data, TrainConfig(lr=0.1, epochs=0, batch=4))
         assert out.tobytes() == theta.tobytes()
 
     def test_deterministic_in_seed(self):
@@ -809,8 +834,10 @@ class TestTrain:
         theta = init_params(spec, 0)
         task = gen_tasks(2, 2, 3, 2, 0.5)[0]
         data = sample_set(task, 30, 0)
-        cfg = TrainConfig(lr=0.1, epochs=5, batch=8, seed=12)
-        assert train(spec, theta, data, cfg).tobytes() == train(spec, theta, data, cfg).tobytes()
+        cfg = TrainConfig(lr=0.1, epochs=5, batch=8)
+        once = train(spec, theta, data, cfg, seed=12).tobytes()
+        assert train(spec, theta, data, cfg, seed=12).tobytes() == once
+        assert train(spec, theta, data, cfg, seed=13).tobytes() != once
 
     def test_linearly_separable_reaches_zero(self):
         rng = np.random.default_rng(3)
@@ -819,7 +846,7 @@ class TestTrain:
         data = LabeledSet(x, y)
         spec = MlpSpec((2, 4, 2))
         theta = init_params(spec, 1)
-        fitted = train(spec, theta, data, TrainConfig(lr=0.2, epochs=200, batch=16, seed=0))
+        fitted = train(spec, theta, data, TrainConfig(lr=0.2, epochs=200, batch=16))
         assert risk(spec, fitted, data) == 0.0
 
     def test_hyper_validation(self):
@@ -842,10 +869,14 @@ class TestTrain:
         spec = MlpSpec((3, 4, 2))
         theta = init_params(spec, 0)
         data = sample_set(gen_tasks(2, 2, 3, 2, 0.5)[0], 10, 0)
-        plain = TrainConfig(lr=0.1, epochs=2, batch=4, seed=1)
-        numpy = TrainConfig(lr=0.1, epochs=np.int64(2), batch=np.int32(4), seed=1)
-        numpy_bytes = train(spec, theta, data, numpy).tobytes()
-        assert numpy_bytes == train(spec, theta, data, plain).tobytes()
+        plain = TrainConfig(lr=0.1, epochs=2, batch=4)
+        numpy = TrainConfig(lr=0.1, epochs=np.int64(2), batch=np.int32(4))
+        numpy_bytes = train(spec, theta, data, numpy, seed=1).tobytes()
+        assert numpy_bytes == train(spec, theta, data, plain, seed=1).tobytes()
+
+    def test_seed_goes_with_the_set_not_the_config(self):
+        with pytest.raises(TypeError):
+            TrainConfig(seed=0)
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan])
     def test_non_finite_lr_rejected(self, lr):
@@ -890,18 +921,18 @@ class TestTrainStack:
     def test_equals_reference_sgd_bit_for_bit(self, float64_results, count, activation,
                                               batch, epochs):
         spec, init, sets = stack_of(count, activation=activation)
-        hypers = [TrainConfig(lr=0.3, epochs=epochs, batch=batch, seed=60 + i)
-                  for i in range(count)]
-        stacked = train_stack(spec, init, sets, hypers, NAMES[:count])
+        hyper = TrainConfig(lr=0.3, epochs=epochs, batch=batch)
+        seeds = [60 + i for i in range(count)]
+        stacked = train_stack(spec, init, sets, hyper, seeds, NAMES[:count])
         assert stacked.shape == (count, spec.d_model) and stacked.dtype == np.float32
         if epochs > 0:  # float64 bits as well as the float32 result
             (flat,) = float64_results
-            for row, data, hyper in zip(flat, sets, hypers, strict=True):
-                assert row.tobytes() == reference_train(spec, init, data, hyper).tobytes()
-        for model, data, hyper in zip(stacked, sets, hypers):
-            expected = reference_train(spec, init, data, hyper).astype(np.float32)
+            for row, data, seed in zip(flat, sets, seeds, strict=True):
+                assert row.tobytes() == reference_train(spec, init, data, hyper, seed).tobytes()
+        for model, data, seed in zip(stacked, sets, seeds):
+            expected = reference_train(spec, init, data, hyper, seed).astype(np.float32)
             assert model.tobytes() == expected.tobytes()
-            assert train(spec, init, data, hyper).tobytes() == model.tobytes()
+            assert train(spec, init, data, hyper, seed).tobytes() == model.tobytes()
         if epochs > 0:  # the models really moved, and apart
             assert not np.array_equal(stacked[0], init)
             assert len({m.tobytes() for m in stacked}) == count
@@ -920,8 +951,7 @@ class TestTrainStack:
 
     def test_zero_epochs_returns_init_for_every_model(self):
         spec, init, sets = stack_of(3)
-        hypers = [TrainConfig(epochs=0, seed=i) for i in range(3)]
-        stacked = train_stack(spec, init, sets, hypers, NAMES[:3])
+        stacked = train_stack(spec, init, sets, TrainConfig(epochs=0), [0, 1, 2], NAMES[:3])
         assert stacked.shape == (3, spec.d_model) and stacked.dtype == np.float32
         assert all(model.tobytes() == init.tobytes() for model in stacked)
 
@@ -929,9 +959,8 @@ class TestTrainStack:
     def test_empty_sets_rejected_naming_the_model(self, epochs):
         spec, init, sets = stack_of(2)
         empty = [data.subset(np.arange(0)) for data in sets]
-        hypers = [TrainConfig(epochs=epochs, seed=i) for i in range(2)]
         with pytest.raises(DomainError, match="^task0: empty training set"):
-            train_stack(spec, init, empty, hypers, ["task0", "task1"])
+            train_stack(spec, init, empty, TrainConfig(epochs=epochs), [0, 1], ["task0", "task1"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
     def test_non_finite_init_rejected(self, bad):
@@ -939,15 +968,15 @@ class TestTrainStack:
         init = init.astype(np.float64)
         init[3] = bad
         with pytest.raises(DomainError, match="init contains NaN/Inf"):
-            train_stack(spec, init, sets, [TrainConfig(epochs=0)], NAMES[:1])
+            train_stack(spec, init, sets, TrainConfig(epochs=0), [0], NAMES[:1])
 
     def test_divergent_member_is_named(self):
         spec, init, sets = stack_of(3, activation="identity")
         sets[1] = LabeledSet(1e150 * sets[1].inputs, sets[1].labels)
-        hypers = [TrainConfig(lr=0.1, epochs=3, batch=8, seed=i) for i in range(3)]
+        hyper = TrainConfig(lr=0.1, epochs=3, batch=8)
         # no numpy warning escapes: tier-1 turns RuntimeWarning into an error
         with pytest.raises(TrainingDiverged, match=r"^task1, epoch 1: "):
-            train_stack(spec, init, sets, hypers, ["task0", "task1", "task2"])
+            train_stack(spec, init, sets, hyper, [0, 1, 2], ["task0", "task1", "task2"])
 
     def test_divergent_single_model_is_named(self):
         spec, init, (data,) = stack_of(1, activation="identity")
@@ -958,25 +987,20 @@ class TestTrainStack:
     def test_sets_of_unequal_size_rejected(self):
         spec, init, sets = stack_of(3)
         sets[2] = sets[2].subset(np.arange(20))
-        hypers = [TrainConfig(seed=i) for i in range(3)]
         with pytest.raises(StructureError, match="differ in size"):
-            train_stack(spec, init, sets, hypers, NAMES[:3])
-
-    @pytest.mark.parametrize("field,value", [("lr", 0.01), ("epochs", 2), ("batch", 4)])
-    def test_configs_differing_beyond_the_seed_rejected(self, field, value):
-        spec, init, sets = stack_of(2)
-        hypers = [TrainConfig(seed=0), TrainConfig(seed=1, **{field: value})]
-        with pytest.raises(StructureError, match="only in seed"):
-            train_stack(spec, init, sets, hypers, NAMES[:2])
+            train_stack(spec, init, sets, TrainConfig(), [0, 1, 2], NAMES[:3])
 
     def test_one_set_config_and_name_per_model(self):
         spec, init, sets = stack_of(2)
-        with pytest.raises(StructureError):
-            train_stack(spec, init, sets, [TrainConfig()], NAMES[:2])
-        with pytest.raises(StructureError):
-            train_stack(spec, init, sets, [TrainConfig(), TrainConfig()], NAMES[:1])
-        with pytest.raises(StructureError):
-            train_stack(spec, init, [], [], [])
+        match = "one set, seed and name per model"
+        with pytest.raises(StructureError, match=match):
+            train_stack(spec, init, sets, TrainConfig(), [0], NAMES[:2])
+        with pytest.raises(StructureError, match=match):
+            train_stack(spec, init, sets, TrainConfig(), [0, 1], NAMES[:1])
+        with pytest.raises(StructureError, match=match):
+            train_stack(spec, init, sets[:1], TrainConfig(), [0, 1], NAMES[:2])
+        with pytest.raises(StructureError, match=match):
+            train_stack(spec, init, [], TrainConfig(), [], [])
 
 
 class TestInputChecks:
@@ -986,7 +1010,7 @@ class TestInputChecks:
         with pytest.raises(StructureError, match="width 4"):
             train(spec, init, narrow, TrainConfig())
         with pytest.raises(StructureError, match="width 4"):
-            train_stack(spec, init, [data, narrow], [TrainConfig(), TrainConfig()], NAMES[:2])
+            train_stack(spec, init, [data, narrow], TrainConfig(), [0, 1], NAMES[:2])
         with pytest.raises(StructureError, match="width 4"):
             error_counts(spec, init[None], narrow)
 
@@ -998,6 +1022,6 @@ class TestInputChecks:
         with pytest.raises(DomainError, match="label 3 is not a class"):
             train(spec, init, beyond, TrainConfig())
         with pytest.raises(DomainError, match="label 3 is not a class"):
-            train_stack(spec, init, [data, beyond], [TrainConfig(), TrainConfig()], NAMES[:2])
+            train_stack(spec, init, [data, beyond], TrainConfig(), [0, 1], NAMES[:2])
         with pytest.raises(DomainError, match="label 3 is not a class"):
             error_counts(spec, init[None], beyond)
