@@ -2,8 +2,8 @@
 
 Verbs: ``certify`` (run a scenario end to end, the ``paper-gap-sweep``
 data-size sweep included), ``report`` (re-render a stored run record).
-Exit codes: 0 success, 2 configuration or file-format error, or diverged
-training.
+Exit codes: 0 success, 2 configuration or file-format error, diverged
+training, or a search whose objective left the finite range.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, FormatError, TrainingDiverged
+from .errors import ConfigError, FormatError, OptError, TrainingDiverged
 from .harness import load_config_file, load_record, make_config, run, write_report
 
 
@@ -75,6 +75,9 @@ def main(argv=None) -> int:
         return 2
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 2
+    except OptError as exc:
+        print(f"search failed: {exc}", file=sys.stderr)
         return 2
 
 

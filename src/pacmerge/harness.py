@@ -18,14 +18,16 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
 ``run`` builds one world and is the only loop over the certified targets:
-per target it builds the hold-one-out pool and extends its records from the
-kind's runner in ``_RUNNERS``, a generator ``runner(config, spec, index,
-task, subpool)`` that draws its own support and query sets.  ``merge.kind
-= all`` and ``objective.kind = both`` mean every scheme and every objective
-the kind certifies; ``make_config`` rejects any other value the kind cannot
-certify (``discrete`` and ``validity`` merge with ``task_arith`` only,
-``sweep`` and ``discrete`` optimise ``pac_bayes_upper`` only, and
-``validity`` fits ``train_risk`` only).
+per target it builds the hold-one-out pool and extends its records from
+``_run_validity`` for ``validity``, else from ``_run_target``.  ``_PLANS``
+is the one statement of what a kind certifies (its schemes, and its methods
+in record order); ``_METHODS`` maps each method to the ``objective.kind``
+that selects it (none: it always runs) and to its certificate generator.
+``_run_target`` walks support sizes x schemes x methods, keeping those
+``merge.kind`` and ``objective.kind`` admit; ``make_config`` rejects a value
+that admits none.  Seeds are keyed (index, scheme, method) for search and
+evaluation, ("support", index) for the support and (index,) for a DDP split,
+with n appended in a sweep: no certificate depends on which others run.
 Runs are deterministic: (config, seeds) fix every output bit, and every
 emitted bound is re-validated against a recomputation before writing.
 """
@@ -86,6 +88,8 @@ def _choice(options):
 
 def _bounded_float(lo, hi, lo_open=False, hi_open=False):
     def parse(value):
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError("must be a number, not a bool")
         value = float(value)
         # written so that NaN, which fails every comparison, is rejected
         if not lo <= value <= hi or (lo_open and value == lo) or (hi_open and value == hi):
@@ -182,13 +186,14 @@ _POOL_KEYS = ("seed",) + tuple(
     k for k in _SCHEMA if k.startswith(("tasks.", "model.", "pool."))
 )
 
-# The merge.kind and objective.kind values a kind can certify, for the kinds
-# that cannot certify every value.
-_CERTIFIABLE = {
-    "sweep": {"objective.kind": ("pac_bayes_upper", "both")},
-    "discrete": {"merge.kind": ("task_arith", "all"),
-                 "objective.kind": ("pac_bayes_upper", "both")},
-    "validity": {"merge.kind": ("task_arith", "all"), "objective.kind": ("train_risk", "both")},
+# kind -> (the schemes it merges, its methods in record order; see _METHODS).
+# validity's plan only validates its config; _run_validity runs it.
+_PLANS = {
+    "table": (KINDS, OBJECTIVE_KINDS),
+    "ddp": (KINDS, OBJECTIVE_KINDS + ("ddp",)),
+    "sweep": (KINDS, ("ddp", "half_val", "pac_bayes_upper")),
+    "discrete": (("task_arith",), ("continuous", "grid")),
+    "validity": (("task_arith",), ("train_risk",)),
 }
 
 
@@ -286,7 +291,10 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
         raise ConfigError("prior.variance", "posterior / prior variance ratio is not in (0, inf)")
     if values["certify.targets"] > values["tasks.count"]:
         raise ConfigError("certify.targets", "more targets than generated tasks")
-    for key, certifiable in _CERTIFIABLE.get(values["kind"], {}).items():
+    schemes, methods = _PLANS[values["kind"]]
+    objectives = dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0])
+    for key, certifiable in (("merge.kind", (*schemes, "all")),
+                             ("objective.kind", (*objectives, "both"))):
         if values[key] not in certifiable:
             raise ConfigError(key, f"must be one of {certifiable} for kind = {values['kind']}")
     if values["kind"] == "validity" and values["certify.targets"] != 1:
@@ -425,22 +433,6 @@ def _load_pool(path, task_ids, offsets) -> ModelPool:
         raise FormatError(f"cannot load cached pool {path}: {exc}") from exc
 
 
-def _support(config, task, index) -> LabeledSet:
-    return sample_set(task, config["certify.n"], derive_seed(config["seed"], "support", index))
-
-
-def _query(config, task, index) -> LabeledSet:
-    return sample_set(task, config["eval.query_n"], derive_seed(config["seed"], "query", index))
-
-
-def _ddp_config(config, index, *key) -> DdpConfig:
-    return DdpConfig(
-        split_fraction=config["ddp.split"],
-        prior_objective=config["ddp.prior_objective"],
-        split_seed=derive_seed(config["seed"], "ddp-split", index, *key),
-    )
-
-
 def _certify_config(config, *key) -> CertifyConfig:
     return CertifyConfig(
         posterior_variance=config["posterior.variance"],
@@ -571,67 +563,70 @@ def load_record(path) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _objective_list(config) -> tuple[str, ...]:
-    kind = config["objective.kind"]
-    return OBJECTIVE_KINDS if kind == "both" else (kind,)
+def _fit(objective_kind, label=None):
+    """The method that certifies a Gaussian posterior fitted to the support
+    under ``objective_kind``, its record labelled ``label`` if given."""
+    def method(config, spec, task, key, scheme, support, query, cfg):
+        yield certify(scheme, objective_kind, support, query, spec, cfg, task_id=task.task_id,
+                      objective_label=label)
+
+    return method
 
 
-def _schemes(config, subpool) -> list:
-    kinds = KINDS if config["merge.kind"] == "all" else (config["merge.kind"],)
-    return [MergeScheme(kind, subpool, config["merge.trim_fraction"]) for kind in kinds]
+def _ddp(config, spec, task, key, scheme, support, query, cfg):
+    ddp = DdpConfig(config["ddp.split"], config["ddp.prior_objective"],
+                    derive_seed(config["seed"], "ddp-split", *key))
+    yield certify_ddp(scheme, support, ddp, spec, cfg, query=query, task_id=task.task_id)
 
 
-def _run_table(config, spec, index, task, subpool):
-    """Per scheme: one certificate per objective, then, for ``kind = ddp``,
-    a data-dependent-prior certificate."""
-    support, query = _support(config, task, index), _query(config, task, index)
-    for scheme in _schemes(config, subpool):
-        for objective_kind in _objective_list(config):
-            cfg = _certify_config(config, index, scheme.kind, objective_kind)
-            yield certify(scheme, objective_kind, support, query, spec, cfg,
-                          task_id=task.task_id)
-        if config["kind"] == "ddp":
-            cfg = _certify_config(config, index, scheme.kind, "ddp")
-            yield certify_ddp(scheme, support, _ddp_config(config, index), spec, cfg,
-                              query=query, task_id=task.task_id)
+def _half_val(config, spec, task, key, scheme, support, query, cfg):
+    """Fit on the first half of the support, a test-set bound on the rest."""
+    half = support.n // 2
+    mu = optimize(scheme, "train_risk", support.subset(np.arange(half)), spec, cfg).x_best
+    yield certify_point(scheme, mu[None], support.subset(np.arange(half, support.n)), query,
+                        spec, cfg.delta, task.task_id, "half_val", {"train_half_n": half})
 
 
-def _run_sweep(config, spec, index, task, subpool):
-    """Per (n, scheme): a DDP certificate, a half-validation test-set-bound
-    certificate, and a full-data bound-optimized certificate."""
-    query = _query(config, task, index)
-    schemes = _schemes(config, subpool)
-    for n in config["sweep.n_list"]:
-        support = sample_set(task, n, derive_seed(config["seed"], "support", index, n))
-        for scheme in schemes:
-            cfg_ddp = _certify_config(config, index, scheme.kind, "ddp", n)
-            yield certify_ddp(scheme, support, _ddp_config(config, index, n), spec, cfg_ddp,
-                              query=query, task_id=task.task_id)
-            # half-validation: fit on the first half, a test-set bound on the rest
-            cfg_hv = _certify_config(config, index, scheme.kind, "half_val", n)
-            half = n // 2
-            mu = optimize(scheme, "train_risk", support.subset(np.arange(half)), spec,
-                          cfg_hv).x_best
-            yield certify_point(scheme, mu[None], support.subset(np.arange(half, n)), query,
-                                spec, cfg_hv.delta, task.task_id, "half_val",
-                                {"train_half_n": half})
-            cfg_opt = _certify_config(config, index, scheme.kind, "pac_bayes_upper", n)
-            yield certify(scheme, "pac_bayes_upper", support, query, spec, cfg_opt,
-                          task_id=task.task_id)
-
-
-def _run_discrete(config, spec, index, task, subpool):
-    """A continuous Gaussian-posterior certificate, then, per grid size G, the
-    best of G evenly spaced ``task_arith`` coefficients in [0, 1] (KL = ln G)."""
-    support, query = _support(config, task, index), _query(config, task, index)
-    scheme = MergeScheme("task_arith", subpool)
-    cfg = _certify_config(config, index, "task_arith", "continuous")
-    yield certify(scheme, "pac_bayes_upper", support, query, spec, cfg,
-                  task_id=task.task_id, objective_label="continuous")
+def _grid(config, spec, task, key, scheme, support, query, cfg):
+    """Per grid size G, the best of G evenly spaced coefficients in [0, 1]
+    (KL = ln G)."""
     for grid_size in config["discrete.grid_sizes"]:
         yield certify_point(scheme, np.linspace(0.0, 1.0, grid_size)[:, None], support, query,
-                            spec, config["bound.delta"], task.task_id, "discrete",
-                            {"grid_size": grid_size})
+                            spec, cfg.delta, task.task_id, "discrete", {"grid_size": grid_size})
+
+
+# method -> (the objective.kind that selects it, or None if it always runs;
+# a generator of its certificates for one support and scheme)
+_METHODS = {
+    "train_risk": ("train_risk", _fit("train_risk")),
+    "pac_bayes_upper": ("pac_bayes_upper", _fit("pac_bayes_upper")),
+    "continuous": ("pac_bayes_upper", _fit("pac_bayes_upper", "continuous")),
+    "ddp": (None, _ddp),
+    "half_val": (None, _half_val),
+    "grid": (None, _grid),
+}
+
+
+def _run_target(config, spec, index, task, subpool):
+    """One target's records: per support size (each of ``sweep.n_list`` for
+    ``sweep``, else ``certify.n``), scheme and method of the kind's plan that
+    ``merge.kind`` and ``objective.kind`` admit; one query set for all."""
+    plan_schemes, plan_methods = _PLANS[config["kind"]]
+    seed, objective = config["seed"], config["objective.kind"]
+    query = sample_set(task, config["eval.query_n"], derive_seed(seed, "query", index))
+    schemes = [MergeScheme(kind, subpool, config["merge.trim_fraction"])
+               for kind in plan_schemes if config["merge.kind"] in (kind, "all")]
+    methods = [m for m in plan_methods
+               if objective == "both" or _METHODS[m][0] in (None, objective)]
+    sweep = config["kind"] == "sweep"
+    for n in config["sweep.n_list"] if sweep else [config["certify.n"]]:
+        size = (n,) if sweep else ()
+        support = sample_set(task, n, derive_seed(seed, "support", index, *size))
+        for scheme in schemes:
+            for method in methods:
+                cfg = _certify_config(config, index, scheme.kind, method, *size)
+                yield from _METHODS[method][1](config, spec, task, (index, *size), scheme,
+                                               support, query, cfg)
 
 
 def _run_validity(config, spec, index, task, subpool):
@@ -684,31 +679,20 @@ def _run_validity(config, spec, index, task, subpool):
         yield record
 
 
-# The runner of each scenario kind, ``(config, spec, index, task, subpool)``
-# -> that target's records; ddp is the table plus a DDP certificate per scheme.
-_RUNNERS = {
-    "table": _run_table,
-    "ddp": _run_table,
-    "sweep": _run_sweep,
-    "discrete": _run_discrete,
-    "validity": _run_validity,
-}
-
-
 def run(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a configured scenario and (optionally) write its reports.
 
     Builds the task set and pool once (cached as one ``.npz`` array in
     ``<out_dir>/pools`` when ``out_dir`` is given, see ``build_world``),
     then walks the first ``certify.targets`` tasks: per target it builds the
-    hold-one-out pool and takes the records of the runner ``_RUNNERS`` holds
-    for ``config["kind"]``.  It re-validates every bound and writes
+    hold-one-out pool and takes the records of ``_run_validity`` or
+    ``_run_target``.  It re-validates every bound and writes
     ``<scenario>-<hash>.json`` plus ``.csv`` under ``out_dir``.
     """
     started = time.monotonic()
     cache_dir = Path(out_dir) / "pools" if out_dir is not None else None
     world = build_world(config, cache_dir)
-    runner = _RUNNERS[config["kind"]]
+    runner = _run_validity if config["kind"] == "validity" else _run_target
     records = []
     for index, task in enumerate(world.tasks[: config["certify.targets"]]):
         subpool = world.pool.without(task.task_id)

@@ -32,6 +32,20 @@ from pacmerge.seeding import derive_seed
 from pacmerge.toyzoo import _ROW_BUDGET as R
 
 
+# kind -> the merge.kind and objective.kind values it certifies
+EVERY_SCHEME = {"task_arith", "ties", "task_wise", "layer_wise", "all"}
+ACCEPTED = {
+    "table": {"merge.kind": EVERY_SCHEME,
+              "objective.kind": {"train_risk", "pac_bayes_upper", "both"}},
+    "ddp": {"merge.kind": EVERY_SCHEME,
+            "objective.kind": {"train_risk", "pac_bayes_upper", "both"}},
+    "sweep": {"merge.kind": EVERY_SCHEME, "objective.kind": {"pac_bayes_upper", "both"}},
+    "discrete": {"merge.kind": {"task_arith", "all"},
+                 "objective.kind": {"pac_bayes_upper", "both"}},
+    "validity": {"merge.kind": {"task_arith", "all"}, "objective.kind": {"train_risk", "both"}},
+}
+
+
 class TestConfig:
     def test_defaults_and_overrides(self):
         cfg = make_config("smoke", {"seed": 99})
@@ -68,6 +82,17 @@ class TestConfig:
     def test_nan_float_names_key(self, key):
         with pytest.raises(ConfigError) as err:
             make_config(None, {key: "nan"})
+        assert err.value.path == key
+
+    # float() takes a bool as 0.0 or 1.0
+    @pytest.mark.parametrize("key,value", [
+        *[(key, True) for key, (_, default) in harness._SCHEMA.items()
+          if isinstance(default, float)],
+        ("tasks.relatedness", False), ("tasks.noise_scale", np.bool_(True)),
+    ])
+    def test_bool_float_names_key(self, key, value):
+        with pytest.raises(ConfigError, match="not a bool") as err:
+            make_config(None, {key: value})
         assert err.value.path == key
 
     @pytest.mark.parametrize("overrides,key", [
@@ -150,6 +175,22 @@ class TestConfig:
         every = "all" if key == "merge.kind" else "both"
         assert make_config(scenario, {key: every})[key] == every
 
+    @pytest.mark.parametrize("kind", sorted(ACCEPTED))
+    @pytest.mark.parametrize("key,choices", [
+        ("merge.kind", ("task_arith", "ties", "task_wise", "layer_wise", "all")),
+        ("objective.kind", ("train_risk", "pac_bayes_upper", "both")),
+    ])
+    def test_kind_accepts_exactly_what_it_certifies(self, kind, key, choices):
+        accepted = ACCEPTED[kind][key]
+        for value in choices:
+            overrides = {"kind": kind, "certify.targets": 1, key: value}
+            if value in accepted:
+                assert make_config(None, overrides)[key] == value
+            else:
+                with pytest.raises(ConfigError, match=f"for kind = {kind}$") as err:
+                    make_config(None, overrides)
+                assert err.value.path == key
+
     @pytest.mark.parametrize("overrides", [{"kind": "validity"},
                                            {"kind": "validity", "certify.targets": 2}])
     def test_validity_certifies_one_target(self, overrides):
@@ -228,9 +269,10 @@ DIVERGING = ("scenario = smoke\nmodel.activation = identity\npool.base_lr = 1000
              "tasks.noise_scale = 1000\n")
 
 
-# The behaviour contract: the sha256 of the CSV report of eight small runs,
-# about 0.45 s in all.  A change that moves a bound updates the digest here and
-# names the changed field in CHANGES.md.
+# The behaviour contract: per small run, the sha256 of its CSV report and of
+# its JSON record less ``wall_time_s`` (sorted keys, so provenance is pinned
+# too); eight runs, about 0.45 s in all.  A change that moves a bound or a
+# provenance field updates the digest here and names the field in CHANGES.md.
 PIN_SIZES = {
     "tasks.count": 3, "tasks.input_dim": 8, "model.hidden": 8, "pool.base_n": 60,
     "pool.ft_n": 60, "pool.base_epochs": 10, "pool.ft_epochs": 8, "certify.targets": 1,
@@ -238,37 +280,47 @@ PIN_SIZES = {
 }
 PINNED_CSV = [
     ("smoke", {"merge.kind": "all"},
-     "cd5a8bae6999ae313bf4775fccae5ad9411d52d01951673a599560ece39bfb13"),
+     "cd5a8bae6999ae313bf4775fccae5ad9411d52d01951673a599560ece39bfb13",
+     "926370ce3f1fbca1c50d2b7db5208d7e5974d530ca54f8d41d491bd0c23d5e16"),
     ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
-     "bcd7df804489927f5bb6b756292bde952353404fd27fb66402b8c4e2ba36858e"),
+     "bcd7df804489927f5bb6b756292bde952353404fd27fb66402b8c4e2ba36858e",
+     "b8fa9a50018eed8dfaf342a8fdd674643357a7baa1405d8892b305fb971dcb7d"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
-     "594bfa02f8bd727ffa22b0dafb5aa22d35f2754b9bd63a22e8405ffe73abf1f0"),
+     "594bfa02f8bd727ffa22b0dafb5aa22d35f2754b9bd63a22e8405ffe73abf1f0",
+     "388097e56628fc0ca14be666a19b7c9f163aa6b0afc45e8e950850eae1243f67"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
                                           "discrete.grid_sizes": "20,40"}),
-     "7eb859fd9d5f330228618b3c487c2c2260702d5dedeaf26332622a3208872b41"),
+     "7eb859fd9d5f330228618b3c487c2c2260702d5dedeaf26332622a3208872b41",
+     "b0fe6296b307fc9099da057bc9443021e5ec6c8e5885d9803b1f3c4e84e337dd"),
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
-     "41f30656eb8286b735aae1e8000714e79e9aea4606f4dd7d5fd05987d5770440"),
+     "41f30656eb8286b735aae1e8000714e79e9aea4606f4dd7d5fd05987d5770440",
+     "0d318d4a84395479097de1dc90585079c8925c73b875871a7ec692cbd8fd2d14"),
     # two certified targets each, so the seed keys of a second target are pinned
     ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                      "cma.max_evals": 60}),
-     "18793e466042a4ab982e22c6a3ea03744e70a816b19fc64b54a2e086d69b663b"),
+     "18793e466042a4ab982e22c6a3ea03744e70a816b19fc64b54a2e086d69b663b",
+     "881c7a18e83e0bf721b2a42fb8d22901fcc19da559abdde05910a0fa62a660fd"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
                                            "cma.max_evals": 30}),
-     "f7d1f177f72c29ad4026f214b297ca6d20a13fc06021a3468105d39e931e5a42"),
+     "f7d1f177f72c29ad4026f214b297ca6d20a13fc06021a3468105d39e931e5a42",
+     "ccf30afd8e2a47128be138e979f9e8fb84fbdb79a647d35208efbf080cbe6d53"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                           "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
-     "00967e9a1212ad70c0dfee8bf10ba8d12705df9293cb6e2f1c7f20cc8fbde73c"),
+     "00967e9a1212ad70c0dfee8bf10ba8d12705df9293cb6e2f1c7f20cc8fbde73c",
+     "de6678e54038c8a1e4f6fe13e2097b750f292bce9bd171f263e82c562e5e3a33"),
 ]
 
 
 def test_pinned_csv_reports():
-    digests = [
-        hashlib.sha256(report_text(run(make_config(scenario, overrides)), "csv").encode())
-        .hexdigest()
-        for scenario, overrides, _ in PINNED_CSV
-    ]
-    assert digests == [digest for _, _, digest in PINNED_CSV]
+    digests = []
+    for scenario, overrides, _, _ in PINNED_CSV:
+        record = run(make_config(scenario, overrides))
+        stored = record.to_dict()
+        del stored["wall_time_s"]
+        digests.append((hashlib.sha256(report_text(record, "csv").encode()).hexdigest(),
+                        hashlib.sha256(json.dumps(stored, sort_keys=True).encode()).hexdigest()))
+    assert digests == [(csv, stored) for _, _, csv, stored in PINNED_CSV]
 
 
 def pool_bytes(pool):
@@ -431,6 +483,27 @@ def test_merge_kind_all_takes_every_scheme(scenario, count):
 def test_ddp_takes_objective_kind():
     record = run(make_config("paper-ddp", dict(TINY, **{"objective.kind": "train_risk"})))
     assert [r.objective for r in record.records] == ["train_risk", "ddp"]
+
+
+# (scenario, overrides) under TINY -> (scheme, objective, n) per record, in
+# order.  n is the number of rows a certificate is scored on: DDP and half-val
+# certify on half of their support.
+PLAN_ORDER = [
+    ("paper-ddp", {"objective.kind": "pac_bayes_upper"},
+     [("layer_wise", "pac_bayes_upper", 40), ("layer_wise", "ddp", 20)]),
+    ("paper-discrete", {"merge.kind": "all"},
+     [("task_arith", "continuous", 40), ("task_arith", "discrete", 40),
+      ("task_arith", "discrete", 40)]),
+    ("paper-gap-sweep", {"merge.kind": "ties"},
+     [("ties", "ddp", 10), ("ties", "half_val", 10), ("ties", "pac_bayes_upper", 20),
+      ("ties", "ddp", 20), ("ties", "half_val", 20), ("ties", "pac_bayes_upper", 40)]),
+]
+
+
+@pytest.mark.parametrize("scenario,overrides,expected", PLAN_ORDER)
+def test_plan_record_order(scenario, overrides, expected):
+    record = run(make_config(scenario, dict(TINY, **overrides)))
+    assert [(r.scheme, r.objective, r.n) for r in record.records] == expected
 
 
 def reference_validity(config, world):
@@ -650,6 +723,16 @@ class TestCli:
         assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("training diverged: base, epoch ")
+
+    def test_non_finite_search_objective_exit_code(self, tmp_path, capsys):
+        # the KL overflows to inf, so the very first objective value is inf
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = smoke\nmerge.kind = layer_wise\n"
+                       "posterior.variance = 1e9\nprior.variance = 1e-299\n")
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("search failed: objective returned inf")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
