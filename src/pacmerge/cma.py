@@ -103,7 +103,7 @@ class CmaEs:
         y_w = self.weights @ y_sel
         self.mean = self.mean + self.sigma * y_w
 
-        inv_sqrt = self.eig_b @ np.diag(1.0 / self.eig_d) @ self.eig_b.T
+        inv_sqrt = (self.eig_b * (1.0 / self.eig_d)) @ self.eig_b.T
         self.p_sigma = (1.0 - self.c_sigma) * self.p_sigma + math.sqrt(
             self.c_sigma * (2.0 - self.c_sigma) * self.mu_eff
         ) * (inv_sqrt @ y_w)

@@ -666,6 +666,7 @@ def _run_validity(config, spec, index, task, subpool):
     population = config["validity.population"]
     for tile in sample_tiles(task, population, derive_seed(seed, "population")):
         errors += error_counts(spec, thetas, tile)
+        del tile  # free it and its kept float32 copy before the next is drawn
     true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
 
     mus = np.array([[mu] for _, mu in fits])

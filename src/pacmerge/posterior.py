@@ -14,11 +14,12 @@ evaluation of a search, the final train-risk recompute and every grid point
 of a validity trial reuse it.
 
 ``posterior_rows`` merges the k draws around each of m posterior means that
-share one variance in one ``merged_values`` call, whose rows do not depend
-on their batch.  ``mc_risks`` estimates the risks of such means, the
-candidates of a CMA-ES generation or the points of a validity grid, by
-scoring those m·k rows in one ``error_counts`` call.  A mean's risk does not
-depend on the other means of its call.  One posterior's risk is a one-row call.
+share one variance in one ``merged_values`` call, whose float32 rows are
+those of one-row calls (``merged_values`` gives the evidence).  ``mc_risks``
+estimates the risks of such means, the candidates of a CMA-ES generation or
+the points of a validity grid, by scoring those m·k rows in one
+``error_counts`` call.  A mean's risk does not depend on the other means of
+its call.  One posterior's risk is a one-row call.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,20 @@ class LabeledSet:
     @property
     def n(self) -> int:
         return int(self.labels.size)
+
+    @cached_property
+    def _scoring_tiles(self) -> tuple:
+        """What ``error_counts`` scores this set with, built on first use:
+        per row tile of ``_ROW_BUDGET`` inputs, the read-only float32 inputs
+        of ``_float32_inputs`` and label offsets labels * rows + arange(rows)."""
+        tiles = []
+        for start in range(0, self.n, _ROW_BUDGET):
+            labels = self.labels[start : start + _ROW_BUDGET]
+            xa = _float32_inputs(self.inputs[start : start + _ROW_BUDGET])
+            offsets = labels * len(labels) + np.arange(len(labels))
+            xa.flags.writeable = offsets.flags.writeable = False
+            tiles.append((xa, offsets))
+        return tuple(tiles)
 
     def subset(self, indices) -> "LabeledSet":
         idx = np.asarray(indices, dtype=np.int64)
@@ -333,10 +348,12 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     row tiles of ``_ROW_BUDGET`` inputs.  A one-input set takes one draw per
     block because its first layer is a matrix-vector product, whose last
     bits change with the number of stacked draws.  The label scores of a
-    row tile are read through one flat index.  A draw's scores, and so its
-    count, do not depend on the other rows of ``thetas``.  Inputs of another
-    width than ``spec``'s raise ``StructureError`` and a label that is not a
-    class of ``spec`` raises ``DomainError``.
+    row tile are read through one flat index.  A set's float32 input tiles
+    and label offsets are built on its first call and kept with it.  A
+    draw's scores, and so its count, do not depend on the other rows of
+    ``thetas``.  Inputs of another width than ``spec``'s raise
+    ``StructureError`` and a label that is not a class of ``spec`` raises
+    ``DomainError``.
     """
     thetas = np.asarray(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
@@ -347,7 +364,6 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
         if not np.array_equal(np.isinf(rounded), np.isinf(thetas)):
             raise DomainError("thetas overflow the 32-bit float range")
         thetas = rounded
-    x, y = data.inputs, data.labels
     _check_data(spec, data)
     counts = np.zeros(len(thetas), dtype=np.int64)
     if data.n == 0 or len(thetas) == 0:
@@ -355,14 +371,11 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     first, rest = _float32_layers(spec, thetas)
     draws = 1 if data.n == 1 else max(1, _ROW_BUDGET // data.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, data.n, _ROW_BUDGET):
-            tile = slice(start, start + _ROW_BUDGET)
-            xa = _float32_inputs(x[tile])
+        for xa, offsets in data._scoring_tiles:
             rows = xa.shape[1]
             # label positions in a full block's flattened scores; a shorter
             # last block of k draws uses the first k * rows
-            index = (np.arange(draws)[:, None] * (spec.widths[-1] * rows)
-                     + y[tile] * rows + np.arange(rows)).ravel()
+            index = (np.arange(draws)[:, None] * (spec.widths[-1] * rows) + offsets).ravel()
             for lo in range(0, len(thetas), draws):
                 block = slice(lo, lo + draws)
                 scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)

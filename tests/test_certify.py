@@ -31,10 +31,12 @@ from pacmerge import (
 )
 import pacmerge.cma as cma
 import pacmerge.posterior as posterior
+import pacmerge.toyzoo as toyzoo
 from pacmerge.bounds import gaussian_kl
 from pacmerge.certify import OBJECTIVE_KINDS, split_support
 from pacmerge.merging import KINDS
 from pacmerge.seeding import derive_seed
+from pacmerge.toyzoo import _ROW_BUDGET
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +207,24 @@ class TestBatchedSearch:
         result = optimize(MergeScheme("layer_wise", pool), "train_risk", support, spec, config)
         assert result.evals == 60
         assert len(merges) == 1 + len(asks) < result.evals
+
+
+    @pytest.mark.parametrize("n", [100, _ROW_BUDGET + 1])
+    def test_support_tiles_built_once(self, world, monkeypatch, n):
+        # every generation scores the same support, from constants built once
+        tasks, pool, spec, _, _ = world
+        support = sample_set(tasks[0], n, 7)
+        built = []
+
+        def counting(x, _original=toyzoo._float32_inputs):
+            built.append(len(x))
+            return _original(x)
+
+        monkeypatch.setattr(toyzoo, "_float32_inputs", counting)
+        config = CertifyConfig(mc_samples=3, cma=CmaConfig(max_evals=25, seed=1))
+        result = optimize(MergeScheme("task_wise", pool), "pac_bayes_upper", support, spec, config)
+        assert result.evals == 25
+        assert built == [min(_ROW_BUDGET, n - start) for start in range(0, n, _ROW_BUDGET)]
 
 
 class TestCertify:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacmerge import (
     DomainError,
@@ -10,6 +12,7 @@ from pacmerge import (
     merged_values,
     ties_preprocess,
 )
+from pacmerge.merging import KINDS
 
 
 def build_pool(base_values, deltas, offsets=None):
@@ -177,3 +180,92 @@ class TestDefaultPhi:
         phis = np.array([[1.0], [-0.3], [2.5]])
         expected = (pool4.base.astype(np.float64) + phis * direction).astype(np.float32)
         assert merged_values(scheme, phis).tobytes() == expected.tobytes()
+
+
+def per_kind_merge(scheme, phis):
+    """The per-kind merge formula as float32 rows (k, P): base + phi *
+    direction for the scalar kinds, one vector-matrix product per row for
+    ``task_wise`` and per row and layer block for ``layer_wise``, in float64
+    and rounded once."""
+    pool = scheme.pool
+    phis = np.asarray(phis, dtype=np.float64)
+    out = pool.base.astype(np.float64)
+    deltas = pool.deltas.astype(np.float64)
+    if scheme.kind == "task_arith":
+        out = out + phis[:, :1] * deltas.mean(axis=0)
+    elif scheme.kind == "ties":
+        out = out + phis[:, :1] * ties_preprocess(pool, scheme.trim_fraction)
+    elif scheme.kind == "task_wise":
+        out = out + (phis[:, None, :] @ deltas)[:, 0]
+    else:
+        coeff = phis.reshape(len(phis), pool.M, len(pool.layer_offsets))
+        out = np.tile(out, (len(phis), 1))
+        for layer, (start, length) in enumerate(pool.layer_offsets):
+            block = slice(start, start + length)
+            out[:, block] += (coeff[:, None, :, layer] @ deltas[:, block])[:, 0]
+    return out.astype(np.float32)
+
+
+@st.composite
+def schemes_and_phis(draw):
+    """A scheme of any kind over a random pool of 1-6 members and 3-6 layer
+    blocks, and 1-40 coefficient rows around its uniform merge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 64), min_size=3, max_size=6))
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    members = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 0.05, 1.0, 40.0]))
+    pool = build_pool(rng.standard_normal(sum(lengths)),
+                      scale * rng.standard_normal((members, sum(lengths))),
+                      tuple(zip(starts, lengths)))
+    scheme = MergeScheme(draw(st.sampled_from(KINDS)), pool,
+                         trim_fraction=draw(st.floats(0.05, 1.0)))
+    spread = draw(st.sampled_from([0.01, 0.5, 3.0]))
+    k = draw(st.integers(1, 40))
+    return scheme, default_phi(scheme) + spread * rng.standard_normal((k, scheme.d_phi))
+
+
+class TestOneProduct:
+    """``merged_values`` is one product over the scheme's basis; the float32
+    rows are those of the per-kind formula and do not depend on the batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(schemes_and_phis())
+    def test_rows_equal_the_per_kind_formula(self, case):
+        scheme, phis = case
+        merged = merged_values(scheme, phis)
+        assert merged.tobytes() == per_kind_merge(scheme, phis).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(schemes_and_phis())
+    def test_rows_do_not_depend_on_the_batch(self, case):
+        scheme, phis = case
+        whole = merged_values(scheme, phis).tobytes()
+        alone = [merged_values(scheme, phis[i : i + 1]) for i in range(len(phis))]
+        sevens = [merged_values(scheme, phis[i : i + 7]) for i in range(0, len(phis), 7)]
+        assert np.concatenate(alone).tobytes() == whole
+        assert np.concatenate(sevens).tobytes() == whole
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_basis_rows(self, kind):
+        offsets = ((0, 3), (3, 2), (5, 4))
+        rng = np.random.default_rng(5)
+        pool = build_pool(rng.standard_normal(9), rng.standard_normal((4, 9)), offsets)
+        scheme = MergeScheme(kind, pool, trim_fraction=0.5)
+        basis = scheme.basis
+        assert basis.shape == (1 + scheme.d_phi, 9) and basis.dtype == np.float64
+        assert not basis.flags.writeable
+        assert np.array_equal(basis[0], pool.base.astype(np.float64))
+        deltas = pool.deltas.astype(np.float64)
+        if kind == "task_wise":
+            assert np.array_equal(basis[1:], deltas)
+        elif kind == "layer_wise":
+            # row 1 + m * L + l: member m's delta on block l, zero elsewhere
+            for m in range(pool.M):
+                for layer, (start, length) in enumerate(offsets):
+                    expected = np.zeros(9)
+                    expected[start : start + length] = deltas[m, start : start + length]
+                    assert np.array_equal(basis[1 + m * len(offsets) + layer], expected)
+        else:
+            direction = deltas.mean(axis=0) if kind == "task_arith" else ties_preprocess(pool, 0.5)
+            assert basis.shape[0] == 2 and np.array_equal(basis[1], direction)

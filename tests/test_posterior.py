@@ -11,6 +11,7 @@ from pacmerge import (
     gen_tasks,
     init_params,
     error_counts,
+    LabeledSet,
     mc_risks,
     merged_values,
     sample_set,
@@ -269,6 +270,46 @@ def test_one_input_set_scores_one_draw_per_block(toy_pool, monkeypatch):
     assert blocks == [1] * 70
     for i in range(7):
         assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, 10, seed=23)[0]
+
+
+class TestScoringConstants:
+    """Each set's float32 input tiles and label offsets are built once and
+    kept with the set."""
+
+    @pytest.mark.parametrize("n", [1, _ROW_BUDGET - 1, _ROW_BUDGET + 1, 2 * _ROW_BUDGET + 3])
+    def test_cached_tiles_equal_fresh_ones(self, toy_pool, n):
+        _, _, task = toy_pool
+        data = sample_set(task, n, 6)
+        tiles = data._scoring_tiles
+        assert data._scoring_tiles is tiles
+        starts = range(0, n, _ROW_BUDGET)
+        assert len(tiles) == len(starts)
+        for (xa, offsets), start in zip(tiles, starts):
+            x = data.inputs[start : start + _ROW_BUDGET]
+            y = data.labels[start : start + _ROW_BUDGET]
+            assert xa.tobytes() == toyzoo._float32_inputs(x).tobytes()
+            assert offsets.tobytes() == (y * len(y) + np.arange(len(y))).tobytes()
+            assert not (xa.flags.writeable or offsets.flags.writeable)
+
+    # one-row sets, sets one row past the budget and ``subset`` results,
+    # scored twice (the second time from the kept constants), against the
+    # one-row calls on a fresh copy of the set for every draw
+    @pytest.mark.parametrize("n,rows", [(1, None), (_ROW_BUDGET + 1, None),
+                                        (300, slice(150, 300)), (_ROW_BUDGET + 3, slice(1, None))])
+    @pytest.mark.parametrize("kind", ["task_arith", "layer_wise"])
+    def test_kept_constants_score_as_one_row_calls(self, toy_pool, kind, n, rows):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme(kind, pool)
+        data = sample_set(task, n, 4)
+        if rows is not None:
+            data = data.subset(np.arange(n)[rows])
+        mean, variance, k = np.full(scheme.d_phi, 1 / 3), 0.5, 4
+        reference = float(np.mean([
+            point_risk(scheme, spec, phi, LabeledSet(data.inputs, data.labels))
+            for phi in draws_of(mean, variance, 17, k)
+        ]))
+        for _ in range(2):
+            assert posterior_risk(mean, variance, scheme, spec, data, k, seed=17) == reference
 
 
 class TestBatchedMeans:
