@@ -90,10 +90,13 @@ def invert_kl(p: float, budget: float) -> float:
     return hi
 
 
-def budget(kl_qp: float, n: int, delta: float) -> float:
-    """The scalar (KL + ln(n/delta)) / (n-1) feeding both certificates."""
-    if not kl_qp >= 0:
-        raise DomainError(f"KL must be >= 0, got {kl_qp}")
+def budget(kl_qp, n: int, delta: float):
+    """The (KL + ln(n/delta)) / (n-1) feeding both certificates: a float for
+    a float KL, and for an array of KLs the array of budgets, each with the
+    bits of its own scalar call."""
+    kls = np.asarray(kl_qp)
+    if not (kls >= 0).all():  # written so that NaN is rejected
+        raise DomainError(f"KL must be >= 0, got {kls[~(kls >= 0)][0]}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if not 0.0 < delta < 1.0:
@@ -109,17 +112,18 @@ class BoundReport(NamedTuple):
     vacuous: bool
 
 
-def closed_form(train_error: float, budget: float) -> float:
-    """``train + sqrt(B/2)``, uncapped: reported by ``seeger_certificate`` and
-    minimized by the ``pac_bayes_upper`` search."""
-    return train_error + math.sqrt(budget / 2.0)
+def closed_form(train_error, budget):
+    """``train + sqrt(B/2)``, uncapped and element-wise: reported by
+    ``seeger_certificate`` and minimized, a generation of arrays at a time,
+    by the ``pac_bayes_upper`` search."""
+    return train_error + np.sqrt(budget / 2.0)
 
 
 def seeger_certificate(train_error: float, kl_qp: float, n: int, delta: float) -> BoundReport:
     """Certify via KL inversion; also reports the closed form and vacuity."""
     b = budget(kl_qp, n, delta)
     raw = invert_kl(train_error, b)
-    upper = closed_form(train_error, b)
+    upper = float(closed_form(train_error, b))
     return BoundReport(min(raw, 1.0), upper, upper >= 1.0 or raw >= 1.0)
 
 
@@ -135,7 +139,7 @@ def gaussian_kl(means, prior_mean, variance: float, prior_variance: float) -> np
     if means.ndim != 2 or prior_mean.shape != means.shape[1:]:
         raise StructureError(f"means {means.shape} and prior mean {prior_mean.shape} "
                              "are not (m, d) and (d,)")
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(prior_mean))):
+    if not (np.isfinite(means).all() and np.isfinite(prior_mean).all()):
         raise DomainError("Gaussian mean must be finite")
     for v in (variance, prior_variance):
         if not (v > 0 and math.isfinite(v)):
@@ -143,7 +147,7 @@ def gaussian_kl(means, prior_mean, variance: float, prior_variance: float) -> np
     ratio = variance / prior_variance
     if not 0 < ratio < math.inf:
         raise DomainError(f"variance ratio {variance} / {prior_variance} is not in (0, inf)")
-    mean_term = np.sum((means - prior_mean) ** 2, axis=1) / (2.0 * prior_variance)
+    mean_term = np.add.reduce((means - prior_mean) ** 2, axis=1) / (2.0 * prior_variance)
     return 0.5 * means.shape[1] * (ratio - 1.0 - math.log(ratio)) + mean_term
 
 

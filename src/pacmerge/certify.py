@@ -88,7 +88,9 @@ def optimize(
     ``prior_mean`` (d_phi,) defaults to ``default_phi(scheme)``.
 
     Each CMA-ES generation is scored in one ``mc_risks`` call and one
-    ``gaussian_kl`` call, so one merge and one scoring pass per generation.
+    ``gaussian_kl`` call, so one merge and one scoring pass per generation,
+    and its bounds in one array call of ``budget`` and of ``closed_form``,
+    whose elements have the bits of their scalar calls.
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     """
@@ -105,14 +107,11 @@ def optimize(
 
     def batch_objective(phis):
         # Common random numbers across calls make the objective a pure function.
-        risks = mc_risks(
-            phis, variance, scheme, model_spec, support, config.mc_samples, mc_seed
-        ).tolist()
+        risks = mc_risks(phis, variance, scheme, model_spec, support, config.mc_samples, mc_seed)
         if objective_kind == "train_risk":
             return risks
-        kls = gaussian_kl(phis, prior_mean, variance, config.prior_variance).tolist()
-        return [closed_form(risk, budget(kl, support.n, config.delta))
-                for risk, kl in zip(risks, kls)]
+        kls = gaussian_kl(phis, prior_mean, variance, config.prior_variance)
+        return closed_form(risks, budget(kls, support.n, config.delta))
 
     return minimize(batch_objective, default_phi(scheme), config.cma)
 

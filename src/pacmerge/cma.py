@@ -75,6 +75,13 @@ class CmaEs:
             2.0 * (self.mu_eff - 2.0 + 1.0 / self.mu_eff) / ((d + 2.0) ** 2 + self.mu_eff),
         )
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+        # generation-invariant factors of ``tell``
+        self._sigma_path_scale = math.sqrt(self.c_sigma * (2.0 - self.c_sigma) * self.mu_eff)
+        self._c_path_scale = math.sqrt(self.c_c * (2.0 - self.c_c) * self.mu_eff)
+        self._rank_one_correction = self.c_c * (2.0 - self.c_c)
+        self._h_sigma_limit = 1.4 + 2.0 / (d + 1.0)
+        self._cov_decay = 1.0 - self.c_1 - self.c_mu
+        self._sigma_rate = self.c_sigma / self.d_sigma
 
         self.p_sigma = np.zeros(d)
         self.p_c = np.zeros(d)
@@ -104,31 +111,27 @@ class CmaEs:
         self.mean = self.mean + self.sigma * y_w
 
         inv_sqrt = (self.eig_b * (1.0 / self.eig_d)) @ self.eig_b.T
-        self.p_sigma = (1.0 - self.c_sigma) * self.p_sigma + math.sqrt(
-            self.c_sigma * (2.0 - self.c_sigma) * self.mu_eff
-        ) * (inv_sqrt @ y_w)
+        self.p_sigma = (1.0 - self.c_sigma) * self.p_sigma + self._sigma_path_scale * (
+            inv_sqrt @ y_w)
         self.gen += 1
-        norm = float(np.linalg.norm(self.p_sigma))
+        norm = math.sqrt(self.p_sigma.dot(self.p_sigma))
         h_sigma = norm / math.sqrt(
             1.0 - (1.0 - self.c_sigma) ** (2.0 * self.gen)
-        ) / self.chi_n < 1.4 + 2.0 / (self.dim + 1.0)
+        ) / self.chi_n < self._h_sigma_limit
 
         self.p_c = (1.0 - self.c_c) * self.p_c
         if h_sigma:
-            self.p_c = self.p_c + math.sqrt(
-                self.c_c * (2.0 - self.c_c) * self.mu_eff
-            ) * y_w
+            self.p_c = self.p_c + self._c_path_scale * y_w
 
         rank_mu = (y_sel.T * self.weights) @ y_sel
-        correction = (1.0 - float(h_sigma)) * self.c_c * (2.0 - self.c_c)
+        # (1 - h_sigma) is 0 or 1, so this product is exact in any order
+        correction = (1.0 - float(h_sigma)) * self._rank_one_correction
         self.cov = (
-            (1.0 - self.c_1 - self.c_mu) * self.cov
-            + self.c_1 * (np.outer(self.p_c, self.p_c) + correction * self.cov)
+            self._cov_decay * self.cov
+            + self.c_1 * (self.p_c[:, None] * self.p_c + correction * self.cov)
             + self.c_mu * rank_mu
         )
-        self.sigma = self.sigma * math.exp(
-            (self.c_sigma / self.d_sigma) * (norm / self.chi_n - 1.0)
-        )
+        self.sigma = self.sigma * math.exp(self._sigma_rate * (norm / self.chi_n - 1.0))
         self._decompose()
 
 

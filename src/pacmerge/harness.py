@@ -121,12 +121,15 @@ _positive_int = _int_at_least(1)
 
 
 def _int_list(lo, ascending=False):
-    """Comma-separated ints, each >= lo, and strictly ascending if asked."""
+    """Comma-separated ints, at least one, each >= lo, and strictly ascending
+    if asked."""
     item = _int_at_least(lo)
 
     def parse(value):
         parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
         values = [item(part) for part in parts if str(part).strip()]
+        if not values:
+            raise ValueError("must list at least one value")
         if ascending and any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("must be strictly ascending")
         return values
@@ -666,7 +669,7 @@ def _run_validity(config, spec, index, task, subpool):
     population = config["validity.population"]
     for tile in sample_tiles(task, population, derive_seed(seed, "population")):
         errors += error_counts(spec, thetas, tile)
-        del tile  # free it and its kept float32 copy before the next is drawn
+        del tile  # free it and its kept scoring constants before the next is drawn
     true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
 
     mus = np.array([[mu] for _, mu in fits])

@@ -45,9 +45,16 @@ from .seeding import rng_for
 _ACTIVATIONS = ("tanh", "relu", "identity")
 
 # (draw, input) rows per scored block in ``error_counts``, and rows per
-# ``sample_tiles`` tile.  On 100,000-row sets 4,096 was the fastest budget
-# tried: smaller blocks pay more per-block overhead, larger ones leave the
-# cache.
+# ``sample_tiles`` tile.  It counts rows, not bytes, so a block's working set
+# grows with the widest layer.  The tile height is part of the output
+# contract: a row tile's first-layer product has the bits of its own
+# height, so another budget moves score bits.  On 100,000-row sets 4,096
+# was the fastest budget tried: smaller blocks pay more per-block overhead,
+# larger ones leave the cache.  Stacking more draws on a tile of about
+# 4,000 rows keeps every count, but no draw count was faster on both shapes
+# tried: 20 draws on a 4,096-row tile took 1.60, 1.91, 1.53 and 3.39 ms at
+# 1, 2, 4 and 8 draws per block, 80 draws on 4,000 rows 12.0, 11.8, 11.9
+# and 12.6 ms.
 _ROW_BUDGET = 4096
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -114,17 +121,32 @@ class LabeledSet:
 
     @cached_property
     def _scoring_tiles(self) -> tuple:
-        """What ``error_counts`` scores this set with, built on first use:
-        per row tile of ``_ROW_BUDGET`` inputs, the read-only float32 inputs
-        of ``_float32_inputs`` and label offsets labels * rows + arange(rows)."""
-        tiles = []
-        for start in range(0, self.n, _ROW_BUDGET):
-            labels = self.labels[start : start + _ROW_BUDGET]
-            xa = _float32_inputs(self.inputs[start : start + _ROW_BUDGET])
-            offsets = labels * len(labels) + np.arange(len(labels))
-            xa.flags.writeable = offsets.flags.writeable = False
-            tiles.append((xa, offsets))
-        return tuple(tiles)
+        """The ``_float32_inputs`` of each row tile of ``_ROW_BUDGET`` inputs,
+        what ``error_counts`` scores this set with, built on first use."""
+        return tuple(_float32_inputs(self.inputs[start : start + _ROW_BUDGET])
+                     for start in range(0, self.n, _ROW_BUDGET))
+
+    @cached_property
+    def _label_indexes(self) -> dict:
+        # class count -> ``_label_index``'s tiles, filled on first use
+        return {}
+
+    def _label_index(self, classes: int) -> tuple:
+        """Per row tile of ``_scoring_tiles``, the ``_tile_label_index`` of its
+        labels for a ``classes``-class model, built once per class count and
+        kept."""
+        index = self._label_indexes.get(classes)
+        if index is None:
+            draws = _block_draws(self.n)
+            index = self._label_indexes[classes] = tuple(
+                _tile_label_index(self.labels[start : start + _ROW_BUDGET], classes, draws)
+                for start in range(0, self.n, _ROW_BUDGET))
+        return index
+
+    @cached_property
+    def _label_max(self) -> int:
+        """The largest label, -1 for an empty set."""
+        return int(self.labels.max()) if self.n else -1
 
     def subset(self, indices) -> "LabeledSet":
         idx = np.asarray(indices, dtype=np.int64)
@@ -266,9 +288,9 @@ def _check_data(spec: MlpSpec, data: LabeledSet) -> None:
     if data.inputs.shape[1] != spec.widths[0]:
         raise StructureError(
             f"inputs have width {data.inputs.shape[1]}, spec needs {spec.widths[0]}")
-    if data.n and data.labels.max() >= spec.widths[-1]:
+    if data._label_max >= spec.widths[-1]:
         raise DomainError(
-            f"label {data.labels.max()} is not a class of a {spec.widths[-1]}-class model"
+            f"label {data._label_max} is not a class of a {spec.widths[-1]}-class model"
         )
 
 
@@ -293,9 +315,11 @@ def _float32_layers(spec: MlpSpec, thetas: np.ndarray):
 
 
 def _float32_inputs(x: np.ndarray) -> np.ndarray:
-    """Inputs (rows, in) as float32 (in + 1, rows), the last row all ones."""
+    """Inputs (rows, in) as read-only float32 (in + 1, rows), the last row all
+    ones."""
     xa = np.ones((x.shape[1] + 1, x.shape[0]), dtype=np.float32)
     xa[:-1] = x.T
+    xa.flags.writeable = False
     return xa
 
 
@@ -315,6 +339,21 @@ def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndar
     return h
 
 
+def _block_draws(n: int) -> int:
+    """Draws per block that ``error_counts`` scores on a set of n inputs."""
+    return 1 if n == 1 else max(1, _ROW_BUDGET // n)
+
+
+def _tile_label_index(labels: np.ndarray, classes: int, draws: int) -> np.ndarray:
+    """The read-only positions of the label scores in the flattened scores
+    (draws, classes, rows) of a full block on a tile of ``labels``:
+    ``(d * classes + label) * rows + row`` in draw-major order."""
+    rows = len(labels)
+    index = (np.arange(draws)[:, None] * (classes * rows) + labels * rows + np.arange(rows)).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def _margins(scores: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Label margins s_y - max_{j != y} s_j (k, rows) of the C-contiguous
     scores (k, classes, rows).
@@ -327,7 +366,7 @@ def _margins(scores: np.ndarray, index: np.ndarray) -> np.ndarray:
     flat = scores.reshape(-1)
     label_scores = flat.take(index)
     flat[index] = -np.inf
-    return label_scores.reshape(len(scores), -1) - scores.max(axis=1)
+    return label_scores.reshape(len(scores), -1) - np.maximum.reduce(scores, axis=1)
 
 
 def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndarray:
@@ -348,10 +387,10 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     row tiles of ``_ROW_BUDGET`` inputs.  A one-input set takes one draw per
     block because its first layer is a matrix-vector product, whose last
     bits change with the number of stacked draws.  The label scores of a
-    row tile are read through one flat index.  A set's float32 input tiles
-    and label offsets are built on its first call and kept with it.  A
-    draw's scores, and so its count, do not depend on the other rows of
-    ``thetas``.  Inputs of another width than ``spec``'s raise
+    block are read through one flat index.  A set's float32 input tiles,
+    its largest label and, per class count, its label index are built on
+    their first use and kept with it.  A draw's scores, and so its count,
+    do not depend on the other rows of ``thetas``.  Inputs of another width than ``spec``'s raise
     ``StructureError`` and a label that is not a class of ``spec`` raises
     ``DomainError``.
     """
@@ -369,31 +408,34 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     if data.n == 0 or len(thetas) == 0:
         return counts
     first, rest = _float32_layers(spec, thetas)
-    draws = 1 if data.n == 1 else max(1, _ROW_BUDGET // data.n)
+    draws = _block_draws(data.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for xa, offsets in data._scoring_tiles:
+        for xa, index in zip(data._scoring_tiles, data._label_index(spec.widths[-1])):
             rows = xa.shape[1]
-            # label positions in a full block's flattened scores; a shorter
-            # last block of k draws uses the first k * rows
-            index = (np.arange(draws)[:, None] * (spec.widths[-1] * rows) + offsets).ravel()
             for lo in range(0, len(thetas), draws):
                 block = slice(lo, lo + draws)
                 scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
+                # a shorter last block of k draws uses the first k * rows positions
                 margin = _margins(scores, index[: len(scores) * rows])
-                counts[block] += rows - np.count_nonzero(margin > 0, axis=1)
+                # np.count_nonzero's count, without its wrapper
+                counts[block] += rows - np.add.reduce(margin > 0, axis=1)
     return counts
 
 
-def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
+def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray, grads=None):
     """Softmax probabilities of M models and their mean cross-entropy gradient.
 
     ``layers`` holds (weight (M, in, out), bias (M, 1, out)) per layer, ``x``
     the batches (M, b, in) and ``onehot`` their one-hot labels (M, b,
-    classes).  Returns the probabilities (M, b, classes) and (dW, db) per
-    layer in the shapes of ``layers``.  Every product is a stack of 2-D
-    products, so each model's gradient has the bits of its own out-of-place
-    computation; subtracting a one-hot label leaves the other scores exact.
+    classes).  The gradient is written into ``grads``, the ``_layers`` views
+    of an (M, d_model) float64 buffer, a new one by default.  Returns the
+    probabilities (M, b, classes) and ``grads``.  Every product is a stack of
+    2-D products, so each model's gradient has the bits of its own
+    out-of-place computation; subtracting a one-hot label leaves the other
+    scores exact.
     """
+    if grads is None:
+        grads = _layers(spec, np.empty((len(x), spec.d_model)))
     acts = [x]
     for w, b in layers[:-1]:
         acts.append(_activate(spec, acts[-1] @ w + b))
@@ -403,16 +445,17 @@ def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray):
     probs = expo / expo.sum(axis=-1, keepdims=True)
 
     delta = (probs - onehot) / x.shape[1]
-    grads = []
     for li in range(len(layers) - 1, -1, -1):
-        grads.append((acts[li].swapaxes(1, 2) @ delta, delta.sum(axis=1, keepdims=True)))
+        gw, gb = grads[li]
+        np.matmul(acts[li].swapaxes(1, 2), delta, out=gw)
+        delta.sum(axis=1, keepdims=True, out=gb)
         if li > 0:
             delta = delta @ layers[li][0].swapaxes(1, 2)
             if spec.activation == "tanh":
                 delta *= 1.0 - acts[li] ** 2
             elif spec.activation == "relu":
                 delta *= acts[li] > 0
-    return probs, grads[::-1]
+    return probs, grads
 
 
 def _layers(spec: MlpSpec, flat: np.ndarray):
@@ -449,11 +492,12 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
     Model i draws its own permutation per epoch from ``rng_for(seeds[i],
     "train")``, so it is deterministic in its seed, and its batches from its
     own set.  The M models step together on a leading model axis: every
-    product is a stack of 2-D products, and each step updates every layer's
-    weight and bias views of the (M, d_model) float64 parameters in place,
-    so model i ends with the bits of training it alone.  Unequal set sizes,
-    or not one set, seed and name per model, raise ``StructureError``; an
-    empty set or a non-finite ``init`` raises ``DomainError``.
+    product is a stack of 2-D products, each step writes the gradient into
+    the layer views of one (M, d_model) float64 buffer and updates the (M,
+    d_model) float64 parameters with that whole buffer in place, so model i
+    ends with the bits of training it alone.  Unequal set sizes, or not one
+    set, seed and name per model, raise ``StructureError``; an empty set or
+    a non-finite ``init`` raises ``DomainError``.
 
     epochs=0 returns ``init`` for every model.  A model whose loss goes
     non-finite, or whose parameters leave the float32 range, raises
@@ -483,6 +527,9 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
     onehot = np.stack([np.eye(spec.widths[-1])[data.labels] for data in sets])
     flat = np.repeat(init[None].astype(np.float64), count, axis=0)
     layers = _layers(spec, flat)
+    # every step writes its gradient into ``grad`` through its layer views
+    grad = np.empty_like(flat)
+    grads = [(w, b[:, None]) for w, b in _unpack(spec, grad)]
     models = np.arange(count)[:, None]
     n = sets[0].n
     with np.errstate(over="ignore", invalid="ignore"):
@@ -491,16 +538,15 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
             xs, ys = x[models, order], onehot[models, order]
             for lo in range(0, n, config.batch):
                 batch = slice(lo, lo + config.batch)
-                probs, grads = _backprop(spec, layers, xs[:, batch], ys[:, batch])
+                probs, _ = _backprop(spec, layers, xs[:, batch], ys[:, batch], grads)
                 # the loss is finite exactly when the probabilities are: a
                 # row with a finite largest score has probabilities in [0, 1],
                 # any other row is all NaN
                 if not np.isfinite(probs).all():
                     i = int(np.argmin(np.isfinite(probs).all(axis=(1, 2))))
                     raise TrainingDiverged(f"{names[i]}, epoch {epoch}: loss became nan")
-                for (w, b), (gw, gb) in zip(layers, grads):
-                    w -= config.lr * gw
-                    b -= config.lr * gb
+                grad *= config.lr
+                flat -= grad
             inside = (np.abs(flat) <= _F32_MAX).all(axis=1)
             if not inside.all():
                 i = int(np.argmin(inside))

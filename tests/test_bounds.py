@@ -17,6 +17,7 @@ from pacmerge import (
     make_record,
     seeger_certificate,
 )
+from pacmerge.bounds import closed_form
 
 
 def upper(train, kl, n, delta):
@@ -207,6 +208,30 @@ class TestBoundBudget:
 
     def test_floor(self):
         assert budget(0.0, 100, 0.05) == math.log(100 / 0.05) / 99 > 0
+
+
+class TestArrayBudget:
+    """A generation's bounds, one array call of ``budget`` and of
+    ``closed_form``, equal their scalar calls element for element."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e4)), min_size=1, max_size=12),
+           st.integers(2, 10**6), st.floats(1e-12, 1.0, exclude_max=True, exclude_min=True))
+    def test_equals_scalar_calls(self, pairs, n, delta):
+        risks, kls = (np.array(column) for column in zip(*pairs))
+        values = closed_form(risks, budget(kls, n, delta))
+        assert values.dtype == np.float64 and values.shape == risks.shape
+        for value, risk, kl in zip(values.tolist(), risks.tolist(), kls.tolist()):
+            assert value == closed_form(risk, budget(kl, n, delta))
+            assert value == risk + math.sqrt((kl + math.log(n / delta)) / (n - 1) / 2.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, -math.inf])
+    def test_one_invalid_kl_rejects_the_generation(self, bad):
+        kls = np.array([0.3, 1.0, bad, 2.0])
+        with pytest.raises(DomainError, match=f"KL must be >= 0, got {bad}$"):
+            budget(kls, 100, 0.05)
+        with pytest.raises(DomainError, match=f"KL must be >= 0, got {bad}$"):
+            budget(bad, 100, 0.05)
 
 
 class TestGaussianKl:

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 
@@ -9,6 +10,7 @@ from pacmerge import (
     CmaConfig,
     DdpConfig,
     DomainError,
+    LabeledSet,
     MergeScheme,
     MlpSpec,
     ModelPool,
@@ -209,22 +211,59 @@ class TestBatchedSearch:
         assert len(merges) == 1 + len(asks) < result.evals
 
 
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    def test_invalid_kl_in_a_generation_raises(self, world, monkeypatch, bad):
+        # the generation's bounds are one array call, which still checks every KL
+        _, pool, spec, support, _ = world
+        seen = []
+
+        def kl_with_bad(means, *args):
+            kls = gaussian_kl(means, *args)
+            if len(means) > 1:
+                kls[2] = bad
+            seen.append(len(means))
+            return kls
+
+        monkeypatch.setattr(importlib.import_module("pacmerge.certify"), "gaussian_kl",
+                            kl_with_bad)
+        with pytest.raises(DomainError, match=f"KL must be >= 0, got {bad}$"):
+            optimize(MergeScheme("task_wise", pool), "pac_bayes_upper", support, spec,
+                     quick_config(max_evals=30))
+        assert seen == [1, cma.default_popsize(len(pool.task_ids))]
+
     @pytest.mark.parametrize("n", [100, _ROW_BUDGET + 1])
     def test_support_tiles_built_once(self, world, monkeypatch, n):
-        # every generation scores the same support, from constants built once
+        # every generation scores the same support, from constants built once:
+        # its float32 input tiles, its label index and its largest label
         tasks, pool, spec, _, _ = world
         support = sample_set(tasks[0], n, 7)
-        built = []
+        built, indexed, maxima = [], [], []
 
         def counting(x, _original=toyzoo._float32_inputs):
             built.append(len(x))
             return _original(x)
 
+        def counting_index(labels, classes, draws, _original=toyzoo._tile_label_index):
+            indexed.append((len(labels), classes, draws))
+            return _original(labels, classes, draws)
+
+        def counting_max(data, _original=LabeledSet._label_max.func):
+            maxima.append(data.n)
+            return _original(data)
+
+        label_max = functools.cached_property(counting_max)
+        label_max.__set_name__(LabeledSet, "_label_max")
         monkeypatch.setattr(toyzoo, "_float32_inputs", counting)
+        monkeypatch.setattr(toyzoo, "_tile_label_index", counting_index)
+        monkeypatch.setattr(LabeledSet, "_label_max", label_max)
         config = CertifyConfig(mc_samples=3, cma=CmaConfig(max_evals=25, seed=1))
         result = optimize(MergeScheme("task_wise", pool), "pac_bayes_upper", support, spec, config)
         assert result.evals == 25
-        assert built == [min(_ROW_BUDGET, n - start) for start in range(0, n, _ROW_BUDGET)]
+        rows = [min(_ROW_BUDGET, n - start) for start in range(0, n, _ROW_BUDGET)]
+        assert built == rows
+        draws = max(1, _ROW_BUDGET // n)
+        assert indexed == [(r, spec.widths[-1], draws) for r in rows]
+        assert maxima == [n]
 
 
 class TestCertify:

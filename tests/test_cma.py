@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,65 @@ class TestAskTell:
             fs = np.array([float(np.sum((x - 0.7) ** 2)) for x in xs])
             es.tell(xs, fs)
         assert np.max(np.abs(es.mean - 0.7)) < 0.2
+
+
+def reference_tell(es, xs, fs):
+    """``CmaEs.tell`` as first written: every factor recomputed per
+    generation, ``np.linalg.norm`` and ``np.outer``."""
+    order = np.argsort(fs, kind="stable")[: es.mu]
+    y_sel = (np.asarray(xs)[order] - es.mean) / es.sigma
+    y_w = es.weights @ y_sel
+    es.mean = es.mean + es.sigma * y_w
+
+    inv_sqrt = (es.eig_b * (1.0 / es.eig_d)) @ es.eig_b.T
+    es.p_sigma = (1.0 - es.c_sigma) * es.p_sigma + math.sqrt(
+        es.c_sigma * (2.0 - es.c_sigma) * es.mu_eff
+    ) * (inv_sqrt @ y_w)
+    es.gen += 1
+    norm = float(np.linalg.norm(es.p_sigma))
+    h_sigma = norm / math.sqrt(
+        1.0 - (1.0 - es.c_sigma) ** (2.0 * es.gen)
+    ) / es.chi_n < 1.4 + 2.0 / (es.dim + 1.0)
+
+    es.p_c = (1.0 - es.c_c) * es.p_c
+    if h_sigma:
+        es.p_c = es.p_c + math.sqrt(es.c_c * (2.0 - es.c_c) * es.mu_eff) * y_w
+
+    rank_mu = (y_sel.T * es.weights) @ y_sel
+    correction = (1.0 - float(h_sigma)) * es.c_c * (2.0 - es.c_c)
+    es.cov = (
+        (1.0 - es.c_1 - es.c_mu) * es.cov
+        + es.c_1 * (np.outer(es.p_c, es.p_c) + correction * es.cov)
+        + es.c_mu * rank_mu
+    )
+    es.sigma = es.sigma * math.exp((es.c_sigma / es.d_sigma) * (norm / es.chi_n - 1.0))
+    es._decompose()
+
+
+class TestTellReference:
+    # d = 1, 5, 20 at the default population; on a linear slope the step
+    # path grows long enough to switch h_sigma off, so both branches of the
+    # p_c update run
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    @pytest.mark.parametrize("objective", ["sphere", "linear"])
+    def test_state_equals_the_first_written_update(self, d, objective):
+        def values(xs):
+            if objective == "sphere":
+                return np.sum((xs - 0.3) ** 2, axis=1)
+            return xs.sum(axis=1)
+
+        x0 = np.linspace(-1.0, 1.0, d)
+        es, ref = (CmaEs(x0, 0.8, default_popsize(d), seed=13) for _ in range(2))
+        h_sigma = set()
+        for _ in range(40):
+            xs = es.ask()
+            assert np.array_equal(xs, ref.ask())
+            fs = values(xs)
+            before = ref.p_c.copy()
+            es.tell(xs, fs)
+            reference_tell(ref, xs, fs)
+            h_sigma.add(not np.array_equal(ref.p_c, (1.0 - ref.c_c) * before))
+            for name in ("mean", "cov", "p_sigma", "p_c", "eig_b", "eig_d"):
+                assert getattr(es, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert es.sigma == ref.sigma and es.gen == ref.gen
+        assert True in h_sigma and (objective != "linear" or False in h_sigma)

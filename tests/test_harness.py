@@ -581,6 +581,16 @@ class TestSweepValidation:
             make_config("paper-gap-sweep", {"sweep.n_list": "100,100"})
         assert err.value.path == "sweep.n_list"
 
+    # an empty list would run and certify nothing for that key: no sweep
+    # record, or no grid record beside the continuous one
+    @pytest.mark.parametrize("scenario,key", [("paper-gap-sweep", "sweep.n_list"),
+                                              ("paper-discrete", "discrete.grid_sizes")])
+    @pytest.mark.parametrize("value", ["", " , ", []])
+    def test_rejects_empty_list(self, scenario, key, value):
+        with pytest.raises(ConfigError, match="at least one value") as err:
+            make_config(scenario, {key: value})
+        assert err.value.path == key
+
 
 class TestReport:
     def test_empty_record_header_only(self):

@@ -272,24 +272,40 @@ def test_one_input_set_scores_one_draw_per_block(toy_pool, monkeypatch):
         assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, 10, seed=23)[0]
 
 
+def fresh_label_index(labels, classes, n):
+    """The positions of the label scores of a tile of ``labels`` in the
+    flattened (draws, classes, rows) scores of a full block of the draws
+    ``error_counts`` stacks on a set of n inputs, by ``ravel_multi_index``."""
+    draws, rows = 1 if n == 1 else max(1, _ROW_BUDGET // n), len(labels)
+    draw, row = np.divmod(np.arange(draws * rows), rows)
+    return np.ravel_multi_index((draw, labels[row], row), (draws, classes, rows))
+
+
 class TestScoringConstants:
-    """Each set's float32 input tiles and label offsets are built once and
-    kept with the set."""
+    """Each set's float32 input tiles, largest label and per-class-count
+    label index are built once and kept with the set."""
 
     @pytest.mark.parametrize("n", [1, _ROW_BUDGET - 1, _ROW_BUDGET + 1, 2 * _ROW_BUDGET + 3])
     def test_cached_tiles_equal_fresh_ones(self, toy_pool, n):
-        _, _, task = toy_pool
-        data = sample_set(task, n, 6)
-        tiles = data._scoring_tiles
-        assert data._scoring_tiles is tiles
-        starts = range(0, n, _ROW_BUDGET)
-        assert len(tiles) == len(starts)
-        for (xa, offsets), start in zip(tiles, starts):
-            x = data.inputs[start : start + _ROW_BUDGET]
-            y = data.labels[start : start + _ROW_BUDGET]
-            assert xa.tobytes() == toyzoo._float32_inputs(x).tobytes()
-            assert offsets.tobytes() == (y * len(y) + np.arange(len(y))).tobytes()
-            assert not (xa.flags.writeable or offsets.flags.writeable)
+        _, spec, task = toy_pool
+        whole = sample_set(task, n, 6)
+        # ``subset`` results: every other row, and the set reversed
+        for data in (whole, whole.subset(np.arange(0, n, 2)), whole.subset(np.arange(n)[::-1])):
+            error_counts(spec, np.zeros((2, spec.d_model)), data)
+            tiles = data._scoring_tiles
+            assert data._scoring_tiles is tiles
+            starts = range(0, data.n, _ROW_BUDGET)
+            assert len(tiles) == len(starts)
+            assert data._label_max == data.labels.max()
+            for classes in (spec.widths[-1], spec.widths[-1] + 2):
+                index = data._label_index(classes)
+                assert data._label_index(classes) is index and len(index) == len(starts)
+                for xa, tile, start in zip(tiles, index, starts):
+                    x = data.inputs[start : start + _ROW_BUDGET]
+                    y = data.labels[start : start + _ROW_BUDGET]
+                    assert xa.tobytes() == toyzoo._float32_inputs(x).tobytes()
+                    assert tile.tobytes() == fresh_label_index(y, classes, data.n).tobytes()
+                    assert not (xa.flags.writeable or tile.flags.writeable)
 
     # one-row sets, sets one row past the budget and ``subset`` results,
     # scored twice (the second time from the kept constants), against the
