@@ -19,6 +19,7 @@ from .certify import (
     DdpConfig,
     certify,
     certify_ddp,
+    certify_gaussian,
     certify_point,
     optimize,
 )

@@ -16,9 +16,13 @@ the first half with the plain objective, then bound-optimizes on the second
 half; the certificate is computed on the second half only, preserving
 prior/data independence.
 
-``certify_point`` certifies a deterministic merge, the best of G fixed rows
-of coefficients, with KL = ln G: a finite grid, or one row fitted on other
-data (half-validation), whose KL = 0 makes it a test-set bound.
+Every record comes from one of two functions, one per posterior family.
+``certify_gaussian`` builds every Gaussian-posterior record: those of
+``certify`` (a search, then its mean certified) and ``certify_ddp``, and the
+validity trials' grid fits.  ``certify_point`` builds every point-mass
+record: a deterministic merge, the best of G fixed rows of coefficients,
+with KL = ln G: a finite grid, or one row fitted on other data
+(half-validation), whose KL = 0 makes it a test-set bound.
 """
 
 from __future__ import annotations
@@ -116,17 +120,43 @@ def optimize(
     return minimize(batch_objective, default_phi(scheme), config.cma)
 
 
-def _posterior_errors(mu, scheme, model_spec, support, query, config):
-    # Train risk is re-computed with the exact stream the search minimized, so
-    # the certificate states the quantity that was optimized; the query-set
-    # estimate uses an independent stream.
+def certify_gaussian(
+    scheme: MergeScheme,
+    mu: np.ndarray,
+    support: LabeledSet,
+    query: LabeledSet | None,
+    model_spec: MlpSpec,
+    config: CertifyConfig,
+    train_seed: int,
+    task_id: str,
+    objective: str,
+    provenance: dict,
+    prior_mean: np.ndarray | None = None,
+) -> CertificateRecord:
+    """Certify the Gaussian posterior N(``mu``, posterior variance I) over
+    the coefficients (d_phi,) against the prior N(``prior_mean``, prior
+    variance I), ``prior_mean`` defaulting to ``default_phi(scheme)``.
+
+    The train error is the one-row ``mc_risks`` at ``mu`` on the support
+    with ``train_seed``, the noise stream that fitted ``mu``, so the record
+    states the quantity the fit minimized; the query error, if a query is
+    given, uses the independent stream ``(config.eval_seed, "test-eval")``.
+    """
+    n = support.n
+    if n < 2:
+        raise DomainError(f"need support size >= 2, got {n}")
+    if prior_mean is None:
+        prior_mean = default_phi(scheme)
+
     def risk(data, seed):
         return float(mc_risks(mu[None], config.posterior_variance, scheme, model_spec, data,
                               config.mc_samples, seed)[0])
 
-    train = risk(support, derive_seed(config.cma.seed, "mc-common"))
+    train = risk(support, train_seed)
     test = None if query is None else risk(query, derive_seed(config.eval_seed, "test-eval"))
-    return train, test
+    kl = gaussian_kl(mu[None], prior_mean, config.posterior_variance, config.prior_variance)
+    return make_record(task_id, scheme.kind, objective, train, float(kl[0]), n, config.delta,
+                       test_error=test, provenance=provenance)
 
 
 def certify(
@@ -148,18 +178,10 @@ def certify(
     coefficients are re-interpreted as the mean of a Gaussian posterior with
     the configured variance, so even a plain train-risk fit gets a certificate.
     """
-    n = support.n
-    if n < 2:
-        raise DomainError(f"need support size >= 2, got {n}")
-    if prior_mean is None:
-        prior_mean = default_phi(scheme)
     result = optimize(scheme, objective_kind, support, model_spec, config, prior_mean)
-    mu = result.x_best
-    train, test = _posterior_errors(mu, scheme, model_spec, support, query, config)
-    kl = gaussian_kl(mu[None], prior_mean, config.posterior_variance, config.prior_variance)
-    return make_record(
-        task_id, scheme.kind, objective_label or objective_kind, train,
-        float(kl[0]), n, config.delta, test_error=test,
+    return certify_gaussian(
+        scheme, result.x_best, support, query, model_spec, config,
+        derive_seed(config.cma.seed, "mc-common"), task_id, objective_label or objective_kind,
         provenance={
             "cma_seed": config.cma.seed,
             "eval_seed": config.eval_seed,
@@ -168,6 +190,7 @@ def certify(
             "prior_variance": config.prior_variance,
             "mc_samples": config.mc_samples,
         },
+        prior_mean=prior_mean,
     )
 
 

@@ -13,8 +13,10 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 * ``paper-discrete``     - finite-grid certificates (``certify_point`` on
   the grid) against the continuous Gaussian-posterior baseline;
 * ``validity-trial``     - repeated fresh-support trials checking that the
-  certificate violation rate stays below delta: one pass fits every trial,
-  then one streamed pass over the population, tile by tile, scores them all;
+  certificate violation rate stays below delta: one pass fits every trial
+  and certifies it (``certify_gaussian``, no query), then one streamed pass
+  over the population, tile by tile, scores them all and sets each record's
+  test error and violation;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
 ``run`` builds one world and is the only loop over the certified targets:
@@ -28,8 +30,10 @@ that selects it (none: it always runs) and to its certificate generator.
 that admits none.  Seeds are keyed (index, scheme, method) for search and
 evaluation, ("support", index) for the support and (index,) for a DDP split,
 with n appended in a sweep: no certificate depends on which others run.
-Runs are deterministic: (config, seeds) fix every output bit, and every
-emitted bound is re-validated against a recomputation before writing.
+Every record comes from ``certify``'s ``certify_gaussian`` or
+``certify_point``; this module computes no bound.  Runs are deterministic:
+(config, seeds) fix every output bit, and every emitted bound is
+re-validated against a recomputation before writing.
 """
 
 from __future__ import annotations
@@ -46,12 +50,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import CertificateRecord, from_fields, gaussian_kl, make_record
+from .bounds import CertificateRecord, from_fields
 from .certify import (OBJECTIVE_KINDS, CertifyConfig, DdpConfig, certify, certify_ddp,
-                      certify_point, optimize)
+                      certify_gaussian, certify_point, optimize)
 from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
-from .merging import KINDS, MergeScheme, default_phi
+from .merging import KINDS, MergeScheme
 from .params import ModelPool
 from .posterior import mc_risks, posterior_rows
 from .seeding import derive_seed
@@ -265,7 +269,8 @@ class ExperimentConfig:
     @property
     def pool_hash(self) -> str:
         lines = [f"version = {__version__}"]
-        lines += [f"{k} = {self.values[k]}" for k in sorted(_POOL_KEYS)]
+        lines += [line for line in self.canonical().splitlines()
+                  if line.partition(" = ")[0] in _POOL_KEYS]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
@@ -309,7 +314,9 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
 
 def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
     """Parse a ``key = value`` file (# comments allowed) into a config; a key
-    set twice raises ``ConfigError`` naming the second line."""
+    set twice raises ``ConfigError`` naming the second line.  ``scenario``
+    names the preset when the file has no ``scenario`` line; one that differs
+    from the file's raises ``ConfigError("scenario", ...)``."""
     overrides: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -326,8 +333,10 @@ def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
         if key in overrides:
             raise ConfigError(f"{path}:{lineno}", f"key {key!r} is set twice")
         overrides[key] = value.strip()
-    scenario = overrides.pop("scenario", scenario)
-    return make_config(scenario, overrides)
+    named = overrides.pop("scenario", scenario)
+    if scenario not in (None, named):
+        raise ConfigError("scenario", f"{path} sets scenario {named!r}, not {scenario!r}")
+    return make_config(named, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -636,31 +645,33 @@ def _run_validity(config, spec, index, task, subpool):
     """Fresh-support trials of the certificate against near-exact risk.
 
     The hypothesis class (pool, grid, prior) is fixed once.  A fit pass
-    draws each trial's fresh support set and fits its merge coefficient by
+    draws each trial's fresh support set, fits its merge coefficient mu by
     grid argmin of the Monte-Carlo train risk (all grid points in one
-    ``mc_risks`` call).  One streamed pass over the population then scores
-    the k posterior draws of every trial, stacked, with one ``error_counts``
-    call per ``sample_tiles`` tile, so one tile of the population is alive
-    at a time.  The tiles are ``error_counts``'s own row tiles, so the summed
+    ``mc_risks`` call) and certifies N(mu, posterior variance) with
+    ``certify_gaussian`` on the fit's noise stream, with no query.  One
+    streamed pass over the population then scores the k posterior draws of
+    every trial, stacked, with one ``error_counts`` call per
+    ``sample_tiles`` tile, so one tile of the population is alive at a
+    time.  The tiles are ``error_counts``'s own row tiles, so the summed
     counts, and each trial's risk, are those of ``mc_risks`` on the whole
-    population.  Each trial is then certified and compared with that risk.
+    population.  That risk becomes each record's ``test_error``, and a
+    violation when it exceeds the record's bound.
     """
     scheme = MergeScheme("task_arith", subpool)
     seed = config["seed"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
-    delta = config["bound.delta"]
-    variance = config["posterior.variance"]
-    k = config["posterior.mc_samples"]
+    cfg = _certify_config(config)  # its search and query seeds go unused
+    variance, k = cfg.posterior_variance, cfg.mc_samples
     n = config["validity.n"]
-    trials = range(config["validity.trials"])
 
-    fits, draws = [], []
-    for trial in trials:
+    records, draws = [], []
+    for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
         fit_seed = derive_seed(seed, "trial-fit", trial)
         risks = mc_risks(grid[:, None], variance, scheme, spec, support, k, fit_seed)
         mu = float(grid[int(np.argmin(risks))])
-        fits.append((float(np.min(risks)), mu))
+        records.append(certify_gaussian(scheme, np.array([mu]), support, None, spec, cfg,
+                                        fit_seed, f"trial{trial}", "validity", {"mu": mu}))
         draws.append(posterior_rows(np.array([[mu]]), variance, scheme, k,
                                     derive_seed(seed, "trial-test", trial)))
 
@@ -672,15 +683,10 @@ def _run_validity(config, spec, index, task, subpool):
         del tile  # free it and its kept scoring constants before the next is drawn
     true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
 
-    mus = np.array([[mu] for _, mu in fits])
-    kls = gaussian_kl(mus, default_phi(scheme), variance, config["prior.variance"]).tolist()
-    for trial, (train_error, mu), kl, true_risk in zip(trials, fits, kls, true_risks.tolist()):
-        record = make_record(
-            f"trial{trial}", scheme.kind, "validity", train_error,
-            kl, n, delta, test_error=true_risk, provenance={"mu": mu},
-        )
+    for record, true_risk in zip(records, true_risks.tolist()):
+        record.test_error = true_risk
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
-        yield record
+    return records
 
 
 def run(config: ExperimentConfig, out_dir=None) -> RunRecord:

@@ -93,12 +93,6 @@ class MergeScheme:
     def d_phi(self) -> int:
         return len(self.basis) - 1
 
-    @property
-    def direction(self) -> np.ndarray | None:
-        """The (P,) task vector a scalar kind scales, basis row 1; None for
-        the per-model kinds."""
-        return self.basis[1] if self.kind in _SCALAR_KINDS else None
-
 
 def default_phi(scheme: MergeScheme) -> np.ndarray:
     """The uniform-merge coefficients, used as prior mean and search start.

@@ -18,6 +18,7 @@ from pacmerge import (
     TrainConfig,
     certify,
     certify_ddp,
+    certify_gaussian,
     certify_point,
     default_phi,
     error_counts,
@@ -309,6 +310,61 @@ class TestCertify:
         tiny = support.subset([0])
         with pytest.raises(DomainError):
             certify(scheme, "train_risk", tiny, None, spec, quick_config())
+
+
+class TestCertifyGaussian:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_errors_are_one_row_risks_on_their_streams(self, world, kind):
+        _, pool, spec, support, query = world
+        scheme = MergeScheme(kind, pool)
+        config = quick_config(3)
+        mu = default_phi(scheme) + 0.05
+        record = certify_gaussian(scheme, mu, support, query, spec, config, 123, "t", "fit",
+                                  {"mu": mu.tolist()})
+
+        def one_row(data, seed):
+            return float(mc_risks(mu[None], config.posterior_variance, scheme, spec, data,
+                                  config.mc_samples, seed)[0])
+
+        assert record.train_error == one_row(support, 123)
+        assert record.test_error == one_row(query, derive_seed(config.eval_seed, "test-eval"))
+        assert record.kl_qp == gaussian_kl(mu[None], default_phi(scheme),
+                                           config.posterior_variance, config.prior_variance)[0]
+        assert (record.task_id, record.scheme, record.objective, record.n) == (
+            "t", kind, "fit", support.n)
+        assert record.provenance == {"mu": mu.tolist()}
+        record.validate()
+        no_query = certify_gaussian(scheme, mu, support, None, spec, config, 123, "t", "fit",
+                                    {"mu": mu.tolist()})
+        assert no_query.to_dict() == dict(record.to_dict(), test_error=None)
+
+    def test_needs_two_points_before_scoring(self, world, monkeypatch):
+        _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_arith", pool)
+        calls = []
+        monkeypatch.setattr(importlib.import_module("pacmerge.certify"), "mc_risks",
+                            lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="need support size >= 2, got 1"):
+            certify_gaussian(scheme, np.array([1.0]), support.subset([0]), None, spec,
+                             quick_config(), 5, "t", "validity", {})
+        assert calls == []
+
+    @pytest.mark.parametrize("objective_kind", OBJECTIVE_KINDS)
+    def test_certify_is_the_search_then_certify_gaussian(self, world, objective_kind):
+        _, pool, spec, support, query = world
+        scheme = MergeScheme("task_wise", pool)
+        config = quick_config(4)
+        prior = default_phi(scheme) * 0.5
+        record = certify(scheme, objective_kind, support, query, spec, config, task_id="t",
+                         prior_mean=prior)
+        result = optimize(scheme, objective_kind, support, spec, config, prior)
+        provenance = {"cma_seed": config.cma.seed, "eval_seed": config.eval_seed,
+                      "evals": result.evals, "posterior_variance": config.posterior_variance,
+                      "prior_variance": config.prior_variance, "mc_samples": config.mc_samples}
+        expected = certify_gaussian(scheme, result.x_best, support, query, spec, config,
+                                    derive_seed(config.cma.seed, "mc-common"), "t",
+                                    objective_kind, provenance, prior_mean=prior)
+        assert record.to_dict() == expected.to_dict()
 
 
 class TestDdp:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pacmerge
 import pacmerge.harness as harness
 from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
                       budget, sample_set, train_stack)
-from pacmerge.cli import main
+from pacmerge.cli import _config_from_args, main
 from pacmerge.harness import (
     SCENARIOS,
     RunRecord,
@@ -147,6 +148,13 @@ class TestConfig:
         before = cfg.pool_hash
         monkeypatch.setattr(harness, "__version__", "0.0.0")
         assert cfg.pool_hash != before
+
+    @pytest.mark.parametrize("scenario,pool_hash", [("smoke", "03984fd32507bf56"),
+                                                    ("validity-trial", "9b0a96d8f719b75c"),
+                                                    ("paper-table1-toy", "e8a59e341c6fef36")])
+    def test_pool_hash_pinned(self, scenario, pool_hash):
+        # the pool cache's file name; a changed hash orphans every cached pool
+        assert make_config(scenario).pool_hash == pool_hash
 
     def test_canonical_round_trips_through_file(self, tmp_path):
         # a config with no preset writes scenario = custom
@@ -842,6 +850,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("format error: cannot load cached pool")
         assert not list(out.glob("*.csv"))
+
+    def test_scenario_differing_from_the_file_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("scenario = smoke\n")
+        assert main(["certify", "--config", str(cfg_file), "--scenario", "paper-ddp",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"config error: scenario: {cfg_file} sets scenario 'smoke', not 'paper-ddp'")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("file_line,flag", [("scenario = smoke\n", "smoke"),
+                                                ("scenario = smoke\n", None),
+                                                ("", "smoke")])
+    def test_scenario_on_one_side_or_matching(self, tmp_path, file_line, flag):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(file_line + "seed = 5\n")
+        args = argparse.Namespace(config=str(cfg_file), scenario=flag, seed=None)
+        assert _config_from_args(args).hash == make_config("smoke", {"seed": 5}).hash
 
     def test_seed_override_changes_hash(self, tmp_path):
         out = tmp_path / "out"
