@@ -77,6 +77,12 @@ class CertifyConfig:
             raise DomainError(f"delta {self.delta} outside (0, 1)")
 
 
+def _search_stream(config: CertifyConfig) -> int:
+    """The stream ``optimize`` scores every candidate on and ``certify``
+    reads its train error on, so a record states what its fit minimized."""
+    return derive_seed(config.cma.seed, "mc-common")
+
+
 def optimize(
     scheme: MergeScheme,
     objective_kind: str,
@@ -106,7 +112,7 @@ def optimize(
         prior_mean = default_phi(scheme)
     if np.shape(prior_mean) != (scheme.d_phi,):
         raise StructureError(f"prior mean shape {np.shape(prior_mean)} != ({scheme.d_phi},)")
-    mc_seed = derive_seed(config.cma.seed, "mc-common")
+    mc_seed = _search_stream(config)
     variance = config.posterior_variance
 
     def batch_objective(phis):
@@ -181,7 +187,7 @@ def certify(
     result = optimize(scheme, objective_kind, support, model_spec, config, prior_mean)
     return certify_gaussian(
         scheme, result.x_best, support, query, model_spec, config,
-        derive_seed(config.cma.seed, "mc-common"), task_id, objective_label or objective_kind,
+        _search_stream(config), task_id, objective_label or objective_kind,
         provenance={
             "cma_seed": config.cma.seed,
             "eval_seed": config.eval_seed,

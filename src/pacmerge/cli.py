@@ -3,7 +3,9 @@
 Verbs: ``certify`` (run a scenario end to end, the ``paper-gap-sweep``
 data-size sweep included), ``report`` (re-render a stored run record).
 Exit codes: 0 success, 2 configuration or file-format error, diverged
-training, or a search whose objective left the finite range.
+training, a search whose objective left the finite range, or output that
+cannot be written (an ``--out`` that is a file, say).  Each exit 2 prints
+one stderr line and no traceback.
 """
 
 from __future__ import annotations
@@ -15,17 +17,17 @@ from .errors import ConfigError, FormatError, OptError, TrainingDiverged
 from .harness import load_config_file, load_record, make_config, run, write_report
 
 
+# the errors that exit 2, each with the label of its one stderr line; every
+# read raises one of the first four, so an OSError comes from a write
+_EXIT_2 = {ConfigError: "config error", FormatError: "format error",
+           TrainingDiverged: "training diverged", OptError: "search failed",
+           OSError: "cannot write output"}
+
+
 def _config_from_args(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.config:
-        config = load_config_file(args.config, scenario=args.scenario)
-        if overrides:
-            merged = dict(config.values)
-            merged.update(overrides)
-            return make_config(None, merged)
-        return config
+        return load_config_file(args.config, scenario=args.scenario, overrides=overrides)
     return make_config(args.scenario, overrides)
 
 
@@ -67,17 +69,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 2
-    except OptError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
+    except tuple(_EXIT_2) as exc:
+        label = next(label for kind, label in _EXIT_2.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -100,8 +100,7 @@ class CmaEs:
         """One generation of candidates, shape (lam, dim)."""
         z = self.rng.standard_normal((self.lam, self.dim))
         y = (self.eig_b * self.eig_d) @ z.T  # (d, lam)
-        self._last_y = y.T
-        return self.mean + self.sigma * self._last_y
+        return self.mean + self.sigma * y.T
 
     def tell(self, xs: np.ndarray, fs: np.ndarray):
         """Update state from the generation's candidates and their values."""
@@ -151,8 +150,10 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     competes for best-ever, so the search can never lose to its own
     initialization.  Candidates within a generation are numbered, observed
     and reduced in index order.  ``callback(eval_index, x, f)`` observes
-    every evaluation.  A non-finite value raises OptError naming its
-    evaluation; an exhausted budget is not an error.
+    every evaluation.  The generation that spends the budget, whole or cut
+    short, is evaluated but not told: no later generation would read the
+    update.  A non-finite value raises OptError naming its evaluation; an
+    exhausted budget is not an error.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     popsize = config.popsize or default_popsize(x0.size)
@@ -174,16 +175,10 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
 
     es = CmaEs(x0, config.sigma0, popsize, config.seed)
     while evals < config.max_evals:
-        xs = es.ask()
-        take = min(len(xs), config.max_evals - evals)
-        fs = evaluate(evals, xs[:take])
-        evals += take
-        if take < len(xs):
-            # Partial final generation: rank what we have, skip the update if
-            # fewer candidates than parents survive the truncation.
-            if take >= es.mu:
-                es.tell(xs[:take], fs)
-        else:
+        xs = es.ask()[: config.max_evals - evals]
+        fs = evaluate(evals, xs)
+        evals += len(xs)
+        if evals < config.max_evals:
             es.tell(xs, fs)
         gen_best = int(np.argmin(fs))
         if fs[gen_best] < best_f:

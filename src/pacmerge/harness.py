@@ -312,12 +312,15 @@ def make_config(scenario: str | None = None, overrides: dict | None = None) -> E
     return ExperimentConfig(dict(sorted(values.items())))
 
 
-def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
+def load_config_file(path, scenario: str | None = None,
+                     overrides: dict | None = None) -> ExperimentConfig:
     """Parse a ``key = value`` file (# comments allowed) into a config; a key
     set twice raises ``ConfigError`` naming the second line.  ``scenario``
     names the preset when the file has no ``scenario`` line; one that differs
-    from the file's raises ``ConfigError("scenario", ...)``."""
-    overrides: dict = {}
+    from the file's raises ``ConfigError("scenario", ...)``.  ``overrides``
+    win over the file's lines before any value is parsed, as in
+    ``make_config``, so a file line they replace is never read."""
+    lines: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -330,13 +333,13 @@ def load_config_file(path, scenario: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}", f"expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key in overrides:
+        if key in lines:
             raise ConfigError(f"{path}:{lineno}", f"key {key!r} is set twice")
-        overrides[key] = value.strip()
-    named = overrides.pop("scenario", scenario)
+        lines[key] = value.strip()
+    named = lines.pop("scenario", scenario)
     if scenario not in (None, named):
         raise ConfigError("scenario", f"{path} sets scenario {named!r}, not {scenario!r}")
-    return make_config(named, overrides)
+    return make_config(named, {**lines, **(overrides or {})})
 
 
 # ---------------------------------------------------------------------------

@@ -422,20 +422,19 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     return counts
 
 
-def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray, grads=None):
-    """Softmax probabilities of M models and their mean cross-entropy gradient.
+def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray, grads):
+    """Softmax probabilities of M models; their mean cross-entropy gradient
+    goes into ``grads``.
 
     ``layers`` holds (weight (M, in, out), bias (M, 1, out)) per layer, ``x``
     the batches (M, b, in) and ``onehot`` their one-hot labels (M, b,
-    classes).  The gradient is written into ``grads``, the ``_layers`` views
-    of an (M, d_model) float64 buffer, a new one by default.  Returns the
-    probabilities (M, b, classes) and ``grads``.  Every product is a stack of
+    classes).  The gradient is written into ``grads``, the caller's layer
+    views of an (M, d_model) float64 buffer, which is required.  Returns
+    only the probabilities (M, b, classes).  Every product is a stack of
     2-D products, so each model's gradient has the bits of its own
     out-of-place computation; subtracting a one-hot label leaves the other
     scores exact.
     """
-    if grads is None:
-        grads = _layers(spec, np.empty((len(x), spec.d_model)))
     acts = [x]
     for w, b in layers[:-1]:
         acts.append(_activate(spec, acts[-1] @ w + b))
@@ -455,7 +454,7 @@ def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray, grads=No
                 delta *= 1.0 - acts[li] ** 2
             elif spec.activation == "relu":
                 delta *= acts[li] > 0
-    return probs, grads
+    return probs
 
 
 def _layers(spec: MlpSpec, flat: np.ndarray):
@@ -538,7 +537,7 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
             xs, ys = x[models, order], onehot[models, order]
             for lo in range(0, n, config.batch):
                 batch = slice(lo, lo + config.batch)
-                probs, _ = _backprop(spec, layers, xs[:, batch], ys[:, batch], grads)
+                probs = _backprop(spec, layers, xs[:, batch], ys[:, batch], grads)
                 # the loss is finite exactly when the probabilities are: a
                 # row with a finite largest score has probabilities in [0, 1],
                 # any other row is all NaN

@@ -160,6 +160,77 @@ class TestBatchedObjective:
             minimize(lambda xs: np.zeros(len(xs) + 1), np.zeros(2), CmaConfig(max_evals=5))
 
 
+def reference_minimize(objective, x0, config, callback):
+    """``minimize``'s loop as first written: a whole generation is always
+    told, one the budget cuts short only if at least ``mu`` candidates are
+    left, the last generation included."""
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    es = CmaEs(x0, config.sigma0, config.popsize or default_popsize(x0.size), config.seed)
+    best_x, best_f = x0.copy(), float(objective(x0[None])[0])
+    callback(0, x0, best_f)
+    evals = 1
+    while evals < config.max_evals:
+        xs = es.ask()
+        take = min(len(xs), config.max_evals - evals)
+        fs = objective(xs[:take])
+        for i in range(take):
+            callback(evals + i, xs[i], float(fs[i]))
+        evals += take
+        if take < len(xs):
+            if take >= es.mu:
+                es.tell(xs[:take], fs)
+        else:
+            es.tell(xs, fs)
+        gen_best = int(np.argmin(fs))
+        if fs[gen_best] < best_f:
+            best_f, best_x = float(fs[gen_best]), xs[gen_best].copy()
+    return best_x, best_f, evals
+
+
+class TestOneSearchPath:
+    """Every generation but the last is told; the last is only evaluated."""
+
+    # popsize 6: 1 + 6k evaluations end on a whole generation, 1 + 6k + 3 on
+    # one cut to mu = 3 candidates, which the first-written loop still told
+    @pytest.mark.parametrize("max_evals", [1 + 6 * 5, 1 + 6 * 5 + 3, 1 + 6 * 9, 1 + 6 * 9 + 3])
+    def test_tell_once_per_generation_that_another_follows(self, monkeypatch, max_evals):
+        asks, tells = [], []
+        ask, tell = CmaEs.ask, CmaEs.tell
+
+        def counting_ask(self):
+            asks.append(self.gen)
+            return ask(self)
+
+        def counting_tell(self, xs, fs):
+            tells.append(len(xs))
+            return tell(self, xs, fs)
+
+        monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
+        monkeypatch.setattr(cma.CmaEs, "tell", counting_tell)
+        result = minimize(lambda xs: np.sum(xs**2, axis=1), np.ones(3),
+                          CmaConfig(popsize=6, max_evals=max_evals, seed=5))
+        assert result.evals == max_evals
+        assert len(asks) == -(-(max_evals - 1) // 6) and len(tells) == len(asks) - 1
+        assert tells == [6] * len(tells) and asks == list(range(len(asks)))
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 1 + 6 * 5, 1 + 6 * 5 + 3, 1 + 6 * 9 + 3])
+    @pytest.mark.parametrize("d,seed", [(1, 0), (3, 5), (20, 11)])
+    def test_equals_the_first_written_loop(self, max_evals, d, seed):
+        def objective(xs):
+            return np.sum((xs - 0.4) ** 2, axis=1) + np.sin(5 * xs).sum(axis=1)
+
+        config = CmaConfig(popsize=6, sigma0=0.7, max_evals=max_evals, seed=seed)
+        x0 = np.linspace(-1.0, 1.0, d)
+        seen, expected_seen = [], []
+        result = minimize(objective, x0, config,
+                          callback=lambda i, x, f: seen.append((i, x.tobytes(), f)))
+        best_x, best_f, evals = reference_minimize(
+            objective, x0, config, lambda i, x, f: expected_seen.append((i, x.tobytes(), f)))
+        assert result.x_best.tobytes() == best_x.tobytes()
+        assert (result.f_best, result.evals) == (best_f, evals)
+        assert seen == expected_seen and len(seen) == max_evals
+
+
 class TestAskTell:
     def test_shapes_and_progress(self):
         es = CmaEs(np.zeros(4), 1.0, 8, seed=2)

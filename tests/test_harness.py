@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacmerge
 import pacmerge.harness as harness
 from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
                       budget, sample_set, train_stack)
-from pacmerge.cli import _config_from_args, main
+from pacmerge.cli import _EXIT_2, _config_from_args, main
 from pacmerge.harness import (
     SCENARIOS,
     RunRecord,
@@ -854,10 +856,11 @@ class TestCli:
     def test_scenario_differing_from_the_file_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("scenario = smoke\n")
-        assert main(["certify", "--config", str(cfg_file), "--scenario", "paper-ddp",
-                     "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"config error: scenario: {cfg_file} sets scenario 'smoke', not 'paper-ddp'")
+        for seed in ([], ["--seed", "3"]):  # a seed override does not hide it
+            assert main(["certify", "--config", str(cfg_file), "--scenario", "paper-ddp",
+                         "--out", str(tmp_path), *seed]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"config error: scenario: {cfg_file} sets scenario 'smoke', not 'paper-ddp'"]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("file_line,flag", [("scenario = smoke\n", "smoke"),
@@ -869,8 +872,79 @@ class TestCli:
         args = argparse.Namespace(config=str(cfg_file), scenario=flag, seed=None)
         assert _config_from_args(args).hash == make_config("smoke", {"seed": 5}).hash
 
+    def test_seed_flag_wins_over_the_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("scenario = smoke\nmerge.kind = task_arith\nseed = 9\n"
+                            "cma.max_evals = 50\n")
+        args = argparse.Namespace(config=str(cfg_file), scenario=None, seed=4)
+        config = _config_from_args(args)
+        expected = make_config("smoke", {"merge.kind": "task_arith", "seed": 4,
+                                         "cma.max_evals": "50"})
+        assert config.hash == expected.hash and config.values == expected.values
+        # the same config as rebuilding the file's whole config with the seed
+        rebuilt = make_config(None, {**load_config_file(cfg_file).values, "seed": 4})
+        assert config.hash == rebuilt.hash and config.values == rebuilt.values
+
+    def test_seed_flag_replaces_an_invalid_seed_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("scenario = smoke\nseed = -1\n")
+        args = argparse.Namespace(config=str(cfg_file), scenario=None, seed=3)
+        assert _config_from_args(args).hash == make_config("smoke", {"seed": 3}).hash
+        with pytest.raises(ConfigError, match="^seed: invalid value '-1'"):
+            _config_from_args(argparse.Namespace(config=str(cfg_file), scenario=None, seed=None))
+
+    @pytest.mark.parametrize("verb", ["certify", "report"])
+    def test_output_that_cannot_be_written_exit_code(self, smoke_record, tmp_path, capsys,
+                                                     verb):
+        cfg, _, out = smoke_record
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        args = (["certify", "--scenario", "smoke"] if verb == "certify" else
+                ["report", "--record", str(out / f"smoke-{cfg.hash}.json"), "--format", "md"])
+        assert main([*args, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("cannot write output: [Errno ")
+        assert str(taken) in err and "Traceback" not in err
+        assert taken.read_text() == "a file, not a directory\n"
+
     def test_seed_override_changes_hash(self, tmp_path):
         out = tmp_path / "out"
         assert main(["certify", "--scenario", "smoke", "--out", str(out), "--seed", "321"]) == 0
         cfg = make_config("smoke", {"seed": 321})
         assert (out / f"smoke-{cfg.hash}.json").exists()
+
+
+# Edge values per key, drawn on top of TINY: one-row sets, a batch larger
+# than its set, a one-evaluation search, the smallest and a ragged
+# population, a near-zero trim and delta, and every kind and activation.
+EDGES = {
+    "kind": ["table", "ddp", "sweep", "discrete", "validity"],
+    "merge.kind": ["all", "task_arith", "layer_wise"],
+    "model.activation": ["tanh", "relu", "identity"],
+    "pool.base_n": [1, 40],
+    "pool.ft_n": [1, 40],
+    "pool.batch": [1, 10_000],
+    "certify.n": [2, 4, 40],
+    "cma.max_evals": [1, 2, 12],
+    "cma.popsize": [0, 4],
+    "eval.query_n": [1, 100],
+    "posterior.mc_samples": [1, 10],
+    "merge.trim_fraction": [1e-9, 1.0],
+    "bound.delta": [1e-300, 0.05],
+    "sweep.n_list": ["4", "4,40"],
+    "discrete.grid_sizes": ["2", "3,5"],
+    "validity.population": [1, 4097],
+    "validity.n": [2, 40],
+    "validity.grid": [1, 5],
+    "validity.trials": [1, 2],
+}
+
+
+class TestEdgeConfigs:
+    @settings(max_examples=25, deadline=None)
+    @given(st.fixed_dictionaries({key: st.sampled_from(values) for key, values in EDGES.items()}))
+    def test_run_returns_or_raises_an_error_the_cli_exits_2_on(self, edges):
+        try:
+            run(make_config(None, {**TINY, **edges}))
+        except tuple(_EXIT_2) as exc:
+            assert not isinstance(exc, OSError)  # run writes nothing without out_dir
