@@ -10,6 +10,7 @@ from .bounds import (
     bernoulli_kl,
     budget,
     gaussian_kl,
+    gaussian_log_ratio,
     invert_kl,
     make_record,
     seeger_certificate,
@@ -51,4 +52,4 @@ from .toyzoo import (
     train_stack,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -10,6 +10,12 @@ Two PAC-Bayes results are computed from the same scalar
   the root ``C >= train`` of ``kl(train || C) = B``, taken as the upper end
   of a bisection, so never below the root.
 
+The same budget certifies one draw h of a Gaussian posterior Q when KL is
+``max(ln dQ/dP(h), 0)``: for n >= 2 it is at least the disintegrated
+PAC-Bayes-kl budget ``(ln dQ/dP(h) + ln(xi(n)/delta)) / n`` (Rivasplata et
+al. 2020, Thm 1), since ``xi(n) <= n + 1`` (Maurer 2004) and
+``n ln(n/delta) - (n-1) ln((n+1)/delta) > 0``.
+
 ``seeger_certificate`` returns both as a ``BoundReport(pb_bound,
 upper_bound, vacuous)``.  A certificate is *vacuous* when even the closed
 form reaches 1: the inversion then sits within rounding distance of 1 and
@@ -149,6 +155,19 @@ def gaussian_kl(means, prior_mean, variance: float, prior_variance: float) -> np
         raise DomainError(f"variance ratio {variance} / {prior_variance} is not in (0, inf)")
     mean_term = np.add.reduce((means - prior_mean) ** 2, axis=1) / (2.0 * prior_variance)
     return 0.5 * means.shape[1] * (ratio - 1.0 - math.log(ratio)) + mean_term
+
+
+def gaussian_log_ratio(h, mean, prior_mean, variance: float, prior_variance: float) -> float:
+    """ln dQ/dP(h) at one point ``h`` (d,), for Q = N(``mean``, variance I)
+    and P = N(``prior_mean``, prior_variance I): (d/2) ln(prior_variance /
+    variance) + ||h - prior_mean||^2 / (2 prior_variance) - ||h - mean||^2 /
+    (2 variance).  It may be negative, a term beyond the float range makes
+    it inf, and its mean over h ~ Q is ``gaussian_kl``."""
+    h = np.asarray(h, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return float(-0.5 * h.size * math.log(variance / prior_variance)
+                     + np.add.reduce((h - prior_mean) ** 2) / (2.0 * prior_variance)
+                     - np.add.reduce((h - mean) ** 2) / (2.0 * variance))
 
 
 # A field annotation -> the exact types of the JSON values it accepts: an

@@ -2,14 +2,15 @@
 
 Two objectives are supported for fitting merge coefficients on the support
 set: the randomized classifier's Monte-Carlo 0-1 train risk alone
-(``train_risk``), or the certificate's own closed form (``pac_bayes_upper``),
-which trades train error against the KL to the prior; the search reads the
-certificate's support, prior mean and ``CertifyConfig``.  Both are minimized
-with the same derivative-free search, seeded at the uniform-merge
-coefficients (the default prior mean), with common random numbers across
-candidate evaluations so the objective is a pure function.  The search
-scores each generation in one ``mc_risks`` and one ``gaussian_kl`` call: one
-merge and one scoring pass per generation, not per candidate.
+(``train_risk``), or the Pinsker closed form of the certificate on that
+estimate (``pac_bayes_upper``), which trades train error against the KL to
+the prior; the search reads the certificate's support, prior mean and
+``CertifyConfig``.  Both are minimized with the same derivative-free search,
+seeded at the uniform-merge coefficients (the default prior mean), with
+common random numbers across candidate evaluations so the objective is a
+pure function.  The search scores each generation in one ``mc_risks`` and
+one ``gaussian_kl`` call: one merge and one scoring pass per generation, not
+per candidate.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
@@ -18,11 +19,13 @@ prior/data independence.
 
 Every record comes from one of two functions, one per posterior family.
 ``certify_gaussian`` builds every Gaussian-posterior record: those of
-``certify`` (a search, then its mean certified) and ``certify_ddp``, and the
-validity trials' grid fits.  ``certify_point`` builds every point-mass
-record: a deterministic merge, the best of G fixed rows of coefficients,
-with KL = ln G: a finite grid, or one row fitted on other data
-(half-validation), whose KL = 0 makes it a test-set bound.
+``certify`` (a search, then its mean) and ``certify_ddp``, and the validity
+trials' grid fits.  It certifies one posterior draw by its exact errors (a
+disintegrated bound), so no Monte-Carlo estimate, the search's included,
+enters a record.  ``certify_point`` builds every point-mass record: a
+deterministic merge, the best of G fixed rows of coefficients, with KL =
+ln G: a finite grid, or one row fitted on other data (half-validation),
+whose KL = 0 makes it a test-set bound.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import CertificateRecord, budget, closed_form, gaussian_kl, make_record
+from .bounds import (CertificateRecord, budget, closed_form, gaussian_kl, gaussian_log_ratio,
+                     make_record)
 from .cma import CmaConfig, CmaResult, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, merged_values
@@ -77,12 +81,6 @@ class CertifyConfig:
             raise DomainError(f"delta {self.delta} outside (0, 1)")
 
 
-def _search_stream(config: CertifyConfig) -> int:
-    """The stream ``optimize`` scores every candidate on and ``certify``
-    reads its train error on, so a record states what its fit minimized."""
-    return derive_seed(config.cma.seed, "mc-common")
-
-
 def optimize(
     scheme: MergeScheme,
     objective_kind: str,
@@ -112,7 +110,7 @@ def optimize(
         prior_mean = default_phi(scheme)
     if np.shape(prior_mean) != (scheme.d_phi,):
         raise StructureError(f"prior mean shape {np.shape(prior_mean)} != ({scheme.d_phi},)")
-    mc_seed = _search_stream(config)
+    mc_seed = derive_seed(config.cma.seed, "mc-common")
     variance = config.posterior_variance
 
     def batch_objective(phis):
@@ -133,36 +131,43 @@ def certify_gaussian(
     query: LabeledSet | None,
     model_spec: MlpSpec,
     config: CertifyConfig,
-    train_seed: int,
+    draw_seed: int,
     task_id: str,
     objective: str,
     provenance: dict,
     prior_mean: np.ndarray | None = None,
 ) -> CertificateRecord:
-    """Certify the Gaussian posterior N(``mu``, posterior variance I) over
-    the coefficients (d_phi,) against the prior N(``prior_mean``, prior
-    variance I), ``prior_mean`` defaulting to ``default_phi(scheme)``.
+    """Certify the merge at one draw h = mu + sigma_Q eps of the posterior
+    Q = N(``mu``, posterior variance I) over the coefficients (d_phi,),
+    against the prior P = N(``prior_mean``, prior variance I), ``prior_mean``
+    defaulting to ``default_phi(scheme)``.
 
-    The train error is the one-row ``mc_risks`` at ``mu`` on the support
-    with ``train_seed``, the noise stream that fitted ``mu``, so the record
-    states the quantity the fit minimized; the query error, if a query is
-    given, uses the independent stream ``(config.eval_seed, "test-eval")``.
+    eps is draw 0 of the noise stream ``draw_seed``, which the caller fixes
+    before the support is seen.  The train and test errors are h's exact
+    0-1 errors on the support and on the query, if given (one merged row),
+    and the KL is ``max(ln dQ/dP(h), 0)``, which the ``bounds`` budget
+    covers for one draw.  Provenance gains ``mu``, ``draw`` (h),
+    ``draw_seed``, ``ln_ratio`` (ln dQ/dP(h)) and ``gibbs_kl`` (KL(Q || P)).
     """
     n = support.n
     if n < 2:
         raise DomainError(f"need support size >= 2, got {n}")
     if prior_mean is None:
         prior_mean = default_phi(scheme)
-
-    def risk(data, seed):
-        return float(mc_risks(mu[None], config.posterior_variance, scheme, model_spec, data,
-                              config.mc_samples, seed)[0])
-
-    train = risk(support, train_seed)
-    test = None if query is None else risk(query, derive_seed(config.eval_seed, "test-eval"))
-    kl = gaussian_kl(mu[None], prior_mean, config.posterior_variance, config.prior_variance)
-    return make_record(task_id, scheme.kind, objective, train, float(kl[0]), n, config.delta,
-                       test_error=test, provenance=provenance)
+    mu = np.asarray(mu, dtype=np.float64)
+    variance, prior_variance = config.posterior_variance, config.prior_variance
+    gibbs_kl = float(gaussian_kl(mu[None], prior_mean, variance, prior_variance)[0])
+    h = mu + math.sqrt(variance) * rng_for(draw_seed, "gauss", 0).standard_normal(mu.size)
+    ln_ratio = gaussian_log_ratio(h, mu, prior_mean, variance, prior_variance)
+    row = merged_values(scheme, h[None])
+    train = float(error_counts(model_spec, row, support)[0] / n)
+    test = None if query is None else float(error_counts(model_spec, row, query)[0] / query.n)
+    return make_record(
+        task_id, scheme.kind, objective, train, max(ln_ratio, 0.0), n, config.delta,
+        test_error=test,
+        provenance={**provenance, "mu": mu.tolist(), "draw": h.tolist(), "draw_seed": draw_seed,
+                    "ln_ratio": ln_ratio, "gibbs_kl": gibbs_kl},
+    )
 
 
 def certify(
@@ -176,22 +181,27 @@ def certify(
     prior_mean: np.ndarray | None = None,
     objective_label: str | None = None,
 ) -> CertificateRecord:
-    """Fit the posterior mean on the support and certify the result.
+    """Fit the posterior mean on the support and certify one draw around it.
 
-    ``prior_mean`` defaults to ``default_phi(scheme)``.  Search and record
-    share config, prior and support, so a ``pac_bayes_upper`` record's
-    ``upper_bound`` is the least objective value of its search.  Any learned
-    coefficients are re-interpreted as the mean of a Gaussian posterior with
-    the configured variance, so even a plain train-risk fit gets a certificate.
+    ``prior_mean`` defaults to ``default_phi(scheme)``.  The learned
+    coefficients are the mean of a Gaussian posterior with the configured
+    variance, so even a plain train-risk fit gets a certificate;
+    ``certify_gaussian`` certifies its draw on the stream
+    ``(config.eval_seed, "certify-draw")``, which no search reads.
+    Provenance records the search: its seeds, ``evals``, ``best_eval`` (the
+    evaluation that found the mean) and ``search_objective`` (the least
+    objective value, ``f_best``).
     """
     result = optimize(scheme, objective_kind, support, model_spec, config, prior_mean)
     return certify_gaussian(
         scheme, result.x_best, support, query, model_spec, config,
-        _search_stream(config), task_id, objective_label or objective_kind,
+        derive_seed(config.eval_seed, "certify-draw"), task_id, objective_label or objective_kind,
         provenance={
             "cma_seed": config.cma.seed,
             "eval_seed": config.eval_seed,
             "evals": result.evals,
+            "best_eval": result.best_eval,
+            "search_objective": result.f_best,
             "posterior_variance": config.posterior_variance,
             "prior_variance": config.prior_variance,
             "mc_samples": config.mc_samples,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: ``certify`` (run a scenario end to end, the ``paper-gap-sweep``
-data-size sweep included), ``report`` (re-render a stored run record).
+data-size sweep included, and summarize its bounds and, for validity runs,
+their violations), ``report`` (re-render a stored run record).
 Exit codes: 0 success, 2 configuration or file-format error, diverged
 training, a search whose objective left the finite range, or output that
 cannot be written (an ``--out`` that is a file, say).  Each exit 2 prints
@@ -11,6 +12,7 @@ one stderr line and no traceback.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 
 from .errors import ConfigError, FormatError, OptError, TrainingDiverged
@@ -34,11 +36,17 @@ def _config_from_args(args):
 def cmd_certify(args) -> int:
     config = _config_from_args(args)
     record = run(config, args.out)
-    print(f"{config['scenario']} ({config.hash}): {len(record.records)} certificates "
+    records = record.records
+    print(f"{config['scenario']} ({config.hash}): {len(records)} certificates "
           f"in {record.wall_time_s:.1f}s -> {args.out}")
+    bounds = sorted(r.pb_bound for r in records)
+    print(f"vacuous: {sum(r.vacuous for r in records)}/{len(records)}; pb_bound min/median/max: "
+          f"{bounds[0]:.4f}/{statistics.median(bounds):.4f}/{bounds[-1]:.4f}")
     if config["kind"] == "validity":
-        violations = sum(r.provenance["violation"] for r in record.records)
-        print(f"violations: {violations}/{len(record.records)} (delta {config['bound.delta']})")
+        violations = sum(r.provenance["violation"] for r in records)
+        slack = min(r.pb_bound - r.test_error for r in records)
+        print(f"violations: {violations}/{len(records)} (delta {config['bound.delta']}); "
+              f"smallest slack {slack:.4f}")
     return 0
 
 

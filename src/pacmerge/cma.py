@@ -136,9 +136,13 @@ class CmaEs:
 
 @dataclass
 class CmaResult:
+    """The best point, its value, the evaluations spent, and the evaluation
+    index of the best point (0 for the start point)."""
+
     x_best: np.ndarray
     f_best: float
     evals: int
+    best_eval: int
 
 
 def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> CmaResult:
@@ -148,7 +152,8 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     is called once for the start point and once per generation, on the
     candidates the budget leaves.  The start point is evaluation 0 and
     competes for best-ever, so the search can never lose to its own
-    initialization.  Candidates within a generation are numbered, observed
+    initialization; ``best_eval`` is the first evaluation that reached
+    ``f_best``.  Candidates within a generation are numbered, observed
     and reduced in index order.  ``callback(eval_index, x, f)`` observes
     every evaluation.  The generation that spends the budget, whole or cut
     short, is evaluated but not told: no later generation would read the
@@ -169,7 +174,7 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
                 callback(first + i, xs[i], value)
         return fs
 
-    best_x = x0.copy()
+    best_x, best_eval = x0.copy(), 0
     best_f = float(evaluate(0, x0[None])[0])
     evals = 1
 
@@ -177,11 +182,10 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     while evals < config.max_evals:
         xs = es.ask()[: config.max_evals - evals]
         fs = evaluate(evals, xs)
+        gen_best = int(np.argmin(fs))
+        if fs[gen_best] < best_f:
+            best_f, best_x, best_eval = float(fs[gen_best]), xs[gen_best].copy(), evals + gen_best
         evals += len(xs)
         if evals < config.max_evals:
             es.tell(xs, fs)
-        gen_best = int(np.argmin(fs))
-        if fs[gen_best] < best_f:
-            best_f = float(fs[gen_best])
-            best_x = xs[gen_best].copy()
-    return CmaResult(x_best=best_x, f_best=best_f, evals=evals)
+    return CmaResult(x_best=best_x, f_best=best_f, evals=evals, best_eval=best_eval)

@@ -11,12 +11,12 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 * ``paper-gap-sweep``    - certified gap versus support size, with the
   half-validation comparison (``certify_point`` on one row, KL = 0);
 * ``paper-discrete``     - finite-grid certificates (``certify_point`` on
-  the grid) against the continuous Gaussian-posterior baseline;
+  the grid) against the bound-optimized Gaussian-posterior baseline;
 * ``validity-trial``     - repeated fresh-support trials checking that the
   certificate violation rate stays below delta: one pass fits every trial
-  and certifies it (``certify_gaussian``, no query), then one streamed pass
-  over the population, tile by tile, scores them all and sets each record's
-  test error and violation;
+  and certifies one posterior draw (``certify_gaussian``, no query), then
+  one streamed pass over the population, tile by tile, scores every trial's
+  draw and sets each record's test error and violation;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
 ``run`` builds one world and is the only loop over the certified targets:
@@ -55,9 +55,9 @@ from .certify import (OBJECTIVE_KINDS, CertifyConfig, DdpConfig, certify, certif
                       certify_gaussian, certify_point, optimize)
 from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
-from .merging import KINDS, MergeScheme
+from .merging import KINDS, MergeScheme, merged_values
 from .params import ModelPool
-from .posterior import mc_risks, posterior_rows
+from .posterior import mc_risks
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
@@ -199,7 +199,7 @@ _PLANS = {
     "table": (KINDS, OBJECTIVE_KINDS),
     "ddp": (KINDS, OBJECTIVE_KINDS + ("ddp",)),
     "sweep": (KINDS, ("ddp", "half_val", "pac_bayes_upper")),
-    "discrete": (("task_arith",), ("continuous", "grid")),
+    "discrete": (("task_arith",), ("pac_bayes_upper", "grid")),
     "validity": (("task_arith",), ("train_risk",)),
 }
 
@@ -578,12 +578,11 @@ def load_record(path) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _fit(objective_kind, label=None):
+def _fit(objective_kind):
     """The method that certifies a Gaussian posterior fitted to the support
-    under ``objective_kind``, its record labelled ``label`` if given."""
+    under ``objective_kind``."""
     def method(config, spec, task, key, scheme, support, query, cfg):
-        yield certify(scheme, objective_kind, support, query, spec, cfg, task_id=task.task_id,
-                      objective_label=label)
+        yield certify(scheme, objective_kind, support, query, spec, cfg, task_id=task.task_id)
 
     return method
 
@@ -615,7 +614,6 @@ def _grid(config, spec, task, key, scheme, support, query, cfg):
 _METHODS = {
     "train_risk": ("train_risk", _fit("train_risk")),
     "pac_bayes_upper": ("pac_bayes_upper", _fit("pac_bayes_upper")),
-    "continuous": ("pac_bayes_upper", _fit("pac_bayes_upper", "continuous")),
     "ddp": (None, _ddp),
     "half_val": (None, _half_val),
     "grid": (None, _grid),
@@ -650,45 +648,44 @@ def _run_validity(config, spec, index, task, subpool):
     The hypothesis class (pool, grid, prior) is fixed once.  A fit pass
     draws each trial's fresh support set, fits its merge coefficient mu by
     grid argmin of the Monte-Carlo train risk (all grid points in one
-    ``mc_risks`` call) and certifies N(mu, posterior variance) with
-    ``certify_gaussian`` on the fit's noise stream, with no query.  One
-    streamed pass over the population then scores the k posterior draws of
-    every trial, stacked, with one ``error_counts`` call per
-    ``sample_tiles`` tile, so one tile of the population is alive at a
-    time.  The tiles are ``error_counts``'s own row tiles, so the summed
-    counts, and each trial's risk, are those of ``mc_risks`` on the whole
-    population.  That risk becomes each record's ``test_error``, and a
-    violation when it exceeds the record's bound.
+    ``mc_risks`` call) and certifies one draw h of N(mu, posterior
+    variance) with ``certify_gaussian``, on the draw stream
+    ``(seed, "trial-draw", trial)`` and with no query.  One streamed pass
+    over the population then scores every trial's h, each re-merged alone
+    from its record so it is the row its certificate scored, with one
+    ``error_counts`` call per ``sample_tiles`` tile, so one tile of the
+    population is alive at a time.  The tiles are ``error_counts``'s own row
+    tiles, so each count is h's count on the whole population.  h's
+    population error becomes its record's ``test_error``, and a violation
+    when it exceeds the record's bound.
     """
     scheme = MergeScheme("task_arith", subpool)
     seed = config["seed"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
-    cfg = _certify_config(config)  # its search and query seeds go unused
-    variance, k = cfg.posterior_variance, cfg.mc_samples
+    cfg = _certify_config(config)  # its search and evaluation seeds go unused
     n = config["validity.n"]
 
-    records, draws = [], []
+    records = []
     for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
-        fit_seed = derive_seed(seed, "trial-fit", trial)
-        risks = mc_risks(grid[:, None], variance, scheme, spec, support, k, fit_seed)
-        mu = float(grid[int(np.argmin(risks))])
+        risks = mc_risks(grid[:, None], cfg.posterior_variance, scheme, spec, support,
+                         cfg.mc_samples, derive_seed(seed, "trial-fit", trial))
+        mu = grid[int(np.argmin(risks))]
         records.append(certify_gaussian(scheme, np.array([mu]), support, None, spec, cfg,
-                                        fit_seed, f"trial{trial}", "validity", {"mu": mu}))
-        draws.append(posterior_rows(np.array([[mu]]), variance, scheme, k,
-                                    derive_seed(seed, "trial-test", trial)))
+                                        derive_seed(seed, "trial-draw", trial),
+                                        f"trial{trial}", "validity", {}))
 
-    thetas = np.concatenate(draws)
+    thetas = np.concatenate([merged_values(scheme, np.array([r.provenance["draw"]]))
+                             for r in records])
     errors = np.zeros(len(thetas), dtype=np.int64)
     population = config["validity.population"]
     for tile in sample_tiles(task, population, derive_seed(seed, "population")):
         errors += error_counts(spec, thetas, tile)
         del tile  # free it and its kept scoring constants before the next is drawn
-    true_risks = np.mean((errors / population).reshape(-1, k), axis=1)
 
-    for record, true_risk in zip(records, true_risks.tolist()):
-        record.test_error = true_risk
-        record.provenance["violation"] = bool(true_risk > record.pb_bound)
+    for record, count in zip(records, errors.tolist()):
+        record.test_error = count / population
+        record.provenance["violation"] = bool(record.test_error > record.pb_bound)
     return records
 
 

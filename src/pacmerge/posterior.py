@@ -6,12 +6,14 @@ A randomized classifier draws fresh coefficients per prediction; following
 the usual estimator, we instead draw ``k`` whole coefficient vectors and
 average their 0-1 risks, which is identical in expectation.  Gaussian draws
 use a counter-based seeding contract — draw ``j`` comes from the stream
-``(seed, j)`` — so evaluation order can never change results.
+``(seed, j)`` — so evaluation order can never change results.  These
+estimates steer the searches (every objective evaluation of a CMA-ES search
+and every grid point of a validity trial's fit); no certificate reads one:
+``certify.certify_gaussian`` certifies a single draw by its exact errors.
 
 The standard-normal noise of ``(seed, k, dim)`` is drawn once and kept,
-read-only, in a small LRU cache.  With common random numbers every objective
-evaluation of a search, the final train-risk recompute and every grid point
-of a validity trial reuse it.
+read-only, in a small LRU cache, so with common random numbers every
+evaluation of one search, and every grid point of one fit, reuses it.
 
 ``posterior_rows`` merges the k draws around each of m posterior means that
 share one variance in one ``merged_values`` call.  ``mc_risks`` estimates

@@ -13,6 +13,7 @@ from pacmerge import (
     bernoulli_kl,
     budget,
     gaussian_kl,
+    gaussian_log_ratio,
     invert_kl,
     make_record,
     seeger_certificate,
@@ -208,6 +209,81 @@ class TestBoundBudget:
 
     def test_floor(self):
         assert budget(0.0, 100, 0.05) == math.log(100 / 0.05) / 99 > 0
+
+
+def xi(n):
+    """Maurer's xi(n) = E e^{n kl(R_hat || R)} at its worst R: the sum over k of
+    C(n, k) (k/n)^k (1 - k/n)^(n - k), each term formed in logs (0 ln 0 = 0)."""
+    def log_term(k):
+        log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        p = k / n
+        return (log_choose + (k * math.log(p) if k else 0.0)
+                + ((n - k) * math.log1p(-p) if k < n else 0.0))
+
+    return math.fsum(math.exp(log_term(k)) for k in range(n + 1))
+
+
+class TestSingleDrawBudget:
+    """The budget a single-draw record spends covers the disintegrated
+    PAC-Bayes-kl budget (ln dQ/dP(h) + ln(xi(n)/delta)) / n at KL =
+    max(ln dQ/dP(h), 0), because xi(n) <= n + 1."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1e4), st.integers(2, 10**7),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(0.0, 2, 0.999999)
+    @example(0.0, 10**7, 0.05)
+    @example(1e4, 10**7, 1e-300)
+    def test_budget_covers_the_disintegrated_budget(self, kl, n, delta):
+        # the logs are split so the reference itself cannot overflow
+        assert budget(kl, n, delta) >= (kl + math.log(n + 1) - math.log(delta)) / n
+
+    def test_xi_at_most_n_plus_one(self):
+        for n in range(2, 301):
+            assert 1.0 < xi(n) <= n + 1
+        assert xi(2) == pytest.approx(2.5)  # k = 0 and 2 give 1 each, k = 1 gives 2 / 4
+
+
+def reference_log_ratio(h, mean, prior_mean, variance, prior_variance):
+    """ln dQ/dP(h) in plain float64 Python, from the two Gaussian densities."""
+    def log_density(m, v):
+        return -0.5 * len(h) * math.log(2 * math.pi * v) - math.fsum(
+            (a - b) ** 2 for a, b in zip(h, m)) / (2 * v)
+
+    return log_density(mean, variance) - log_density(prior_mean, prior_variance)
+
+
+class TestGaussianLogRatio:
+    @pytest.mark.parametrize("d,variance,prior_variance", [(1, 0.05, 0.05), (5, 0.02, 0.08),
+                                                           (20, 0.05, 0.03)])
+    def test_equals_the_density_ratio(self, d, variance, prior_variance):
+        rng = np.random.default_rng(d)
+        mean, prior_mean = rng.normal(size=d), rng.normal(size=d)
+        for h in mean + math.sqrt(variance) * rng.standard_normal((20, d)):
+            value = gaussian_log_ratio(h, mean, prior_mean, variance, prior_variance)
+            expected = reference_log_ratio(h.tolist(), mean.tolist(), prior_mean.tolist(),
+                                           variance, prior_variance)
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("d,variance,prior_variance,shift", [(1, 0.05, 0.05, 0.05),
+                                                                 (5, 0.02, 0.08, 0.1),
+                                                                 (20, 0.05, 0.05, 0.3)])
+    def test_mean_over_draws_is_the_kl(self, d, variance, prior_variance, shift):
+        # E_{h ~ Q} ln dQ/dP(h) = KL(Q || P): the mean of 4,000 draws lies
+        # within 4 standard errors of it
+        rng = np.random.default_rng(100 + d)
+        prior_mean = np.full(d, 0.5)
+        mean = prior_mean + shift * rng.standard_normal(d)
+        draws = mean + math.sqrt(variance) * rng.standard_normal((4000, d))
+        values = np.array([gaussian_log_ratio(h, mean, prior_mean, variance, prior_variance)
+                           for h in draws])
+        kl = gaussian_kl(mean[None], prior_mean, variance, prior_variance)[0]
+        assert abs(values.mean() - kl) <= 4 * values.std(ddof=1) / math.sqrt(len(values))
+        assert (values < 0).any()  # a single draw's ratio can fall below 0
+
+    def test_beyond_the_float_range_is_inf(self):
+        h = np.array([1e5, -1e5])
+        assert gaussian_log_ratio(h, h, np.zeros(2), 1e9, 1e-299) == math.inf
 
 
 class TestArrayBudget:

@@ -35,10 +35,10 @@ from pacmerge import (
 import pacmerge.cma as cma
 import pacmerge.posterior as posterior
 import pacmerge.toyzoo as toyzoo
-from pacmerge.bounds import gaussian_kl
+from pacmerge.bounds import gaussian_kl, gaussian_log_ratio
 from pacmerge.certify import OBJECTIVE_KINDS, split_support
 from pacmerge.merging import KINDS
-from pacmerge.seeding import derive_seed
+from pacmerge.seeding import derive_seed, rng_for
 from pacmerge.toyzoo import _ROW_BUDGET
 
 
@@ -132,15 +132,23 @@ class TestOptimize:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bound_search_minimum_is_certified_upper_bound(self, world, kind, seed):
+    def test_bound_search_minimum_is_certified_upper_bound(self, world, monkeypatch, kind,
+                                                           seed):
+        # The record certifies one draw around the search's mean, so its
+        # upper_bound is not the search minimum; its provenance states that
+        # minimum, the evaluation that found it, and the mean.
         _, pool, spec, support, _ = world
         scheme = MergeScheme(kind, pool)
         config = quick_config(seed, max_evals=40)
         prior_mean = default_phi(scheme) + 0.1
-        result = optimize(scheme, "pac_bayes_upper", support, spec, config, prior_mean)
         record = certify(scheme, "pac_bayes_upper", support, None, spec, config,
                          prior_mean=prior_mean)
-        assert result.f_best == record.upper_bound
+        result, trace = traced_optimize(monkeypatch, scheme, "pac_bayes_upper", support, spec,
+                                        config, prior_mean)
+        values = [f for _, f in trace]
+        assert record.provenance["search_objective"] == result.f_best == min(values)
+        assert record.provenance["best_eval"] == result.best_eval == values.index(min(values))
+        assert record.provenance["mu"] == result.x_best.tolist()
         assert record.provenance["evals"] == result.evals == 40
 
     def test_rejects_unknown_kind_and_wrong_prior_dimension(self, world):
@@ -286,6 +294,7 @@ class TestCertify:
         assert record.test_error is not None
 
     def test_cannot_lose_to_initialization(self, world):
+        # the search, which the record's provenance states, not the draw
         _, pool, spec, support, query = world
         scheme = MergeScheme("layer_wise", pool)
         config = quick_config(7, max_evals=120)
@@ -296,7 +305,7 @@ class TestCertify:
             config.mc_samples, derive_seed(config.cma.seed, "mc-common"),
         )[0]
         upper0 = seeger_certificate(train0, 0.0, support.n, config.delta).upper_bound
-        assert record.upper_bound <= upper0 + 1e-6
+        assert record.provenance["search_objective"] <= upper0 + 1e-6
 
     @pytest.mark.parametrize("field", ["posterior_variance", "prior_variance"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
@@ -312,38 +321,49 @@ class TestCertify:
             certify(scheme, "train_risk", tiny, None, spec, quick_config())
 
 
+def reference_draw(mu, variance, draw_seed):
+    """The draw mu + sqrt(variance) eps, eps the first standard-normal vector
+    of the stream (draw_seed, "gauss", 0)."""
+    return mu + math.sqrt(variance) * rng_for(draw_seed, "gauss", 0).standard_normal(len(mu))
+
+
 class TestCertifyGaussian:
     @pytest.mark.parametrize("kind", KINDS)
     def test_errors_are_one_row_risks_on_their_streams(self, world, kind):
+        # one draw h on the stream 123; its exact errors, and KL max(ln dQ/dP(h), 0)
         _, pool, spec, support, query = world
         scheme = MergeScheme(kind, pool)
         config = quick_config(3)
         mu = default_phi(scheme) + 0.05
         record = certify_gaussian(scheme, mu, support, query, spec, config, 123, "t", "fit",
-                                  {"mu": mu.tolist()})
-
-        def one_row(data, seed):
-            return float(mc_risks(mu[None], config.posterior_variance, scheme, spec, data,
-                                  config.mc_samples, seed)[0])
-
-        assert record.train_error == one_row(support, 123)
-        assert record.test_error == one_row(query, derive_seed(config.eval_seed, "test-eval"))
-        assert record.kl_qp == gaussian_kl(mu[None], default_phi(scheme),
-                                           config.posterior_variance, config.prior_variance)[0]
+                                  {"note": 1})
+        h = reference_draw(mu, config.posterior_variance, 123)
+        ln_ratio = record.provenance["ln_ratio"]
+        assert record.train_error == point_risk(scheme, spec, h, support)
+        assert record.test_error == point_risk(scheme, spec, h, query)
+        # tests/test_bounds.py checks gaussian_log_ratio against the densities
+        assert ln_ratio == gaussian_log_ratio(h, mu, default_phi(scheme),
+                                              config.posterior_variance, config.prior_variance)
+        assert record.kl_qp == max(ln_ratio, 0.0)
         assert (record.task_id, record.scheme, record.objective, record.n) == (
             "t", kind, "fit", support.n)
-        assert record.provenance == {"mu": mu.tolist()}
+        assert record.provenance == {
+            "note": 1, "mu": mu.tolist(), "draw": h.tolist(), "draw_seed": 123,
+            "ln_ratio": ln_ratio,
+            "gibbs_kl": gaussian_kl(mu[None], default_phi(scheme), config.posterior_variance,
+                                    config.prior_variance)[0]}
         record.validate()
         no_query = certify_gaussian(scheme, mu, support, None, spec, config, 123, "t", "fit",
-                                    {"mu": mu.tolist()})
+                                    {"note": 1})
         assert no_query.to_dict() == dict(record.to_dict(), test_error=None)
 
     def test_needs_two_points_before_scoring(self, world, monkeypatch):
         _, pool, spec, support, _ = world
         scheme = MergeScheme("task_arith", pool)
         calls = []
-        monkeypatch.setattr(importlib.import_module("pacmerge.certify"), "mc_risks",
-                            lambda *args: calls.append(args))
+        for name in ("error_counts", "merged_values"):
+            monkeypatch.setattr(importlib.import_module("pacmerge.certify"), name,
+                                lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="need support size >= 2, got 1"):
             certify_gaussian(scheme, np.array([1.0]), support.subset([0]), None, spec,
                              quick_config(), 5, "t", "validity", {})
@@ -359,12 +379,75 @@ class TestCertifyGaussian:
                          prior_mean=prior)
         result = optimize(scheme, objective_kind, support, spec, config, prior)
         provenance = {"cma_seed": config.cma.seed, "eval_seed": config.eval_seed,
-                      "evals": result.evals, "posterior_variance": config.posterior_variance,
+                      "evals": result.evals, "best_eval": result.best_eval,
+                      "search_objective": result.f_best,
+                      "posterior_variance": config.posterior_variance,
                       "prior_variance": config.prior_variance, "mc_samples": config.mc_samples}
         expected = certify_gaussian(scheme, result.x_best, support, query, spec, config,
-                                    derive_seed(config.cma.seed, "mc-common"), "t",
+                                    derive_seed(config.eval_seed, "certify-draw"), "t",
                                     objective_kind, provenance, prior_mean=prior)
         assert record.to_dict() == expected.to_dict()
+
+
+class TestSingleDraw:
+    """What makes a single-draw record sound."""
+
+    def test_draw_does_not_depend_on_the_support(self, world):
+        tasks, pool, spec, support, _ = world
+        scheme = MergeScheme("task_wise", pool)
+        config = quick_config(2)
+        other = sample_set(tasks[0], 60, 99)
+        mu = default_phi(scheme) + 0.1
+        a, b = (certify_gaussian(scheme, mu, data, None, spec, config, 77, "t", "fit", {})
+                for data in (support, other))
+        assert a.provenance["draw"] == b.provenance["draw"]
+        assert a.train_error != b.train_error  # the supports do differ
+        # a searched record draws on its config's stream, whatever the support
+        searched = [certify(scheme, "train_risk", data, None, spec, config)
+                    for data in (support, other)]
+        assert {r.provenance["draw_seed"] for r in searched} == {
+            derive_seed(config.eval_seed, "certify-draw")}
+        noise = [(np.array(r.provenance["draw"]) - r.provenance["mu"]) for r in searched]
+        assert np.allclose(noise[0], noise[1], rtol=0, atol=1e-12)
+
+    def test_one_draw_scored_once_per_set(self, world, monkeypatch):
+        # each posterior gets one record, from one merged row, never the
+        # best of several draws
+        _, pool, spec, support, query = world
+        scheme = MergeScheme("layer_wise", pool)
+        module = importlib.import_module("pacmerge.certify")
+        calls = []
+
+        def spy(spec_, thetas, data):
+            calls.append((len(thetas), data.n))
+            return error_counts(spec_, thetas, data)
+
+        monkeypatch.setattr(module, "error_counts", spy)
+        record = certify_gaussian(scheme, default_phi(scheme), support, query, spec,
+                                  quick_config(), 8, "t", "fit", {})
+        assert calls == [(1, support.n), (1, query.n)]
+        assert record.train_error == point_risk(scheme, spec, record.provenance["draw"], support)
+
+    def test_two_points_suffice(self, world):
+        # the (n - 1) budget covers one draw from n = 2 on
+        _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_arith", pool)
+        record = certify_gaussian(scheme, default_phi(scheme), support.subset([0, 1]), None,
+                                  spec, quick_config(), 3, "t", "fit", {})
+        assert record.n == 2 and record.train_error in (0.0, 0.5, 1.0)
+        record.validate()
+
+    def test_kl_is_the_log_ratio_clipped_at_zero(self, world):
+        _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_arith", pool)
+        config = quick_config()
+        records = [certify_gaussian(scheme, default_phi(scheme) + 0.02, support, None, spec,
+                                    config, seed, "t", "fit", {}) for seed in range(12)]
+        ratios = [r.provenance["ln_ratio"] for r in records]
+        assert min(ratios) < 0 < max(ratios)
+        for record in records:
+            assert record.kl_qp == max(record.provenance["ln_ratio"], 0.0)
+            record.validate()
 
 
 class TestDdp:

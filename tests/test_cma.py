@@ -102,6 +102,24 @@ class TestMinimize:
         )
         assert result.f_best == min(history)
 
+    def test_best_eval_is_the_first_evaluation_of_the_best_value(self):
+        history = []
+        result = minimize(
+            lambda xs: np.round(np.sum((xs - 1.5) ** 2, axis=1), 1),  # ties are common
+            np.zeros(2),
+            CmaConfig(max_evals=120, seed=4),
+            callback=lambda i, x, f: history.append((i, x.copy(), f)),
+        )
+        values = [f for _, _, f in history]
+        assert result.best_eval == values.index(min(values)) > 0
+        index, x, _ = history[result.best_eval]
+        assert index == result.best_eval and np.array_equal(x, result.x_best)
+
+    def test_best_eval_of_an_unbeaten_start_point_is_zero(self):
+        result = minimize(lambda xs: np.zeros(len(xs)), np.ones(3), CmaConfig(max_evals=30))
+        assert (result.best_eval, result.f_best, result.evals) == (0, 0.0, 30)
+        assert result.x_best.tolist() == [1.0, 1.0, 1.0]
+
     def test_non_finite_objective_raises(self):
         with pytest.raises(OptError):
             minimize(

@@ -27,11 +27,12 @@ from pacmerge.harness import (
     run,
     write_report,
 )
-from pacmerge.bounds import gaussian_kl, make_record
+from pacmerge.bounds import make_record
 from pacmerge.harness import _run_validity
-from pacmerge.merging import KINDS, MergeScheme, default_phi
+from pacmerge.merging import KINDS, MergeScheme, default_phi, merged_values
 from pacmerge.posterior import mc_risks
-from pacmerge.seeding import derive_seed
+from pacmerge.seeding import derive_seed, rng_for
+from pacmerge.toyzoo import error_counts
 from pacmerge.toyzoo import _ROW_BUDGET as R
 
 
@@ -151,9 +152,9 @@ class TestConfig:
         monkeypatch.setattr(harness, "__version__", "0.0.0")
         assert cfg.pool_hash != before
 
-    @pytest.mark.parametrize("scenario,pool_hash", [("smoke", "03984fd32507bf56"),
-                                                    ("validity-trial", "9b0a96d8f719b75c"),
-                                                    ("paper-table1-toy", "e8a59e341c6fef36")])
+    @pytest.mark.parametrize("scenario,pool_hash", [("smoke", "4c1ebd87da73916d"),
+                                                    ("validity-trial", "5286003d4665f961"),
+                                                    ("paper-table1-toy", "994e381055591b8f")])
     def test_pool_hash_pinned(self, scenario, pool_hash):
         # the pool cache's file name; a changed hash orphans every cached pool
         assert make_config(scenario).pool_hash == pool_hash
@@ -290,35 +291,35 @@ PIN_SIZES = {
 }
 PINNED_CSV = [
     ("smoke", {"merge.kind": "all"},
-     "cd5a8bae6999ae313bf4775fccae5ad9411d52d01951673a599560ece39bfb13",
-     "926370ce3f1fbca1c50d2b7db5208d7e5974d530ca54f8d41d491bd0c23d5e16"),
+     "d6df3be8530e446c41f4b122f10ea6606f49ffc3bc62e4adcc91977083c6370f",
+     "9a862474de29116bdc2dc6aba896e9794e9eb654b7d423c968f60769dffccf43"),
     ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
-     "bcd7df804489927f5bb6b756292bde952353404fd27fb66402b8c4e2ba36858e",
-     "b8fa9a50018eed8dfaf342a8fdd674643357a7baa1405d8892b305fb971dcb7d"),
+     "9961f7e732fdb4294dc3cf0281fdbb017dff6a5f361a1d4aea6477bb0fe09404",
+     "d101ee835cfa377c23a0e236fcdd51f13a472647d63909d83e9d21c244b9c530"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
-     "594bfa02f8bd727ffa22b0dafb5aa22d35f2754b9bd63a22e8405ffe73abf1f0",
-     "388097e56628fc0ca14be666a19b7c9f163aa6b0afc45e8e950850eae1243f67"),
+     "d6a7c85de3ff7cdae559e2ffb7b66c6fa39d041063395b7d8885d132158480a8",
+     "14c93668aa9a8b58afd4c44a9ddae3b428c97339adaffed7200d32c6c29ea1f0"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
                                           "discrete.grid_sizes": "20,40"}),
-     "7eb859fd9d5f330228618b3c487c2c2260702d5dedeaf26332622a3208872b41",
-     "b0fe6296b307fc9099da057bc9443021e5ec6c8e5885d9803b1f3c4e84e337dd"),
+     "ab8467c83db534b46987762b0c1d3520f2243e7341b5cc4548c4b552815eb976",
+     "9b7479940661e4f9f97a5a6f564ee70cc4a16b817bf949f1e4129b02798b3488"),
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
-     "41f30656eb8286b735aae1e8000714e79e9aea4606f4dd7d5fd05987d5770440",
-     "0d318d4a84395479097de1dc90585079c8925c73b875871a7ec692cbd8fd2d14"),
+     "bab49ad0c900f1657ee5e21c523a5287283dd8bbaf8c8433df09bdc0a76832e9",
+     "850d84e8abeb80f92e7c6a006c9147f6ef7eea1941e826a7f22102aea6d751d8"),
     # two certified targets each, so the seed keys of a second target are pinned
     ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                      "cma.max_evals": 60}),
-     "18793e466042a4ab982e22c6a3ea03744e70a816b19fc64b54a2e086d69b663b",
-     "881c7a18e83e0bf721b2a42fb8d22901fcc19da559abdde05910a0fa62a660fd"),
+     "29607f1dcca5fff4305d978ccd7cb48a08c1edc2fa82fcc0108e19b4012952a7",
+     "27bb33fdc9e5bdb22038137335dfaf3d7a2b7709232c5c59c255acfba57c33bb"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
                                            "cma.max_evals": 30}),
-     "f7d1f177f72c29ad4026f214b297ca6d20a13fc06021a3468105d39e931e5a42",
-     "ccf30afd8e2a47128be138e979f9e8fb84fbdb79a647d35208efbf080cbe6d53"),
+     "9bec2e06e520dba5de51dd4c86c9aad9550a8ba29c4aaba8e54014764580a45c",
+     "eb5b825c006f2e2a0e2aa9c0f8b7b47070a2da38c560cf9271e9b1ba43d9246c"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                           "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
-     "00967e9a1212ad70c0dfee8bf10ba8d12705df9293cb6e2f1c7f20cc8fbde73c",
-     "de6678e54038c8a1e4f6fe13e2097b750f292bce9bd171f263e82c562e5e3a33"),
+     "fe738b1c65601af4085e425f7801c2298a22a812315c246243a78fabe74b37ec",
+     "32583c7e79d2b770773e7e0a87eda2c94a5b896fda265d989301f1e0439d6c84"),
 ]
 
 
@@ -461,7 +462,7 @@ EXPECTED = {
     "paper-table1-toy": (8, {"train_risk", "pac_bayes_upper"}),
     "paper-ddp": (3, {"train_risk", "pac_bayes_upper", "ddp"}),
     "paper-gap-sweep": (6, {"ddp", "half_val", "pac_bayes_upper"}),
-    "paper-discrete": (3, {"continuous", "discrete"}),
+    "paper-discrete": (3, {"pac_bayes_upper", "discrete"}),
     "validity-trial": (3, {"validity"}),
 }
 
@@ -502,7 +503,7 @@ PLAN_ORDER = [
     ("paper-ddp", {"objective.kind": "pac_bayes_upper"},
      [("layer_wise", "pac_bayes_upper", 40), ("layer_wise", "ddp", 20)]),
     ("paper-discrete", {"merge.kind": "all"},
-     [("task_arith", "continuous", 40), ("task_arith", "discrete", 40),
+     [("task_arith", "pac_bayes_upper", 40), ("task_arith", "discrete", 40),
       ("task_arith", "discrete", 40)]),
     ("paper-gap-sweep", {"merge.kind": "ties"},
      [("ties", "ddp", 10), ("ties", "half_val", 10), ("ties", "pac_bayes_upper", 20),
@@ -516,29 +517,50 @@ def test_plan_record_order(scenario, overrides, expected):
     assert [(r.scheme, r.objective, r.n) for r in record.records] == expected
 
 
+def test_discrete_gaussian_record_is_the_table_method():
+    # paper-discrete's Gaussian record is the pac_bayes_upper method, on its
+    # seed key (index, scheme, "pac_bayes_upper"), so it equals table's
+    overrides = dict(TINY, **{"merge.kind": "task_arith", "objective.kind": "pac_bayes_upper"})
+    table, discrete = (run(make_config(None, dict(overrides, kind=kind))).records[0]
+                       for kind in ("table", "discrete"))
+    del table.provenance["config_hash"], discrete.provenance["config_hash"]
+    assert discrete.to_dict() == table.to_dict()
+    assert discrete.objective == "pac_bayes_upper"
+
+
 def reference_validity(config, world):
-    """``validity-trial`` records as first written: per trial, the one-row
-    ``mc_risks`` on the whole population held as one ``sample_set``."""
+    """``validity-trial`` records from their definition: per trial, the grid
+    argmin mu of the Monte-Carlo train risk, one draw h = mu + sigma eps on
+    the stream (seed, "trial-draw", trial), h's exact errors on the support
+    and on the whole population held as one ``sample_set``, and the KL
+    max(ln dQ/dP(h), 0), all in plain float64 for the one coefficient."""
     task = world.tasks[0]
+    spec = world.model_spec
     scheme = MergeScheme("task_arith", world.pool.without(task.task_id))
     seed, k, variance = config["seed"], config["posterior.mc_samples"], config["posterior.variance"]
+    prior_variance, prior = config["prior.variance"], float(default_phi(scheme)[0])
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
     population = sample_set(task, config["validity.population"], derive_seed(seed, "population"))
     n = config["validity.n"]
     records = []
     for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
-        risks = mc_risks(grid[:, None], variance, scheme, world.model_spec, support, k,
+        risks = mc_risks(grid[:, None], variance, scheme, spec, support, k,
                          derive_seed(seed, "trial-fit", trial))
         mu = float(grid[int(np.argmin(risks))])
-        true_risk = float(mc_risks(np.array([[mu]]), variance, scheme, world.model_spec,
-                                   population, k, derive_seed(seed, "trial-test", trial))[0])
-        kl = gaussian_kl(np.array([[mu]]), default_phi(scheme), variance,
-                         config["prior.variance"])[0]
+        draw_seed = derive_seed(seed, "trial-draw", trial)
+        h = mu + math.sqrt(variance) * float(rng_for(draw_seed, "gauss", 0).standard_normal())
+        row = merged_values(scheme, np.array([[h]]))
+        ln_ratio = (-0.5 * math.log(variance / prior_variance)
+                    + (h - prior) ** 2 / (2.0 * prior_variance) - (h - mu) ** 2 / (2.0 * variance))
+        ratio = variance / prior_variance
+        gibbs_kl = 0.5 * (ratio - 1.0 - math.log(ratio)) + (mu - prior) ** 2 / (2.0 * prior_variance)
+        true_risk = int(error_counts(spec, row, population)[0]) / population.n
         record = make_record(
-            f"trial{trial}", scheme.kind, "validity", float(np.min(risks)),
-            float(kl), n, delta=config["bound.delta"], test_error=true_risk,
-            provenance={"mu": mu},
+            f"trial{trial}", scheme.kind, "validity", int(error_counts(spec, row, support)[0]) / n,
+            max(ln_ratio, 0.0), n, delta=config["bound.delta"], test_error=true_risk,
+            provenance={"mu": [mu], "draw": [h], "draw_seed": draw_seed, "ln_ratio": ln_ratio,
+                        "gibbs_kl": gibbs_kl},
         )
         record.provenance["violation"] = bool(true_risk > record.pb_bound)
         records.append(record)
@@ -558,6 +580,13 @@ class TestValidityPopulation:
         expected = reference_validity(config, world)
         assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
         assert len({r.test_error for r in records}) > 1
+
+    def test_defaults_violate_at_most_delta_of_the_trials(self):
+        config = make_config("validity-trial")
+        records = run(config).records
+        violations = sum(r.provenance["violation"] for r in records)
+        assert len(records) == config["validity.trials"] == 200
+        assert violations <= config["bound.delta"] * len(records)
 
     def test_traced_peak_does_not_grow_with_the_population(self):
         # one 200,000-row population is 12.2 MB of inputs; the labels, drawn
@@ -592,7 +621,7 @@ class TestSweepValidation:
         assert err.value.path == "sweep.n_list"
 
     # an empty list would run and certify nothing for that key: no sweep
-    # record, or no grid record beside the continuous one
+    # record, or no grid record beside the Gaussian one
     @pytest.mark.parametrize("scenario,key", [("paper-gap-sweep", "sweep.n_list"),
                                               ("paper-discrete", "discrete.grid_sizes")])
     @pytest.mark.parametrize("value", ["", " , ", []])
@@ -661,8 +690,29 @@ class TestCli:
         cfg = load_config_file(cfg_file)
         record = load_record(out / f"validity-trial-{cfg.hash}.json")
         violations = sum(r.provenance["violation"] for r in record.records)
+        slack = min(r.pb_bound - r.test_error for r in record.records)
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == f"violations: {violations}/3 (delta 0.05)"
+        assert lines[-1] == f"violations: {violations}/3 (delta 0.05); smallest slack {slack:.4f}"
+
+    @pytest.mark.parametrize("scenario", ["smoke", "validity-trial"])
+    def test_certify_prints_a_run_summary(self, tmp_path, capsys, scenario):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"scenario = {scenario}\n"
+                            + "".join(f"{k} = {v}\n" for k, v in TINY.items()))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = load_config_file(cfg_file)
+        records = load_record(out / f"{scenario}-{cfg.hash}.json").records
+        bounds = sorted(r.pb_bound for r in records)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{scenario} ({cfg.hash}): {len(records)} certificates in ")
+        assert lines[1] == (f"vacuous: {sum(r.vacuous for r in records)}/{len(records)}; "
+                            f"pb_bound min/median/max: {bounds[0]:.4f}/"
+                            f"{np.median(bounds):.4f}/{bounds[-1]:.4f}")
+        if scenario == "validity-trial":
+            assert len(lines) == 3 and lines[2].startswith("violations: ")
+        else:
+            assert len(lines) == 2
 
     @pytest.mark.parametrize("field,value", [
         ("pb_bound", 0.01), ("train_error", -0.5), ("upper_bound", math.nan), ("task_id", 7),
