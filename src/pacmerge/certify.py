@@ -10,7 +10,8 @@ seeded at the uniform-merge coefficients (the default prior mean), with
 common random numbers across candidate evaluations so the objective is a
 pure function.  The search scores each generation in one ``mc_risks`` and
 one ``gaussian_kl`` call: one merge and one scoring pass per generation, not
-per candidate.
+per candidate.  On a large support each posterior draw scores its own slice
+of it (see ``posterior``), since no certificate reads the search's estimate.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
@@ -40,7 +41,7 @@ from .bounds import (CertificateRecord, budget, closed_form, gaussian_kl, gaussi
 from .cma import CmaConfig, CmaResult, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, merged_values
-from .posterior import mc_risks
+from .posterior import mc_risks, slice_count
 from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
@@ -98,7 +99,12 @@ def optimize(
     Each CMA-ES generation is scored in one ``mc_risks`` call and one
     ``gaussian_kl`` call, so one merge and one scoring pass per generation,
     and its bounds in one array call of ``budget`` and of ``closed_form``,
-    whose elements have the bits of their scalar calls.
+    whose elements have the bits of their scalar calls.  ``mc_risks``
+    scores draw j on slice j mod s of the support, s =
+    ``slice_count(support.n, config.mc_samples)``, so a candidate costs
+    about max(n, k·400) row evaluations (``posterior._SLICE_ROWS`` = 400),
+    not k·n; the budget still uses the full n, and the certificate scores
+    its own draw on all n rows.
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     """
@@ -189,8 +195,9 @@ def certify(
     ``certify_gaussian`` certifies its draw on the stream
     ``(config.eval_seed, "certify-draw")``, which no search reads.
     Provenance records the search: its seeds, ``evals``, ``best_eval`` (the
-    evaluation that found the mean) and ``search_objective`` (the least
-    objective value, ``f_best``).
+    evaluation that found the mean), ``search_objective`` (the least
+    objective value, ``f_best``) and ``search_slices`` (the slices its
+    Monte-Carlo estimate scored, ``posterior.slice_count``).
     """
     result = optimize(scheme, objective_kind, support, model_spec, config, prior_mean)
     return certify_gaussian(
@@ -205,6 +212,7 @@ def certify(
             "posterior_variance": config.posterior_variance,
             "prior_variance": config.prior_variance,
             "mc_samples": config.mc_samples,
+            "search_slices": slice_count(support.n, config.mc_samples),
         },
         prior_mean=prior_mean,
     )
@@ -233,7 +241,8 @@ def certify_ddp(
 
     Half A fits the prior mean with the configured prior objective; half B
     both fits the posterior under the bound objective and computes the
-    certificate, with n = |B|.
+    certificate, with n = |B|.  Provenance adds the split and
+    ``ddp_prior_slices``, the slices of the prior search on half A.
     """
     half_a, half_b = split_support(support, ddp)
     prior_config = replace(
@@ -248,6 +257,7 @@ def certify_ddp(
             "ddp_split_seed": ddp.split_seed,
             "ddp_prior_objective": ddp.prior_objective,
             "ddp_prior_n": half_a.n,
+            "ddp_prior_slices": slice_count(half_a.n, config.mc_samples),
         }
     )
     return record

@@ -57,7 +57,7 @@ from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
 from .merging import KINDS, MergeScheme, merged_values
 from .params import ModelPool
-from .posterior import mc_risks
+from .posterior import mc_risks, slice_count
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
@@ -598,7 +598,8 @@ def _half_val(config, spec, task, key, scheme, support, query, cfg):
     half = support.n // 2
     mu = optimize(scheme, "train_risk", support.subset(np.arange(half)), spec, cfg).x_best
     yield certify_point(scheme, mu[None], support.subset(np.arange(half, support.n)), query,
-                        spec, cfg.delta, task.task_id, "half_val", {"train_half_n": half})
+                        spec, cfg.delta, task.task_id, "half_val",
+                        {"train_half_n": half, "search_slices": slice_count(half, cfg.mc_samples)})
 
 
 def _grid(config, spec, task, key, scheme, support, query, cfg):

@@ -243,7 +243,8 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("n", [100, _ROW_BUDGET + 1])
     def test_support_tiles_built_once(self, world, monkeypatch, n):
         # every generation scores the same support, from constants built once:
-        # its float32 input tiles, its label index and its largest label
+        # per slice of the support (the support itself below two slices) its
+        # float32 input tiles, its label index and its largest label
         tasks, pool, spec, _, _ = world
         support = sample_set(tasks[0], n, 7)
         built, indexed, maxima = [], [], []
@@ -268,11 +269,12 @@ class TestBatchedSearch:
         config = CertifyConfig(mc_samples=3, cma=CmaConfig(max_evals=25, seed=1))
         result = optimize(MergeScheme("task_wise", pool), "pac_bayes_upper", support, spec, config)
         assert result.evals == 25
-        rows = [min(_ROW_BUDGET, n - start) for start in range(0, n, _ROW_BUDGET)]
+        # n = 100: the whole support; n = 4,097: 3 slices of 1,366, 1,366
+        # and 1,365 rows, one row tile each
+        rows = [100] if n == 100 else [1366, 1366, 1365]
         assert built == rows
-        draws = max(1, _ROW_BUDGET // n)
-        assert indexed == [(r, spec.widths[-1], draws) for r in rows]
-        assert maxima == [n]
+        assert indexed == [(r, spec.widths[-1], _ROW_BUDGET // r) for r in rows]
+        assert maxima == rows
 
 
 class TestCertify:
@@ -382,7 +384,8 @@ class TestCertifyGaussian:
                       "evals": result.evals, "best_eval": result.best_eval,
                       "search_objective": result.f_best,
                       "posterior_variance": config.posterior_variance,
-                      "prior_variance": config.prior_variance, "mc_samples": config.mc_samples}
+                      "prior_variance": config.prior_variance, "mc_samples": config.mc_samples,
+                      "search_slices": 1}
         expected = certify_gaussian(scheme, result.x_best, support, query, spec, config,
                                     derive_seed(config.eval_seed, "certify-draw"), "t",
                                     objective_kind, provenance, prior_mean=prior)
@@ -482,6 +485,20 @@ class TestDdp:
         assert permuted_b.n == half_b.n
         mu_2 = optimize(scheme, "train_risk", half_a, spec, config).x_best
         np.testing.assert_array_equal(mu_1, mu_2)
+
+    def test_records_state_their_search_slices(self, world):
+        # 2,700 rows split 0.3: the prior searches 810 rows in 2 slices, the
+        # posterior 1,890 rows in 4; the whole support takes 6 slices
+        tasks, pool, spec, _, _ = world
+        scheme = MergeScheme("task_arith", pool)
+        support = sample_set(tasks[0], 2700, 3)
+        config = quick_config(2, max_evals=8)
+        record = certify_ddp(scheme, support, DdpConfig(split_fraction=0.3), spec, config)
+        assert (record.provenance["ddp_prior_n"], record.n) == (810, 1890)
+        assert record.provenance["ddp_prior_slices"] == 2
+        assert record.provenance["search_slices"] == 4
+        record = certify(scheme, "train_risk", support, None, spec, config)
+        assert record.provenance["search_slices"] == 6
 
     def test_too_small_support_rejected(self, world):
         _, pool, spec, support, _ = world

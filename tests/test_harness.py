@@ -152,12 +152,14 @@ class TestConfig:
         monkeypatch.setattr(harness, "__version__", "0.0.0")
         assert cfg.pool_hash != before
 
-    @pytest.mark.parametrize("scenario,pool_hash", [("smoke", "4c1ebd87da73916d"),
-                                                    ("validity-trial", "5286003d4665f961"),
-                                                    ("paper-table1-toy", "994e381055591b8f")])
-    def test_pool_hash_pinned(self, scenario, pool_hash):
-        # the pool cache's file name; a changed hash orphans every cached pool
-        assert make_config(scenario).pool_hash == pool_hash
+    # the pool cache's file name; a changed hash orphans every cached pool.
+    # Each case is named by its scenario alone, so a new hash renames no test.
+    POOL_HASHES = {"smoke": "4c1ebd87da73916d", "validity-trial": "5286003d4665f961",
+                   "paper-table1-toy": "994e381055591b8f"}
+
+    @pytest.mark.parametrize("scenario", POOL_HASHES)
+    def test_pool_hash_pinned(self, scenario):
+        assert make_config(scenario).pool_hash == self.POOL_HASHES[scenario]
 
     def test_canonical_round_trips_through_file(self, tmp_path):
         # a config with no preset writes scenario = custom
@@ -292,17 +294,17 @@ PIN_SIZES = {
 PINNED_CSV = [
     ("smoke", {"merge.kind": "all"},
      "d6df3be8530e446c41f4b122f10ea6606f49ffc3bc62e4adcc91977083c6370f",
-     "9a862474de29116bdc2dc6aba896e9794e9eb654b7d423c968f60769dffccf43"),
+     "9d07a59aceae04552d5a35960e4c5920494d151720bcbcbd040485d08a587fbe"),
     ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
      "9961f7e732fdb4294dc3cf0281fdbb017dff6a5f361a1d4aea6477bb0fe09404",
-     "d101ee835cfa377c23a0e236fcdd51f13a472647d63909d83e9d21c244b9c530"),
+     "4effffb7722a40938382dc73f6ab9875739e5f6b985e764055b4ce5eaf4c9336"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
      "d6a7c85de3ff7cdae559e2ffb7b66c6fa39d041063395b7d8885d132158480a8",
-     "14c93668aa9a8b58afd4c44a9ddae3b428c97339adaffed7200d32c6c29ea1f0"),
+     "62ea6f5b4c4b63e580c9bbdb3cc732ad944459929af18e827b22959c60e4df99"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
                                           "discrete.grid_sizes": "20,40"}),
      "ab8467c83db534b46987762b0c1d3520f2243e7341b5cc4548c4b552815eb976",
-     "9b7479940661e4f9f97a5a6f564ee70cc4a16b817bf949f1e4129b02798b3488"),
+     "b3b28ee36e4687891b3049a05d8e3db831db548d23160b2d10443e903b6f5ae4"),
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
      "bab49ad0c900f1657ee5e21c523a5287283dd8bbaf8c8433df09bdc0a76832e9",
@@ -311,15 +313,15 @@ PINNED_CSV = [
     ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                      "cma.max_evals": 60}),
      "29607f1dcca5fff4305d978ccd7cb48a08c1edc2fa82fcc0108e19b4012952a7",
-     "27bb33fdc9e5bdb22038137335dfaf3d7a2b7709232c5c59c255acfba57c33bb"),
+     "fb2c1791290548b979848a2c7c90162e53a9473d51dad153b8413564a7219d5b"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
                                            "cma.max_evals": 30}),
      "9bec2e06e520dba5de51dd4c86c9aad9550a8ba29c4aaba8e54014764580a45c",
-     "eb5b825c006f2e2a0e2aa9c0f8b7b47070a2da38c560cf9271e9b1ba43d9246c"),
+     "438830f45ee07c3bc7c1feadb3f110afbd5ca4b84ce99cd877a346fc27df6257"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                           "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
      "fe738b1c65601af4085e425f7801c2298a22a812315c246243a78fabe74b37ec",
-     "32583c7e79d2b770773e7e0a87eda2c94a5b896fda265d989301f1e0439d6c84"),
+     "d105135dcdc6ad4a3e7828343abefc1cd75db93cb16610aa9d0051363740ab5e"),
 ]
 
 

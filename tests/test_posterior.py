@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pacmerge.posterior as posterior
 import pacmerge.toyzoo as toyzoo
@@ -21,6 +23,7 @@ from pacmerge import (
 )
 from pacmerge.bounds import gaussian_kl
 from pacmerge.merging import KINDS
+from pacmerge.posterior import _SLICE_ROWS, slice_count
 from pacmerge.seeding import rng_for
 from pacmerge.toyzoo import _ROW_BUDGET
 
@@ -52,6 +55,23 @@ def point_risk(scheme, model_spec, phi, data):
     """0-1 risk of the merge at ``phi``: one row of ``merged_values``, scored
     by one ``error_counts`` call."""
     return error_counts(model_spec, merged_values(scheme, phi[None]), data)[0] / data.n
+
+
+def reference_slices(data, s):
+    """s contiguous slices of ``data`` as fresh sets, the first n mod s one
+    row longer than the rest."""
+    size, extra = divmod(data.n, s)
+    ends = np.cumsum([0] + [size + (q < extra) for q in range(s)])
+    return [LabeledSet(data.inputs[a:b], data.labels[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def sliced_risk(mean, variance, scheme, model_spec, data, k, seed):
+    """The sliced estimator by its definition: the mean over draws j of the
+    ``point_risk`` of draw j on slice j mod s, s = min(k, n // 400), at
+    least 1."""
+    parts = reference_slices(data, max(1, min(k, data.n // _SLICE_ROWS)))
+    return float(np.mean([point_risk(scheme, model_spec, phi, parts[j % len(parts)])
+                          for j, phi in enumerate(draws_of(mean, variance, seed, k))]))
 
 
 class TestSample:
@@ -159,9 +179,10 @@ class TestMcRisk:
 class TestBatchedKernel:
     """The blocked estimator against the one-draw-at-a-time reference."""
 
-    # (n, k) for a budget of 4,096 rows: one block of 10 stacked draws;
-    # blocks of 3 and 1 draws; one block of 7 draws; and, whatever the
-    # budget, one draw per block in row tiles with a remainder tile
+    # (n, k) for a budget of 4,096 rows and slices of at least 400: one
+    # block of 10 stacked draws on the whole set; 2 slices of 550 rows, whose
+    # 2 draws each share a block; one block of 7 draws; 4 slices of about
+    # 2,049 rows, one draw each
     @pytest.mark.parametrize("n,k", [(120, 10), (1100, 4), (300, 7), (2 * _ROW_BUDGET + 3, 4)])
     @pytest.mark.parametrize("kind", KINDS)
     def test_mc_risk_equals_per_draw_mean(self, toy_pool, kind, n, k):
@@ -169,9 +190,7 @@ class TestBatchedKernel:
         scheme = MergeScheme(kind, pool)
         data = sample_set(task, n, 4)
         mean, variance = np.full(scheme.d_phi, 1 / 3), 0.5
-        reference = float(np.mean(
-            [point_risk(scheme, spec, phi, data) for phi in draws_of(mean, variance, 17, k)]
-        ))
+        reference = sliced_risk(mean, variance, scheme, spec, data, k, 17)
         assert posterior_risk(mean, variance, scheme, spec, data, k, seed=17) == reference
 
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 50), (_ROW_BUDGET + 1, 7)])
@@ -307,9 +326,10 @@ class TestScoringConstants:
                     assert tile.tobytes() == fresh_label_index(y, classes, data.n).tobytes()
                     assert not (xa.flags.writeable or tile.flags.writeable)
 
-    # one-row sets, sets one row past the budget and ``subset`` results,
-    # scored twice (the second time from the kept constants), against the
-    # one-row calls on a fresh copy of the set for every draw
+    # one-row sets, sets one row past the budget (in 4 slices) and
+    # ``subset`` results, scored twice (the second time from the kept
+    # constants and slices), against the one-row calls on fresh copies of
+    # each draw's slice
     @pytest.mark.parametrize("n,rows", [(1, None), (_ROW_BUDGET + 1, None),
                                         (300, slice(150, 300)), (_ROW_BUDGET + 3, slice(1, None))])
     @pytest.mark.parametrize("kind", ["task_arith", "layer_wise"])
@@ -320,10 +340,7 @@ class TestScoringConstants:
         if rows is not None:
             data = data.subset(np.arange(n)[rows])
         mean, variance, k = np.full(scheme.d_phi, 1 / 3), 0.5, 4
-        reference = float(np.mean([
-            point_risk(scheme, spec, phi, LabeledSet(data.inputs, data.labels))
-            for phi in draws_of(mean, variance, 17, k)
-        ]))
+        reference = sliced_risk(mean, variance, scheme, spec, data, k, 17)
         for _ in range(2):
             assert posterior_risk(mean, variance, scheme, spec, data, k, seed=17) == reference
 
@@ -331,9 +348,9 @@ class TestScoringConstants:
 class TestBatchedMeans:
     """``mc_risks`` over m means against one one-row call per mean."""
 
-    # below the row budget the m * k draws stack into blocks; above it each
-    # draw takes row tiles; k = 150 sums each mean's risks past one
-    # 128-element block of numpy's pairwise summation
+    # on 120 rows the m * k draws stack into blocks; on 4,101 rows each of
+    # the 2 draws scores its own slice; k = 150 sums each mean's risks past
+    # one 128-element block of numpy's pairwise summation
     @pytest.mark.parametrize("n,k", [(120, 5), (_ROW_BUDGET + 5, 2), (40, 150)])
     @pytest.mark.parametrize("m", [1, 7, 41])
     @pytest.mark.parametrize("kind", KINDS)
@@ -347,9 +364,7 @@ class TestBatchedMeans:
         for i in range(m):
             assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=23)[0]
         for i in (0, m - 1):
-            draws = draws_of(means[i], 0.2, 23, k)
-            reference = np.mean([point_risk(scheme, spec, phi, data) for phi in draws])
-            assert risks[i] == reference
+            assert risks[i] == sliced_risk(means[i], 0.2, scheme, spec, data, k, 23)
 
     def test_one_merge_per_call(self, toy_world, monkeypatch):
         scheme, spec, data = toy_world
@@ -394,6 +409,92 @@ class TestBatchedMeans:
         means = np.full((3, 3), 1 / 3)
         mc_risks(means, 0.3, scheme, spec, data, 4, seed=5)
         assert np.array_equal(means, np.full((3, 3), 1 / 3))
+
+
+class TestSlices:
+    """Where ``mc_risks`` slices a set, and what each draw scores."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        # the (rows, set size) of every ``error_counts`` call of ``mc_risks``
+        calls = []
+
+        def recorded(spec, thetas, data, _original=posterior.error_counts):
+            calls.append((len(thetas), data.n))
+            return _original(spec, thetas, data)
+
+        monkeypatch.setattr(posterior, "error_counts", recorded)
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_below_two_slices_is_the_whole_set_formula(self, toy_pool, scored, kind):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme(kind, pool)
+        n, k = 2 * _SLICE_ROWS - 1, 10
+        data = sample_set(task, n, 4)
+        means = 1 / 3 + 0.4 * np.random.default_rng(2).standard_normal((5, scheme.d_phi))
+        risks = mc_risks(means, 0.3, scheme, spec, data, k, seed=9)
+        rows = posterior.posterior_rows(means, 0.3, scheme, k, seed=9)
+        whole = np.add.reduce((error_counts(spec, rows, data) / n).reshape(-1, k), axis=1) / k
+        assert slice_count(n, k) == 1 and scored == [(5 * k, n)]
+        assert risks.tobytes() == whole.tobytes()
+
+    def test_two_slices_from_twice_the_slice_rows(self, toy_pool, scored):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme("task_wise", pool)
+        data = sample_set(task, 2 * _SLICE_ROWS, 4)
+        mean = np.full(3, 1 / 3)
+        risk = posterior_risk(mean, 0.3, scheme, spec, data, 10, seed=9)
+        assert slice_count(data.n, 10) == 2
+        assert scored == [(5, _SLICE_ROWS), (5, _SLICE_ROWS)]
+        assert risk == sliced_risk(mean, 0.3, scheme, spec, data, 10, 9)
+
+    def test_slice_count_is_capped_at_k(self, toy_pool, scored):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme("ties", pool)
+        data = sample_set(task, 8000, 4)
+        mean = np.array([0.8])
+        risk = posterior_risk(mean, 0.3, scheme, spec, data, 3, seed=9)
+        assert slice_count(8000, 3) == 3 and slice_count(8000, 30) == 8000 // _SLICE_ROWS
+        assert scored == [(1, 2667), (1, 2667), (1, 2666)]
+        assert risk == sliced_risk(mean, 0.3, scheme, spec, data, 3, 9)
+
+    @pytest.mark.parametrize("n,count", [(800, 2), (801, 2), (4000, 10), (4099, 7), (5, 5)])
+    def test_slices_are_disjoint_contiguous_and_cover_the_set(self, toy_pool, n, count):
+        _, _, task = toy_pool
+        data = sample_set(task, n, 6)
+        parts = data._slices(count)
+        assert data._slices(count) is parts and len(parts) == count
+        start = 0
+        for part, fresh in zip(parts, reference_slices(data, count)):
+            # each part is the next run of rows, viewed, not copied
+            assert np.shares_memory(part.inputs, data.inputs)
+            assert part.n == fresh.n > 0
+            assert np.array_equal(part.inputs, data.inputs[start : start + part.n])
+            assert np.array_equal(part.labels, data.labels[start : start + part.n])
+            assert np.array_equal(part.labels, fresh.labels)
+            assert not (part.inputs.flags.writeable or part.labels.flags.writeable)
+            start += part.n
+        assert start == n
+
+    # each row of a call against its one-mean call, for any size, draw count
+    # and mean count, sliced or not; the examples sit on both sides of two
+    # slices and at the largest size, with 3 slices
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3 * _SLICE_ROWS + 7), st.integers(1, 12), st.integers(1, 6),
+           st.sampled_from(KINDS))
+    @example(2 * _SLICE_ROWS - 1, 10, 3, "ties")
+    @example(2 * _SLICE_ROWS, 3, 4, "layer_wise")
+    @example(3 * _SLICE_ROWS + 7, 12, 6, "task_wise")
+    def test_rows_equal_one_mean_calls(self, toy_pool, n, k, m, kind):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme(kind, pool)
+        data = sample_set(task, n, 3)
+        means = 1 / 3 + 0.4 * np.random.default_rng(n).standard_normal((m, scheme.d_phi))
+        risks = mc_risks(means, 0.2, scheme, spec, data, k, seed=5)
+        for i in range(m):
+            assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=5)[0]
+        assert risks[0] == sliced_risk(means[0], 0.2, scheme, spec, data, k, 5)
 
 
 class TestNonFinite:
