@@ -11,7 +11,9 @@ common random numbers across candidate evaluations so the objective is a
 pure function.  The search scores each generation in one ``mc_risks`` and
 one ``gaussian_kl`` call: one merge and one scoring pass per generation, not
 per candidate.  On a large support each posterior draw scores its own slice
-of it (see ``posterior``), since no certificate reads the search's estimate.
+of it, and where it is cheaper a generation forms its draws' first layer
+from the scheme's basis responses (see ``posterior``), since no certificate
+reads the search's estimate.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
@@ -104,7 +106,11 @@ def optimize(
     ``slice_count(support.n, config.mc_samples)``, so a candidate costs
     about max(n, k·400) row evaluations (``posterior._SLICE_ROWS`` = 400),
     not k·n; the budget still uses the full n, and the certificate scores
-    its own draw on all n rows.
+    its own draw on all n rows.  Where it costs fewer multiply-adds, as for
+    the generations on 100 rows, ``mc_risks`` forms the draws' first layer
+    in coefficient space and merges only their later layers; its estimate
+    can then differ from the merged rows' where a margin lies within
+    float32 rounding of zero, and still no record reads it.
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     """

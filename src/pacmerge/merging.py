@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StructureError
 from .params import ModelPool
+from .toyzoo import MlpSpec, _float32_layers
 
 KINDS = ("task_arith", "ties", "task_wise", "layer_wise")
 _SCALAR_KINDS = ("task_arith", "ties")
@@ -93,6 +95,34 @@ class MergeScheme:
     def d_phi(self) -> int:
         return len(self.basis) - 1
 
+    @cached_property
+    def _first_layers(self) -> dict:
+        # network spec -> ``first_layer``'s arrays, filled on first use
+        return {}
+
+    def first_layer(self, spec: MlpSpec) -> tuple:
+        """(rows, first_basis, scale) of a ``spec`` network, built once per
+        spec: the L basis rows with a nonzero first layer, those first layers
+        in float32 as (L·hidden, in + 1) in the ``[W^T | b]`` layout of
+        ``toyzoo._float32_layers``, and each one's largest absolute value,
+        so that ``|[1, phi][rows]| @ scale`` bounds a merge's first layer.
+        A basis of another width than ``spec.d_model`` raises
+        ``StructureError``."""
+        found = self._first_layers.get(spec)
+        if found is None:
+            if self.basis.shape[1] != spec.d_model:
+                raise StructureError(
+                    f"scheme has {self.basis.shape[1]} parameters, spec needs {spec.d_model}")
+            block = self.basis[:, : (spec.widths[0] + 1) * spec.widths[1]]
+            rows = np.flatnonzero(block.any(axis=1))
+            first, _ = _float32_layers(spec, self.basis[rows].astype(np.float32))
+            first_basis = first.reshape(-1, spec.widths[0] + 1)
+            scale = np.abs(block[rows]).max(axis=1, initial=0.0)
+            for array in (rows, first_basis, scale):
+                array.flags.writeable = False
+            found = self._first_layers[spec] = (rows, first_basis, scale)
+        return found
+
 
 def default_phi(scheme: MergeScheme) -> np.ndarray:
     """The uniform-merge coefficients, used as prior mean and search start.
@@ -105,18 +135,19 @@ def default_phi(scheme: MergeScheme) -> np.ndarray:
     return np.full(scheme.d_phi, 1.0 / scheme.pool.M)
 
 
-def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
-    """Merged float32 parameters, one row per row of ``phis``: (k, P).
+def merged_values(scheme: MergeScheme, phis: np.ndarray, start: int = 0) -> np.ndarray:
+    """Merged float32 parameters from column ``start`` on, one row per row
+    of ``phis``: (k, P - start).
 
-    Row i is ``[1, phis[i]] @ scheme.basis``, one float64 product for the
-    batch rounded once to float32, the only rows the classifier sees.  Its
-    float64 sums differ in the last bit from the per-kind formula (base +
-    phi * direction, or a vector-matrix product per row and layer block) and
-    between batch sizes, for 8-50% of values in a ``paper-table1-toy``
-    world; the float32 rounding changes only if a rounding boundary lies
-    between them, about once in 2^29.  Over 6 seeds of the
-    ``paper-table1-toy`` and ``validity-trial`` worlds x 4 kinds x 2,000
-    rows, none of 41.8M float32 values differed from that formula, nor
+    Row i is ``[1, phis[i]] @ scheme.basis[:, start:]``, one float64 product
+    for the batch rounded once to float32, the only rows the classifier
+    sees.  Its float64 sums differ in the last bit from the per-kind formula
+    (base + phi * direction, or a vector-matrix product per row and layer
+    block) and between batch sizes, for 8-50% of values in a
+    ``paper-table1-toy`` world; the float32 rounding changes only if a
+    rounding boundary lies between them, about once in 2^29.  Over 6 seeds
+    of the ``paper-table1-toy`` and ``validity-trial`` worlds x 4 kinds x
+    2,000 rows, none of 41.8M float32 values differed from that formula, nor
     between rows merged alone, in blocks of 7 or as one batch.
     """
     phis = np.asarray(phis, dtype=np.float64)
@@ -124,9 +155,7 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
         raise StructureError(
             f"phis has shape {phis.shape}, scheme needs (k, {scheme.d_phi})"
         )
-    coeff = np.ones((len(phis), 1 + scheme.d_phi))
-    coeff[:, 1:] = phis
-    out = coeff @ scheme.basis
+    out = with_base(phis) @ scheme.basis[:, start:]
     with np.errstate(over="ignore"):
         out32 = out.astype(np.float32)
     if not np.isfinite(out32).all():
@@ -134,3 +163,11 @@ def merged_values(scheme: MergeScheme, phis: np.ndarray) -> np.ndarray:
             raise DomainError("merge produced NaN/Inf")
         raise DomainError("merge overflowed the 32-bit float range")
     return out32
+
+
+def with_base(phis: np.ndarray) -> np.ndarray:
+    """The float64 coefficients ``[1, phi]`` (k, 1 + d_phi) of the basis rows
+    for each row of ``phis`` (k, d_phi)."""
+    coeff = np.ones((len(phis), 1 + phis.shape[1]))
+    coeff[:, 1:] = phis
+    return coeff

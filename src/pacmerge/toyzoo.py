@@ -18,9 +18,11 @@ model is a stack of one.  A model that diverges raises ``TrainingDiverged``
 naming it and the epoch, without numpy overflow warnings.
 
 Every risk a certificate uses comes from ``error_counts``, which counts the
-0-1 errors of many parameter rows at once.  The classifier it counts for is
-the float32 network: weights and inputs are rounded to float32 and every
-product, bias and activation runs in float32.  An input is classified
+0-1 errors of many parameter rows at once; ``coefficient_counts`` counts
+them, for the search's estimates, for rows whose first layer combines a few
+fixed ones.  The classifier both count for is the float32 network: weights
+and inputs are rounded to float32 and every product, bias and activation
+runs in float32.  An input is classified
 correctly only when its label score is strictly above every other class
 score, so a tie counts as an error, and so does a NaN score, which scores
 that overflow the float32 range can give (inf - inf).  Certification only
@@ -290,12 +292,13 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
     return np.concatenate(chunks).astype(np.float32)
 
 
-def _unpack(spec: MlpSpec, flat: np.ndarray):
-    """(weight, bias) per affine layer of ``flat``, shaped (..., d_model)."""
+def _unpack(spec: MlpSpec, flat: np.ndarray, skip: int = 0):
+    """(weight, bias) per affine layer of ``flat``, shaped (..., d_model), or
+    per layer after the first ``skip`` when ``flat`` holds only their values."""
     lead = flat.shape[:-1]
     layers = []
     cursor = 0
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+    for fan_in, fan_out in list(zip(spec.widths[:-1], spec.widths[1:]))[skip:]:
         w = flat[..., cursor : cursor + fan_in * fan_out].reshape(lead + (fan_in, fan_out))
         cursor += fan_in * fan_out
         b = flat[..., cursor : cursor + fan_out]
@@ -328,12 +331,18 @@ def _float32_layers(spec: MlpSpec, thetas: np.ndarray):
     """(first, rest): the layers of the float32 ``thetas`` for ``_scores32``.
 
     ``first`` is the first layer as (k, out, in + 1), its bias the last
-    column; ``rest`` holds each later layer as (W^T (k, out, in), b (k, out, 1)).
+    column; ``rest`` holds each later layer as ``_later_layers`` does.
     """
     layers = _unpack(spec, thetas)
     (w, b), rest = layers[0], layers[1:]
     first = np.concatenate([w.swapaxes(1, 2), b[..., None]], axis=2)
-    return first, [(w.swapaxes(1, 2), b[..., None]) for w, b in rest]
+    return first, _later_layers(rest)
+
+
+def _later_layers(layers):
+    """Each (weight (k, in, out), bias (k, out)) layer as (W^T (k, out, in),
+    b (k, out, 1))."""
+    return [(w.swapaxes(1, 2), b[..., None]) for w, b in layers]
 
 
 def _float32_inputs(x: np.ndarray) -> np.ndarray:
@@ -348,12 +357,15 @@ def _float32_inputs(x: np.ndarray) -> np.ndarray:
 def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndarray:
     """Float32 class scores (k, classes, rows) of a block of draws.
 
-    The layers are those of ``_float32_layers`` and the inputs those of
-    ``_float32_inputs``, so the first layer of every draw is one matrix
-    product with the bias folded in.
+    The first layer of every draw is one matrix product, ``first`` (k, r, K)
+    as (k·r, K) times ``xa`` (K, cols), read as (k, hidden, rows): the
+    ``_float32_layers`` first layers (r = hidden) times the
+    ``_float32_inputs``, or the draws' basis coefficients (r = 1) times the
+    basis responses (L, hidden·rows) of ``coefficient_counts``.  ``rest``
+    holds the later layers as ``_later_layers`` gives them.
     """
-    k, out, _ = first.shape
-    h = (first.reshape(k * out, -1) @ xa).reshape(k, out, -1)
+    k = len(first)
+    h = (first.reshape(k * first.shape[1], -1) @ xa).reshape(k, spec.widths[1], -1)
     for w, b in rest:
         _activate(spec, h, out=h)
         h = w @ h
@@ -426,15 +438,53 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
             raise DomainError("thetas overflow the 32-bit float range")
         thetas = rounded
     _check_data(spec, data)
-    counts = np.zeros(len(thetas), dtype=np.int64)
-    if data.n == 0 or len(thetas) == 0:
-        return counts
     first, rest = _float32_layers(spec, thetas)
+    return _count_errors(spec, first, rest, data)
+
+
+def coefficient_counts(spec: MlpSpec, coeffs: np.ndarray, first_basis: np.ndarray,
+                       later: np.ndarray, data: LabeledSet) -> np.ndarray:
+    """``error_counts`` of k rows whose first layer is ``coeffs[i] @`` the L
+    first layers ``first_basis`` and whose later layers are ``later[i]``.
+
+    ``coeffs`` (k, L), ``first_basis`` (L·hidden, in + 1) in the ``[W^T |
+    b]`` layout of ``_float32_layers`` and ``later`` (k, d_model - (in +
+    1)·hidden) are float32.  Per row tile the L responses Z = ``first_basis
+    @ xa`` are formed once, and a draw's first-layer pre-activations are
+    ``coeffs[i] @ Z``; blocks, margins and counts are those of
+    ``error_counts``.  These pre-activations round differently from the
+    merged row's, so a margin within float32 rounding of zero can score
+    differently; and a one-draw block is a vector-matrix product, whose bits
+    can differ from a matrix product's on tiles of about 600 rows or more.
+    A label that is not a class of ``spec`` raises ``DomainError``, other
+    shapes ``StructureError``.
+    """
+    width, hidden = spec.widths[0] + 1, spec.widths[1]
+    if (coeffs.ndim != 2 or first_basis.shape != (coeffs.shape[1] * hidden, width)
+            or later.shape != (len(coeffs), spec.d_model - width * hidden)):
+        raise StructureError(
+            f"coefficients {coeffs.shape}, first-layer basis {first_basis.shape} and later "
+            f"layers {later.shape} do not fit a {spec.widths} network")
+    _check_data(spec, data)
+    return _count_errors(spec, coeffs[:, None], _later_layers(_unpack(spec, later, 1)), data,
+                         first_basis)
+
+
+def _count_errors(spec: MlpSpec, first, rest, data: LabeledSet, first_basis=None):
+    """The misclassified inputs of ``data`` under each of the k draws whose
+    layers ``_scores32`` reads from ``first`` (k, r, K) and ``rest``: the
+    first layer is ``first`` times the float32 inputs of each row tile, or,
+    given ``first_basis``, times that basis's responses to them."""
+    counts = np.zeros(len(first), dtype=np.int64)
+    if data.n == 0 or len(first) == 0:
+        return counts
     draws = _block_draws(data.n)
     with np.errstate(over="ignore", invalid="ignore"):
         for xa, index in zip(data._scoring_tiles, data._label_index(spec.widths[-1])):
             rows = xa.shape[1]
-            for lo in range(0, len(thetas), draws):
+            if first_basis is not None:
+                xa = (first_basis @ xa).reshape(first.shape[2], spec.widths[1] * rows)
+            for lo in range(0, len(first), draws):
                 block = slice(lo, lo + draws)
                 scores = _scores32(spec, first[block], [(w[block], b[block]) for w, b in rest], xa)
                 # a shorter last block of k draws uses the first k * rows positions
@@ -444,39 +494,42 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     return counts
 
 
-def _backprop(spec: MlpSpec, layers, x: np.ndarray, onehot: np.ndarray, grads):
-    """Softmax probabilities of M models; their mean cross-entropy gradient
+def _backprop(spec: MlpSpec, layers, weights_t, x: np.ndarray, onehot: np.ndarray, grads):
+    """Softmax denominators of M models; their mean cross-entropy gradient
     goes into ``grads``.
 
-    ``layers`` holds (weight (M, in, out), bias (M, 1, out)) per layer, ``x``
-    the batches (M, b, in) and ``onehot`` their one-hot labels (M, b,
-    classes).  The gradient is written into ``grads``, the caller's layer
-    views of an (M, d_model) float64 buffer, which is required.  Returns
-    only the probabilities (M, b, classes).  Every product is a stack of
-    2-D products, so each model's gradient has the bits of its own
-    out-of-place computation; subtracting a one-hot label leaves the other
-    scores exact.
+    ``layers`` holds (weight (M, in, out), bias (M, 1, out)) per layer,
+    ``weights_t`` each weight's (M, out, in) transposed view, ``x`` the
+    batches (M, b, in) and ``onehot`` their one-hot labels (M, b, classes).
+    The gradient is written into ``grads``, the caller's layer views of an
+    (M, d_model) float64 buffer, which is required.  Returns only the
+    denominators (M, b, 1) of the probabilities: a row with a finite largest
+    score has probabilities in [0, 1] and a denominator in [1, classes], any
+    other row is all NaN, so they are finite exactly when the probabilities,
+    and the loss, are.  Every product is a stack of 2-D products, so each
+    model's gradient has the bits of its own out-of-place computation;
+    subtracting a one-hot label leaves the other scores exact.
     """
     acts = [x]
     for w, b in layers[:-1]:
         acts.append(_activate(spec, acts[-1] @ w + b))
     w, b = layers[-1]
     scores = acts[-1] @ w + b
-    expo = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = expo / expo.sum(axis=-1, keepdims=True)
+    expo = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    denominators = np.add.reduce(expo, axis=-1, keepdims=True)
 
-    delta = (probs - onehot) / x.shape[1]
+    delta = (expo / denominators - onehot) / x.shape[1]
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
         np.matmul(acts[li].swapaxes(1, 2), delta, out=gw)
-        delta.sum(axis=1, keepdims=True, out=gb)
+        np.add.reduce(delta, axis=1, keepdims=True, out=gb)
         if li > 0:
-            delta = delta @ layers[li][0].swapaxes(1, 2)
+            delta = delta @ weights_t[li]
             if spec.activation == "tanh":
                 delta *= 1.0 - acts[li] ** 2
             elif spec.activation == "relu":
                 delta *= acts[li] > 0
-    return probs
+    return denominators
 
 
 def _layers(spec: MlpSpec, flat: np.ndarray):
@@ -548,6 +601,7 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
     onehot = np.stack([np.eye(spec.widths[-1])[data.labels] for data in sets])
     flat = np.repeat(init[None].astype(np.float64), count, axis=0)
     layers = _layers(spec, flat)
+    weights_t = [w.swapaxes(1, 2) for w, _ in layers]
     # every step writes its gradient into ``grad`` through its layer views
     grad = np.empty_like(flat)
     grads = [(w, b[:, None]) for w, b in _unpack(spec, grad)]
@@ -559,12 +613,11 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
             xs, ys = x[models, order], onehot[models, order]
             for lo in range(0, n, config.batch):
                 batch = slice(lo, lo + config.batch)
-                probs = _backprop(spec, layers, xs[:, batch], ys[:, batch], grads)
-                # the loss is finite exactly when the probabilities are: a
-                # row with a finite largest score has probabilities in [0, 1],
-                # any other row is all NaN
-                if not np.isfinite(probs).all():
-                    i = int(np.argmin(np.isfinite(probs).all(axis=(1, 2))))
+                denominators = _backprop(spec, layers, weights_t, xs[:, batch], ys[:, batch],
+                                         grads)
+                # finite exactly when the loss is (see ``_backprop``)
+                if not np.isfinite(denominators).all():
+                    i = int(np.argmin(np.isfinite(denominators).all(axis=(1, 2))))
                     raise TrainingDiverged(f"{names[i]}, epoch {epoch}: loss became nan")
                 grad *= config.lr
                 flat -= grad

@@ -215,9 +215,21 @@ class TestBatchedSearch:
         monkeypatch.setattr(posterior, "merged_values", counting_merge)
         monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
         config = CertifyConfig(mc_samples=4, cma=CmaConfig(max_evals=60, seed=1))
-        result = optimize(MergeScheme("layer_wise", pool), "train_risk", support, spec, config)
+        scheme = MergeScheme("layer_wise", pool)
+        result = optimize(scheme, "train_risk", support, spec, config)
         assert result.evals == 60
         assert len(merges) == 1 + len(asks) < result.evals
+        # 59 candidates after the start point: full generations of popsize,
+        # then the rest; c draws of L = 7 first-layer basis rows (the base,
+        # each member's first weight and bias block) on 8 + 1 input columns
+        # merge only their later layers, after the first layer's 9 * 8
+        # values, when 7 * 9 + 7c < 9c, else whole rows
+        popsize = cma.default_popsize(scheme.d_phi)
+        sizes = [1] + [popsize] * (59 // popsize) + [59 % popsize]
+        assert [args[1].shape for args in merges] == [(4 * m, scheme.d_phi) for m in sizes]
+        assert [args[2:] for args in merges] == [
+            (9 * 8,) if 7 * 9 + 7 * 4 * m < 9 * 4 * m else () for m in sizes]
+        assert merges[1][2:] == (9 * 8,) and merges[0][2:] == merges[-1][2:] == ()
 
 
     @pytest.mark.parametrize("bad", [-1e-3, math.nan])

@@ -22,10 +22,10 @@ from pacmerge import (
     TrainConfig,
 )
 from pacmerge.bounds import gaussian_kl
-from pacmerge.merging import KINDS
+from pacmerge.merging import KINDS, with_base
 from pacmerge.posterior import _SLICE_ROWS, slice_count
 from pacmerge.seeding import rng_for
-from pacmerge.toyzoo import _ROW_BUDGET
+from pacmerge.toyzoo import _ROW_BUDGET, coefficient_counts
 
 
 class TestSpecs:
@@ -81,9 +81,9 @@ class TestSample:
     def merged_phis(self, monkeypatch):
         calls = []
 
-        def capturing(scheme, phis):
+        def capturing(scheme, phis, *start):
             calls.append(phis.copy())
-            return merged_values(scheme, phis)
+            return merged_values(scheme, phis, *start)
 
         monkeypatch.setattr(posterior, "merged_values", capturing)
         return calls
@@ -193,6 +193,10 @@ class TestBatchedKernel:
         reference = sliced_risk(mean, variance, scheme, spec, data, k, 17)
         assert posterior_risk(mean, variance, scheme, spec, data, k, seed=17) == reference
 
+    # a call of c draws of L = 4 first-layer basis rows on 6 + 1 input
+    # columns merges only the later layers, after the first layer's 7 * 8
+    # values, when 4 * 7 + 4c < 7c (50 draws on one set), else whole rows
+    # (one draw, and one draw on each of 7 slices)
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 50), (_ROW_BUDGET + 1, 7)])
     def test_one_merge_per_estimate(self, toy_pool, monkeypatch, n, k):
         pool, spec, task = toy_pool
@@ -206,7 +210,10 @@ class TestBatchedKernel:
         monkeypatch.setattr(posterior, "merged_values", counting)
         mean, variance = np.full(3, 1 / 3), 0.5
         posterior_risk(mean, variance, scheme, spec, sample_set(task, n, 4), k, seed=17)
-        assert len(calls) == 1
+        c = -(-k // slice_count(n, k))
+        assert len(calls) == 1 and calls[0][1].shape == (k, 3)
+        assert calls[0][2:] == ((7 * 8,) if 4 * 7 + 4 * c < 7 * c else ())
+        assert (calls[0][2:] == (7 * 8,)) == (k == 50)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_merged_rows_equal_realize(self, toy_pool, kind):
@@ -376,7 +383,8 @@ class TestBatchedMeans:
 
         monkeypatch.setattr(posterior, "merged_values", counting)
         mc_risks(np.full((12, 3), 1 / 3), 0.3, scheme, spec, data, 6, seed=2)
-        assert len(calls) == 1 and calls[0][1].shape == (72, 3)
+        # the 72 draws' later layers, from the first layer's 7 * 8 values on
+        assert len(calls) == 1 and calls[0][1].shape == (72, 3) and calls[0][2:] == (7 * 8,)
 
     def test_arguments_checked(self, toy_world):
         scheme, spec, data = toy_world
@@ -416,14 +424,21 @@ class TestSlices:
 
     @pytest.fixture
     def scored(self, monkeypatch):
-        # the (rows, set size) of every ``error_counts`` call of ``mc_risks``
+        # the (rows, set size) of every error-count call of ``mc_risks``, on
+        # either first-layer path
         calls = []
 
         def recorded(spec, thetas, data, _original=posterior.error_counts):
             calls.append((len(thetas), data.n))
             return _original(spec, thetas, data)
 
+        def recorded_coefficients(spec, coeffs, first_basis, later, data,
+                                  _original=posterior.coefficient_counts):
+            calls.append((len(coeffs), data.n))
+            return _original(spec, coeffs, first_basis, later, data)
+
         monkeypatch.setattr(posterior, "error_counts", recorded)
+        monkeypatch.setattr(posterior, "coefficient_counts", recorded_coefficients)
         return calls
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -495,6 +510,159 @@ class TestSlices:
         for i in range(m):
             assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=5)[0]
         assert risks[0] == sliced_risk(means[0], 0.2, scheme, spec, data, k, 5)
+
+
+def coefficient_path_counts(scheme, spec, phis, data):
+    """The error counts of the merges at ``phis`` with their first layer
+    formed in coefficient space, whatever the cost rule would pick."""
+    rows, first_basis, _ = scheme.first_layer(spec)
+    start = (spec.widths[0] + 1) * spec.widths[1]
+    return coefficient_counts(spec, with_base(phis)[:, rows].astype(np.float32), first_basis,
+                              merged_values(scheme, phis, start), data)
+
+
+@pytest.fixture(scope="module")
+def five_member_pool():
+    """A pool of 5 members of the shipped (16, 32, 4) network, the shape of
+    the ``paper-table1-toy``, ``paper-gap-sweep`` and ``validity-trial``
+    worlds."""
+    spec = MlpSpec((16, 32, 4))
+    rng = np.random.default_rng(12)
+    deltas = [0.05 * rng.standard_normal(spec.d_model) for _ in range(5)]
+    pool = ModelPool(init_params(spec, 5), deltas, [f"m{i}" for i in range(5)],
+                     spec.layer_offsets())
+    return pool, spec, gen_tasks(6, 2, 16, 4, 0.8)[0]
+
+
+class TestCoefficientPath:
+    """The first layer formed as C @ (F @ x), against the merged rows'."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        # (path, draws, set size) of every error-count call of ``mc_risks``
+        calls = []
+
+        def merged(spec, thetas, data, _original=posterior.error_counts):
+            calls.append(("merged", len(thetas), data.n))
+            return _original(spec, thetas, data)
+
+        def coefficients(spec, coeffs, first_basis, later, data,
+                         _original=posterior.coefficient_counts):
+            calls.append(("coefficients", len(coeffs), data.n))
+            return _original(spec, coeffs, first_basis, later, data)
+
+        monkeypatch.setattr(posterior, "error_counts", merged)
+        monkeypatch.setattr(posterior, "coefficient_counts", coefficients)
+        return calls
+
+    # Both paths sum the same exact products in float32.  The merged rows
+    # round each merged weight once (u = 2^-24) and sum in + 1 products
+    # (gamma_{in+1}); the coefficient path rounds the basis and the
+    # coefficients (2u) and sums in + 1 products, then L.  With M = sum_l
+    # |c_l| sum_i |F_li| |x_i| (Higham, gamma_n = n u / (1 - n u)) the two
+    # differ by at most about (2 (in + 1) + L + 3) u M, 1.001 times that here.
+    # The pre-activations are read where each path activates them: 4 means x
+    # 10 draws in one ``mc_risks`` call, and their merged rows scored by
+    # ``error_counts``.
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pre_activations_within_float32_rounding(self, five_member_pool, monkeypatch,
+                                                     paths, kind):
+        pool, spec, task = five_member_pool
+        scheme = MergeScheme(kind, pool)
+        data = sample_set(task, 300, 2)
+        means = 1 / 5 + np.random.default_rng(4).standard_normal((4, scheme.d_phi))
+        activated = []
+
+        def recorded(spec, z, out=None, _original=toyzoo._activate):
+            activated.append(z.copy())
+            return _original(spec, z, out=out)
+
+        monkeypatch.setattr(toyzoo, "_activate", recorded)
+        mc_risks(means, 0.5, scheme, spec, data, 10, seed=4)
+        combined = np.concatenate(activated)
+        activated.clear()
+        phis = posterior._draws(means, 0.5, scheme, 10, 4)
+        error_counts(spec, merged_values(scheme, phis), data)
+        merged = np.concatenate(activated)
+        assert paths == [("coefficients", 40, 300)]
+        rows, _, _ = scheme.first_layer(spec)
+        width = spec.widths[0] + 1
+        first, _ = toyzoo._float32_layers(spec, scheme.basis[rows])
+        responses = np.abs(first.reshape(-1, width)) @ np.abs(toyzoo._float32_inputs(data.inputs))
+        size = (np.abs(with_base(phis)[:, rows]) @ responses.reshape(len(rows), -1)).reshape(
+            merged.shape)
+        bound = 1.001 * (2 * width + len(rows) + 3) * 2.0**-24 * size
+        assert combined.dtype == merged.dtype == np.float32
+        assert (np.abs(combined.astype(np.float64) - merged) <= bound).all()
+        assert not np.array_equal(combined, merged)  # the paths really differ
+
+    # the shapes and draws of the ``TestBatchedKernel`` and ``TestSlices``
+    # fixtures, each slice's draws counted both ways: (n, k, means, variance,
+    # seed)
+    @pytest.mark.parametrize("n,k,m,variance,seed", [
+        (120, 10, 1, 0.5, 17), (1100, 4, 1, 0.5, 17), (300, 7, 1, 0.5, 17),
+        (2 * _ROW_BUDGET + 3, 4, 1, 0.5, 17), (2 * _SLICE_ROWS - 1, 10, 5, 0.3, 9),
+        (2 * _SLICE_ROWS, 10, 1, 0.3, 9), (8000, 3, 1, 0.3, 9)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counts_equal_the_merged_rows(self, toy_pool, kind, n, k, m, variance, seed):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme(kind, pool)
+        data = sample_set(task, n, 4)
+        means = np.full((1, scheme.d_phi), 1 / 3) if m == 1 else (
+            1 / 3 + 0.4 * np.random.default_rng(2).standard_normal((m, scheme.d_phi)))
+        draws = posterior._draws(means, variance, scheme, k, seed)
+        s = slice_count(n, k)
+        for q, part in enumerate(data._slices(s)):
+            mine = draws[np.arange(len(draws)) % k % s == q]
+            expected = error_counts(spec, merged_values(scheme, mine), part)
+            assert coefficient_path_counts(scheme, spec, mine, part).tolist() == expected.tolist()
+
+    def test_the_cheaper_path_is_taken(self, five_member_pool, paths):
+        pool, spec, task = five_member_pool
+        scheme = MergeScheme("task_wise", pool)  # L = 6 first-layer basis rows
+        means = 0.2 + 0.1 * np.random.default_rng(3).standard_normal((8, 5))
+        # a gap-sweep generation at n = 4,000: 8 candidates x 10 draws on 10
+        # slices, 8 draws a call; 6 * 17 + 8 * 6 >= 8 * 17
+        mc_risks(means, 0.01, scheme, spec, sample_set(task, 4000, 1), 10, seed=3)
+        assert paths == [("merged", 8, 400)] * 10
+        paths.clear()
+        # a Table 1 generation at n = 100: 80 draws in one call
+        mc_risks(means, 0.01, scheme, spec, sample_set(task, 100, 1), 10, seed=3)
+        assert paths == [("coefficients", 80, 100)]
+        paths.clear()
+        # a validity grid fit: 41 points x 10 draws of task arithmetic, L = 2
+        grid = np.linspace(0.0, 2.0, 41)[:, None]
+        mc_risks(grid, 0.01, MergeScheme("task_arith", pool), spec, sample_set(task, 100, 1), 10,
+                 seed=3)
+        assert paths == [("coefficients", 410, 100)]
+
+    # a layer-wise coefficient scaled to 1e40 overflows float32 on member 0's
+    # first weight block (coefficient 0) or on its second (coefficient 2):
+    # the first is caught by the bound, which sends the call to the merged
+    # rows, the second by the later-layer merge; 80 draws take the
+    # coefficient path, one draw the merged rows
+    @pytest.mark.parametrize("coefficient,start", [(0, ()), (2, (17 * 32,))])
+    def test_overflow_raises_as_the_merged_rows_do(self, five_member_pool, paths, monkeypatch,
+                                                   coefficient, start):
+        pool, spec, task = five_member_pool
+        scheme = MergeScheme("layer_wise", pool)
+        data = sample_set(task, 100, 1)
+        merges = []
+
+        def counting(*args):
+            merges.append(args[2:])
+            return merged_values(*args)
+
+        monkeypatch.setattr(posterior, "merged_values", counting)
+        means = np.full((8, scheme.d_phi), 0.2)
+        means[3, coefficient] = 1e40
+        errors = []
+        for rows, k in ((means, 10), (means[3:4], 1)):
+            with pytest.raises(DomainError, match="32-bit") as raised:
+                mc_risks(rows, 1e-12, scheme, spec, data, k, seed=3)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] == "merge overflowed the 32-bit float range"
+        assert merges == [start, ()] and paths == []
 
 
 class TestNonFinite:

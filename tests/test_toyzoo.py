@@ -944,7 +944,8 @@ class TestTrainStack:
         x = np.stack([data.inputs for data in sets])
         onehot = np.stack([np.eye(3)[data.labels] for data in sets])
         grads = toyzoo._layers(spec, np.empty_like(flat))
-        toyzoo._backprop(spec, toyzoo._layers(spec, flat.copy()), x, onehot, grads)
+        layers = toyzoo._layers(spec, flat.copy())
+        toyzoo._backprop(spec, layers, [w.swapaxes(1, 2) for w, _ in layers], x, onehot, grads)
         for m, data in enumerate(sets):
             got = np.concatenate([g[m].ravel() for layer in grads for g in layer])
             _, expected = reference_loss_and_grad(spec, flat[m], data.inputs, data.labels)
