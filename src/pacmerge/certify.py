@@ -113,6 +113,9 @@ def optimize(
     float32 rounding of zero, and still no record reads it.
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
+    The search stops at ``config.cma.max_evals`` or, with ``stop ==
+    "stalled"``, once ``cma.stall_window(d_phi, popsize)`` generations in a
+    row find no value below its best (see ``cma.minimize``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise DomainError(f"unknown objective kind {objective_kind!r}")
@@ -202,8 +205,9 @@ def certify(
     ``(config.eval_seed, "certify-draw")``, which no search reads.
     Provenance records the search: its seeds, ``evals``, ``best_eval`` (the
     evaluation that found the mean), ``search_objective`` (the least
-    objective value, ``f_best``) and ``search_slices`` (the slices its
-    Monte-Carlo estimate scored, ``posterior.slice_count``).
+    objective value, ``f_best``), ``search_stop`` and ``search_sigma`` (why
+    it stopped and its final step size) and ``search_slices`` (the slices
+    its Monte-Carlo estimate scored, ``posterior.slice_count``).
     """
     result = optimize(scheme, objective_kind, support, model_spec, config, prior_mean)
     return certify_gaussian(
@@ -215,6 +219,8 @@ def certify(
             "evals": result.evals,
             "best_eval": result.best_eval,
             "search_objective": result.f_best,
+            "search_stop": result.stop,
+            "search_sigma": result.sigma,
             "posterior_variance": config.posterior_variance,
             "prior_variance": config.prior_variance,
             "mc_samples": config.mc_samples,
@@ -247,22 +253,26 @@ def certify_ddp(
 
     Half A fits the prior mean with the configured prior objective; half B
     both fits the posterior under the bound objective and computes the
-    certificate, with n = |B|.  Provenance adds the split and
-    ``ddp_prior_slices``, the slices of the prior search on half A.
+    certificate, with n = |B|.  Provenance adds the split and the prior
+    search on half A: ``ddp_prior_evals``, ``ddp_prior_stop``,
+    ``ddp_prior_sigma`` and ``ddp_prior_slices``.
     """
     half_a, half_b = split_support(support, ddp)
     prior_config = replace(
         config, cma=replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
     )
-    mu_p = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config).x_best
+    prior = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config)
     record = certify(scheme, "pac_bayes_upper", half_b, query, model_spec, config,
-                     task_id=task_id, prior_mean=mu_p, objective_label="ddp")
+                     task_id=task_id, prior_mean=prior.x_best, objective_label="ddp")
     record.provenance.update(
         {
             "ddp_split_fraction": ddp.split_fraction,
             "ddp_split_seed": ddp.split_seed,
             "ddp_prior_objective": ddp.prior_objective,
             "ddp_prior_n": half_a.n,
+            "ddp_prior_evals": prior.evals,
+            "ddp_prior_stop": prior.stop,
+            "ddp_prior_sigma": prior.sigma,
             "ddp_prior_slices": slice_count(half_a.n, config.mc_samples),
         }
     )

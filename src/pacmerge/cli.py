@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: ``certify`` (run a scenario end to end, the ``paper-gap-sweep``
-data-size sweep included, and summarize its bounds and, for validity runs,
-their violations), ``report`` (re-render a stored run record).
+data-size sweep included, and summarize its bounds, its searches' stops and
+evaluations and, for validity runs, their violations), ``report``
+(re-render a stored run record).
 Exit codes: 0 success, 2 configuration or file-format error, diverged
 training, a search whose objective left the finite range, or output that
 cannot be written (an ``--out`` that is a file, say).  Each exit 2 prints
@@ -42,6 +43,14 @@ def cmd_certify(args) -> int:
     bounds = sorted(r.pb_bound for r in records)
     print(f"vacuous: {sum(r.vacuous for r in records)}/{len(records)}; pb_bound min/median/max: "
           f"{bounds[0]:.4f}/{statistics.median(bounds):.4f}/{bounds[-1]:.4f}")
+    provenance = [r.provenance for r in records]
+    searches = ([(p["search_stop"], p["evals"]) for p in provenance if "search_stop" in p]
+                + [(p["ddp_prior_stop"], p["ddp_prior_evals"]) for p in provenance
+                   if "ddp_prior_stop" in p])
+    if searches:
+        stalled = sum(stop == "stalled" for stop, _ in searches)
+        print(f"searches: {stalled} stalled, {len(searches) - stalled} at budget; evaluations "
+              f"{sum(evals for _, evals in searches)}/{len(searches) * config['cma.max_evals']}")
     if config["kind"] == "validity":
         violations = sum(r.provenance["violation"] for r in records)
         slack = min(r.pb_bound - r.test_error for r in records)

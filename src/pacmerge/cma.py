@@ -10,6 +10,10 @@ point in the evaluation history are all explicit and testable.
 The λ candidates of a generation are sampled before any is ranked, so the
 objective scores a whole generation per call: a batched objective pays its
 per-call cost once per generation instead of once per candidate.
+
+A search ends at its evaluation budget or once ``stall_window(d, λ)``
+generations in a row bring no new best-ever value: Hansen's history length
+(arXiv:1604.00772, App. B), fixed by d and λ alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,12 @@ from .seeding import rng_for
 def default_popsize(dim: int) -> int:
     """4 + floor(3 ln d), never below 4."""
     return max(4, 4 + int(math.floor(3.0 * math.log(max(dim, 1)))))
+
+
+def stall_window(dim: int, popsize: int) -> int:
+    """W = 10 + ceil(30 d / lambda): the generations without a new best-ever
+    value after which ``minimize`` stops."""
+    return 10 + -(-30 * dim // popsize)
 
 
 @dataclass(frozen=True)
@@ -136,17 +146,20 @@ class CmaEs:
 
 @dataclass
 class CmaResult:
-    """The best point, its value, the evaluations spent, and the evaluation
-    index of the best point (0 for the start point)."""
+    """The best point, its value, the evaluations spent, the evaluation
+    index of the best point (0 for the start point), why the search stopped
+    (``"budget"`` or ``"stalled"``) and its final step size."""
 
     x_best: np.ndarray
     f_best: float
     evals: int
     best_eval: int
+    stop: str
+    sigma: float
 
 
 def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> CmaResult:
-    """Best-ever minimization of ``objective`` within ``config.max_evals`` evaluations.
+    """Best-ever minimization of ``objective`` until stalled or at ``max_evals``.
 
     ``objective`` maps an (m, d) array of candidates to their m values, and
     is called once for the start point and once per generation, on the
@@ -155,10 +168,13 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     initialization; ``best_eval`` is the first evaluation that reached
     ``f_best``.  Candidates within a generation are numbered, observed
     and reduced in index order.  ``callback(eval_index, x, f)`` observes
-    every evaluation.  The generation that spends the budget, whole or cut
-    short, is evaluated but not told: no later generation would read the
-    update.  A non-finite value raises OptError naming its evaluation; an
-    exhausted budget is not an error.
+    every evaluation.  The search stops with ``stop == "stalled"`` after the
+    generation that makes ``stall_window(d, popsize)`` generations in a row
+    without a value below the best-ever one, else with ``stop == "budget"``
+    after the generation that spends ``config.max_evals``, whole or cut
+    short.  The last generation is evaluated but not told: no later
+    generation would read the update.  A non-finite value raises OptError
+    naming its evaluation; neither stop is an error.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     popsize = config.popsize or default_popsize(x0.size)
@@ -179,13 +195,20 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     evals = 1
 
     es = CmaEs(x0, config.sigma0, popsize, config.seed)
+    window, stall, stop = stall_window(x0.size, popsize), 0, "budget"
     while evals < config.max_evals:
         xs = es.ask()[: config.max_evals - evals]
         fs = evaluate(evals, xs)
         gen_best = int(np.argmin(fs))
+        stall += 1
         if fs[gen_best] < best_f:
             best_f, best_x, best_eval = float(fs[gen_best]), xs[gen_best].copy(), evals + gen_best
+            stall = 0
         evals += len(xs)
+        if stall == window:
+            stop = "stalled"
+            break
         if evals < config.max_evals:
             es.tell(xs, fs)
-    return CmaResult(x_best=best_x, f_best=best_f, evals=evals, best_eval=best_eval)
+    return CmaResult(x_best=best_x, f_best=best_f, evals=evals, best_eval=best_eval,
+                     stop=stop, sigma=es.sigma)

@@ -596,10 +596,12 @@ def _ddp(config, spec, task, key, scheme, support, query, cfg):
 def _half_val(config, spec, task, key, scheme, support, query, cfg):
     """Fit on the first half of the support, a test-set bound on the rest."""
     half = support.n // 2
-    mu = optimize(scheme, "train_risk", support.subset(np.arange(half)), spec, cfg).x_best
-    yield certify_point(scheme, mu[None], support.subset(np.arange(half, support.n)), query,
-                        spec, cfg.delta, task.task_id, "half_val",
-                        {"train_half_n": half, "search_slices": slice_count(half, cfg.mc_samples)})
+    fit = optimize(scheme, "train_risk", support.subset(np.arange(half)), spec, cfg)
+    yield certify_point(scheme, fit.x_best[None], support.subset(np.arange(half, support.n)),
+                        query, spec, cfg.delta, task.task_id, "half_val",
+                        {"train_half_n": half, "evals": fit.evals, "search_stop": fit.stop,
+                         "search_sigma": fit.sigma,
+                         "search_slices": slice_count(half, cfg.mc_samples)})
 
 
 def _grid(config, spec, task, key, scheme, support, query, cfg):

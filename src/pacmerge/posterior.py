@@ -15,13 +15,13 @@ The standard-normal noise of ``(seed, k, dim)`` is drawn once and kept,
 read-only, in a small LRU cache, so with common random numbers every
 evaluation of one search, and every grid point of one fit, reuses it.
 
-``posterior_rows`` merges the k draws around each of m posterior means that
-share one variance in one ``merged_values`` call.  ``mc_risks`` estimates
-the risks of such means, the candidates of a CMA-ES generation or the
-points of a validity grid, from those m·k rows, scoring draw j on slice j
-mod s of a set of n rows, s = min(k, n // ``_SLICE_ROWS``) contiguous
-slices.  A mean then costs about max(n, k·``_SLICE_ROWS``) row evaluations
-instead of k·n, and every row is still read.  Each draw's slice risk is an
+``mc_risks`` estimates the risks of m posterior means that share one
+variance, the candidates of a CMA-ES generation or the points of a validity
+grid, from the m·k rows of their k draws each, merged in one
+``merged_values`` call, scoring draw j on slice j mod s of a set of n rows,
+s = min(k, n // ``_SLICE_ROWS``) contiguous slices.  A mean then costs
+about max(n, k·``_SLICE_ROWS``) row evaluations instead of k·n, and every
+row is still read.  Each draw's slice risk is an
 unbiased estimate of that draw's risk, so their mean still estimates the
 Gibbs risk; PAC-Bayes lets the posterior depend on the support in any way,
 and no certificate reads the estimate.  At s = 1 (n < 2·``_SLICE_ROWS``)
@@ -73,18 +73,10 @@ def _noise(seed: int, k: int, dim: int) -> np.ndarray:
     return eps
 
 
-def posterior_rows(
-    means: np.ndarray, variance: float, scheme: MergeScheme, k: int = 10, seed: int = 0
-) -> np.ndarray:
-    """Merged parameters (m·k, P) of ``k`` posterior draws around each row of
-    ``means`` (m, d): row i·k + j is mean i plus draw j of the noise
-    ``(seed, k, d)``, one ``merged_values`` call for all of them."""
-    return merged_values(scheme, _draws(means, variance, scheme, k, seed))
-
-
 def _draws(means, variance: float, scheme: MergeScheme, k: int, seed: int) -> np.ndarray:
-    """The coefficients (m·k, d) of ``posterior_rows``'s draws, after its
-    checks of the means, the variance and k."""
+    """The coefficients (m·k, d) of ``k`` posterior draws around each row of
+    ``means`` (m, d): row i·k + j is mean i plus draw j of the noise
+    ``(seed, k, d)``, after checks of the means, the variance and k."""
     means = np.asarray(means, dtype=np.float64)
     if not np.isfinite(means).all():
         raise DomainError("Gaussian mean must be finite")

@@ -307,6 +307,17 @@ class TestCertify:
         assert record.certified_gap == record.pb_bound - record.train_error
         assert record.test_error is not None
 
+    @pytest.mark.parametrize("max_evals,stop", [(40, "budget"), (500, "stalled")])
+    def test_record_states_why_the_search_stopped(self, world, max_evals, stop):
+        _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_arith", pool)
+        config = quick_config(2, max_evals)
+        result = optimize(scheme, "train_risk", support, spec, config)
+        record = certify(scheme, "train_risk", support, None, spec, config)
+        assert result.stop == stop and (result.evals < max_evals) == (stop == "stalled")
+        assert (record.provenance["evals"], record.provenance["search_stop"],
+                record.provenance["search_sigma"]) == (result.evals, stop, result.sigma)
+
     def test_cannot_lose_to_initialization(self, world):
         # the search, which the record's provenance states, not the draw
         _, pool, spec, support, query = world
@@ -394,7 +405,8 @@ class TestCertifyGaussian:
         result = optimize(scheme, objective_kind, support, spec, config, prior)
         provenance = {"cma_seed": config.cma.seed, "eval_seed": config.eval_seed,
                       "evals": result.evals, "best_eval": result.best_eval,
-                      "search_objective": result.f_best,
+                      "search_objective": result.f_best, "search_stop": result.stop,
+                      "search_sigma": result.sigma,
                       "posterior_variance": config.posterior_variance,
                       "prior_variance": config.prior_variance, "mc_samples": config.mc_samples,
                       "search_slices": 1}
@@ -511,6 +523,25 @@ class TestDdp:
         assert record.provenance["search_slices"] == 4
         record = certify(scheme, "train_risk", support, None, spec, config)
         assert record.provenance["search_slices"] == 6
+
+    def test_records_state_how_both_searches_stopped(self, world):
+        # task_arith (d = 1) stalls within 500 evaluations on either half
+        _, pool, spec, support, _ = world
+        scheme = MergeScheme("task_arith", pool)
+        ddp, config = DdpConfig(split_seed=4), quick_config(3, max_evals=500)
+        half_a, half_b = split_support(support, ddp)
+        prior_config = CertifyConfig(
+            cma=CmaConfig(max_evals=500, seed=derive_seed(3, "ddp-prior")), eval_seed=4)
+        prior = optimize(scheme, ddp.prior_objective, half_a, spec, prior_config)
+        search = optimize(scheme, "pac_bayes_upper", half_b, spec, config, prior.x_best)
+        record = certify_ddp(scheme, support, ddp, spec, config)
+        assert {key: record.provenance[key] for key in (
+            "ddp_prior_evals", "ddp_prior_stop", "ddp_prior_sigma",
+            "evals", "search_stop", "search_sigma")} == {
+            "ddp_prior_evals": prior.evals, "ddp_prior_stop": prior.stop,
+            "ddp_prior_sigma": prior.sigma, "evals": search.evals,
+            "search_stop": search.stop, "search_sigma": search.sigma}
+        assert "stalled" in (prior.stop, search.stop)
 
     def test_too_small_support_rejected(self, world):
         _, pool, spec, support, _ = world

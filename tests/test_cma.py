@@ -231,7 +231,10 @@ class TestOneSearchPath:
         assert len(asks) == -(-(max_evals - 1) // 6) and len(tells) == len(asks) - 1
         assert tells == [6] * len(tells) and asks == list(range(len(asks)))
 
-    @pytest.mark.parametrize("max_evals", [1, 2, 1 + 6 * 5, 1 + 6 * 5 + 3, 1 + 6 * 9 + 3])
+    # d = 1 stalls after 115 evaluations (W = 15) and d = 3 after 1,021
+    # (W = 25); d = 20 (W = 110) spends every budget here
+    @pytest.mark.parametrize("max_evals", [1, 2, 1 + 6 * 5, 1 + 6 * 5 + 3, 1 + 6 * 9 + 3,
+                                           115, 120, 1100])
     @pytest.mark.parametrize("d,seed", [(1, 0), (3, 5), (20, 11)])
     def test_equals_the_first_written_loop(self, max_evals, d, seed):
         def objective(xs):
@@ -244,9 +247,81 @@ class TestOneSearchPath:
                           callback=lambda i, x, f: seen.append((i, x.tobytes(), f)))
         best_x, best_f, evals = reference_minimize(
             objective, x0, config, lambda i, x, f: expected_seen.append((i, x.tobytes(), f)))
-        assert result.x_best.tobytes() == best_x.tobytes()
-        assert (result.f_best, result.evals) == (best_f, evals)
-        assert seen == expected_seen and len(seen) == max_evals
+        stalled_at = first_stall(expected_seen, 6, cma.stall_window(d, 6))
+        if stalled_at is None:
+            assert result.x_best.tobytes() == best_x.tobytes()
+            assert (result.f_best, result.evals) == (best_f, evals)
+            assert seen == expected_seen and len(seen) == max_evals
+            assert result.stop == "budget"
+        else:
+            # a stalled run is the first-written run cut after the stalling generation
+            prefix = expected_seen[:stalled_at]
+            values = [f for _, _, f in prefix]
+            best = values.index(min(values))
+            assert seen == prefix and result.evals == stalled_at <= max_evals
+            assert result.x_best.tobytes() == prefix[best][1]
+            assert (result.f_best, result.best_eval, result.stop) == (min(values), best, "stalled")
+        assert (stalled_at is not None) == (max_evals >= {1: 115, 3: 1021, 20: 10**9}[d])
+
+
+def first_stall(history, popsize, window):
+    """The evaluation count after the first generation of ``history`` (start
+    point first) that ends ``window`` generations in a row without a value
+    below the best-ever one, or None."""
+    best, stall = history[0][2], 0
+    for first in range(1, len(history), popsize):
+        values = [f for _, _, f in history[first : first + popsize]]
+        stall = 0 if min(values) < best else stall + 1
+        best = min(best, *values)
+        if stall == window:
+            return first + len(values)
+    return None
+
+
+class TestStallStop:
+    """A search ends once it goes ``stall_window(d, popsize)`` generations
+    without a new best-ever value."""
+
+    @pytest.mark.parametrize("d,popsize,window", [(1, 4, 18), (5, 8, 29), (20, 12, 60)])
+    def test_window(self, d, popsize, window):
+        assert default_popsize(d) == popsize
+        assert cma.stall_window(d, popsize) == window
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_constant_objective_stops_after_the_window(self, monkeypatch, d):
+        tells = []
+        tell = CmaEs.tell
+
+        def counting_tell(self, xs, fs):
+            tells.append(self.gen)
+            return tell(self, xs, fs)
+
+        monkeypatch.setattr(cma.CmaEs, "tell", counting_tell)
+        lam = default_popsize(d)
+        window = cma.stall_window(d, lam)
+        result = minimize(lambda xs: np.ones(len(xs)), np.zeros(d),
+                          CmaConfig(max_evals=10_000, seed=3))
+        assert (result.evals, result.stop, result.best_eval) == (1 + window * lam, "stalled", 0)
+        # every generation but the stalling one is told
+        assert tells == list(range(window - 1))
+        assert result.sigma > 0 and math.isfinite(result.sigma)
+
+    def test_improving_objective_spends_the_budget(self):
+        calls = []
+
+        def improving(xs):
+            # every value is below every value before it
+            first = sum(calls)
+            calls.append(len(xs))
+            return -np.arange(first, first + len(xs), dtype=np.float64)
+
+        result = minimize(improving, np.zeros(2), CmaConfig(max_evals=400, seed=1))
+        assert (result.evals, result.stop, result.best_eval) == (400, "budget", 399)
+
+    def test_budget_of_one_keeps_the_initial_step_size(self):
+        result = minimize(lambda xs: np.zeros(len(xs)), np.zeros(2),
+                          CmaConfig(sigma0=0.3, max_evals=1))
+        assert (result.stop, result.sigma) == ("budget", 0.3)
 
 
 class TestAskTell:

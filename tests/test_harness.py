@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pacmerge
 import pacmerge.harness as harness
 from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
-                      budget, sample_set, train_stack)
+                      budget, optimize, sample_set, train_stack)
 from pacmerge.cli import _EXIT_2, _config_from_args, main
 from pacmerge.harness import (
     SCENARIOS,
@@ -294,17 +294,17 @@ PIN_SIZES = {
 PINNED_CSV = [
     ("smoke", {"merge.kind": "all"},
      "d6df3be8530e446c41f4b122f10ea6606f49ffc3bc62e4adcc91977083c6370f",
-     "9d07a59aceae04552d5a35960e4c5920494d151720bcbcbd040485d08a587fbe"),
+     "28350f2b793c39fadc75baa588de0ca06ea707a82f5191cdcaabf2a257bfeff9"),
     ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
      "9961f7e732fdb4294dc3cf0281fdbb017dff6a5f361a1d4aea6477bb0fe09404",
-     "4effffb7722a40938382dc73f6ab9875739e5f6b985e764055b4ce5eaf4c9336"),
+     "231ab242373d2ab206b6268c0fb69328f075d0df57d682192cad550adee403ad"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
      "d6a7c85de3ff7cdae559e2ffb7b66c6fa39d041063395b7d8885d132158480a8",
-     "62ea6f5b4c4b63e580c9bbdb3cc732ad944459929af18e827b22959c60e4df99"),
+     "d3e03b908cb23e3302cee3aec2c428ce3051188c8620a796c2579abac5020f88"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
                                           "discrete.grid_sizes": "20,40"}),
      "ab8467c83db534b46987762b0c1d3520f2243e7341b5cc4548c4b552815eb976",
-     "b3b28ee36e4687891b3049a05d8e3db831db548d23160b2d10443e903b6f5ae4"),
+     "4c5a641b955460f97bf793adb9418cd8ab8f602ed7dc0b2f34172df513418f20"),
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
      "bab49ad0c900f1657ee5e21c523a5287283dd8bbaf8c8433df09bdc0a76832e9",
@@ -313,15 +313,15 @@ PINNED_CSV = [
     ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                      "cma.max_evals": 60}),
      "29607f1dcca5fff4305d978ccd7cb48a08c1edc2fa82fcc0108e19b4012952a7",
-     "fb2c1791290548b979848a2c7c90162e53a9473d51dad153b8413564a7219d5b"),
+     "61065f8f6763d7d2fc2b11f65f87cc100690f49aaad16b2765d27ea5078c5264"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
                                            "cma.max_evals": 30}),
      "9bec2e06e520dba5de51dd4c86c9aad9550a8ba29c4aaba8e54014764580a45c",
-     "438830f45ee07c3bc7c1feadb3f110afbd5ca4b84ce99cd877a346fc27df6257"),
+     "9a06f41e4b1c0a6043ee48b38b5a581dc2abaa29349403115f1cad80106858ef"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                           "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
      "fe738b1c65601af4085e425f7801c2298a22a812315c246243a78fabe74b37ec",
-     "d105135dcdc6ad4a3e7828343abefc1cd75db93cb16610aa9d0051363740ab5e"),
+     "5558da505a572763b7326995ab275e5d607c8bdb752e77e8e3d2985d0df0bde8"),
 ]
 
 
@@ -519,6 +519,26 @@ def test_plan_record_order(scenario, overrides, expected):
     assert [(r.scheme, r.objective, r.n) for r in record.records] == expected
 
 
+def test_half_val_records_state_their_search(monkeypatch):
+    # the only search the runner calls itself is the half-val fit; task_arith
+    # (d = 1) stalls within 300 evaluations on some support
+    fits = []
+
+    def recorded(*args):
+        fits.append(optimize(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(harness, "optimize", recorded)
+    config = make_config("paper-gap-sweep", dict(TINY, **{"merge.kind": "task_arith",
+                                                          "cma.max_evals": 300}))
+    half_val = [r for r in run(config).records if r.objective == "half_val"]
+    assert len(half_val) == len(fits) == 2
+    for record, fit in zip(half_val, fits):
+        assert {key: record.provenance[key] for key in ("evals", "search_stop", "search_sigma")} \
+            == {"evals": fit.evals, "search_stop": fit.stop, "search_sigma": fit.sigma}
+    assert "stalled" in {fit.stop for fit in fits}
+
+
 def test_discrete_gaussian_record_is_the_table_method():
     # paper-discrete's Gaussian record is the pac_bayes_upper method, on its
     # seed key (index, scheme, "pac_bayes_upper"), so it equals table's
@@ -711,10 +731,33 @@ class TestCli:
         assert lines[1] == (f"vacuous: {sum(r.vacuous for r in records)}/{len(records)}; "
                             f"pb_bound min/median/max: {bounds[0]:.4f}/"
                             f"{np.median(bounds):.4f}/{bounds[-1]:.4f}")
+        # validity runs make no search; smoke's two searches spend their budget
         if scenario == "validity-trial":
             assert len(lines) == 3 and lines[2].startswith("violations: ")
         else:
-            assert len(lines) == 2
+            assert lines[2:] == ["searches: 0 stalled, 2 at budget; evaluations 24/24"]
+
+    def test_certify_prints_search_stops_and_evaluations(self, tmp_path, capsys):
+        # at 300 evaluations the sweep's searches, DDP prior searches included,
+        # end both ways
+        cfg_file = tmp_path / "sweep.cfg"
+        sizes = dict(TINY, **{"cma.max_evals": 300})
+        cfg_file.write_text("scenario = paper-gap-sweep\n"
+                            + "".join(f"{k} = {v}\n" for k, v in sizes.items()))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = load_config_file(cfg_file)
+        records = load_record(out / f"paper-gap-sweep-{cfg.hash}.json").records
+        searches = [(r.provenance["search_stop"], r.provenance["evals"]) for r in records]
+        searches += [(r.provenance["ddp_prior_stop"], r.provenance["ddp_prior_evals"])
+                     for r in records if r.objective == "ddp"]
+        stalled = [evals for stop, evals in searches if stop == "stalled"]
+        budget = [evals for stop, evals in searches if stop == "budget"]
+        assert len(searches) == 8 and stalled and budget
+        assert set(budget) == {300} and max(stalled) < 300
+        assert capsys.readouterr().out.splitlines()[2] == (
+            f"searches: {len(stalled)} stalled, {len(budget)} at budget; "
+            f"evaluations {sum(stalled) + 300 * len(budget)}/2400")
 
     @pytest.mark.parametrize("field,value", [
         ("pb_bound", 0.01), ("train_error", -0.5), ("upper_bound", math.nan), ("task_id", 7),

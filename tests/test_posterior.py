@@ -46,6 +46,12 @@ def draws_of(mean, variance, seed, k):
     return mean + np.sqrt(variance) * posterior._noise(seed, k, len(mean))
 
 
+def posterior_rows(means, variance, scheme, k, seed):
+    """The merged rows (m·k, P) ``mc_risks`` scores for the means (m, d): row
+    i·k + j is mean i plus draw j, merged in one call."""
+    return merged_values(scheme, posterior._draws(means, variance, scheme, k, seed))
+
+
 def posterior_risk(mean, variance, scheme, model_spec, data, k, seed):
     """The Monte-Carlo risk of one posterior: a one-row ``mc_risks`` call."""
     return float(mc_risks(mean[None], variance, scheme, model_spec, data, k, seed)[0])
@@ -406,7 +412,7 @@ class TestBatchedMeans:
     def test_posterior_rows_are_the_merged_draws(self, toy_world):
         scheme, spec, _ = toy_world
         means = 1 / 3 + 0.2 * np.random.default_rng(3).standard_normal((4, 3))
-        rows = posterior.posterior_rows(means, 0.2, scheme, 5, seed=8)
+        rows = posterior_rows(means, 0.2, scheme, 5, seed=8)
         assert rows.shape == (20, spec.d_model) and rows.dtype == np.float32
         for i, mean in enumerate(means):
             for j, phi in enumerate(draws_of(mean, 0.2, 8, 5)):
@@ -449,7 +455,7 @@ class TestSlices:
         data = sample_set(task, n, 4)
         means = 1 / 3 + 0.4 * np.random.default_rng(2).standard_normal((5, scheme.d_phi))
         risks = mc_risks(means, 0.3, scheme, spec, data, k, seed=9)
-        rows = posterior.posterior_rows(means, 0.3, scheme, k, seed=9)
+        rows = posterior_rows(means, 0.3, scheme, k, seed=9)
         whole = np.add.reduce((error_counts(spec, rows, data) / n).reshape(-1, k), axis=1) / k
         assert slice_count(n, k) == 1 and scored == [(5 * k, n)]
         assert risks.tobytes() == whole.tobytes()
