@@ -114,8 +114,8 @@ def optimize(
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     The search stops at ``config.cma.max_evals`` or, with ``stop ==
-    "stalled"``, once ``cma.stall_window(d_phi, popsize)`` generations in a
-    row find no value below its best (see ``cma.minimize``).
+    "stalled"``, once ``cma.stall_window(d_phi, cma.default_popsize(d_phi))``
+    generations in a row find no value below its best (see ``cma.minimize``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise DomainError(f"unknown objective kind {objective_kind!r}")

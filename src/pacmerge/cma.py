@@ -40,16 +40,13 @@ def stall_window(dim: int, popsize: int) -> int:
 
 @dataclass(frozen=True)
 class CmaConfig:
-    """Search settings; ``popsize`` 0, the default, means ``default_popsize(d)``."""
+    """Search settings; the population is always ``default_popsize(d)``."""
 
-    popsize: int = 0
     sigma0: float = 1.0
     max_evals: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        if self.popsize != 0 and self.popsize < 4:
-            raise DomainError(f"popsize must be 0 (the default rule) or >= 4, got {self.popsize}")
         if not self.sigma0 > 0:
             raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
         if self.max_evals < 1:
@@ -168,8 +165,9 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     initialization; ``best_eval`` is the first evaluation that reached
     ``f_best``.  Candidates within a generation are numbered, observed
     and reduced in index order.  ``callback(eval_index, x, f)`` observes
-    every evaluation.  The search stops with ``stop == "stalled"`` after the
-    generation that makes ``stall_window(d, popsize)`` generations in a row
+    every evaluation.  Each generation has λ = ``default_popsize(d)``
+    candidates.  The search stops with ``stop == "stalled"`` after the
+    generation that makes ``stall_window(d, λ)`` generations in a row
     without a value below the best-ever one, else with ``stop == "budget"``
     after the generation that spends ``config.max_evals``, whole or cut
     short.  The last generation is evaluated but not told: no later
@@ -177,7 +175,7 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     naming its evaluation; neither stop is an error.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    popsize = config.popsize or default_popsize(x0.size)
+    popsize = default_popsize(x0.size)
 
     def evaluate(first: int, xs: np.ndarray) -> np.ndarray:
         fs = np.asarray(objective(xs), dtype=np.float64).reshape(-1)

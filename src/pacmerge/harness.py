@@ -141,10 +141,6 @@ def _int_list(lo, ascending=False):
     return parse
 
 
-def _popsize(value):
-    return CmaConfig(popsize=_int(value)).popsize  # CmaConfig's DomainError is a ValueError
-
-
 _SCHEMA: dict[str, tuple] = {
     # key: (parser, default)
     "scenario": (str, "custom"),
@@ -156,7 +152,6 @@ _SCHEMA: dict[str, tuple] = {
     "tasks.relatedness": (_bounded_float(0.0, 1.0), 0.8),
     "tasks.noise_scale": (_bounded_float(0.0, 1e9, lo_open=True), 2.0),
     "model.hidden": (_positive_int, 32),
-    "model.activation": (_choice(("tanh", "relu", "identity")), "tanh"),
     "pool.base_n": (_positive_int, 200),
     "pool.base_epochs": (_int_at_least(0), 30),
     "pool.base_lr": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
@@ -173,7 +168,6 @@ _SCHEMA: dict[str, tuple] = {
     "posterior.mc_samples": (_positive_int, 10),
     "prior.variance": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
     "bound.delta": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.05),
-    "cma.popsize": (_popsize, 0),  # 0 -> 4 + floor(3 ln d)
     "cma.sigma0": (_bounded_float(0.0, 1e9, lo_open=True), 1.0),
     "cma.max_evals": (_positive_int, 2000),
     "ddp.split": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.5),
@@ -383,10 +377,8 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         config["tasks.relatedness"],
         config["tasks.noise_scale"],
     )
-    spec = MlpSpec(
-        (config["tasks.input_dim"], config["model.hidden"], config["tasks.class_count"]),
-        config["model.activation"],
-    )
+    spec = MlpSpec((config["tasks.input_dim"], config["model.hidden"],
+                    config["tasks.class_count"]))
 
     task_ids, offsets = [task.task_id for task in tasks], spec.layer_offsets()
     cache = None if cache_dir is None else Path(cache_dir) / f"{config.pool_hash}.npz"
@@ -455,7 +447,6 @@ def _certify_config(config, *key) -> CertifyConfig:
         mc_samples=config["posterior.mc_samples"],
         delta=config["bound.delta"],
         cma=CmaConfig(
-            popsize=config["cma.popsize"],
             sigma0=config["cma.sigma0"],
             max_evals=config["cma.max_evals"],
             seed=derive_seed(config["seed"], "cma", *key),

@@ -6,7 +6,7 @@ genuinely help a held-out task when merged.  Sets come from one tiled
 sampler, ``sample_tiles``: its tiles hold ``_ROW_BUDGET`` rows and start at
 multiples of it, the row tiles ``error_counts`` scores a large set in, so a
 set too large to hold can be scored tile by tile with the whole set's
-counts.  ``sample_set`` joins the tiles.  The classifier is a plain MLP
+counts.  ``sample_set`` joins the tiles.  The classifier is a tanh MLP
 trained with mini-batch SGD on softmax cross-entropy; certification only ever
 sees its 0-1 loss.
 
@@ -43,8 +43,6 @@ import numpy as np
 
 from .errors import DomainError, StructureError, TrainingDiverged
 from .seeding import rng_for
-
-_ACTIVATIONS = ("tanh", "relu", "identity")
 
 # (draw, input) rows per scored block in ``error_counts``, and rows per
 # ``sample_tiles`` tile.  It counts rows, not bytes, so a block's working set
@@ -181,20 +179,18 @@ class LabeledSet:
 class MlpSpec:
     """Architecture of the toy classifier.
 
-    ``widths`` runs input -> hidden... -> classes.  Each affine layer
-    contributes two parameter blocks (weight, bias), so a one-hidden-layer
-    network exposes four blocks to layer-wise merging.
+    ``widths`` runs input -> hidden... -> classes; every hidden layer is
+    tanh.  Each affine layer contributes two parameter blocks (weight,
+    bias), so a one-hidden-layer network exposes four blocks to layer-wise
+    merging.
     """
 
     widths: tuple[int, ...]
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
             raise DomainError(f"invalid widths {self.widths}")
-        if self.activation not in _ACTIVATIONS:
-            raise DomainError(f"unknown activation {self.activation!r}")
 
     @property
     def d_model(self) -> int:
@@ -319,14 +315,6 @@ def _check_data(spec: MlpSpec, data: LabeledSet) -> None:
         )
 
 
-def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if spec.activation == "tanh":
-        return np.tanh(z, out=out)
-    if spec.activation == "relu":
-        return np.maximum(z, 0.0, out=out)
-    return z
-
-
 def _float32_layers(spec: MlpSpec, thetas: np.ndarray):
     """(first, rest): the layers of the float32 ``thetas`` for ``_scores32``.
 
@@ -367,7 +355,7 @@ def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndar
     k = len(first)
     h = (first.reshape(k * first.shape[1], -1) @ xa).reshape(k, spec.widths[1], -1)
     for w, b in rest:
-        _activate(spec, h, out=h)
+        np.tanh(h, out=h)
         h = w @ h
         h += b
     return h
@@ -494,7 +482,7 @@ def _count_errors(spec: MlpSpec, first, rest, data: LabeledSet, first_basis=None
     return counts
 
 
-def _backprop(spec: MlpSpec, layers, weights_t, x: np.ndarray, onehot: np.ndarray, grads):
+def _backprop(layers, weights_t, x: np.ndarray, onehot: np.ndarray, grads):
     """Softmax denominators of M models; their mean cross-entropy gradient
     goes into ``grads``.
 
@@ -512,7 +500,7 @@ def _backprop(spec: MlpSpec, layers, weights_t, x: np.ndarray, onehot: np.ndarra
     """
     acts = [x]
     for w, b in layers[:-1]:
-        acts.append(_activate(spec, acts[-1] @ w + b))
+        acts.append(np.tanh(acts[-1] @ w + b))
     w, b = layers[-1]
     scores = acts[-1] @ w + b
     expo = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
@@ -525,10 +513,7 @@ def _backprop(spec: MlpSpec, layers, weights_t, x: np.ndarray, onehot: np.ndarra
         np.add.reduce(delta, axis=1, keepdims=True, out=gb)
         if li > 0:
             delta = delta @ weights_t[li]
-            if spec.activation == "tanh":
-                delta *= 1.0 - acts[li] ** 2
-            elif spec.activation == "relu":
-                delta *= acts[li] > 0
+            delta *= 1.0 - acts[li] ** 2
     return denominators
 
 
@@ -604,7 +589,7 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
     weights_t = [w.swapaxes(1, 2) for w, _ in layers]
     # every step writes its gradient into ``grad`` through its layer views
     grad = np.empty_like(flat)
-    grads = [(w, b[:, None]) for w, b in _unpack(spec, grad)]
+    grads = _layers(spec, grad)
     models = np.arange(count)[:, None]
     n = sets[0].n
     with np.errstate(over="ignore", invalid="ignore"):
@@ -613,8 +598,7 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
             xs, ys = x[models, order], onehot[models, order]
             for lo in range(0, n, config.batch):
                 batch = slice(lo, lo + config.batch)
-                denominators = _backprop(spec, layers, weights_t, xs[:, batch], ys[:, batch],
-                                         grads)
+                denominators = _backprop(layers, weights_t, xs[:, batch], ys[:, batch], grads)
                 # finite exactly when the loss is (see ``_backprop``)
                 if not np.isfinite(denominators).all():
                     i = int(np.argmin(np.isfinite(denominators).all(axis=(1, 2))))

@@ -22,9 +22,6 @@ class TestConfig:
         assert default_popsize(196) == 4 + int(np.floor(3 * np.log(196)))
 
     def test_validation(self):
-        for popsize in (1, 3, -1):
-            with pytest.raises(DomainError, match="popsize"):
-                CmaConfig(popsize=popsize)
         with pytest.raises(DomainError):
             CmaConfig(sigma0=0.0)
         with pytest.raises(DomainError):
@@ -32,19 +29,6 @@ class TestConfig:
 
 
 class TestMinimize:
-    @pytest.mark.parametrize("d", [1, 5, 20])
-    def test_popsize_zero_is_the_default_rule(self, d):
-        def evaluations(popsize):
-            seen = []
-            minimize(lambda xs: np.sum(xs**2, axis=1), np.ones(d),
-                     CmaConfig(popsize=popsize, max_evals=60, seed=2),
-                     callback=lambda i, x, f: seen.append((i, x.tobytes(), f)))
-            return seen
-
-        assert CmaConfig().popsize == 0
-        assert evaluations(0) == evaluations(default_popsize(d))
-        assert evaluations(0) != evaluations(default_popsize(d) + 1)
-
     def test_quadratic_1d(self):
         result = minimize(
             lambda xs: (xs[:, 0] - 3.0) ** 2,
@@ -145,8 +129,8 @@ class TestBatchedObjective:
             sizes.append(len(xs))
             return np.sum(xs**2, axis=1)
 
-        # popsize 6: 1 + 6 * 8 + 3 evaluations leave a partial final generation
-        minimize(sphere, np.ones(2), CmaConfig(popsize=6, max_evals=52, seed=4))
+        # d = 2, so popsize 6: 1 + 6 * 8 + 3 evaluations leave a partial final generation
+        minimize(sphere, np.ones(2), CmaConfig(max_evals=52, seed=4))
         assert len(sizes) == 1 + len(asks) == 10
         assert sizes == [1] + [6] * 8 + [3]
 
@@ -169,7 +153,7 @@ class TestBatchedObjective:
             return values
 
         with pytest.raises(OptError, match="at evaluation 4$"):
-            minimize(objective, np.zeros(2), CmaConfig(popsize=8, max_evals=20, seed=0),
+            minimize(objective, np.zeros(2), CmaConfig(max_evals=20, seed=0),
                      callback=lambda i, x, f: seen.append(i))
         assert seen == [0, 1, 2, 3]
 
@@ -183,7 +167,7 @@ def reference_minimize(objective, x0, config, callback):
     told, one the budget cuts short only if at least ``mu`` candidates are
     left, the last generation included."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    es = CmaEs(x0, config.sigma0, config.popsize or default_popsize(x0.size), config.seed)
+    es = CmaEs(x0, config.sigma0, default_popsize(x0.size), config.seed)
     best_x, best_f = x0.copy(), float(objective(x0[None])[0])
     callback(0, x0, best_f)
     evals = 1
@@ -208,8 +192,9 @@ def reference_minimize(objective, x0, config, callback):
 class TestOneSearchPath:
     """Every generation but the last is told; the last is only evaluated."""
 
-    # popsize 6: 1 + 6k evaluations end on a whole generation, 1 + 6k + 3 on
-    # one cut to mu = 3 candidates, which the first-written loop still told
+    # d = 2, so popsize 6: 1 + 6k evaluations end on a whole generation, 1 +
+    # 6k + 3 on one cut to mu = 3 candidates, which the first-written loop
+    # still told
     @pytest.mark.parametrize("max_evals", [1 + 6 * 5, 1 + 6 * 5 + 3, 1 + 6 * 9, 1 + 6 * 9 + 3])
     def test_tell_once_per_generation_that_another_follows(self, monkeypatch, max_evals):
         asks, tells = [], []
@@ -225,29 +210,32 @@ class TestOneSearchPath:
 
         monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
         monkeypatch.setattr(cma.CmaEs, "tell", counting_tell)
-        result = minimize(lambda xs: np.sum(xs**2, axis=1), np.ones(3),
-                          CmaConfig(popsize=6, max_evals=max_evals, seed=5))
+        result = minimize(lambda xs: np.sum(xs**2, axis=1), np.ones(2),
+                          CmaConfig(max_evals=max_evals, seed=5))
         assert result.evals == max_evals
         assert len(asks) == -(-(max_evals - 1) // 6) and len(tells) == len(asks) - 1
         assert tells == [6] * len(tells) and asks == list(range(len(asks)))
 
-    # d = 1 stalls after 115 evaluations (W = 15) and d = 3 after 1,021
-    # (W = 25); d = 20 (W = 110) spends every budget here
-    @pytest.mark.parametrize("max_evals", [1, 2, 1 + 6 * 5, 1 + 6 * 5 + 3, 1 + 6 * 9 + 3,
-                                           115, 120, 1100])
+    # d = 1 stalls after 97 evaluations (popsize 4, W = 18) and d = 3 after
+    # 1,219 (popsize 7, W = 23); d = 20 (popsize 12, W = 60) spends every
+    # budget here.  2 to 58 evaluations end on a cut generation at every d,
+    # of at least mu candidates (31 at d = 1, 34 at d = 3) or of fewer (58);
+    # 120 and 1,100 end on a whole generation at d = 3
+    @pytest.mark.parametrize("max_evals", [1, 2, 31, 34, 58, 115, 120, 1100])
     @pytest.mark.parametrize("d,seed", [(1, 0), (3, 5), (20, 11)])
     def test_equals_the_first_written_loop(self, max_evals, d, seed):
         def objective(xs):
             return np.sum((xs - 0.4) ** 2, axis=1) + np.sin(5 * xs).sum(axis=1)
 
-        config = CmaConfig(popsize=6, sigma0=0.7, max_evals=max_evals, seed=seed)
+        config = CmaConfig(sigma0=0.7, max_evals=max_evals, seed=seed)
         x0 = np.linspace(-1.0, 1.0, d)
         seen, expected_seen = [], []
         result = minimize(objective, x0, config,
                           callback=lambda i, x, f: seen.append((i, x.tobytes(), f)))
         best_x, best_f, evals = reference_minimize(
             objective, x0, config, lambda i, x, f: expected_seen.append((i, x.tobytes(), f)))
-        stalled_at = first_stall(expected_seen, 6, cma.stall_window(d, 6))
+        lam = default_popsize(d)
+        stalled_at = first_stall(expected_seen, lam, cma.stall_window(d, lam))
         if stalled_at is None:
             assert result.x_best.tobytes() == best_x.tobytes()
             assert (result.f_best, result.evals) == (best_f, evals)
@@ -261,7 +249,7 @@ class TestOneSearchPath:
             assert seen == prefix and result.evals == stalled_at <= max_evals
             assert result.x_best.tobytes() == prefix[best][1]
             assert (result.f_best, result.best_eval, result.stop) == (min(values), best, "stalled")
-        assert (stalled_at is not None) == (max_evals >= {1: 115, 3: 1021, 20: 10**9}[d])
+        assert (stalled_at is not None) == (max_evals >= {1: 97, 3: 1219, 20: 10**9}[d])
 
 
 def first_stall(history, popsize, window):

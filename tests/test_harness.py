@@ -67,12 +67,19 @@ class TestConfig:
             make_config(None, {"bound.delta": "1.5"})
         assert err.value.path == "bound.delta"
 
+    # keys that no longer exist: the classifier is tanh only, and the search
+    # population is always 4 + floor(3 ln d)
+    @pytest.mark.parametrize("key,value", [("model.activation", "tanh"), ("cma.popsize", 0)])
+    def test_removed_key_names_path(self, key, value):
+        with pytest.raises(ConfigError, match="unknown configuration key") as err:
+            make_config(None, {key: value})
+        assert err.value.path == key
+
     @pytest.mark.parametrize("key,value", [
-        ("cma.popsize", 1), ("cma.popsize", 2), ("cma.popsize", 3), ("cma.popsize", -1),
         ("pool.base_epochs", -1), ("pool.ft_epochs", -3),
         # a bool or a fractional number is not an integer, though int() takes it
         ("cma.max_evals", 2.9), ("validity.trials", 1.5), ("sweep.n_list", [100.7, 200]),
-        ("certify.targets", True), ("cma.popsize", np.float64(4.5)), ("seed", np.bool_(True)),
+        ("certify.targets", True), ("seed", np.bool_(True)),
         ("cma.max_evals", float("inf")), ("cma.max_evals", float("nan")),
         ("cma.max_evals", np.float64("inf")),
     ])
@@ -119,8 +126,6 @@ class TestConfig:
         assert make_config(None, {"kind": "ddp", "certify.n": 4})["certify.n"] == 4
 
     def test_boundary_search_and_training_values_accepted(self):
-        for popsize in (0, 4):
-            assert make_config(None, {"cma.popsize": popsize})["cma.popsize"] == popsize
         for value in ("12", 12, np.int64(12), np.int32(12), 12.0):
             cfg = make_config(None, {"cma.max_evals": value, "sweep.n_list": [value, "20"]})
             assert (cfg["cma.max_evals"], cfg["sweep.n_list"]) == (12, [12, 20])
@@ -154,8 +159,8 @@ class TestConfig:
 
     # the pool cache's file name; a changed hash orphans every cached pool.
     # Each case is named by its scenario alone, so a new hash renames no test.
-    POOL_HASHES = {"smoke": "4c1ebd87da73916d", "validity-trial": "5286003d4665f961",
-                   "paper-table1-toy": "994e381055591b8f"}
+    POOL_HASHES = {"smoke": "70d026657cc13435", "validity-trial": "cfce5c1e1f3f2552",
+                   "paper-table1-toy": "0ca5c29cad99b845"}
 
     @pytest.mark.parametrize("scenario", POOL_HASHES)
     def test_pool_hash_pinned(self, scenario):
@@ -277,9 +282,14 @@ TINY = {
     "sweep.n_list": "20,40", "discrete.grid_sizes": "3,5",
     "validity.trials": 3, "validity.population": 500, "validity.grid": 5,
 }
-# smoke with a base model that overflows within its first epochs
-DIVERGING = ("scenario = smoke\nmodel.activation = identity\npool.base_lr = 1000\n"
-             "tasks.noise_scale = 1000\n")
+
+
+@pytest.fixture
+def diverging_training(monkeypatch):
+    """Pool training at a learning rate of 1e308, above any ``pool.*_lr``, so
+    the base model's weights overflow and its loss is nan in epoch 1."""
+    monkeypatch.setattr(harness, "TrainConfig",
+                        lambda lr, epochs, batch: TrainConfig(1e308, epochs, batch))
 
 
 # The behaviour contract: per small run, the sha256 of its CSV report and of
@@ -294,34 +304,34 @@ PIN_SIZES = {
 PINNED_CSV = [
     ("smoke", {"merge.kind": "all"},
      "d6df3be8530e446c41f4b122f10ea6606f49ffc3bc62e4adcc91977083c6370f",
-     "28350f2b793c39fadc75baa588de0ca06ea707a82f5191cdcaabf2a257bfeff9"),
+     "4cde11bcc49bd47600ba0b1168799e33b3fa9ba33b9cd8ad589cdcaa0cc288c1"),
     ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
      "9961f7e732fdb4294dc3cf0281fdbb017dff6a5f361a1d4aea6477bb0fe09404",
-     "231ab242373d2ab206b6268c0fb69328f075d0df57d682192cad550adee403ad"),
+     "c866ee64874b7dc517b12490a61b61518a604380630fb06f2ae4bc1c041db692"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
      "d6a7c85de3ff7cdae559e2ffb7b66c6fa39d041063395b7d8885d132158480a8",
-     "d3e03b908cb23e3302cee3aec2c428ce3051188c8620a796c2579abac5020f88"),
+     "9b0639225ca5c16bb5f729c3e1e304de4a5286530c7c05dda1e33a34342387f2"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
                                           "discrete.grid_sizes": "20,40"}),
      "ab8467c83db534b46987762b0c1d3520f2243e7341b5cc4548c4b552815eb976",
-     "4c5a641b955460f97bf793adb9418cd8ab8f602ed7dc0b2f34172df513418f20"),
+     "b150b5906a28d542985aa3ef2b8e35db0307a601930162960d4665e80aa4b9fa"),
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
      "bab49ad0c900f1657ee5e21c523a5287283dd8bbaf8c8433df09bdc0a76832e9",
-     "850d84e8abeb80f92e7c6a006c9147f6ef7eea1941e826a7f22102aea6d751d8"),
+     "b73ceb1fbdeac7006ab5a97ead599253c0b2cc2850e106d31343253b9e3afc55"),
     # two certified targets each, so the seed keys of a second target are pinned
     ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                      "cma.max_evals": 60}),
      "29607f1dcca5fff4305d978ccd7cb48a08c1edc2fa82fcc0108e19b4012952a7",
-     "61065f8f6763d7d2fc2b11f65f87cc100690f49aaad16b2765d27ea5078c5264"),
+     "a2dbc1672d08b66a322d2674e9e0a7658422e19d33169b2009c6deabb6b2590e"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
                                            "cma.max_evals": 30}),
      "9bec2e06e520dba5de51dd4c86c9aad9550a8ba29c4aaba8e54014764580a45c",
-     "9a06f41e4b1c0a6043ee48b38b5a581dc2abaa29349403115f1cad80106858ef"),
+     "1dc67ef7e13ddc0a5c91a768d5f0e135a511e3d71ee9ce53e95ef462ed423d9d"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                           "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
      "fe738b1c65601af4085e425f7801c2298a22a812315c246243a78fabe74b37ec",
-     "5558da505a572763b7326995ab275e5d607c8bdb752e77e8e3d2985d0df0bde8"),
+     "15efb74578ef471081da2d7e9ef9bc836c1cc782c38a9d492e51ff5c0410fcfa"),
 ]
 
 
@@ -451,11 +461,9 @@ class TestBuildWorld:
             assert delta.tobytes() == difference.astype(np.float32).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverging_base_raises_only_training_diverged(self, tmp_path):
-        cfg_file = tmp_path / "diverge.cfg"
-        cfg_file.write_text(DIVERGING)
+    def test_diverging_base_raises_only_training_diverged(self, diverging_training):
         with pytest.raises(TrainingDiverged, match=r"^base, epoch \d+: "):
-            build_world(load_config_file(cfg_file))
+            build_world(make_config("smoke"))
 
 
 # scenario -> (certificate count, objectives) under TINY
@@ -832,10 +840,8 @@ class TestCli:
         loaded = load_record(path).records[0]
         assert (loaded.pb_bound, loaded.upper_bound, loaded.vacuous) == (1.0, math.inf, True)
 
-    def test_diverged_training_exit_code(self, tmp_path, capsys):
-        cfg_file = tmp_path / "diverge.cfg"
-        cfg_file.write_text(DIVERGING)
-        assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    def test_diverged_training_exit_code(self, tmp_path, capsys, diverging_training):
+        assert main(["certify", "--scenario", "smoke", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("training diverged: base, epoch ")
 
@@ -862,7 +868,7 @@ class TestCli:
         assert err[-1] == f"config error: {bad}:4: key 'seed' is set twice"
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("line", ["cma.popsize = 2", "pool.base_epochs = -1",
+    @pytest.mark.parametrize("line", ["pool.base_epochs = -1",
                                       "pool.ft_epochs = -1", "posterior.variance = nan"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
@@ -1011,17 +1017,15 @@ class TestCli:
 
 # Edge values per key, drawn on top of TINY: one-row sets, a batch larger
 # than its set, a one-evaluation search, the smallest and a ragged
-# population, a near-zero trim and delta, and every kind and activation.
+# population, a near-zero trim and delta, and every kind.
 EDGES = {
     "kind": ["table", "ddp", "sweep", "discrete", "validity"],
     "merge.kind": ["all", "task_arith", "layer_wise"],
-    "model.activation": ["tanh", "relu", "identity"],
     "pool.base_n": [1, 40],
     "pool.ft_n": [1, 40],
     "pool.batch": [1, 10_000],
     "certify.n": [2, 4, 40],
     "cma.max_evals": [1, 2, 12],
-    "cma.popsize": [0, 4],
     "eval.query_n": [1, 100],
     "posterior.mc_samples": [1, 10],
     "merge.trim_fraction": [1e-9, 1.0],

@@ -22,7 +22,11 @@ from pacmerge.seeding import rng_for
 from pacmerge.toyzoo import _ROW_BUDGET as R
 from pacmerge.toyzoo import SyntheticTask
 
-_ACT = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
+
+def tanh_mlp(*widths):
+    """Parametrize a test's ``spec`` by the MLP of these widths, whose
+    hidden layers are tanh; the test id names them."""
+    return pytest.mark.parametrize("spec", [MlpSpec(widths)], ids=["tanh"])
 
 
 def reference_scores(spec, flat, x):
@@ -37,7 +41,7 @@ def reference_scores(spec, flat, x):
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.hstack([w.T, b[:, None]]) @ np.vstack([x.T, np.ones(len(x))]).astype(np.float32)
         for w, b in rest:
-            h = w.T @ _ACT[spec.activation](h) + b[:, None]
+            h = w.T @ np.tanh(h) + b[:, None]
     return h.T
 
 
@@ -74,7 +78,7 @@ def float64_verdicts(spec, row, data):
     offsets = spec.layer_offsets()
     for i, ((ws, wl), (bs, bl)) in enumerate(zip(offsets[::2], offsets[1::2])):
         w, b = flat[ws : ws + wl].reshape(-1, bl), flat[bs : bs + bl]
-        h = (_ACT[spec.activation](h) if i else h) @ w + b
+        h = (np.tanh(h) if i else h) @ w + b
         a = a @ np.abs(w) + np.abs(b)
         peak = np.maximum(peak, a.max(axis=1))
     rows = np.arange(data.n)
@@ -122,11 +126,9 @@ def reference_loss_and_grad(spec, flat, x, y):
     offsets = spec.layer_offsets()
     layers = [(flat[ws : ws + wl].reshape(-1, bl), flat[bs : bs + bl])
               for (ws, wl), (bs, bl) in zip(offsets[::2], offsets[1::2])]
-    acts, pre = [x], []
+    acts = [x]
     for w, b in layers[:-1]:
-        z = acts[-1] @ w + b
-        pre.append(z)
-        acts.append(_ACT[spec.activation](z))
+        acts.append(np.tanh(acts[-1] @ w + b))
     w, b = layers[-1]
     scores = acts[-1] @ w + b
     expo = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -141,10 +143,7 @@ def reference_loss_and_grad(spec, flat, x, y):
         grads[:0] = [(acts[li].T @ delta).ravel(), delta.sum(axis=0)]
         if li > 0:
             delta = delta @ layers[li][0].T
-            if spec.activation == "tanh":
-                delta = delta * (1.0 - acts[li] ** 2)
-            elif spec.activation == "relu":
-                delta = delta * (pre[li - 1] > 0)
+            delta = delta * (1.0 - acts[li] ** 2)
     return loss, np.concatenate(grads)
 
 
@@ -296,7 +295,7 @@ class TestSampleTiles:
     # two float32 steps apart, then exact ties
     @pytest.mark.parametrize("rows", ["random", "near", "exact"])
     def test_tile_counts_sum_to_the_whole_set_counts(self, rows):
-        spec = MlpSpec((6, 8, 4), activation="tanh")
+        spec = MlpSpec((6, 8, 4))
         task = gen_tasks(5, 2, 6, 4, 0.5)[0]
         n = 2 * R + 3
         if rows == "random":
@@ -323,7 +322,7 @@ class TestForward:
 
     def test_hand_computed_linear(self):
         # single affine layer, identity weights: scores == inputs + bias
-        spec = MlpSpec((3, 3), activation="identity")
+        spec = MlpSpec((3, 3))
         weights = np.eye(3).ravel()
         bias = np.array([0.5, -0.5, 0.0])
         theta = np.concatenate([weights, bias]).astype(np.float32)
@@ -348,9 +347,8 @@ class TestForward:
         flat[b2_start : b2_start + b2_len] = b2[perm]
         np.testing.assert_allclose(scores(spec, flat, x), original[:, perm], rtol=1e-5)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-    def test_bits_of_out_of_place_reference(self, activation):
-        spec = MlpSpec((6, 8, 5, 3), activation=activation)
+    @tanh_mlp(6, 8, 5, 3)
+    def test_bits_of_out_of_place_reference(self, spec):
         rng = np.random.default_rng(4)
         theta = rng.standard_normal(spec.d_model).astype(np.float32)
         x = rng.standard_normal((300, 6))
@@ -375,9 +373,8 @@ class TestBlockedKernel:
     # block of 2
     @pytest.mark.parametrize("n,k", [(1, R + 1), (R - 1, 2), (R, 3), (R + 1, 3), (2 * R + 3, 2),
                                      (R // 3, 5)])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-    def test_equals_per_row_reference(self, activation, n, k):
-        spec = MlpSpec((6, 8, 4), activation=activation)
+    @tanh_mlp(6, 8, 4)
+    def test_equals_per_row_reference(self, spec, n, k):
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         # random biases, so the in-place bias update is exercised; then rows
         # whose classes 0 and 1 are two float32 steps apart, and exact ties
@@ -392,7 +389,7 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
     def test_arguments_unchanged(self, n):
-        spec = MlpSpec((6, 8, 4), activation="relu")
+        spec = MlpSpec((6, 8, 4))
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         inputs, labels = data.inputs.copy(), data.labels.copy()
         thetas = np.random.default_rng(2).standard_normal((4, spec.d_model))
@@ -451,14 +448,12 @@ class TestFloat32Scoring:
     """The counts of the float32 network, where ties, NaN scores and overflow
     count as errors."""
 
-    ACTIVATIONS = ["tanh", "relu", "identity"]
-
     # a draw of all-zero weights ties every class on every input, among
     # random draws: 4 stacked draws per block on 1,000 inputs, and one draw
     # on each of 3 row tiles of 2R + 3 inputs
     @pytest.mark.parametrize("n", [1000, 2 * R + 3])
     def test_one_tied_draw_among_random_draws(self, n):
-        spec = MlpSpec((6, 8, 4), activation="relu")
+        spec = MlpSpec((6, 8, 4))
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = np.random.default_rng(n).standard_normal((40, spec.d_model)).astype(np.float32)
         rows[13] = 0.0
@@ -470,7 +465,7 @@ class TestFloat32Scoring:
     def test_exact_ties_in_a_later_tile_of_a_later_draw(self):
         # draw 2 of a linear model ties classes 0 and 1 exactly where the
         # first input is 0, which holds on the second row tile only
-        spec = MlpSpec((6, 4), activation="identity")
+        spec = MlpSpec((6, 4))
         rng = np.random.default_rng(9)
         n = 2 * R + 3
         inputs = rng.standard_normal((n, 6))
@@ -501,10 +496,9 @@ class TestFloat32Scoring:
     # 1 are near ties, half the inputs or more, which the float32 margin
     # decides; rechecked in float64 wherever float32 rounding cannot flip them
     @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_near_ties_rechecked_in_float64(self, blocks, activation, n):
+    @tanh_mlp(6, 8, 4)
+    def test_near_ties_rechecked_in_float64(self, blocks, spec, n):
         k = 100 if n < R else 1
-        spec = MlpSpec((6, 8, 4), activation=activation)
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = tied_rows(spec, k, n, np.float32, gap=2)
         assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
@@ -516,7 +510,7 @@ class TestFloat32Scoring:
     # row tile, and counts each draw as it would alone
     @pytest.mark.parametrize("n", [R + 1, 2 * R + 3])
     def test_near_ties_beyond_one_stack(self, blocks, n):
-        spec = MlpSpec((6, 8, 4), activation="tanh")
+        spec = MlpSpec((6, 8, 4))
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = tied_rows(spec, 3, n, np.float32, gap=2)
         counts = unchanged_counts(spec, rows, data)
@@ -528,9 +522,8 @@ class TestFloat32Scoring:
     # tile of 50 inputs, a full tile and a one-row remainder, and two full
     # tiles and a 3-row remainder; every input is an error on every tile
     @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_exact_ties_read_from_float64_tiles(self, activation, n):
-        spec = MlpSpec((6, 8, 4), activation=activation)
+    @tanh_mlp(6, 8, 4)
+    def test_exact_ties_read_from_float64_tiles(self, spec, n):
         task = gen_tasks(5, 2, 6, 4, 0.5)[0]
         data = sample_set(task, n, 3)
         rows = tied_rows(spec, 3, n, np.float32, gap=0)
@@ -545,9 +538,8 @@ class TestFloat32Scoring:
             assert error_counts(spec, rows, tile).tolist() == [tile.n] * 3
 
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_float64_thetas_float32_cannot_hold(self, blocks, activation, n):
-        spec = MlpSpec((6, 8, 4), activation=activation)
+    @tanh_mlp(6, 8, 4)
+    def test_float64_thetas_float32_cannot_hold(self, blocks, spec, n):
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], n, 3)
         rows = tied_rows(spec, 3, n, np.float64, gap=1e-9)
         assert not np.array_equal(rows.astype(np.float32), rows)
@@ -565,9 +557,8 @@ class TestFloat32Scoring:
     # sums overflow to infinities, which tie or lose; no RuntimeWarning
     # escapes, which tier-1 would turn into an error
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_overflow_scale_weights_count_as_errors(self, activation, dtype):
-        spec = MlpSpec((6, 8, 4), activation=activation)
+    @tanh_mlp(6, 8, 4)
+    def test_overflow_scale_weights_count_as_errors(self, spec, dtype):
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 200, 3)
         rows = 1e30 * np.random.default_rng(1).standard_normal((3, spec.d_model))
         last = spec.layer_offsets()[-2][0]
@@ -578,9 +569,8 @@ class TestFloat32Scoring:
         for row in rows:
             assert not np.isfinite(reference_scores(spec, row, data.inputs)).all()
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_large_set(self, blocks, activation):
-        spec = MlpSpec((6, 8, 4), activation=activation)
+    @tanh_mlp(6, 8, 4)
+    def test_large_set(self, blocks, spec):
         data = sample_set(gen_tasks(5, 2, 6, 4, 0.5)[0], 100_000, 8)
         rows = np.random.default_rng(6).standard_normal((2, spec.d_model)).astype(np.float32)
         assert unchanged_counts(spec, rows, data).tolist() == reference_counts(spec, rows, data)
@@ -603,7 +593,7 @@ class TestFloat32Scoring:
         # input float32 rounding cannot flip they equal the float64 counts
         rng = np.random.default_rng(seed)
         widths = [int(w) for w in rng.integers(1, 12, size=rng.integers(2, 5))]
-        spec = MlpSpec(tuple(widths), activation=self.ACTIVATIONS[seed % 3])
+        spec = MlpSpec(tuple(widths))
         n = int(rng.choice([1, 7, 100, R + 1]))
         data = LabeledSet(rng.standard_normal((n, widths[0])) * 10.0 ** rng.uniform(-3, 3),
                           rng.integers(0, widths[-1], n))
@@ -658,7 +648,7 @@ def decided_rows(k, n, seed):
     margin is at least about 1: rows 0..k-2 predict class 0 by 10, and row
     k-1 scores class 1 above class 0 by the first input, +-1 on every input,
     and classes 2 and 3 at -100."""
-    spec = MlpSpec((6, 4), activation="identity")
+    spec = MlpSpec((6, 4))
     rng = np.random.default_rng(seed)
     inputs = rng.standard_normal((n, 6))
     inputs[:, 0] = rng.choice([-1.0, 1.0], n)
@@ -742,7 +732,7 @@ class TestZeroOneRisk:
 
     def test_hand_built_quarter(self):
         # identity-map classifier; scores = x, so argmax is the larger coord.
-        spec = MlpSpec((2, 2), activation="identity")
+        spec = MlpSpec((2, 2))
         theta = np.concatenate([np.eye(2).ravel(), np.zeros(2)]).astype(np.float32)
         x = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 3.0]])
         labels = np.array([0, 1, 0, 0])  # last point misclassified by construction
@@ -802,10 +792,9 @@ def central_difference_grad(spec, flat, data, coords, h=1e-3):
     return grads
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-def test_gradient_matches_finite_differences(activation):
+@tanh_mlp(5, 7, 3)
+def test_gradient_matches_finite_differences(spec):
     # independent oracle: central differences at h=1e-3, 20 random coordinates
-    spec = MlpSpec((5, 7, 3), activation=activation)
     task = gen_tasks(9, 2, 5, 3, 0.5)[0]
     data = sample_set(task, 40, 4)
     flat = init_params(spec, 6).astype(np.float64)
@@ -816,7 +805,7 @@ def test_gradient_matches_finite_differences(activation):
     for coord, num in numeric.items():
         denom = max(abs(num), 1e-6)
         assert abs(grad[coord] - num) / denom < 1e-4, (
-            f"{activation} coord {coord}: analytic {grad[coord]} vs numeric {num}"
+            f"coord {coord}: analytic {grad[coord]} vs numeric {num}"
         )
 
 
@@ -887,9 +876,9 @@ class TestTrain:
 NAMES = [f"m{i}" for i in range(5)]
 
 
-def stack_of(count, n=23, activation="tanh"):
-    """A (5, 7, 3) spec, its init, and ``count`` sets of n rows from different tasks."""
-    spec = MlpSpec((5, 7, 3), activation=activation)
+def stack_of(count, n=23, spec=MlpSpec((5, 7, 3))):
+    """A spec of 5 inputs and 3 classes, its init, and ``count`` sets of n rows
+    from different tasks."""
     tasks = gen_tasks(17, max(count, 2), 5, 3, 0.6)
     sets = [sample_set(task, n, 40 + i) for i, task in enumerate(tasks[:count])]
     return spec, init_params(spec, 4), sets
@@ -897,8 +886,9 @@ def stack_of(count, n=23, activation="tanh"):
 
 @pytest.fixture
 def float64_results(monkeypatch):
-    """The (M, d_model) float64 matrices that ``train_stack`` trains in place,
-    one per call that trains, caught where it makes their layer views."""
+    """The (M, d_model) float64 matrices that ``train_stack`` makes layer
+    views of: per call that trains, the parameters it trains in place, then
+    its gradient buffer."""
     stacks = []
     layers = toyzoo._layers
 
@@ -916,17 +906,17 @@ class TestTrainStack:
     SCHEDULES = [(8, 3), (40, 4), (1, 2), (8, 0)]
 
     @pytest.mark.parametrize("count", [1, 5])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    @tanh_mlp(5, 7, 3)
     @pytest.mark.parametrize("batch,epochs", SCHEDULES)
-    def test_equals_reference_sgd_bit_for_bit(self, float64_results, count, activation,
-                                              batch, epochs):
-        spec, init, sets = stack_of(count, activation=activation)
+    def test_equals_reference_sgd_bit_for_bit(self, float64_results, count, spec, batch,
+                                              epochs):
+        _, init, sets = stack_of(count, spec=spec)
         hyper = TrainConfig(lr=0.3, epochs=epochs, batch=batch)
         seeds = [60 + i for i in range(count)]
         stacked = train_stack(spec, init, sets, hyper, seeds, NAMES[:count])
         assert stacked.shape == (count, spec.d_model) and stacked.dtype == np.float32
         if epochs > 0:  # float64 bits as well as the float32 result
-            (flat,) = float64_results
+            flat, _ = float64_results
             for row, data, seed in zip(flat, sets, seeds, strict=True):
                 assert row.tobytes() == reference_train(spec, init, data, hyper, seed).tobytes()
         for model, data, seed in zip(stacked, sets, seeds):
@@ -937,15 +927,15 @@ class TestTrainStack:
             assert not np.array_equal(stacked[0], init)
             assert len({m.tobytes() for m in stacked}) == count
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-    def test_stacked_gradients_equal_reference_bits(self, activation):
-        spec, _, sets = stack_of(5, activation=activation)
+    @tanh_mlp(5, 7, 3)
+    def test_stacked_gradients_equal_reference_bits(self, spec):
+        _, _, sets = stack_of(5, spec=spec)
         flat = np.stack([init_params(spec, seed) for seed in range(5)]).astype(np.float64)
         x = np.stack([data.inputs for data in sets])
         onehot = np.stack([np.eye(3)[data.labels] for data in sets])
         grads = toyzoo._layers(spec, np.empty_like(flat))
         layers = toyzoo._layers(spec, flat.copy())
-        toyzoo._backprop(spec, layers, [w.swapaxes(1, 2) for w, _ in layers], x, onehot, grads)
+        toyzoo._backprop(layers, [w.swapaxes(1, 2) for w, _ in layers], x, onehot, grads)
         for m, data in enumerate(sets):
             got = np.concatenate([g[m].ravel() for layer in grads for g in layer])
             _, expected = reference_loss_and_grad(spec, flat[m], data.inputs, data.labels)
@@ -973,18 +963,25 @@ class TestTrainStack:
             train_stack(spec, init, sets, TrainConfig(epochs=0), [0], NAMES[:1])
 
     def test_divergent_member_is_named(self):
-        spec, init, sets = stack_of(3, activation="identity")
-        sets[1] = LabeledSet(1e150 * sets[1].inputs, sets[1].labels)
+        # input 0 starts with zero weights, so its 1e150 values first move
+        # those weights past the float32 range, while tanh keeps the loss finite
+        spec, init, sets = stack_of(3)
+        init[: spec.widths[1]] = 0.0
+        inputs = sets[1].inputs.copy()
+        inputs[:, 0] = 1e150
+        sets[1] = LabeledSet(inputs, sets[1].labels)
         hyper = TrainConfig(lr=0.1, epochs=3, batch=8)
         # no numpy warning escapes: tier-1 turns RuntimeWarning into an error
-        with pytest.raises(TrainingDiverged, match=r"^task1, epoch 1: "):
+        with pytest.raises(TrainingDiverged,
+                           match=r"^task1, epoch 1: parameters left the float32 range$"):
             train_stack(spec, init, sets, hyper, [0, 1, 2], ["task0", "task1", "task2"])
 
     def test_divergent_single_model_is_named(self):
-        spec, init, (data,) = stack_of(1, activation="identity")
-        data = LabeledSet(1e150 * data.inputs, data.labels)
-        with pytest.raises(TrainingDiverged, match=r"^base, epoch 1: "):
-            train(spec, init, data, TrainConfig(lr=0.1, epochs=3, batch=8), name="base")
+        # a step of 1e308 times the gradient overflows the weights, so the
+        # next batch's loss is nan
+        spec, init, (data,) = stack_of(1)
+        with pytest.raises(TrainingDiverged, match=r"^base, epoch 1: loss became nan$"):
+            train(spec, init, data, TrainConfig(lr=1e308, epochs=3, batch=8), name="base")
 
     def test_sets_of_unequal_size_rejected(self):
         spec, init, sets = stack_of(3)
