@@ -40,7 +40,7 @@ from .merging import (
     ties_preprocess,
 )
 from .params import ModelPool
-from .posterior import mc_risks
+from .posterior import RiskEstimator
 from .toyzoo import (
     LabeledSet,
     MlpSpec,

@@ -8,12 +8,13 @@ the prior; the search reads the certificate's support, prior mean and
 ``CertifyConfig``.  Both are minimized with the same derivative-free search,
 seeded at the uniform-merge coefficients (the default prior mean), with
 common random numbers across candidate evaluations so the objective is a
-pure function.  The search scores each generation in one ``mc_risks`` and
-one ``gaussian_kl`` call: one merge and one scoring pass per generation, not
-per candidate.  On a large support each posterior draw scores its own slice
-of it, and where it is cheaper a generation forms its draws' first layer
-from the scheme's basis responses (see ``posterior``), since no certificate
-reads the search's estimate.
+pure function.  A search builds one ``posterior.RiskEstimator`` and scores
+each generation in one call of its ``risks`` and one ``gaussian_kl`` call:
+one merge and one scoring pass per generation, not per candidate.  On a large
+support each posterior draw scores its own slice of it, and where it is
+cheaper a generation forms its draws' first layer from the scheme's basis
+responses (see ``posterior``), since no certificate reads the search's
+estimate.
 
 The data-dependent-prior protocol splits the support, fits a prior mean on
 the first half with the plain objective, then bound-optimizes on the second
@@ -43,7 +44,7 @@ from .bounds import (CertificateRecord, budget, closed_form, gaussian_kl, gaussi
 from .cma import CmaConfig, CmaResult, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, merged_values
-from .posterior import mc_risks, slice_count
+from .posterior import RiskEstimator, slice_count
 from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
@@ -98,19 +99,20 @@ def optimize(
     ``budget(KL, support.n, config.delta)`` that the certificate reports;
     ``prior_mean`` (d_phi,) defaults to ``default_phi(scheme)``.
 
-    Each CMA-ES generation is scored in one ``mc_risks`` call and one
-    ``gaussian_kl`` call, so one merge and one scoring pass per generation,
-    and its bounds in one array call of ``budget`` and of ``closed_form``,
-    whose elements have the bits of their scalar calls.  ``mc_risks``
-    scores draw j on slice j mod s of the support, s =
-    ``slice_count(support.n, config.mc_samples)``, so a candidate costs
-    about max(n, k·400) row evaluations (``posterior._SLICE_ROWS`` = 400),
-    not k·n; the budget still uses the full n, and the certificate scores
-    its own draw on all n rows.  Where it costs fewer multiply-adds, as for
-    the generations on 100 rows, ``mc_risks`` forms the draws' first layer
-    in coefficient space and merges only their later layers; its estimate
-    can then differ from the merged rows' where a margin lies within
-    float32 rounding of zero, and still no record reads it.
+    The search builds one ``RiskEstimator`` on the support, and each
+    CMA-ES generation is scored in one ``risks`` call and one ``gaussian_kl``
+    call, so one merge and one scoring pass per generation, and its bounds
+    in one array call of ``budget`` and of ``closed_form``, whose elements
+    have the bits of their scalar calls.  The estimator scores draw j on
+    slice j mod s of the support, s = ``slice_count(support.n,
+    config.mc_samples)``, so a candidate costs about max(n, k·400) row
+    evaluations (``posterior._SLICE_ROWS`` = 400), not k·n; the budget
+    still uses the full n, and the certificate scores its own draw on all n
+    rows.  Where it costs fewer multiply-adds, as for the generations on 100
+    rows, the estimator forms the draws' first layer in coefficient space
+    and merges only their later layers; its estimate can then differ from
+    the merged rows' where a margin lies within float32 rounding of zero,
+    and still no record reads it.
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     The search stops at ``config.cma.max_evals`` or, with ``stop ==
@@ -125,12 +127,13 @@ def optimize(
         prior_mean = default_phi(scheme)
     if np.shape(prior_mean) != (scheme.d_phi,):
         raise StructureError(f"prior mean shape {np.shape(prior_mean)} != ({scheme.d_phi},)")
-    mc_seed = derive_seed(config.cma.seed, "mc-common")
     variance = config.posterior_variance
+    # Common random numbers across calls make the objective a pure function.
+    estimate = RiskEstimator(scheme, model_spec, support, variance, config.mc_samples,
+                             derive_seed(config.cma.seed, "mc-common"))
 
     def batch_objective(phis):
-        # Common random numbers across calls make the objective a pure function.
-        risks = mc_risks(phis, variance, scheme, model_spec, support, config.mc_samples, mc_seed)
+        risks = estimate.risks(phis)
         if objective_kind == "train_risk":
             return risks
         kls = gaussian_kl(phis, prior_mean, variance, config.prior_variance)

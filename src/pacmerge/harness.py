@@ -57,7 +57,7 @@ from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
 from .merging import KINDS, MergeScheme, merged_values
 from .params import ModelPool
-from .posterior import mc_risks, slice_count
+from .posterior import RiskEstimator, slice_count
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
@@ -642,8 +642,8 @@ def _run_validity(config, spec, index, task, subpool):
     The hypothesis class (pool, grid, prior) is fixed once.  A fit pass
     draws each trial's fresh support set, fits its merge coefficient mu by
     grid argmin of the Monte-Carlo train risk (all grid points in one
-    ``mc_risks`` call) and certifies one draw h of N(mu, posterior
-    variance) with ``certify_gaussian``, on the draw stream
+    ``risks`` call of the trial's ``RiskEstimator``) and certifies one draw h of N(mu,
+    posterior variance) with ``certify_gaussian``, on the draw stream
     ``(seed, "trial-draw", trial)`` and with no query.  One streamed pass
     over the population then scores every trial's h, each re-merged alone
     from its record so it is the row its certificate scored, with one
@@ -662,8 +662,8 @@ def _run_validity(config, spec, index, task, subpool):
     records = []
     for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
-        risks = mc_risks(grid[:, None], cfg.posterior_variance, scheme, spec, support,
-                         cfg.mc_samples, derive_seed(seed, "trial-fit", trial))
+        risks = RiskEstimator(scheme, spec, support, cfg.posterior_variance, cfg.mc_samples,
+                              derive_seed(seed, "trial-fit", trial)).risks(grid[:, None])
         mu = grid[int(np.argmin(risks))]
         records.append(certify_gaussian(scheme, np.array([mu]), support, None, spec, cfg,
                                         derive_seed(seed, "trial-draw", trial),

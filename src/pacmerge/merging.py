@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StructureError
 from .params import ModelPool
-from .toyzoo import MlpSpec, _float32_layers
 
 KINDS = ("task_arith", "ties", "task_wise", "layer_wise")
 _SCALAR_KINDS = ("task_arith", "ties")
@@ -94,34 +92,6 @@ class MergeScheme:
     @property
     def d_phi(self) -> int:
         return len(self.basis) - 1
-
-    @cached_property
-    def _first_layers(self) -> dict:
-        # network spec -> ``first_layer``'s arrays, filled on first use
-        return {}
-
-    def first_layer(self, spec: MlpSpec) -> tuple:
-        """(rows, first_basis, scale) of a ``spec`` network, built once per
-        spec: the L basis rows with a nonzero first layer, those first layers
-        in float32 as (L·hidden, in + 1) in the ``[W^T | b]`` layout of
-        ``toyzoo._float32_layers``, and each one's largest absolute value,
-        so that ``|[1, phi][rows]| @ scale`` bounds a merge's first layer.
-        A basis of another width than ``spec.d_model`` raises
-        ``StructureError``."""
-        found = self._first_layers.get(spec)
-        if found is None:
-            if self.basis.shape[1] != spec.d_model:
-                raise StructureError(
-                    f"scheme has {self.basis.shape[1]} parameters, spec needs {spec.d_model}")
-            block = self.basis[:, : (spec.widths[0] + 1) * spec.widths[1]]
-            rows = np.flatnonzero(block.any(axis=1))
-            first, _ = _float32_layers(spec, self.basis[rows].astype(np.float32))
-            first_basis = first.reshape(-1, spec.widths[0] + 1)
-            scale = np.abs(block[rows]).max(axis=1, initial=0.0)
-            for array in (rows, first_basis, scale):
-                array.flags.writeable = False
-            found = self._first_layers[spec] = (rows, first_basis, scale)
-        return found
 
 
 def default_phi(scheme: MergeScheme) -> np.ndarray:

@@ -11,21 +11,21 @@ estimates steer the searches (every objective evaluation of a CMA-ES search
 and every grid point of a validity trial's fit); no certificate reads one:
 ``certify.certify_gaussian`` certifies a single draw by its exact errors.
 
-The standard-normal noise of ``(seed, k, dim)`` is drawn once and kept,
-read-only, in a small LRU cache, so with common random numbers every
-evaluation of one search, and every grid point of one fit, reuses it.
-
-``mc_risks`` estimates the risks of m posterior means that share one
-variance, the candidates of a CMA-ES generation or the points of a validity
-grid, from the m·k rows of their k draws each, merged in one
-``merged_values`` call, scoring draw j on slice j mod s of a set of n rows,
-s = min(k, n // ``_SLICE_ROWS``) contiguous slices.  A mean then costs
-about max(n, k·``_SLICE_ROWS``) row evaluations instead of k·n, and every
-row is still read.  Each draw's slice risk is an
-unbiased estimate of that draw's risk, so their mean still estimates the
-Gibbs risk; PAC-Bayes lets the posterior depend on the support in any way,
-and no certificate reads the estimate.  At s = 1 (n < 2·``_SLICE_ROWS``)
-the rows are one error-count call on the whole set.
+A ``RiskEstimator`` fixes one search's estimate: its k noise rows, scaled
+by the standard deviation, its slices of the set and the scheme's
+first-layer basis are built once, so with common random numbers every
+evaluation of one search, and every grid point of one fit, reuses them.
+Its ``risks`` estimates the risks of m posterior means, the candidates of a
+CMA-ES generation or the points of a validity grid, from the m·k rows of
+their k draws each, merged in one ``merged_values`` call, scoring draw j on
+slice j mod s of a set of n rows, s = ``slice_count(n, k)`` = min(k, n //
+``_SLICE_ROWS``) contiguous slices.  A mean then costs about max(n,
+k·``_SLICE_ROWS``) row evaluations instead of k·n, and every row is still
+read.  Each draw's slice risk is an unbiased estimate of that draw's risk,
+so their mean still estimates the Gibbs risk; PAC-Bayes lets the posterior
+depend on the support in any way, and no certificate reads the estimate.
+At s = 1 (n < 2·``_SLICE_ROWS``) the rows are one error-count call on the
+whole set.
 
 Every scheme is affine in its coefficients, so a draw's first-layer
 pre-activations combine the responses to the inputs of the scheme's L basis
@@ -52,96 +52,101 @@ risk is a one-row call.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, merged_values, with_base
 from .seeding import rng_for
-from .toyzoo import _F32_MAX, LabeledSet, MlpSpec, coefficient_counts, error_counts
+from .toyzoo import (_F32_MAX, LabeledSet, MlpSpec, _float32_layers, coefficient_counts,
+                     error_counts)
 
-# Support rows per slice of ``mc_risks``'s estimate, at least: draw j scores
-# slice j mod s of a set of n rows, s = min(k, n // _SLICE_ROWS).
+# Support rows per slice of a risk estimate, at least: draw j scores slice
+# j mod s of a set of n rows, s = min(k, n // _SLICE_ROWS).
 _SLICE_ROWS = 400
 
 
-@lru_cache(maxsize=64)
-def _noise(seed: int, k: int, dim: int) -> np.ndarray:
-    eps = np.stack([rng_for(seed, "gauss", j).standard_normal(dim) for j in range(k)])
-    eps.flags.writeable = False
-    return eps
-
-
-def _draws(means, variance: float, scheme: MergeScheme, k: int, seed: int) -> np.ndarray:
-    """The coefficients (m·k, d) of ``k`` posterior draws around each row of
-    ``means`` (m, d): row i·k + j is mean i plus draw j of the noise
-    ``(seed, k, d)``, after checks of the means, the variance and k."""
-    means = np.asarray(means, dtype=np.float64)
-    if not np.isfinite(means).all():
-        raise DomainError("Gaussian mean must be finite")
-    if not (variance > 0 and math.isfinite(variance)):
-        raise DomainError(f"variance must be positive and finite, got {variance}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    if means.ndim != 2 or means.shape[1] != scheme.d_phi:
-        raise StructureError(
-            f"posterior means have shape {means.shape}, scheme needs (m, {scheme.d_phi})"
-        )
-    m, d = means.shape
-    draws = means[:, None, :] + np.sqrt(variance) * _noise(seed, k, d)
-    return draws.reshape(m * k, d)
-
-
 def slice_count(n: int, k: int) -> int:
-    """The number s of slices ``mc_risks`` scores k draws on for a set of n
-    rows: min(k, n // ``_SLICE_ROWS``), at least 1."""
+    """The number s of slices a risk estimate scores k draws on for a set of
+    n rows: min(k, n // ``_SLICE_ROWS``), at least 1."""
     return max(1, min(k, n // _SLICE_ROWS))
 
 
-def mc_risks(
-    means: np.ndarray,
-    variance: float,
-    scheme: MergeScheme,
-    model_spec: MlpSpec,
-    data: LabeledSet,
-    k: int = 10,
-    seed: int = 0,
-) -> np.ndarray:
-    """Average 0-1 risk of ``k`` posterior draws around each row of ``means``,
-    draw j scored on slice j mod s of ``data`` (s = ``slice_count(data.n,
-    k)``, the set's contiguous ``np.array_split`` parts, kept with it).
+class RiskEstimator:
+    """One search's risk estimate: ``risks(means)`` is the average 0-1 risk
+    of ``k`` posterior draws of variance ``variance`` around each row of
+    ``means`` (m, d_phi), draw j scored on slice j mod s of ``data`` (s =
+    ``slice_count(data.n, k)``, the set's contiguous ``np.array_split``
+    parts).
 
-    Every mean takes the same ``k`` noise rows of ``(seed, k, d)``, and the
-    m·k rows are merged in one call, their later layers alone when the
-    first layer is formed in coefficient space (see the module docstring);
-    at s = 1 they are scored in one error-count call on the whole set, else
-    in one call per slice, each call on the path the cost rule picks for the
-    largest, m·ceil(k / s) draws.  So row i of the result equals the one-row
-    call on ``means[i:i + 1]`` whenever the merge rounds its batch-dependent
-    float64 sums to the float32 rows of a one-row merge and the two calls'
-    paths score its draws alike (see the module docstring and
-    ``merged_values``).  No certificate reads the result.
+    ``data``, ``variance`` and ``k`` are checked here, and the k noise rows
+    of the streams ``(seed, "gauss", j)``, the slices and the first-layer
+    basis are built once; each call checks its means.  Every mean takes the
+    same ``k`` noise rows, and the m·k rows are merged in one call, their
+    later layers alone when the first layer is formed in coefficient space
+    (see the module docstring); at s = 1 they are scored in one error-count
+    call on the whole set, else in one call per slice, each call on the path
+    the cost rule picks for the largest, m·ceil(k / s) draws.  So row i of
+    the result equals the one-row call on ``means[i:i + 1]`` whenever the
+    merge rounds its batch-dependent float64 sums to the float32 rows of a
+    one-row merge and the two calls' paths score its draws alike (see the
+    module docstring and ``merged_values``).  No certificate reads the
+    result.
     """
-    if data.n == 0:
-        raise DomainError("mc_risks needs a non-empty set")
-    draws = _draws(means, variance, scheme, k, seed)
-    s = slice_count(data.n, k)
-    # draws per error-count call: at most ceil(k / s) of each mean's k
-    score = _scorer(scheme, model_spec, draws, len(draws) // k * -(-k // s))
-    if s == 1:
-        errors = score(slice(None), data) / data.n
-    else:
+
+    def __init__(self, scheme: MergeScheme, model_spec: MlpSpec, data: LabeledSet,
+                 variance: float, k: int = 10, seed: int = 0):
+        if data.n == 0:
+            raise DomainError("a risk estimate needs a non-empty set")
+        if not (variance > 0 and math.isfinite(variance)):
+            raise DomainError(f"variance must be positive and finite, got {variance}")
+        if k < 1:
+            raise DomainError(f"need k >= 1, got {k}")
+        self.scheme, self.spec, self.k = scheme, model_spec, k
+        self.noise = np.sqrt(variance) * np.stack(
+            [rng_for(seed, "gauss", j).standard_normal(scheme.d_phi) for j in range(k)])
+        s = slice_count(data.n, k)
+        self.parts = [data] if s == 1 else [LabeledSet(x, y) for x, y in zip(
+            np.array_split(data.inputs, s), np.array_split(data.labels, s))]
+        self.first = _first_layer(scheme, model_spec)
+
+    def risks(self, means: np.ndarray) -> np.ndarray:
+        d, k, s = self.scheme.d_phi, self.k, len(self.parts)
+        means = np.asarray(means, dtype=np.float64)
+        if not np.isfinite(means).all():
+            raise DomainError("Gaussian mean must be finite")
+        if means.ndim != 2 or means.shape[1] != d:
+            raise StructureError(f"posterior means have shape {means.shape}, scheme needs (m, {d})")
+        # row i·k + j is mean i plus draw j
+        draws = (means[:, None, :] + self.noise).reshape(-1, d)
+        # draws per error-count call: at most ceil(k / s) of each mean's k
+        score = _scorer(self.scheme, self.spec, self.first, draws, len(means) * -(-k // s))
         errors = np.empty(len(draws))
         part_of_row = np.arange(len(draws)) % k % s
-        for q, part in enumerate(data._slices(s)):
-            mine = np.flatnonzero(part_of_row == q)
+        for q, part in enumerate(self.parts):
+            mine = slice(None) if s == 1 else np.flatnonzero(part_of_row == q)
             errors[mine] = score(mine, part) / part.n
-    # np.mean's sum and division, without its wrapper
-    return np.add.reduce(errors.reshape(-1, k), axis=1) / k
+        # np.mean's sum and division, without its wrapper
+        return np.add.reduce(errors.reshape(-1, k), axis=1) / k
 
 
-def _scorer(scheme: MergeScheme, spec: MlpSpec, draws: np.ndarray, calls: int):
+def _first_layer(scheme: MergeScheme, spec: MlpSpec) -> tuple:
+    """(rows, first_basis, scale) of a ``spec`` network: the L basis rows of
+    ``scheme`` with a nonzero first layer, those first layers in float32 as
+    (L·hidden, in + 1) in the ``[W^T | b]`` layout of
+    ``toyzoo._float32_layers``, and each one's largest absolute value, so
+    that ``|[1, phi][rows]| @ scale`` bounds a merge's first layer.  A basis
+    of another width than ``spec.d_model`` raises ``StructureError``."""
+    if scheme.basis.shape[1] != spec.d_model:
+        raise StructureError(
+            f"scheme has {scheme.basis.shape[1]} parameters, spec needs {spec.d_model}")
+    block = scheme.basis[:, : (spec.widths[0] + 1) * spec.widths[1]]
+    rows = np.flatnonzero(block.any(axis=1))
+    first, _ = _float32_layers(spec, scheme.basis[rows].astype(np.float32))
+    return rows, first.reshape(-1, spec.widths[0] + 1), np.abs(block[rows]).max(axis=1, initial=0.0)
+
+
+def _scorer(scheme: MergeScheme, spec: MlpSpec, first: tuple, draws: np.ndarray, calls: int):
     """``count(rows, data)``: the error counts on ``data`` of those rows of
     ``draws``, on the cheaper first-layer path for calls of ``calls`` draws
     (see the module docstring), merged once for every call.
@@ -150,7 +155,7 @@ def _scorer(scheme: MergeScheme, spec: MlpSpec, draws: np.ndarray, calls: int):
     shows that no merged first-layer value leaves the float32 range, so a
     merge that overflows raises as ``merged_values`` does on either path.
     """
-    rows, first_basis, scale = scheme.first_layer(spec)
+    rows, first_basis, scale = first
     width, size = spec.widths[0] + 1, len(rows)
     if size * width + calls * size < calls * width:
         coeff = with_base(draws)[:, rows]

@@ -148,28 +148,6 @@ class LabeledSet:
         """The largest label, -1 for an empty set."""
         return int(self.labels.max()) if self.n else -1
 
-    @cached_property
-    def _slice_sets(self) -> dict:
-        # slice count -> ``_slices``'s sets, filled on first use
-        return {}
-
-    def _slices(self, count: int) -> tuple:
-        """The ``count`` contiguous ``np.array_split`` parts of this set as
-        sets, built once per count and kept, so each keeps its own scoring
-        constants.  A part holds read-only views of this set's arrays, which
-        were checked and copied when it was made, so it is neither checked
-        nor copied again."""
-        parts = self._slice_sets.get(count)
-        if parts is None:
-            parts = []
-            for x, y in zip(np.array_split(self.inputs, count), np.array_split(self.labels, count)):
-                part = object.__new__(LabeledSet)
-                object.__setattr__(part, "inputs", x)
-                object.__setattr__(part, "labels", y)
-                parts.append(part)
-            parts = self._slice_sets[count] = tuple(parts)
-        return parts
-
     def subset(self, indices) -> "LabeledSet":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledSet(self.inputs[idx], self.labels[idx])

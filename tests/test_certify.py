@@ -14,6 +14,7 @@ from pacmerge import (
     MergeScheme,
     MlpSpec,
     ModelPool,
+    RiskEstimator,
     StructureError,
     TrainConfig,
     certify,
@@ -24,7 +25,6 @@ from pacmerge import (
     error_counts,
     gen_tasks,
     init_params,
-    mc_risks,
     merged_values,
     minimize,
     optimize,
@@ -123,10 +123,9 @@ class TestOptimize:
         scheme = MergeScheme("task_arith", pool)
         config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=80, seed=3))
         result = optimize(scheme, "train_risk", support, spec, config)
-        value = mc_risks(
-            result.x_best[None], config.posterior_variance, scheme, spec, support,
-            config.mc_samples, derive_seed(3, "mc-common"),
-        )[0]
+        estimate = RiskEstimator(scheme, spec, support, config.posterior_variance,
+                                 config.mc_samples, derive_seed(3, "mc-common"))
+        value = estimate.risks(result.x_best[None])[0]
         # f_best is the least value of every evaluation, the one at x_best
         assert value == result.f_best
 
@@ -170,8 +169,9 @@ def one_row_trace(scheme, objective_kind, support, spec, config):
     trace = []
 
     def score(phi):
-        value = mc_risks(phi[None], config.posterior_variance, scheme, spec, support,
-                         config.mc_samples, mc_seed)[0]
+        # a fresh estimator per evaluation, so no state carries between them
+        value = RiskEstimator(scheme, spec, support, config.posterior_variance,
+                              config.mc_samples, mc_seed).risks(phi[None])[0]
         if objective_kind == "pac_bayes_upper":
             kl = gaussian_kl(phi[None], default_phi(scheme), config.posterior_variance,
                              config.prior_variance)[0]
@@ -325,10 +325,9 @@ class TestCertify:
         config = quick_config(7, max_evals=120)
         record = certify(scheme, "pac_bayes_upper", support, None, spec, config)
         phi0 = default_phi(scheme)
-        train0 = mc_risks(
-            phi0[None], config.posterior_variance, scheme, spec, support,
-            config.mc_samples, derive_seed(config.cma.seed, "mc-common"),
-        )[0]
+        train0 = RiskEstimator(scheme, spec, support, config.posterior_variance,
+                               config.mc_samples,
+                               derive_seed(config.cma.seed, "mc-common")).risks(phi0[None])[0]
         upper0 = seeger_certificate(train0, 0.0, support.n, config.delta).upper_bound
         assert record.provenance["search_objective"] <= upper0 + 1e-6
 

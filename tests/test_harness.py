@@ -1,8 +1,11 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from pacmerge.harness import (
 from pacmerge.bounds import make_record
 from pacmerge.harness import _run_validity
 from pacmerge.merging import KINDS, MergeScheme, default_phi, merged_values
-from pacmerge.posterior import mc_risks
+from pacmerge.posterior import RiskEstimator
 from pacmerge.seeding import derive_seed, rng_for
 from pacmerge.toyzoo import error_counts
 from pacmerge.toyzoo import _ROW_BUDGET as R
@@ -236,6 +239,21 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
     assert pacmerge.__version__ == version
+
+
+# Without libcst (hypothesis's codemods extra) the patch writer's import
+# fails, hypothesis's pytest plugin catches that, and there is nothing to guard.
+@pytest.mark.skipif(importlib.util.find_spec("libcst") is None, reason="libcst not installed")
+def test_hypothesis_failure_report_imports_under_the_warning_filters(pytestconfig):
+    # A failing @given test makes hypothesis import its patch writer, which
+    # imports libcst; if that import warned as an error under the
+    # ``filterwarnings`` of pyproject.toml, pytest would stop with an
+    # internal error and run no later test.  A fresh interpreter, since
+    # this one may have imported it already.
+    flags = [f"-W{entry}" for entry in pytestconfig.getini("filterwarnings")]
+    code = "import importlib; importlib.import_module('hypothesis.extra._patching')"
+    result = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.fixture(scope="module")
@@ -575,8 +593,8 @@ def reference_validity(config, world):
     records = []
     for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
-        risks = mc_risks(grid[:, None], variance, scheme, spec, support, k,
-                         derive_seed(seed, "trial-fit", trial))
+        risks = RiskEstimator(scheme, spec, support, variance, k,
+                              derive_seed(seed, "trial-fit", trial)).risks(grid[:, None])
         mu = float(grid[int(np.argmin(risks))])
         draw_seed = derive_seed(seed, "trial-draw", trial)
         h = mu + math.sqrt(variance) * float(rng_for(draw_seed, "gauss", 0).standard_normal())

@@ -14,8 +14,8 @@ from pacmerge import (
     init_params,
     error_counts,
     LabeledSet,
-    mc_risks,
     merged_values,
+    RiskEstimator,
     sample_set,
     train_stack,
     StructureError,
@@ -37,24 +37,36 @@ class TestSpecs:
             with pytest.raises(DomainError):
                 gaussian_kl(np.array([mean]), np.zeros(1), variance, 0.1)
             with pytest.raises(DomainError):
-                mc_risks(np.full((1, 3), mean[0]), variance, scheme, spec, data, 3)
+                fresh_risks(np.full((1, 3), mean[0]), variance, scheme, spec, data, 3)
+
+
+def fresh_risks(means, variance, scheme, model_spec, data, k=10, seed=0):
+    """The risks of ``means`` from one call of a fresh estimator."""
+    return RiskEstimator(scheme, model_spec, data, variance, k, seed).risks(means)
 
 
 def draws_of(mean, variance, seed, k):
-    """The k coefficient draws ``mc_risks`` scores for the posterior
-    N(mean, variance I)."""
-    return mean + np.sqrt(variance) * posterior._noise(seed, k, len(mean))
+    """The k coefficient draws an estimate scores for the posterior
+    N(mean, variance I): draw j from the stream (seed, "gauss", j)."""
+    noise = np.stack([rng_for(seed, "gauss", j).standard_normal(len(mean)) for j in range(k)])
+    return mean + np.sqrt(variance) * noise
+
+
+def posterior_draws(means, variance, k, seed):
+    """The coefficients (m·k, d) an estimate scores for the means (m, d): row
+    i·k + j is mean i plus draw j."""
+    return np.concatenate([draws_of(mean, variance, seed, k) for mean in means])
 
 
 def posterior_rows(means, variance, scheme, k, seed):
-    """The merged rows (m·k, P) ``mc_risks`` scores for the means (m, d): row
-    i·k + j is mean i plus draw j, merged in one call."""
-    return merged_values(scheme, posterior._draws(means, variance, scheme, k, seed))
+    """The merged rows (m·k, P) an estimate scores for the means (m, d),
+    merged in one call."""
+    return merged_values(scheme, posterior_draws(means, variance, k, seed))
 
 
 def posterior_risk(mean, variance, scheme, model_spec, data, k, seed):
-    """The Monte-Carlo risk of one posterior: a one-row ``mc_risks`` call."""
-    return float(mc_risks(mean[None], variance, scheme, model_spec, data, k, seed)[0])
+    """The Monte-Carlo risk of one posterior: a one-row estimate."""
+    return float(fresh_risks(mean[None], variance, scheme, model_spec, data, k, seed)[0])
 
 
 def point_risk(scheme, model_spec, phi, data):
@@ -81,7 +93,7 @@ def sliced_risk(mean, variance, scheme, model_spec, data, k, seed):
 
 
 class TestSample:
-    """The Gaussian draws that ``mc_risks`` merges and scores."""
+    """The Gaussian draws that an estimate merges and scores."""
 
     @pytest.fixture
     def merged_phis(self, monkeypatch):
@@ -97,20 +109,24 @@ class TestSample:
     def test_gaussian_tiny_variance_concentrates(self, toy_world, merged_phis):
         scheme, spec, data = toy_world
         mean = np.array([0.2, 0.5, -0.3])
-        mc_risks(mean[None], 1e-12, scheme, spec, data, 200, seed=4)
+        fresh_risks(mean[None], 1e-12, scheme, spec, data, 200, seed=4)
         assert np.max(np.abs(merged_phis[0] - mean)) < 1e-4  # 6 sigma = 6e-6
 
-    def test_gaussian_deterministic_and_counter_based(self):
-        a = posterior._noise(9, 5, 3)
-        np.testing.assert_array_equal(a, posterior._noise(9, 5, 3))
+    def test_gaussian_deterministic_and_counter_based(self, toy_world, merged_phis):
+        scheme, spec, data = toy_world
+        mean = np.array([[0.2, 0.5, -0.3]])
+        for k in (5, 5, 3):
+            fresh_risks(mean, 0.4, scheme, spec, data, k, seed=9)
+        a = merged_phis[0]
+        np.testing.assert_array_equal(a, merged_phis[1])
         # prefix property of the counter contract: draw j is a pure function
         # of (seed, j), so asking for fewer draws yields a prefix
-        np.testing.assert_array_equal(a[:3], posterior._noise(9, 3, 3))
+        np.testing.assert_array_equal(a[:3], merged_phis[2])
 
     def test_gaussian_mean_converges(self, toy_pool, merged_phis):
         pool, spec, task = toy_pool
         scheme = MergeScheme("task_arith", pool)
-        mc_risks(np.array([[1.5]]), 0.25, scheme, spec, sample_set(task, 5, 1), 4000, seed=3)
+        fresh_risks(np.array([[1.5]]), 0.25, scheme, spec, sample_set(task, 5, 1), 4000, seed=3)
         draws = merged_phis[0]
         assert draws.shape == (4000, 1)
         assert abs(draws.mean() - 1.5) < 3 * 0.5 / np.sqrt(4000)
@@ -260,7 +276,7 @@ def shipped_shape_pool():
     return pool, spec, gen_tasks(4, 2, 16, 4, 0.8)[0]
 
 
-# The rows of ``mc_risks`` depend on no other row of their call because a
+# The rows of an estimate depend on no other row of their call because a
 # draw's float32 margins on a row tile do not depend on the block it is
 # scored in: alone, in blocks of 10, or in one block of every draw.  Blocks
 # stay within about 2^17 (draw, input) rows, 16 MB of hidden units.  A
@@ -298,10 +314,10 @@ def test_one_input_set_scores_one_draw_per_block(toy_pool, monkeypatch):
 
     monkeypatch.setattr(toyzoo, "_scores32", recorded)
     means = 1 / 3 + 0.4 * np.random.default_rng(6).standard_normal((7, scheme.d_phi))
-    risks = mc_risks(means, 0.2, scheme, spec, data, 10, seed=23)
+    risks = fresh_risks(means, 0.2, scheme, spec, data, 10, seed=23)
     assert blocks == [1] * 70
     for i in range(7):
-        assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, 10, seed=23)[0]
+        assert risks[i] == fresh_risks(means[i : i + 1], 0.2, scheme, spec, data, 10, seed=23)[0]
 
 
 def fresh_label_index(labels, classes, n):
@@ -340,9 +356,9 @@ class TestScoringConstants:
                     assert not (xa.flags.writeable or tile.flags.writeable)
 
     # one-row sets, sets one row past the budget (in 4 slices) and
-    # ``subset`` results, scored twice (the second time from the kept
-    # constants and slices), against the one-row calls on fresh copies of
-    # each draw's slice
+    # ``subset`` results, scored twice by one estimator (the second time from
+    # the kept constants and the estimator's slices), against the one-row
+    # calls on fresh copies of each draw's slice
     @pytest.mark.parametrize("n,rows", [(1, None), (_ROW_BUDGET + 1, None),
                                         (300, slice(150, 300)), (_ROW_BUDGET + 3, slice(1, None))])
     @pytest.mark.parametrize("kind", ["task_arith", "layer_wise"])
@@ -354,12 +370,13 @@ class TestScoringConstants:
             data = data.subset(np.arange(n)[rows])
         mean, variance, k = np.full(scheme.d_phi, 1 / 3), 0.5, 4
         reference = sliced_risk(mean, variance, scheme, spec, data, k, 17)
+        estimate = RiskEstimator(scheme, spec, data, variance, k, 17)
         for _ in range(2):
-            assert posterior_risk(mean, variance, scheme, spec, data, k, seed=17) == reference
+            assert float(estimate.risks(mean[None])[0]) == reference
 
 
 class TestBatchedMeans:
-    """``mc_risks`` over m means against one one-row call per mean."""
+    """An estimate over m means against one one-row call per mean."""
 
     # on 120 rows the m * k draws stack into blocks; on 4,101 rows each of
     # the 2 draws scores its own slice; k = 150 sums each mean's risks past
@@ -372,10 +389,10 @@ class TestBatchedMeans:
         scheme = MergeScheme(kind, pool)
         data = sample_set(task, n, 4)
         means = 1 / 3 + 0.4 * np.random.default_rng(m).standard_normal((m, scheme.d_phi))
-        risks = mc_risks(means, 0.2, scheme, spec, data, k, seed=23)
+        risks = fresh_risks(means, 0.2, scheme, spec, data, k, seed=23)
         assert risks.shape == (m,)
         for i in range(m):
-            assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=23)[0]
+            assert risks[i] == fresh_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=23)[0]
         for i in (0, m - 1):
             assert risks[i] == sliced_risk(means[i], 0.2, scheme, spec, data, k, 23)
 
@@ -388,7 +405,7 @@ class TestBatchedMeans:
             return merged_values(*args)
 
         monkeypatch.setattr(posterior, "merged_values", counting)
-        mc_risks(np.full((12, 3), 1 / 3), 0.3, scheme, spec, data, 6, seed=2)
+        fresh_risks(np.full((12, 3), 1 / 3), 0.3, scheme, spec, data, 6, seed=2)
         # the 72 draws' later layers, from the first layer's 7 * 8 values on
         assert len(calls) == 1 and calls[0][1].shape == (72, 3) and calls[0][2:] == (7 * 8,)
 
@@ -396,18 +413,18 @@ class TestBatchedMeans:
         scheme, spec, data = toy_world
         means = np.full((4, 3), 1 / 3)
         with pytest.raises(DomainError, match="finite"):
-            mc_risks(np.array([[0.1, np.inf, 0.2]]), 0.1, scheme, spec, data, 3)
+            fresh_risks(np.array([[0.1, np.inf, 0.2]]), 0.1, scheme, spec, data, 3)
         for variance in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(DomainError, match="variance"):
-                mc_risks(means, variance, scheme, spec, data, 3)
+                fresh_risks(means, variance, scheme, spec, data, 3)
         with pytest.raises(DomainError, match="k >= 1"):
-            mc_risks(means, 0.1, scheme, spec, data, 0)
+            fresh_risks(means, 0.1, scheme, spec, data, 0)
         with pytest.raises(DomainError, match="non-empty"):
-            mc_risks(means, 0.1, scheme, spec, data.subset(np.array([], dtype=int)), 3)
+            fresh_risks(means, 0.1, scheme, spec, data.subset(np.array([], dtype=int)), 3)
         with pytest.raises(StructureError):
-            mc_risks(np.full((4, 2), 0.5), 0.1, scheme, spec, data, 3)
+            fresh_risks(np.full((4, 2), 0.5), 0.1, scheme, spec, data, 3)
         with pytest.raises(StructureError):
-            mc_risks(np.full(3, 0.5), 0.1, scheme, spec, data, 3)
+            fresh_risks(np.full(3, 0.5), 0.1, scheme, spec, data, 3)
 
     def test_posterior_rows_are_the_merged_draws(self, toy_world):
         scheme, spec, _ = toy_world
@@ -421,16 +438,16 @@ class TestBatchedMeans:
     def test_means_not_written(self, toy_world):
         scheme, spec, data = toy_world
         means = np.full((3, 3), 1 / 3)
-        mc_risks(means, 0.3, scheme, spec, data, 4, seed=5)
+        fresh_risks(means, 0.3, scheme, spec, data, 4, seed=5)
         assert np.array_equal(means, np.full((3, 3), 1 / 3))
 
 
 class TestSlices:
-    """Where ``mc_risks`` slices a set, and what each draw scores."""
+    """Where an estimate slices a set, and what each draw scores."""
 
     @pytest.fixture
     def scored(self, monkeypatch):
-        # the (rows, set size) of every error-count call of ``mc_risks``, on
+        # the (rows, set size) of every error-count call of an estimate, on
         # either first-layer path
         calls = []
 
@@ -454,7 +471,7 @@ class TestSlices:
         n, k = 2 * _SLICE_ROWS - 1, 10
         data = sample_set(task, n, 4)
         means = 1 / 3 + 0.4 * np.random.default_rng(2).standard_normal((5, scheme.d_phi))
-        risks = mc_risks(means, 0.3, scheme, spec, data, k, seed=9)
+        risks = fresh_risks(means, 0.3, scheme, spec, data, k, seed=9)
         rows = posterior_rows(means, 0.3, scheme, k, seed=9)
         whole = np.add.reduce((error_counts(spec, rows, data) / n).reshape(-1, k), axis=1) / k
         assert slice_count(n, k) == 1 and scored == [(5 * k, n)]
@@ -480,23 +497,27 @@ class TestSlices:
         assert scored == [(1, 2667), (1, 2667), (1, 2666)]
         assert risk == sliced_risk(mean, 0.3, scheme, spec, data, 3, 9)
 
-    @pytest.mark.parametrize("n,count", [(800, 2), (801, 2), (4000, 10), (4099, 7), (5, 5)])
-    def test_slices_are_disjoint_contiguous_and_cover_the_set(self, toy_pool, n, count):
-        _, _, task = toy_pool
+    # k = count draws, one on each slice: the first n mod count slices one
+    # row longer than the rest
+    @pytest.mark.parametrize("n,count", [(800, 2), (801, 2), (4000, 10), (4099, 7)])
+    def test_slices_are_disjoint_contiguous_and_cover_the_set(self, toy_pool, scored, n, count):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme("task_wise", pool)
         data = sample_set(task, n, 6)
-        parts = data._slices(count)
-        assert data._slices(count) is parts and len(parts) == count
+        mean = np.full(3, 1 / 3)
+        estimate = RiskEstimator(scheme, spec, data, 0.3, count, seed=9)
+        assert slice_count(n, count) == len(estimate.parts) == count
         start = 0
-        for part, fresh in zip(parts, reference_slices(data, count)):
-            # each part is the next run of rows, viewed, not copied
-            assert np.shares_memory(part.inputs, data.inputs)
+        for part, fresh in zip(estimate.parts, reference_slices(data, count)):
+            # each part is the next run of rows
             assert part.n == fresh.n > 0
             assert np.array_equal(part.inputs, data.inputs[start : start + part.n])
             assert np.array_equal(part.labels, data.labels[start : start + part.n])
-            assert np.array_equal(part.labels, fresh.labels)
-            assert not (part.inputs.flags.writeable or part.labels.flags.writeable)
             start += part.n
         assert start == n
+        risk = float(estimate.risks(mean[None])[0])
+        assert scored == [(1, part.n) for part in reference_slices(data, count)]
+        assert risk == sliced_risk(mean, 0.3, scheme, spec, data, count, 9)
 
     # each row of a call against its one-mean call, for any size, draw count
     # and mean count, sliced or not; the examples sit on both sides of two
@@ -512,16 +533,16 @@ class TestSlices:
         scheme = MergeScheme(kind, pool)
         data = sample_set(task, n, 3)
         means = 1 / 3 + 0.4 * np.random.default_rng(n).standard_normal((m, scheme.d_phi))
-        risks = mc_risks(means, 0.2, scheme, spec, data, k, seed=5)
+        risks = fresh_risks(means, 0.2, scheme, spec, data, k, seed=5)
         for i in range(m):
-            assert risks[i] == mc_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=5)[0]
+            assert risks[i] == fresh_risks(means[i : i + 1], 0.2, scheme, spec, data, k, seed=5)[0]
         assert risks[0] == sliced_risk(means[0], 0.2, scheme, spec, data, k, 5)
 
 
 def coefficient_path_counts(scheme, spec, phis, data):
     """The error counts of the merges at ``phis`` with their first layer
     formed in coefficient space, whatever the cost rule would pick."""
-    rows, first_basis, _ = scheme.first_layer(spec)
+    rows, first_basis, _ = posterior._first_layer(scheme, spec)
     start = (spec.widths[0] + 1) * spec.widths[1]
     return coefficient_counts(spec, with_base(phis)[:, rows].astype(np.float32), first_basis,
                               merged_values(scheme, phis, start), data)
@@ -545,7 +566,7 @@ class TestCoefficientPath:
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        # (path, draws, set size) of every error-count call of ``mc_risks``
+        # (path, draws, set size) of every error-count call of an estimate
         calls = []
 
         def merged(spec, thetas, data, _original=posterior.error_counts):
@@ -568,7 +589,7 @@ class TestCoefficientPath:
     # |c_l| sum_i |F_li| |x_i| (Higham, gamma_n = n u / (1 - n u)) the two
     # differ by at most about (2 (in + 1) + L + 3) u M, 1.001 times that here.
     # The pre-activations are read where each path activates them: 4 means x
-    # 10 draws in one ``mc_risks`` call, and their merged rows scored by
+    # 10 draws in one estimate, and their merged rows scored by
     # ``error_counts``.
     @pytest.mark.parametrize("kind", KINDS)
     def test_pre_activations_within_float32_rounding(self, five_member_pool, monkeypatch,
@@ -584,14 +605,14 @@ class TestCoefficientPath:
             return _original(z, out=out)
 
         monkeypatch.setattr(np, "tanh", recorded)
-        mc_risks(means, 0.5, scheme, spec, data, 10, seed=4)
+        fresh_risks(means, 0.5, scheme, spec, data, 10, seed=4)
         combined = np.concatenate(activated)
         activated.clear()
-        phis = posterior._draws(means, 0.5, scheme, 10, 4)
+        phis = posterior_draws(means, 0.5, 10, 4)
         error_counts(spec, merged_values(scheme, phis), data)
         merged = np.concatenate(activated)
         assert paths == [("coefficients", 40, 300)]
-        rows, _, _ = scheme.first_layer(spec)
+        rows, _, _ = posterior._first_layer(scheme, spec)
         width = spec.widths[0] + 1
         first, _ = toyzoo._float32_layers(spec, scheme.basis[rows])
         responses = np.abs(first.reshape(-1, width)) @ np.abs(toyzoo._float32_inputs(data.inputs))
@@ -616,9 +637,9 @@ class TestCoefficientPath:
         data = sample_set(task, n, 4)
         means = np.full((1, scheme.d_phi), 1 / 3) if m == 1 else (
             1 / 3 + 0.4 * np.random.default_rng(2).standard_normal((m, scheme.d_phi)))
-        draws = posterior._draws(means, variance, scheme, k, seed)
+        draws = posterior_draws(means, variance, k, seed)
         s = slice_count(n, k)
-        for q, part in enumerate(data._slices(s)):
+        for q, part in enumerate(reference_slices(data, s)):
             mine = draws[np.arange(len(draws)) % k % s == q]
             expected = error_counts(spec, merged_values(scheme, mine), part)
             assert coefficient_path_counts(scheme, spec, mine, part).tolist() == expected.tolist()
@@ -629,16 +650,16 @@ class TestCoefficientPath:
         means = 0.2 + 0.1 * np.random.default_rng(3).standard_normal((8, 5))
         # a gap-sweep generation at n = 4,000: 8 candidates x 10 draws on 10
         # slices, 8 draws a call; 6 * 17 + 8 * 6 >= 8 * 17
-        mc_risks(means, 0.01, scheme, spec, sample_set(task, 4000, 1), 10, seed=3)
+        fresh_risks(means, 0.01, scheme, spec, sample_set(task, 4000, 1), 10, seed=3)
         assert paths == [("merged", 8, 400)] * 10
         paths.clear()
         # a Table 1 generation at n = 100: 80 draws in one call
-        mc_risks(means, 0.01, scheme, spec, sample_set(task, 100, 1), 10, seed=3)
+        fresh_risks(means, 0.01, scheme, spec, sample_set(task, 100, 1), 10, seed=3)
         assert paths == [("coefficients", 80, 100)]
         paths.clear()
         # a validity grid fit: 41 points x 10 draws of task arithmetic, L = 2
         grid = np.linspace(0.0, 2.0, 41)[:, None]
-        mc_risks(grid, 0.01, MergeScheme("task_arith", pool), spec, sample_set(task, 100, 1), 10,
+        fresh_risks(grid, 0.01, MergeScheme("task_arith", pool), spec, sample_set(task, 100, 1), 10,
                  seed=3)
         assert paths == [("coefficients", 410, 100)]
 
@@ -665,7 +686,7 @@ class TestCoefficientPath:
         errors = []
         for rows, k in ((means, 10), (means[3:4], 1)):
             with pytest.raises(DomainError, match="32-bit") as raised:
-                mc_risks(rows, 1e-12, scheme, spec, data, k, seed=3)
+                fresh_risks(rows, 1e-12, scheme, spec, data, k, seed=3)
             errors.append(str(raised.value))
         assert errors[0] == errors[1] == "merge overflowed the 32-bit float range"
         assert merges == [start, ()] and paths == []
@@ -697,13 +718,7 @@ class TestNonFinite:
 
 
 class TestNoiseCache:
-    def test_returned_draws_are_private(self):
-        # the cached noise is read-only, so no caller can change later draws
-        first = posterior._noise(41, 6, 2)
-        expected = first.copy()
-        with pytest.raises(ValueError):
-            first[:] = 0.0
-        assert np.array_equal(posterior._noise(41, 6, 2), expected)
+    """An estimator draws its noise rows once, when it is built."""
 
     def test_repeat_call_draws_no_noise(self, toy_world, monkeypatch):
         scheme, spec, data = toy_world
@@ -713,11 +728,20 @@ class TestNoiseCache:
             calls.append(args)
             return rng_for(*args)
 
+        means = [np.full((1, 3), 1 / 3), np.full((2, 3), 0.2), np.full((1, 3), 1 / 3)]
+        fresh = [fresh_risks(mean, 0.3, scheme, spec, data, 5, seed=918273) for mean in means]
         monkeypatch.setattr(posterior, "rng_for", counting)
-        mean, variance = np.full(3, 1 / 3), 0.3
-        first = posterior_risk(mean, variance, scheme, spec, data, 5, seed=918273)
+        estimate = RiskEstimator(scheme, spec, data, 0.3, 5, seed=918273)
+        assert calls == [(918273, "gauss", j) for j in range(5)]
+        for mean, expected in zip(means, fresh):
+            assert estimate.risks(mean).tobytes() == expected.tobytes()
         assert len(calls) == 5
-        moved = np.full(3, 0.2)
-        posterior_risk(moved, variance, scheme, spec, data, 5, seed=918273)
-        assert posterior_risk(mean, variance, scheme, spec, data, 5, seed=918273) == first
-        assert len(calls) == 5
+
+    def test_interleaved_estimators_keep_their_own_noise(self, toy_world):
+        scheme, spec, data = toy_world
+        seeds, means = (3, 4), [np.full((1, 3), 1 / 3), np.full((3, 3), 0.2)]
+        estimates = [RiskEstimator(scheme, spec, data, 0.3, 6, seed) for seed in seeds]
+        for mean in means:
+            for seed, estimate in zip(seeds, estimates):
+                expected = fresh_risks(mean, 0.3, scheme, spec, data, 6, seed)
+                assert estimate.risks(mean).tobytes() == expected.tobytes()

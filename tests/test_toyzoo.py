@@ -740,7 +740,7 @@ class TestZeroOneRisk:
         assert risk(spec, theta, data) == 0.25
 
     def test_empty_set_counts_no_errors(self):
-        # a risk needs n > 0, which mc_risks checks; the counts are just zero
+        # a risk needs n > 0, which a risk estimate checks; the counts are just zero
         spec = MlpSpec((2, 2))
         thetas = np.stack([init_params(spec, seed) for seed in range(3)])
         empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
