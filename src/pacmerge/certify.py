@@ -44,7 +44,7 @@ from .bounds import (CertificateRecord, budget, closed_form, gaussian_kl, gaussi
 from .cma import CmaConfig, CmaResult, minimize
 from .errors import DomainError, StructureError
 from .merging import MergeScheme, default_phi, merged_values
-from .posterior import RiskEstimator, slice_count
+from .posterior import MC_SAMPLES, RiskEstimator, slice_count
 from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
@@ -66,11 +66,11 @@ class DdpConfig:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Shared knobs for all certification entry points."""
+    """Shared knobs for all certification entry points; every search
+    estimates its risks from ``posterior.MC_SAMPLES`` draws."""
 
     posterior_variance: float = 0.05
     prior_variance: float = 0.05
-    mc_samples: int = 10
     delta: float = 0.05
     cma: CmaConfig = field(default_factory=CmaConfig)
     eval_seed: int = 1
@@ -79,8 +79,6 @@ class CertifyConfig:
         for variance in (self.posterior_variance, self.prior_variance):
             if not (variance > 0 and math.isfinite(variance)):
                 raise DomainError(f"variances must be positive and finite, got {variance}")
-        if self.mc_samples < 1:
-            raise DomainError("mc_samples must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta {self.delta} outside (0, 1)")
 
@@ -103,16 +101,16 @@ def optimize(
     CMA-ES generation is scored in one ``risks`` call and one ``gaussian_kl``
     call, so one merge and one scoring pass per generation, and its bounds
     in one array call of ``budget`` and of ``closed_form``, whose elements
-    have the bits of their scalar calls.  The estimator scores draw j on
-    slice j mod s of the support, s = ``slice_count(support.n,
-    config.mc_samples)``, so a candidate costs about max(n, k·400) row
-    evaluations (``posterior._SLICE_ROWS`` = 400), not k·n; the budget
-    still uses the full n, and the certificate scores its own draw on all n
-    rows.  Where it costs fewer multiply-adds, as for the generations on 100
-    rows, the estimator forms the draws' first layer in coefficient space
-    and merges only their later layers; its estimate can then differ from
-    the merged rows' where a margin lies within float32 rounding of zero,
-    and still no record reads it.
+    have the bits of their scalar calls.  The estimator takes k =
+    ``MC_SAMPLES`` draws and scores draw j on slice j mod s of the support,
+    s = ``slice_count(support.n, k)``, so a candidate costs about max(n,
+    k·400) row evaluations (``posterior._SLICE_ROWS`` = 400), not k·n; the
+    budget still uses the full n, and the certificate scores its own draw on
+    all n rows.  Where it costs fewer multiply-adds, as for the generations
+    on 100 rows, the estimator forms the draws' first layer in coefficient
+    space and merges only their later layers; its estimate can then differ
+    from the merged rows' where a margin lies within float32 rounding of
+    zero, and still no record reads it.
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     The search stops at ``config.cma.max_evals`` or, with ``stop ==
@@ -129,7 +127,7 @@ def optimize(
         raise StructureError(f"prior mean shape {np.shape(prior_mean)} != ({scheme.d_phi},)")
     variance = config.posterior_variance
     # Common random numbers across calls make the objective a pure function.
-    estimate = RiskEstimator(scheme, model_spec, support, variance, config.mc_samples,
+    estimate = RiskEstimator(scheme, model_spec, support, variance, MC_SAMPLES,
                              derive_seed(config.cma.seed, "mc-common"))
 
     def batch_objective(phis):
@@ -226,8 +224,8 @@ def certify(
             "search_sigma": result.sigma,
             "posterior_variance": config.posterior_variance,
             "prior_variance": config.prior_variance,
-            "mc_samples": config.mc_samples,
-            "search_slices": slice_count(support.n, config.mc_samples),
+            "mc_samples": MC_SAMPLES,
+            "search_slices": slice_count(support.n, MC_SAMPLES),
         },
         prior_mean=prior_mean,
     )
@@ -276,7 +274,7 @@ def certify_ddp(
             "ddp_prior_evals": prior.evals,
             "ddp_prior_stop": prior.stop,
             "ddp_prior_sigma": prior.sigma,
-            "ddp_prior_slices": slice_count(half_a.n, config.mc_samples),
+            "ddp_prior_slices": slice_count(half_a.n, MC_SAMPLES),
         }
     )
     return record

@@ -40,15 +40,13 @@ def stall_window(dim: int, popsize: int) -> int:
 
 @dataclass(frozen=True)
 class CmaConfig:
-    """Search settings; the population is always ``default_popsize(d)``."""
+    """Search settings; the initial step size is always 1 and the population
+    ``default_popsize(d)``."""
 
-    sigma0: float = 1.0
     max_evals: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
         if self.max_evals < 1:
             raise DomainError("max_evals must be >= 1")
 
@@ -165,14 +163,15 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     initialization; ``best_eval`` is the first evaluation that reached
     ``f_best``.  Candidates within a generation are numbered, observed
     and reduced in index order.  ``callback(eval_index, x, f)`` observes
-    every evaluation.  Each generation has λ = ``default_popsize(d)``
-    candidates.  The search stops with ``stop == "stalled"`` after the
-    generation that makes ``stall_window(d, λ)`` generations in a row
-    without a value below the best-ever one, else with ``stop == "budget"``
-    after the generation that spends ``config.max_evals``, whole or cut
-    short.  The last generation is evaluated but not told: no later
-    generation would read the update.  A non-finite value raises OptError
-    naming its evaluation; neither stop is an error.
+    every evaluation.  The step size starts at 1, and each generation has
+    λ = ``default_popsize(d)`` candidates.  The search stops with ``stop ==
+    "stalled"`` after the generation that makes ``stall_window(d, λ)``
+    generations in a row without a value below the best-ever one, else with
+    ``stop == "budget"`` after the generation that spends
+    ``config.max_evals``, whole or cut short.  The last generation is
+    evaluated but not told: no later generation would read the update.  A
+    non-finite value raises OptError naming its evaluation; neither stop is
+    an error.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     popsize = default_popsize(x0.size)
@@ -192,7 +191,7 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     best_f = float(evaluate(0, x0[None])[0])
     evals = 1
 
-    es = CmaEs(x0, config.sigma0, popsize, config.seed)
+    es = CmaEs(x0, 1.0, popsize, config.seed)
     window, stall, stop = stall_window(x0.size, popsize), 0, "budget"
     while evals < config.max_evals:
         xs = es.ask()[: config.max_evals - evals]

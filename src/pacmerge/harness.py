@@ -57,7 +57,7 @@ from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
 from .merging import KINDS, MergeScheme, merged_values
 from .params import ModelPool
-from .posterior import RiskEstimator, slice_count
+from .posterior import MC_SAMPLES, RiskEstimator, slice_count
 from .seeding import derive_seed
 from .toyzoo import (
     LabeledSet,
@@ -154,21 +154,16 @@ _SCHEMA: dict[str, tuple] = {
     "model.hidden": (_positive_int, 32),
     "pool.base_n": (_positive_int, 200),
     "pool.base_epochs": (_int_at_least(0), 30),
-    "pool.base_lr": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
     "pool.ft_n": (_positive_int, 300),
     "pool.ft_epochs": (_int_at_least(0), 25),
-    "pool.ft_lr": (_bounded_float(0.0, 1e9, lo_open=True), 0.02),
-    "pool.batch": (_positive_int, 32),
     "certify.n": (_int_at_least(2), 100),
     "certify.targets": (_positive_int, 5),
     "merge.kind": (_choice(_MERGE_CHOICES), "all"),
     "merge.trim_fraction": (_bounded_float(0.0, 1.0, lo_open=True), 0.2),
     "objective.kind": (_choice(_OBJECTIVE_CHOICES), "both"),
     "posterior.variance": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
-    "posterior.mc_samples": (_positive_int, 10),
     "prior.variance": (_bounded_float(0.0, 1e9, lo_open=True), 0.05),
     "bound.delta": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.05),
-    "cma.sigma0": (_bounded_float(0.0, 1e9, lo_open=True), 1.0),
     "cma.max_evals": (_positive_int, 2000),
     "ddp.split": (_bounded_float(0.0, 1.0, lo_open=True, hi_open=True), 0.5),
     "ddp.prior_objective": (_choice(OBJECTIVE_KINDS), "train_risk"),
@@ -177,7 +172,6 @@ _SCHEMA: dict[str, tuple] = {
     "eval.query_n": (_positive_int, 2000),
     "validity.trials": (_positive_int, 200),
     "validity.population": (_positive_int, 100000),
-    "validity.n": (_int_at_least(2), 100),
     "validity.grid": (_positive_int, 41),
 }
 
@@ -352,12 +346,12 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
     """Generate tasks and train the source-model pool.
 
     The base model trains on a mixture of every task's data; each member is
-    the base fine-tuned on one task.  Each stage trains under one
-    ``TrainConfig`` of its ``pool.*`` keys; all members fine-tune in one
-    ``train_stack`` call, each with its own shuffling seed and the bits of
-    training it alone, so the pool bytes do not depend on the stacking.  A
-    diverging model raises ``TrainingDiverged`` naming "base" or the
-    member's task id.
+    the base fine-tuned on one task.  Each stage trains for its
+    ``pool.*_epochs`` in batches of 32, the base at learning rate 0.05 and
+    the members at 0.02; all members fine-tune in one ``train_stack`` call,
+    each with its own shuffling seed and the bits of training it alone, so
+    the pool bytes do not depend on the stacking.  A diverging model raises
+    ``TrainingDiverged`` naming "base" or the member's task id.
 
     When ``cache_dir`` is given, the pool is cached as one float32 array,
     the base row over the member rows, in ``<cache_dir>/<pool hash>.npz``;
@@ -397,7 +391,7 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         spec,
         init_params(spec, derive_seed(seed, "base-init")),
         [mixture],
-        TrainConfig(config["pool.base_lr"], config["pool.base_epochs"], config["pool.batch"]),
+        TrainConfig(0.05, config["pool.base_epochs"], 32),
         [derive_seed(seed, "base-train")],
         ["base"],
     )
@@ -406,7 +400,7 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         base,
         [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))
          for i, task in enumerate(tasks)],
-        TrainConfig(config["pool.ft_lr"], config["pool.ft_epochs"], config["pool.batch"]),
+        TrainConfig(0.02, config["pool.ft_epochs"], 32),
         [derive_seed(seed, "ft-train", i) for i in range(len(tasks))],
         task_ids,
     )
@@ -444,13 +438,9 @@ def _certify_config(config, *key) -> CertifyConfig:
     return CertifyConfig(
         posterior_variance=config["posterior.variance"],
         prior_variance=config["prior.variance"],
-        mc_samples=config["posterior.mc_samples"],
         delta=config["bound.delta"],
-        cma=CmaConfig(
-            sigma0=config["cma.sigma0"],
-            max_evals=config["cma.max_evals"],
-            seed=derive_seed(config["seed"], "cma", *key),
-        ),
+        cma=CmaConfig(max_evals=config["cma.max_evals"],
+                      seed=derive_seed(config["seed"], "cma", *key)),
         eval_seed=derive_seed(config["seed"], "eval", *key),
     )
 
@@ -592,7 +582,7 @@ def _half_val(config, spec, task, key, scheme, support, query, cfg):
                         query, spec, cfg.delta, task.task_id, "half_val",
                         {"train_half_n": half, "evals": fit.evals, "search_stop": fit.stop,
                          "search_sigma": fit.sigma,
-                         "search_slices": slice_count(half, cfg.mc_samples)})
+                         "search_slices": slice_count(half, MC_SAMPLES)})
 
 
 def _grid(config, spec, task, key, scheme, support, query, cfg):
@@ -640,10 +630,11 @@ def _run_validity(config, spec, index, task, subpool):
     """Fresh-support trials of the certificate against near-exact risk.
 
     The hypothesis class (pool, grid, prior) is fixed once.  A fit pass
-    draws each trial's fresh support set, fits its merge coefficient mu by
-    grid argmin of the Monte-Carlo train risk (all grid points in one
-    ``risks`` call of the trial's ``RiskEstimator``) and certifies one draw h of N(mu,
-    posterior variance) with ``certify_gaussian``, on the draw stream
+    draws each trial's fresh support set of ``certify.n`` rows, fits its
+    merge coefficient mu by grid argmin of the Monte-Carlo train risk (all
+    grid points in one ``risks`` call of the trial's ``RiskEstimator`` of
+    ``MC_SAMPLES`` draws) and certifies one draw h of N(mu, posterior
+    variance) with ``certify_gaussian``, on the draw stream
     ``(seed, "trial-draw", trial)`` and with no query.  One streamed pass
     over the population then scores every trial's h, each re-merged alone
     from its record so it is the row its certificate scored, with one
@@ -657,12 +648,12 @@ def _run_validity(config, spec, index, task, subpool):
     seed = config["seed"]
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
     cfg = _certify_config(config)  # its search and evaluation seeds go unused
-    n = config["validity.n"]
+    n = config["certify.n"]
 
     records = []
     for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
-        risks = RiskEstimator(scheme, spec, support, cfg.posterior_variance, cfg.mc_samples,
+        risks = RiskEstimator(scheme, spec, support, cfg.posterior_variance, MC_SAMPLES,
                               derive_seed(seed, "trial-fit", trial)).risks(grid[:, None])
         mu = grid[int(np.argmin(risks))]
         records.append(certify_gaussian(scheme, np.array([mu]), support, None, spec, cfg,

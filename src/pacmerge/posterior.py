@@ -65,6 +65,9 @@ from .toyzoo import (_F32_MAX, LabeledSet, MlpSpec, _float32_layers, coefficient
 # j mod s of a set of n rows, s = min(k, n // _SLICE_ROWS).
 _SLICE_ROWS = 400
 
+# Draws per risk estimate: every search and every validity grid fit takes k = 10.
+MC_SAMPLES = 10
+
 
 def slice_count(n: int, k: int) -> int:
     """The number s of slices a risk estimate scores k draws on for a set of
@@ -95,7 +98,7 @@ class RiskEstimator:
     """
 
     def __init__(self, scheme: MergeScheme, model_spec: MlpSpec, data: LabeledSet,
-                 variance: float, k: int = 10, seed: int = 0):
+                 variance: float, k: int = MC_SAMPLES, seed: int = 0):
         if data.n == 0:
             raise DomainError("a risk estimate needs a non-empty set")
         if not (variance > 0 and math.isfinite(variance)):

@@ -38,6 +38,7 @@ import pacmerge.toyzoo as toyzoo
 from pacmerge.bounds import gaussian_kl, gaussian_log_ratio
 from pacmerge.certify import OBJECTIVE_KINDS, split_support
 from pacmerge.merging import KINDS
+from pacmerge.posterior import MC_SAMPLES
 from pacmerge.seeding import derive_seed, rng_for
 from pacmerge.toyzoo import _ROW_BUDGET
 
@@ -107,7 +108,7 @@ class TestOptimize:
     def test_deterministic_trace(self, world, monkeypatch):
         _, pool, spec, support, _ = world
         scheme = MergeScheme("task_arith", pool)
-        config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=60, seed=11))
+        config = CertifyConfig(cma=CmaConfig(max_evals=60, seed=11))
 
         def run():
             result, trace = traced_optimize(monkeypatch, scheme, "train_risk", support, spec,
@@ -121,10 +122,10 @@ class TestOptimize:
     def test_best_not_worse_than_trace_minimum(self, world):
         _, pool, spec, support, _ = world
         scheme = MergeScheme("task_arith", pool)
-        config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=80, seed=3))
+        config = CertifyConfig(cma=CmaConfig(max_evals=80, seed=3))
         result = optimize(scheme, "train_risk", support, spec, config)
-        estimate = RiskEstimator(scheme, spec, support, config.posterior_variance,
-                                 config.mc_samples, derive_seed(3, "mc-common"))
+        estimate = RiskEstimator(scheme, spec, support, config.posterior_variance, MC_SAMPLES,
+                                 derive_seed(3, "mc-common"))
         value = estimate.risks(result.x_best[None])[0]
         # f_best is the least value of every evaluation, the one at x_best
         assert value == result.f_best
@@ -170,8 +171,8 @@ def one_row_trace(scheme, objective_kind, support, spec, config):
 
     def score(phi):
         # a fresh estimator per evaluation, so no state carries between them
-        value = RiskEstimator(scheme, spec, support, config.posterior_variance,
-                              config.mc_samples, mc_seed).risks(phi[None])[0]
+        value = RiskEstimator(scheme, spec, support, config.posterior_variance, MC_SAMPLES,
+                              mc_seed).risks(phi[None])[0]
         if objective_kind == "pac_bayes_upper":
             kl = gaussian_kl(phi[None], default_phi(scheme), config.posterior_variance,
                              config.prior_variance)[0]
@@ -189,7 +190,7 @@ class TestBatchedSearch:
     def test_trace_equals_one_row_reference(self, world, monkeypatch, kind, objective_kind):
         _, pool, spec, support, _ = world
         scheme = MergeScheme(kind, pool)
-        config = CertifyConfig(mc_samples=5, cma=CmaConfig(max_evals=45, seed=6))
+        config = CertifyConfig(cma=CmaConfig(max_evals=45, seed=6))
         result, trace = traced_optimize(monkeypatch, scheme, objective_kind, support, spec,
                                         config)
         reference, values = one_row_trace(scheme, objective_kind, support, spec, config)
@@ -214,21 +215,22 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(posterior, "merged_values", counting_merge)
         monkeypatch.setattr(cma.CmaEs, "ask", counting_ask)
-        config = CertifyConfig(mc_samples=4, cma=CmaConfig(max_evals=60, seed=1))
+        config = CertifyConfig(cma=CmaConfig(max_evals=59, seed=1))
         scheme = MergeScheme("layer_wise", pool)
         result = optimize(scheme, "train_risk", support, spec, config)
-        assert result.evals == 60
+        assert result.evals == 59
         assert len(merges) == 1 + len(asks) < result.evals
-        # 59 candidates after the start point: full generations of popsize,
-        # then the rest; c draws of L = 7 first-layer basis rows (the base,
-        # each member's first weight and bias block) on 8 + 1 input columns
-        # merge only their later layers, after the first layer's 9 * 8
-        # values, when 7 * 9 + 7c < 9c, else whole rows
+        # 58 candidates after the start point: full generations of popsize
+        # 11, then the 3 left; c = 10 m draws of L = 7 first-layer basis rows
+        # (the base, each member's first weight and bias block) on 8 + 1
+        # input columns merge only their later layers, after the first
+        # layer's 9 * 8 values, when 7 * 9 + 7c < 9c, else whole rows
         popsize = cma.default_popsize(scheme.d_phi)
-        sizes = [1] + [popsize] * (59 // popsize) + [59 % popsize]
-        assert [args[1].shape for args in merges] == [(4 * m, scheme.d_phi) for m in sizes]
+        sizes = [1] + [popsize] * (58 // popsize) + [58 % popsize]
+        assert MC_SAMPLES == 10 and sizes[-1] == 3
+        assert [args[1].shape for args in merges] == [(10 * m, scheme.d_phi) for m in sizes]
         assert [args[2:] for args in merges] == [
-            (9 * 8,) if 7 * 9 + 7 * 4 * m < 9 * 4 * m else () for m in sizes]
+            (9 * 8,) if 7 * 9 + 7 * 10 * m < 9 * 10 * m else () for m in sizes]
         assert merges[1][2:] == (9 * 8,) and merges[0][2:] == merges[-1][2:] == ()
 
 
@@ -278,12 +280,12 @@ class TestBatchedSearch:
         monkeypatch.setattr(toyzoo, "_float32_inputs", counting)
         monkeypatch.setattr(toyzoo, "_tile_label_index", counting_index)
         monkeypatch.setattr(LabeledSet, "_label_max", label_max)
-        config = CertifyConfig(mc_samples=3, cma=CmaConfig(max_evals=25, seed=1))
+        config = CertifyConfig(cma=CmaConfig(max_evals=25, seed=1))
         result = optimize(MergeScheme("task_wise", pool), "pac_bayes_upper", support, spec, config)
         assert result.evals == 25
-        # n = 100: the whole support; n = 4,097: 3 slices of 1,366, 1,366
-        # and 1,365 rows, one row tile each
-        rows = [100] if n == 100 else [1366, 1366, 1365]
+        # n = 100: the whole support; n = 4,097: 10 slices, 7 of 410 rows and
+        # 3 of 409, one row tile each
+        rows = [100] if n == 100 else [410] * 7 + [409] * 3
         assert built == rows
         assert indexed == [(r, spec.widths[-1], _ROW_BUDGET // r) for r in rows]
         assert maxima == rows
@@ -325,8 +327,7 @@ class TestCertify:
         config = quick_config(7, max_evals=120)
         record = certify(scheme, "pac_bayes_upper", support, None, spec, config)
         phi0 = default_phi(scheme)
-        train0 = RiskEstimator(scheme, spec, support, config.posterior_variance,
-                               config.mc_samples,
+        train0 = RiskEstimator(scheme, spec, support, config.posterior_variance, MC_SAMPLES,
                                derive_seed(config.cma.seed, "mc-common")).risks(phi0[None])[0]
         upper0 = seeger_certificate(train0, 0.0, support.n, config.delta).upper_bound
         assert record.provenance["search_objective"] <= upper0 + 1e-6
@@ -407,7 +408,7 @@ class TestCertifyGaussian:
                       "search_objective": result.f_best, "search_stop": result.stop,
                       "search_sigma": result.sigma,
                       "posterior_variance": config.posterior_variance,
-                      "prior_variance": config.prior_variance, "mc_samples": config.mc_samples,
+                      "prior_variance": config.prior_variance, "mc_samples": 10,
                       "search_slices": 1}
         expected = certify_gaussian(scheme, result.x_best, support, query, spec, config,
                                     derive_seed(config.eval_seed, "certify-draw"), "t",
@@ -499,9 +500,7 @@ class TestDdp:
         scheme = MergeScheme("task_arith", pool)
         ddp = DdpConfig(split_seed=4)
         half_a, half_b = split_support(support, ddp)
-        config = CertifyConfig(
-            mc_samples=5, cma=CmaConfig(max_evals=50, seed=derive_seed(9, "ddp-prior"))
-        )
+        config = CertifyConfig(cma=CmaConfig(max_evals=50, seed=derive_seed(9, "ddp-prior")))
         mu_1 = optimize(scheme, "train_risk", half_a, spec, config).x_best
         # permuting the second half cannot touch the prior fit
         permuted_b = half_b.subset(np.random.default_rng(0).permutation(half_b.n))

@@ -23,8 +23,6 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            CmaConfig(sigma0=0.0)
-        with pytest.raises(DomainError):
             CmaConfig(max_evals=0)
 
 
@@ -167,7 +165,7 @@ def reference_minimize(objective, x0, config, callback):
     told, one the budget cuts short only if at least ``mu`` candidates are
     left, the last generation included."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    es = CmaEs(x0, config.sigma0, default_popsize(x0.size), config.seed)
+    es = CmaEs(x0, 1.0, default_popsize(x0.size), config.seed)
     best_x, best_f = x0.copy(), float(objective(x0[None])[0])
     callback(0, x0, best_f)
     evals = 1
@@ -216,8 +214,8 @@ class TestOneSearchPath:
         assert len(asks) == -(-(max_evals - 1) // 6) and len(tells) == len(asks) - 1
         assert tells == [6] * len(tells) and asks == list(range(len(asks)))
 
-    # d = 1 stalls after 97 evaluations (popsize 4, W = 18) and d = 3 after
-    # 1,219 (popsize 7, W = 23); d = 20 (popsize 12, W = 60) spends every
+    # d = 1 stalls after 85 evaluations (popsize 4, W = 18) and d = 3 after
+    # 1,114 (popsize 7, W = 23); d = 20 (popsize 12, W = 60) spends every
     # budget here.  2 to 58 evaluations end on a cut generation at every d,
     # of at least mu candidates (31 at d = 1, 34 at d = 3) or of fewer (58);
     # 120 and 1,100 end on a whole generation at d = 3
@@ -227,7 +225,7 @@ class TestOneSearchPath:
         def objective(xs):
             return np.sum((xs - 0.4) ** 2, axis=1) + np.sin(5 * xs).sum(axis=1)
 
-        config = CmaConfig(sigma0=0.7, max_evals=max_evals, seed=seed)
+        config = CmaConfig(max_evals=max_evals, seed=seed)
         x0 = np.linspace(-1.0, 1.0, d)
         seen, expected_seen = [], []
         result = minimize(objective, x0, config,
@@ -249,7 +247,7 @@ class TestOneSearchPath:
             assert seen == prefix and result.evals == stalled_at <= max_evals
             assert result.x_best.tobytes() == prefix[best][1]
             assert (result.f_best, result.best_eval, result.stop) == (min(values), best, "stalled")
-        assert (stalled_at is not None) == (max_evals >= {1: 97, 3: 1219, 20: 10**9}[d])
+        assert (stalled_at is not None) == (max_evals >= {1: 85, 3: 1114, 20: 10**9}[d])
 
 
 def first_stall(history, popsize, window):
@@ -307,9 +305,8 @@ class TestStallStop:
         assert (result.evals, result.stop, result.best_eval) == (400, "budget", 399)
 
     def test_budget_of_one_keeps_the_initial_step_size(self):
-        result = minimize(lambda xs: np.zeros(len(xs)), np.zeros(2),
-                          CmaConfig(sigma0=0.3, max_evals=1))
-        assert (result.stop, result.sigma) == ("budget", 0.3)
+        result = minimize(lambda xs: np.zeros(len(xs)), np.zeros(2), CmaConfig(max_evals=1))
+        assert (result.stop, result.sigma) == ("budget", 1.0)
 
 
 class TestAskTell:

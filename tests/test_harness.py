@@ -33,7 +33,7 @@ from pacmerge.harness import (
 from pacmerge.bounds import make_record
 from pacmerge.harness import _run_validity
 from pacmerge.merging import KINDS, MergeScheme, default_phi, merged_values
-from pacmerge.posterior import RiskEstimator
+from pacmerge.posterior import MC_SAMPLES, RiskEstimator
 from pacmerge.seeding import derive_seed, rng_for
 from pacmerge.toyzoo import error_counts
 from pacmerge.toyzoo import _ROW_BUDGET as R
@@ -70,9 +70,16 @@ class TestConfig:
             make_config(None, {"bound.delta": "1.5"})
         assert err.value.path == "bound.delta"
 
-    # keys that no longer exist: the classifier is tanh only, and the search
-    # population is always 4 + floor(3 ln d)
-    @pytest.mark.parametrize("key,value", [("model.activation", "tanh"), ("cma.popsize", 0)])
+    # keys that no longer exist, each set to the one value it had in use: the
+    # classifier is tanh only; the search population is always 4 + floor(3
+    # ln d), its step size starts at 1 and its estimates take 10 draws; the
+    # pool trains in batches of 32 at learning rates 0.05 and 0.02; and a
+    # validity trial's support has certify.n rows
+    @pytest.mark.parametrize("key,value", [
+        ("model.activation", "tanh"), ("cma.popsize", 0), ("cma.sigma0", 1.0),
+        ("posterior.mc_samples", 10), ("pool.batch", 32), ("pool.base_lr", 0.05),
+        ("pool.ft_lr", 0.02), ("validity.n", 100),
+    ])
     def test_removed_key_names_path(self, key, value):
         with pytest.raises(ConfigError, match="unknown configuration key") as err:
             make_config(None, {key: value})
@@ -112,7 +119,7 @@ class TestConfig:
     @pytest.mark.parametrize("overrides,key", [
         ({"certify.n": 1}, "certify.n"),
         ({"kind": "ddp", "certify.n": 3}, "certify.n"),
-        ({"validity.n": 1}, "validity.n"),
+        ({"kind": "validity", "certify.n": 1}, "certify.n"),
         ({"discrete.grid_sizes": "5,1"}, "discrete.grid_sizes"),
         ({"seed": -1}, "seed"),
         ({"tasks.count": 1, "certify.targets": 1}, "tasks.count"),
@@ -124,8 +131,9 @@ class TestConfig:
         assert err.value.path == key
 
     def test_smallest_certifiable_sizes_accepted(self):
-        cfg = make_config(None, {"certify.n": 2, "validity.n": 2, "discrete.grid_sizes": "2"})
-        assert (cfg["certify.n"], cfg["validity.n"], cfg["discrete.grid_sizes"]) == (2, 2, [2])
+        cfg = make_config(None, {"certify.n": 2, "discrete.grid_sizes": "2"})
+        assert (cfg["certify.n"], cfg["discrete.grid_sizes"]) == (2, [2])
+        assert make_config("validity-trial", {"certify.n": 2})["certify.n"] == 2
         assert make_config(None, {"kind": "ddp", "certify.n": 4})["certify.n"] == 4
 
     def test_boundary_search_and_training_values_accepted(self):
@@ -162,8 +170,8 @@ class TestConfig:
 
     # the pool cache's file name; a changed hash orphans every cached pool.
     # Each case is named by its scenario alone, so a new hash renames no test.
-    POOL_HASHES = {"smoke": "70d026657cc13435", "validity-trial": "cfce5c1e1f3f2552",
-                   "paper-table1-toy": "0ca5c29cad99b845"}
+    POOL_HASHES = {"smoke": "ce2922e081cd2ac6", "validity-trial": "39a2adb83bb48d2d",
+                   "paper-table1-toy": "e7182edf880694ac"}
 
     @pytest.mark.parametrize("scenario", POOL_HASHES)
     def test_pool_hash_pinned(self, scenario):
@@ -304,8 +312,8 @@ TINY = {
 
 @pytest.fixture
 def diverging_training(monkeypatch):
-    """Pool training at a learning rate of 1e308, above any ``pool.*_lr``, so
-    the base model's weights overflow and its loss is nan in epoch 1."""
+    """Pool training at a learning rate of 1e308, not the pool's 0.05 and
+    0.02, so the base model's weights overflow and its loss is nan in epoch 1."""
     monkeypatch.setattr(harness, "TrainConfig",
                         lambda lr, epochs, batch: TrainConfig(1e308, epochs, batch))
 
@@ -322,34 +330,34 @@ PIN_SIZES = {
 PINNED_CSV = [
     ("smoke", {"merge.kind": "all"},
      "d6df3be8530e446c41f4b122f10ea6606f49ffc3bc62e4adcc91977083c6370f",
-     "4cde11bcc49bd47600ba0b1168799e33b3fa9ba33b9cd8ad589cdcaa0cc288c1"),
+     "d9bc27581f01c8ff9884a8cccf5e2ed02d543303eec8e1c5a4a7f73d1b7b3fc1"),
     ("paper-ddp", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 60}),
      "9961f7e732fdb4294dc3cf0281fdbb017dff6a5f361a1d4aea6477bb0fe09404",
-     "c866ee64874b7dc517b12490a61b61518a604380630fb06f2ae4bc1c041db692"),
+     "02637b61c44cbe7e601143a7880af268764ad69a1a6f7875eaa29c162b5ca176"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"sweep.n_list": "40,400", "cma.max_evals": 30}),
      "d6a7c85de3ff7cdae559e2ffb7b66c6fa39d041063395b7d8885d132158480a8",
-     "9b0639225ca5c16bb5f729c3e1e304de4a5286530c7c05dda1e33a34342387f2"),
+     "2b0b234f09ed2b7efcdaea7a6e61677a5004e5c51a31295638742fd1f30a3e51"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.n": 40, "cma.max_evals": 30,
                                           "discrete.grid_sizes": "20,40"}),
      "ab8467c83db534b46987762b0c1d3520f2243e7341b5cc4548c4b552815eb976",
-     "b150b5906a28d542985aa3ef2b8e35db0307a601930162960d4665e80aa4b9fa"),
+     "c3cdfb052754081f7399a1457a3300262fc1cf919dfcb2194df86cd00d1f21c8"),
     # 9,000 population rows: three population tiles
     ("validity-trial", {"validity.trials": 3, "validity.population": 9000},
      "bab49ad0c900f1657ee5e21c523a5287283dd8bbaf8c8433df09bdc0a76832e9",
-     "b73ceb1fbdeac7006ab5a97ead599253c0b2cc2850e106d31343253b9e3afc55"),
+     "b520100fd8bfc86f720ef09cff5b4e8b137fb13ede0a564777ae5ff4d7071256"),
     # two certified targets each, so the seed keys of a second target are pinned
     ("paper-ddp", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                      "cma.max_evals": 60}),
      "29607f1dcca5fff4305d978ccd7cb48a08c1edc2fa82fcc0108e19b4012952a7",
-     "a2dbc1672d08b66a322d2674e9e0a7658422e19d33169b2009c6deabb6b2590e"),
+     "7d20e2d99fa36ae50954dd86b5c841ffe99ff6cfdcce143158a2a3376a41b564"),
     ("paper-gap-sweep", dict(PIN_SIZES, **{"certify.targets": 2, "sweep.n_list": "40,400",
                                            "cma.max_evals": 30}),
      "9bec2e06e520dba5de51dd4c86c9aad9550a8ba29c4aaba8e54014764580a45c",
-     "1dc67ef7e13ddc0a5c91a768d5f0e135a511e3d71ee9ce53e95ef462ed423d9d"),
+     "d05750bd69c27d200e710f3c0434db4591556a3ddbeef98086e71ef0388e990a"),
     ("paper-discrete", dict(PIN_SIZES, **{"certify.targets": 2, "certify.n": 40,
                                           "cma.max_evals": 30, "discrete.grid_sizes": "20,40"}),
      "fe738b1c65601af4085e425f7801c2298a22a812315c246243a78fabe74b37ec",
-     "15efb74578ef471081da2d7e9ef9bc836c1cc782c38a9d492e51ff5c0410fcfa"),
+     "d50535e9ea679533e2d8750079d3edbcfed10c8b50c66b1a701baabd917ce508"),
 ]
 
 
@@ -469,8 +477,7 @@ class TestBuildWorld:
             (tuned,) = train_stack(
                 world.model_spec, base,
                 [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))],
-                TrainConfig(lr=config["pool.ft_lr"], epochs=config["pool.ft_epochs"],
-                            batch=config["pool.batch"]),
+                TrainConfig(lr=0.02, epochs=config["pool.ft_epochs"], batch=32),
                 [derive_seed(seed, "ft-train", i)],
                 [task.task_id],
             )
@@ -585,11 +592,11 @@ def reference_validity(config, world):
     task = world.tasks[0]
     spec = world.model_spec
     scheme = MergeScheme("task_arith", world.pool.without(task.task_id))
-    seed, k, variance = config["seed"], config["posterior.mc_samples"], config["posterior.variance"]
+    seed, k, variance = config["seed"], MC_SAMPLES, config["posterior.variance"]
     prior_variance, prior = config["prior.variance"], float(default_phi(scheme)[0])
     grid = np.linspace(0.0, 2.0, config["validity.grid"])
     population = sample_set(task, config["validity.population"], derive_seed(seed, "population"))
-    n = config["validity.n"]
+    n = config["certify.n"]
     records = []
     for trial in range(config["validity.trials"]):
         support = sample_set(task, n, derive_seed(seed, "trial-support", trial))
@@ -628,6 +635,12 @@ class TestValidityPopulation:
         expected = reference_validity(config, world)
         assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
         assert len({r.test_error for r in records}) > 1
+
+    def test_trial_support_has_certify_n_rows(self):
+        config = make_config("validity-trial", dict(TINY, **{"certify.n": 40}))
+        records = run(config).records
+        assert len(records) == config["validity.trials"] == 3
+        assert [r.n for r in records] == [40] * 3
 
     def test_defaults_violate_at_most_delta_of_the_trials(self):
         config = make_config("validity-trial")
@@ -1033,25 +1046,22 @@ class TestCli:
         assert (out / f"smoke-{cfg.hash}.json").exists()
 
 
-# Edge values per key, drawn on top of TINY: one-row sets, a batch larger
-# than its set, a one-evaluation search, the smallest and a ragged
+# Edge values per key, drawn on top of TINY: one-row sets (a batch of 32
+# larger than its set), a one-evaluation search, the smallest and a ragged
 # population, a near-zero trim and delta, and every kind.
 EDGES = {
     "kind": ["table", "ddp", "sweep", "discrete", "validity"],
     "merge.kind": ["all", "task_arith", "layer_wise"],
     "pool.base_n": [1, 40],
     "pool.ft_n": [1, 40],
-    "pool.batch": [1, 10_000],
     "certify.n": [2, 4, 40],
     "cma.max_evals": [1, 2, 12],
     "eval.query_n": [1, 100],
-    "posterior.mc_samples": [1, 10],
     "merge.trim_fraction": [1e-9, 1.0],
     "bound.delta": [1e-300, 0.05],
     "sweep.n_list": ["4", "4,40"],
     "discrete.grid_sizes": ["2", "3,5"],
     "validity.population": [1, 4097],
-    "validity.n": [2, 40],
     "validity.grid": [1, 5],
     "validity.trials": [1, 2],
 }

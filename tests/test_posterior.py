@@ -497,10 +497,22 @@ class TestSlices:
         assert scored == [(1, 2667), (1, 2667), (1, 2666)]
         assert risk == sliced_risk(mean, 0.3, scheme, spec, data, 3, 9)
 
+    # k = 1: the one draw scores the whole set, at any size
+    @pytest.mark.parametrize("n", [120, 4000])
+    def test_one_draw_scores_the_whole_set(self, toy_pool, scored, n):
+        pool, spec, task = toy_pool
+        scheme = MergeScheme("task_wise", pool)
+        data = sample_set(task, n, 6)
+        mean = np.full(3, 1 / 3)
+        risk = posterior_risk(mean, 0.3, scheme, spec, data, 1, seed=9)
+        (draw,) = draws_of(mean, 0.3, 9, 1)
+        assert slice_count(n, 1) == 1 and scored == [(1, n)]
+        assert risk == point_risk(scheme, spec, draw, data)
+
     # k = count draws, one on each slice: the first n mod count slices one
     # row longer than the rest
     @pytest.mark.parametrize("n,count", [(800, 2), (801, 2), (4000, 10), (4099, 7)])
-    def test_slices_are_disjoint_contiguous_and_cover_the_set(self, toy_pool, scored, n, count):
+    def test_estimate_scores_one_draw_per_reference_slice(self, toy_pool, scored, n, count):
         pool, spec, task = toy_pool
         scheme = MergeScheme("task_wise", pool)
         data = sample_set(task, n, 6)
