@@ -17,9 +17,7 @@ from .bounds import (
 )
 from .certify import (
     CertifyConfig,
-    DdpConfig,
     certify,
-    certify_ddp,
     certify_gaussian,
     certify_point,
     optimize,

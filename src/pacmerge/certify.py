@@ -16,26 +16,21 @@ cheaper a generation forms its draws' first layer from the scheme's basis
 responses (see ``posterior``), since no certificate reads the search's
 estimate.
 
-The data-dependent-prior protocol splits the support, fits a prior mean on
-the first half with the plain objective, then bound-optimizes on the second
-half; the certificate is computed on the second half only, preserving
-prior/data independence.
-
 Every record comes from one of two functions, one per posterior family.
 ``certify_gaussian`` builds every Gaussian-posterior record: those of
-``certify`` (a search, then its mean) and ``certify_ddp``, and the validity
-trials' grid fits.  It certifies one posterior draw by its exact errors (a
-disintegrated bound), so no Monte-Carlo estimate, the search's included,
-enters a record.  ``certify_point`` builds every point-mass record: a
-deterministic merge, the best of G fixed rows of coefficients, with KL =
-ln G: a finite grid, or one row fitted on other data (half-validation),
-whose KL = 0 makes it a test-set bound.
+``certify`` (a search, then its mean) and the validity trials' grid fits.
+It certifies one posterior draw by its exact errors (a disintegrated
+bound), so no Monte-Carlo estimate, the search's included, enters a record.
+``certify_point`` builds every point-mass record: a deterministic merge, the
+best of G fixed rows of coefficients, with KL = ln G: a finite grid, or one
+row fitted on other data (half-validation), whose KL = 0 makes it a
+test-set bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,19 +44,6 @@ from .seeding import derive_seed, rng_for
 from .toyzoo import LabeledSet, MlpSpec, error_counts
 
 OBJECTIVE_KINDS = ("train_risk", "pac_bayes_upper")
-
-
-@dataclass(frozen=True)
-class DdpConfig:
-    split_fraction: float = 0.5
-    prior_objective: str = "train_risk"
-    split_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
-            raise DomainError(f"split fraction {self.split_fraction} outside (0, 1)")
-        if self.prior_objective not in OBJECTIVE_KINDS:
-            raise DomainError(f"unknown prior objective {self.prior_objective!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +96,7 @@ def optimize(
     Deterministic in ``config.cma.seed``; ``f_best`` is the objective at
     ``x_best`` and ``evals`` counts every evaluation, the start point included.
     The search stops at ``config.cma.max_evals`` or, with ``stop ==
-    "stalled"``, once ``cma.stall_window(d_phi, cma.default_popsize(d_phi))``
+    "stalled"``, once ``cma.stall_window(d_phi)``
     generations in a row find no value below its best (see ``cma.minimize``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
@@ -229,55 +211,6 @@ def certify(
         },
         prior_mean=prior_mean,
     )
-
-
-def split_support(support: LabeledSet, ddp: DdpConfig) -> tuple[LabeledSet, LabeledSet]:
-    """Disjoint (prior-fit, certify) halves of the support, seeded shuffle."""
-    if support.n < 4:
-        raise DomainError("DDP needs support size >= 4 so both halves have >= 2")
-    order = rng_for(ddp.split_seed, "ddp-split").permutation(support.n)
-    cut = int(round(ddp.split_fraction * support.n))
-    cut = min(max(cut, 2), support.n - 2)
-    return support.subset(np.sort(order[:cut])), support.subset(np.sort(order[cut:]))
-
-
-def certify_ddp(
-    scheme: MergeScheme,
-    support: LabeledSet,
-    ddp: DdpConfig,
-    model_spec: MlpSpec,
-    config: CertifyConfig,
-    query: LabeledSet | None = None,
-    task_id: str = "",
-) -> CertificateRecord:
-    """Two-stage certification with a data-dependent prior mean.
-
-    Half A fits the prior mean with the configured prior objective; half B
-    both fits the posterior under the bound objective and computes the
-    certificate, with n = |B|.  Provenance adds the split and the prior
-    search on half A: ``ddp_prior_evals``, ``ddp_prior_stop``,
-    ``ddp_prior_sigma`` and ``ddp_prior_slices``.
-    """
-    half_a, half_b = split_support(support, ddp)
-    prior_config = replace(
-        config, cma=replace(config.cma, seed=derive_seed(config.cma.seed, "ddp-prior"))
-    )
-    prior = optimize(scheme, ddp.prior_objective, half_a, model_spec, prior_config)
-    record = certify(scheme, "pac_bayes_upper", half_b, query, model_spec, config,
-                     task_id=task_id, prior_mean=prior.x_best, objective_label="ddp")
-    record.provenance.update(
-        {
-            "ddp_split_fraction": ddp.split_fraction,
-            "ddp_split_seed": ddp.split_seed,
-            "ddp_prior_objective": ddp.prior_objective,
-            "ddp_prior_n": half_a.n,
-            "ddp_prior_evals": prior.evals,
-            "ddp_prior_stop": prior.stop,
-            "ddp_prior_sigma": prior.sigma,
-            "ddp_prior_slices": slice_count(half_a.n, MC_SAMPLES),
-        }
-    )
-    return record
 
 
 def certify_point(

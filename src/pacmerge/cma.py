@@ -11,9 +11,9 @@ The λ candidates of a generation are sampled before any is ranked, so the
 objective scores a whole generation per call: a batched objective pays its
 per-call cost once per generation instead of once per candidate.
 
-A search ends at its evaluation budget or once ``stall_window(d, λ)``
+A search ends at its evaluation budget or once ``stall_window(d)``
 generations in a row bring no new best-ever value: Hansen's history length
-(arXiv:1604.00772, App. B), fixed by d and λ alone.
+(arXiv:1604.00772, App. B), fixed by d alone.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ def default_popsize(dim: int) -> int:
     return max(4, 4 + int(math.floor(3.0 * math.log(max(dim, 1)))))
 
 
-def stall_window(dim: int, popsize: int) -> int:
-    """W = 10 + ceil(30 d / lambda): the generations without a new best-ever
-    value after which ``minimize`` stops."""
-    return 10 + -(-30 * dim // popsize)
+def stall_window(dim: int) -> int:
+    """W = 10 + ceil(30 d / lambda), lambda = ``default_popsize(d)``: the
+    generations without a new best-ever value after which ``minimize`` stops."""
+    return 10 + -(-30 * dim // default_popsize(dim))
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,14 @@ class CmaConfig:
 
 
 class CmaEs:
-    """Ask/tell interface; one instance per search."""
+    """Ask/tell interface; one instance per search, starting at step size 1
+    with lambda = ``default_popsize(d)`` candidates per generation."""
 
-    def __init__(self, x0: np.ndarray, sigma0: float, popsize: int, seed: int):
+    def __init__(self, x0: np.ndarray, seed: int):
         self.dim = d = int(np.asarray(x0).size)
         self.mean = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
-        self.sigma = float(sigma0)
-        self.lam = int(popsize)
+        self.sigma = 1.0
+        self.lam = default_popsize(d)
         self.rng = rng_for(seed, "cma")
 
         mu = self.lam // 2
@@ -163,18 +164,19 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     initialization; ``best_eval`` is the first evaluation that reached
     ``f_best``.  Candidates within a generation are numbered, observed
     and reduced in index order.  ``callback(eval_index, x, f)`` observes
-    every evaluation.  The step size starts at 1, and each generation has
-    λ = ``default_popsize(d)`` candidates.  The search stops with ``stop ==
-    "stalled"`` after the generation that makes ``stall_window(d, λ)``
-    generations in a row without a value below the best-ever one, else with
-    ``stop == "budget"`` after the generation that spends
-    ``config.max_evals``, whole or cut short.  The last generation is
+    every evaluation; no search in the package passes one, but the
+    benchmark's tracer (``bench/tracing.py``) does, to count each search's
+    evaluations, so it stays.  The step size starts at 1, and each
+    generation has λ = ``default_popsize(d)`` candidates.  The search stops
+    with ``stop == "stalled"`` after the generation that makes
+    ``stall_window(d)`` generations in a row without a value below the
+    best-ever one, else with ``stop == "budget"`` after the generation that
+    spends ``config.max_evals``, whole or cut short.  The last generation is
     evaluated but not told: no later generation would read the update.  A
     non-finite value raises OptError naming its evaluation; neither stop is
     an error.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    popsize = default_popsize(x0.size)
 
     def evaluate(first: int, xs: np.ndarray) -> np.ndarray:
         fs = np.asarray(objective(xs), dtype=np.float64).reshape(-1)
@@ -191,8 +193,8 @@ def minimize(objective, x0: np.ndarray, config: CmaConfig, callback=None) -> Cma
     best_f = float(evaluate(0, x0[None])[0])
     evals = 1
 
-    es = CmaEs(x0, 1.0, popsize, config.seed)
-    window, stall, stop = stall_window(x0.size, popsize), 0, "budget"
+    es = CmaEs(x0, config.seed)
+    window, stall, stop = stall_window(x0.size), 0, "budget"
     while evals < config.max_evals:
         xs = es.ask()[: config.max_evals - evals]
         fs = evaluate(evals, xs)

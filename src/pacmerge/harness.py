@@ -44,22 +44,23 @@ import os
 import re
 import time
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds import CertificateRecord, from_fields
-from .certify import (OBJECTIVE_KINDS, CertifyConfig, DdpConfig, certify, certify_ddp,
-                      certify_gaussian, certify_point, optimize)
+from .certify import (OBJECTIVE_KINDS, CertifyConfig, certify, certify_gaussian, certify_point,
+                      optimize)
 from .cma import CmaConfig
 from .errors import ConfigError, DomainError, FormatError, StructureError
 from .merging import KINDS, MergeScheme, merged_values
 from .params import ModelPool
 from .posterior import MC_SAMPLES, RiskEstimator, slice_count
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 from .toyzoo import (
+    SGD,
     LabeledSet,
     MlpSpec,
     TrainConfig,
@@ -175,8 +176,9 @@ _SCHEMA: dict[str, tuple] = {
     "validity.grid": (_positive_int, 41),
 }
 
-# Keys that determine the source-model pool; pool caching hashes these and
-# ``__version__``, so a release that trains differently builds its own pool.
+# Keys that determine the source-model pool; pool caching hashes these, the
+# SGD constants ``toyzoo.SGD`` and ``__version__``, so a release or an SGD
+# edit that trains differently builds its own pool.
 _POOL_KEYS = ("seed",) + tuple(
     k for k in _SCHEMA if k.startswith(("tasks.", "model.", "pool."))
 )
@@ -257,6 +259,7 @@ class ExperimentConfig:
     @property
     def pool_hash(self) -> str:
         lines = [f"version = {__version__}"]
+        lines += [f"sgd.{key} = {value!r}" for key, value in sorted(SGD.items())]
         lines += [line for line in self.canonical().splitlines()
                   if line.partition(" = ")[0] in _POOL_KEYS]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
@@ -347,17 +350,18 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
 
     The base model trains on a mixture of every task's data; each member is
     the base fine-tuned on one task.  Each stage trains for its
-    ``pool.*_epochs`` in batches of 32, the base at learning rate 0.05 and
-    the members at 0.02; all members fine-tune in one ``train_stack`` call,
-    each with its own shuffling seed and the bits of training it alone, so
-    the pool bytes do not depend on the stacking.  A diverging model raises
-    ``TrainingDiverged`` naming "base" or the member's task id.
+    ``pool.*_epochs`` under ``toyzoo.SGD``: in batches of its ``batch`` rows,
+    the base at learning rate ``base_lr`` and the members at ``ft_lr``.  All
+    members fine-tune in one ``train_stack`` call, each with its own
+    shuffling seed and the bits of training it alone, so the pool bytes do
+    not depend on the stacking.  A diverging model raises ``TrainingDiverged``
+    naming "base" or the member's task id.
 
     When ``cache_dir`` is given, the pool is cached as one float32 array,
     the base row over the member rows, in ``<cache_dir>/<pool hash>.npz``;
     the pool hash covers every key the tasks, the model and the pool depend
-    on, and ``__version__``.  Task ids and layer offsets come from the
-    config, so the file holds only the numbers.  A later run of the same
+    on, ``toyzoo.SGD`` and ``__version__``.  Task ids and layer offsets come
+    from the config, so the file holds only the numbers.  A later run of the same
     release reloads the pool bit-exactly; a damaged or mismatched file is a
     ``FormatError``.  The file is written under a temporary name and renamed,
     so a killed run leaves no half-written cache.
@@ -391,7 +395,7 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         spec,
         init_params(spec, derive_seed(seed, "base-init")),
         [mixture],
-        TrainConfig(0.05, config["pool.base_epochs"], 32),
+        TrainConfig(SGD["base_lr"], config["pool.base_epochs"]),
         [derive_seed(seed, "base-train")],
         ["base"],
     )
@@ -400,7 +404,7 @@ def build_world(config: ExperimentConfig, cache_dir: Path | None = None) -> Worl
         base,
         [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))
          for i, task in enumerate(tasks)],
-        TrainConfig(0.02, config["pool.ft_epochs"], 32),
+        TrainConfig(SGD["ft_lr"], config["pool.ft_epochs"]),
         [derive_seed(seed, "ft-train", i) for i in range(len(tasks))],
         task_ids,
     )
@@ -569,9 +573,29 @@ def _fit(objective_kind):
 
 
 def _ddp(config, spec, task, key, scheme, support, query, cfg):
-    ddp = DdpConfig(config["ddp.split"], config["ddp.prior_objective"],
-                    derive_seed(config["seed"], "ddp-split", *key))
-    yield certify_ddp(scheme, support, ddp, spec, cfg, query=query, task_id=task.task_id)
+    """Data-dependent prior (Perez-Ortiz et al. 2021, arXiv:2007.12911): a
+    seeded shuffle cuts the support into half A (``ddp.split`` of it, each
+    half >= 2 rows) and half B; a search under ``ddp.prior_objective`` on A
+    fits the prior mean, and ``certify`` bound-optimizes and certifies on B
+    alone, so n = |B|.  The prior is a function of A and the seeds only, so
+    it is fixed before B is seen, as a PAC-Bayes prior must be for the
+    certificate on B.  Provenance adds the split and the prior search."""
+    n, split, prior_objective = support.n, config["ddp.split"], config["ddp.prior_objective"]
+    split_seed = derive_seed(config["seed"], "ddp-split", *key)
+    order = rng_for(split_seed, "ddp-split").permutation(n)
+    cut = min(max(round(split * n), 2), n - 2)
+    half_a, half_b = support.subset(np.sort(order[:cut])), support.subset(np.sort(order[cut:]))
+    prior_cfg = replace(cfg, cma=replace(cfg.cma, seed=derive_seed(cfg.cma.seed, "ddp-prior")))
+    prior = optimize(scheme, prior_objective, half_a, spec, prior_cfg)
+    record = certify(scheme, "pac_bayes_upper", half_b, query, spec, cfg, task_id=task.task_id,
+                     prior_mean=prior.x_best, objective_label="ddp")
+    record.provenance.update({
+        "ddp_split_fraction": split, "ddp_split_seed": split_seed,
+        "ddp_prior_objective": prior_objective, "ddp_prior_n": half_a.n,
+        "ddp_prior_evals": prior.evals, "ddp_prior_stop": prior.stop,
+        "ddp_prior_sigma": prior.sigma, "ddp_prior_slices": slice_count(half_a.n, MC_SAMPLES),
+    })
+    yield record
 
 
 def _half_val(config, spec, task, key, scheme, support, query, cfg):

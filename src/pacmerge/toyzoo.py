@@ -20,9 +20,9 @@ naming it and the epoch, without numpy overflow warnings.
 Every risk a certificate uses comes from ``error_counts``, which counts the
 0-1 errors of many parameter rows at once; ``coefficient_counts`` counts
 them, for the search's estimates, for rows whose first layer combines a few
-fixed ones.  The classifier both count for is the float32 network: weights
-and inputs are rounded to float32 and every product, bias and activation
-runs in float32.  An input is classified
+fixed ones.  The classifier both count for is the float32 network: the
+weights are float32 rows, the inputs are rounded to float32 and every
+product, bias and activation runs in float32.  An input is classified
 correctly only when its label score is strictly above every other class
 score, so a tie counts as an error, and so does a NaN score, which scores
 that overflow the float32 range can give (inf - inf).  Certification only
@@ -58,6 +58,12 @@ from .seeding import rng_for
 _ROW_BUDGET = 4096
 
 _F32_MAX = float(np.finfo(np.float32).max)
+
+# The pool's SGD settings in one place: the rows of every ``train_stack``
+# step, and the learning rates of the base and of the fine-tuned members.
+# ``harness`` trains its pool with them and hashes them into the pool's cache
+# key, so an edit here retrains rather than reloading a stale pool.
+SGD = {"batch": 32, "base_lr": 0.05, "ft_lr": 0.02}
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,9 +383,9 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     strictly positive: a tie counts as an error, and so does a margin of
     -inf or NaN, which scores that overflow the float32 range can give; such
     a call warns of nothing.
-    ``thetas`` of another dtype than float32 are rounded to float32 once; a
-    finite value too large for float32 raises ``DomainError``, as in
-    ``merging.merged_values``.
+    ``thetas`` must be float32, as ``merging.merged_values`` gives them: it is
+    the one place that rounds a row to float32 and checks its range, and rows
+    of another dtype raise ``StructureError``.
 
     The scores are formed in blocks of at most ``_ROW_BUDGET`` (draw, input)
     rows, in a (draws, classes, rows) layout: ``_ROW_BUDGET // n`` stacked
@@ -395,14 +401,9 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     ``DomainError``.
     """
     thetas = np.asarray(thetas)
-    if thetas.ndim != 2 or thetas.shape[1] != spec.d_model:
-        raise StructureError(f"thetas has shape {thetas.shape}, spec needs (k, {spec.d_model})")
-    if thetas.dtype != np.float32:
-        with np.errstate(over="ignore"):
-            rounded = thetas.astype(np.float32)
-        if not np.array_equal(np.isinf(rounded), np.isinf(thetas)):
-            raise DomainError("thetas overflow the 32-bit float range")
-        thetas = rounded
+    if thetas.ndim != 2 or thetas.shape[1] != spec.d_model or thetas.dtype != np.float32:
+        raise StructureError(f"thetas has shape {thetas.shape} and dtype {thetas.dtype}, "
+                             f"spec needs float32 (k, {spec.d_model})")
     _check_data(spec, data)
     first, rest = _float32_layers(spec, thetas)
     return _count_errors(spec, first, rest, data)
@@ -502,21 +503,18 @@ def _layers(spec: MlpSpec, flat: np.ndarray):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A learning rate and an epoch count; every step takes ``SGD["batch"]`` rows."""
+
     lr: float = 0.05
     epochs: int = 30
-    batch: int = 32
 
     def __post_init__(self):
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
-        for name in ("epochs", "batch"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise DomainError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
-        if self.batch < 1:
-            raise DomainError("batch must be >= 1")
 
 
 def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) -> np.ndarray:
@@ -527,14 +525,15 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
     rounded from its float64 parameters.
 
     Model i draws its own permutation per epoch from ``rng_for(seeds[i],
-    "train")``, so it is deterministic in its seed, and its batches from its
-    own set.  The M models step together on a leading model axis: every
-    product is a stack of 2-D products, each step writes the gradient into
-    the layer views of one (M, d_model) float64 buffer and updates the (M,
-    d_model) float64 parameters with that whole buffer in place, so model i
-    ends with the bits of training it alone.  Unequal set sizes, or not one
-    set, seed and name per model, raise ``StructureError``; an empty set or
-    a non-finite ``init`` raises ``DomainError``.
+    "train")``, so it is deterministic in its seed, and its batches of
+    ``SGD["batch"]`` rows from its own set.  The M models step together on
+    a leading model axis: every product is a stack of 2-D products, each
+    step writes the gradient into the layer views of one (M, d_model)
+    float64 buffer and updates the (M, d_model) float64 parameters with that
+    whole buffer in place, so model i ends with the bits of training it
+    alone.  Unequal set sizes, or not one set, seed and name per model,
+    raise ``StructureError``; an empty set or a non-finite ``init`` raises
+    ``DomainError``.
 
     epochs=0 returns ``init`` for every model.  A model whose loss goes
     non-finite, or whose parameters leave the float32 range, raises
@@ -569,13 +568,13 @@ def train_stack(spec: MlpSpec, init, sets, config: TrainConfig, seeds, names) ->
     grad = np.empty_like(flat)
     grads = _layers(spec, grad)
     models = np.arange(count)[:, None]
-    n = sets[0].n
+    n, rows = sets[0].n, SGD["batch"]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = np.stack([rng.permutation(n) for rng in rngs])
             xs, ys = x[models, order], onehot[models, order]
-            for lo in range(0, n, config.batch):
-                batch = slice(lo, lo + config.batch)
+            for lo in range(0, n, rows):
+                batch = slice(lo, lo + rows)
                 denominators = _backprop(layers, weights_t, xs[:, batch], ys[:, batch], grads)
                 # finite exactly when the loss is (see ``_backprop``)
                 if not np.isfinite(denominators).all():

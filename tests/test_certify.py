@@ -8,7 +8,6 @@ import pytest
 from pacmerge import (
     CertifyConfig,
     CmaConfig,
-    DdpConfig,
     DomainError,
     LabeledSet,
     MergeScheme,
@@ -18,7 +17,6 @@ from pacmerge import (
     StructureError,
     TrainConfig,
     certify,
-    certify_ddp,
     certify_gaussian,
     certify_point,
     default_phi,
@@ -36,7 +34,7 @@ import pacmerge.cma as cma
 import pacmerge.posterior as posterior
 import pacmerge.toyzoo as toyzoo
 from pacmerge.bounds import gaussian_kl, gaussian_log_ratio
-from pacmerge.certify import OBJECTIVE_KINDS, split_support
+from pacmerge.certify import OBJECTIVE_KINDS
 from pacmerge.merging import KINDS
 from pacmerge.posterior import MC_SAMPLES
 from pacmerge.seeding import derive_seed, rng_for
@@ -57,13 +55,13 @@ def world():
         spec,
         init_params(spec, 0),
         [LabeledSet(mixture_inputs, mixture_labels)],
-        TrainConfig(lr=0.08, epochs=12, batch=16),
+        TrainConfig(lr=0.08, epochs=12),
         [1],
         ["base"],
     )
     tuned = train_stack(
         spec, base, [sample_set(task, 80, 90 + i) for i, task in enumerate(tasks)],
-        TrainConfig(lr=0.04, epochs=10, batch=16),
+        TrainConfig(lr=0.04, epochs=10),
         [10 + i for i in range(len(tasks))],
         [task.task_id for task in tasks],
     )
@@ -475,77 +473,6 @@ class TestSingleDraw:
         for record in records:
             assert record.kl_qp == max(record.provenance["ln_ratio"], 0.0)
             record.validate()
-
-
-class TestDdp:
-    def test_split_sizes_and_disjoint(self, world):
-        _, _, _, support, _ = world
-        half_a, half_b = split_support(support, DdpConfig(split_fraction=0.5, split_seed=3))
-        assert half_a.n == 50 and half_b.n == 50
-        joined = np.concatenate([half_a.inputs, half_b.inputs])
-        assert np.unique(joined, axis=0).shape[0] == support.n  # disjoint rows
-
-    def test_certificate_n_is_second_half(self, world):
-        _, pool, spec, support, query = world
-        scheme = MergeScheme("task_wise", pool)
-        record = certify_ddp(
-            scheme, support, DdpConfig(split_seed=1), spec, quick_config(8), query=query
-        )
-        assert record.n == 50
-        assert record.objective == "ddp"
-        record.validate()
-
-    def test_prior_pure_function_of_first_half(self, world):
-        _, pool, spec, support, _ = world
-        scheme = MergeScheme("task_arith", pool)
-        ddp = DdpConfig(split_seed=4)
-        half_a, half_b = split_support(support, ddp)
-        config = CertifyConfig(cma=CmaConfig(max_evals=50, seed=derive_seed(9, "ddp-prior")))
-        mu_1 = optimize(scheme, "train_risk", half_a, spec, config).x_best
-        # permuting the second half cannot touch the prior fit
-        permuted_b = half_b.subset(np.random.default_rng(0).permutation(half_b.n))
-        assert permuted_b.n == half_b.n
-        mu_2 = optimize(scheme, "train_risk", half_a, spec, config).x_best
-        np.testing.assert_array_equal(mu_1, mu_2)
-
-    def test_records_state_their_search_slices(self, world):
-        # 2,700 rows split 0.3: the prior searches 810 rows in 2 slices, the
-        # posterior 1,890 rows in 4; the whole support takes 6 slices
-        tasks, pool, spec, _, _ = world
-        scheme = MergeScheme("task_arith", pool)
-        support = sample_set(tasks[0], 2700, 3)
-        config = quick_config(2, max_evals=8)
-        record = certify_ddp(scheme, support, DdpConfig(split_fraction=0.3), spec, config)
-        assert (record.provenance["ddp_prior_n"], record.n) == (810, 1890)
-        assert record.provenance["ddp_prior_slices"] == 2
-        assert record.provenance["search_slices"] == 4
-        record = certify(scheme, "train_risk", support, None, spec, config)
-        assert record.provenance["search_slices"] == 6
-
-    def test_records_state_how_both_searches_stopped(self, world):
-        # task_arith (d = 1) stalls within 500 evaluations on either half
-        _, pool, spec, support, _ = world
-        scheme = MergeScheme("task_arith", pool)
-        ddp, config = DdpConfig(split_seed=4), quick_config(3, max_evals=500)
-        half_a, half_b = split_support(support, ddp)
-        prior_config = CertifyConfig(
-            cma=CmaConfig(max_evals=500, seed=derive_seed(3, "ddp-prior")), eval_seed=4)
-        prior = optimize(scheme, ddp.prior_objective, half_a, spec, prior_config)
-        search = optimize(scheme, "pac_bayes_upper", half_b, spec, config, prior.x_best)
-        record = certify_ddp(scheme, support, ddp, spec, config)
-        assert {key: record.provenance[key] for key in (
-            "ddp_prior_evals", "ddp_prior_stop", "ddp_prior_sigma",
-            "evals", "search_stop", "search_sigma")} == {
-            "ddp_prior_evals": prior.evals, "ddp_prior_stop": prior.stop,
-            "ddp_prior_sigma": prior.sigma, "evals": search.evals,
-            "search_stop": search.stop, "search_sigma": search.sigma}
-        assert "stalled" in (prior.stop, search.stop)
-
-    def test_too_small_support_rejected(self, world):
-        _, pool, spec, support, _ = world
-        scheme = MergeScheme("task_arith", pool)
-        with pytest.raises(DomainError):
-            certify_ddp(scheme, support.subset([0, 1, 2]), DdpConfig(), spec, quick_config())
 
 
 def grid_record(scheme, grid_size, support, spec, query=None):

@@ -165,7 +165,7 @@ def reference_minimize(objective, x0, config, callback):
     told, one the budget cuts short only if at least ``mu`` candidates are
     left, the last generation included."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    es = CmaEs(x0, 1.0, default_popsize(x0.size), config.seed)
+    es = CmaEs(x0, config.seed)
     best_x, best_f = x0.copy(), float(objective(x0[None])[0])
     callback(0, x0, best_f)
     evals = 1
@@ -232,8 +232,7 @@ class TestOneSearchPath:
                           callback=lambda i, x, f: seen.append((i, x.tobytes(), f)))
         best_x, best_f, evals = reference_minimize(
             objective, x0, config, lambda i, x, f: expected_seen.append((i, x.tobytes(), f)))
-        lam = default_popsize(d)
-        stalled_at = first_stall(expected_seen, lam, cma.stall_window(d, lam))
+        stalled_at = first_stall(expected_seen, default_popsize(d), cma.stall_window(d))
         if stalled_at is None:
             assert result.x_best.tobytes() == best_x.tobytes()
             assert (result.f_best, result.evals) == (best_f, evals)
@@ -265,13 +264,13 @@ def first_stall(history, popsize, window):
 
 
 class TestStallStop:
-    """A search ends once it goes ``stall_window(d, popsize)`` generations
+    """A search ends once it goes ``stall_window(d)`` generations
     without a new best-ever value."""
 
     @pytest.mark.parametrize("d,popsize,window", [(1, 4, 18), (5, 8, 29), (20, 12, 60)])
     def test_window(self, d, popsize, window):
         assert default_popsize(d) == popsize
-        assert cma.stall_window(d, popsize) == window
+        assert cma.stall_window(d) == window
 
     @pytest.mark.parametrize("d", [1, 5, 20])
     def test_constant_objective_stops_after_the_window(self, monkeypatch, d):
@@ -283,8 +282,7 @@ class TestStallStop:
             return tell(self, xs, fs)
 
         monkeypatch.setattr(cma.CmaEs, "tell", counting_tell)
-        lam = default_popsize(d)
-        window = cma.stall_window(d, lam)
+        lam, window = default_popsize(d), cma.stall_window(d)
         result = minimize(lambda xs: np.ones(len(xs)), np.zeros(d),
                           CmaConfig(max_evals=10_000, seed=3))
         assert (result.evals, result.stop, result.best_eval) == (1 + window * lam, "stalled", 0)
@@ -311,7 +309,8 @@ class TestStallStop:
 
 class TestAskTell:
     def test_shapes_and_progress(self):
-        es = CmaEs(np.zeros(4), 1.0, 8, seed=2)
+        es = CmaEs(np.zeros(4), seed=2)
+        assert (es.lam, es.sigma) == (8, 1.0)
         for _ in range(30):
             xs = es.ask()
             assert xs.shape == (8, 4)
@@ -366,7 +365,7 @@ class TestTellReference:
             return xs.sum(axis=1)
 
         x0 = np.linspace(-1.0, 1.0, d)
-        es, ref = (CmaEs(x0, 0.8, default_popsize(d), seed=13) for _ in range(2))
+        es, ref = (CmaEs(x0, seed=13) for _ in range(2))
         h_sigma = set()
         for _ in range(40):
             xs = es.ask()

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import pacmerge
 import pacmerge.harness as harness
+import pacmerge.toyzoo as toyzoo
 from pacmerge import (ConfigError, FormatError, TrainConfig, TrainingDiverged, bernoulli_kl,
                       budget, optimize, sample_set, train_stack)
 from pacmerge.cli import _EXIT_2, _config_from_args, main
@@ -170,8 +172,8 @@ class TestConfig:
 
     # the pool cache's file name; a changed hash orphans every cached pool.
     # Each case is named by its scenario alone, so a new hash renames no test.
-    POOL_HASHES = {"smoke": "ce2922e081cd2ac6", "validity-trial": "39a2adb83bb48d2d",
-                   "paper-table1-toy": "e7182edf880694ac"}
+    POOL_HASHES = {"smoke": "e4a70955a191a609", "validity-trial": "c39beac48cf37204",
+                   "paper-table1-toy": "aa3a34663c98ff7a"}
 
     @pytest.mark.parametrize("scenario", POOL_HASHES)
     def test_pool_hash_pinned(self, scenario):
@@ -314,8 +316,7 @@ TINY = {
 def diverging_training(monkeypatch):
     """Pool training at a learning rate of 1e308, not the pool's 0.05 and
     0.02, so the base model's weights overflow and its loss is nan in epoch 1."""
-    monkeypatch.setattr(harness, "TrainConfig",
-                        lambda lr, epochs, batch: TrainConfig(1e308, epochs, batch))
+    monkeypatch.setattr(harness, "TrainConfig", lambda lr, epochs: TrainConfig(1e308, epochs))
 
 
 # The behaviour contract: per small run, the sha256 of its CSV report and of
@@ -450,6 +451,19 @@ class TestBuildWorld:
         with pytest.raises(FormatError, match="^cannot load cached pool "):
             build_world(config, tmp_path)
 
+    @pytest.mark.parametrize("key,value", [("batch", 16), ("base_lr", 0.1), ("ft_lr", 0.04)])
+    def test_sgd_edit_retrains(self, tmp_path, monkeypatch, train_calls, key, value):
+        # the cache key covers the SGD constants: after an edit the cached
+        # pool is not reloaded, and the pool is the one the edit trains
+        config = make_config("smoke", TINY)
+        cached = pool_bytes(build_world(config, tmp_path).pool)
+        monkeypatch.setitem(toyzoo.SGD, key, value)
+        train_calls.clear()
+        edited = pool_bytes(build_world(config, tmp_path).pool)
+        assert len(train_calls) == 2
+        assert edited != cached
+        assert edited == pool_bytes(build_world(config).pool)
+
     def test_interrupted_write_leaves_no_cache(self, tmp_path, monkeypatch, train_calls):
         def savez_then_fail(fh, **arrays):
             fh.write(b"PK\x03\x04")
@@ -477,7 +491,7 @@ class TestBuildWorld:
             (tuned,) = train_stack(
                 world.model_spec, base,
                 [sample_set(task, config["pool.ft_n"], derive_seed(seed, "ft-data", i))],
-                TrainConfig(lr=0.02, epochs=config["pool.ft_epochs"], batch=32),
+                TrainConfig(lr=0.02, epochs=config["pool.ft_epochs"]),
                 [derive_seed(seed, "ft-train", i)],
                 [task.task_id],
             )
@@ -553,8 +567,9 @@ def test_plan_record_order(scenario, overrides, expected):
 
 
 def test_half_val_records_state_their_search(monkeypatch):
-    # the only search the runner calls itself is the half-val fit; task_arith
-    # (d = 1) stalls within 300 evaluations on some support
+    # the runner calls the search itself for the DDP prior and for the
+    # half-val fit, in that order per support size; task_arith (d = 1) stalls
+    # within 300 evaluations on some support
     fits = []
 
     def recorded(*args):
@@ -564,12 +579,140 @@ def test_half_val_records_state_their_search(monkeypatch):
     monkeypatch.setattr(harness, "optimize", recorded)
     config = make_config("paper-gap-sweep", dict(TINY, **{"merge.kind": "task_arith",
                                                           "cma.max_evals": 300}))
-    half_val = [r for r in run(config).records if r.objective == "half_val"]
-    assert len(half_val) == len(fits) == 2
-    for record, fit in zip(half_val, fits):
+    records = run(config).records
+    half_val = [r for r in records if r.objective == "half_val"]
+    ddp = [r for r in records if r.objective == "ddp"]
+    assert len(half_val) == len(ddp) == 2 and len(fits) == 4
+    for record, fit in zip(half_val, fits[1::2]):
         assert {key: record.provenance[key] for key in ("evals", "search_stop", "search_sigma")} \
             == {"evals": fit.evals, "search_stop": fit.stop, "search_sigma": fit.sigma}
-    assert "stalled" in {fit.stop for fit in fits}
+    for record, prior in zip(ddp, fits[0::2]):
+        assert [record.provenance[f"ddp_prior_{key}"] for key in ("evals", "stop", "sigma")] \
+            == [prior.evals, prior.stop, prior.sigma]
+    assert "stalled" in {fit.stop for fit in fits[1::2]}
+
+
+def ddp_halves(config, key, support):
+    """Half A and half B of a DDP split, from the definition: the support
+    permuted on the stream (derive_seed(seed, "ddp-split", *key), "ddp-split")
+    and cut at round(ddp.split * n), kept within [2, n - 2]; each half in
+    support order."""
+    n = support.n
+    order = rng_for(derive_seed(config["seed"], "ddp-split", *key), "ddp-split").permutation(n)
+    cut = min(max(round(config["ddp.split"] * n), 2), n - 2)
+    return support.subset(np.sort(order[:cut])), support.subset(np.sort(order[cut:]))
+
+
+@pytest.fixture(scope="module")
+def ddp_world():
+    """A TINY paper-ddp world: its first task and that target's task_arith
+    merge over the other members."""
+    config = make_config("paper-ddp", TINY)
+    world = build_world(config)
+    task = world.tasks[0]
+    return world.model_spec, task, MergeScheme("task_arith", world.pool.without(task.task_id))
+
+
+@pytest.fixture
+def ddp_calls(monkeypatch):
+    """The searches of ``harness._ddp``: per ``optimize`` call (the prior)
+    its support, per ``certify`` call (the posterior) its support and prior
+    mean."""
+    calls, certify = {"optimize": [], "certify": []}, harness.certify
+
+    def prior_search(scheme, objective, support, spec, cfg):
+        calls["optimize"].append(support)
+        return optimize(scheme, objective, support, spec, cfg)
+
+    def posterior(scheme, objective, support, query, spec, cfg, **kwargs):
+        calls["certify"].append((support, kwargs["prior_mean"]))
+        return certify(scheme, objective, support, query, spec, cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "optimize", prior_search)
+    monkeypatch.setattr(harness, "certify", posterior)
+    return calls
+
+
+def ddp_record(world, support, overrides=None, query=None, key=(0,)):
+    """``harness._ddp``'s one record for ``support`` under TINY and
+    ``overrides``, on the seed key of target 0's task_arith DDP method."""
+    spec, task, scheme = world
+    config = make_config("paper-ddp", dict(TINY, **(overrides or {})))
+    cfg = harness._certify_config(config, *key, scheme.kind, "ddp")
+    (record,) = harness._ddp(config, spec, task, key, scheme, support, query, cfg)
+    return record
+
+
+class TestDdp:
+    def test_split_sizes_and_disjoint(self, ddp_world, ddp_calls):
+        _, task, _ = ddp_world
+        support = sample_set(task, 100, 7)
+        ddp_record(ddp_world, support)
+        ((half_a,), ((half_b, _),)) = ddp_calls["optimize"], ddp_calls["certify"]
+        assert half_a.n == 50 and half_b.n == 50
+        joined = np.concatenate([half_a.inputs, half_b.inputs])
+        assert np.unique(joined, axis=0).shape[0] == support.n  # disjoint rows
+        expected = ddp_halves(make_config("paper-ddp", TINY), (0,), support)
+        for half, reference in zip((half_a, half_b), expected):
+            assert half.inputs.tobytes() == reference.inputs.tobytes()
+            assert half.labels.tobytes() == reference.labels.tobytes()
+
+    def test_certificate_n_is_second_half(self, ddp_world):
+        _, task, _ = ddp_world
+        record = ddp_record(ddp_world, sample_set(task, 100, 7), {"cma.max_evals": 60},
+                            query=sample_set(task, 400, 8))
+        assert record.n == 50 and record.provenance["ddp_prior_n"] == 50
+        assert record.objective == "ddp"
+        record.validate()
+
+    def test_prior_pure_function_of_first_half(self, ddp_world, ddp_calls):
+        # new rows in place of half B's, at the same positions: the prior
+        # search sees the same half A and finds the same prior mean
+        _, task, _ = ddp_world
+        support = sample_set(task, 100, 7)
+        order = rng_for(derive_seed(TINY["seed"], "ddp-split", 0), "ddp-split").permutation(100)
+        inputs, labels = support.inputs.copy(), support.labels.copy()
+        other = sample_set(task, 50, 9)
+        inputs[order[50:]], labels[order[50:]] = other.inputs, other.labels
+        for data in (support, pacmerge.LabeledSet(inputs, labels)):
+            ddp_record(ddp_world, data, {"cma.max_evals": 50})
+        (a_1, a_2), ((b_1, prior_1), (b_2, prior_2)) = ddp_calls["optimize"], ddp_calls["certify"]
+        assert a_1.inputs.tobytes() == a_2.inputs.tobytes()
+        assert b_1.inputs.tobytes() != b_2.inputs.tobytes()
+        np.testing.assert_array_equal(prior_1, prior_2)
+
+    def test_records_state_their_search_slices(self, ddp_world):
+        # 2,700 rows split 0.3: the prior searches 810 rows in 2 slices, the
+        # posterior 1,890 rows in 4; the whole support takes 6 slices
+        spec, task, scheme = ddp_world
+        support = sample_set(task, 2700, 3)
+        record = ddp_record(ddp_world, support, {"ddp.split": 0.3, "cma.max_evals": 8})
+        assert (record.provenance["ddp_prior_n"], record.n) == (810, 1890)
+        assert record.provenance["ddp_prior_slices"] == 2
+        assert record.provenance["search_slices"] == 4
+        config = make_config("paper-ddp", dict(TINY, **{"cma.max_evals": 8}))
+        record = pacmerge.certify(scheme, "train_risk", support, None, spec,
+                                  harness._certify_config(config))
+        assert record.provenance["search_slices"] == 6
+
+    def test_records_state_how_both_searches_stopped(self, ddp_world):
+        # task_arith (d = 1) stalls within 500 evaluations on either half
+        spec, task, scheme = ddp_world
+        support = sample_set(task, 100, 7)
+        config = make_config("paper-ddp", dict(TINY, **{"cma.max_evals": 500}))
+        cfg = harness._certify_config(config, 0, scheme.kind, "ddp")
+        half_a, half_b = ddp_halves(config, (0,), support)
+        prior_cfg = replace(cfg, cma=replace(cfg.cma, seed=derive_seed(cfg.cma.seed, "ddp-prior")))
+        prior = optimize(scheme, config["ddp.prior_objective"], half_a, spec, prior_cfg)
+        search = optimize(scheme, "pac_bayes_upper", half_b, spec, cfg, prior.x_best)
+        record = ddp_record(ddp_world, support, {"cma.max_evals": 500})
+        assert {key: record.provenance[key] for key in (
+            "ddp_prior_evals", "ddp_prior_stop", "ddp_prior_sigma",
+            "evals", "search_stop", "search_sigma")} == {
+            "ddp_prior_evals": prior.evals, "ddp_prior_stop": prior.stop,
+            "ddp_prior_sigma": prior.sigma, "evals": search.evals,
+            "search_stop": search.stop, "search_sigma": search.sigma}
+        assert "stalled" in (prior.stop, search.stop)
 
 
 def test_discrete_gaussian_record_is_the_table_method():

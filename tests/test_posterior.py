@@ -146,7 +146,7 @@ def toy_pool():
         spec,
         init_params(spec, 0),
         [sample_set(task, 150, 5)],
-        TrainConfig(lr=0.1, epochs=15, batch=16),
+        TrainConfig(lr=0.1, epochs=15),
         [2],
         ["base"],
     )
@@ -339,7 +339,7 @@ class TestScoringConstants:
         whole = sample_set(task, n, 6)
         # ``subset`` results: every other row, and the set reversed
         for data in (whole, whole.subset(np.arange(0, n, 2)), whole.subset(np.arange(n)[::-1])):
-            error_counts(spec, np.zeros((2, spec.d_model)), data)
+            error_counts(spec, np.zeros((2, spec.d_model), dtype=np.float32), data)
             tiles = data._scoring_tiles
             assert data._scoring_tiles is tiles
             starts = range(0, data.n, _ROW_BUDGET)
