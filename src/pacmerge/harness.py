@@ -15,8 +15,9 @@ output.  Shipped scenarios bundle defaults for the bundled study designs:
 * ``validity-trial``     - repeated fresh-support trials checking that the
   certificate violation rate stays below delta: one pass fits every trial
   and certifies one posterior draw (``certify_gaussian``, no query), then
-  one streamed pass over the population, tile by tile, scores every trial's
-  draw and sets each record's test error and violation;
+  one ``sample_counts`` call streams the population through the scorer,
+  tile by tile, scoring every trial's draw, and sets each record's test
+  error and violation;
 * ``smoke``              - a seconds-scale end-to-end exercise for tests.
 
 ``run`` builds one world and is the only loop over the certified targets:
@@ -64,11 +65,10 @@ from .toyzoo import (
     LabeledSet,
     MlpSpec,
     TrainConfig,
-    error_counts,
     gen_tasks,
     init_params,
+    sample_counts,
     sample_set,
-    sample_tiles,
     train_stack,
 )
 
@@ -661,12 +661,12 @@ def _run_validity(config, spec, index, task, subpool):
     variance) with ``certify_gaussian``, on the draw stream
     ``(seed, "trial-draw", trial)`` and with no query.  One streamed pass
     over the population then scores every trial's h, each re-merged alone
-    from its record so it is the row its certificate scored, with one
-    ``error_counts`` call per ``sample_tiles`` tile, so one tile of the
-    population is alive at a time.  The tiles are ``error_counts``'s own row
-    tiles, so each count is h's count on the whole population.  h's
-    population error becomes its record's ``test_error``, and a violation
-    when it exceeds the record's bound.
+    from its record so it is the row its certificate scored: one
+    ``sample_counts`` call draws the population tile by tile into one buffer
+    and scores each tile there, so one tile of inputs is alive at a time and
+    each count is h's count on the whole population.  h's population error
+    becomes its record's ``test_error``, and a violation when it exceeds the
+    record's bound.
     """
     scheme = MergeScheme("task_arith", subpool)
     seed = config["seed"]
@@ -686,12 +686,8 @@ def _run_validity(config, spec, index, task, subpool):
 
     thetas = np.concatenate([merged_values(scheme, np.array([r.provenance["draw"]]))
                              for r in records])
-    errors = np.zeros(len(thetas), dtype=np.int64)
     population = config["validity.population"]
-    for tile in sample_tiles(task, population, derive_seed(seed, "population")):
-        errors += error_counts(spec, thetas, tile)
-        del tile  # free it and its kept scoring constants before the next is drawn
-
+    errors = sample_counts(spec, thetas, task, population, derive_seed(seed, "population"))
     for record, count in zip(records, errors.tolist()):
         record.test_error = count / population
         record.provenance["violation"] = bool(record.test_error > record.pb_bound)

@@ -2,13 +2,13 @@
 
 Tasks are Gaussian class-mean mixtures whose means share a controllable
 amount of structure across tasks, so that models fine-tuned on related tasks
-genuinely help a held-out task when merged.  Sets come from one tiled
-sampler, ``sample_tiles``: its tiles hold ``_ROW_BUDGET`` rows and start at
-multiples of it, the row tiles ``error_counts`` scores a large set in, so a
-set too large to hold can be scored tile by tile with the whole set's
-counts.  ``sample_set`` joins the tiles.  The classifier is a tanh MLP
-trained with mini-batch SGD on softmax cross-entropy; certification only ever
-sees its 0-1 loss.
+genuinely help a held-out task when merged.  A sample draws all its labels,
+then all its noise, from one stream.  ``sample_set`` holds the set;
+``sample_counts`` gives the ``error_counts`` of a set too large to hold,
+drawing each of its ``_ROW_BUDGET``-row tiles, the row tiles
+``error_counts`` scores it in, into one reused buffer and scoring it there.
+The classifier is a tanh MLP trained with mini-batch SGD on softmax
+cross-entropy; certification only ever sees its 0-1 loss.
 
 There is one SGD loop, ``train_stack``: it trains M models of one
 architecture under one ``TrainConfig`` at once on a leading model axis, each
@@ -45,7 +45,7 @@ from .errors import DomainError, StructureError, TrainingDiverged
 from .seeding import rng_for
 
 # (draw, input) rows per scored block in ``error_counts``, and rows per
-# ``sample_tiles`` tile.  It counts rows, not bytes, so a block's working set
+# ``sample_counts`` tile.  It counts rows, not bytes, so a block's working set
 # grows with the widest layer.  The tile height is part of the output
 # contract: a row tile's first-layer product has the bits of its own
 # height, so another budget moves score bits.  On 100,000-row sets 4,096
@@ -82,8 +82,8 @@ class SyntheticTask:
         object.__setattr__(self, "class_means", means)
         if means.ndim != 2 or len(means) < 2:
             raise DomainError(f"class_means must be (classes >= 2, input_dim), got {means.shape}")
-        if not self.noise_scale > 0:
-            raise DomainError("noise_scale must be positive")
+        if not (np.isfinite(means).all() and 0 < self.noise_scale < math.inf):
+            raise DomainError("class_means must be finite and noise_scale positive and finite")
         for i in range(len(means)):
             for j in range(i + 1, len(means)):
                 if np.array_equal(means[i], means[j]):
@@ -227,34 +227,30 @@ def gen_tasks(
     return tasks
 
 
-def sample_tiles(task: SyntheticTask, n: int, seed: int):
-    """``sample_set(task, n, seed)`` as consecutive ``LabeledSet`` tiles: tile
-    t holds rows t ``_ROW_BUDGET`` onward, ``_ROW_BUDGET`` of them or the
-    rest, the row tiles of ``error_counts`` on a set that large.
-
-    All labels are drawn first, then the noise tile by tile, scaled and
-    shifted in place; consecutive ``standard_normal`` draws continue one
-    stream, so the tiles hold the bits of one full-size draw.  ``n < 1``
-    raises ``DomainError`` on the first step.
-    """
+def _sample(task: SyntheticTask, n: int, seed: int, rows: int):
+    """(inputs, labels) of ``sample_set(task, n, seed)``, ``rows`` at a time:
+    all labels first, then each tile's noise, drawn into one reused buffer
+    and scaled and shifted there.  Consecutive draws continue one stream, so
+    the tiles hold the bits of one full-size draw.  ``n < 1`` raises
+    ``DomainError`` on the first step."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     rng = rng_for(task.label_seed, "sample", seed)
     labels = rng.integers(0, task.class_count, size=n)
-    for start in range(0, n, _ROW_BUDGET):
-        tile = labels[start : start + _ROW_BUDGET]
-        inputs = rng.standard_normal((len(tile), task.input_dim))
+    buffer = np.empty((min(n, rows), task.input_dim))
+    for start in range(0, n, rows):
+        tile = labels[start : start + rows]
+        inputs = rng.standard_normal(out=buffer[: len(tile)])
         inputs *= task.noise_scale
         inputs += task.class_means[tile]
-        yield LabeledSet(inputs, tile)
+        yield inputs, tile
 
 
 def sample_set(task: SyntheticTask, n: int, seed: int) -> LabeledSet:
-    """n i.i.d. draws from the task, deterministic in (task, n, seed): the
-    tiles of ``sample_tiles`` joined."""
-    tiles = list(sample_tiles(task, n, seed))
-    return LabeledSet(np.concatenate([t.inputs for t in tiles]),
-                      np.concatenate([t.labels for t in tiles]))
+    """n i.i.d. draws from the task, deterministic in (task, n, seed): all
+    labels first, then all the noise in one draw."""
+    ((inputs, labels),) = _sample(task, n, seed, n)
+    return LabeledSet(inputs, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def _scores32(spec: MlpSpec, first: np.ndarray, rest, xa: np.ndarray) -> np.ndar
 
 def _block_draws(n: int) -> int:
     """Draws per block that ``error_counts`` scores on a set of n inputs."""
-    return 1 if n == 1 else max(1, _ROW_BUDGET // n)
+    return 1 if n <= 1 else max(1, _ROW_BUDGET // n)
 
 
 def _tile_label_index(labels: np.ndarray, classes: int, draws: int) -> np.ndarray:
@@ -400,13 +396,39 @@ def error_counts(spec: MlpSpec, thetas: np.ndarray, data: LabeledSet) -> np.ndar
     ``StructureError`` and a label that is not a class of ``spec`` raises
     ``DomainError``.
     """
+    first, rest = _checked_layers(spec, thetas)
+    _check_data(spec, data)
+    tiles = zip(data._scoring_tiles, data._label_index(spec.widths[-1]))
+    return _count_errors(spec, first, rest, tiles, _block_draws(data.n))
+
+
+def _checked_layers(spec: MlpSpec, thetas):
+    """``_float32_layers`` of ``thetas``, which must be float32 (k, d_model)."""
     thetas = np.asarray(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != spec.d_model or thetas.dtype != np.float32:
         raise StructureError(f"thetas has shape {thetas.shape} and dtype {thetas.dtype}, "
                              f"spec needs float32 (k, {spec.d_model})")
-    _check_data(spec, data)
-    first, rest = _float32_layers(spec, thetas)
-    return _count_errors(spec, first, rest, data)
+    return _float32_layers(spec, thetas)
+
+
+def sample_counts(spec: MlpSpec, thetas: np.ndarray, task: SyntheticTask, n: int,
+                  seed: int) -> np.ndarray:
+    """``error_counts(spec, thetas, sample_set(task, n, seed))`` without
+    holding the set: the rows' float32 layers are prepared once, and each of
+    ``error_counts``'s row tiles of that set is drawn by ``_sample`` into one
+    float64 buffer and scored there, so one tile of inputs is alive at a
+    time.  A task of another input width than ``spec``'s raises
+    ``StructureError``; one with more classes, and ``n < 1``, ``DomainError``."""
+    first, rest = _checked_layers(spec, thetas)
+    classes = spec.widths[-1]
+    if task.input_dim != spec.widths[0]:
+        raise StructureError(f"task inputs have width {task.input_dim}, spec needs {spec.widths[0]}")
+    if task.class_count > classes:
+        raise DomainError(f"a {task.class_count}-class task does not fit a {classes}-class model")
+    draws = _block_draws(n)
+    tiles = ((_float32_inputs(x), _tile_label_index(y, classes, draws))
+             for x, y in _sample(task, n, seed, _ROW_BUDGET))
+    return _count_errors(spec, first, rest, tiles, draws)
 
 
 def coefficient_counts(spec: MlpSpec, coeffs: np.ndarray, first_basis: np.ndarray,
@@ -433,21 +455,20 @@ def coefficient_counts(spec: MlpSpec, coeffs: np.ndarray, first_basis: np.ndarra
             f"coefficients {coeffs.shape}, first-layer basis {first_basis.shape} and later "
             f"layers {later.shape} do not fit a {spec.widths} network")
     _check_data(spec, data)
-    return _count_errors(spec, coeffs[:, None], _later_layers(_unpack(spec, later, 1)), data,
-                         first_basis)
+    return _count_errors(spec, coeffs[:, None], _later_layers(_unpack(spec, later, 1)),
+                         zip(data._scoring_tiles, data._label_index(spec.widths[-1])),
+                         _block_draws(data.n), first_basis)
 
 
-def _count_errors(spec: MlpSpec, first, rest, data: LabeledSet, first_basis=None):
-    """The misclassified inputs of ``data`` under each of the k draws whose
-    layers ``_scores32`` reads from ``first`` (k, r, K) and ``rest``: the
-    first layer is ``first`` times the float32 inputs of each row tile, or,
-    given ``first_basis``, times that basis's responses to them."""
+def _count_errors(spec: MlpSpec, first, rest, tiles, draws: int, first_basis=None):
+    """The misclassified inputs of the row ``tiles``, each its
+    ``_float32_inputs`` and ``_tile_label_index``, under each of the k draws
+    whose layers ``_scores32`` reads from ``first`` (k, r, K) and ``rest``,
+    ``draws`` per block: the first layer is ``first`` times a tile's inputs,
+    or, given ``first_basis``, times that basis's responses to them."""
     counts = np.zeros(len(first), dtype=np.int64)
-    if data.n == 0 or len(first) == 0:
-        return counts
-    draws = _block_draws(data.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for xa, index in zip(data._scoring_tiles, data._label_index(spec.widths[-1])):
+        for xa, index in tiles:
             rows = xa.shape[1]
             if first_basis is not None:
                 xa = (first_basis @ xa).reshape(first.shape[2], spec.widths[1] * rows)

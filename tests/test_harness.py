@@ -779,6 +779,24 @@ class TestValidityPopulation:
         assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
         assert len({r.test_error for r in records}) > 1
 
+    # two full tiles and a 5-row remainder stream through one buffer: the
+    # only sets built are the trials' supports
+    def test_population_builds_no_labeled_set(self, monkeypatch):
+        config = make_config("validity-trial", dict(TINY, **{"validity.population": 2 * R + 5}))
+        world = build_world(config)
+        task = world.tasks[0]
+        built = []
+
+        def counting(data, _original=pacmerge.LabeledSet.__post_init__):
+            _original(data)
+            built.append(data.n)
+
+        monkeypatch.setattr(pacmerge.LabeledSet, "__post_init__", counting)
+        records = list(_run_validity(config, world.model_spec, 0, task,
+                                     world.pool.without(task.task_id)))
+        assert len(records) == config["validity.trials"] == 3
+        assert built == [config["certify.n"]] * 3
+
     def test_trial_support_has_certify_n_rows(self):
         config = make_config("validity-trial", dict(TINY, **{"certify.n": 40}))
         records = run(config).records

@@ -208,6 +208,13 @@ class TestSyntheticTask:
         with pytest.raises(DomainError, match="class_means"):
             SyntheticTask("t", means, 1.0, 0)
 
+    @pytest.mark.parametrize("means,scale", [([[0.0, np.nan], [1.0, 0.0]], 1.0),
+                                             ([[0.0, np.inf], [1.0, 0.0]], 1.0),
+                                             ([[0.0, 1.0], [1.0, 0.0]], np.inf)])
+    def test_non_finite_means_or_scale_rejected(self, means, scale):
+        with pytest.raises(DomainError, match="finite"):
+            SyntheticTask("t", means, scale, 0)
+
     def test_coinciding_means_rejected(self):
         with pytest.raises(DomainError, match="coincide"):
             SyntheticTask("t", [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], 1.0, 0)
@@ -267,49 +274,76 @@ def reference_sample(task, n, seed):
 
 
 class TestSampleTiles:
+    """The population ``sample_counts`` draws and scores tile by tile, against
+    the set ``sample_set`` holds."""
+
     @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
     @pytest.mark.parametrize("n", [1, R - 1, R, R + 1, 2 * R + 3])
-    def test_tiles_join_to_the_one_draw_set(self, n, seed):
+    def test_tiles_join_to_the_one_draw_set(self, monkeypatch, n, seed):
+        spec = MlpSpec((5, 6, 3))
         task = gen_tasks(seed, 2, 5, 3, 0.5)[1]
-        tiles = list(toyzoo.sample_tiles(task, n, seed))
-        # tile t holds rows t R onward: R rows each, the last one the rest
-        assert [t.n for t in tiles] == [R] * (n // R) + ([n % R] if n % R else [])
-        whole = sample_set(task, n, seed)
         inputs, labels = reference_sample(task, n, seed)
-        for data in (whole, LabeledSet(np.concatenate([t.inputs for t in tiles]),
-                                       np.concatenate([t.labels for t in tiles]))):
-            assert data.inputs.tobytes() == inputs.tobytes()
-            assert data.labels.tobytes() == labels.tobytes()
+        data = sample_set(task, n, seed)
+        assert data.inputs.tobytes() == inputs.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+        views, tiles = [], []
 
-    def test_tiles_own_their_arrays(self):
-        task = gen_tasks(0, 2, 4, 3, 0.5)[0]
-        first, second = toyzoo.sample_tiles(task, R + 1, 2)
-        for tile in (first, second):
-            assert tile.inputs.base is None and tile.labels.base is None
-            assert not tile.inputs.flags.writeable
+        def recorded(x, _original=toyzoo._float32_inputs):
+            views.append(x)
+            tiles.append(x.copy())
+            return _original(x)
+
+        monkeypatch.setattr(toyzoo, "_float32_inputs", recorded)
+        rows = np.random.default_rng(seed).standard_normal((4, spec.d_model)).astype(np.float32)
+        counts = toyzoo.sample_counts(spec, rows, task, n, seed)
+        # tile t holds rows t R onward: R rows each, the last one the rest,
+        # each drawn into the one buffer
+        assert [len(t) for t in tiles] == [R] * (n // R) + ([n % R] if n % R else [])
+        assert all(np.shares_memory(v, views[0]) for v in views)
+        assert np.concatenate(tiles).tobytes() == inputs.tobytes()
+        monkeypatch.undo()
+        assert counts.tolist() == error_counts(spec, rows, data).tolist()
 
     def test_rejects_empty(self):
+        spec = MlpSpec((4, 5, 3))
         task = gen_tasks(0, 2, 4, 3, 0.5)[0]
-        with pytest.raises(DomainError, match="n >= 1"):
-            next(toyzoo.sample_tiles(task, 0, 1))
+        rows = np.zeros((2, spec.d_model), dtype=np.float32)
+        for n in (0, -1):
+            with pytest.raises(DomainError, match="n >= 1"):
+                toyzoo.sample_counts(spec, rows, task, n, 1)
 
-    # two full tiles and a 3-row remainder; k=5 random draws, then near ties
-    # two float32 steps apart, then exact ties
+    def test_rows_and_task_fit_checked(self):
+        spec = MlpSpec((4, 5, 3))
+        task = gen_tasks(0, 2, 4, 3, 0.5)[0]
+        rows = np.zeros((2, spec.d_model), dtype=np.float32)
+        for bad in (rows.astype(np.float64), rows[:, 1:], rows[0]):
+            with pytest.raises(StructureError, match="spec needs float32"):
+                toyzoo.sample_counts(spec, bad, task, 10, 1)
+        with pytest.raises(StructureError, match="width 5, spec needs 4"):
+            toyzoo.sample_counts(spec, rows, gen_tasks(0, 2, 5, 3, 0.5)[0], 10, 1)
+        with pytest.raises(DomainError, match="4-class task does not fit a 3-class model"):
+            toyzoo.sample_counts(spec, rows, gen_tasks(0, 2, 4, 4, 0.5)[0], 10, 1)
+        # a task with fewer classes than the model fits
+        wider = MlpSpec((4, 5, 4))
+        rows = np.zeros((2, wider.d_model), dtype=np.float32)
+        assert toyzoo.sample_counts(wider, rows, task, 10, 1).tolist() == [10, 10]
+
+    # one row and five: random draws, near ties two float32 steps apart, and
+    # exact ties, on one short tile, one full tile and full tiles with a rest
     @pytest.mark.parametrize("rows", ["random", "near", "exact"])
     def test_tile_counts_sum_to_the_whole_set_counts(self, rows):
         spec = MlpSpec((6, 8, 4))
         task = gen_tasks(5, 2, 6, 4, 0.5)[0]
-        n = 2 * R + 3
-        if rows == "random":
-            thetas = np.random.default_rng(4).standard_normal((5, spec.d_model))
-            thetas = thetas.astype(np.float32)
-        else:
-            thetas = tied_rows(spec, 3, n, np.float32, gap=2 if rows == "near" else 0)
-        whole = error_counts(spec, thetas, sample_set(task, n, 3))
-        summed = np.zeros(len(thetas), dtype=np.int64)
-        for tile in toyzoo.sample_tiles(task, n, 3):
-            summed += error_counts(spec, thetas, tile)
-        assert summed.tolist() == whole.tolist()
+        for n in (1, R - 1, R, R + 1, 2 * R + 3):
+            for k in (1, 5):
+                if rows == "random":
+                    thetas = np.random.default_rng(4).standard_normal((k, spec.d_model))
+                    thetas = thetas.astype(np.float32)
+                else:
+                    thetas = tied_rows(spec, k, n, np.float32, gap=2 if rows == "near" else 0)
+                whole = error_counts(spec, thetas, sample_set(task, n, 3))
+                streamed = toyzoo.sample_counts(spec, thetas, task, n, 3)
+                assert streamed.tolist() == whole.tolist(), (n, k)
 
 
 class TestForward:
@@ -520,12 +554,12 @@ class TestFloat32Scoring:
         assert blocks == [1] * (3 * -(-n // R))
         assert counts.tolist() == [error_counts(spec, row[None], data)[0] for row in rows]
 
-    # exact ties scored on the float64 input tiles of ``sample_tiles``: one
-    # tile of 50 inputs, a full tile and a one-row remainder, and two full
+    # exact ties scored on the float64 noise tiles ``sample_counts`` draws:
+    # one tile of 50 inputs, a full tile and a one-row remainder, and two full
     # tiles and a 3-row remainder; every input is an error on every tile
     @pytest.mark.parametrize("n", [50, R + 1, 2 * R + 3])
     @tanh_mlp(6, 8, 4)
-    def test_exact_ties_read_from_float64_tiles(self, spec, n):
+    def test_exact_ties_read_from_float64_tiles(self, monkeypatch, spec, n):
         task = gen_tasks(5, 2, 6, 4, 0.5)[0]
         data = sample_set(task, n, 3)
         rows = tied_rows(spec, 3, n, np.float32, gap=0)
@@ -533,11 +567,17 @@ class TestFloat32Scoring:
         assert counts.tolist() == reference_counts(spec, rows, data)
         # classes 0 and 1 tie above the rest, so every input is an error
         assert counts.tolist() == [n] * 3
-        tiles = list(toyzoo.sample_tiles(task, n, 3))
-        assert len(tiles) == -(-n // R)
-        for tile in tiles:
-            assert tile.inputs.dtype == np.float64
-            assert error_counts(spec, rows, tile).tolist() == [tile.n] * 3
+        heights = []
+
+        def recorded(x, _original=toyzoo._float32_inputs):
+            assert x.dtype == np.float64
+            heights.append(len(x))
+            return _original(x)
+
+        monkeypatch.setattr(toyzoo, "_float32_inputs", recorded)
+        # no tile scores more errors than it has rows, so each scores all
+        assert toyzoo.sample_counts(spec, rows, task, n, 3).tolist() == [n] * 3
+        assert heights == [R] * (n // R) + ([n % R] if n % R else [])
 
     @pytest.mark.parametrize("n", [50, 2 * R + 3])
     @tanh_mlp(6, 8, 4)
